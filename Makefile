@@ -6,7 +6,7 @@ PY := PYTHONPATH=src python
 .PHONY: verify test fast golden-check golden-record bench bench-full \
         bench-check bench-ingest bench-ingest-full scale-smoke \
         bench-scale-full metrics-selftest \
-        telemetry serve-smoke serve-batched-smoke lint lint-deep \
+        telemetry serve-smoke e2e-smoke lint lint-deep \
         lint-baseline sanitize-test scenarios scenarios-check scenarios-ci
 
 test:
@@ -96,21 +96,11 @@ serve-smoke:
 	cmp /tmp/repro-serve/alerts-base.json /tmp/repro-serve/alerts-restart.json
 	@echo "crash-equivalence holds: alert streams byte-identical"
 
-# Batched-lane smoke (docs/SERVING.md): the same replayed deployment
-# through the batched cross-customer lane and the per-customer reference
-# oracle, then a byte-identity check on the merged alert streams (the
-# lane-equivalence guarantee, end to end through the CLI).
-serve-batched-smoke:
-	rm -rf /tmp/repro-serve-lane && mkdir -p /tmp/repro-serve-lane
-	$(PY) -m repro.cli serve --days 3 --customers 6 --epochs 1 --shards 2 \
-	    --threshold 0.95 --lane batched \
-	    --alerts-out /tmp/repro-serve-lane/alerts-batched.json
-	$(PY) -m repro.cli serve --days 3 --customers 6 --epochs 1 --shards 2 \
-	    --threshold 0.95 --lane per-customer \
-	    --alerts-out /tmp/repro-serve-lane/alerts-percustomer.json
-	cmp /tmp/repro-serve-lane/alerts-batched.json \
-	    /tmp/repro-serve-lane/alerts-percustomer.json
-	@echo "lane-equivalence holds: alert streams byte-identical"
+# End-to-end benchmark smoke (benchmarks/e2e/README.md): the tracer patches
+# its 29 TARGETS callables by name, so a deleted or renamed one fails here
+# rather than in the bench pipeline.
+e2e-smoke:
+	$(PY) -m pytest benchmarks/e2e -q
 
 # xatulint (docs/ANALYSIS.md): the domain-aware static-analysis gate.
 # Known-intentional findings live in lint-baseline.json with written

@@ -20,8 +20,8 @@ XL rules:
   while the spawning side retains an alias is *shared*; unguarded
   attribute writes reachable from the worker entry are flagged unless
   they go through the checkpoint (``state_dict``/``load_state_dict``) or
-  ``ShmRing`` paths.  Supersedes the local XL006 heuristic across call
-  and class boundaries.
+  ``ShmRing`` paths.  Extends the local XL006 heuristic across call and
+  class boundaries (XL006 still owns writes to the spawning ``self``).
 * **XF004 no-grad-reachability** — walks unguarded call chains from
   inference entry points; any function on such a chain that allocates
   tape nodes (``Tensor(...)``, ``lstm_sequence``, ``.forward``) outside

@@ -543,55 +543,6 @@ class UnlockedSharedStateRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# XL007 — deprecated pre-PR-4 detector signatures
-# ----------------------------------------------------------------------
-_DEPRECATED_RUN_CLASSES = {
-    "NetScoutDetector",
-    "FastNetMonDetector",
-    "EntropyDetector",
-}
-
-
-@register
-class DeprecatedDetectorApiRule(Rule):
-    """The unified Detector protocol replaced the pre-PR-4 signatures.
-
-    ``SomeDetector().run(trace)`` became ``detect(trace)``; the two-arg
-    ``observe_minute(minute, flows)`` became ``step(minute, flows)`` (or
-    the protocol form ``observe_minute(flows)``).  Both shims emit
-    ``DeprecationWarning`` at runtime; this rule catches them at lint
-    time before they reach a warnings-as-errors CI lane.
-    """
-
-    id = "XL007"
-    name = "deprecated-detector-api"
-    severity = Severity.WARNING
-    fix_hint = (
-        "use detect(trace) instead of run(trace); step(minute, flows) "
-        "or observe_minute(flows) instead of observe_minute(minute, flows)"
-    )
-    description = "call to a deprecated pre-protocol detector signature"
-
-    def check(self, ctx: FileContext) -> Iterable[tuple[ast.AST, str]]:
-        for call in ctx.walk(ast.Call):
-            func = call.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr == "observe_minute" and len(call.args) >= 2:
-                yield call, (
-                    "two-arg observe_minute(minute, flows) is the deprecated "
-                    "pre-protocol form"
-                )
-            if func.attr == "run" and isinstance(func.value, ast.Call):
-                ctor = _call_name(func.value)
-                if ctor in _DEPRECATED_RUN_CLASSES:
-                    yield call, (
-                        f"`{ctor}().run(...)` is the deprecated pre-protocol "
-                        "entry point"
-                    )
-
-
-# ----------------------------------------------------------------------
 # XL008 — mutable default arguments
 # ----------------------------------------------------------------------
 @register
@@ -705,55 +656,7 @@ class AlertOrderHazardRule(Rule):
                     )
 
 
-# ----------------------------------------------------------------------
-# XL011 — materialized traces belong to tests and explicit call sites
-# ----------------------------------------------------------------------
-@register
-class MaterializedTraceRule(Rule):
-    """Library code must stream traces, not materialize them.
-
-    ``TraceGenerator.generate()`` is the deprecated shim over
-    ``materialize()``, and a direct ``Trace(...)`` construction holds the
-    full horizon's matrix in memory — both reintroduce O(horizon ×
-    customers) state that the :class:`~repro.synth.TraceSource` streaming
-    protocol exists to avoid.  New code should consume
-    ``iter_minutes()``; the two constructors of the in-memory form
-    (``materialize()`` itself and trace deserialization) are baselined
-    with reasons, and tests are out of scope — differential suites *must*
-    materialize to compare against the stream.
-    """
-
-    id = "XL011"
-    name = "materialized-trace"
-    severity = Severity.WARNING
-    fix_hint = (
-        "stream via iter_minutes() / as_trace_source(...); call "
-        "materialize() only where holding the full Trace is the point, "
-        "and baseline that site with a reason"
-    )
-    description = "deprecated generate() call or direct Trace(...) construction"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return not ctx.in_subpath("tests")
-
-    def check(self, ctx: FileContext) -> Iterable[tuple[ast.AST, str]]:
-        for call in ctx.walk(ast.Call):
-            name = _call_name(call)
-            if name == "generate" and isinstance(call.func, ast.Attribute):
-                yield call, (
-                    "`.generate()` is the deprecated materializing shim; "
-                    "stream iter_minutes() or call materialize() explicitly"
-                )
-            elif name == "Trace":
-                yield call, (
-                    "direct Trace(...) construction materializes the full "
-                    "horizon; produce MinuteSlices via the streaming "
-                    "generator instead"
-                )
-
-
 ALL_RULE_IDS = (
     "XL001", "XL002", "XL003", "XL004", "XL005",
-    "XL006", "XL007", "XL008", "XL009", "XL010",
-    "XL011",
+    "XL006", "XL008", "XL009", "XL010",
 )

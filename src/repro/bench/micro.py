@@ -25,17 +25,16 @@ Each case builds identical workloads for the fused and unfused variants
   threshold for every watched customer, on feature windows staged ahead
   of time for both variants (feature extraction and scaling are the
   shared staging stage of the serving pipeline; this case isolates the
-  per-customer decision cost that the batched lane amortizes).  The
-  "unfused" variant is the per-customer reference lane's decision call —
-  one ``hazards_np`` per customer, float64, exactly what the shard ran
-  before the batched lane existed.  The "fused" variant is the batched
-  lane's decision call — one ``hazards_np_staged`` pass per
-  ``batch_block`` chunk under the float32 inference policy, i.e. the
-  ``ServeConfig(batched=True, inference_dtype="float32")`` production
-  configuration.  Within either dtype the two lanes' alert streams and
-  checkpoints are byte-identical (tests/test_batched_equivalence.py
-  proves it bit for bit); the speedup column reads as the per-customer
-  alert-decision cost reduction.
+  per-customer decision cost that stacking amortizes).  The "unfused"
+  variant is the reference oracle's decision call
+  (``repro.testing.reference.ReferenceOnlineXatu``) — one ``hazards_np``
+  per customer, float64.  The "fused" variant is production's — one
+  ``hazards_np_staged`` pass per ``SCORE_CHUNK`` stack under the float32
+  inference policy, i.e. ``ServeConfig(inference_dtype="float32")``.
+  Within either dtype the two produce byte-identical alert streams and
+  checkpoints (tests/test_batched_equivalence.py proves it bit for bit);
+  the speedup column reads as the per-customer alert-decision cost
+  reduction.
 
 ``run_all(smoke=True)`` shrinks every size so the whole suite finishes in
 a few seconds — that is what ``make bench`` / CI run to keep the perf
@@ -212,24 +211,24 @@ def _make_serve_minutes(sizes: dict, batched: bool):
 
     Builds a shard-shaped :class:`OnlineXatu` with every customer watched,
     feeds it a couple of minutes of flows, and stages the scaled feature
-    windows the way the shard's own scoring lanes do.  The timed callable
+    windows the way the shard's own scoring stage does.  The timed callable
     is then exactly the decision work a shard repeats every minute:
 
-    * ``batched=False`` — the per-customer reference lane's decision call:
-      one float64 ``hazards_np`` per customer (``_score_one``'s model
-      call), last-hazard survival, threshold.
-    * ``batched=True`` — the batched lane's decision call under the
-      production ``inference_dtype="float32"`` policy: one
-      ``hazards_np_staged`` pass per ``batch_block`` chunk
-      (``_score_batched``'s model call), vectorized survival + threshold.
+    * ``batched=False`` — the reference oracle's decision call
+      (``ReferenceOnlineXatu._score``'s model call): one float64
+      ``hazards_np`` per customer, last-hazard survival, threshold.
+    * ``batched=True`` — production's decision call
+      (``OnlineXatu._score``'s model call) under the
+      ``inference_dtype="float32"`` policy: one ``hazards_np_staged`` pass
+      per ``SCORE_CHUNK`` stack, vectorized survival + threshold.
 
     Feature staging (window assembly + scaling + pooling) runs in setup
     for both variants — it is the shared feature-extractor stage of the
-    serving pipeline, identical across lanes, so excluding it makes the
-    ratio read as the per-customer alert-decision cost reduction.
+    serving pipeline, so excluding it makes the ratio read as the
+    per-customer alert-decision cost reduction.
     """
     from ..core.model import XatuModel
-    from ..core.online import OnlineXatu
+    from ..core.online import SCORE_CHUNK, OnlineXatu
     from ..netflow.records import FlowRecord
     from ..netflow.routing import RouteTable
     from ..signals.features import N_FEATURES, FeatureScaler
@@ -252,7 +251,6 @@ def _make_serve_minutes(sizes: dict, batched: bool):
         blocklist=set(),
         route_table=route_table,
     )
-    detector.batched = True  # setup scoring only; timed lanes are explicit below
     rng = np.random.default_rng(4)
     for minute in range(2):
         detector.step(
@@ -278,10 +276,9 @@ def _make_serve_minutes(sizes: dict, batched: bool):
     threshold = detector.threshold
 
     if batched:
-        block = detector.batch_block
         staged_chunks = [
-            model.stage_pooled(scaled[lo : lo + block], dtype=np.float32)
-            for lo in range(0, len(customers), block)
+            model.stage_pooled(scaled[lo : lo + SCORE_CHUNK], dtype=np.float32)
+            for lo in range(0, len(customers), SCORE_CHUNK)
         ]
 
         def run_minutes():
@@ -341,8 +338,8 @@ def run_all(
                 )
             continue
         if case == "serve_minutes":
-            # "fused" = batched cross-customer lane, "unfused" = per-customer
-            # reference lane — so speedups() reports the batched win directly.
+            # "fused" = production's stacked pass, "unfused" = the reference
+            # oracle's per-customer calls — speedups() reports the win directly.
             for variant, batched in (("fused", True), ("unfused", False)):
                 fn = _make_serve_minutes(sizes, batched)
                 report.add(

@@ -582,7 +582,6 @@ def cmd_serve(args) -> int:
             transport=args.transport,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
-            batched=args.lane == "batched",
             inference_dtype=args.inference_dtype,
         )
         if args.restart_at is not None and args.checkpoint_dir is None:
@@ -650,7 +649,7 @@ def cmd_serve(args) -> int:
             Path(args.alerts_out).write_text("\n".join(lines) + "\n")
             print(f"wrote {len(merged)} alerts to {args.alerts_out}")
         print(f"served            {horizon} minutes on {args.shards} shard(s) "
-              f"[{args.backend}, {args.lane} lane] in {elapsed:.2f}s "
+              f"[{args.backend}] in {elapsed:.2f}s "
               f"({horizon / elapsed:.1f} min/s)")
         print(f"alerts            {len(merged)} merged "
               f"({stats['alerts_suppressed']} suppressed)")
@@ -1006,11 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--restart-at", type=int, default=None, metavar="MINUTE",
                        help="induce a kill+restore at this minute "
                        "(requires --checkpoint-dir)")
-    serve.add_argument("--lane", choices=["batched", "per-customer"],
-                       default="batched",
-                       help="scoring lane: one stacked fused pass per shard "
-                       "per minute (default) or the per-customer reference "
-                       "oracle — byte-identical alert streams either way")
     serve.add_argument("--inference-dtype", choices=["float32", "float64"],
                        default=None,
                        help="reduced-precision inference policy for the "

@@ -16,6 +16,7 @@ and a 40-hour medium view).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +176,28 @@ class XatuModel(Module):
         return hazards.reshape(batch, cfg.detect_window)
 
     # ------------------------------------------------------------------
+    @contextmanager
+    def _no_grad_inference(self, dtype=None):
+        """Inference scope shared by every ``*_np`` entry point: module tree
+        in eval mode for the duration, no autograd tape, and — when
+        ``dtype`` is given — the reduced-precision policy for the fused
+        kernels."""
+        from ..nn import inference_dtype, no_grad
+
+        was_training = self.training
+        if was_training:
+            self.eval()
+        try:
+            with no_grad():
+                if dtype is None:
+                    yield
+                else:
+                    with inference_dtype(dtype):
+                        yield
+        finally:
+            if was_training:
+                self.train(True)
+
     def hazards_np(self, x: np.ndarray, dtype=None) -> np.ndarray:
         """Inference: hazards as a plain array (no autograd tape).
 
@@ -184,27 +207,15 @@ class XatuModel(Module):
         for the fused kernels.  Default float64 output is byte-identical to
         the training-mode forward.
         """
-        from ..nn import inference_dtype, no_grad
-
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
-            with no_grad():
-                if dtype is not None:
-                    with inference_dtype(dtype):
-                        return self.forward(Tensor(x)).numpy()
-                return self.forward(Tensor(x)).numpy()
-        finally:
-            if was_training:
-                self.train(True)
+        with self._no_grad_inference(dtype):
+            return self.forward(Tensor(x)).numpy()
 
     def survival_np(self, x: np.ndarray, dtype=None) -> np.ndarray:
         """Inference: the survival curve ``S_t`` over the detection window."""
         return hazards_to_survival_np(self.hazards_np(x, dtype=dtype))
 
     # ------------------------------------------------------------------
-    # batched cross-customer inference lane
+    # stacked cross-customer inference
     # ------------------------------------------------------------------
     def hazards_np_batched(self, x: np.ndarray, dtype=None) -> np.ndarray:
         """Inference over a stack of independent windows, per-item bitwise
@@ -222,28 +233,14 @@ class XatuModel(Module):
         holds bit for bit, in float64 and under the float32 ``dtype``
         policy alike.  This is what lets the serving layer score every
         customer on a shard in one pass while keeping alert streams and
-        checkpoints byte-identical to the per-customer reference lane.
+        checkpoints byte-identical to the per-customer reference
+        (:class:`repro.testing.reference.ReferenceOnlineXatu`).
         """
-        from ..nn import inference_dtype, no_grad
-
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
-            with no_grad():
-                if dtype is not None:
-                    with inference_dtype(dtype):
-                        return self._hazards_batched(x)
-                return self._hazards_batched(x)
-        finally:
-            if was_training:
-                self.train(True)
-
-    def _hazards_batched(self, x: np.ndarray) -> np.ndarray:
-        return self._hazards_staged(self._stage_pooled(x))
+        with self._no_grad_inference(dtype):
+            return self._hazards_staged(self._stage_pooled(x))
 
     def stage_pooled(self, x: np.ndarray, dtype=None) -> list[np.ndarray]:
-        """Feature-staging half of the batched lane: validate, cast to the
+        """Feature-staging half of the stacked pass: validate, cast to the
         inference dtype, and pool a stack of windows into the per-timescale
         sequences :meth:`hazards_np_staged` consumes.
 
@@ -254,32 +251,15 @@ class XatuModel(Module):
         ``hazards_np_staged(stage_pooled(x, d), d)`` equals
         ``hazards_np_batched(x, d)`` bit for bit.
         """
-        from ..nn import inference_dtype, no_grad
-
-        with no_grad():
-            if dtype is not None:
-                with inference_dtype(dtype):
-                    return self._stage_pooled(x)
+        with self._no_grad_inference(dtype):
             return self._stage_pooled(x)
 
     def hazards_np_staged(self, staged: list[np.ndarray], dtype=None) -> np.ndarray:
-        """Decision half of the batched lane: one fused LSTM + survival-head
+        """Decision half of the stacked pass: one fused LSTM + survival-head
         pass over pre-staged pooled sequences (see :meth:`stage_pooled`).
         """
-        from ..nn import inference_dtype, no_grad
-
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
-            with no_grad():
-                if dtype is not None:
-                    with inference_dtype(dtype):
-                        return self._hazards_staged(staged)
-                return self._hazards_staged(staged)
-        finally:
-            if was_training:
-                self.train(True)
+        with self._no_grad_inference(dtype):
+            return self._hazards_staged(staged)
 
     def _stage_pooled(self, x: np.ndarray) -> list[np.ndarray]:
         from ..nn.autograd import resolve_inference_dtype

@@ -5,14 +5,22 @@ deployment instead receives sampled NetFlow continuously, plus alert and
 mitigation-end notices from the incumbent defense.  :class:`OnlineXatu`
 implements that loop:
 
-* ``observe_minute(flows)`` ingests one minute of sampled flows for all
-  customers, tagging each flow's auxiliary source classes (blocklist
-  membership, previous attackers, spoof check) and folding it into an
-  internal :class:`~repro.netflow.TrafficMatrix`;
+* ``observe_minute(flows)`` / ``step(minute, flows)`` ingest one minute
+  of sampled flows for all customers, tagging each flow's auxiliary
+  source classes (blocklist membership, previous attackers, spoof check)
+  and folding it into an internal :class:`~repro.netflow.TrafficMatrix`;
 * ``ingest_cdet_alert`` / ``ingest_mitigation_end`` maintain the A2/A4/A5
   stores from the incumbent's feed (or from Xatu's own alerts);
 * every minute, the survival score of each watched customer is refreshed
   and crossing alerts are emitted through ``poll_alerts()``.
+
+There is one path per concern: a record list is columnarized once at the
+``step`` boundary, and every minute then runs the same named stages —
+``_ingest_batch`` → ``_evict_idle`` → ``_score`` → ``_decide`` →
+``_evict_state`` → ``_record_minute``.  The differential suites compare
+it against :class:`repro.testing.reference.ReferenceOnlineXatu`, which
+swaps per-record ingest and per-customer scoring into two of those
+stages.
 
 Bounded memory: feature state older than the model lookback plus a safety
 margin is discarded each minute.
@@ -21,31 +29,35 @@ margin is discarded each minute.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..detect.api import infer_minute
 from ..netflow.matrix import (
     SOURCE_CLASS_BLOCKLIST,
     SOURCE_CLASS_PREV_ATTACKER,
     SOURCE_CLASS_SPOOFED,
     TrafficMatrix,
 )
-from ..netflow.records import FlowBatch, FlowRecord
+from ..netflow.customers import CustomerLookup
+from ..netflow.records import FlowBatch, FlowRecord, _as_batch
 from ..netflow.routing import RouteTable
 from ..nn.serialization import state_from_bytes, state_to_bytes
 from ..obs import get_registry, obs_enabled, trace
 from ..signals.clustering import AttackerCustomerGraph
 from ..signals.features import N_FEATURES, FeatureScaler, group_slices
 from ..signals.history import AlertRecord, AttackHistoryStore, PreviousAttackerStore
-from ..synth.attacks import AttackType
 from .model import XatuModel
 
 __all__ = ["OnlineAlert", "OnlineConfig", "OnlineXatu"]
+
+# Customers per stacked inference call.  Bounds the float64 staging buffer
+# (1000 customers x 240 minutes x 273 features would be ~0.5 GB in one
+# piece); every op in the fused pass is per-item bitwise stable, so the
+# value cannot change results.
+SCORE_CHUNK = 256
 
 _CLASS_OF_GROUP = {
     "V": "all",
@@ -149,29 +161,18 @@ class OnlineXatu:
     base_rate_of:
         Customer id → baseline bytes/minute, for A4 severity bucketing.
 
-    Serving-lane knobs
-    ------------------
-    ``batched``, ``inference_dtype`` and ``batch_block`` are plain
-    (class-level default) attributes, set per instance by the serving
-    layer from :class:`~repro.serve.ServeConfig`.  They select *how* the
-    per-minute hazards are computed — one fused pass over every watched
-    customer versus one model call per customer — and are proven
-    byte-identical in outcome by ``tests/test_batched_equivalence.py``.
-    Deliberately **not** part of :class:`OnlineConfig` or
-    :meth:`state_dict`: the lane must never change what a checkpoint
-    looks like, so a restore may flip lanes freely.
+    Inference precision
+    -------------------
+    ``inference_dtype`` (None | np.float32 | np.float64) is a plain
+    class-level-default attribute, set per instance by the serving layer
+    from :class:`~repro.serve.ServeConfig`.  Deliberately **not** part of
+    :class:`OnlineConfig` or :meth:`state_dict`: it is engine policy, so
+    a restore may change it freely.
     """
 
     name = "xatu"
 
-    # Scoring-lane policy (see class docstring).  ``batched`` stacks every
-    # watched customer's feature window into one fused inference call;
-    # ``inference_dtype`` (None | np.float32 | np.float64) activates the
-    # reduced-precision lane; ``batch_block`` caps customers per stacked
-    # call to bound the (customers, lookback, 273) staging buffer.
-    batched: bool = False
     inference_dtype = None
-    batch_block: int = 256
 
     def __init__(
         self,
@@ -253,7 +254,7 @@ class OnlineXatu:
         else:
             self._watched = set(self.customer_of.values())
         self._last_seen: dict[int, int] = {}
-        self._routing_cache: tuple | None = None
+        self._lookup = CustomerLookup()
         self._blocklist_cache: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -297,47 +298,7 @@ class OnlineXatu:
         """CScrub mitigation-end notice: re-arm detection for the customer."""
         self._suppressed_until[customer_id] = minute
 
-    # ------------------------------------------------------------------
-    def _classify(self, customer_id: int, flow: FlowRecord) -> list[str]:
-        classes: list[str] = []
-        if flow.src_addr in self.blocklist:
-            classes.append(SOURCE_CLASS_BLOCKLIST)
-        if self.prev_attackers.is_previous_attacker(
-            customer_id, flow.src_addr, flow.timestamp
-        ):
-            classes.append(SOURCE_CLASS_PREV_ATTACKER)
-        spoofed = self._spoof_cache.get(flow.src_addr)
-        if spoofed is None:
-            spoofed = self.route_table.is_spoofed(flow.src_addr)
-            self._spoof_cache[flow.src_addr] = spoofed
-        if spoofed:
-            classes.append(SOURCE_CLASS_SPOOFED)
-        return classes
-
-    # ------------------------------------------------------------------
-    # columnar ingest lane (FlowBatch inputs)
-    # ------------------------------------------------------------------
-    def _routing_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted (dst address, customer id) lookup arrays for routing.
-
-        ``customer_of`` is deployment context, fixed between restores; the
-        cache key covers replacement (identity) and growth (length), the
-        only mutations the serving layer performs.
-        """
-        cache = self._routing_cache
-        if (
-            cache is None
-            or cache[0] is not self.customer_of
-            or cache[1] != len(self.customer_of)
-        ):
-            n = len(self.customer_of)
-            addrs = np.fromiter(self.customer_of.keys(), dtype=np.int64, count=n)
-            cids = np.fromiter(self.customer_of.values(), dtype=np.int64, count=n)
-            order = np.argsort(addrs, kind="stable")
-            cache = (self.customer_of, n, addrs[order], cids[order])
-            self._routing_cache = cache
-        return cache[2], cache[3]
-
+    # -- stage 1: ingest (route, classify, fold) --------------------
     def _blocklist_mask(self, src: np.ndarray) -> np.ndarray:
         """Vectorized A1 membership over a source-address column."""
         blocklist = self.blocklist
@@ -383,36 +344,22 @@ class OnlineXatu:
         return verdicts[inverse]
 
     def _ingest_batch(self, batch: FlowBatch) -> tuple[int, int]:
-        """Route, classify and aggregate one minute's batch columnar.
+        """Route, classify and aggregate one minute's batch.
 
-        Produces exactly the state the scalar per-flow loop would: routing
-        by ``customer_of``, the three auxiliary class masks, and one
-        :meth:`TrafficMatrix.add_batch` fold (bit-identical to the
-        equivalent ``add_flow`` sequence — see ``tests/test_columnar.py``).
-        Returns ``(ingested, unrouted)`` counts.
+        Routing by ``customer_of``, the three auxiliary class masks, and
+        one :meth:`TrafficMatrix.add_batch` fold.  Returns ``(ingested,
+        unrouted)`` counts.
         """
         arr = batch.array
         if not len(arr):
             return 0, 0
-        dst = arr["dst_addr"].astype(np.int64)
-        if isinstance(self.customer_of, dict):
-            addrs, cids = self._routing_arrays()
-            if len(addrs):
-                pos = np.minimum(np.searchsorted(addrs, dst), len(addrs) - 1)
-                routed = addrs[pos] == dst
-            else:
-                routed = np.zeros(len(arr), dtype=bool)
-            unrouted = int(len(arr) - np.count_nonzero(routed))
-            if unrouted == len(arr):
-                return 0, unrouted
-            cust = cids[pos[routed]]
-        else:
-            all_cids = self.customer_of.route_batch(dst)
-            routed = all_cids >= 0
-            unrouted = int(len(arr) - np.count_nonzero(routed))
-            if unrouted == len(arr):
-                return 0, unrouted
-            cust = all_cids[routed]
+        cids, routed = self._lookup.route(
+            self.customer_of, arr["dst_addr"].astype(np.int64)
+        )
+        unrouted = int(len(arr) - np.count_nonzero(routed))
+        if unrouted == len(arr):
+            return 0, unrouted
+        cust = cids[routed]
         arr = arr[routed]
         seen = map(int, np.unique(cust))
         if self.config_online.watch_idle_minutes is None:
@@ -436,6 +383,26 @@ class OnlineXatu:
         )
         return int(len(arr)), unrouted
 
+    # -- stage 2: idle-watch eviction -------------------------------
+    def _evict_idle(self, minute: int) -> None:
+        """Stop scoring customers that went quiet: their survival has long
+        recovered and keeping them watched makes every minute O(universe)
+        instead of O(active)."""
+        idle = self.config_online.watch_idle_minutes
+        if idle is None:
+            return
+        cutoff = minute - idle
+        stale = [
+            customer_id
+            for customer_id, last in self._last_seen.items()
+            if last < cutoff
+        ]
+        for customer_id in stale:
+            self._watched.discard(customer_id)
+            self._last_seen.pop(customer_id, None)
+            self._hazards.pop(customer_id, None)
+
+    # -- stage 3: feature windows + chunked fused scoring -----------
     def _feature_window(self, customer_id: int, end_minute: int) -> np.ndarray:
         lookback = self.model.config.lookback_minutes
         start = end_minute + 1 - lookback
@@ -465,8 +432,8 @@ class OnlineXatu:
 
         Returns ``(len(customer_ids), lookback_minutes, N_FEATURES)`` —
         row ``i`` is exactly ``_feature_window(customer_ids[i], end_minute)``.
-        This is the staging step of the batched lane, but is public API:
-        any batch scorer (offline eval, what-if replay) can use it.
+        This is the staging step of :meth:`_score`, but is public API: any
+        batch scorer (offline eval, what-if replay) can use it.
         """
         lookback = self.model.config.lookback_minutes
         stack = np.empty((len(customer_ids), lookback, N_FEATURES))
@@ -474,35 +441,12 @@ class OnlineXatu:
             stack[row] = self._feature_window(customer_id, end_minute)
         return stack
 
-    def _survival(self, customer_id: int) -> float:
-        window = self.model.config.detect_window
-        recent = self._hazards[customer_id][-window:]
-        return float(np.exp(-np.sum(recent))) if recent else 1.0
-
-    # ------------------------------------------------------------------
-    # per-minute scoring (two lanes, one decision step)
-    # ------------------------------------------------------------------
-    def _score_one(self, customer_id: int, minute: int) -> float:
-        """Per-customer reference lane: one model call for one customer."""
-        window = self._feature_window(customer_id, minute)
-        x = self.scaler.transform(window)[None, :, :]
-        hazards = self.model.hazards_np(x, dtype=self.inference_dtype)[0]
-        return float(hazards[-1])
-
-    def _score_batched(self, customers: Sequence[int], minute: int) -> list[float]:
-        """Batched lane: fused inference over every watched customer.
-
-        Chunked into ``batch_block``-customer stacks so the float64
-        staging buffer stays bounded (1000 customers × 240 minutes × 273
-        features would be ~0.5 GB in one piece).  Chunking cannot change
-        results: every op in :meth:`XatuModel.hazards_np_batched` is
-        per-item bitwise stable, so the block size is a pure memory knob.
-        """
+    def _score(self, customers: Sequence[int], minute: int) -> list[float]:
+        """This minute's hazard for every customer, in order: one fused
+        inference pass per :data:`SCORE_CHUNK`-customer stack."""
         out: list[float] = []
-        block = max(1, int(self.batch_block))
-        for lo in range(0, len(customers), block):
-            chunk = customers[lo : lo + block]
-            x = self.feature_windows(chunk, minute)
+        for lo in range(0, len(customers), SCORE_CHUNK):
+            x = self.feature_windows(customers[lo : lo + SCORE_CHUNK], minute)
             self.scaler.transform(x, out=x)
             staged = self.model.stage_pooled(x, dtype=self.inference_dtype)
             hazards = self.model.hazards_np_staged(
@@ -511,6 +455,7 @@ class OnlineXatu:
             out.extend(float(h) for h in hazards[:, -1])
         return out
 
+    # -- stage 4: per-customer decision -----------------------------
     def _push_hazard(self, customer_id: int, hazard: float) -> int:
         """Append one hazard sample; returns evicted-entry count."""
         history = self._hazards[customer_id]
@@ -523,8 +468,13 @@ class OnlineXatu:
             return evicted
         return 0
 
+    def _survival(self, customer_id: int) -> float:
+        window = self.model.config.detect_window
+        recent = self._hazards[customer_id][-window:]
+        return float(np.exp(-np.sum(recent))) if recent else 1.0
+
     def _decide(self, customer_id: int, minute: int) -> OnlineAlert | None:
-        """Threshold/suppression decision — always per-customer, both lanes."""
+        """Threshold/suppression decision for one customer."""
         if minute < self._suppressed_until.get(customer_id, -1):
             return None
         survival = self._survival(customer_id)
@@ -535,171 +485,120 @@ class OnlineXatu:
             return OnlineAlert(customer_id, minute, survival)
         return None
 
-    # ------------------------------------------------------------------
-    def observe_minute(
+    # -- stage 5: state eviction ------------------------------------
+    def _evict_state(self, minute: int) -> int:
+        """Bounded memory: matrix cells older than the model lookback (plus
+        a safety margin) and expired clustering alerts are dead state.
+        Returns the evicted-cell count."""
+        margin = self.config_online.evict_margin_minutes
+        if margin < 0:
+            return 0
+        lookback = self.model.config.lookback_minutes
+        evicted_cells = self.matrix.evict_before(minute + 1 - lookback - margin)
+        self.graph.prune_before(minute)
+        return evicted_cells
+
+    # -- stage 6: telemetry -----------------------------------------
+    def _record_minute(
         self,
-        minute_or_flows: int | Sequence[FlowRecord],
-        flows: list[FlowRecord] | None = None,
-    ) -> list[OnlineAlert] | None:
-        """Ingest one minute of sampled flows.
-
-        Protocol form (:class:`repro.detect.Detector`): pass just the flow
-        batch — the internal clock advances one minute per call (or jumps
-        to the newest flow timestamp) and alerts surface via
-        :meth:`poll_alerts`.
-
-        The legacy form ``observe_minute(minute, flows)`` still works and
-        returns the minute's alerts directly, but is deprecated in favour
-        of the protocol form (or :meth:`step` when the caller owns the
-        clock).
-        """
-        if flows is not None or isinstance(minute_or_flows, (int, np.integer)):
-            warnings.warn(
-                "OnlineXatu.observe_minute(minute, flows) is deprecated; "
-                "use observe_minute(flows) (protocol form) or "
-                "step(minute, flows) (explicit clock)",
-                DeprecationWarning,
-                stacklevel=2,
+        flows: int,
+        ingested: int,
+        unrouted: int,
+        alerts: int,
+        evicted: int,
+        evicted_cells: int,
+        minute_start: float,
+    ) -> None:
+        registry = get_registry()
+        registry.counter("online.minutes", "minutes observed").inc()
+        registry.counter("online.flows", "flows ingested and attributed").inc(
+            ingested
+        )
+        if unrouted:
+            registry.counter(
+                "online.flows_unrouted", "flows dropped: unknown destination"
+            ).inc(unrouted)
+        if alerts:
+            registry.counter("online.alerts", "early-detection alerts emitted").inc(
+                alerts
             )
-            if isinstance(flows, FlowBatch):
-                return self.step(int(minute_or_flows), flows)
-            return self.step(int(minute_or_flows), list(flows or []))
-        if isinstance(minute_or_flows, FlowBatch):
-            # infer_minute, without materializing records: advance one
-            # minute, or jump to the newest flow timestamp in the batch.
-            minute = self._minute + 1
-            if len(minute_or_flows):
-                newest = int(minute_or_flows.array["timestamp"].max())
-                minute = max(minute, newest)
-            self.step(minute, minute_or_flows)
-            return None
-        batch = list(minute_or_flows)
-        self.step(infer_minute(self._minute, batch), batch)
-        return None
+        if evicted:
+            registry.counter(
+                "online.hazard_evictions", "hazard-history entries evicted"
+            ).inc(evicted)
+        if evicted_cells:
+            registry.counter(
+                "online.matrix_evictions", "traffic-matrix cells evicted"
+            ).inc(evicted_cells)
+        registry.gauge(
+            "online.watched_customers", "customers currently scored each minute"
+        ).set(len(self._watched))
+        registry.histogram(
+            "online.minute_seconds", "wall time of one observe_minute call"
+        ).observe(time.perf_counter() - minute_start)
+        registry.ewma("online.flow_rate", "flows per observed minute").observe(
+            float(flows)
+        )
+
+    # ------------------------------------------------------------------
+    def observe_minute(self, flows: "FlowBatch | Sequence[FlowRecord]") -> None:
+        """Ingest one minute of sampled flows (:class:`repro.detect.Detector`
+        protocol form).
+
+        The internal clock advances one minute per call (or jumps to the
+        newest flow timestamp) and alerts surface via :meth:`poll_alerts`.
+        Use :meth:`step` when the caller owns the clock.
+        """
+        batch = _as_batch(flows)
+        minute = self._minute + 1
+        if len(batch):
+            minute = max(minute, int(batch.array["timestamp"].max()))
+        self.step(minute, batch)
 
     def step(
-        self, minute: int, flows: "FlowBatch | list[FlowRecord]"
+        self, minute: int, flows: "FlowBatch | Sequence[FlowRecord]"
     ) -> list[OnlineAlert]:
         """Ingest one minute of flows and return any new alerts.
 
         ``minute`` must advance monotonically; quiet customers still get a
-        hazard evaluation (absence of traffic is signal too).  A
-        :class:`FlowBatch` input takes the columnar lane — vectorized
-        routing, classification and aggregation — which is bit-identical
-        in resulting state and alerts to the scalar per-record loop.
+        hazard evaluation (absence of traffic is signal too).  A record
+        list is columnarized here, once: values outside the 38-byte wire
+        record's domain raise ``OverflowError`` before any state changes.
         """
         if minute <= self._minute:
             raise ValueError(
                 f"minutes must advance: got {minute} after {self._minute}"
             )
-        self._minute = minute
         telemetry_on = obs_enabled()
-        if telemetry_on:
-            registry = get_registry()
-            minute_start = time.perf_counter()
-        ingested = 0
-        unrouted = 0
+        minute_start = time.perf_counter() if telemetry_on else 0.0
+        batch = _as_batch(flows)
+        self._minute = minute
+        alerts: list[OnlineAlert] = []
+        evicted = 0
         with trace("online.observe_minute"):
-            if isinstance(flows, FlowBatch):
-                ingested, unrouted = self._ingest_batch(flows)
-            else:
-                for flow in flows:
-                    customer_id = self.customer_of.get(flow.dst_addr)
-                    if customer_id is None:
-                        unrouted += 1
-                        continue
-                    ingested += 1
-                    self._watched.add(customer_id)
-                    if self.config_online.watch_idle_minutes is not None:
-                        self._last_seen[customer_id] = minute
-                    self.matrix.add_flow(
-                        customer_id, flow, self._classify(customer_id, flow)
-                    )
-
-            idle = self.config_online.watch_idle_minutes
-            if idle is not None:
-                # Stop scoring customers that went quiet: their survival has
-                # long recovered and keeping them watched makes every minute
-                # O(universe) instead of O(active).
-                cutoff = minute - idle
-                stale = [
-                    customer_id
-                    for customer_id, last in self._last_seen.items()
-                    if last < cutoff
-                ]
-                for customer_id in stale:
-                    self._watched.discard(customer_id)
-                    self._last_seen.pop(customer_id, None)
-                    self._hazards.pop(customer_id, None)
-
-            alerts: list[OnlineAlert] = []
-            evicted = 0
+            ingested, unrouted = self._ingest_batch(batch)
+            self._evict_idle(minute)
             customers = sorted(self._watched)
             with trace("online.score_customers"):
-                if self.batched and customers:
-                    batch_start = time.perf_counter() if telemetry_on else 0.0
-                    last_hazards = self._score_batched(customers, minute)
-                    for customer_id, hazard in zip(customers, last_hazards):
+                if customers:
+                    score_start = time.perf_counter() if telemetry_on else 0.0
+                    hazards = self._score(customers, minute)
+                    for customer_id, hazard in zip(customers, hazards):
                         evicted += self._push_hazard(customer_id, hazard)
                         alert = self._decide(customer_id, minute)
                         if alert is not None:
                             alerts.append(alert)
                     if telemetry_on:
-                        registry.histogram(
+                        get_registry().histogram(
                             "online.batch_score_seconds",
-                            "batched-lane scoring latency (all customers, one minute)",
-                        ).observe(time.perf_counter() - batch_start)
-                else:
-                    for customer_id in customers:
-                        score_start = time.perf_counter() if telemetry_on else 0.0
-                        hazard = self._score_one(customer_id, minute)
-                        evicted += self._push_hazard(customer_id, hazard)
-                        if telemetry_on:
-                            registry.histogram(
-                                "online.score_seconds",
-                                "per-customer scoring latency (one minute refresh)",
-                            ).observe(time.perf_counter() - score_start)
-                        alert = self._decide(customer_id, minute)
-                        if alert is not None:
-                            alerts.append(alert)
+                            "scoring latency (all watched customers, one minute)",
+                        ).observe(time.perf_counter() - score_start)
         self._pending.extend(alerts)
-        # Bounded memory: matrix cells older than the model lookback (plus
-        # a safety margin) and expired clustering alerts are dead state.
-        margin = self.config_online.evict_margin_minutes
-        evicted_cells = 0
-        if margin >= 0:
-            lookback = self.model.config.lookback_minutes
-            evicted_cells = self.matrix.evict_before(minute + 1 - lookback - margin)
-            self.graph.prune_before(minute)
+        evicted_cells = self._evict_state(minute)
         if telemetry_on:
-            registry.counter("online.minutes", "minutes observed").inc()
-            registry.counter("online.flows", "flows ingested and attributed").inc(
-                ingested
-            )
-            if unrouted:
-                registry.counter(
-                    "online.flows_unrouted", "flows dropped: unknown destination"
-                ).inc(unrouted)
-            if alerts:
-                registry.counter("online.alerts", "early-detection alerts emitted").inc(
-                    len(alerts)
-                )
-            if evicted:
-                registry.counter(
-                    "online.hazard_evictions", "hazard-history entries evicted"
-                ).inc(evicted)
-            if evicted_cells:
-                registry.counter(
-                    "online.matrix_evictions", "traffic-matrix cells evicted"
-                ).inc(evicted_cells)
-            registry.gauge(
-                "online.watched_customers", "customers currently scored each minute"
-            ).set(len(self._watched))
-            registry.histogram(
-                "online.minute_seconds", "wall time of one observe_minute call"
-            ).observe(time.perf_counter() - minute_start)
-            registry.ewma("online.flow_rate", "flows per observed minute").observe(
-                float(len(flows))
+            self._record_minute(
+                len(batch), ingested, unrouted, len(alerts), evicted,
+                evicted_cells, minute_start,
             )
         return alerts
 

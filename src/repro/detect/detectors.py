@@ -29,7 +29,6 @@ Both detectors run in two modes sharing one sustain/release engine:
 
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Protocol as TypingProtocol, Sequence, runtime_checkable
@@ -196,17 +195,6 @@ class _SustainedThresholdDetector:
     # ------------------------------------------------------------------
     # offline sweep
     # ------------------------------------------------------------------
-    def run(self, trace: Trace) -> list[DetectionAlert]:
-        """Deprecated alias of :meth:`detect` (the pre-protocol signature)."""
-        warnings.warn(
-            f"{type(self).__name__}.run(trace) is deprecated; use "
-            "detect(trace) for offline sweeps or the streaming protocol "
-            "(observe_minute/poll_alerts/reset) for minute-driven serving",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.detect(trace)
-
     def detect(self, trace: Trace) -> list[DetectionAlert]:
         alerts: list[DetectionAlert] = []
         horizon = trace.horizon

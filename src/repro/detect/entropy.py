@@ -100,17 +100,6 @@ class EntropyDetector:
                 mean = (1 - self.alpha) * mean + self.alpha * value
         return flags
 
-    def run(self, trace: Trace) -> list[DetectionAlert]:
-        """Deprecated alias of :meth:`detect` (the pre-protocol signature)."""
-        import warnings
-
-        warnings.warn(
-            "EntropyDetector.run(trace) is deprecated; use detect(trace)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.detect(trace)
-
     def detect(self, trace: Trace) -> list[DetectionAlert]:
         alerts: list[DetectionAlert] = []
         horizon = trace.horizon

@@ -41,19 +41,11 @@ class ServeConfig:
         ``flag`` keeps alerting and records the degradation in the obs
         metrics; ``suppress`` additionally withholds alerts emitted during
         degraded minutes (state still advances, so recovery is seamless).
-    batched:
-        When True (the default) each shard scores all its watched
-        customers in one stacked fused-inference pass per minute instead
-        of one model call per customer.  The two lanes are byte-identical
-        in alerts *and* checkpoints (``tests/test_batched_equivalence.py``
-        proves it differentially), so this is purely a speed knob; the
-        per-customer lane is retained as the reference oracle.
     inference_dtype:
         ``None`` (full float64), ``"float32"`` or ``"float64"``; selects
         the reduced-precision inference policy applied to every
-        :class:`~repro.core.OnlineXatu` the engine builds.  Like
-        ``batched``, this is engine policy, never checkpointed state: a
-        restore may change it freely.
+        :class:`~repro.core.OnlineXatu` the engine builds.  This is engine
+        policy, never checkpointed state: a restore may change it freely.
     transport:
         How the process backend moves each minute's flow payload to its
         workers: ``shm`` (the default) stages the encoded batch in a
@@ -75,7 +67,6 @@ class ServeConfig:
     checkpoint_every: int = 0
     degraded_loss_rate: float = 0.05
     degradation_policy: str = "flag"
-    batched: bool = True
     inference_dtype: str | None = None
     transport: str = "shm"
     shm_ring_bytes: int = 1 << 20

@@ -16,16 +16,6 @@ stores are global, only its traffic matrix is partition-local — so the
 merged alert stream is byte-identical for any shard count.  Tests assert
 this.
 
-Batched inference lane
-----------------------
-With ``ServeConfig.batched`` (the default) each shard's detector scores
-all its watched customers in **one** stacked fused-inference pass per
-minute (:meth:`~repro.core.XatuModel.hazards_np_batched`) instead of one
-model call per customer; threshold/suppression decisions stay
-per-customer.  The lanes are byte-identical in alerts and checkpoints —
-differential tests prove it — so the per-customer lane survives purely
-as the reference oracle and the slow path for debugging.
-
 Durability
 ----------
 ``checkpoint()`` snapshots the collector plus every shard's complete
@@ -53,6 +43,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..core.online import OnlineAlert, OnlineXatu
+from ..netflow.customers import CustomerLookup
 from ..netflow.records import FlowBatch, FlowRecord
 from ..netflow.sampler import FeedHealth, FlowCollector
 from ..obs import get_registry, obs_enabled, trace
@@ -119,7 +110,7 @@ class ServeEngine:
             )
             for index in range(self.config.shards)
         ]
-        self._routing_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._lookup = CustomerLookup()
         self._minute = -1
         self._pending: list[OnlineAlert] = []
         self._pending_cdet: list[AlertRecord] = []
@@ -140,16 +131,14 @@ class ServeEngine:
         else:
             partition = self.customer_of.shard_view(index, n)
         factory = self._factory
-        batched = self.config.batched
         inference_dtype = self.config.inference_dtype
 
         def build() -> OnlineXatu:
             detector = factory(partition)
-            # Lane knobs are engine policy, not detector state: applied on
-            # every (re)build, never serialized — so checkpoints are
-            # lane-independent and a restore may flip lanes freely.
+            # Inference precision is engine policy, not detector state:
+            # applied on every (re)build, never serialized — so a restore
+            # may change it freely.
             if isinstance(detector, OnlineXatu):
-                detector.batched = batched
                 detector.inference_dtype = (
                     None if inference_dtype is None else np.dtype(inference_dtype)
                 )
@@ -162,7 +151,7 @@ class ServeEngine:
     # ------------------------------------------------------------------
     def ingest_datagram(self, blob: bytes) -> int:
         """Receive one headered export datagram; returns its record count."""
-        return len(self.collector.ingest_datagram(blob))
+        return len(self.collector.ingest_datagram_batch(blob))
 
     def ingest_flows(self, flows: "FlowBatch | Sequence[FlowRecord]") -> int:
         """Receive already-decoded flows (bypasses the wire codec)."""
@@ -180,16 +169,6 @@ class ServeEngine:
     # ------------------------------------------------------------------
     # the minute loop
     # ------------------------------------------------------------------
-    def _routing_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted (dst address, customer id) arrays for columnar routing."""
-        if self._routing_cache is None:
-            n = len(self.customer_of)
-            addrs = np.fromiter(self.customer_of.keys(), dtype=np.int64, count=n)
-            cids = np.fromiter(self.customer_of.values(), dtype=np.int64, count=n)
-            order = np.argsort(addrs, kind="stable")
-            self._routing_cache = (addrs[order], cids[order])
-        return self._routing_cache
-
     def _partition(self, batch: FlowBatch) -> tuple[list[FlowBatch], int]:
         """Split one minute's batch into per-shard batches, columnar.
 
@@ -202,20 +181,10 @@ class ServeEngine:
         arr = batch.array
         if not len(arr):
             return [FlowBatch.empty() for _ in range(n)], 0
-        dst = arr["dst_addr"].astype(np.int64)
-        if not isinstance(self.customer_of, dict):
-            cids = self.customer_of.route_batch(dst)
-            routed = cids >= 0
-            shard_of = np.where(routed, cids % n, -1)
-        else:
-            addrs, cids = self._routing_arrays()
-            if len(addrs):
-                pos = np.minimum(np.searchsorted(addrs, dst), len(addrs) - 1)
-                routed = addrs[pos] == dst
-                shard_of = np.where(routed, cids[pos] % n, -1)
-            else:
-                routed = np.zeros(len(arr), dtype=bool)
-                shard_of = np.full(len(arr), -1, dtype=np.int64)
+        cids, routed = self._lookup.route(
+            self.customer_of, arr["dst_addr"].astype(np.int64)
+        )
+        shard_of = np.where(routed, cids % n, -1)
         unrouted = int(len(arr) - np.count_nonzero(routed))
         return (
             [FlowBatch(arr[shard_of == index]) for index in range(n)],
@@ -275,8 +244,9 @@ class ServeEngine:
 
         minute_alerts.sort(key=_merge_key)
         suppressed = degraded and self.config.degradation_policy == "suppress"
+        withheld = len(minute_alerts) if suppressed else 0
         if suppressed:
-            self._alerts_suppressed += len(minute_alerts)
+            self._alerts_suppressed += withheld
             minute_alerts = []
         self._pending.extend(minute_alerts)
         self._alerts_emitted += len(minute_alerts)
@@ -295,7 +265,7 @@ class ServeEngine:
             if suppressed:
                 registry.counter(
                     "serve.alerts_suppressed", "alerts withheld while degraded"
-                ).inc(self._alerts_suppressed)
+                ).inc(withheld)
             registry.gauge(
                 "serve.feed_loss_rate", "collector-observed export loss rate"
             ).set(health.loss_rate)

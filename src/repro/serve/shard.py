@@ -2,11 +2,11 @@
 execution backend.
 
 The worker speaks a tiny command protocol (``step`` / ``state`` / ``load``
-/ ``reset`` / ``stop``) over a connection-like object, so the same loop
-serves all three backends:
+/ ``reset`` / ``stop``); one ``_execute`` dispatch serves all three
+backends:
 
 * ``inline``  — commands execute synchronously in the caller's thread;
-* ``thread``  — a daemon thread runs the loop over a queue pair;
+* ``thread``  — a daemon thread runs the command loop over a queue pair;
 * ``process`` — a forked child runs the loop over a ``multiprocessing``
   pipe (the only backend that escapes the GIL for the numpy scoring
   work).
@@ -64,7 +64,7 @@ class _QueuePairConn:
         return self._recv_q.get()
 
 
-def _decode_payload(flows, reader: ShmReader):
+def _decode_payload(flows, reader: ShmReader | None):
     """Resolve a step payload: shm control tuples become zero-copy batches."""
     if type(flows) is tuple and flows and flows[0] == "shm":
         _, name, offset, length = flows
@@ -74,45 +74,53 @@ def _decode_payload(flows, reader: ShmReader):
     return flows
 
 
+def _execute(detector: OnlineXatu, message, reader: ShmReader | None = None):
+    """Run one ``step`` / ``state`` / ``load`` / ``reset`` command — the
+    single dispatch every backend shares.  Returns the ``(status, payload)``
+    reply; exceptions become error replies (surfaced to the engine as
+    :class:`ShardFailure`).
+
+    A ``step``'s zero-copy shm view dies with this frame, i.e. before the
+    caller can send the reply: the parent may rewrite (or unlink, on
+    growth) the ring slot as soon as it sees it.
+    """
+    op = message[0]
+    try:
+        if op == "step":
+            _, minute, flows, cdet_alerts, mitigation_ends = message
+            for record in cdet_alerts:
+                detector.ingest_cdet_alert(record)
+            for customer_id, end_minute in mitigation_ends:
+                detector.ingest_mitigation_end(customer_id, end_minute)
+            result = detector.step(minute, _decode_payload(flows, reader))
+        elif op == "state":
+            result = detector.state_dict()
+        elif op == "load":
+            detector.load_state_dict(message[1])
+            result = None
+        elif op == "reset":
+            detector.reset()
+            result = None
+        else:
+            raise ValueError(f"unknown shard command {op!r}")
+        return ("ok", result)
+    except Exception as exc:
+        return ("error", f"{type(exc).__name__}: {exc}")
+
+
 def _worker_loop(detector: OnlineXatu, conn) -> None:
-    """Serve commands until ``stop``; exceptions become error replies."""
+    """Serve commands until ``stop`` (thread and process backends)."""
     reader = ShmReader()
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             return
-        op = message[0]
-        if op == "stop":
+        if message[0] == "stop":
             reader.close()
             conn.send(("ok", None))
             return
-        try:
-            if op == "step":
-                _, minute, flows, cdet_alerts, mitigation_ends = message
-                flows = _decode_payload(flows, reader)
-                for record in cdet_alerts:
-                    detector.ingest_cdet_alert(record)
-                for customer_id, end_minute in mitigation_ends:
-                    detector.ingest_mitigation_end(customer_id, end_minute)
-                result = detector.step(minute, flows)
-                # Release the zero-copy view before replying: the parent
-                # may rewrite (or unlink, on growth) the ring slot as soon
-                # as it sees the reply.
-                flows = None
-            elif op == "state":
-                result = detector.state_dict()
-            elif op == "load":
-                detector.load_state_dict(message[1])
-                result = None
-            elif op == "reset":
-                detector.reset()
-                result = None
-            else:
-                raise ValueError(f"unknown shard command {op!r}")
-            conn.send(("ok", result))
-        except Exception as exc:  # surfaced to the engine as ShardFailure
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+        conn.send(_execute(detector, message, reader))
 
 
 class ShardWorker:
@@ -191,30 +199,7 @@ class ShardWorker:
             raise ShardFailure(f"shard {self.index} already has a pending command")
         self._pending = 1
         if self.backend == "inline":
-            # Execute immediately with the same semantics as _worker_loop.
-            op = message[0]
-            try:
-                if op == "step":
-                    _, minute, flows, cdet_alerts, mitigation_ends = message
-                    for record in cdet_alerts:
-                        self._detector.ingest_cdet_alert(record)
-                    for customer_id, end_minute in mitigation_ends:
-                        self._detector.ingest_mitigation_end(customer_id, end_minute)
-                    self._inline_result = ("ok", self._detector.step(minute, flows))
-                elif op == "state":
-                    self._inline_result = ("ok", self._detector.state_dict())
-                elif op == "load":
-                    self._detector.load_state_dict(message[1])
-                    self._inline_result = ("ok", None)
-                elif op == "reset":
-                    self._detector.reset()
-                    self._inline_result = ("ok", None)
-                elif op == "stop":
-                    self._inline_result = ("ok", None)
-                else:
-                    raise ValueError(f"unknown shard command {op!r}")
-            except Exception as exc:
-                self._inline_result = ("error", f"{type(exc).__name__}: {exc}")
+            self._inline_result = _execute(self._detector, message)
         else:
             self._conn.send(message)
 

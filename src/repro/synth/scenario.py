@@ -18,7 +18,6 @@ the learning problem is preserved at laptop scale.
 
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -795,18 +794,3 @@ class TraceGenerator:
             total_flows=self._total_flows,
             sampled_flows=self._sampled_flows,
         )
-
-    def generate(self) -> Trace:
-        """Deprecated alias of :meth:`materialize`.
-
-        Full-trace materialization is the legacy lane; new call sites
-        should stream :meth:`iter_minutes` (or call :meth:`materialize`
-        explicitly when an in-memory :class:`Trace` is genuinely needed).
-        """
-        warnings.warn(
-            "TraceGenerator.generate() is deprecated; stream iter_minutes() "
-            "or call materialize() for an explicit in-memory trace",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.materialize()

@@ -5,7 +5,9 @@ silent numerical drift while the hot paths get refactored:
 
 * :mod:`repro.testing.reference` — slow, obviously-correct scalar
   re-implementations of the production kernels (LSTM cell, Dense, Adam,
-  SAFE loss, survival transform, CUSUM) for differential testing;
+  SAFE loss, survival transform, CUSUM) for differential testing, plus
+  :class:`ReferenceOnlineXatu`, the per-record / per-customer oracle for
+  the streaming detector;
 * :mod:`repro.testing.golden` — versioned end-to-end golden fixtures
   (``manifest.json`` + ``arrays.npz``) recorded once and checked on every
   change via ``python -m repro.cli golden record|check``;
@@ -41,6 +43,7 @@ from .props import (
     tensors,
 )
 from .reference import (
+    ReferenceOnlineXatu,
     diff_summary,
     max_abs_diff,
     reference_adam_step,
@@ -90,6 +93,7 @@ __all__ = [
     "reference_safe_survival_loss",
     "reference_binary_cross_entropy",
     "reference_cusum_scores",
+    "ReferenceOnlineXatu",
     "max_abs_diff",
     "diff_summary",
 ]

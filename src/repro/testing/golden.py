@@ -145,10 +145,9 @@ def compute_golden_arrays(spec: GoldenSpec | None = None) -> dict[str, np.ndarra
     hazards = model.hazards_np(x[:k])
     arrays["inference/hazard_curves"] = hazards
     arrays["inference/survival_curves"] = hazards_to_survival_np(hazards)
-    # The batched serving lane (one stacked fused pass over k windows,
-    # per-item bitwise equal to scoring each window alone) in both
-    # precisions — so a kernel edit can't silently drift the lane the
-    # serve engine runs by default.
+    # The stacked serving pass (one fused pass over k windows, per-item
+    # bitwise equal to scoring each window alone) in both precisions — so
+    # a kernel edit can't silently drift what the serve engine runs.
     arrays["inference/hazard_curves_batched"] = model.hazards_np_batched(x[:k])
     arrays["inference/hazard_curves_batched_f32"] = model.hazards_np_batched(
         x[:k], dtype=np.float32

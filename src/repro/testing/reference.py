@@ -11,6 +11,13 @@ that silently changes its math is caught immediately.
 
 Arrays come in and go out as ``numpy.ndarray`` (for convenient comparison)
 but every arithmetic step happens on Python floats.
+
+:class:`ReferenceOnlineXatu` is the one exception to "no shared code": it
+*is* the production :class:`~repro.core.OnlineXatu` with exactly two
+stages swapped for slow, obviously-correct ones — per-record ingest and
+per-customer scoring — so the differential suites
+(``tests/test_batched_equivalence.py``, ``tests/test_columnar.py``,
+``tests/test_serve.py``) can demand byte-identical alerts and checkpoints.
 """
 
 from __future__ import annotations
@@ -18,6 +25,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ..core.online import OnlineXatu
+from ..netflow.matrix import (
+    SOURCE_CLASS_BLOCKLIST,
+    SOURCE_CLASS_PREV_ATTACKER,
+    SOURCE_CLASS_SPOOFED,
+)
 
 __all__ = [
     "reference_sigmoid",
@@ -32,6 +46,7 @@ __all__ = [
     "reference_safe_survival_loss",
     "reference_binary_cross_entropy",
     "reference_cusum_scores",
+    "ReferenceOnlineXatu",
     "max_abs_diff",
     "diff_summary",
 ]
@@ -298,6 +313,58 @@ def reference_cusum_scores(
         s = max(0.0, s + z)
         out[i] = s
     return out
+
+
+# ----------------------------------------------------------------------
+# the streaming detector's oracle
+# ----------------------------------------------------------------------
+class ReferenceOnlineXatu(OnlineXatu):
+    """:class:`~repro.core.OnlineXatu` with scalar ingest and per-customer
+    scoring: one ``add_flow`` per record, one model call per customer.
+
+    Overrides the ``_ingest_batch`` and ``_score`` stages only; the minute
+    loop, decisions, eviction, telemetry and ``state_dict`` are inherited,
+    so a snapshot moves freely between the two classes.
+    """
+
+    def _classify(self, customer_id: int, flow) -> list[str]:
+        classes: list[str] = []
+        if flow.src_addr in self.blocklist:
+            classes.append(SOURCE_CLASS_BLOCKLIST)
+        if self.prev_attackers.is_previous_attacker(
+            customer_id, flow.src_addr, flow.timestamp
+        ):
+            classes.append(SOURCE_CLASS_PREV_ATTACKER)
+        spoofed = self._spoof_cache.get(flow.src_addr)
+        if spoofed is None:
+            spoofed = self.route_table.is_spoofed(flow.src_addr)
+            self._spoof_cache[flow.src_addr] = spoofed
+        if spoofed:
+            classes.append(SOURCE_CLASS_SPOOFED)
+        return classes
+
+    def _ingest_batch(self, batch) -> tuple[int, int]:
+        ingested = unrouted = 0
+        for flow in batch.to_records():
+            customer_id = self.customer_of.get(flow.dst_addr)
+            if customer_id is None:
+                unrouted += 1
+                continue
+            ingested += 1
+            self._watched.add(customer_id)
+            if self.config_online.watch_idle_minutes is not None:
+                self._last_seen[customer_id] = self._minute
+            self.matrix.add_flow(customer_id, flow, self._classify(customer_id, flow))
+        return ingested, unrouted
+
+    def _score(self, customers, minute: int) -> list[float]:
+        out: list[float] = []
+        for customer_id in customers:
+            window = self._feature_window(customer_id, minute)
+            x = self.scaler.transform(window)[None, :, :]
+            hazards = self.model.hazards_np(x, dtype=self.inference_dtype)[0]
+            out.append(float(hazards[-1]))
+        return out
 
 
 # ----------------------------------------------------------------------

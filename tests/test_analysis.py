@@ -330,27 +330,6 @@ class TestUnlockedSharedState:
 
 
 # ----------------------------------------------------------------------
-# XL007 — deprecated detector API
-# ----------------------------------------------------------------------
-class TestDeprecatedDetectorApi:
-    def test_two_arg_observe_minute_fires(self):
-        fires("XL007", "alerts = det.observe_minute(minute, flows)\n")
-
-    def test_constructor_run_fires(self):
-        fires("XL007", "alerts = NetScoutDetector().run(trace)\n")
-
-    def test_protocol_forms_are_fine(self):
-        silent("XL007", """
-            alerts = det.observe_minute(flows)
-            alerts = online.step(minute, flows)
-            alerts = NetScoutDetector().detect(trace)
-        """)
-
-    def test_unrelated_run_is_fine(self):
-        silent("XL007", "result = Pipeline().run(trace)\n")
-
-
-# ----------------------------------------------------------------------
 # XL008 — mutable defaults
 # ----------------------------------------------------------------------
 class TestMutableDefault:
@@ -418,54 +397,6 @@ class TestAlertOrderHazard:
             def summarize(counts):
                 return [v for v in counts.values()]
         """)
-
-
-# ----------------------------------------------------------------------
-# XL011 — materialized traces in library code
-# ----------------------------------------------------------------------
-class TestMaterializedTrace:
-    def test_generate_shim_fires(self):
-        fires("XL011", """
-            def build(gen):
-                return gen.generate()
-        """)
-
-    def test_direct_trace_construction_fires(self):
-        fires("XL011", """
-            def assemble(matrix, events):
-                return Trace(matrix, events=events)
-        """)
-
-    def test_streaming_is_fine(self):
-        silent("XL011", """
-            def drive(gen):
-                for sl in gen.iter_minutes():
-                    consume(sl.batch)
-        """)
-
-    def test_explicit_materialize_is_fine(self):
-        silent("XL011", """
-            def snapshot(gen):
-                return gen.materialize()
-        """)
-
-    def test_bare_generate_name_is_fine(self):
-        # Only the attribute-call shim is deprecated; a local function
-        # that happens to be called `generate` is someone else's business.
-        silent("XL011", """
-            def run():
-                return generate()
-        """)
-
-    def test_tests_are_out_of_scope(self):
-        silent(
-            "XL011",
-            """
-            def test_round_trip(gen):
-                return gen.generate()
-            """,
-            rel_path="tests/test_fixture.py",
-        )
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Differential proof that the batched inference lane is byte-identical.
+"""Differential proof that stacked fused scoring is byte-identical.
 
-The batched cross-customer lane (``OnlineXatu.batched`` /
-``XatuModel.hazards_np_batched``) exists purely for speed: one stacked
-fused-inference pass per minute instead of one model call per customer.
-Its contract is *bitwise* equivalence with the per-customer reference
-lane — same alert stream down to the float bits of every survival value,
-same checkpoint bytes — because hazards live inside checkpointed state
-and any drift would break crash-equivalence across lanes.
+``OnlineXatu`` scores every watched customer in one stacked
+fused-inference pass per minute (``XatuModel.hazards_np_batched`` and its
+staged halves) instead of one model call per customer.  Its contract is
+*bitwise* equivalence with the per-record, per-customer oracle
+:class:`repro.testing.reference.ReferenceOnlineXatu` — same alert stream
+down to the float bits of every survival value, same checkpoint bytes —
+because hazards live inside checkpointed state and any drift would break
+crash-equivalence.
 
 Two layers of differential tests, both on the PR-1 shrinking property
 runner (:mod:`repro.testing.props`):
@@ -14,18 +15,21 @@ runner (:mod:`repro.testing.props`):
 * **kernel level** — ``hazards_np_batched(x)[i]`` vs
   ``hazards_np(x[i:i+1])[0]`` over random weights/inputs, float64 and
   float32, avg and max pooling;
-* **detector level** — two :class:`OnlineXatu` instances (one per lane)
-  driven minute-by-minute over randomized multi-customer traces (ragged
-  customer counts, empty minutes, mid-stream churn, attack + benign
-  mixes, incumbent alerts and mitigation ends), asserting identical
-  ``(minute, customer, survival)`` alert tuples every minute and
-  ``pickle``-byte-identical post-run state dicts.
+* **detector level** — production :class:`OnlineXatu` against
+  :class:`ReferenceOnlineXatu`, driven minute-by-minute over randomized
+  multi-customer traces (ragged customer counts, empty minutes,
+  mid-stream churn, attack + benign mixes, incumbent alerts and
+  mitigation ends), asserting identical ``(minute, customer, survival)``
+  alert tuples every minute and ``pickle``-byte-identical post-run state
+  dicts.
 """
 
 import pickle
 
 import numpy as np
+import pytest
 
+import repro.core.online as online_module
 from repro.core import OnlineXatu, XatuModel
 from repro.core.model import TimescaleSpec, XatuModelConfig
 from repro.netflow import FlowRecord, RouteTable
@@ -33,6 +37,7 @@ from repro.signals import FeatureScaler
 from repro.signals.history import AlertRecord
 from repro.synth.attacks import AttackType
 from repro.testing.props import choices, integers, run_property
+from repro.testing.reference import ReferenceOnlineXatu
 
 # A deliberately tiny architecture: the equivalence argument is about op
 # shapes and cast order, not capacity, so small-and-fast maximizes the
@@ -107,16 +112,15 @@ def test_batched_rejects_bad_shapes():
 
 
 # ----------------------------------------------------------------------
-# detector level: full streaming loop, lane vs lane
+# detector level: full streaming loop, production vs oracle
 # ----------------------------------------------------------------------
 def _build_detector(
     model_seed: int,
     threshold: float,
     customer_of: dict[int, int],
     *,
-    batched: bool,
+    reference: bool,
     dtype=None,
-    batch_block: int | None = None,
 ) -> OnlineXatu:
     route_table = RouteTable()
     route_table.announce((0, 2**32 - 1), origin_asn=1)
@@ -125,7 +129,7 @@ def _build_detector(
     scaler.std_ = np.ones(273)
     model = XatuModel(_tiny_config(model_seed))
     model.eval()
-    detector = OnlineXatu(
+    detector = (ReferenceOnlineXatu if reference else OnlineXatu)(
         model=model,
         scaler=scaler,
         threshold=threshold,
@@ -134,10 +138,7 @@ def _build_detector(
         route_table=route_table,
         rearm_after=3,
     )
-    detector.batched = batched
     detector.inference_dtype = dtype
-    if batch_block is not None:
-        detector.batch_block = batch_block
     return detector
 
 
@@ -193,16 +194,14 @@ def _run_differential(
     threshold: float,
     *,
     dtype=None,
-    batch_block: int = 256,
 ) -> None:
-    """Drive both lanes over one randomized trace; assert bitwise equality."""
+    """Drive both detectors over one randomized trace; assert bitwise equality."""
     customer_of = {60_000 + i: i for i in range(n_customers)}
     reference = _build_detector(
-        seed % 1009, threshold, customer_of, batched=False, dtype=dtype
+        seed % 1009, threshold, customer_of, reference=True, dtype=dtype
     )
-    batched = _build_detector(
-        seed % 1009, threshold, customer_of,
-        batched=True, dtype=dtype, batch_block=batch_block,
+    production = _build_detector(
+        seed % 1009, threshold, customer_of, reference=False, dtype=dtype
     )
     rng = np.random.default_rng(seed)
     addresses = sorted(customer_of)
@@ -214,26 +213,26 @@ def _run_differential(
             # both detectors and must be scored from this minute on.
             new_address, new_customer = 60_000 + n_customers, n_customers
             reference.customer_of[new_address] = new_customer
-            batched.customer_of[new_address] = new_customer
+            production.customer_of[new_address] = new_customer
             addresses.append(new_address)
         flows = _random_minute(rng, minute, addresses)
         if rng.random() < 0.2:
             record = _cdet(int(rng.integers(0, n_customers)), minute)
             reference.ingest_cdet_alert(record)
-            batched.ingest_cdet_alert(record)
+            production.ingest_cdet_alert(record)
         if rng.random() < 0.15:
             customer = int(rng.integers(0, n_customers))
             reference.ingest_mitigation_end(customer, minute)
-            batched.ingest_mitigation_end(customer, minute)
+            production.ingest_mitigation_end(customer, minute)
         ref_alerts = reference.step(minute, flows)
-        bat_alerts = batched.step(minute, flows)
-        assert list(map(_alert_key, ref_alerts)) == list(map(_alert_key, bat_alerts)), (
+        got_alerts = production.step(minute, flows)
+        assert list(map(_alert_key, ref_alerts)) == list(map(_alert_key, got_alerts)), (
             f"alert streams diverged at minute {minute}"
         )
         produced += len(ref_alerts)
     ref_bytes = pickle.dumps(reference.state_dict(), protocol=4)
-    bat_bytes = pickle.dumps(batched.state_dict(), protocol=4)
-    assert ref_bytes == bat_bytes, "post-run checkpoints diverged"
+    got_bytes = pickle.dumps(production.state_dict(), protocol=4)
+    assert ref_bytes == got_bytes, "post-run checkpoints diverged"
 
 
 def test_lanes_agree_over_random_traces():
@@ -262,30 +261,32 @@ def test_lanes_agree_in_float32():
     )
 
 
-def test_lanes_agree_at_64_customers_ragged_blocks():
-    # Blocks of 1, 5 and 256 all tile 65 (64 + one churned-in) customers
-    # raggedly; chunking is a pure memory knob so all must agree with the
+def test_lanes_agree_at_64_customers_ragged_blocks(monkeypatch):
+    # Chunks of 1, 5 and 256 all tile 65 (64 + one churned-in) customers
+    # raggedly; SCORE_CHUNK only bounds memory, so all must agree with the
     # per-customer oracle byte for byte.
-    for block in (1, 5, 256):
-        _run_differential(8128, 64, 3, 0.95, batch_block=block)
+    for chunk in (1, 5, 256):
+        monkeypatch.setattr(online_module, "SCORE_CHUNK", chunk)
+        _run_differential(8128, 64, 3, 0.95)
 
 
 def test_lane_flip_mid_stream_from_checkpoint():
-    """A state dict written by one lane restores byte-exactly into the other."""
+    """A state dict written by the oracle restores byte-exactly into
+    production, which then tracks the oracle to the end of the stream."""
     customer_of = {60_000 + i: i for i in range(5)}
     route_table = RouteTable()
     route_table.announce((0, 2**32 - 1), origin_asn=1)
     rng = np.random.default_rng(99)
     addresses = sorted(customer_of)
 
-    reference = _build_detector(5, 0.95, customer_of, batched=False)
+    reference = _build_detector(5, 0.95, customer_of, reference=True)
     minutes = [_random_minute(rng, m, addresses) for m in range(8)]
     for minute in range(4):
         reference.step(minute, minutes[minute])
     state = reference.state_dict()
 
     resumed = OnlineXatu.from_state_dict(state, route_table)
-    resumed.batched = True  # flip lanes across the restore boundary
+    assert type(resumed) is OnlineXatu  # reference → production restore
     assert pickle.dumps(resumed.state_dict(), protocol=4) == pickle.dumps(
         state, protocol=4
     )
@@ -298,13 +299,57 @@ def test_lane_flip_mid_stream_from_checkpoint():
     )
 
 
-def test_lane_knobs_never_enter_the_checkpoint():
-    """The lane is engine policy: flipping it must not change state bytes."""
+def test_lane_knobs_never_enter_the_checkpoint(monkeypatch):
+    """Which class scores, at what precision and chunk size, is policy: none
+    of it may change state bytes."""
     customer_of = {60_000 + i: i for i in range(3)}
-    plain = _build_detector(1, 0.9, customer_of, batched=False)
-    tuned = _build_detector(
-        1, 0.9, customer_of, batched=True, dtype=np.float64, batch_block=2
-    )
+    plain = _build_detector(1, 0.9, customer_of, reference=True)
+    monkeypatch.setattr(online_module, "SCORE_CHUNK", 2)
+    tuned = _build_detector(1, 0.9, customer_of, reference=False, dtype=np.float64)
     assert pickle.dumps(plain.state_dict(), protocol=4) == pickle.dumps(
         tuned.state_dict(), protocol=4
     )
+
+
+def test_crash_restore_mid_stream_matches_uninterrupted_oracle():
+    """Production killed and restored from its own snapshot still tracks the
+    never-interrupted oracle byte for byte."""
+    customer_of = {60_000 + i: i for i in range(5)}
+    route_table = RouteTable()
+    route_table.announce((0, 2**32 - 1), origin_asn=1)
+    rng = np.random.default_rng(7)
+    addresses = sorted(customer_of)
+    minutes = [_random_minute(rng, m, addresses) for m in range(8)]
+
+    oracle = _build_detector(5, 0.95, customer_of, reference=True)
+    production = _build_detector(5, 0.95, customer_of, reference=False)
+    for minute in range(4):
+        oracle.step(minute, minutes[minute])
+        production.step(minute, minutes[minute])
+    production = OnlineXatu.from_state_dict(
+        pickle.loads(pickle.dumps(production.state_dict(), protocol=4)), route_table
+    )
+    for minute in range(4, 8):
+        want = oracle.step(minute, minutes[minute])
+        got = production.step(minute, minutes[minute])
+        assert list(map(_alert_key, want)) == list(map(_alert_key, got))
+    assert pickle.dumps(production.state_dict(), protocol=4) == pickle.dumps(
+        oracle.state_dict(), protocol=4
+    )
+
+
+def test_step_rejects_records_outside_the_wire_domain():
+    """A record list is columnarized at the ``step`` boundary: a counter the
+    38-byte wire record cannot hold is a loud error, never a silent wrap,
+    and the failed call leaves the detector untouched."""
+    customer_of = {60_000: 0}
+    detector = _build_detector(1, 0.9, customer_of, reference=False)
+    before = pickle.dumps(detector.state_dict(), protocol=4)
+    bad = FlowRecord(
+        timestamp=0, src_addr=1, dst_addr=60_000, src_port=1, dst_port=2,
+        protocol=6, packets=2**32, bytes_=10,
+    )
+    with pytest.raises(OverflowError):
+        detector.step(0, [bad])
+    assert pickle.dumps(detector.state_dict(), protocol=4) == before
+    assert detector.step(0, []) == []  # minute 0 was not consumed

@@ -18,9 +18,10 @@ Three layers of differential tests on the PR-1 shrinking property runner:
   ``add_flow``-per-record loop over random batches and class masks,
   compared by ``pickle``-byte-identical ``state_dict``;
 * **detector level** — ``OnlineXatu.step(minute, FlowBatch)`` vs the
-  record-list lane over randomized multi-minute traces (blocklist,
-  previous-attacker and spoofed-source classes all active), asserting
-  identical alerts and pickle-identical post-run state.
+  per-record oracle ``ReferenceOnlineXatu`` over randomized multi-minute
+  traces (blocklist, previous-attacker and spoofed-source classes all
+  active), asserting identical alerts and pickle-identical post-run
+  state.
 
 The satellite regressions live here too: the vectorized
 ``PacketSampler.sample_many``/``sample_batch`` draw-order pin, the
@@ -58,6 +59,7 @@ from repro.signals import FeatureScaler
 from repro.signals.history import AlertRecord
 from repro.synth.attacks import AttackType
 from repro.testing.props import choices, integers, run_property
+from repro.testing.reference import ReferenceOnlineXatu
 
 COUNTRIES = ["US", "CN", "DE", "BR", "RU", "XX", ""]
 
@@ -436,12 +438,14 @@ class TestFeedHealthSequenceAnomalies:
 
 
 # ----------------------------------------------------------------------
-# detector level: OnlineXatu's columnar lane == the scalar loop
+# detector level: OnlineXatu's columnar ingest == the per-record oracle
 # ----------------------------------------------------------------------
 TINY_TIMESCALES = (TimescaleSpec("short", 1, 24), TimescaleSpec("long", 4, 8))
 
 
-def _build_detector(model_seed: int, customer_of: dict[int, int]) -> OnlineXatu:
+def _build_detector(
+    model_seed: int, customer_of: dict[int, int], cls=OnlineXatu
+) -> OnlineXatu:
     config = XatuModelConfig(
         hidden_size=8,
         dense_size=6,
@@ -457,7 +461,7 @@ def _build_detector(model_seed: int, customer_of: dict[int, int]) -> OnlineXatu:
     scaler.std_ = np.ones(273)
     route_table = RouteTable()
     route_table.announce((0, 2**31 - 1), origin_asn=1)  # upper half spoofed
-    return OnlineXatu(
+    return cls(
         model=model,
         scaler=scaler,
         threshold=0.5,
@@ -491,7 +495,7 @@ def test_columnar_detector_lane_matches_scalar_lane():
         customer_of = {50_000 + i: i for i in range(4)}
         rng = np.random.default_rng(seed)
         trace = _trace_minutes(rng, customer_of, minutes)
-        scalar = _build_detector(seed % 97, customer_of)
+        scalar = _build_detector(seed % 97, customer_of, ReferenceOnlineXatu)
         columnar = _build_detector(seed % 97, customer_of)
         alert = AlertRecord(
             customer_id=1,

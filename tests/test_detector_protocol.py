@@ -1,9 +1,8 @@
 """The unified streaming Detector protocol (repro.detect.api).
 
 Covers: structural conformance of all three deployable detectors, the
-streaming CDet behaviour (causal thresholds, sustain/release), the
-deprecated call signatures (still working, now warning), and the eval
-driver streaming a trace through any protocol detector.
+streaming CDet behaviour (causal thresholds, sustain/release), and the
+eval driver streaming a trace through any protocol detector.
 """
 
 import numpy as np
@@ -78,6 +77,10 @@ class TestProtocolConformance:
         assert alert.score == alert.survival
         assert alert.detector == "xatu"
         assert online.name == "xatu"
+
+    def test_trace_detector_protocol_still_structural(self):
+        assert isinstance(NetScoutDetector(), TraceDetector)
+        assert isinstance(EntropyDetector(), TraceDetector)
 
     def test_infer_minute_advances_and_jumps(self):
         assert infer_minute(4, []) == 5
@@ -164,34 +167,6 @@ class TestStreamingCDet:
             detector.observe_minute([_flow(minute, dst=1_000, bytes_=300_000)])
         alerts = detector.poll_alerts()
         assert alerts and alerts[0].customer_id == 77
-
-
-class TestDeprecatedSignatures:
-    def test_trace_run_warns_and_matches_detect(self, trace):
-        detector = NetScoutDetector()
-        with pytest.warns(DeprecationWarning, match="detect"):
-            legacy = detector.run(trace)
-        assert legacy == detector.detect(trace)
-
-    def test_fastnetmon_run_warns(self, trace):
-        with pytest.warns(DeprecationWarning):
-            FastNetMonDetector().run(trace)
-
-    def test_entropy_run_warns_and_matches_detect(self, trace):
-        detector = EntropyDetector()
-        with pytest.warns(DeprecationWarning):
-            legacy = detector.run(trace)
-        assert legacy == detector.detect(trace)
-
-    def test_online_observe_minute_two_arg_warns(self, trace):
-        online = _online_xatu(trace)
-        with pytest.warns(DeprecationWarning, match="step"):
-            alerts = online.observe_minute(0, [])
-        assert alerts == []  # legacy form still returns the minute's alerts
-
-    def test_trace_detector_protocol_still_structural(self):
-        assert isinstance(NetScoutDetector(), TraceDetector)
-        assert isinstance(EntropyDetector(), TraceDetector)
 
 
 class TestDrivers:

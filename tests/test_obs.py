@@ -589,7 +589,7 @@ class TestOnlineAndScrubInstrumentation:
         assert registry.counter("online.flows").value() == 2
         assert registry.counter("online.flows_unrouted").value() == 1
         assert registry.gauge("online.watched_customers").value() == 1
-        assert registry.histogram("online.score_seconds").value().count == 2
+        assert registry.histogram("online.batch_score_seconds").value().count == 2
         root = get_tracer().snapshot()
         assert root.find("online.observe_minute").calls == 2
         assert root.find("online.score_customers") is not None

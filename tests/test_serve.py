@@ -12,6 +12,7 @@ The three guarantees the engine sells, each asserted here:
   output, never the process.
 """
 
+import dataclasses
 import json
 import pickle
 
@@ -36,6 +37,7 @@ from repro.serve import (
 from repro.signals import FeatureScaler
 from repro.signals.history import AlertRecord
 from repro.synth.attacks import AttackType
+from repro.testing.reference import ReferenceOnlineXatu
 from tests.conftest import small_model_config
 
 N_CUSTOMERS = 6
@@ -67,7 +69,7 @@ def _minutes_of_flows(n_minutes: int, seed: int = 7) -> list[list[FlowRecord]]:
     ]
 
 
-def _xatu_factory(threshold: float = 0.9):
+def _xatu_factory(threshold: float = 0.9, cls=OnlineXatu):
     """A deterministic OnlineXatu factory: same weights for every call."""
     route_table = RouteTable()
     route_table.announce((0, 2**32 - 1), origin_asn=1)
@@ -79,7 +81,7 @@ def _xatu_factory(threshold: float = 0.9):
         scaler.std_ = np.ones(273)
         model = XatuModel(config)
         model.eval()
-        return OnlineXatu(
+        return cls(
             model=model,
             scaler=scaler,
             threshold=threshold,
@@ -190,6 +192,11 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             _stub_engine(shards=0)
 
+    def test_no_scoring_lane_selector(self):
+        names = {f.name for f in dataclasses.fields(ServeConfig)}
+        assert "batched" not in names
+        assert len(names) == 9
+
 
 # ----------------------------------------------------------------------
 # checkpoint files
@@ -252,6 +259,24 @@ class TestEngineMechanics:
             assert [(a.minute, a.customer_id) for a in engine.poll_alerts()] == keys
             assert engine.poll_alerts() == []
 
+    def test_datagrams_reach_tick_without_materializing_records(self, monkeypatch):
+        """The serve path is columnar end to end: no per-flow Python objects
+        between the wire and the shard."""
+        from repro.netflow import FlowBatch
+
+        def boom(self):
+            raise AssertionError("serve path materialized FlowRecords")
+
+        minutes = _minutes_of_flows(2)
+        codec = DatagramCodec(engine_id=1)
+        blobs = [codec.encode(flows, unix_secs=i * 60) for i, flows in enumerate(minutes)]
+        with _xatu_engine(2) as engine:
+            monkeypatch.setattr(FlowBatch, "to_records", boom)
+            for minute, blob in enumerate(blobs):
+                assert engine.ingest_datagram(blob) == len(minutes[minute])
+                engine.tick(minute)
+            assert engine.stats()["healthy_shards"] == 2
+
     def test_minutes_must_advance(self):
         with _stub_engine() as engine:
             engine.tick(5)
@@ -295,10 +320,10 @@ class TestEngineMechanics:
 # degradation
 # ----------------------------------------------------------------------
 class TestDegradation:
-    def _run_with_loss(self, engine):
-        """Three minutes of feed with the middle datagram dropped."""
+    def _run_with_loss(self, engine, n_minutes=3):
+        """``n_minutes`` of feed with minute 1's datagram dropped."""
         codec = DatagramCodec(engine_id=1)
-        minutes = _minutes_of_flows(3)
+        minutes = _minutes_of_flows(n_minutes)
         alerts = []
         for minute, flows in enumerate(minutes):
             blob = codec.encode(flows, unix_secs=minute * 60)
@@ -332,6 +357,26 @@ class TestDegradation:
             # the shards still observed every minute
             for shard in engine.shards:
                 assert shard._detector.minute == 2
+
+    def test_suppressed_counter_matches_engine_stats(self):
+        """Two degraded minutes: the obs counter adds each minute's withheld
+        alerts, not the running total again."""
+        from repro.obs import get_registry, set_enabled
+
+        previous = set_enabled(True)
+        get_registry().reset()
+        try:
+            with _stub_engine(
+                shards=2, degraded_loss_rate=0.05, degradation_policy="suppress"
+            ) as engine:
+                self._run_with_loss(engine, n_minutes=4)
+                stats = engine.stats()
+            assert stats["degraded_minutes"] >= 2
+            counted = get_registry().counter("serve.alerts_suppressed").value()
+            assert counted == stats["alerts_suppressed"] > 0
+        finally:
+            set_enabled(previous)
+            get_registry().reset()
 
     def test_failed_shard_degrades_not_crashes(self):
         with _stub_engine(shards=2, fail_at=1) as engine:
@@ -425,14 +470,15 @@ class TestGradModeIsolation:
 def _xatu_engine(
     shards, backend="inline", checkpoint_dir=None, threshold=0.9, batched=True
 ):
+    """``batched=False`` shards the per-record / per-customer oracle
+    (:class:`ReferenceOnlineXatu`) instead of the production detector."""
     return ServeEngine(
-        _xatu_factory(threshold),
+        _xatu_factory(threshold, OnlineXatu if batched else ReferenceOnlineXatu),
         ADDRESS_OF,
         ServeConfig(
             shards=shards,
             backend=backend,
             checkpoint_dir=checkpoint_dir,
-            batched=batched,
         ),
     )
 
@@ -506,13 +552,14 @@ class TestCrashEquivalence:
 
 
 class TestBatchedLaneServe:
-    """The batched lane through the full engine: equivalence + durability.
+    """Production vs the oracle through the full engine: equivalence +
+    durability.
 
-    ``ServeConfig.batched`` defaults to True, so every other engine test
-    already runs the batched lane; these tests pin the cross-lane
-    guarantees — byte-identical streams and checkpoints against the
-    per-customer oracle, including across a kill-and-restore and across a
-    restore that flips the lane.
+    Every other engine test shards the production ``OnlineXatu``; these
+    tests pin its guarantees against an engine sharding
+    ``ReferenceOnlineXatu`` — byte-identical streams and checkpoints,
+    including across a kill-and-restore and across a restore that swaps
+    one detector class for the other.
     """
 
     def _checkpoint_bytes(self, root) -> dict[str, bytes]:

@@ -190,16 +190,6 @@ class TestStreamMaterializeEquivalence:
         with pytest.raises(ValueError):
             generator.iter_minutes(0, generator.horizon + 1)
 
-    def test_generate_shim_warns_and_matches(self):
-        config = streaming_scenario(31)
-        reference = TraceGenerator(config).materialize()
-        with pytest.warns(DeprecationWarning, match="materialize"):
-            legacy = TraceGenerator(config).generate()
-        assert_matrix_equal(legacy.matrix, reference.matrix)
-        assert_events_equal(legacy.events, reference.events)
-        assert legacy.total_flows == reference.total_flows
-        assert legacy.sampled_flows == reference.sampled_flows
-
 
 # ----------------------------------------------------------------------
 # the TraceSource protocol across producers
