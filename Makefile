@@ -1,5 +1,6 @@
-# Developer entry points.  `make verify` is the pre-merge gate: the full
-# tier-1 suite plus the golden differential check (docs/TESTING.md).
+# Developer entry points.  `make verify` is the pre-merge gate: both lint
+# layers, the full tier-1 suite, the golden differential check and the
+# end-to-end benchmark smoke (docs/TESTING.md).
 
 PY := PYTHONPATH=src python
 
@@ -36,8 +37,9 @@ bench-check:
 	$(PY) -m repro.cli bench --tag fused --check
 
 # Columnar-ingest benchmarks (docs/PERFORMANCE.md): zero-copy codec,
-# group-by aggregation, vectorized sampling, and the shared-memory shard
-# transport.  Smoke mode for CI; -full refreshes the committed baseline.
+# group-by aggregation, vectorized sampling, ingest telemetry overhead.
+# Smoke mode for CI; -full refreshes the committed baseline.  (Serving,
+# shard transport included, is measured by benchmarks/e2e only.)
 bench-ingest:
 	$(PY) -m repro.cli bench --suite ingest --smoke --out /tmp/repro-bench
 
@@ -98,7 +100,7 @@ serve-smoke:
 
 # End-to-end benchmark smoke (benchmarks/e2e/README.md): the tracer patches
 # its 29 TARGETS callables by name, so a deleted or renamed one fails here
-# rather than in the bench pipeline.
+# (and so in `make verify`) rather than in the bench pipeline.
 e2e-smoke:
 	$(PY) -m pytest benchmarks/e2e -q
 
@@ -124,4 +126,4 @@ lint-baseline:
 sanitize-test:
 	REPRO_SANITIZE=1 $(PY) -m pytest -x -q -m "not slow"
 
-verify: lint lint-deep test golden-check metrics-selftest
+verify: lint lint-deep test golden-check metrics-selftest e2e-smoke

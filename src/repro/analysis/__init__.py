@@ -6,7 +6,7 @@ The correctness gate for the autograd/serving stack (docs/ANALYSIS.md):
   :class:`Finding`, deterministic file drivers, inline suppressions;
 * :mod:`repro.analysis.rules` — the XL001–XL010 domain rules (tape
   immutability, no_grad hygiene, global-switch leaks, reproducibility,
-  thread ownership, deprecated APIs, alert-order determinism);
+  alert-order determinism);
 * :mod:`repro.analysis.flow` — **xatuflow**, the interprocedural layer:
   symbol table, call graph, per-function CFGs, fixpoint engines, and the
   deep XF001–XF004 checkers behind ``cli lint --deep``;

@@ -20,8 +20,8 @@ XL rules:
   while the spawning side retains an alias is *shared*; unguarded
   attribute writes reachable from the worker entry are flagged unless
   they go through the checkpoint (``state_dict``/``load_state_dict``) or
-  ``ShmRing`` paths.  Extends the local XL006 heuristic across call and
-  class boundaries (XL006 still owns writes to the spawning ``self``).
+  ``ShmRing`` paths, hold a lock, or target an attribute declared with an
+  ``# owner:`` note.
 * **XF004 no-grad-reachability** — walks unguarded call chains from
   inference entry points; any function on such a chain that allocates
   tape nodes (``Tensor(...)``, ``lstm_sequence``, ``.forward``) outside
@@ -815,8 +815,8 @@ class ShardOwnershipChecker(FlowChecker):
         return None
 
     def _owned_attrs(self, sg: SymbolGraph, cls: ClassInfo) -> set[str]:
-        """Attributes introduced with an `# owner:` note (the XL006
-        contract, honoured here too)."""
+        """Attributes introduced with an `# owner:` note: single-writer
+        ownership declared once, at the attribute's introduction."""
         mod = sg.table.modules[cls.module]
         owned: set[str] = set()
         for node in ast.walk(cls.node):

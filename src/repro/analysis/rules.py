@@ -62,19 +62,6 @@ def _inside_try_finally(ctx: FileContext, node: ast.AST) -> bool:
     )
 
 
-def _inside_with_lock(ctx: FileContext, node: ast.AST) -> bool:
-    """Whether ``node`` sits under ``with <something lock-ish>:``."""
-    for anc in ctx.ancestors(node):
-        if isinstance(anc, ast.With):
-            for item in anc.items:
-                if "lock" in _dotted(item.context_expr).lower() or (
-                    isinstance(item.context_expr, ast.Call)
-                    and "lock" in _dotted(item.context_expr.func).lower()
-                ):
-                    return True
-    return False
-
-
 def _statement_of(ctx: FileContext, node: ast.AST) -> ast.stmt | None:
     current: ast.AST | None = node
     while current is not None and not isinstance(current, ast.stmt):
@@ -380,169 +367,6 @@ class WallClockRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# XL006 — thread-shared mutable state needs a lock or an owner
-# ----------------------------------------------------------------------
-@register
-class UnlockedSharedStateRule(Rule):
-    """In ``serve/``, attribute writes in thread-spawning classes need
-    a lock or a documented single owner.
-
-    A class that starts a ``threading.Thread`` has (at least) two
-    execution contexts touching ``self``.  Every post-``__init__``
-    attribute write must either hold a lock (``with self._lock:``) or
-    target an attribute with *documented ownership* — an ``# owner: ...``
-    comment naming the one thread allowed to write it, placed either on
-    the write itself or on the attribute's introduction in ``__init__``
-    (ownership is a property of the attribute, declared once).
-
-    Private helpers invoked **only** from ``__init__`` (transitively —
-    an init helper calling another init helper still counts) run before
-    any thread exists, so their writes are construction, not sharing;
-    they are exempt exactly like ``__init__`` itself.  A helper loses
-    the exemption the moment any post-init method calls it, or its bound
-    reference escapes (``target=self._helper``).
-    """
-
-    id = "XL006"
-    name = "unlocked-shared-state"
-    severity = Severity.WARNING
-    fix_hint = (
-        "guard with `with self._lock:` or document single-thread "
-        "ownership with an `# owner: <thread>` comment on the line"
-    )
-    description = "unsynchronized attribute write in a threaded serve class"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_subpath("serve")
-
-    def _spawns_threads(self, cls: ast.ClassDef) -> bool:
-        for sub in ast.walk(cls):
-            if isinstance(sub, ast.Call) and _dotted(sub.func) in (
-                "threading.Thread", "Thread"
-            ):
-                return True
-        return False
-
-    def _owned_attrs(self, ctx: FileContext, cls: ast.ClassDef) -> set[str]:
-        """Attributes whose introduction carries an `# owner:` note."""
-        owned: set[str] = set()
-        for node in ast.walk(cls):
-            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                continue
-            if "owner:" not in ctx.line_text(node.lineno):
-                continue
-            targets = (
-                node.targets
-                if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    owned.add(target.attr)
-        return owned
-
-    def _init_phase_methods(self, cls: ast.ClassDef) -> set[str]:
-        """Private methods whose *only* callers are ``__init__`` or other
-        init-phase helpers — they run before the thread is spawned."""
-        methods = {
-            f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)
-        }
-        calls: dict[str, set[str]] = {name: set() for name in methods}
-        call_funcs: set[int] = set()
-        referenced: set[str] = set()
-        for name, func in methods.items():
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call):
-                    call_funcs.add(id(node.func))
-                    target = node.func
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and target.attr in methods
-                    ):
-                        calls[name].add(target.attr)
-        # A bound reference that is not the callee of a Call (thread
-        # target, callback registration) can run at any time later.
-        for func in methods.values():
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                    and node.attr in methods
-                    and id(node) not in call_funcs
-                ):
-                    referenced.add(node.attr)
-        # closure of private helpers reachable from __init__
-        phase: set[str] = set()
-        stack = list(calls.get("__init__", ()))
-        while stack:
-            name = stack.pop()
-            if name in phase:
-                continue
-            if not name.startswith("_") or name.startswith("__"):
-                continue
-            if name in referenced:
-                continue
-            phase.add(name)
-            stack.extend(calls[name])
-        # drop helpers also called from outside the init phase; removal
-        # cascades until stable (a helper only kept alive by a removed
-        # helper is itself post-init-callable)
-        changed = True
-        while changed:
-            changed = False
-            for name, callees in calls.items():
-                if name == "__init__" or name in phase:
-                    continue
-                for callee in callees:
-                    if callee in phase:
-                        phase.discard(callee)
-                        changed = True
-        return phase
-
-    def check(self, ctx: FileContext) -> Iterable[tuple[ast.AST, str]]:
-        for cls in ctx.walk(ast.ClassDef):
-            if not self._spawns_threads(cls):
-                continue
-            owned = self._owned_attrs(ctx, cls)
-            init_phase = self._init_phase_methods(cls)
-            for func in cls.body:
-                if not isinstance(func, ast.FunctionDef) or func.name == "__init__":
-                    continue
-                if func.name in init_phase:
-                    continue
-                for node in ast.walk(func):
-                    if not isinstance(node, (ast.Assign, ast.AugAssign)):
-                        continue
-                    targets = (
-                        node.targets if isinstance(node, ast.Assign) else [node.target]
-                    )
-                    for target in targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            if _inside_with_lock(ctx, node):
-                                continue
-                            if target.attr in owned:
-                                continue
-                            if "owner:" in ctx.line_text(node.lineno):
-                                continue
-                            yield node, (
-                                f"`self.{target.attr}` written in "
-                                f"`{cls.name}.{func.name}` (a thread-spawning "
-                                "class) without a lock or ownership note"
-                            )
-
-
-# ----------------------------------------------------------------------
 # XL008 — mutable default arguments
 # ----------------------------------------------------------------------
 @register
@@ -658,5 +482,5 @@ class AlertOrderHazardRule(Rule):
 
 ALL_RULE_IDS = (
     "XL001", "XL002", "XL003", "XL004", "XL005",
-    "XL006", "XL008", "XL009", "XL010",
+    "XL008", "XL009", "XL010",
 )

@@ -199,26 +199,19 @@ def load_bench_json(path: str | Path) -> dict:
     return payload
 
 
-def compare_to_baseline(
-    report: BenchReport,
-    baseline: dict,
-    tolerance: float = 0.5,
-) -> tuple[list[str], list[str]]:
-    """Compare a fresh report against a committed ``BENCH_<tag>.json``.
+def _comparability(baseline: dict, smoke: bool) -> tuple[list[str], bool]:
+    """Whether a fresh run may *fail* against ``baseline``, and why not.
 
-    Returns ``(warnings, failures)``.  A case regresses when its best time
-    exceeds the baseline's by more than ``tolerance`` (0.5 = 50% slower).
-    Host mismatches (different interpreter/numpy/machine than the machine
-    that wrote the baseline) demote every regression to a warning — timing
-    baselines are only comparable on like hardware — and so do smoke-mode
-    runs, whose single-rep timings are documented noise.  Cases whose
-    workload sizes differ from the baseline's are skipped with a warning.
+    Returns ``(warnings, comparable)``.  A host mismatch (different
+    interpreter/numpy/machine than the one that wrote the baseline), a
+    smoke flag that differs, or two smoke runs — single-rep, no-warmup
+    measurements documented as noise (docs/PERFORMANCE.md) — each demote
+    every regression to a warning.  Shared by the timing suites and the
+    scale suite.
     """
     from ..obs.export import host_metadata
 
     warnings: list[str] = []
-    failures: list[str] = []
-
     baseline_host = baseline.get("host") or baseline.get("platform") or {}
     here = host_metadata()
     mismatched = [
@@ -226,7 +219,7 @@ def compare_to_baseline(
         for key in ("python", "numpy", "machine")
         if key in baseline_host and baseline_host[key] != here.get(key)
     ]
-    host_matches = not mismatched
+    comparable = not mismatched
     if mismatched:
         detail = ", ".join(
             f"{k}: baseline {baseline_host[k]} vs here {here.get(k)}"
@@ -236,19 +229,32 @@ def compare_to_baseline(
             f"host differs from baseline ({detail}); regressions reported "
             "as warnings only"
         )
-    if bool(baseline.get("smoke")) != report.smoke:
-        warnings.append(
-            "smoke flag differs from baseline; timings are not comparable"
-        )
-        host_matches = False
-    elif report.smoke:
-        # Smoke timings are single-rep, no-warmup, and documented as
-        # meaningless (docs/PERFORMANCE.md) — a 50% swing on a sub-ms
-        # measurement is noise, not a regression.
+    if bool(baseline.get("smoke")) != smoke:
+        warnings.append("smoke flag differs from baseline; not comparable")
+        comparable = False
+    elif smoke:
         warnings.append(
             "both runs are smoke mode; regressions reported as warnings only"
         )
-        host_matches = False
+        comparable = False
+    return warnings, comparable
+
+
+def compare_to_baseline(
+    report: BenchReport,
+    baseline: dict,
+    tolerance: float = 0.5,
+) -> tuple[list[str], list[str]]:
+    """Compare a fresh report against a committed ``BENCH_<tag>.json``.
+
+    Returns ``(warnings, failures)``.  A case regresses when its best time
+    exceeds the baseline's by more than ``tolerance`` (0.5 = 50% slower);
+    on a host or smoke mismatch (:func:`_comparability`) regressions are
+    warnings only.  Cases whose workload sizes differ from the baseline's
+    are skipped with a warning.
+    """
+    warnings, host_matches = _comparability(baseline, report.smoke)
+    failures: list[str] = []
 
     baseline_sizes = baseline.get("sizes", {})
     baseline_benchmarks = baseline.get("benchmarks", {})

@@ -22,12 +22,9 @@ workloads — the same convention as :mod:`repro.bench.micro`, so the
 * ``ingest_obs``       — the ``ingest_flows`` columnar workload with
   telemetry disabled vs enabled, extending the instrumentation-overhead
   budget (docs/OBSERVABILITY.md) to the ingest path.
-* ``serve_shards``     — one serving minute end to end through
-  :class:`~repro.serve.ServeEngine`: "fused" is 4 process-backend shards
-  over the shared-memory transport, "unfused" is 1 inline shard.  On a
-  multi-core host the process fan-out wins; on a single-core host the
-  transport overhead shows up honestly as a <1x "speedup" (see
-  docs/PERFORMANCE.md for the reading).
+
+Serving — transport, fan-out, the whole minute — is measured only by the
+end-to-end suite (``BENCHMARK.json``, ``benchmarks/e2e/README.md``).
 
 ``run_ingest(smoke=True)`` shrinks every size so the suite finishes in a
 few seconds — what ``make bench-ingest``/CI run to keep this path from
@@ -35,8 +32,6 @@ rotting.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -50,7 +45,6 @@ INGEST_BENCH_CASES = (
     "ingest_flows",
     "sampler",
     "ingest_obs",
-    "serve_shards",
 )
 
 
@@ -59,24 +53,12 @@ def _sizes(smoke: bool) -> dict[str, dict]:
         return {
             "ingest": {"flows": 600, "flows_per_datagram": 200, "customers": 6},
             "sampler": {"flows": 500, "rate": 100},
-            "serve_shards": {
-                "minutes": 2,
-                "flows_per_minute": 400,
-                "customers": 8,
-                "shards": 4,
-            },
         }
     return {
         # ~40k flows per rep keeps the scalar baseline measurable in
         # seconds while the columnar lane stays well within one.
         "ingest": {"flows": 40_000, "flows_per_datagram": 2_000, "customers": 50},
         "sampler": {"flows": 50_000, "rate": 100},
-        "serve_shards": {
-            "minutes": 4,
-            "flows_per_minute": 10_000,
-            "customers": 64,
-            "shards": 4,
-        },
     }
 
 
@@ -291,73 +273,6 @@ def _make_ingest_obs(sizes: dict, enabled: bool):
     return run
 
 
-class _TransportProbe:
-    """Minimal shard detector: consumes the payload, emits no alerts.
-
-    Keeps the ``serve_shards`` case a *transport* benchmark — partition,
-    ship, decode — rather than a model-inference one.
-    """
-
-    def __init__(self) -> None:
-        self.bytes_seen = 0
-
-    def ingest_cdet_alert(self, record) -> None:  # pragma: no cover - unused
-        pass
-
-    def ingest_mitigation_end(self, customer_id, minute) -> None:  # pragma: no cover
-        pass
-
-    def step(self, minute, flows):
-        from ..netflow.records import FlowBatch
-
-        if isinstance(flows, FlowBatch):
-            self.bytes_seen += int(flows.array["bytes"].astype(np.int64).sum())
-        else:
-            self.bytes_seen += sum(f.bytes_ for f in flows)
-        return []
-
-    def state_dict(self) -> dict:
-        return {"bytes_seen": self.bytes_seen}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.bytes_seen = int(state["bytes_seen"])
-
-    def reset(self) -> None:
-        self.bytes_seen = 0
-
-
-def _make_serve_shards(sizes: dict, fused: bool):
-    """One serving minute through the engine; returns (callable, engine)."""
-    from ..netflow.datagram import DatagramCodec
-    from ..netflow.records import FlowBatch
-    from ..serve import ServeConfig, ServeEngine
-
-    s = sizes["serve_shards"]
-    rng = np.random.default_rng(13)
-    addresses = np.arange(50_000, 50_000 + s["customers"], dtype=np.int64)
-    customer_of = {int(addr): i for i, addr in enumerate(addresses)}
-    codec = DatagramCodec(engine_id=1)
-    minutes = [
-        codec.encode(FlowBatch(_flow_array(s["flows_per_minute"], addresses, rng)))
-        for _ in range(s["minutes"])
-    ]
-    config = (
-        ServeConfig(shards=s["shards"], backend="process", transport="shm")
-        if fused
-        else ServeConfig(shards=1, backend="inline")
-    )
-    engine = ServeEngine(lambda partition: _TransportProbe(), customer_of, config)
-    clock = {"minute": -1}
-
-    def run():
-        for blob in minutes:
-            clock["minute"] += 1
-            engine.ingest_datagram(blob)
-            engine.tick(clock["minute"])
-
-    return run, engine
-
-
 def run_ingest(
     tag: str = "ingest",
     smoke: bool = False,
@@ -383,30 +298,6 @@ def run_ingest(
                 report.add(
                     BenchTiming(case, variant, tuple(time_callable(fn, reps, warmup)))
                 )
-            continue
-        if case == "serve_shards":
-            # "fused" = 4 process shards over shm, "unfused" = 1 inline
-            # shard — speedups() reads as the fan-out win (or, honestly,
-            # the transport cost on a single-core host).  The core count
-            # is stamped into the result so a committed number can never
-            # silently masquerade as the parallel measurement: `parallel`
-            # is only true when the host had at least one core per shard
-            # (docs/PERFORMANCE.md documents the multi-core procedure).
-            cpu_count = os.cpu_count() or 1
-            sizes["serve_shards"]["cpu_count"] = cpu_count
-            sizes["serve_shards"]["parallel"] = (
-                cpu_count >= sizes["serve_shards"]["shards"]
-            )
-            for variant, fused in (("fused", True), ("unfused", False)):
-                fn, engine = _make_serve_shards(sizes, fused)
-                try:
-                    report.add(
-                        BenchTiming(
-                            case, variant, tuple(time_callable(fn, reps, warmup))
-                        )
-                    )
-                finally:
-                    engine.close()
             continue
         builder = builders[case]
         for variant, fused in (("fused", True), ("unfused", False)):

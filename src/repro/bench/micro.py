@@ -20,21 +20,11 @@ Each case builds identical workloads for the fused and unfused variants
 * ``train_epoch_obs``   — the ``train_epoch`` workload with telemetry
   disabled vs enabled (``repro.obs``); the enabled/disabled ratio bounds
   the instrumentation overhead (<3% budget, see docs/OBSERVABILITY.md).
-* ``serve_minutes``     — the per-minute alert-decision pass of one
-  serving shard at 1000 customers: hazard inference + survival +
-  threshold for every watched customer, on feature windows staged ahead
-  of time for both variants (feature extraction and scaling are the
-  shared staging stage of the serving pipeline; this case isolates the
-  per-customer decision cost that stacking amortizes).  The "unfused"
-  variant is the reference oracle's decision call
-  (``repro.testing.reference.ReferenceOnlineXatu``) — one ``hazards_np``
-  per customer, float64.  The "fused" variant is production's — one
-  ``hazards_np_staged`` pass per ``SCORE_CHUNK`` stack under the float32
-  inference policy, i.e. ``ServeConfig(inference_dtype="float32")``.
-  Within either dtype the two produce byte-identical alert streams and
-  checkpoints (tests/test_batched_equivalence.py proves it bit for bit);
-  the speedup column reads as the per-customer alert-decision cost
-  reduction.
+
+The serving decision pass these kernels add up to is measured end to end
+(``us_per_decision`` on ``fleet_score``, with ``nn.fused.*`` /
+``core.model.*`` layer rows) by the suite in ``BENCHMARK.json`` —
+``benchmarks/e2e/README.md``.
 
 ``run_all(smoke=True)`` shrinks every size so the whole suite finishes in
 a few seconds — that is what ``make bench`` / CI run to keep the perf
@@ -60,7 +50,6 @@ BENCH_CASES = (
     "synthetic_day",
     "day_scoring_f32",
     "train_epoch_obs",
-    "serve_minutes",
 )
 
 
@@ -71,7 +60,6 @@ def _sizes(smoke: bool) -> dict[str, dict]:
             "pooling": {"batch": 2, "steps": 130, "features": 16, "window": 10},
             "train_epoch": {"n_samples": 8, "batch_size": 4, "n_features": 12},
             "synthetic_day": {"day_minutes": 60, "n_features": 12},
-            "serve_minutes": {"customers": 8, "minutes": 2, "flows_per_customer": 2},
         }
     return {
         # LSTM_long unrolls 240 steps (paper §4/Fig. 6); hidden 32 is the
@@ -80,7 +68,6 @@ def _sizes(smoke: bool) -> dict[str, dict]:
         "pooling": {"batch": 8, "steps": 1430, "features": 64, "window": 60},
         "train_epoch": {"n_samples": 24, "batch_size": 8, "n_features": 24},
         "synthetic_day": {"day_minutes": 480, "n_features": 24},
-        "serve_minutes": {"customers": 1000, "minutes": 2, "flows_per_customer": 1},
     }
 
 
@@ -206,102 +193,6 @@ def _make_synthetic_day(sizes: dict, fused: bool, dtype=None):
     return score_day
 
 
-def _make_serve_minutes(sizes: dict, batched: bool):
-    """Per-minute alert-decision pass of one serving shard.
-
-    Builds a shard-shaped :class:`OnlineXatu` with every customer watched,
-    feeds it a couple of minutes of flows, and stages the scaled feature
-    windows the way the shard's own scoring stage does.  The timed callable
-    is then exactly the decision work a shard repeats every minute:
-
-    * ``batched=False`` — the reference oracle's decision call
-      (``ReferenceOnlineXatu._score``'s model call): one float64
-      ``hazards_np`` per customer, last-hazard survival, threshold.
-    * ``batched=True`` — production's decision call
-      (``OnlineXatu._score``'s model call) under the
-      ``inference_dtype="float32"`` policy: one ``hazards_np_staged`` pass
-      per ``SCORE_CHUNK`` stack, vectorized survival + threshold.
-
-    Feature staging (window assembly + scaling + pooling) runs in setup
-    for both variants — it is the shared feature-extractor stage of the
-    serving pipeline, so excluding it makes the ratio read as the
-    per-customer alert-decision cost reduction.
-    """
-    from ..core.model import XatuModel
-    from ..core.online import SCORE_CHUNK, OnlineXatu
-    from ..netflow.records import FlowRecord
-    from ..netflow.routing import RouteTable
-    from ..signals.features import N_FEATURES, FeatureScaler
-
-    s = sizes["serve_minutes"]
-    config = _bench_model_config(N_FEATURES)
-    scaler = FeatureScaler()
-    scaler.mean_ = np.zeros(N_FEATURES)
-    scaler.std_ = np.ones(N_FEATURES)
-    route_table = RouteTable()
-    route_table.announce((0, 2**32 - 1), origin_asn=1)
-    customer_of = {10_000 + i: i for i in range(s["customers"])}
-    model = XatuModel(config)
-    model.eval()
-    detector = OnlineXatu(
-        model=model,
-        scaler=scaler,
-        threshold=0.5,
-        customer_of=customer_of,
-        blocklist=set(),
-        route_table=route_table,
-    )
-    rng = np.random.default_rng(4)
-    for minute in range(2):
-        detector.step(
-            minute,
-            [
-                FlowRecord(
-                    timestamp=minute,
-                    src_addr=int(rng.integers(1, 2**31)),
-                    dst_addr=address,
-                    src_port=int(rng.integers(1024, 65535)),
-                    dst_port=443,
-                    protocol=6,
-                    packets=int(rng.integers(1, 50)),
-                    bytes_=int(rng.integers(100, 50_000)),
-                )
-                for address in customer_of
-                for _ in range(s["flows_per_customer"])
-            ],
-        )
-    customers = sorted(set(customer_of.values()))
-    scaled = detector.feature_windows(customers, 1)
-    scaler.transform(scaled, out=scaled)
-    threshold = detector.threshold
-
-    if batched:
-        staged_chunks = [
-            model.stage_pooled(scaled[lo : lo + SCORE_CHUNK], dtype=np.float32)
-            for lo in range(0, len(customers), SCORE_CHUNK)
-        ]
-
-        def run_minutes():
-            for _ in range(s["minutes"]):
-                fired = 0
-                for staged in staged_chunks:
-                    hazards = model.hazards_np_staged(staged, dtype=np.float32)
-                    survival = np.exp(-hazards[:, -1])
-                    fired += int((survival < threshold).sum())
-
-    else:
-
-        def run_minutes():
-            for _ in range(s["minutes"]):
-                fired = 0
-                for i in range(len(customers)):
-                    hazards = model.hazards_np(scaled[i : i + 1])[0]
-                    survival = float(np.exp(-hazards[-1]))
-                    fired += survival < threshold
-
-    return run_minutes
-
-
 _BUILDERS = {
     "lstm_forward": _make_lstm_forward,
     "lstm_train_step": _make_lstm_train_step,
@@ -333,15 +224,6 @@ def run_all(
         if case == "train_epoch_obs":
             for variant, enabled in (("disabled", False), ("enabled", True)):
                 fn = _make_train_epoch_obs(sizes, enabled)
-                report.add(
-                    BenchTiming(case, variant, tuple(time_callable(fn, reps, warmup)))
-                )
-            continue
-        if case == "serve_minutes":
-            # "fused" = production's stacked pass, "unfused" = the reference
-            # oracle's per-customer calls — speedups() reports the win directly.
-            for variant, batched in (("fused", True), ("unfused", False)):
-                fn = _make_serve_minutes(sizes, batched)
                 report.add(
                     BenchTiming(case, variant, tuple(time_callable(fn, reps, warmup)))
                 )

@@ -52,15 +52,13 @@ def _build_scenario(args):
 
 
 def _build_pipeline_config(args):
-    from .core import PipelineConfig, TrainConfig
-    from .eval.presets import bench_model_config
+    from .eval.presets import bench_pipeline_config
 
-    return PipelineConfig(
-        scenario=_build_scenario(args),
-        model=bench_model_config(),
-        train=TrainConfig(epochs=args.epochs, batch_size=8, learning_rate=3e-3),
-        overhead_bound=args.overhead_bound,
+    return bench_pipeline_config(
         seed=args.seed,
+        overhead_bound=args.overhead_bound,
+        scenario=_build_scenario(args),
+        epochs=args.epochs,
     )
 
 
@@ -109,19 +107,39 @@ def _write_cli_telemetry(path: str) -> None:
     print(f"wrote telemetry to {out}")
 
 
+def _lossy_export(trace, start: int, stop: int):
+    """Yield ``(minute, datagrams)`` for ``trace`` minutes ``[start, stop)``.
+
+    One exporter's view of the trace: 30-record v5-style datagrams from a
+    single codec (so flow sequence numbers run on across an engine
+    restart), every 17th dropped after encoding — deterministic export
+    loss, so the collector's gap accounting has something to count.
+    """
+    from .netflow import DatagramCodec
+    from .synth import as_trace_source
+
+    codec = DatagramCodec(engine_id=1)
+    sent = 0
+    for sl in as_trace_source(trace).iter_minutes(start, stop):
+        arrived = []
+        for lo in range(0, len(sl.records), 30):
+            blob = codec.encode(sl.records[lo : lo + 30], unix_secs=sl.minute * 60)
+            sent += 1
+            if sent % 17:
+                arrived.append(blob)
+        yield sl.minute, arrived
+
+
 def _replay_online_minutes(pipeline, minutes: int = 10) -> None:
     """Feed-health replay for the telemetry snapshot.
 
-    Streams the tail of the pipeline's trace through the datagram codec
-    (deterministically dropping every 17th export datagram, so the
-    collector's gap accounting has something to count) into an
-    :class:`~repro.core.OnlineXatu` built from the trained artefacts —
+    Streams the tail of the pipeline's trace (:func:`_lossy_export`) into
+    an :class:`~repro.core.OnlineXatu` built from the trained artefacts —
     populating the ``online.*`` and ``netflow.*`` series alongside the
     ``train.*`` ones.
     """
-    from .core import OnlineXatu
-    from .netflow import DatagramCodec, FlowCollector
-    from .synth import as_trace_source
+    from .netflow import FlowCollector
+    from .scenarios.matrix import TrainedArtifacts
 
     model = pipeline._trained_model
     scaler = pipeline._trained_scaler
@@ -133,34 +151,23 @@ def _replay_online_minutes(pipeline, minutes: int = 10) -> None:
         entry = registry.entry_for(None)
         model, scaler, threshold = entry.model, entry.scaler, entry.threshold
     trace = pipeline.trace
-    world = trace.world
-    blocklist = set()
-    for botnet in world.botnets:
-        blocklist.update(int(a) for a in botnet.blocklisted_members)
-    online = OnlineXatu(
-        model=model,
+    online = TrainedArtifacts(
+        model_config=model.config,
+        model_state=model.state_dict(),
         scaler=scaler,
         threshold=threshold,
-        customer_of={c.address: c.customer_id for c in world.customers},
-        blocklist=blocklist,
-        route_table=world.route_table,
-        base_rate_of={c.customer_id: c.base_rate_bytes for c in world.customers},
+        train_seed=pipeline.config.seed,
+        epochs=pipeline.config.train.epochs,
+    ).make_online(
+        trace, {c.address: c.customer_id for c in trace.world.customers}
     )
-    codec = DatagramCodec(engine_id=1)
     collector = FlowCollector()
     start = max(0, trace.horizon - minutes)
-    datagram_index = 0
     alerts = 0
-    for sl in as_trace_source(trace).iter_minutes(start, trace.horizon):
-        minute, flows = sl.minute, sl.records
-        arrived = []
-        for lo in range(0, len(flows), 30):
-            blob = codec.encode(flows[lo : lo + 30], unix_secs=minute * 60)
-            datagram_index += 1
-            if datagram_index % 17 == 0:
-                continue  # simulated export loss
-            arrived.extend(collector.ingest_datagram(blob))
-        alerts += len(online.step(minute, arrived))
+    for minute, datagrams in _lossy_export(trace, start, trace.horizon):
+        for blob in datagrams:
+            collector.ingest_datagram_batch(blob)
+        alerts += len(online.step(minute, collector.drain_batch()))
     health = collector.feed_health()
     print(f"online replay    {trace.horizon - start} minutes, "
           f"{health.records_received} records "
@@ -216,23 +223,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .core import TrainConfig, XatuModelRegistry, alerts_to_records
-    from .detect import NetScoutDetector
-    from .eval.presets import bench_model_config
-    from .signals import FeatureExtractor
+    from .scenarios.matrix import _train_registry
     from .synth import TraceGenerator
 
     telemetry_path = getattr(args, "telemetry", None)
     with _telemetry_context(telemetry_path):
         trace = TraceGenerator(_build_scenario(args)).materialize()
-        alerts = [a for a in NetScoutDetector().detect(trace) if a.event_id >= 0]
-        extractor = FeatureExtractor(trace, alerts=alerts_to_records(trace, alerts))
-        registry = XatuModelRegistry(
-            bench_model_config(),
-            TrainConfig(epochs=args.epochs, batch_size=8, learning_rate=3e-3),
-        )
-        split = int(trace.horizon * 0.7)
-        entries = registry.train(trace, extractor, alerts, (0, split), (split, trace.horizon))
+        registry, _cdet_alerts = _train_registry(trace, args.epochs)
+        entries = registry.entries
         registry.save(args.out)
         print(f"saved {len(entries)} models to {args.out}:")
         for key, entry in entries.items():
@@ -462,14 +460,6 @@ def cmd_bench(args) -> int:
         if telemetry_path:
             _write_cli_telemetry(telemetry_path)
     print(report.render())
-    shard_sizes = report.sizes.get("serve_shards")
-    if shard_sizes is not None and not shard_sizes.get("parallel", True):
-        print(
-            f"note: serve_shards ran {shard_sizes['shards']} shards on "
-            f"{shard_sizes['cpu_count']} core(s) — its fused number is the "
-            "transport overhead, not the fan-out win; re-measure on a host "
-            "with >= shards cores (docs/PERFORMANCE.md)"
-        )
     status = 0
     if args.check:
         # Compare-only mode: never overwrite the committed baseline.
@@ -517,101 +507,67 @@ def cmd_serve(args) -> int:
     import json
     import time as time_mod
 
-    from .core import (
-        OnlineXatu,
-        TrainConfig,
-        XatuModel,
-        XatuModelRegistry,
-        alerts_to_records,
-    )
-    from .detect import NetScoutDetector
-    from .eval.presets import bench_model_config
-    from .netflow import DatagramCodec
+    from .core import XatuModelRegistry, alerts_to_records
+    from .scenarios.matrix import TrainedArtifacts, _train_registry
     from .serve import ServeConfig, ServeEngine
-    from .signals import FeatureExtractor
-    from .synth import TraceGenerator, as_trace_source
+    from .synth import TraceGenerator
+
+    if args.checkpoint_dir is None and (
+        args.restart_at is not None or args.checkpoint_every
+    ):
+        print("serve: --restart-at and --checkpoint-every require --checkpoint-dir")
+        return 2
+    config = ServeConfig(
+        shards=args.shards,
+        backend=args.backend,
+        transport=args.transport,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        inference_dtype=args.inference_dtype,
+    )
 
     telemetry_path = getattr(args, "telemetry", None)
     with _telemetry_context(telemetry_path):
         trace = TraceGenerator(_build_scenario(args)).materialize()
-        cdet_alerts = [a for a in NetScoutDetector().detect(trace) if a.event_id >= 0]
         if args.models:
+            from .detect import NetScoutDetector
+
             registry = XatuModelRegistry.load(args.models)
+            cdet_alerts = [
+                a for a in NetScoutDetector().detect(trace) if a.event_id >= 0
+            ]
         else:
-            extractor = FeatureExtractor(
-                trace, alerts=alerts_to_records(trace, cdet_alerts)
-            )
-            registry = XatuModelRegistry(
-                bench_model_config(),
-                TrainConfig(epochs=args.epochs, batch_size=8, learning_rate=3e-3),
-            )
-            split = int(trace.horizon * 0.7)
-            registry.train(
-                trace, extractor, cdet_alerts, (0, split), (split, trace.horizon)
-            )
+            registry, cdet_alerts = _train_registry(trace, args.epochs)
         entry = registry.entry_for(None)
-        threshold = args.threshold if args.threshold is not None else entry.threshold
-        world = trace.world
-        blocklist = set()
-        for botnet in world.botnets:
-            blocklist.update(int(a) for a in botnet.blocklisted_members)
-        customer_of = {c.address: c.customer_id for c in world.customers}
-        base_rate_of = {c.customer_id: c.base_rate_bytes for c in world.customers}
-        model_state = entry.model.state_dict()
-        model_config = entry.model.config
+        # make_online gives every shard its own model object (same
+        # weights), so process shards never share mutable nn state.
+        artifacts = TrainedArtifacts(
+            model_config=entry.model.config,
+            model_state=entry.model.state_dict(),
+            scaler=entry.scaler,
+            threshold=args.threshold if args.threshold is not None else entry.threshold,
+            train_seed=args.seed,
+            epochs=args.epochs,
+        )
+        customer_of = {c.address: c.customer_id for c in trace.world.customers}
 
         def factory(partition):
-            # Every shard gets its own model object (same weights), so the
-            # thread/process backends never share mutable nn state.
-            model = XatuModel(model_config)
-            model.load_state_dict(model_state)
-            model.eval()
-            return OnlineXatu(
-                model=model,
-                scaler=entry.scaler,
-                threshold=threshold,
-                customer_of=partition,
-                blocklist=blocklist,
-                route_table=world.route_table,
-                base_rate_of=base_rate_of,
-            )
-
-        config = ServeConfig(
-            shards=args.shards,
-            backend=args.backend,
-            transport=args.transport,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            inference_dtype=args.inference_dtype,
-        )
-        if args.restart_at is not None and args.checkpoint_dir is None:
-            print("serve: --restart-at requires --checkpoint-dir")
-            return 2
+            return artifacts.make_online(trace, partition)
 
         horizon = trace.horizon if args.minutes is None else min(
             args.minutes, trace.horizon
         )
-        records = alerts_to_records(trace, cdet_alerts)
         by_detect: dict[int, list] = {}
-        for record in records:
-            by_detect.setdefault(record.detect_minute, []).append(record)
-        ends = [(r.customer_id, r.end_minute) for r in records]
         by_end: dict[int, list] = {}
-        for customer_id, end_minute in ends:
-            by_end.setdefault(end_minute, []).append(customer_id)
+        for record in alerts_to_records(trace, cdet_alerts):
+            by_detect.setdefault(record.detect_minute, []).append(record)
+            by_end.setdefault(record.end_minute, []).append(record.customer_id)
 
         engine = ServeEngine(factory, customer_of, config)
-        codec = DatagramCodec(engine_id=1)
         merged = []
-        datagram_index = 0
         start_wall = time_mod.perf_counter()
-        for sl in as_trace_source(trace).iter_minutes(0, horizon):
-            minute, flows = sl.minute, sl.records
-            for lo in range(0, len(flows), 30):
-                blob = codec.encode(flows[lo : lo + 30], unix_secs=minute * 60)
-                datagram_index += 1
-                if datagram_index % 17 == 0:
-                    continue  # simulated export loss (exercises feed health)
+        for minute, datagrams in _lossy_export(trace, 0, horizon):
+            for blob in datagrams:
                 engine.ingest_datagram(blob)
             for record in by_detect.get(minute, []):
                 engine.ingest_cdet_alert(record)
@@ -909,10 +865,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", choices=("fused", "ingest", "scale"),
                        default="fused",
                        help="benchmark suite: 'fused' times the nn kernels, "
-                       "'ingest' times the columnar NetFlow ingest path and "
-                       "the shared-memory shard transport, 'scale' streams "
-                       "seeded compressed days at 10k/100k/1M customers and "
-                       "records peak RSS + minutes/sec (BENCH_scale.json)")
+                       "'ingest' times the columnar NetFlow ingest path, "
+                       "'scale' streams seeded compressed days at "
+                       "10k/100k/1M customers and gates peak RSS "
+                       "(BENCH_scale.json)")
     bench.add_argument("--max-rss-mb", type=float, default=None,
                        help="scale suite only: fail if any cell's peak RSS "
                        "exceeds this bound (the CI memory gate)")
@@ -991,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quick-training epochs when no --models given")
     serve.add_argument("--shards", type=int, default=1,
                        help="worker shards (customer_id %% shards)")
-    serve.add_argument("--backend", choices=["inline", "thread", "process"],
+    serve.add_argument("--backend", choices=["inline", "process"],
                        default="inline", help="shard execution backend")
     serve.add_argument("--transport", choices=["shm", "pipe"], default="shm",
                        help="process-backend payload transport: shared-memory "
@@ -1042,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run xatulint (domain-aware static analysis) over the tree",
         description="AST rules for the autograd/serving stack: tape "
         "mutation, grad-mode hygiene, global-switch leaks, determinism "
-        "hazards, thread-safety, deprecated APIs (see docs/ANALYSIS.md).  "
+        "hazards, alert-order hygiene (see docs/ANALYSIS.md).  "
         "Known-intentional findings live in lint-baseline.json with "
         "written reasons; the gate fails only on new ones.",
     )

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -87,11 +87,8 @@ class OnlineAlert:
 
 @dataclass(frozen=True, slots=True)
 class OnlineConfig:
-    """Streaming-behaviour knobs for :class:`OnlineXatu`.
-
-    Consolidates the former constructor kwarg sprawl into one typed
-    config (re-exported from ``repro``); the legacy keyword arguments
-    still work and map onto these fields.
+    """Streaming-behaviour knobs for :class:`OnlineXatu`, as one typed
+    config (re-exported from ``repro``).
 
     Attributes
     ----------
@@ -145,7 +142,8 @@ class OnlineXatu:
     ----------
     model / scaler / threshold:
         The trained artefacts (e.g. from a
-        :class:`~repro.core.registry.XatuModelRegistry` entry).
+        :class:`~repro.core.registry.XatuModelRegistry` entry).  A given
+        ``threshold`` overrides ``config.threshold``.
     customer_of:
         Maps destination address → customer id for incoming flows.
         Either a plain dict or an analytic router such as
@@ -183,40 +181,11 @@ class OnlineXatu:
         blocklist=None,
         route_table: RouteTable | None = None,
         base_rate_of: dict[int, float] | None = None,
-        history_decay_minutes: float | None = None,
-        clustering_window: int | None = None,
-        rearm_after: int | None = None,
         config: OnlineConfig | None = None,
     ) -> None:
-        if config is not None:
-            legacy = {
-                "threshold": threshold,
-                "history_decay_minutes": history_decay_minutes,
-                "clustering_window": clustering_window,
-                "rearm_after": rearm_after,
-            }
-            passed = [name for name, value in legacy.items() if value is not None]
-            if passed:
-                raise ValueError(
-                    "pass streaming knobs either via config=OnlineConfig(...) "
-                    f"or as legacy keywords, not both: {passed}"
-                )
-        else:
-            defaults = OnlineConfig()
-            config = OnlineConfig(
-                threshold=defaults.threshold if threshold is None else threshold,
-                history_decay_minutes=(
-                    defaults.history_decay_minutes
-                    if history_decay_minutes is None
-                    else history_decay_minutes
-                ),
-                clustering_window=(
-                    defaults.clustering_window
-                    if clustering_window is None
-                    else clustering_window
-                ),
-                rearm_after=defaults.rearm_after if rearm_after is None else rearm_after,
-            )
+        config = config or OnlineConfig()
+        if threshold is not None:
+            config = replace(config, threshold=threshold)
         config.validate()
         self.config_online = config
         self.model = model

@@ -23,8 +23,6 @@ Both detectors run in two modes sharing one sustain/release engine:
 * **streaming** — the :class:`repro.detect.api.Detector` protocol
   (``observe_minute`` / ``poll_alerts`` / ``reset``): thresholds are built
   causally, so NetScout stays silent until its profile window completes.
-
-``run(trace)`` remains as a deprecated alias of ``detect(trace)``.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ Columnar fast path
 The collector retains decoded datagrams as
 :class:`~repro.netflow.records.FlowBatch` chunks — one structured-array
 view per datagram, never a per-record Python list — and hands them to the
-aggregation layer via :meth:`FlowCollector.drain_batch`.  The record-list
-API (``ingest``/``drain``/iteration) survives as a conversion shim.
+aggregation layer via :meth:`FlowCollector.drain_batch`.
 Sampling is vectorized the same way: :meth:`PacketSampler.sample_many`
 makes **one** batched ``rng.binomial`` draw for the whole batch, in the
 same per-flow order the scalar loop used, so seeded traces stay
@@ -23,7 +22,7 @@ deterministic (``tests/test_columnar.py`` pins the outputs).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -185,10 +184,11 @@ class FlowCollector:
 
     Retains flows as columnar :class:`FlowBatch` chunks (one per ingest
     call) and keeps simple counters so tests can assert on lossless
-    collection.  Both entry points — headerless batches (:meth:`ingest`)
-    and v5-enveloped datagrams (:meth:`ingest_datagram`) — feed the
-    ``netflow.datagrams`` / ``netflow.records`` obs counters; only the
-    headered path additionally runs sequence-gap accounting.
+    collection.  Both entry points — headerless batches
+    (:meth:`ingest_batch`) and v5-enveloped datagrams
+    (:meth:`ingest_datagram_batch`) — feed the ``netflow.datagrams`` /
+    ``netflow.records`` obs counters; only the headered path additionally
+    runs sequence-gap accounting.
     """
 
     def __init__(self) -> None:
@@ -208,10 +208,6 @@ class FlowCollector:
             self._tracker._obs_datagrams.inc()
             self._tracker._obs_records.inc(len(batch))
         return batch
-
-    def ingest(self, datagram: bytes) -> list[FlowRecord]:
-        """Decode one export datagram, retaining and returning its records."""
-        return self.ingest_batch(datagram).to_records()
 
     def ingest_datagram_batch(self, blob: bytes) -> FlowBatch:
         """Decode one *headered* export datagram (v5-style envelope).
@@ -258,10 +254,6 @@ class FlowCollector:
         chunks, self._chunks = self._chunks, []
         return FlowBatch.concat(chunks)
 
-    def drain(self) -> list[FlowRecord]:
-        """Return and clear all retained records (record-list shim)."""
-        return self.drain_batch().to_records()
-
     # -- durability --------------------------------------------------------
     def state_dict(self) -> dict:
         """Canonical snapshot: counters, sequence-tracker expectations, and
@@ -297,10 +289,6 @@ class FlowCollector:
         tracker.records_lost = int(tracker_state["records_lost"])
         tracker.out_of_order = int(tracker_state["out_of_order"])
         self._tracker = tracker
-
-    def __iter__(self) -> Iterator[FlowRecord]:
-        for chunk in self._chunks:
-            yield from chunk.to_records()
 
     def __len__(self) -> int:
         return sum(len(chunk) for chunk in self._chunks)

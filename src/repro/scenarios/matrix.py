@@ -126,22 +126,28 @@ def _train_scenario(seed: int):
     )
 
 
-def train_artifacts(epochs: int = 2, seed: int = 42) -> TrainedArtifacts:
-    """Train the shared model/scaler/threshold once for the whole matrix."""
-    from ..core import TrainConfig, XatuModelRegistry, alerts_to_records
+def _train_registry(trace: Trace, epochs: int):
+    """The quick-train recipe ``cli train``/``serve`` and the matrix share:
+    NetScout's matched alerts label the trace, a per-type registry trains
+    on its first 70 % and calibrates on the rest.  Returns
+    ``(registry, cdet_alerts)``."""
+    from ..core import XatuModelRegistry, alerts_to_records
     from ..detect import NetScoutDetector
-    from ..eval.presets import bench_model_config
+    from ..eval.presets import bench_model_config, bench_train_config
     from ..signals import FeatureExtractor
 
-    trace = TraceGenerator(_train_scenario(seed)).materialize()
     cdet_alerts = [a for a in NetScoutDetector().detect(trace) if a.event_id >= 0]
     extractor = FeatureExtractor(trace, alerts=alerts_to_records(trace, cdet_alerts))
-    registry = XatuModelRegistry(
-        bench_model_config(),
-        TrainConfig(epochs=epochs, batch_size=8, learning_rate=3e-3),
-    )
+    registry = XatuModelRegistry(bench_model_config(), bench_train_config(epochs))
     split = int(trace.horizon * 0.7)
     registry.train(trace, extractor, cdet_alerts, (0, split), (split, trace.horizon))
+    return registry, cdet_alerts
+
+
+def train_artifacts(epochs: int = 2, seed: int = 42) -> TrainedArtifacts:
+    """Train the shared model/scaler/threshold once for the whole matrix."""
+    trace = TraceGenerator(_train_scenario(seed)).materialize()
+    registry, _cdet_alerts = _train_registry(trace, epochs)
     entry = registry.entry_for(None)
     return TrainedArtifacts(
         model_config=entry.model.config,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 __all__ = ["ServeConfig", "BACKENDS", "DEGRADATION_POLICIES", "TRANSPORTS"]
 
-BACKENDS = ("inline", "thread", "process")
+BACKENDS = ("inline", "process")
 DEGRADATION_POLICIES = ("flag", "suppress")
 TRANSPORTS = ("pipe", "shm")
 
@@ -26,13 +26,13 @@ class ServeConfig:
     backend:
         ``inline`` scores shards sequentially in the caller's thread (the
         deterministic reference, and the right choice for tests);
-        ``thread`` / ``process`` run one worker per shard so shards score
+        ``process`` forks one worker per shard so shards score
         concurrently on multi-core hosts.
     checkpoint_dir / checkpoint_every:
         Where and how often (in observed minutes) to snapshot the full
         online state.  ``checkpoint_every=0`` disables periodic snapshots
         (explicit :meth:`~repro.serve.ServeEngine.checkpoint` calls still
-        work).
+        work); a positive value requires ``checkpoint_dir``.
     degraded_loss_rate:
         Export-feed loss rate (from
         :meth:`~repro.netflow.FlowCollector.feed_health`) above which the
@@ -53,12 +53,8 @@ class ServeConfig:
         ``pipe`` pickles the payload through the pipe.  The transports
         are interchangeable — same alerts, same checkpoints — and hosts
         without a usable shared-memory filesystem fall back to ``pipe``
-        automatically (with a warning).  Ignored by the inline/thread
-        backends, which pass batches by reference.
-    shm_ring_bytes:
-        Initial capacity of each shard's shared-memory ring.  Rings grow
-        automatically when a minute's payload outgrows them; this knob
-        just sets the starting footprint.
+        automatically (with a warning).  Ignored by the inline backend,
+        which passes batches by reference.
     """
 
     shards: int = 1
@@ -69,7 +65,6 @@ class ServeConfig:
     degradation_policy: str = "flag"
     inference_dtype: str | None = None
     transport: str = "shm"
-    shm_ring_bytes: int = 1 << 20
 
     def validate(self) -> None:
         if self.shards < 1:
@@ -78,10 +73,10 @@ class ServeConfig:
             raise ValueError(f"backend must be one of {BACKENDS}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"transport must be one of {TRANSPORTS}")
-        if self.shm_ring_bytes < 1:
-            raise ValueError("shm_ring_bytes must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 disables)")
+        if self.checkpoint_every and self.checkpoint_dir is None:
+            raise ValueError("checkpoint_every > 0 requires a checkpoint_dir")
         if not 0.0 <= self.degraded_loss_rate <= 1.0:
             raise ValueError("degraded_loss_rate must be in [0, 1]")
         if self.degradation_policy not in DEGRADATION_POLICIES:

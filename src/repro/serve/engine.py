@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -106,7 +106,6 @@ class ServeEngine:
                 self._shard_factory(index),
                 backend=self.config.backend,
                 transport=self.config.transport,
-                shm_ring_bytes=self.config.shm_ring_bytes,
             )
             for index in range(self.config.shards)
         ]
@@ -191,8 +190,94 @@ class ServeEngine:
             unrouted,
         )
 
+    def _fan_out(
+        self, minute: int, by_shard: list[FlowBatch]
+    ) -> list[tuple[ShardWorker, float]]:
+        """Dispatch the minute to every healthy shard before joining any
+        of them — with the process backend the shards score concurrently.
+        Queued incumbent alerts and mitigation ends go to all shards."""
+        cdet_alerts, self._pending_cdet = self._pending_cdet, []
+        ends, self._pending_ends = self._pending_ends, []
+        dispatched = []
+        for shard, shard_flows in zip(self.shards, by_shard):
+            if not shard.healthy:
+                continue
+            start = time.perf_counter()
+            try:
+                shard.submit_step(minute, shard_flows, cdet_alerts, ends)
+            except ShardFailure:
+                continue
+            dispatched.append((shard, start))
+        return dispatched
+
+    def _collect(
+        self, dispatched: list[tuple[ShardWorker, float]]
+    ) -> list[OnlineAlert]:
+        """Join every dispatched shard; a failed one contributes nothing."""
+        telemetry_on = obs_enabled()
+        alerts: list[OnlineAlert] = []
+        for shard, start in dispatched:
+            try:
+                alerts.extend(shard.collect())
+            except ShardFailure:
+                pass
+            if telemetry_on:
+                get_registry().histogram(
+                    "serve.shard_minute_seconds",
+                    "per-shard wall time for one minute",
+                ).observe(time.perf_counter() - start, shard=str(shard.index))
+        return alerts
+
+    def _merge(
+        self, alerts: list[OnlineAlert], suppressed: bool
+    ) -> tuple[list[OnlineAlert], int]:
+        """Order the shards' alerts canonically and hold them for
+        :meth:`poll_alerts`; a suppressed minute's alerts are withheld.
+        Returns ``(emitted alerts, withheld count)``."""
+        alerts.sort(key=_merge_key)
+        withheld = 0
+        if suppressed:
+            withheld, alerts = len(alerts), []
+        self._alerts_suppressed += withheld
+        self._pending.extend(alerts)
+        self._alerts_emitted += len(alerts)
+        return alerts, withheld
+
+    def _record_minute(
+        self,
+        emitted: int,
+        withheld: int,
+        suppressed: bool,
+        unrouted: int,
+        loss_rate: float,
+        degraded: bool,
+    ) -> None:
+        registry = get_registry()
+        registry.counter("serve.minutes", "minutes served").inc()
+        if emitted:
+            registry.counter("serve.alerts", "merged alerts emitted").inc(emitted)
+        if unrouted:
+            registry.counter(
+                "serve.flows_unrouted", "flows dropped: unknown destination"
+            ).inc(unrouted)
+        if suppressed:
+            registry.counter(
+                "serve.alerts_suppressed", "alerts withheld while degraded"
+            ).inc(withheld)
+        registry.gauge(
+            "serve.feed_loss_rate", "collector-observed export loss rate"
+        ).set(loss_rate)
+        registry.gauge(
+            "serve.feed_degraded", "1 while the export feed is degraded"
+        ).set(1.0 if degraded else 0.0)
+        for shard in self.shards:
+            registry.gauge(
+                "serve.shard_healthy", "1 while the shard worker is live"
+            ).set(1.0 if shard.healthy else 0.0, shard=str(shard.index))
+
     def tick(self, minute: int) -> list[OnlineAlert]:
-        """Score one minute: drain the collector, fan out, merge alerts.
+        """Score one minute: drain/partition → ``_fan_out`` → ``_collect``
+        → ``_merge`` → ``_record_minute`` → periodic ``checkpoint``.
 
         Must be called once per minute, monotonically — quiet minutes too
         (absence of traffic is signal).  Returns the minute's merged
@@ -204,102 +289,30 @@ class ServeEngine:
             raise ValueError(f"minutes must advance: got {minute} after {self._minute}")
         self._minute = minute
         self._minutes_observed += 1
-        telemetry_on = obs_enabled()
 
-        batch = self.collector.drain_batch()
-        by_shard, unrouted = self._partition(batch)
-
-        cdet_alerts, self._pending_cdet = self._pending_cdet, []
-        ends, self._pending_ends = self._pending_ends, []
-
-        health = self.collector.feed_health()
-        degraded = health.loss_rate > self.config.degraded_loss_rate
+        by_shard, unrouted = self._partition(self.collector.drain_batch())
+        loss_rate = self.collector.feed_health().loss_rate
+        degraded = loss_rate > self.config.degraded_loss_rate
         if degraded:
             self._degraded_minutes += 1
-
-        minute_alerts: list[OnlineAlert] = []
-        with trace("serve.tick"):
-            # Fan out before joining anything: with thread/process
-            # backends the shards score this minute concurrently.
-            dispatched = []
-            for shard, shard_flows in zip(self.shards, by_shard):
-                if not shard.healthy:
-                    continue
-                start = time.perf_counter()
-                try:
-                    shard.submit_step(minute, shard_flows, cdet_alerts, ends)
-                except ShardFailure:
-                    continue
-                dispatched.append((shard, start))
-            for shard, start in dispatched:
-                try:
-                    minute_alerts.extend(shard.collect())
-                except ShardFailure:
-                    pass
-                if telemetry_on:
-                    get_registry().histogram(
-                        "serve.shard_minute_seconds",
-                        "per-shard wall time for one minute",
-                    ).observe(time.perf_counter() - start, shard=str(shard.index))
-
-        minute_alerts.sort(key=_merge_key)
         suppressed = degraded and self.config.degradation_policy == "suppress"
-        withheld = len(minute_alerts) if suppressed else 0
-        if suppressed:
-            self._alerts_suppressed += withheld
-            minute_alerts = []
-        self._pending.extend(minute_alerts)
-        self._alerts_emitted += len(minute_alerts)
 
-        if telemetry_on:
-            registry = get_registry()
-            registry.counter("serve.minutes", "minutes served").inc()
-            if minute_alerts:
-                registry.counter("serve.alerts", "merged alerts emitted").inc(
-                    len(minute_alerts)
-                )
-            if unrouted:
-                registry.counter(
-                    "serve.flows_unrouted", "flows dropped: unknown destination"
-                ).inc(unrouted)
-            if suppressed:
-                registry.counter(
-                    "serve.alerts_suppressed", "alerts withheld while degraded"
-                ).inc(withheld)
-            registry.gauge(
-                "serve.feed_loss_rate", "collector-observed export loss rate"
-            ).set(health.loss_rate)
-            registry.gauge(
-                "serve.feed_degraded", "1 while the export feed is degraded"
-            ).set(1.0 if degraded else 0.0)
-            for shard in self.shards:
-                registry.gauge(
-                    "serve.shard_healthy", "1 while the shard worker is live"
-                ).set(1.0 if shard.healthy else 0.0, shard=str(shard.index))
-
-        if (
-            self.config.checkpoint_every
-            and self.config.checkpoint_dir is not None
-            and self._minutes_observed % self.config.checkpoint_every == 0
-        ):
+        with trace("serve.tick"):
+            alerts = self._collect(self._fan_out(minute, by_shard))
+        alerts, withheld = self._merge(alerts, suppressed)
+        if obs_enabled():
+            self._record_minute(
+                len(alerts), withheld, suppressed, unrouted, loss_rate, degraded
+            )
+        every = self.config.checkpoint_every
+        if every and self._minutes_observed % every == 0:
             self.checkpoint()
-        return minute_alerts
+        return alerts
 
     def poll_alerts(self) -> list[OnlineAlert]:
         """Drain the merged alert stream accumulated since the last poll."""
         pending, self._pending = self._pending, []
         return pending
-
-    def run(
-        self, minutes: Iterable[tuple[int, Sequence[bytes]]]
-    ) -> list[OnlineAlert]:
-        """Convenience loop: ``(minute, datagrams)`` batches → merged alerts."""
-        alerts: list[OnlineAlert] = []
-        for minute, datagrams in minutes:
-            for blob in datagrams:
-                self.ingest_datagram(blob)
-            alerts.extend(self.tick(minute))
-        return alerts
 
     # ------------------------------------------------------------------
     # health

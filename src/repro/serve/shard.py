@@ -2,19 +2,17 @@
 execution backend.
 
 The worker speaks a tiny command protocol (``step`` / ``state`` / ``load``
-/ ``reset`` / ``stop``); one ``_execute`` dispatch serves all three
-backends:
+/ ``stop``); one ``_execute`` dispatch serves both backends:
 
-* ``inline``  — commands execute synchronously in the caller's thread;
-* ``thread``  — a daemon thread runs the command loop over a queue pair;
+* ``inline``  — commands execute synchronously in the caller's thread
+  (the deterministic reference);
 * ``process`` — a forked child runs the loop over a ``multiprocessing``
-  pipe (the only backend that escapes the GIL for the numpy scoring
-  work).
+  pipe, escaping the GIL for the numpy scoring work.
 
 ``submit_step`` / ``collect`` split each minute into a dispatch and a
 join, so the engine can fan a minute out to every shard before waiting on
-any of them — that overlap is the whole point of the thread/process
-backends.  A worker that raises is marked unhealthy and stops scoring
+any of them — that overlap is the whole point of the process backend.
+A worker that raises is marked unhealthy and stops scoring
 (the engine degrades gracefully instead of crashing the feed).
 
 Shared-memory transport
@@ -33,8 +31,6 @@ checkpoints.
 from __future__ import annotations
 
 import multiprocessing
-import queue
-import threading
 import warnings
 from typing import Callable, Sequence
 
@@ -50,20 +46,6 @@ class ShardFailure(RuntimeError):
     """A shard worker raised (or died) while executing a command."""
 
 
-class _QueuePairConn:
-    """``Connection``-shaped wrapper over two queues (thread backend)."""
-
-    def __init__(self, send_q: queue.Queue, recv_q: queue.Queue) -> None:
-        self._send_q = send_q
-        self._recv_q = recv_q
-
-    def send(self, obj) -> None:
-        self._send_q.put(obj)
-
-    def recv(self):
-        return self._recv_q.get()
-
-
 def _decode_payload(flows, reader: ShmReader | None):
     """Resolve a step payload: shm control tuples become zero-copy batches."""
     if type(flows) is tuple and flows and flows[0] == "shm":
@@ -75,8 +57,8 @@ def _decode_payload(flows, reader: ShmReader | None):
 
 
 def _execute(detector: OnlineXatu, message, reader: ShmReader | None = None):
-    """Run one ``step`` / ``state`` / ``load`` / ``reset`` command — the
-    single dispatch every backend shares.  Returns the ``(status, payload)``
+    """Run one ``step`` / ``state`` / ``load`` command — the single
+    dispatch both backends share.  Returns the ``(status, payload)``
     reply; exceptions become error replies (surfaced to the engine as
     :class:`ShardFailure`).
 
@@ -98,9 +80,6 @@ def _execute(detector: OnlineXatu, message, reader: ShmReader | None = None):
         elif op == "load":
             detector.load_state_dict(message[1])
             result = None
-        elif op == "reset":
-            detector.reset()
-            result = None
         else:
             raise ValueError(f"unknown shard command {op!r}")
         return ("ok", result)
@@ -109,7 +88,7 @@ def _execute(detector: OnlineXatu, message, reader: ShmReader | None = None):
 
 
 def _worker_loop(detector: OnlineXatu, conn) -> None:
-    """Serve commands until ``stop`` (thread and process backends)."""
+    """Serve commands until ``stop`` (the process backend's child)."""
     reader = ShmReader()
     while True:
         try:
@@ -132,7 +111,6 @@ class ShardWorker:
         detector_factory: Callable[[], OnlineXatu],
         backend: str = "inline",
         transport: str = "pipe",
-        shm_ring_bytes: int = 1 << 20,
     ) -> None:
         self.index = index
         self.backend = backend
@@ -145,7 +123,7 @@ class ShardWorker:
         self.transport = "pipe"
         if backend == "process" and transport == "shm":
             try:
-                self._ring = ShmRing(shm_ring_bytes)
+                self._ring = ShmRing()
                 self.transport = "shm"
             except (OSError, ValueError) as exc:
                 warnings.warn(
@@ -157,18 +135,6 @@ class ShardWorker:
         if backend == "inline":
             self._detector = detector_factory()
             self._inline_result = None  # owner: engine thread
-        elif backend == "thread":
-            to_worker: queue.Queue = queue.Queue()
-            to_engine: queue.Queue = queue.Queue()
-            self._conn = _QueuePairConn(to_worker, to_engine)
-            worker_conn = _QueuePairConn(to_engine, to_worker)
-            self._thread = threading.Thread(
-                target=_worker_loop,
-                args=(detector_factory(), worker_conn),
-                name=f"serve-shard-{index}",
-                daemon=True,
-            )
-            self._thread.start()
         elif backend == "process":
             ctx = multiprocessing.get_context()
             self._conn, child_conn = ctx.Pipe()
@@ -259,9 +225,6 @@ class ShardWorker:
     def load_state_dict(self, state: dict) -> None:
         self._call("load", state)
 
-    def reset(self) -> None:
-        self._call("reset")
-
     def close(self) -> None:
         """Stop the backend (idempotent; tolerates a dead worker)."""
         if self.backend == "inline":
@@ -272,12 +235,9 @@ class ShardWorker:
                 self._conn.recv()
         except (EOFError, OSError, ShardFailure):
             pass
-        if self.backend == "process":
-            self._process.join(timeout=5)
-            if self._process.is_alive():
-                self._process.terminate()
-        elif self.backend == "thread":
-            self._thread.join(timeout=5)
+        self._process.join(timeout=5)
+        if self._process.is_alive():
+            self._process.terminate()
         if self._ring is not None:
             self._ring.close()
             self._ring = None  # owner: engine thread

@@ -220,116 +220,6 @@ class TestWallClock:
 
 
 # ----------------------------------------------------------------------
-# XL006 — unlocked shared state
-# ----------------------------------------------------------------------
-_THREADED_CLASS = """
-    class Worker:
-        def __init__(self):
-            self._thread = threading.Thread(target=loop)
-
-        def poke(self):
-            {write}
-"""
-
-
-class TestUnlockedSharedState:
-    def test_unguarded_write_fires(self):
-        fires("XL006", _THREADED_CLASS.format(write="self.state = 1"),
-              rel_path="src/repro/serve/fixture.py")
-
-    def test_lock_guard_is_fine(self):
-        silent("XL006", _THREADED_CLASS.format(
-            write="with self._lock:\n            self.state = 1"),
-            rel_path="src/repro/serve/fixture.py")
-
-    def test_owner_comment_on_write_is_fine(self):
-        silent("XL006", _THREADED_CLASS.format(
-            write="self.state = 1  # owner: engine thread"),
-            rel_path="src/repro/serve/fixture.py")
-
-    def test_owner_comment_at_introduction_is_fine(self):
-        # Ownership declared once, where the attribute is introduced,
-        # covers every later write to it.
-        silent("XL006", """
-            class Worker:
-                def __init__(self):
-                    self.state = 0  # owner: engine thread
-                    self._thread = threading.Thread(target=loop)
-
-                def poke(self):
-                    self.state = 1
-        """, rel_path="src/repro/serve/fixture.py")
-
-    def test_threadless_class_is_fine(self):
-        silent("XL006", """
-            class Plain:
-                def poke(self):
-                    self.state = 1
-        """, rel_path="src/repro/serve/fixture.py")
-
-    def test_outside_serve_is_fine(self):
-        silent("XL006", _THREADED_CLASS.format(write="self.state = 1"),
-               rel_path="src/repro/nn/fixture.py")
-
-    def test_init_only_helper_is_construction(self):
-        # A private helper called only from __init__ runs before the
-        # thread exists — its writes are construction, not sharing.
-        silent("XL006", """
-            class Worker:
-                def __init__(self):
-                    self._setup()
-                    self._thread = threading.Thread(target=loop)
-
-                def _setup(self):
-                    self.state = 0
-        """, rel_path="src/repro/serve/fixture.py")
-
-    def test_transitive_init_helper_is_construction(self):
-        # Init helper calling another init helper still counts.
-        silent("XL006", """
-            class Worker:
-                def __init__(self):
-                    self._setup()
-                    self._thread = threading.Thread(target=loop)
-
-                def _setup(self):
-                    self._alloc()
-
-                def _alloc(self):
-                    self.buffers = []
-        """, rel_path="src/repro/serve/fixture.py")
-
-    def test_helper_also_called_post_init_still_fires(self):
-        # The same helper reached from a post-init method loses the
-        # exemption — it can now race the engine thread.
-        fires("XL006", """
-            class Worker:
-                def __init__(self):
-                    self._setup()
-                    self._thread = threading.Thread(target=loop)
-
-                def _setup(self):
-                    self.state = 0
-
-                def reset(self):
-                    self._setup()
-        """, rel_path="src/repro/serve/fixture.py")
-
-    def test_helper_escaping_as_thread_target_still_fires(self):
-        # A bound reference handed to the thread runs concurrently no
-        # matter who calls it by name.
-        fires("XL006", """
-            class Worker:
-                def __init__(self):
-                    self._loop_setup()
-                    self._thread = threading.Thread(target=self._loop_setup)
-
-                def _loop_setup(self):
-                    self.state = 0
-        """, rel_path="src/repro/serve/fixture.py")
-
-
-# ----------------------------------------------------------------------
 # XL008 — mutable defaults
 # ----------------------------------------------------------------------
 class TestMutableDefault:

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 import repro.core.online as online_module
-from repro.core import OnlineXatu, XatuModel
+from repro.core import OnlineConfig, OnlineXatu, XatuModel
 from repro.core.model import TimescaleSpec, XatuModelConfig
 from repro.netflow import FlowRecord, RouteTable
 from repro.signals import FeatureScaler
@@ -136,7 +136,7 @@ def _build_detector(
         customer_of=dict(customer_of),
         blocklist=set(),
         route_table=route_table,
-        rearm_after=3,
+        config=OnlineConfig(rearm_after=3),
     )
     detector.inference_dtype = dtype
     return detector

@@ -339,22 +339,27 @@ class TestCollectorAccounting:
     def test_headerless_ingest_feeds_the_same_counters(self):
         records = _random_records(np.random.default_rng(19), 5)
         collector = FlowCollector()
-        collector.ingest(encode_flows(records))
+        collector.ingest_batch(encode_flows(records))
         assert self._counters() == (1, 5)
         collector.ingest_datagram(DatagramCodec(engine_id=1).encode(records))
         assert self._counters() == (2, 10)
         assert collector.datagrams_received == 2
         assert collector.records_received == 10
 
-    def test_drain_batch_matches_drain(self):
+    def test_drain_batch_matches_ingest_order(self):
+        """Headerless and headered chunks drain as one batch, in arrival
+        order, and the two ingest calls return what they retained."""
         records = _random_records(np.random.default_rng(23), 12)
-        one, two = FlowCollector(), FlowCollector()
-        for collector in (one, two):
-            collector.ingest(encode_flows(records[:7]))
-            collector.ingest_datagram(DatagramCodec(engine_id=1).encode(records[7:]))
-        assert len(one) == 12 and list(one) == records
-        assert one.drain_batch().to_records() == two.drain() == records
-        assert len(one) == 0 and one.drain_batch() == FlowBatch.empty()
+        collector = FlowCollector()
+        head = collector.ingest_batch(encode_flows(records[:7]))
+        tail = collector.ingest_datagram_batch(
+            DatagramCodec(engine_id=1).encode(records[7:])
+        )
+        assert head.to_records() == records[:7]
+        assert tail.to_records() == records[7:]
+        assert len(collector) == 12
+        assert collector.drain_batch().to_records() == records
+        assert len(collector) == 0 and collector.drain_batch() == FlowBatch.empty()
 
     def test_drain_batch_on_empty_collector(self):
         collector = FlowCollector()
@@ -365,17 +370,17 @@ class TestCollectorAccounting:
         assert collector.records_received == 0
         # ...and does not wedge the collector: later ingests still flow
         records = _random_records(np.random.default_rng(31), 3)
-        collector.ingest(encode_flows(records))
+        collector.ingest_batch(encode_flows(records))
         assert collector.drain_batch().to_records() == records
 
     def test_drain_batch_partial_drains_never_redeliver(self):
         records = _random_records(np.random.default_rng(41), 10)
         collector = FlowCollector()
-        collector.ingest(encode_flows(records[:6]))
+        collector.ingest_batch(encode_flows(records[:6]))
         assert collector.drain_batch().to_records() == records[:6]
         # flows ingested after a drain come out alone — no re-delivery of
         # the already-drained chunk, and counters stay cumulative
-        collector.ingest(encode_flows(records[6:]))
+        collector.ingest_batch(encode_flows(records[6:]))
         assert collector.drain_batch().to_records() == records[6:]
         assert collector.records_received == 10
         assert len(collector) == 0 and collector.drain_batch() == FlowBatch.empty()
@@ -383,15 +388,15 @@ class TestCollectorAccounting:
     def test_state_round_trip_preserves_pending_chunks(self):
         records = _random_records(np.random.default_rng(29), 9)
         collector = FlowCollector()
-        collector.ingest(encode_flows(records[:4]))
-        collector.ingest(encode_flows(records[4:]))
+        collector.ingest_batch(encode_flows(records[:4]))
+        collector.ingest_batch(encode_flows(records[4:]))
         state = collector.state_dict()
         restored = FlowCollector()
         restored.load_state_dict(state)
         # pending chunks coalesce on snapshot, so the restored snapshot
         # round-trips byte-identically from here on
         assert pickle.dumps(restored.state_dict()) == pickle.dumps(state)
-        assert restored.drain() == records
+        assert restored.drain_batch().to_records() == records
 
 
 class TestFeedHealthSequenceAnomalies:
@@ -555,13 +560,17 @@ class TestIngestBench:
     def test_committed_baseline_meets_the_bar(self):
         from pathlib import Path
 
-        from repro.bench import load_bench_json
+        from repro.bench import INGEST_BENCH_CASES, load_bench_json
 
         path = Path(__file__).resolve().parents[1] / (
             "benchmarks/results/BENCH_ingest.json"
         )
         payload = load_bench_json(path)
         assert not payload["smoke"]
+        # one row set per live case: no orphan of a retired bench
+        assert {k.split("/")[0] for k in payload["benchmarks"]} == set(
+            INGEST_BENCH_CASES
+        )
         # the acceptance bar: >= 10x flows/sec on decode + aggregation
         assert payload["speedups"]["ingest_flows"] >= 10.0
         assert payload["speedups"]["datagram_decode"] >= 10.0

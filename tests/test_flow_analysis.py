@@ -573,10 +573,21 @@ class TestShardOwnership:
     def test_escaped_self_attr_write_two_hops_fires(self):
         # Engine retains self.detector while the worker mutates it; the
         # write sits two calls below the spawn target (worker_loop ->
-        # inner -> Detector.step) — invisible to per-file XL006.
+        # inner -> Detector.step) — invisible to any per-file rule.
         findings = fires("XF003", _WORKER_SHARED)
         assert any("count" in f.message for f in findings)
         assert any("call path" in f.message for f in findings)
+
+    def test_process_spawn_site_fires(self):
+        # The only spawn the tree has left is ShardWorker's forked
+        # Process(target=..., args=...); the same escape must fire there.
+        sources = {
+            "src/pkg/serve.py": _WORKER_SHARED["src/pkg/serve.py"]
+            .replace("import threading", "import multiprocessing")
+            .replace("threading.Thread(", "multiprocessing.Process(")
+        }
+        findings = fires("XF003", sources)
+        assert any("count" in f.message for f in findings)
 
     def test_ownership_transfer_inline_construction_silent(self):
         # Constructing the detector inside the spawn args hands it

@@ -297,12 +297,14 @@ class TestBenchHarness:
     def test_committed_baseline_is_current_format(self):
         from pathlib import Path
 
-        from repro.bench import load_bench_json
+        from repro.bench import BENCH_CASES, load_bench_json
 
         path = Path(__file__).resolve().parents[1] / (
             "benchmarks/results/BENCH_fused.json"
         )
         payload = load_bench_json(path)
         assert not payload["smoke"]
+        # one row set per live case: no orphan of a retired bench
+        assert {k.split("/")[0] for k in payload["benchmarks"]} == set(BENCH_CASES)
         assert payload["speedups"]["lstm_train_step"] >= 5.0
         assert payload["speedups"]["synthetic_day"] >= 3.0

@@ -489,7 +489,7 @@ class TestFeedHealth:
         assert health.records_lost == 2
         assert health.datagrams_reordered == 0
         assert health.loss_rate == pytest.approx(2 / 8)
-        assert len(collector.drain()) == 6
+        assert len(collector.drain_batch()) == 6
 
     def test_reorder_detection(self):
         codec = DatagramCodec()
@@ -687,6 +687,32 @@ class TestBenchObs:
         report = run_all(smoke=True, cases=("train_epoch_obs",))
         assert "telemetry overhead" in report.render()
         assert "train_epoch_obs" in report.obs_overheads()
+
+    def test_compare_scale_gates_memory_not_speed(self):
+        """The scale suite owns peak RSS; a cell's wall time is mostly
+        trace generation and serving speed is the e2e suite's number."""
+        from repro.bench.scale import compare_scale, render_scale
+        from repro.obs.export import host_metadata
+
+        def payload(rss_mb, minutes_per_s, smoke=False):
+            run = {
+                "cell": "10k", "n_customers": 10_000, "minutes": 120,
+                "shards": 2, "seed": 7, "wall_s": 120 / minutes_per_s,
+                "minutes_per_s": minutes_per_s, "flows": 1_000, "alerts": 0,
+                "peak_rss_mb": rss_mb,
+            }
+            return {"smoke": smoke, "host": host_metadata(), "runs": {"10k": run}}
+
+        baseline = payload(100.0, 20.0)
+        assert compare_scale(payload(100.0, 1.0), baseline) == ([], [])
+        warnings, failures = compare_scale(payload(200.0, 20.0), baseline)
+        assert warnings == [] and any("fatter" in f for f in failures)
+        # the shared comparability rule: smoke runs only ever warn
+        warnings, failures = compare_scale(
+            payload(200.0, 20.0, smoke=True), payload(100.0, 20.0, smoke=True)
+        )
+        assert failures == [] and any("fatter" in w for w in warnings)
+        assert "alerts" not in render_scale(baseline)
 
 
 # ----------------------------------------------------------------------

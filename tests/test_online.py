@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import OnlineXatu, TrainConfig, XatuModel, alerts_to_records
+from repro.core import (
+    OnlineConfig,
+    OnlineXatu,
+    TrainConfig,
+    XatuModel,
+    alerts_to_records,
+)
 from repro.detect import NetScoutDetector
 from repro.netflow import RouteTable
 from repro.signals import AlertRecord, FeatureScaler
@@ -64,6 +70,20 @@ class TestOnlineXatu:
     def test_threshold_validated(self, online_setup):
         with pytest.raises(ValueError):
             make_online(online_setup, threshold=1.0)
+
+    def test_threshold_overrides_config(self, online_setup):
+        """The trained threshold rides beside model/scaler; every other
+        streaming knob comes from the config."""
+        online = make_online(
+            online_setup,
+            threshold=0.25,
+            config=OnlineConfig(threshold=0.75, rearm_after=4),
+        )
+        assert online.threshold == online.config_online.threshold == 0.25
+        assert online.rearm_after == 4
+        assert make_online(
+            online_setup, threshold=None, config=OnlineConfig(threshold=0.75)
+        ).threshold == 0.75
 
     def test_minutes_must_advance(self, online_setup):
         online = make_online(online_setup)
@@ -140,7 +160,8 @@ class TestOnlineXatu:
         online = OnlineXatu(
             model=hot, scaler=scaler, threshold=0.5,
             customer_of=customer_of, blocklist=blocklist,
-            route_table=trace.world.route_table, rearm_after=3,
+            route_table=trace.world.route_table,
+            config=OnlineConfig(rearm_after=3),
         )
         first = online.step(0, minute_flows(trace, 0))
         assert first, "hot model must alert immediately"
@@ -159,7 +180,8 @@ class TestOnlineXatu:
         online = OnlineXatu(
             model=hot, scaler=scaler, threshold=0.5,
             customer_of=customer_of, blocklist=blocklist,
-            route_table=trace.world.route_table, rearm_after=100,
+            route_table=trace.world.route_table,
+            config=OnlineConfig(rearm_after=100),
         )
         first = online.step(0, minute_flows(trace, 0))
         cid = first[0].customer_id

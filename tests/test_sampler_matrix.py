@@ -61,8 +61,8 @@ class TestExporterCollector:
         flows = [make_flow(timestamp=i) for i in range(7)]
         exporter.observe(flows)
         assert exporter.pending == 7
-        received = collector.ingest(exporter.flush())
-        assert received == flows
+        received = collector.ingest_batch(exporter.flush())
+        assert received.to_records() == flows
         assert exporter.pending == 0
         assert collector.records_received == 7
         assert collector.datagrams_received == 1
@@ -71,8 +71,8 @@ class TestExporterCollector:
         exporter = FlowExporter("pop1", PacketSampler(1))
         collector = FlowCollector()
         exporter.observe([make_flow()])
-        collector.ingest(exporter.flush())
-        assert len(collector.drain()) == 1
+        collector.ingest_batch(exporter.flush())
+        assert len(collector.drain_batch()) == 1
         assert len(collector) == 0
 
 

@@ -23,6 +23,7 @@ from repro.core import OnlineXatu, XatuModel
 from repro.core.online import OnlineAlert
 from repro.netflow import DatagramCodec, FlowRecord, RouteTable
 from repro.serve import (
+    BACKENDS,
     CHECKPOINT_FORMAT_VERSION,
     CheckpointFormatError,
     ServeConfig,
@@ -125,9 +126,6 @@ class StubDetector:
     def load_state_dict(self, state):
         self.minute = state["minute"]
 
-    def reset(self):
-        self.minute = -1
-
 
 def _stub_engine(shards=2, fail_at=None, **config_kwargs) -> ServeEngine:
     return ServeEngine(
@@ -182,6 +180,7 @@ class TestServeConfig:
             {"checkpoint_every": -1},
             {"degraded_loss_rate": 1.5},
             {"degradation_policy": "panic"},
+            {"backend": "thread"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -192,10 +191,30 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             _stub_engine(shards=0)
 
-    def test_no_scoring_lane_selector(self):
-        names = {f.name for f in dataclasses.fields(ServeConfig)}
-        assert "batched" not in names
-        assert len(names) == 9
+    def test_options_ledger(self):
+        """Every serve option, by name: a new field or backend has to edit
+        this test, and say which measurement or guarantee needs it."""
+        assert {f.name for f in dataclasses.fields(ServeConfig)} == {
+            "shards",
+            "backend",
+            "checkpoint_dir",
+            "checkpoint_every",
+            "degraded_loss_rate",
+            "degradation_policy",
+            "inference_dtype",
+            "transport",
+        }
+        assert BACKENDS == ("inline", "process")
+
+    def test_periodic_checkpoints_need_a_directory(self, capsys):
+        """``checkpoint_every`` without a directory used to validate and
+        then never checkpoint; now the config and the CLI both refuse."""
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            ServeConfig(checkpoint_every=5).validate()
+        assert main(["serve", "--checkpoint-every", "5"]) == 2
+        assert "--checkpoint-dir" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -395,8 +414,9 @@ class TestDegradation:
 # ----------------------------------------------------------------------
 class TestShardWorker:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ShardWorker(0, lambda: StubDetector({}), backend="fiber")
+        for backend in ("fiber", "thread"):
+            with pytest.raises(ValueError, match="backend"):
+                ShardWorker(0, lambda: StubDetector({}), backend=backend)
 
     def test_failure_marks_unhealthy_and_refuses_submits(self):
         worker = ShardWorker(0, lambda: StubDetector({}, fail_at=0))
@@ -412,9 +432,9 @@ class TestShardWorker:
         with pytest.raises(ShardFailure, match="no pending"):
             worker.collect()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_remote_backends_match_inline(self, backend):
-        """state/step/reset round-trip through the worker protocol."""
+        """step/state/load round-trip through the worker protocol."""
         partition = dict(ADDRESS_OF)
         inline = ShardWorker(0, lambda: StubDetector(partition))
         remote = ShardWorker(0, lambda: StubDetector(partition), backend=backend)
@@ -427,16 +447,16 @@ class TestShardWorker:
                     (x.minute, x.customer_id) for x in b
                 ]
             assert inline.state_dict() == remote.state_dict()
-            remote.reset()
+            remote.load_state_dict({"minute": -1})
             assert remote.state_dict() == {"minute": -1}
         finally:
             remote.close()
 
 
 class TestGradModeIsolation:
-    """The thread backend scores under no_grad concurrently; the grad
-    switch must be per-thread or one worker's restore clobbers another's
-    (leaving gradients disabled process-wide)."""
+    """Inference runs under no_grad; the grad switch must be per-thread or
+    a scoring thread's restore clobbers a training thread's (leaving
+    gradients disabled process-wide)."""
 
     def test_no_grad_is_thread_local(self):
         import threading
@@ -501,14 +521,14 @@ class TestShardCountInvariance:
 
 
 class TestBackendEquivalence:
-    def test_thread_and_process_match_inline(self):
+    def test_process_matches_inline(self):
         streams = {}
-        for backend in ("inline", "thread", "process"):
+        for backend in BACKENDS:
             with _xatu_engine(2, backend=backend) as engine:
                 streams[backend] = _drive(
                     engine, DatagramCodec(engine_id=1), _minutes_of_flows(6),
                 )
-        assert streams["inline"] == streams["thread"] == streams["process"]
+        assert streams["inline"] == streams["process"]
 
 
 class TestCrashEquivalence:

@@ -150,18 +150,20 @@ class TestShardWorkerTransport:
             shm.close()
             inline.close()
 
-    def test_ring_growth_mid_stream(self):
+    def test_ring_growth_mid_stream(self, monkeypatch):
         # a tiny ring forces wrap AND growth while the worker is live
         big = _flow_batch(400, seed=1)  # > MIN_RING_BYTES of payload
         small = _flow_batch(5, seed=2)
         inline = ShardWorker(1, _detector_factory(), backend="inline")
+        monkeypatch.setattr(shard_mod, "ShmRing", lambda: ShmRing(1))
         shm = ShardWorker(
-            1, _detector_factory(), backend="process",
-            transport="shm", shm_ring_bytes=1,
+            1, _detector_factory(), backend="process", transport="shm"
         )
         try:
+            assert shm._ring.capacity == MIN_RING_BYTES
             batches = [small, big, small, big]
             assert self._alerts(shm, batches) == self._alerts(inline, batches)
+            assert shm._ring.capacity > MIN_RING_BYTES
         finally:
             shm.close()
             inline.close()
@@ -224,8 +226,6 @@ class TestEngineTransportEquivalence:
     def test_config_rejects_unknown_transport(self):
         with pytest.raises(ValueError, match="transport"):
             ServeConfig(transport="carrier-pigeon").validate()
-        with pytest.raises(ValueError, match="shm_ring_bytes"):
-            ServeConfig(shm_ring_bytes=0).validate()
 
     def test_shm_pipe_and_inline_streams_identical(self):
         minutes = _minutes_of_flows(6)
