@@ -225,6 +225,7 @@ class OnlineXatu:
         self._last_seen: dict[int, int] = {}
         self._lookup = CustomerLookup()
         self._blocklist_cache: tuple | None = None
+        self._cells_staged = 0  # telemetry: matrix rows scaled this minute
 
     # ------------------------------------------------------------------
     @classmethod
@@ -372,56 +373,78 @@ class OnlineXatu:
             self._hazards.pop(customer_id, None)
 
     # -- stage 3: feature windows + chunked fused scoring -----------
-    def _feature_window(self, customer_id: int, end_minute: int) -> np.ndarray:
-        lookback = self.model.config.lookback_minutes
-        start = end_minute + 1 - lookback
-        block = np.zeros((lookback, N_FEATURES))
-        if start < 0:
-            pad = -start
-            start = 0
-        else:
-            pad = 0
-        span = end_minute + 1 - start
-        for group, cls in _CLASS_OF_GROUP.items():
-            block[pad:, self._slices[group]] = self.matrix.feature_block(
-                customer_id, start, end_minute + 1, cls
-            )[:span]
-        block[pad:, self._slices["A4"]] = self.history.feature_block(
-            customer_id, start, end_minute + 1
-        )[:span]
-        block[pad:, self._slices["A5"]] = self.graph.feature_block(
-            customer_id, start, end_minute + 1
-        )[:span]
-        return block
-
     def feature_windows(
         self, customer_ids: Sequence[int], end_minute: int
     ) -> np.ndarray:
-        """Stack the per-minute feature windows of several customers.
+        """Stack the scaled, model-ready feature windows of several customers.
 
-        Returns ``(len(customer_ids), lookback_minutes, N_FEATURES)`` —
-        row ``i`` is exactly ``_feature_window(customer_ids[i], end_minute)``.
-        This is the staging step of :meth:`_score`, but is public API: any
-        batch scorer (offline eval, what-if replay) can use it.
+        Returns ``(len(customer_ids), lookback_minutes, N_FEATURES)``; row
+        ``i`` is the scaled dense window of ``customer_ids[i]`` ending at
+        ``end_minute`` (minutes before 0 are zero rows), bit for bit what
+        :class:`repro.testing.reference.ReferenceOnlineXatu` builds densely.
+        Built sparsely: most of a window is empty minutes, whose scaled row
+        is one constant, so only the matrix's non-empty rows per feature
+        group — and the A4/A5 blocks of customers that have alerts at all —
+        go through the scaler.  A4/A5 are recomputed from the stores on every
+        call, never cached, so an alert ingested with a past ``detect_minute``
+        needs no invalidation.  This is the staging step of :meth:`_score`,
+        but is public API: any batch scorer can use it.
         """
         lookback = self.model.config.lookback_minutes
+        start = max(end_minute + 1 - lookback, 0)
+        end = end_minute + 1
+        pad = lookback - (end - start)
+        scale = self.scaler.transform
+        # Gather and scale first, allocate the stack after: matrix reads grow
+        # its row store, and a long-lived allocation made while the transient
+        # stack is live pins a stack-sized hole in the heap.
+        staged: list[tuple[np.ndarray | slice, slice, np.ndarray]] = []
+        for group, cls in _CLASS_OF_GROUP.items():
+            index_parts: list[np.ndarray] = []
+            row_parts: list[np.ndarray] = []
+            for i, customer_id in enumerate(customer_ids):
+                minutes, rows = self.matrix.rows_between(customer_id, cls, start, end)
+                if len(minutes):
+                    index_parts.append(minutes + (i * lookback + pad - start))
+                    row_parts.append(rows)
+            if row_parts:
+                cols = self._slices[group]
+                compact = np.concatenate(row_parts)
+                self._cells_staged += len(compact)
+                scale(compact, out=compact, columns=cols)
+                staged.append((np.concatenate(index_parts), cols, compact))
+        for group, store in (("A4", self.history), ("A5", self.graph)):
+            cols = self._slices[group]
+            for i, customer_id in enumerate(customer_ids):
+                if store.has_alerts(customer_id):
+                    block = store.feature_block(customer_id, start, end)
+                    scale(block, out=block, columns=cols)
+                    staged.append(
+                        (slice(i * lookback + pad, (i + 1) * lookback), cols, block)
+                    )
         stack = np.empty((len(customer_ids), lookback, N_FEATURES))
-        for row, customer_id in enumerate(customer_ids):
-            stack[row] = self._feature_window(customer_id, end_minute)
+        stack[:] = scale(np.zeros(N_FEATURES))
+        flat = stack.reshape(-1, N_FEATURES)
+        for rows_at, cols, values in staged:
+            flat[rows_at, cols] = values
         return stack
 
     def _score(self, customers: Sequence[int], minute: int) -> list[float]:
-        """This minute's hazard for every customer, in order: one fused
-        inference pass per :data:`SCORE_CHUNK`-customer stack."""
+        """This minute's hazard for every customer, in order: one
+        :meth:`feature_windows` stack and one fused inference pass per
+        :data:`SCORE_CHUNK` customers."""
         out: list[float] = []
         for lo in range(0, len(customers), SCORE_CHUNK):
             x = self.feature_windows(customers[lo : lo + SCORE_CHUNK], minute)
-            self.scaler.transform(x, out=x)
             staged = self.model.stage_pooled(x, dtype=self.inference_dtype)
             hazards = self.model.hazards_np_staged(
                 staged, dtype=self.inference_dtype
             )
             out.extend(float(h) for h in hazards[:, -1])
+            # Release this chunk's stack (``staged`` may hold views of it)
+            # before the next chunk gathers: two live stacks double the peak,
+            # and row-store growth under a live stack fragments the heap.
+            del x, staged
         return out
 
     # -- stage 4: per-customer decision -----------------------------
@@ -502,6 +525,12 @@ class OnlineXatu:
         registry.gauge(
             "online.watched_customers", "customers currently scored each minute"
         ).set(len(self._watched))
+        registry.counter(
+            "online.cells_staged", "non-empty matrix rows gathered and scaled"
+        ).inc(self._cells_staged)
+        registry.gauge(
+            "online.row_store_rows", "finalized rows held by the matrix row store"
+        ).set(self.matrix.row_store_rows())
         registry.histogram(
             "online.minute_seconds", "wall time of one observe_minute call"
         ).observe(time.perf_counter() - minute_start)
@@ -542,6 +571,7 @@ class OnlineXatu:
         minute_start = time.perf_counter() if telemetry_on else 0.0
         batch = _as_batch(flows)
         self._minute = minute
+        self._cells_staged = 0
         alerts: list[OnlineAlert] = []
         evicted = 0
         with trace("online.observe_minute"):

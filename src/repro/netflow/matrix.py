@@ -6,7 +6,9 @@ popular ports, TCP flags, source countries) — and the same 63 counters
 restricted to each auxiliary source class (blocklisted / previous attackers /
 spoofed, the A1–A3 splits).  :class:`TrafficMatrix` maintains exactly that:
 a dict of :class:`VolumetricAccumulator` keyed by (customer, source-class,
-minute), and materializes dense ``(minutes, 63)`` numpy blocks on demand.
+minute), and materializes dense ``(minutes, 63)`` numpy blocks on demand —
+from a per-(customer, class) store of finalized rows that is kept as a
+derived view of the cells (dirty on fold, flush on read).
 """
 
 from __future__ import annotations
@@ -225,13 +227,84 @@ class VolumetricAccumulator:
         return len(self._sources)
 
 
+_NO_MINUTES = np.zeros(0, dtype=np.int64)
+_NO_ROWS = np.zeros((0, N_VOLUMETRIC))
+
+
+class _RowStore:
+    """Finalized rows of one (customer, source-class), in minute order.
+
+    ``minutes[lo:hi]`` ascends and ``rows[k] == cell(minutes[k]).finalize()``
+    for every minute not in ``dirty``.  Appends go to the spare capacity
+    behind ``hi`` and trims advance ``lo``, so the steady state of a
+    streaming detector (one new minute, one evicted minute) copies nothing.
+    """
+
+    __slots__ = ("minutes", "rows", "lo", "hi", "dirty")
+
+    def __init__(self, capacity: int) -> None:
+        self.minutes = np.empty(capacity, dtype=np.int64)
+        self.rows = np.empty((capacity, N_VOLUMETRIC))
+        self.lo = self.hi = 0
+        self.dirty: set[int] = set()
+
+    def put(self, minute: int, row: np.ndarray) -> None:
+        """Overwrite, append or insert one minute's row."""
+        lo, hi = self.lo, self.hi
+        at = hi
+        if hi > lo and minute <= self.minutes[hi - 1]:
+            at = lo + int(np.searchsorted(self.minutes[lo:hi], minute))
+            if self.minutes[at] == minute:
+                self.rows[at] = row
+                return
+        if hi == len(self.minutes):
+            # Out of spare capacity: repack the live rows at the front, in
+            # place when trims freed enough room, else in buffers half again
+            # their size (most keys hold a handful of rows: no big minimum).
+            minutes, rows, live = self.minutes, self.rows, hi - lo
+            capacity = live + max(live // 2, 2)
+            if capacity > len(minutes):
+                minutes = np.empty(capacity, dtype=np.int64)
+                rows = np.empty((capacity, N_VOLUMETRIC))
+            minutes[:live] = self.minutes[lo:hi]
+            rows[:live] = self.rows[lo:hi]
+            self.minutes, self.rows, self.lo = minutes, rows, 0
+            at, hi = at - lo, live
+        if at < hi:  # a late record opened a cell in the middle
+            self.minutes[at + 1 : hi + 1] = self.minutes[at:hi]
+            self.rows[at + 1 : hi + 1] = self.rows[at:hi]
+        self.minutes[at] = minute
+        self.rows[at] = row
+        self.hi = hi + 1
+
+    def trim(self, minute: int) -> None:
+        """Forget the rows older than ``minute``."""
+        self.lo += int(np.searchsorted(self.minutes[self.lo : self.hi], minute))
+
+    def between(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        i, j = np.searchsorted(self.minutes[self.lo : self.hi], (start, end)) + self.lo
+        minutes, rows = self.minutes[i:j], self.rows[i:j]
+        minutes.flags.writeable = rows.flags.writeable = False
+        return minutes, rows
+
+
 class TrafficMatrix:
     """Sparse (customer, source-class, minute) → volumetric-cell store.
 
     ``add_flow`` tags each flow with its auxiliary source classes (computed
     by the caller — see :class:`repro.signals.SourceClassifier`) and updates
     the "all" cell plus one cell per class.  ``feature_block`` produces the
-    dense per-minute matrix a model consumes.
+    dense per-minute matrix a model consumes; ``rows_between`` hands out the
+    same rows compactly (non-empty minutes only).
+
+    Both read a per-(customer, class) store of finalized rows, created on a
+    key's first read.  It is derived state with one invariant: every write
+    to a cell of a key that has a store marks that minute dirty
+    (:meth:`_cell_for`, :meth:`set_cell` — the only writers), and every read
+    flushes the dirt first.  ``state_dict`` never sees it and
+    ``load_state_dict`` drops it, so checkpoints are the same bytes whether
+    or not anything was ever read.  Cells handed out by :meth:`cell` are
+    for reading only.
     """
 
     def __init__(self) -> None:
@@ -242,6 +315,32 @@ class TrafficMatrix:
         # materializers touch only non-empty rows (traffic matrices are
         # sparse in the auxiliary classes).
         self._minutes_index: dict[tuple[int, str], set[int]] = {}
+        self._row_stores: dict[tuple[int, str], _RowStore] = {}
+
+    def _cell_for(self, customer: int, cls: str, minute: int) -> VolumetricAccumulator:
+        """The cell a fold is about to write into, created if missing."""
+        key = (customer, cls, minute)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = VolumetricAccumulator()
+            self._minutes_index.setdefault((customer, cls), set()).add(minute)
+        store = self._row_stores.get((customer, cls))
+        if store is not None:
+            store.dirty.add(minute)
+        return cell
+
+    def set_cell(
+        self, customer: int, minute: int, source_class: str, cell: VolumetricAccumulator
+    ) -> None:
+        """Install a prebuilt cell (trace loading, checkpoint restore)."""
+        self._customers.add(customer)
+        if minute > self.max_minute:
+            self.max_minute = minute
+        self._cells[(customer, source_class, minute)] = cell
+        self._minutes_index.setdefault((customer, source_class), set()).add(minute)
+        store = self._row_stores.get((customer, source_class))
+        if store is not None:
+            store.dirty.add(minute)
 
     def add_flow(
         self,
@@ -255,13 +354,7 @@ class TrafficMatrix:
         if minute > self.max_minute:
             self.max_minute = minute
         for cls in (SOURCE_CLASS_ALL, *source_classes):
-            key = (customer, cls, minute)
-            cell = self._cells.get(key)
-            if cell is None:
-                cell = VolumetricAccumulator()
-                self._cells[key] = cell
-                self._minutes_index.setdefault((customer, cls), set()).add(minute)
-            cell.add(flow)
+            self._cell_for(customer, cls, minute).add(flow)
 
     def add_batch(
         self,
@@ -410,15 +503,8 @@ class TrafficMatrix:
         pair_src = pair_src[keep].tolist()
         src_bounds = np.searchsorted(pair_gid, np.arange(n_cells + 1))
 
-        cells = self._cells
         for k in range(n_cells):
-            key = (cell_cust[k], cls, cell_min[k])
-            cell = cells.get(key)
-            if cell is None:
-                cell = VolumetricAccumulator()
-                cells[key] = cell
-                self._minutes_index.setdefault((key[0], cls), set()).add(key[2])
-            cell.add_aggregate(
+            self._cell_for(cell_cust[k], cls, cell_min[k]).add_aggregate(
                 count=int(counts[k]),
                 total_bytes=int(tot_bytes[k]),
                 total_packets=int(tot_packets[k]),
@@ -437,6 +523,43 @@ class TrafficMatrix:
     ) -> VolumetricAccumulator | None:
         return self._cells.get((customer, source_class, minute))
 
+    def rows_between(
+        self,
+        customer: int,
+        source_class: str,
+        start_minute: int,
+        end_minute: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The non-empty minutes in ``[start, end)``, ascending, and their
+        finalized ``(n, 63)`` rows: ``feature_block`` without the zeros.
+
+        Both arrays are read-only views into the row store, valid until the
+        next write to the matrix.
+        """
+        store = self._flushed_store(customer, source_class)
+        if store is None:
+            return _NO_MINUTES, _NO_ROWS
+        return store.between(start_minute, end_minute)
+
+    def _flushed_store(self, customer: int, cls: str) -> _RowStore | None:
+        """The key's row store with its dirty rows re-finalized (built on the
+        key's first read); ``None`` while the key has no cells."""
+        store = self._row_stores.get((customer, cls))
+        if store is not None and not store.dirty:
+            return store
+        indexed = self._minutes_index.get((customer, cls))
+        if not indexed:
+            return None
+        if store is None:
+            store = self._row_stores[(customer, cls)] = _RowStore(len(indexed))
+            dirty = indexed
+        else:
+            dirty = store.dirty & indexed  # evicted minutes drop out
+        for minute in sorted(dirty):
+            store.put(minute, self._cells[(customer, cls, minute)].finalize())
+        store.dirty.clear()
+        return store
+
     def feature_block(
         self,
         customer: int,
@@ -451,22 +574,11 @@ class TrafficMatrix:
         """
         if end_minute < start_minute:
             raise ValueError("end_minute must be >= start_minute")
-        steps = end_minute - start_minute
-        block = np.zeros((steps, N_VOLUMETRIC))
-        minutes = self._minutes_index.get((customer, source_class))
-        if not minutes:
-            return block
-        if len(minutes) < steps:
-            hits = (m for m in minutes if start_minute <= m < end_minute)
-        else:
-            hits = (
-                m for m in range(start_minute, end_minute)
-                if m in minutes
-            )
-        for minute in hits:
-            block[minute - start_minute] = self._cells[
-                (customer, source_class, minute)
-            ].finalize()
+        block = np.zeros((end_minute - start_minute, N_VOLUMETRIC))
+        minutes, rows = self.rows_between(
+            customer, source_class, start_minute, end_minute
+        )
+        block[minutes - start_minute] = rows
         return block
 
     def evict_before(self, minute: int) -> int:
@@ -485,6 +597,11 @@ class TrafficMatrix:
                 minutes.discard(m)
                 if not minutes:
                     del self._minutes_index[(customer, cls)]
+        for key in {key[:2] for key in stale} & self._row_stores.keys():
+            if key in self._minutes_index:
+                self._row_stores[key].trim(minute)
+            else:
+                del self._row_stores[key]
         return len(stale)
 
     def state_dict(self) -> dict:
@@ -501,6 +618,7 @@ class TrafficMatrix:
     def load_state_dict(self, state: dict) -> None:
         self._cells = {}
         self._minutes_index = {}
+        self._row_stores = {}
         self._customers = set(int(c) for c in state["customers"])
         self.max_minute = int(state["max_minute"])
         for customer, cls, minute, cell_state in state["cells"]:
@@ -508,9 +626,12 @@ class TrafficMatrix:
             # SOURCE_CLASS_* constants, so a restored matrix pickles
             # byte-identically to one that never round-tripped (the
             # checkpoint byte-identity guarantee).
-            key = (int(customer), sys.intern(str(cls)), int(minute))
-            self._cells[key] = VolumetricAccumulator.from_state(cell_state)
-            self._minutes_index.setdefault((key[0], key[1]), set()).add(key[2])
+            self.set_cell(
+                int(customer),
+                int(minute),
+                sys.intern(str(cls)),
+                VolumetricAccumulator.from_state(cell_state),
+            )
 
     def total_bytes(
         self,
@@ -541,6 +662,10 @@ class TrafficMatrix:
             if cell is not None:
                 series[t - start_minute] = cell.total_bytes
         return series
+
+    def row_store_rows(self) -> int:
+        """Finalized rows currently held for reads (telemetry)."""
+        return sum(store.hi - store.lo for store in self._row_stores.values())
 
     def __len__(self) -> int:
         return len(self._cells)

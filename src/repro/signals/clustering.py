@@ -117,6 +117,10 @@ class AttackerCustomerGraph:
         if groups:
             self._alerts.append(_WindowAlert(minute, customer_id, groups))
 
+    def has_alerts(self, customer_id: int) -> bool:
+        """False means the customer's A5 features are zero at every minute."""
+        return any(a.customer_id == customer_id for a in self._alerts)
+
     def _neighbors_at(self, minute: int) -> dict[int, frozenset]:
         lo = minute - self.window_minutes
         merged: dict[int, set] = defaultdict(set)
@@ -144,6 +148,8 @@ class AttackerCustomerGraph:
         """
         steps = end_minute - start_minute
         block = np.zeros((steps, self.N_FEATURES))
+        if not self.has_alerts(customer_id):
+            return block
         last = np.zeros(self.N_FEATURES)
         for t in range(steps):
             if t % stride == 0:

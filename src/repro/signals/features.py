@@ -196,22 +196,31 @@ class FeatureScaler:
         self.std_ = std
         return self
 
-    def transform(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def transform(
+        self,
+        block: np.ndarray,
+        out: np.ndarray | None = None,
+        columns: slice | None = None,
+    ) -> np.ndarray:
         """Scale ``block``; with ``out`` (may alias ``block``) the work runs
-        through preallocated storage.  Each element goes through the same op
-        chain either way (max → log1p → subtract → divide), so the in-place
-        path is bitwise identical to the allocating one — the batched
-        serving lane relies on that to scale large customer stacks without
-        materializing four temporaries per minute.
+        through preallocated storage, and with ``columns`` the block holds
+        only that slice of the 273 feature columns.  Each element goes
+        through the same op chain every way (max → log1p → subtract →
+        divide), so all of them are bitwise identical — the serving lane
+        relies on that to scale only the non-empty rows of each feature
+        group instead of every customer's dense window.
         """
         if self.mean_ is None or self.std_ is None:
             raise RuntimeError("scaler must be fit before transform")
+        mean, std = self.mean_, self.std_
+        if columns is not None:
+            mean, std = mean[columns], std[columns]
         if out is None:
-            return (np.log1p(np.maximum(block, 0.0)) - self.mean_) / self.std_
+            return (np.log1p(np.maximum(block, 0.0)) - mean) / std
         np.maximum(block, 0.0, out=out)
         np.log1p(out, out=out)
-        out -= self.mean_
-        out /= self.std_
+        out -= mean
+        out /= std
         return out
 
     def fit_transform(self, blocks: list[np.ndarray]) -> list[np.ndarray]:

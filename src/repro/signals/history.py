@@ -172,6 +172,10 @@ class AttackHistoryStore:
         )
         self._alerts[alert.customer_id].sort(key=lambda rec: rec[0])
 
+    def has_alerts(self, customer_id: int) -> bool:
+        """False means the customer's A4 features are zero at every minute."""
+        return bool(self._alerts.get(customer_id))
+
     def features_at(self, customer_id: int, minute: int) -> np.ndarray:
         """The 18-wide A4 vector at ``minute``."""
         features = np.zeros(self.N_FEATURES)

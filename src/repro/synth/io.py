@@ -190,11 +190,7 @@ def load_trace(directory: str | Path) -> Trace:
         (cell.flow_count, cell.total_bytes, cell.total_packets,
          cell.max_bytes, cell.max_packets) = (int(x) for x in counters[row])
         cell._sources = source_sets[row]
-        cls = class_names[class_id]
-        matrix._cells[(customer, cls, minute)] = cell
-        matrix._minutes_index.setdefault((customer, cls), set()).add(minute)
-        matrix._customers.add(customer)
-        matrix.max_minute = max(matrix.max_minute, minute)
+        matrix.set_cell(customer, minute, class_names[class_id], cell)
 
     # --- events -------------------------------------------------------------
     with np.load(directory / "events.npz") as archive:

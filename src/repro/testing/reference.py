@@ -14,8 +14,9 @@ but every arithmetic step happens on Python floats.
 
 :class:`ReferenceOnlineXatu` is the one exception to "no shared code": it
 *is* the production :class:`~repro.core.OnlineXatu` with exactly two
-stages swapped for slow, obviously-correct ones — per-record ingest and
-per-customer scoring — so the differential suites
+stages swapped for slow, obviously-correct ones — per-record ingest, and
+per-customer scoring over a dense window rebuilt and scaled whole — so
+the differential suites
 (``tests/test_batched_equivalence.py``, ``tests/test_columnar.py``,
 ``tests/test_serve.py``) can demand byte-identical alerts and checkpoints.
 """
@@ -26,12 +27,13 @@ import math
 
 import numpy as np
 
-from ..core.online import OnlineXatu
+from ..core.online import _CLASS_OF_GROUP, OnlineXatu
 from ..netflow.matrix import (
     SOURCE_CLASS_BLOCKLIST,
     SOURCE_CLASS_PREV_ATTACKER,
     SOURCE_CLASS_SPOOFED,
 )
+from ..signals.features import N_FEATURES
 
 __all__ = [
     "reference_sigmoid",
@@ -320,7 +322,8 @@ def reference_cusum_scores(
 # ----------------------------------------------------------------------
 class ReferenceOnlineXatu(OnlineXatu):
     """:class:`~repro.core.OnlineXatu` with scalar ingest and per-customer
-    scoring: one ``add_flow`` per record, one model call per customer.
+    scoring: one ``add_flow`` per record; one dense window, one whole-window
+    ``FeatureScaler.transform`` and one model call per customer.
 
     Overrides the ``_ingest_batch`` and ``_score`` stages only; the minute
     loop, decisions, eviction, telemetry and ``state_dict`` are inherited,
@@ -356,6 +359,27 @@ class ReferenceOnlineXatu(OnlineXatu):
                 self._last_seen[customer_id] = self._minute
             self.matrix.add_flow(customer_id, flow, self._classify(customer_id, flow))
         return ingested, unrouted
+
+    def _feature_window(self, customer_id: int, end_minute: int) -> np.ndarray:
+        """One customer's raw dense ``(lookback, 273)`` window, rebuilt cell
+        by cell (``finalize()`` per minute, so the matrix's row store is not
+        on this path) and store by store."""
+        lookback = self.model.config.lookback_minutes
+        start = max(end_minute + 1 - lookback, 0)
+        pad = lookback - (end_minute + 1 - start)
+        block = np.zeros((lookback, N_FEATURES))
+        for group, cls in _CLASS_OF_GROUP.items():
+            for minute in range(start, end_minute + 1):
+                cell = self.matrix.cell(customer_id, minute, cls)
+                if cell is not None:
+                    block[pad + minute - start, self._slices[group]] = cell.finalize()
+        block[pad:, self._slices["A4"]] = self.history.feature_block(
+            customer_id, start, end_minute + 1
+        )
+        block[pad:, self._slices["A5"]] = self.graph.feature_block(
+            customer_id, start, end_minute + 1
+        )
+        return block
 
     def _score(self, customers, minute: int) -> list[float]:
         out: list[float] = []

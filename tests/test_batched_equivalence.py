@@ -21,7 +21,11 @@ runner (:mod:`repro.testing.props`):
   mid-stream churn, attack + benign mixes, incumbent alerts and
   mitigation ends), asserting identical ``(minute, customer, survival)``
   alert tuples every minute and ``pickle``-byte-identical post-run state
-  dicts.
+  dicts.  One case aims at the sparse feature-staging lane specifically:
+  a non-identity scaler, a lookback short enough to run past eviction,
+  late and future-stamped records, minute gaps, past-dated incumbent
+  alerts, idle-watch eviction and swapped-lane restores, comparing every
+  hazard bit every minute.
 """
 
 import pickle
@@ -259,6 +263,182 @@ def test_lanes_agree_in_float32():
         runs=4,
         seed=404,
     )
+
+
+# ----------------------------------------------------------------------
+# the sparse staging lane under everything that could desynchronize it
+# ----------------------------------------------------------------------
+# Lookback 12: short enough that a 40-step run passes ``lookback +
+# evict_margin_minutes`` several times over.
+SMALL_TIMESCALES = (TimescaleSpec("short", 1, 8), TimescaleSpec("long", 3, 4))
+# Half the pool sits above the announced space (spoofed, A3), every third
+# address is blocklisted (A1), and incumbent alerts draw their attackers
+# from it (A2) — so all four matrix classes hold cells.
+SOURCE_POOL = [2**31 - 6 * 7919 + i * 7919 for i in range(12)]
+
+
+def _build_sparse_lane_detector(seed: int, customer_of, *, reference: bool, dtype):
+    rng = np.random.default_rng(seed)
+    scaler = FeatureScaler()
+    # Not the identity: the scaled zero row is non-zero and differs per
+    # column, so a wrong fill or a wrong column slice changes hazards.
+    scaler.mean_ = rng.normal(1.0, 2.0, 273)
+    scaler.std_ = rng.uniform(0.25, 4.0, 273)
+    model = XatuModel(
+        XatuModelConfig(
+            hidden_size=6,
+            dense_size=5,
+            detect_window=4,
+            timescales=SMALL_TIMESCALES,
+            seed=seed % 1009,
+        )
+    )
+    model.eval()
+    route_table = RouteTable()
+    route_table.announce((0, 2**31 - 1), origin_asn=1)
+    detector = (ReferenceOnlineXatu if reference else OnlineXatu)(
+        model=model,
+        scaler=scaler,
+        threshold=0.9,
+        customer_of=dict(customer_of),
+        blocklist=set(SOURCE_POOL[::3]),
+        route_table=route_table,
+        config=OnlineConfig(
+            rearm_after=3,
+            history_decay_minutes=30.0,
+            clustering_window=6,
+            evict_margin_minutes=2,
+            watch_idle_minutes=3,
+        ),
+    )
+    detector.inference_dtype = dtype
+    return detector
+
+
+def _hazard_bits(detector) -> list:
+    return sorted(
+        (customer, [h.hex() for h in hazards])
+        for customer, hazards in detector._hazards.items()
+    )
+
+
+def _run_sparse_lane_differential(seed: int, n_customers: int, dtype, seen: set) -> None:
+    customer_of = {60_000 + i: i for i in range(n_customers)}
+    reference = _build_sparse_lane_detector(seed, customer_of, reference=True, dtype=dtype)
+    production = _build_sparse_lane_detector(seed, customer_of, reference=False, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    lookback = production.model.config.lookback_minutes
+    swaps = set(rng.integers(5, 35, size=2).tolist())
+    quiet_until = dict.fromkeys(customer_of, 0)
+    minute = -1
+    for step in range(40):
+        minute += 1 if rng.random() < 0.85 else int(rng.integers(2, 5))  # minute gaps
+        flows = []
+        for address in customer_of:
+            if step < quiet_until[address]:
+                continue
+            if rng.random() < 0.1:
+                quiet_until[address] = step + int(rng.integers(4, 9))  # idle eviction
+            for _ in range(int(rng.integers(0, 4))):
+                packets = int(rng.integers(1, 900))
+                flows.append(
+                    FlowRecord(
+                        # late and future-stamped records
+                        timestamp=max(0, minute + int(rng.choice([-3, -1, 0, 0, 0, 0, 1, 2]))),
+                        src_addr=int(rng.choice(SOURCE_POOL)),
+                        dst_addr=address,
+                        src_port=int(rng.choice([53, 123, 4444])),
+                        dst_port=443,
+                        protocol=int(rng.choice([6, 17])),
+                        packets=packets,
+                        bytes_=packets * int(rng.integers(60, 1400)),
+                        tcp_flags=int(rng.integers(0, 64)),
+                    )
+                )
+        if rng.random() < 0.25:
+            detect = max(0, minute - int(rng.integers(0, 10)))  # past-dated alert
+            record = AlertRecord(
+                customer_id=int(rng.integers(0, n_customers)),
+                attack_type=AttackType.TCP_SYN if rng.random() < 0.5 else AttackType.UDP_FLOOD,
+                detect_minute=detect,
+                end_minute=detect + int(rng.integers(0, 4)),
+                peak_bytes=float(rng.choice([2.0, 8.0, 5e6])),
+                attackers=frozenset(rng.choice(SOURCE_POOL, size=3).tolist()),
+            )
+            reference.ingest_cdet_alert(record)
+            production.ingest_cdet_alert(record)
+        if step in swaps:
+            # Swapped-lane restore: each class resumes from the other's bytes.
+            ref_state = pickle.dumps(reference.state_dict(), protocol=4)
+            got_state = pickle.dumps(production.state_dict(), protocol=4)
+            assert ref_state == got_state, f"checkpoints diverged before step {step}"
+            reference.load_state_dict(pickle.loads(got_state))
+            production.load_state_dict(pickle.loads(ref_state))
+        watched_before = set(production._watched)
+        ref_alerts = reference.step(minute, flows)
+        got_alerts = production.step(minute, flows)
+        assert list(map(_alert_key, ref_alerts)) == list(map(_alert_key, got_alerts))
+        assert _hazard_bits(reference) == _hazard_bits(production), (
+            f"hazards diverged at minute {minute}"
+        )
+        seen.update(cls for _customer, cls, _minute in production.matrix._cells)
+        if watched_before - production._watched:
+            seen.add("idle-evicted")
+        if production._watched - watched_before:  # all were watched at the start
+            seen.add("re-watched")
+        if production.history._alerts and production.graph._alerts:
+            seen.add("A4+A5")
+    assert minute > 2 * (lookback + 2)
+    assert pickle.dumps(reference.state_dict(), protocol=4) == pickle.dumps(
+        production.state_dict(), protocol=4
+    ), "post-run checkpoints diverged"
+
+
+def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
+    seen: set = set()
+
+    def sparse_lane_agrees(seed, n_customers, dtype):
+        _run_sparse_lane_differential(seed, n_customers, dtype, seen)
+
+    run_property(
+        sparse_lane_agrees,
+        integers(0, 10**6),
+        choices([2, 5]),
+        choices([np.float64, np.float32]),
+        runs=8,
+        seed=606,
+    )
+    # The differential is only meaningful if every hazard actually occurred.
+    assert seen >= {
+        "all", "blocklist", "prev_attacker", "spoofed",
+        "idle-evicted", "re-watched", "A4+A5",
+    }, seen
+
+
+def test_score_stages_every_scored_customer_exactly_once(monkeypatch):
+    """``benchmarks/e2e`` divides wall time by the rows passed to
+    ``feature_windows`` (its ``us_per_decision``), so ``_score`` must call it
+    once per chunk with every scored id and get a model-ready stack back."""
+    monkeypatch.setattr(online_module, "SCORE_CHUNK", 3)
+    customer_of = {60_000 + i: i for i in range(7)}
+    detector = _build_detector(3, 0.9, customer_of, reference=False)
+    staged: list[list[int]] = []
+    original = OnlineXatu.feature_windows
+
+    def counting(self, customer_ids, end_minute):
+        stack = original(self, customer_ids, end_minute)
+        assert isinstance(stack, np.ndarray)
+        assert stack.shape == (len(customer_ids), self.model.config.lookback_minutes, 273)
+        staged.append(list(customer_ids))
+        return stack
+
+    monkeypatch.setattr(OnlineXatu, "feature_windows", counting)
+    rng = np.random.default_rng(11)
+    for minute in range(3):
+        staged.clear()
+        detector.step(minute, _random_minute(rng, minute, sorted(customer_of)))
+        assert [len(ids) for ids in staged] == [3, 3, 1]
+        assert sum(staged, []) == sorted(detector._watched)
 
 
 def test_lanes_agree_at_64_customers_ragged_blocks(monkeypatch):

@@ -16,7 +16,10 @@ Three layers of differential tests on the PR-1 shrinking property runner:
   paths (truncated block, bad version, zero-record datagrams);
 * **aggregation level** — ``TrafficMatrix.add_batch`` vs an
   ``add_flow``-per-record loop over random batches and class masks,
-  compared by ``pickle``-byte-identical ``state_dict``;
+  compared by ``pickle``-byte-identical ``state_dict``; and the matrix's
+  row store (what ``feature_block``/``rows_between`` read) vs
+  ``finalize()`` of every cell under random write/evict/restore/read
+  interleavings;
 * **detector level** — ``OnlineXatu.step(minute, FlowBatch)`` vs the
   per-record oracle ``ReferenceOnlineXatu`` over randomized multi-minute
   traces (blocklist, previous-attacker and spoofed-source classes all
@@ -314,6 +317,72 @@ def test_feature_blocks_identical_across_lanes():
         a = scalar.feature_block(customer, 0, 10)
         b = columnar.feature_block(customer, 0, 10)
         assert a.tobytes() == b.tobytes()
+
+
+def test_row_store_is_a_derived_view_of_the_cells():
+    """``feature_block``/``rows_between`` read a store of finalized rows that
+    is kept by "dirty on fold, flush on read".  Two matrices take the same
+    random writes — late and future-stamped minutes, evictions, restores —
+    and only one is ever read: after every op its reads equal a fresh
+    build from its own snapshot and ``finalize()`` of each cell, and the
+    two snapshots stay the same bytes."""
+    classes = ("all", SOURCE_CLASS_BLOCKLIST)
+
+    def store_tracks_cells(seed, n_ops):
+        rng = np.random.default_rng(seed)
+        reader, blind = TrafficMatrix(), TrafficMatrix()
+        now = 0
+        for _ in range(n_ops):
+            op = str(rng.choice(["add_flow", "add_batch", "evict", "restore", "tick"]))
+            if op in ("add_flow", "add_batch"):
+                n = int(rng.integers(1, 12))
+                records = [
+                    replace(r, timestamp=max(0, now + int(rng.choice([-4, -1, 0, 0, 0, 1, 3]))))
+                    for r in _random_records(rng, n, minutes=1)
+                ]
+                customers = rng.integers(0, 3, size=n).astype(np.int64)
+                mask = rng.random(n) < 0.4
+                for matrix in (reader, blind):
+                    if op == "add_batch":
+                        matrix.add_batch(
+                            customers,
+                            FlowBatch.from_records(records),
+                            {SOURCE_CLASS_BLOCKLIST: mask},
+                        )
+                        continue
+                    for customer, record, hot in zip(customers.tolist(), records, mask.tolist()):
+                        matrix.add_flow(customer, record, [SOURCE_CLASS_BLOCKLIST] if hot else [])
+            elif op == "evict":
+                cutoff = now - int(rng.integers(0, 8))
+                assert reader.evict_before(cutoff) == blind.evict_before(cutoff)
+            elif op == "restore":
+                for matrix in (reader, blind):
+                    matrix.load_state_dict(pickle.loads(pickle.dumps(matrix.state_dict(), 4)))
+            else:
+                now += int(rng.integers(1, 4))
+
+            fresh = TrafficMatrix()
+            fresh.load_state_dict(reader.state_dict())
+            start = max(0, now - int(rng.integers(0, 12)))
+            end = start + int(rng.integers(0, 16))
+            for customer in range(3):
+                for cls in classes:
+                    if rng.random() < 0.4:
+                        continue  # leave this key's dirt for a later op
+                    got = reader.feature_block(customer, start, end, cls)
+                    want = fresh.feature_block(customer, start, end, cls)
+                    assert got.tobytes() == want.tobytes(), (op, customer, cls)
+                    minutes, rows = reader.rows_between(customer, cls, start, end)
+                    assert minutes.tolist() == [
+                        m for m in range(start, end) if reader.cell(customer, m, cls)
+                    ]
+                    for minute, row in zip(minutes.tolist(), rows):
+                        cell = reader.cell(customer, minute, cls)
+                        assert row.tobytes() == cell.finalize().tobytes()
+            assert pickle.dumps(reader.state_dict(), 4) == pickle.dumps(blind.state_dict(), 4)
+        assert blind.row_store_rows() == 0
+
+    run_property(store_tracks_cells, integers(0, 10**6), choices([10, 60]), runs=12, seed=83)
 
 
 # ----------------------------------------------------------------------
