@@ -7,7 +7,7 @@ PY := PYTHONPATH=src python
 .PHONY: verify test fast golden-check golden-record bench bench-full \
         bench-check bench-ingest bench-ingest-full scale-smoke \
         bench-scale-full metrics-selftest \
-        telemetry serve-smoke e2e-smoke lint lint-deep \
+        telemetry serve-smoke e2e-smoke e2e-compare lint lint-deep \
         lint-baseline sanitize-test scenarios scenarios-check scenarios-ci
 
 test:
@@ -103,6 +103,17 @@ serve-smoke:
 # (and so in `make verify`) rather than in the bench pipeline.
 e2e-smoke:
 	$(PY) -m pytest benchmarks/e2e -q
+
+# Parent/change comparison for a perf PR (docs/TESTING.md): the full e2e
+# suite on the working tree, then the per-metric diff against the report the
+# same command wrote in a clone of the parent commit
+# (`python3 benchmarks/e2e/run.py --suite --out parent.json` there).
+E2E_OUT ?= /tmp/repro-e2e/change.json
+e2e-compare:
+	@test -n "$(BASE)" || { echo "usage: make e2e-compare BASE=<parent report.json>"; exit 2; }
+	mkdir -p $(dir $(E2E_OUT))
+	python3 benchmarks/e2e/run.py --suite --out $(E2E_OUT)
+	python3 benchmarks/e2e/run.py --compare $(BASE) $(E2E_OUT)
 
 # xatulint (docs/ANALYSIS.md): the domain-aware static-analysis gate.
 # Known-intentional findings live in lint-baseline.json with written

@@ -256,7 +256,11 @@ class XatuModel(Module):
 
     def hazards_np_staged(self, staged: list[np.ndarray], dtype=None) -> np.ndarray:
         """Decision half of the stacked pass: one fused LSTM + survival-head
-        pass over pre-staged pooled sequences (see :meth:`stage_pooled`).
+        pass over pre-staged pooled sequences — :meth:`stage_pooled`'s
+        output, or per-timescale views of the stack
+        ``OnlineXatu.feature_windows`` pools straight from sparse rows.
+        Each must be ``(batch, ts.span, n_features)`` with one common batch;
+        anything else is a ``ValueError`` naming the timescale.
         """
         with self._no_grad_inference(dtype):
             return self._hazards_staged(staged)
@@ -295,10 +299,18 @@ class XatuModel(Module):
             raise ValueError(
                 f"expected {len(cfg.timescales)} staged sequences, got {len(staged)}"
             )
+        batch = staged[0].shape[0]
+        for ts, pooled in zip(cfg.timescales, staged):
+            # A longer sequence would be scored at the wrong steps (the
+            # index below counts from the front), a shorter one overruns it.
+            if pooled.shape != (batch, ts.span, cfg.n_features):
+                raise ValueError(
+                    f"staged sequence for timescale {ts.name!r} has shape "
+                    f"{pooled.shape}, expected {(batch, ts.span, cfg.n_features)}"
+                )
         # Index selection matches forward(): positions are computed from the
         # original (unpooled) window length, which staging preserves.
         total_minutes = cfg.lookback_minutes
-        batch = staged[0].shape[0]
         indices = self._scale_indices(total_minutes)
         projections: list[np.ndarray] = []
         for pooled, lstm, dense, idx in zip(

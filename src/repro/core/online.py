@@ -44,6 +44,7 @@ from ..netflow.matrix import (
 from ..netflow.customers import CustomerLookup
 from ..netflow.records import FlowBatch, FlowRecord, _as_batch
 from ..netflow.routing import RouteTable
+from ..nn import fused
 from ..nn.serialization import state_from_bytes, state_to_bytes
 from ..obs import get_registry, obs_enabled, trace
 from ..signals.clustering import AttackerCustomerGraph
@@ -53,10 +54,11 @@ from .model import XatuModel
 
 __all__ = ["OnlineAlert", "OnlineConfig", "OnlineXatu"]
 
-# Customers per stacked inference call.  Bounds the float64 staging buffer
-# (1000 customers x 240 minutes x 273 features would be ~0.5 GB in one
-# piece); every op in the fused pass is per-item bitwise stable, so the
-# value cannot change results.
+# Customers per stacked inference call.  Bounds the pooled staging stack and
+# the LSTM's projection buffers (customers x sum-of-spans x 273 features in
+# the inference dtype: ~60 MB per 256 customers at 108 steps in float64);
+# every op in the fused pass is per-item bitwise stable, so the value cannot
+# change results.
 SCORE_CHUNK = 256
 
 _CLASS_OF_GROUP = {
@@ -376,75 +378,135 @@ class OnlineXatu:
     def feature_windows(
         self, customer_ids: Sequence[int], end_minute: int
     ) -> np.ndarray:
-        """Stack the scaled, model-ready feature windows of several customers.
+        """Stage several customers' windows at the model's resolution.
 
-        Returns ``(len(customer_ids), lookback_minutes, N_FEATURES)``; row
-        ``i`` is the scaled dense window of ``customer_ids[i]`` ending at
-        ``end_minute`` (minutes before 0 are zero rows), bit for bit what
-        :class:`repro.testing.reference.ReferenceOnlineXatu` builds densely.
-        Built sparsely: most of a window is empty minutes, whose scaled row
-        is one constant, so only the matrix's non-empty rows per feature
-        group — and the A4/A5 blocks of customers that have alerts at all —
-        go through the scaler.  A4/A5 are recomputed from the stores on every
-        call, never cached, so an alert ingested with a past ``detect_minute``
-        needs no invalidation.  This is the staging step of :meth:`_score`,
-        but is public API: any batch scorer can use it.
+        Returns ``(len(customer_ids), sum of spans, N_FEATURES)`` in the
+        inference dtype: the pooled sequences of ``model.config.timescales``,
+        concatenated on the time axis in that order.  Row ``i`` is bit for
+        bit ``np.concatenate(model.stage_pooled(w[None], dtype), axis=1)[0]``
+        for the scaled dense window ``w`` of ``customer_ids[i]`` ending at
+        ``end_minute`` (minutes before 0 are zero rows) that
+        :class:`repro.testing.reference.ReferenceOnlineXatu` builds — but the
+        dense ``(n, lookback, N_FEATURES)`` stack never exists.  Most of a
+        window is empty minutes, whose scaled row is one constant, so only
+        the matrix's non-empty rows per feature group — and the A4/A5 blocks
+        of customers that have alerts at all — are scaled, pooled into the
+        buckets they fall in, and scattered over a stack pre-filled with
+        each timescale's pooled empty bucket.  A4/A5 are recomputed from the
+        stores on every call, never cached, so an alert ingested with a past
+        ``detect_minute`` needs no invalidation.  This is the staging step
+        of :meth:`_score`, but is public API: any batch scorer can use it.
         """
-        lookback = self.model.config.lookback_minutes
+        cfg = self.model.config
+        lookback = cfg.lookback_minutes
         start = max(end_minute + 1 - lookback, 0)
         end = end_minute + 1
         pad = lookback - (end - start)
+        # Cast the scaled float64 rows *before* pooling, as ``stage_pooled``
+        # casts the scaled window: a float32 sum is not a rounded float64 sum.
+        dtype = np.dtype(
+            np.float64 if self.inference_dtype is None else self.inference_dtype
+        )
         scale = self.scaler.transform
+        zero = scale(np.zeros(N_FEATURES)).astype(dtype)
+        steps = sum(ts.span for ts in cfg.timescales)
         # Gather and scale first, allocate the stack after: matrix reads grow
         # its row store, and a long-lived allocation made while the transient
-        # stack is live pins a stack-sized hole in the heap.
-        staged: list[tuple[np.ndarray | slice, slice, np.ndarray]] = []
+        # stack is live pins a stack-sized hole in the heap.  Per group: the
+        # column slice, and per non-empty row its customer's first row in the
+        # flattened stack, its position in the dense window, its values.
+        sparse: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = []
         for group, cls in _CLASS_OF_GROUP.items():
-            index_parts: list[np.ndarray] = []
+            origins: list[int] = []
+            minute_parts: list[np.ndarray] = []
             row_parts: list[np.ndarray] = []
             for i, customer_id in enumerate(customer_ids):
                 minutes, rows = self.matrix.rows_between(customer_id, cls, start, end)
                 if len(minutes):
-                    index_parts.append(minutes + (i * lookback + pad - start))
+                    origins.append(i * steps)
+                    minute_parts.append(minutes)
                     row_parts.append(rows)
             if row_parts:
                 cols = self._slices[group]
                 compact = np.concatenate(row_parts)
                 self._cells_staged += len(compact)
                 scale(compact, out=compact, columns=cols)
-                staged.append((np.concatenate(index_parts), cols, compact))
+                sparse.append(
+                    (
+                        cols,
+                        np.repeat(origins, [len(m) for m in minute_parts]),
+                        np.concatenate(minute_parts) + (pad - start),
+                        compact.astype(dtype, copy=False),
+                    )
+                )
+        dense: list[tuple[int, slice, np.ndarray]] = []
         for group, store in (("A4", self.history), ("A5", self.graph)):
             cols = self._slices[group]
             for i, customer_id in enumerate(customer_ids):
                 if store.has_alerts(customer_id):
                     block = store.feature_block(customer_id, start, end)
                     scale(block, out=block, columns=cols)
-                    staged.append(
-                        (slice(i * lookback + pad, (i + 1) * lookback), cols, block)
-                    )
-        stack = np.empty((len(customer_ids), lookback, N_FEATURES))
-        stack[:] = scale(np.zeros(N_FEATURES))
+                    window = np.empty((lookback, block.shape[1]), dtype)
+                    window[:pad] = zero[cols]
+                    window[pad:] = block
+                    dense.append((i, cols, window))
+
+        # Every reduction below is ``pool_infer``'s own expression over a
+        # materialised ``(·, window, features)`` block: summing a non-innermost
+        # axis accumulates in window order exactly as pooling the dense
+        # window does, where a stride-0 tile, a contiguous last-axis sum
+        # (pairwise in numpy) or ``zero * w / w`` would round differently.
+        # (Read off the module per call, like ``core.model`` does, so a
+        # tracer that patches ``fused.pool_infer`` sees these calls too.)
+        pool, mode = fused.pool_infer, cfg.pooling
+        stack = np.empty((len(customer_ids), steps, N_FEATURES), dtype)
         flat = stack.reshape(-1, N_FEATURES)
-        for rows_at, cols, values in staged:
-            flat[rows_at, cols] = values
+        base = 0
+        for ts in cfg.timescales:
+            w, span, off = ts.window, ts.span, lookback - ts.minutes
+            empty = pool(np.tile(zero, (1, w, 1)), w, mode)[0, 0]  # a real tile
+            stack[:, base : base + span] = empty
+            for cols, origin, pos, rows in sparse:
+                if off:  # minutes this timescale does not reach back to
+                    keep = np.flatnonzero(pos >= off)
+                    if not len(keep):
+                        continue
+                    origin, pos, rows = origin[keep], pos[keep], rows[keep]
+                rel = pos - off
+                if w == 1:
+                    flat[origin + (base + rel), cols] = rows
+                    continue
+                step = rel // w
+                at = origin + (base + step)  # the stack row each row pools into
+                # Rows arrive by customer, then minute, so ``at`` never
+                # decreases: a neighbour compare finds the buckets, no sort.
+                first = np.concatenate(([True], at[1:] != at[:-1]))
+                width = rows.shape[1]
+                block = np.empty((np.count_nonzero(first), w, width), dtype)
+                block[:] = zero[cols]
+                block[np.cumsum(first) - 1, rel - step * w] = rows
+                flat[at[first], cols] = pool(block.reshape(1, -1, width), w, mode)[0]
+            for i, cols, window in dense:
+                stack[i, base : base + span, cols] = pool(window[None, off:], w, mode)[0]
+            base += span
         return stack
 
     def _score(self, customers: Sequence[int], minute: int) -> list[float]:
-        """This minute's hazard for every customer, in order: one
-        :meth:`feature_windows` stack and one fused inference pass per
-        :data:`SCORE_CHUNK` customers."""
+        """This minute's hazard for every customer, in order: one pooled
+        :meth:`feature_windows` stack and one fused inference pass over its
+        per-timescale views per :data:`SCORE_CHUNK` customers."""
+        splits = np.cumsum([ts.span for ts in self.model.config.timescales])[:-1]
         out: list[float] = []
         for lo in range(0, len(customers), SCORE_CHUNK):
             x = self.feature_windows(customers[lo : lo + SCORE_CHUNK], minute)
-            staged = self.model.stage_pooled(x, dtype=self.inference_dtype)
             hazards = self.model.hazards_np_staged(
-                staged, dtype=self.inference_dtype
+                np.split(x, splits, axis=1), dtype=self.inference_dtype
             )
             out.extend(float(h) for h in hazards[:, -1])
-            # Release this chunk's stack (``staged`` may hold views of it)
-            # before the next chunk gathers: two live stacks double the peak,
-            # and row-store growth under a live stack fragments the heap.
-            del x, staged
+            # Release this chunk's stack before the next chunk gathers: two
+            # live stacks double the peak, and row-store growth under a live
+            # stack fragments the heap.
+            del x
         return out
 
     # -- stage 4: per-customer decision -----------------------------

@@ -129,7 +129,8 @@ def lstm_infer_batched(
 
     ``X`` is ``(batch, time, features)`` where each batch item is one
     independent sequence (one customer, in the serving lane).  Returns the
-    hidden sequence ``(batch, time, hidden)``.
+    hidden sequence ``(batch, time, hidden)`` — a batch-first view of the
+    kernel's time-major buffer, so not C-contiguous.
 
     Bitwise contract: row ``b`` of the result equals
     ``lstm_sequence(x[b:b+1], ...)`` under ``no_grad`` exactly, not just to
@@ -140,8 +141,9 @@ def lstm_infer_batched(
     the input projection.  Flattening either into one big 2-D GEMM changes
     the BLAS kernel's blocking with the row count and is **not** row-stable;
     the differential tests in ``tests/test_batched_equivalence.py`` pin the
-    stacked form.  All elementwise work reuses the exact expressions of
-    :func:`_lstm_infer`.
+    stacked form.  All elementwise arithmetic reuses the exact expressions
+    of :func:`_lstm_infer` (the oracle's lane, deliberately left alone); the
+    sigmoid's branch selection is spelled differently, with the same bits.
     """
     X, Wx, Wh, b = _maybe_cast(
         np.asarray(X), np.asarray(Wx), np.asarray(Wh), np.asarray(bias)
@@ -160,45 +162,49 @@ def lstm_infer_batched(
         ).inc(batch * steps)
 
     # Stacked input projection; per-item identical to the 2-D
-    # ``(time, features) @ Wx`` the single-sequence path computes.
-    x_proj = np.matmul(X, Wx) + b
+    # ``(time, features) @ Wx`` the single-sequence path computes.  The bias
+    # add lands time-major (as do the outputs), so step ``t`` reads and
+    # writes one contiguous ``(batch, 1, ·)`` slab.
+    x_proj = np.empty((steps, batch, 1, 4 * hidden), dtype=X.dtype)
+    np.add(np.matmul(X, Wx).transpose(1, 0, 2)[:, :, None], b, out=x_proj)
 
-    outputs = np.empty((batch, steps, hidden), dtype=X.dtype)
+    outputs = np.empty((steps, batch, 1, hidden), dtype=X.dtype)
     h = np.zeros((batch, 1, hidden), dtype=X.dtype)
     c = np.zeros((batch, 1, hidden), dtype=X.dtype)
     gates = np.empty((batch, 1, 4 * hidden), dtype=X.dtype)
     e = np.empty_like(gates)
     num = np.empty_like(gates)
-    neg = np.empty(gates.shape, dtype=bool)
     g = np.empty((batch, 1, hidden), dtype=X.dtype)
     tmp = np.empty((batch, 1, hidden), dtype=X.dtype)
+    candidate = gates[..., 2 * hidden : 3 * hidden]
+    i = num[..., :hidden]
+    f = num[..., hidden : 2 * hidden]
+    o = num[..., 3 * hidden :]
     for t in range(steps):
         np.matmul(h, Wh, out=gates)
-        gates += x_proj[:, t : t + 1]
-        np.tanh(gates[..., 2 * hidden : 3 * hidden], out=g)
+        gates += x_proj[t]
+        np.tanh(candidate, out=g)
         np.abs(gates, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        # Selection (no arithmetic), so reusing buffers instead of
-        # ``np.where`` keeps the serving loop allocation-free per step
-        # while producing the same bits.
-        np.less(gates, 0, out=neg)
-        num.fill(1.0)
-        np.copyto(num, e, where=neg)
+        # ``where(a >= 0, 1, e)`` as a max — no mask, and no masked copy,
+        # which costs as much as the recurrent matmul at serving batch sizes:
+        # e = exp(-|a|) lies in [0, 1], so max(e, sign(a)) is 1 for a > 0, e
+        # for a < 0, and at a = ±0 it is max(1, ±0) = 1 — the same bits, NaN
+        # included.
+        np.sign(gates, out=num)
+        np.maximum(e, num, out=num)
         e += 1.0
         np.divide(num, e, out=num)
-        i = num[..., :hidden]
-        f = num[..., hidden : 2 * hidden]
-        o = num[..., 3 * hidden :]
         np.multiply(f, c, out=c)
         np.multiply(i, g, out=tmp)
         c += tmp
-        h = outputs[:, t : t + 1]
+        h = outputs[t]
         np.tanh(c, out=tmp)
         np.multiply(o, tmp, out=h)
     if sanitize_enabled():
         check_finite("lstm_infer_batched.outputs", outputs=outputs, cell=c)
-    return outputs
+    return outputs[:, :, 0].transpose(1, 0, 2)
 
 
 def dense_infer(

@@ -9,12 +9,16 @@ down to the float bits of every survival value, same checkpoint bytes —
 because hazards live inside checkpointed state and any drift would break
 crash-equivalence.
 
-Two layers of differential tests, both on the PR-1 shrinking property
-runner (:mod:`repro.testing.props`):
+Three layers of differential tests, the first and last on the PR-1
+shrinking property runner (:mod:`repro.testing.props`):
 
 * **kernel level** — ``hazards_np_batched(x)[i]`` vs
   ``hazards_np(x[i:i+1])[0]`` over random weights/inputs, float64 and
   float32, avg and max pooling;
+* **staging level** — ``OnlineXatu.feature_windows`` (pooled straight from
+  the sparse rows) vs ``stage_pooled`` over the oracle's dense scaled
+  window, by ``tobytes()``, over every sparsity, padding, pooling, dtype
+  and bucket-alignment case;
 * **detector level** — production :class:`OnlineXatu` against
   :class:`ReferenceOnlineXatu`, driven minute-by-minute over randomized
   multi-customer traces (ragged customer counts, empty minutes,
@@ -29,6 +33,7 @@ runner (:mod:`repro.testing.props`):
 """
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +105,38 @@ def test_batched_hazard_rows_bitwise_equal_f32():
     )
 
 
+def test_batched_lstm_gate_selection_is_bitwise_at_the_edges():
+    """The batched kernel picks the sigmoid branch with ``max(e, sign(a))``
+    where the per-window lane uses ``where(a >= 0, 1, e)``: same bits at
+    ±0 (zero weights make every gate exactly the bias), at saturation in
+    both directions, and where ``exp(-|a|)`` goes subnormal or underflows."""
+    from contextlib import nullcontext
+
+    from repro.nn import Tensor, inference_dtype, no_grad
+    from repro.nn.fused import lstm_infer_batched, lstm_sequence
+
+    hidden, features, steps = 3, 5, 4
+    bias = np.array(
+        [0.0, -0.0, 1e-320, -1e-320, 30.0, -30.0, 720.0, -720.0, 800.0, -800.0, 0.5, -0.5]
+    )
+    rng = np.random.default_rng(0)
+    x = rng.normal(0.0, 1.0, (3, steps, features))
+    for w_x, w_h in (
+        (np.zeros((features, 4 * hidden)), np.zeros((hidden, 4 * hidden))),
+        (rng.normal(0, 1, (features, 4 * hidden)), rng.normal(0, 1, (hidden, 4 * hidden))),
+    ):
+        for policy in (nullcontext(), inference_dtype(np.float32)):
+            with no_grad(), policy:
+                stacked = lstm_infer_batched(x, w_x, w_h, bias)
+                assert stacked.shape == (3, steps, hidden)
+                for b in range(len(x)):
+                    alone, _state = lstm_sequence(
+                        Tensor(x[b : b + 1]), Tensor(w_x), Tensor(w_h), Tensor(bias)
+                    )
+                    assert stacked.dtype == alone.data.dtype
+                    assert stacked[b].tobytes() == alone.data[0].tobytes(), b
+
+
 def test_batched_rejects_bad_shapes():
     model = XatuModel(_tiny_config(0))
     lookback = model.config.lookback_minutes
@@ -113,6 +150,25 @@ def test_batched_rejects_bad_shapes():
         except ValueError:
             continue
         raise AssertionError(f"shape {bad.shape} should have been rejected")
+
+
+def test_staged_rejects_sequences_that_do_not_match_their_timescale():
+    """A staged sequence of the wrong length used to be scored at the wrong
+    steps (too long) or die in an ``IndexError`` (too short); a second
+    producer now hands ``hazards_np_staged`` views, so it checks them."""
+    model = XatuModel(_tiny_config(0))
+    short, long_ = model.stage_pooled(np.zeros((2, model.config.lookback_minutes, 273)))
+    assert model.hazards_np_staged([short, long_]).shape == (2, DETECT_WINDOW)
+    for bad, named in (
+        ([short, np.zeros((2, 9, 273))], "'long'"),       # one step too many
+        ([short[:, :-1], long_], "'short'"),              # one step too few
+        ([short, long_[:1]], "'long'"),                   # batch mismatch
+        ([short, long_[:, :, :100]], "'long'"),           # wrong feature count
+    ):
+        with pytest.raises(ValueError, match=named):
+            model.hazards_np_staged(bad)
+    with pytest.raises(ValueError, match="2 staged sequences"):
+        model.hazards_np_staged([short])
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +333,15 @@ SMALL_TIMESCALES = (TimescaleSpec("short", 1, 8), TimescaleSpec("long", 3, 4))
 SOURCE_POOL = [2**31 - 6 * 7919 + i * 7919 for i in range(12)]
 
 
-def _build_sparse_lane_detector(seed: int, customer_of, *, reference: bool, dtype):
+def _build_sparse_lane_detector(
+    seed: int,
+    customer_of,
+    *,
+    reference: bool,
+    dtype,
+    pooling: str = "avg",
+    timescales=None,
+):
     rng = np.random.default_rng(seed)
     scaler = FeatureScaler()
     # Not the identity: the scaled zero row is non-zero and differs per
@@ -289,7 +353,8 @@ def _build_sparse_lane_detector(seed: int, customer_of, *, reference: bool, dtyp
             hidden_size=6,
             dense_size=5,
             detect_window=4,
-            timescales=SMALL_TIMESCALES,
+            timescales=timescales or SMALL_TIMESCALES,
+            pooling=pooling,
             seed=seed % 1009,
         )
     )
@@ -322,10 +387,16 @@ def _hazard_bits(detector) -> list:
     )
 
 
-def _run_sparse_lane_differential(seed: int, n_customers: int, dtype, seen: set) -> None:
+def _run_sparse_lane_differential(
+    seed: int, n_customers: int, dtype, pooling: str, seen: set
+) -> None:
     customer_of = {60_000 + i: i for i in range(n_customers)}
-    reference = _build_sparse_lane_detector(seed, customer_of, reference=True, dtype=dtype)
-    production = _build_sparse_lane_detector(seed, customer_of, reference=False, dtype=dtype)
+    reference, production = (
+        _build_sparse_lane_detector(
+            seed, customer_of, reference=is_reference, dtype=dtype, pooling=pooling
+        )
+        for is_reference in (True, False)
+    )
     rng = np.random.default_rng(seed)
     lookback = production.model.config.lookback_minutes
     swaps = set(rng.integers(5, 35, size=2).tolist())
@@ -397,48 +468,207 @@ def _run_sparse_lane_differential(seed: int, n_customers: int, dtype, seen: set)
 def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
     seen: set = set()
 
-    def sparse_lane_agrees(seed, n_customers, dtype):
-        _run_sparse_lane_differential(seed, n_customers, dtype, seen)
+    def sparse_lane_agrees(seed, n_customers, dtype, pooling):
+        _run_sparse_lane_differential(seed, n_customers, dtype, pooling, seen)
+        seen.add(pooling)
 
     run_property(
         sparse_lane_agrees,
         integers(0, 10**6),
         choices([2, 5]),
         choices([np.float64, np.float32]),
-        runs=8,
+        choices(["avg", "max"]),
+        runs=10,
         seed=606,
     )
     # The differential is only meaningful if every hazard actually occurred.
     assert seen >= {
         "all", "blocklist", "prev_attacker", "spoofed",
-        "idle-evicted", "re-watched", "A4+A5",
+        "idle-evicted", "re-watched", "A4+A5", "avg", "max",
     }, seen
 
 
+# ----------------------------------------------------------------------
+# staging level: pooled straight from the sparse rows == pooling the dense
+# window.  Bit-identity rests on summation order (sequential over a
+# non-innermost window axis, the empty bucket summed from a real tile, the
+# cast before the pooling), so the cases below are chosen to break each.
+# ----------------------------------------------------------------------
+STAGING_TIMESCALES = {
+    # lookback 21: ``(lookback - ts.minutes) % ts.window != 0`` for the
+    # medium scale, so its buckets do not line up with the window start.
+    "ragged": (
+        TimescaleSpec("short", 1, 10),
+        TimescaleSpec("medium", 4, 5),
+        TimescaleSpec("long", 7, 3),
+    ),
+    # lookback 40: a 20-minute window, long enough that numpy's pairwise sum
+    # (what reducing a contiguous last axis of >= 8 elements uses) and
+    # ``zero * w / w`` both round differently from the sequential sum.
+    "wide": (
+        TimescaleSpec("short", 1, 12),
+        TimescaleSpec("medium", 5, 6),
+        TimescaleSpec("long", 20, 2),
+    ),
+}
+ALL_CLASSES = ("blocklist", "prev_attacker", "spoofed")
+
+
+def _flow(rng: np.random.Generator, minute: int) -> FlowRecord:
+    packets = int(rng.integers(1, 900))
+    return FlowRecord(
+        timestamp=minute,
+        src_addr=int(rng.choice(SOURCE_POOL)),
+        dst_addr=60_000,
+        src_port=int(rng.choice([53, 123, 4444])),
+        dst_port=443,
+        protocol=int(rng.choice([6, 17])),
+        packets=packets,
+        bytes_=packets * int(rng.integers(60, 1400)),
+        tcp_flags=int(rng.integers(0, 64)),
+    )
+
+
+def _fill_staging_fixture(detector, rng: np.random.Generator, last_minute: int) -> list[int]:
+    """Six customers, one per sparsity shape; returns their ids."""
+    matrix = detector.matrix
+    for minute in range(last_minute + 1):
+        matrix.add_flow(2, _flow(rng, minute), ALL_CLASSES)  # every cell present
+        for customer in (3, 4):  # random sparsity, random class subsets
+            if rng.random() < 0.3:
+                classes = [c for c in ALL_CLASSES if rng.random() < 0.4]
+                matrix.add_flow(customer, _flow(rng, minute), classes)
+    matrix.add_flow(1, _flow(rng, int(rng.integers(0, last_minute + 1))), ("spoofed",))  # one row
+    for customer in (2, 4, 5):  # A4/A5: 5 has alerts and no traffic at all
+        for _ in range(3):
+            detect = int(rng.integers(0, last_minute + 1))
+            detector.ingest_cdet_alert(
+                AlertRecord(
+                    customer_id=customer,
+                    attack_type=AttackType.TCP_SYN if rng.random() < 0.5 else AttackType.UDP_FLOOD,
+                    detect_minute=detect,
+                    end_minute=detect + int(rng.integers(0, 4)),
+                    peak_bytes=float(rng.choice([2.0, 8.0, 5e6])),
+                    attackers=frozenset(rng.choice(SOURCE_POOL, size=3).tolist()),
+                )
+            )
+    return [0, 1, 2, 3, 4, 5]  # 0 stays empty
+
+
+@pytest.mark.parametrize("dtype", [None, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("pooling", ["avg", "max"])
+@pytest.mark.parametrize("layout", sorted(STAGING_TIMESCALES))
+def test_feature_windows_equal_pooling_the_dense_window(monkeypatch, layout, pooling, dtype):
+    timescales = STAGING_TIMESCALES[layout]
+    pool_infer = online_module.fused.pool_infer
+
+    def materialised_only(X, window, mode):
+        # Where numpy reorders a stride-0 reduction the bits below would
+        # show it; where it does not (2.4 here), this keeps the rule pinned.
+        assert all(s for s, n in zip(X.strides, X.shape) if n > 1), X.strides
+        return pool_infer(X, window, mode)
+
+    monkeypatch.setattr(online_module.fused, "pool_infer", materialised_only)
+    for seed in range(3):
+        detector = _build_sparse_lane_detector(
+            seed, {}, reference=False, dtype=dtype, pooling=pooling, timescales=timescales
+        )
+        model, lookback = detector.model, detector.model.config.lookback_minutes
+        assert any((lookback - ts.minutes) % ts.window for ts in timescales) == (
+            layout == "ragged"
+        )
+        rng = np.random.default_rng(seed)
+        last_minute = lookback + 9
+        ids = _fill_staging_fixture(detector, rng, last_minute)
+        # A padded window, the first full one, and one with rows before its start.
+        for end_minute in (lookback // 2, lookback - 1, last_minute):
+            got = detector.feature_windows(ids, end_minute)
+            assert got.dtype == (np.float64 if dtype is None else dtype)
+            assert got.shape == (len(ids), sum(ts.span for ts in timescales), 273)
+            for i, customer in enumerate(ids):
+                dense = detector.scaler.transform(
+                    ReferenceOnlineXatu._feature_window(detector, customer, end_minute)
+                )
+                want = np.concatenate(model.stage_pooled(dense[None], dtype=dtype), axis=1)[0]
+                assert got[i].tobytes() == want.tobytes(), (
+                    f"seed {seed}, end {end_minute}: customer {customer} drifted"
+                )
+
+
+def _bench_shaped_detector(customer_of, dtype):
+    """The e2e suite's timescale shape (240-minute lookback pooled to 108
+    steps), so ``sum of spans != lookback`` and the dense stack is 2.2x the
+    pooled one."""
+    return _build_sparse_lane_detector(
+        5,
+        customer_of,
+        reference=False,
+        dtype=dtype,
+        timescales=(
+            TimescaleSpec("short", 1, 60),
+            TimescaleSpec("medium", 5, 36),
+            TimescaleSpec("long", 20, 12),
+        ),
+    )
+
+
 def test_score_stages_every_scored_customer_exactly_once(monkeypatch):
-    """``benchmarks/e2e`` divides wall time by the rows passed to
-    ``feature_windows`` (its ``us_per_decision``), so ``_score`` must call it
-    once per chunk with every scored id and get a model-ready stack back."""
+    """``benchmarks/e2e`` divides wall time by the ids passed to
+    ``feature_windows`` (its ``us_per_decision``) and reads ``result.nbytes``,
+    so ``_score`` must call it once per chunk with every scored id and get
+    the model-ready pooled stack back as one ndarray."""
     monkeypatch.setattr(online_module, "SCORE_CHUNK", 3)
     customer_of = {60_000 + i: i for i in range(7)}
-    detector = _build_detector(3, 0.9, customer_of, reference=False)
-    staged: list[list[int]] = []
+    staged: list[tuple[list[int], np.ndarray]] = []
     original = OnlineXatu.feature_windows
 
     def counting(self, customer_ids, end_minute):
         stack = original(self, customer_ids, end_minute)
-        assert isinstance(stack, np.ndarray)
-        assert stack.shape == (len(customer_ids), self.model.config.lookback_minutes, 273)
-        staged.append(list(customer_ids))
+        staged.append((list(customer_ids), stack))
         return stack
 
     monkeypatch.setattr(OnlineXatu, "feature_windows", counting)
-    rng = np.random.default_rng(11)
-    for minute in range(3):
-        staged.clear()
+    for dtype in (None, np.float32):
+        detector = _bench_shaped_detector(customer_of, dtype)
+        rng = np.random.default_rng(11)
+        for minute in range(3):
+            staged.clear()
+            detector.step(minute, _random_minute(rng, minute, sorted(customer_of)))
+            assert [len(ids) for ids, _stack in staged] == [3, 3, 1]
+            assert sum((ids for ids, _stack in staged), []) == sorted(detector._watched)
+            for ids, stack in staged:
+                assert isinstance(stack, np.ndarray)
+                assert stack.shape == (len(ids), 60 + 36 + 12, 273)
+                assert stack.dtype == (np.float64 if dtype is None else dtype)
+
+
+@pytest.mark.parametrize("dtype", [None, np.float32], ids=["f64", "f32"])
+def test_score_never_holds_a_dense_window_stack(dtype):
+    """The memory half of the staging claim: scoring ``n`` customers stays
+    below ``n * lookback * 273 * itemsize`` bytes of live allocations *in
+    total*, so no single block (the dense stack, or the cast copy float32
+    used to add) can be that large."""
+    n = 16
+    customer_of = {60_000 + i: i for i in range(n)}
+    detector = _bench_shaped_detector(customer_of, dtype)
+    rng = np.random.default_rng(3)
+    for minute in range(6):
         detector.step(minute, _random_minute(rng, minute, sorted(customer_of)))
-        assert [len(ids) for ids in staged] == [3, 3, 1]
-        assert sum(staged, []) == sorted(detector._watched)
+    customers = sorted(customer_of.values())  # watched or idle-evicted alike
+    dense_stack = (
+        n * detector.model.config.lookback_minutes * 273
+        * np.dtype(np.float64 if dtype is None else dtype).itemsize
+    )
+    detector._score(customers, 5)  # row stores and memoized indices exist now
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        detector._score(customers, 5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < dense_stack, (peak, dense_stack)
 
 
 def test_lanes_agree_at_64_customers_ragged_blocks(monkeypatch):
