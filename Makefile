@@ -7,7 +7,7 @@ PY := PYTHONPATH=src python
 .PHONY: verify test fast golden-check golden-record bench bench-full \
         bench-check bench-ingest bench-ingest-full scale-smoke \
         bench-scale-full metrics-selftest \
-        telemetry serve-smoke e2e-smoke e2e-compare lint lint-deep \
+        telemetry serve-smoke e2e-smoke e2e-compare e2e-pairs lint lint-deep \
         lint-baseline sanitize-test scenarios scenarios-check scenarios-ci
 
 test:
@@ -114,6 +114,17 @@ e2e-compare:
 	mkdir -p $(dir $(E2E_OUT))
 	python3 benchmarks/e2e/run.py --suite --out $(E2E_OUT)
 	python3 benchmarks/e2e/run.py --compare $(BASE) $(E2E_OUT)
+
+# The claim procedure for a perf PR (docs/TESTING.md): N alternating
+# parent/change runs of one workload, each side's median and quartiles per
+# end-to-end metric, wins/ties, and whether the median gap exceeds the
+# parent's inter-quartile distance.  Non-zero if any run was not correct.
+WORKLOAD ?= fleet_score
+N ?= 10
+SEED ?= 7
+e2e-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make e2e-pairs PARENT=<parent checkout> [WORKLOAD=fleet_score N=10 SEED=7]"; exit 2; }
+	python3 benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) -n $(N) --seed $(SEED)
 
 # xatulint (docs/ANALYSIS.md): the domain-aware static-analysis gate.
 # Known-intentional findings live in lint-baseline.json with written

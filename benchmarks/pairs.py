@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one e2e workload (choosing-metrics §8).
+
+    python3 benchmarks/pairs.py --parent ../parent-checkout --workload fleet_score -n 10
+
+Each pair runs ``benchmarks/e2e/run.py --workload W --seed S --trace 0`` once
+in the parent checkout and once in this one, in its own process, alternating
+which side goes first.  Per end-to-end metric it prints each side's median
+and quartiles, wins/ties, and whether a gain may be claimed: the change wins
+at least nine tenths of the pairs (ties count for neither side) *and* the
+medians differ, in the metric's better direction, by more than the distance
+between the parent's quartiles.  Every run is listed, and written to
+``--out`` when given.  Exits non-zero if any run reports ``correct: false``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+RUNNER = Path("benchmarks") / "e2e" / "run.py"
+
+
+def run_once(checkout: Path, workload: str, seed: int, smoke: bool = False) -> dict:
+    """One contract run in ``checkout``; the last stdout line is its result."""
+    cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(
+        cmd + ["--smoke"] * smoke, cwd=checkout, capture_output=True, text=True
+    )
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(
+            f"{checkout}: {' '.join(cmd)} printed no result (exit {proc.returncode})\n{proc.stderr}"
+        )
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarise(runs: list[dict], specs: list[dict]) -> list[str]:
+    lines = []
+    for spec in specs:
+        name = spec["name"]
+        sign = 1.0 if spec["better"] == "lower" else -1.0
+        parent = [r["parent"]["metrics"][name]["value"] for r in runs]
+        change = [r["change"]["metrics"][name]["value"] for r in runs]
+        wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+        ties = sum(c == p for p, c in zip(parent, change))
+        (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+        gap = sign * (pm - cm)  # > 0: the change's median is better
+        iqr = p3 - p1
+        decided = len(runs) - ties
+        gain = decided > 0 and wins >= 0.9 * decided and gap > iqr
+        lines.append(
+            f"{name:<18} parent {pm:>11.3f} [{p1:.3f}, {p3:.3f}]  "
+            f"change {cm:>11.3f} [{c1:.3f}, {c3:.3f}] {spec['unit']:<4} "
+            f"change better by {gap / pm:+.1%} (bound {spec['bound']:.0%}); "
+            f"wins {wins}/{len(runs)}, ties {ties}; parent IQR {iqr:.3f} "
+            f"{'<' if gap > iqr else '>='} gap; gain {'yes' if gain else 'no'}"
+        )
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--workload", default="fleet_score")
+    parser.add_argument("-n", "--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--out", type=Path, help="also write every run as JSON")
+    args = parser.parse_args(argv)
+
+    sides = {"parent": args.parent.resolve(), "change": REPO_ROOT}
+    specs = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for side, checkout in sides.items():
+        if not (checkout / RUNNER).is_file():
+            parser.error(f"{side}: {checkout / RUNNER} not found")
+        # Untimed: trains and caches the artifacts of a tree that has none
+        # (a run that trains in-process reads ~2x the warm peak RSS).
+        run_once(checkout, args.workload, args.seed, smoke=True)
+
+    runs: list[dict] = []
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        result = {side: run_once(sides[side], args.workload, args.seed) for side in order}
+        runs.append(result)
+        print(
+            f"pair {pair + 1:>2} ({order[0]} first)  "
+            + "  ".join(
+                f"{side} {result[side]['metrics']['us_per_decision']['value']:.1f} us/decision"
+                f"{'' if result[side]['correct'] else ' NOT CORRECT'}"
+                for side in ("parent", "change")
+            ),
+            flush=True,
+        )
+    print(f"# {args.workload}  seed={args.seed}  pairs={len(runs)}")
+    print("\n".join(summarise(runs, specs)))
+    if args.out is not None:
+        args.out.write_text(
+            json.dumps({"workload": args.workload, "seed": args.seed, "runs": runs}, indent=1) + "\n"
+        )
+    incorrect = sum(
+        not result[side]["correct"] or result[side]["failed"] > 0 for result in runs for side in sides
+    )
+    if incorrect:
+        print(f"{incorrect} run(s) reported correct: false or failed minutes")
+    return 1 if incorrect else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

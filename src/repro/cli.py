@@ -30,6 +30,7 @@ Every command accepts ``--seed``, ``--days``, ``--customers``, and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -512,6 +513,13 @@ def cmd_serve(args) -> int:
     from .serve import ServeConfig, ServeEngine
     from .synth import TraceGenerator
 
+    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    if args.backend == "process" and not any(os.environ.get(v) for v in pins):
+        # Measured (docs/SERVING.md): unpinned, forked shards lose to inline.
+        print("serve: warning: --backend process with none of " + "/".join(pins)
+              + " set — every shard's BLAS pool competes for the same cores; "
+              "export OPENBLAS_NUM_THREADS=1 before starting (docs/SERVING.md)",
+              file=sys.stderr)
     if args.checkpoint_dir is None and (
         args.restart_at is not None or args.checkpoint_every
     ):

@@ -316,14 +316,27 @@ class TrafficMatrix:
         # sparse in the auxiliary classes).
         self._minutes_index: dict[tuple[int, str], set[int]] = {}
         self._row_stores: dict[tuple[int, str], _RowStore] = {}
+        # minute -> keys of its cells, and a lower bound on every live cell's
+        # minute (a late record lowers it again): ``evict_before`` costs what
+        # it evicts.  Derived like the row stores: never in ``state_dict``.
+        self._cells_at: dict[int, list[tuple[int, str, int]]] = {}
+        self._oldest = sys.maxsize
+
+    def _index_cell(self, key: tuple[int, str, int]) -> None:
+        """Register a cell that is about to be created under ``key``."""
+        customer, cls, minute = key
+        self._minutes_index.setdefault((customer, cls), set()).add(minute)
+        self._cells_at.setdefault(minute, []).append(key)
+        if minute < self._oldest:
+            self._oldest = minute
 
     def _cell_for(self, customer: int, cls: str, minute: int) -> VolumetricAccumulator:
         """The cell a fold is about to write into, created if missing."""
         key = (customer, cls, minute)
         cell = self._cells.get(key)
         if cell is None:
+            self._index_cell(key)
             cell = self._cells[key] = VolumetricAccumulator()
-            self._minutes_index.setdefault((customer, cls), set()).add(minute)
         store = self._row_stores.get((customer, cls))
         if store is not None:
             store.dirty.add(minute)
@@ -336,8 +349,10 @@ class TrafficMatrix:
         self._customers.add(customer)
         if minute > self.max_minute:
             self.max_minute = minute
-        self._cells[(customer, source_class, minute)] = cell
-        self._minutes_index.setdefault((customer, source_class), set()).add(minute)
+        key = (customer, source_class, minute)
+        if key not in self._cells:
+            self._index_cell(key)
+        self._cells[key] = cell
         store = self._row_stores.get((customer, source_class))
         if store is not None:
             store.dirty.add(minute)
@@ -588,7 +603,13 @@ class TrafficMatrix:
         ever read the trailing model lookback, so anything older is dead
         state.  ``max_minute`` and the customer roster are preserved.
         """
-        stale = [key for key in self._cells if key[2] < minute]
+        if minute <= self._oldest:
+            return 0
+        span: Iterable[int] = range(self._oldest, minute)
+        if len(span) > len(self._cells_at):  # a clock gap wider than the index
+            span = [m for m in self._cells_at if m < minute]
+        self._oldest = minute
+        stale = [key for m in span for key in self._cells_at.pop(m, ())]
         for key in stale:
             del self._cells[key]
             customer, cls, m = key
@@ -619,6 +640,8 @@ class TrafficMatrix:
         self._cells = {}
         self._minutes_index = {}
         self._row_stores = {}
+        self._cells_at = {}
+        self._oldest = sys.maxsize
         self._customers = set(int(c) for c in state["customers"])
         self.max_minute = int(state["max_minute"])
         for customer, cls, minute, cell_state in state["cells"]:

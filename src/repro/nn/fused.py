@@ -25,6 +25,7 @@ policy installed via :class:`repro.nn.autograd.inference_dtype`.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -119,6 +120,102 @@ def _lstm_infer(
     return Tensor(outputs), (Tensor(h), Tensor(c))
 
 
+def _lstm_steps(
+    x_proj: np.ndarray, Wh: np.ndarray, h: np.ndarray, c: np.ndarray,
+    outputs: np.ndarray, start: int, cells: np.ndarray | None = None,
+) -> None:
+    """Steps ``start ..`` of the batched recurrence, time-major operands.
+
+    ``h`` (read only) and ``c`` (advanced in place) are the ``(batch, 1,
+    hidden)`` state entering step ``start``; ``h_t`` lands in ``outputs[t]``
+    and, when given, a copy of ``c_t`` in ``cells[t]``.  The one loop body of
+    both the batch and its single-item prefix chain, so they cannot drift.
+    """
+    batch, _, hidden = c.shape
+    gates = np.empty((batch, 1, 4 * hidden), dtype=c.dtype)
+    e = np.empty_like(gates)
+    num = np.empty_like(gates)
+    g = np.empty_like(c)
+    tmp = np.empty_like(c)
+    candidate = gates[..., 2 * hidden : 3 * hidden]
+    i = num[..., :hidden]
+    f = num[..., hidden : 2 * hidden]
+    o = num[..., 3 * hidden :]
+    for t in range(start, len(outputs)):
+        np.matmul(h, Wh, out=gates)
+        gates += x_proj[t]
+        np.tanh(candidate, out=g)
+        np.abs(gates, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        # ``where(a >= 0, 1, e)`` as a max — no mask, and no masked copy,
+        # which costs as much as the recurrent matmul at serving batch sizes:
+        # e = exp(-|a|) lies in [0, 1], so max(e, sign(a)) is 1 for a > 0, e
+        # for a < 0, and at a = ±0 it is max(1, ±0) = 1 — the same bits, NaN
+        # included.
+        np.sign(gates, out=num)
+        np.maximum(e, num, out=num)
+        e += 1.0
+        np.divide(num, e, out=num)
+        np.multiply(f, c, out=c)
+        np.multiply(i, g, out=tmp)
+        c += tmp
+        h = outputs[t]
+        np.tanh(c, out=tmp)
+        np.multiply(o, tmp, out=h)
+        if cells is not None:
+            cells[t] = c
+
+
+def _shared_lead(x_proj: np.ndarray) -> int:
+    """Leading steps at which every item's projected row carries the bits of
+    item 0's step-0 row.  Bytes are compared, not values: -0.0 is not +0.0
+    and nothing rests on NaN semantics.  Without a shared step 0 this is one
+    ``(batch, 4·hidden)`` comparison; after it, one memcmp per shared step."""
+    steps, batch = x_proj.shape[:2]
+    if batch < 2 or steps == 0:
+        return 0
+    slab = x_proj[0].tobytes()
+    if slab != x_proj[0, 0].tobytes() * batch:
+        return 0
+    lead = 1
+    while lead < steps and x_proj[lead].tobytes() == slab:
+        lead += 1
+    return lead
+
+
+# (dtype, Wh bytes, row bytes) -> read-only ``(2, n + 1, 1, 1, hidden)``: the
+# hidden [0] and cell [1] state *entering* step k of one item fed that
+# projected row at every step from zero state.  Keyed by content, never by
+# array identity (``load_state_dict`` and the optimisers write parameters in
+# place); derived, bounded, and a miss costs only time.
+_PREFIX_CHAINS: dict[tuple[str, bytes, bytes], np.ndarray] = {}
+_PREFIX_CHAINS_MAX = 8
+_PREFIX_CHAINS_LOCK = threading.Lock()
+
+
+def _prefix_chain(row: np.ndarray, Wh: np.ndarray, lead: int) -> np.ndarray:
+    """The memoised chain for ``(Wh, row)``, extended to ``lead`` steps."""
+    key = (row.dtype.str, Wh.tobytes(), row.tobytes())
+    zero_state = np.zeros((2, 1, 1, 1, Wh.shape[0]), dtype=row.dtype)
+    with _PREFIX_CHAINS_LOCK:
+        chain = _PREFIX_CHAINS.pop(key, zero_state)
+        have = chain.shape[1] - 1
+        if have < lead:
+            grown = np.zeros((2, lead + 1, 1, 1, Wh.shape[0]), dtype=row.dtype)
+            grown[:, : have + 1] = chain
+            _lstm_steps(
+                np.broadcast_to(row, (lead, *row.shape)), Wh,
+                grown[0, have], grown[1, have].copy(), grown[0, 1:], have, grown[1, 1:],
+            )
+            grown.flags.writeable = False
+            chain = grown
+        _PREFIX_CHAINS[key] = chain  # most recently used last
+        if len(_PREFIX_CHAINS) > _PREFIX_CHAINS_MAX:
+            del _PREFIX_CHAINS[next(iter(_PREFIX_CHAINS))]
+    return chain
+
+
 def lstm_infer_batched(
     X: np.ndarray,
     Wx: np.ndarray,
@@ -144,6 +241,14 @@ def lstm_infer_batched(
     stacked form.  All elementwise arithmetic reuses the exact expressions
     of :func:`_lstm_infer` (the oracle's lane, deliberately left alone); the
     sigmoid's branch selection is spelled differently, with the same bits.
+
+    Leading steps whose *projected* rows are bit-identical across the batch
+    (a cold fleet's padding) are not recomputed per item: a step is a pure
+    function of ``(h, c, x_proj[t], Wh)``, so by induction from the zero
+    state every item holds there the state of one item fed that row
+    (:func:`_prefix_chain`), and the batch resumes from it.  The projection
+    is still computed in full and is what is compared, so an absent prefix
+    costs one comparison and a present one changes no bit.
     """
     X, Wx, Wh, b = _maybe_cast(
         np.asarray(X), np.asarray(Wx), np.asarray(Wh), np.asarray(bias)
@@ -152,14 +257,6 @@ def lstm_infer_batched(
         check_finite("lstm_infer_batched.inputs", x=X, w_x=Wx, w_h=Wh, bias=b)
     batch, steps, _features = X.shape
     hidden = Wh.shape[0]
-    if obs_enabled():
-        registry = get_registry()
-        registry.counter(
-            "nn.lstm_infer_batched_calls", "batch-first fused LSTM inference calls"
-        ).inc()
-        registry.counter(
-            "nn.lstm_infer_steps", "timesteps scored by the inference lane"
-        ).inc(batch * steps)
 
     # Stacked input projection; per-item identical to the 2-D
     # ``(time, features) @ Wx`` the single-sequence path computes.  The bias
@@ -171,37 +268,25 @@ def lstm_infer_batched(
     outputs = np.empty((steps, batch, 1, hidden), dtype=X.dtype)
     h = np.zeros((batch, 1, hidden), dtype=X.dtype)
     c = np.zeros((batch, 1, hidden), dtype=X.dtype)
-    gates = np.empty((batch, 1, 4 * hidden), dtype=X.dtype)
-    e = np.empty_like(gates)
-    num = np.empty_like(gates)
-    g = np.empty((batch, 1, hidden), dtype=X.dtype)
-    tmp = np.empty((batch, 1, hidden), dtype=X.dtype)
-    candidate = gates[..., 2 * hidden : 3 * hidden]
-    i = num[..., :hidden]
-    f = num[..., hidden : 2 * hidden]
-    o = num[..., 3 * hidden :]
-    for t in range(steps):
-        np.matmul(h, Wh, out=gates)
-        gates += x_proj[t]
-        np.tanh(candidate, out=g)
-        np.abs(gates, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        # ``where(a >= 0, 1, e)`` as a max — no mask, and no masked copy,
-        # which costs as much as the recurrent matmul at serving batch sizes:
-        # e = exp(-|a|) lies in [0, 1], so max(e, sign(a)) is 1 for a > 0, e
-        # for a < 0, and at a = ±0 it is max(1, ±0) = 1 — the same bits, NaN
-        # included.
-        np.sign(gates, out=num)
-        np.maximum(e, num, out=num)
-        e += 1.0
-        np.divide(num, e, out=num)
-        np.multiply(f, c, out=c)
-        np.multiply(i, g, out=tmp)
-        c += tmp
-        h = outputs[t]
-        np.tanh(c, out=tmp)
-        np.multiply(o, tmp, out=h)
+    lead = _shared_lead(x_proj)
+    if lead:
+        chain = _prefix_chain(x_proj[0, :1], Wh, lead)
+        outputs[:lead] = chain[0, 1 : lead + 1]
+        h = outputs[lead - 1]
+        c[...] = chain[1, lead]
+    if obs_enabled():
+        registry = get_registry()
+        registry.counter(
+            "nn.lstm_infer_batched_calls", "batch-first fused LSTM inference calls"
+        ).inc()
+        registry.counter(
+            "nn.lstm_infer_steps", "timesteps scored by the inference lane"
+        ).inc(batch * steps)
+        registry.counter(
+            "nn.lstm_prefix_steps_skipped",
+            "of those, item-steps resumed from the shared-prefix chain",
+        ).inc(batch * lead)
+    _lstm_steps(x_proj, Wh, h, c, outputs, lead)
     if sanitize_enabled():
         check_finite("lstm_infer_batched.outputs", outputs=outputs, cell=c)
     return outputs[:, :, 0].transpose(1, 0, 2)

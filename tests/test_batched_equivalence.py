@@ -42,6 +42,7 @@ import repro.core.online as online_module
 from repro.core import OnlineConfig, OnlineXatu, XatuModel
 from repro.core.model import TimescaleSpec, XatuModelConfig
 from repro.netflow import FlowRecord, RouteTable
+from repro.obs import telemetry
 from repro.signals import FeatureScaler
 from repro.signals.history import AlertRecord
 from repro.synth.attacks import AttackType
@@ -110,11 +111,6 @@ def test_batched_lstm_gate_selection_is_bitwise_at_the_edges():
     where the per-window lane uses ``where(a >= 0, 1, e)``: same bits at
     ±0 (zero weights make every gate exactly the bias), at saturation in
     both directions, and where ``exp(-|a|)`` goes subnormal or underflows."""
-    from contextlib import nullcontext
-
-    from repro.nn import Tensor, inference_dtype, no_grad
-    from repro.nn.fused import lstm_infer_batched, lstm_sequence
-
     hidden, features, steps = 3, 5, 4
     bias = np.array(
         [0.0, -0.0, 1e-320, -1e-320, 30.0, -30.0, 720.0, -720.0, 800.0, -800.0, 0.5, -0.5]
@@ -125,16 +121,213 @@ def test_batched_lstm_gate_selection_is_bitwise_at_the_edges():
         (np.zeros((features, 4 * hidden)), np.zeros((hidden, 4 * hidden))),
         (rng.normal(0, 1, (features, 4 * hidden)), rng.normal(0, 1, (hidden, 4 * hidden))),
     ):
-        for policy in (nullcontext(), inference_dtype(np.float32)):
-            with no_grad(), policy:
-                stacked = lstm_infer_batched(x, w_x, w_h, bias)
-                assert stacked.shape == (3, steps, hidden)
-                for b in range(len(x)):
-                    alone, _state = lstm_sequence(
-                        Tensor(x[b : b + 1]), Tensor(w_x), Tensor(w_h), Tensor(bias)
-                    )
-                    assert stacked.dtype == alone.data.dtype
-                    assert stacked[b].tobytes() == alone.data[0].tobytes(), b
+        for dtype in (None, np.float32):
+            _assert_rows_equal_single_sequence_lane(x, w_x, w_h, bias, dtype)
+
+
+# ----------------------------------------------------------------------
+# kernel level: the shared-prefix resume.  ``lstm_infer_batched`` takes the
+# leading steps whose projected rows are bit-identical across the batch from
+# a memoised single-item chain and runs the batch from the first step that
+# differs; the oracle is still row-by-row ``lstm_sequence``.
+# ----------------------------------------------------------------------
+SKIPPED = "nn.lstm_prefix_steps_skipped"
+
+
+def _prefix_row(kind: str, rng: np.random.Generator, features: int, dtype) -> np.ndarray:
+    if kind == "random":
+        return rng.normal(0.0, 1.0, features)
+    if kind == "zero":
+        return np.zeros(features)
+    # Signed zeros, subnormals and values that saturate every gate, each
+    # finite in the policy dtype (the sanitized lane refuses inf).
+    tiny, huge = (1e-320, 1e300) if dtype is None else (1e-45, 1e30)
+    return np.resize([0.0, -0.0, tiny, -tiny, huge, -huge, 1.0], features)
+
+
+def _assert_rows_equal_single_sequence_lane(x, w_x, w_h, bias, dtype) -> int:
+    """Stacked call == ``lstm_sequence`` per row, by bytes; returns how many
+    item-steps the call reported as resumed from the chain."""
+    from contextlib import nullcontext
+
+    from repro.nn import Tensor, inference_dtype, no_grad
+    from repro.nn.fused import lstm_infer_batched, lstm_sequence
+
+    policy = nullcontext() if dtype is None else inference_dtype(dtype)
+    with telemetry() as registry, no_grad(), policy:
+        before = registry.counter(SKIPPED).value()
+        stacked = lstm_infer_batched(x, w_x, w_h, bias)
+        skipped = registry.counter(SKIPPED).value() - before
+        assert stacked.shape == (*x.shape[:2], w_h.shape[0])
+        for b in range(len(x)):
+            alone, _state = lstm_sequence(
+                Tensor(x[b : b + 1]), Tensor(w_x), Tensor(w_h), Tensor(bias)
+            )
+            assert stacked.dtype == alone.data.dtype
+            assert stacked[b].tobytes() == alone.data[0].tobytes(), f"row {b} drifted"
+    return int(skipped)
+
+
+@pytest.mark.parametrize("dtype", [None, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("row_kind", ["random", "zero", "edges"])
+def test_batched_lstm_resumes_past_a_shared_prefix_bitwise(row_kind, dtype):
+    from repro.nn import fused
+
+    hidden, features, steps = 5, 9, 7
+    rng = np.random.default_rng(11)
+    w_x = rng.normal(0, 1, (features, 4 * hidden))
+    w_h = rng.normal(0, 1, (hidden, 4 * hidden))
+    bias = rng.normal(0, 1, 4 * hidden)
+    row = _prefix_row(row_kind, rng, features, dtype)
+    for batch in (1, 2, 24):
+        # From an empty memo the chain grows 1 -> 2 -> steps - 1 -> steps;
+        # the repeats then resume from states an extension started at.
+        fused._PREFIX_CHAINS.clear()
+        for lead in (0, 1, 2, steps - 1, steps, 2, 1, steps - 1):
+            x = rng.normal(0.0, 1.0, (batch, steps, features))
+            x[:, :lead] = row
+            skipped = _assert_rows_equal_single_sequence_lane(x, w_x, w_h, bias, dtype)
+            assert skipped == (batch * lead if batch > 1 else 0), (batch, lead)
+
+
+@pytest.mark.parametrize("dtype", [None, np.float32], ids=["f64", "f32"])
+def test_batched_lstm_resumes_at_the_first_differing_bit(dtype):
+    """One item, one step, one low bit: the batch must resume there, not
+    later.  An identity ``w_x`` and zero bias make the projected row the
+    input row, so the flipped bit survives the projection."""
+    hidden, steps, batch = 3, 9, 4
+    features = 4 * hidden
+    rng = np.random.default_rng(5)
+    w_h = rng.normal(0, 1, (hidden, 4 * hidden))
+    real = np.float64 if dtype is None else dtype
+    row = rng.normal(0.0, 1.0, features).astype(real)
+    for k in range(steps):
+        x = np.broadcast_to(row, (batch, steps, features)).copy()
+        x[2, k, 7] = np.nextafter(x[2, k, 7], real(np.inf))
+        skipped = _assert_rows_equal_single_sequence_lane(
+            x, np.eye(features), w_h, np.zeros(features), dtype
+        )
+        assert skipped == batch * k, k
+
+
+def test_shared_lead_compares_bits_and_reads_no_further_than_the_prefix():
+    """Rows of +0.0 and -0.0 are equal as values and not as bits (no BLAS
+    here projects to -0.0, so the rows are built by hand); a batch with no
+    shared step-0 row — the warm fleet — costs one ``(batch, 4·hidden)``
+    comparison and a prefix one comparison per shared step."""
+    from repro.nn.fused import _shared_lead
+
+    class Probe(np.ndarray):
+        reads: list = []
+
+        def tobytes(self, *args):
+            Probe.reads.append(self.shape)
+            return super().tobytes(*args)
+
+    def lead_and_reads(x_proj):
+        Probe.reads = []
+        return _shared_lead(x_proj.view(Probe)), Probe.reads
+
+    steps, batch, width = 6, 3, 8
+    zeros = np.zeros((steps, batch, 1, width))
+    assert lead_and_reads(zeros)[0] == steps
+    zeros[0, 1] = -0.0
+    assert np.array_equal(zeros[0, 0], zeros[0, 1])
+    assert lead_and_reads(zeros) == (0, [(batch, 1, width), (1, width)])
+    nans = np.full((steps, batch, 1, width), np.nan)
+    assert lead_and_reads(nans)[0] == steps  # same bits: nothing rests on NaN != NaN
+    rng = np.random.default_rng(0)
+    for dtype in (np.float64, np.float32):
+        warm = rng.normal(size=(steps, batch, 1, width)).astype(dtype)
+        assert lead_and_reads(warm) == (0, [(batch, 1, width), (1, width)])
+        for lead in range(1, steps + 1):
+            cold = warm.copy()
+            cold[:lead] = cold[0, 0]
+            got, reads = lead_and_reads(cold)
+            assert got == lead
+            assert len(reads) == 2 + min(lead, steps - 1)
+    assert lead_and_reads(warm[:, :1])[0] == 0  # one item: nothing to share
+    assert lead_and_reads(warm[:0]) == (0, [])
+
+
+def _shared_prefix_windows(model, rng, batch: int, pad: int) -> np.ndarray:
+    x = rng.normal(0.0, 1.0, (batch, model.config.lookback_minutes, 273))
+    x[:, :pad] = rng.normal(0.0, 1.0, 273)
+    return x
+
+
+def _assert_hazards_equal_per_item_lane(model, x, dtype=None) -> None:
+    stacked = model.hazards_np_batched(x, dtype=dtype)
+    for i in range(len(x)):
+        alone = model.hazards_np(x[i : i + 1], dtype=dtype)[0]
+        assert stacked[i].tobytes() == alone.tobytes(), f"row {i} drifted"
+
+
+def test_prefix_memo_is_keyed_by_content_not_identity():
+    """Parameters are overwritten in place (``load_state_dict``, optimiser
+    steps), so the same arrays come back holding other weights: a chain
+    found by identity would be stale.  Same inputs throughout."""
+    from repro.nn import SGD, Adam, fused
+
+    # Kernel level first: the same ``w_h`` array, new contents, and — with
+    # ``w_x`` and the bias untouched — the same projected row as before.
+    rng = np.random.default_rng(8)
+    w_x, w_h, bias = rng.normal(0, 1, (9, 20)), rng.normal(0, 1, (5, 20)), rng.normal(0, 1, 20)
+    x = rng.normal(0.0, 1.0, (3, 6, 9))
+    x[:, :4] = x[0, 0]
+    for _ in range(2):
+        assert _assert_rows_equal_single_sequence_lane(x, w_x, w_h, bias, None) == 3 * 4
+        w_h *= 0.5
+
+    model, other = XatuModel(_tiny_config(3)), XatuModel(_tiny_config(4))
+    model.eval()
+    rng = np.random.default_rng(9)
+    x = _shared_prefix_windows(model, rng, batch=5, pad=20)
+    with telemetry() as registry:
+        before = registry.counter(SKIPPED).value()
+        _assert_hazards_equal_per_item_lane(model, x)
+        assert registry.counter(SKIPPED).value() > before  # the shortcut is live
+    first = model.hazards_np_batched(x)
+    model.load_state_dict(other.state_dict())
+    _assert_hazards_equal_per_item_lane(model, x)
+    other.eval()
+    assert model.hazards_np_batched(x).tobytes() == other.hazards_np_batched(x).tobytes()
+    assert model.hazards_np_batched(x).tobytes() != first.tobytes()
+    for optimiser in (SGD(model.parameters(), lr=0.05), Adam(model.parameters(), lr=0.05)):
+        for parameter in model.parameters():
+            parameter.grad = rng.normal(0.0, 1.0, parameter.data.shape)
+        optimiser.step()
+        _assert_hazards_equal_per_item_lane(model, x)
+        fresh = XatuModel(model.config)
+        fresh.load_state_dict(model.state_dict())
+        fresh.eval()
+        fused._PREFIX_CHAINS.clear()
+        want = fresh.hazards_np_batched(x).tobytes()
+        assert model.hazards_np_batched(x).tobytes() == want
+
+
+def test_prefix_memo_interleaves_models_and_dtypes_and_stays_bounded():
+    from repro.nn import fused
+
+    rng = np.random.default_rng(21)
+    models = [XatuModel(_tiny_config(seed)) for seed in (1, 2)]
+    for model in models:
+        model.eval()
+    windows = [
+        _shared_prefix_windows(models[0], rng, batch=3, pad=pad) for pad in (30, 8, 17)
+    ]
+    fused._PREFIX_CHAINS.clear()
+    for _ in range(2):
+        for x in windows:  # more distinct (weights, row, dtype) keys than the bound
+            for model in models:
+                for dtype in (None, np.float32):
+                    _assert_hazards_equal_per_item_lane(model, x, dtype)
+                    assert 0 < len(fused._PREFIX_CHAINS) <= fused._PREFIX_CHAINS_MAX
+    assert 3 * 2 * 2 * len(TINY_TIMESCALES) > fused._PREFIX_CHAINS_MAX  # it did evict
+    for chain in fused._PREFIX_CHAINS.values():
+        assert not chain.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            chain[0, 0] = 1.0
 
 
 def test_batched_rejects_bad_shapes():
@@ -469,7 +662,14 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
     seen: set = set()
 
     def sparse_lane_agrees(seed, n_customers, dtype, pooling):
-        _run_sparse_lane_differential(seed, n_customers, dtype, pooling, seen)
+        # Every run starts cold — its first ``lookback`` minutes are padded —
+        # so production resumes past shared prefixes while the oracle (one
+        # window at a time, another kernel) never does.
+        with telemetry() as registry:
+            before = registry.counter(SKIPPED).value()
+            _run_sparse_lane_differential(seed, n_customers, dtype, pooling, seen)
+            if registry.counter(SKIPPED).value() > before:
+                seen.add("shared-prefix")
         seen.add(pooling)
 
     run_property(
@@ -484,7 +684,7 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
     # The differential is only meaningful if every hazard actually occurred.
     assert seen >= {
         "all", "blocklist", "prev_attacker", "spoofed",
-        "idle-evicted", "re-watched", "A4+A5", "avg", "max",
+        "idle-evicted", "re-watched", "A4+A5", "avg", "max", "shared-prefix",
     }, seen
 
 

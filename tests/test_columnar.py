@@ -56,7 +56,11 @@ from repro.netflow import (
     encode_flow,
     encode_flows,
 )
-from repro.netflow.matrix import SOURCE_CLASS_BLOCKLIST, SOURCE_CLASS_PREV_ATTACKER
+from repro.netflow.matrix import (
+    SOURCE_CLASS_BLOCKLIST,
+    SOURCE_CLASS_PREV_ATTACKER,
+    VolumetricAccumulator,
+)
 from repro.obs import get_registry, set_enabled
 from repro.signals import FeatureScaler
 from repro.signals.history import AlertRecord
@@ -319,21 +323,44 @@ def test_feature_blocks_identical_across_lanes():
         assert a.tobytes() == b.tobytes()
 
 
+class _FullScanMatrix(TrafficMatrix):
+    """``evict_before`` as a scan over every cell key — the implementation
+    the minute index replaced, kept as its oracle."""
+
+    def evict_before(self, minute):
+        stale = [key for key in self._cells if key[2] < minute]
+        for key in stale:
+            del self._cells[key]
+            minutes = self._minutes_index[key[:2]]
+            minutes.discard(key[2])
+            if not minutes:
+                del self._minutes_index[key[:2]]
+        for key in {key[:2] for key in stale} & self._row_stores.keys():
+            if key in self._minutes_index:
+                self._row_stores[key].trim(minute)
+            else:
+                del self._row_stores[key]
+        return len(stale)
+
+
 def test_row_store_is_a_derived_view_of_the_cells():
     """``feature_block``/``rows_between`` read a store of finalized rows that
     is kept by "dirty on fold, flush on read".  Two matrices take the same
-    random writes — late and future-stamped minutes, evictions, restores —
-    and only one is ever read: after every op its reads equal a fresh
-    build from its own snapshot and ``finalize()`` of each cell, and the
-    two snapshots stay the same bytes."""
+    random writes — late and future-stamped minutes, evictions, restores,
+    clock gaps — and only one is ever read: after every op its reads equal a
+    fresh build from its own snapshot and ``finalize()`` of each cell, and
+    the two snapshots stay the same bytes.  The unread twin evicts by full
+    scan, so the same run pins the minute-indexed ``evict_before`` (late
+    records reopen cells behind its watermark): counts, surviving keys and
+    snapshots agree."""
     classes = ("all", SOURCE_CLASS_BLOCKLIST)
 
     def store_tracks_cells(seed, n_ops):
         rng = np.random.default_rng(seed)
-        reader, blind = TrafficMatrix(), TrafficMatrix()
+        reader, blind = TrafficMatrix(), _FullScanMatrix()
         now = 0
         for _ in range(n_ops):
-            op = str(rng.choice(["add_flow", "add_batch", "evict", "restore", "tick"]))
+            op = str(rng.choice(["add_flow", "add_batch", "evict", "restore", "reinstall", "tick"]))
             if op in ("add_flow", "add_batch"):
                 n = int(rng.integers(1, 12))
                 records = [
@@ -355,11 +382,19 @@ def test_row_store_is_a_derived_view_of_the_cells():
             elif op == "evict":
                 cutoff = now - int(rng.integers(0, 8))
                 assert reader.evict_before(cutoff) == blind.evict_before(cutoff)
+                assert reader.evict_before(cutoff) == 0
             elif op == "restore":
                 for matrix in (reader, blind):
                     matrix.load_state_dict(pickle.loads(pickle.dumps(matrix.state_dict(), 4)))
+            elif op == "reinstall":
+                if len(reader):  # set_cell over a live key: indexed once, not twice
+                    customer, cls, minute = sorted(reader._cells)[int(rng.integers(len(reader)))]
+                    for matrix in (reader, blind):
+                        state = matrix.cell(customer, minute, cls).state_dict()
+                        matrix.set_cell(customer, minute, cls, VolumetricAccumulator.from_state(state))
             else:
-                now += int(rng.integers(1, 4))
+                now += int(rng.choice([1, 2, 3, 1000]))  # 1000: a clock gap
+            assert set(reader._cells) == set(blind._cells)
 
             fresh = TrafficMatrix()
             fresh.load_state_dict(reader.state_dict())

@@ -216,6 +216,25 @@ class TestServeConfig:
         assert main(["serve", "--checkpoint-every", "5"]) == 2
         assert "--checkpoint-dir" in capsys.readouterr().out
 
+    def test_process_backend_without_a_blas_pin_warns(self, capsys, monkeypatch):
+        """Unpinned, forked shards lose to inline (docs/SERVING.md): ``repro
+        serve`` says so on stderr, once, and only for that configuration.
+        (``--checkpoint-every`` without a directory ends the command early.)"""
+        from repro.cli import main
+
+        pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in pins:
+            monkeypatch.delenv(var, raising=False)
+        refused = ["--checkpoint-every", "5"]
+        assert main(["serve", "--backend", "process", *refused]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and all(var in err for var in pins)
+        assert main(["serve", "--backend", "inline", *refused]) == 2
+        assert capsys.readouterr().err == ""
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert main(["serve", "--backend", "process", *refused]) == 2
+        assert capsys.readouterr().err == ""
+
 
 # ----------------------------------------------------------------------
 # checkpoint files
