@@ -28,6 +28,7 @@ margin is discarded each minute.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -301,48 +302,54 @@ class OnlineXatu:
         )
         return hits[inverse]
 
-    def _spoof_mask(self, src: np.ndarray) -> np.ndarray:
-        """A3 verdicts per flow, consulting the route table once per unique
-        source and filling ``_spoof_cache`` with the same (python-int)
-        keys and values the scalar path would."""
-        uniq, inverse = np.unique(src, return_inverse=True)
-        verdicts = np.empty(len(uniq), dtype=bool)
-        for i, addr in enumerate(uniq.tolist()):
-            spoofed = self._spoof_cache.get(addr)
-            if spoofed is None:
-                spoofed = self.route_table.is_spoofed(addr)
-                self._spoof_cache[addr] = spoofed
-            verdicts[i] = spoofed
-        return verdicts[inverse]
+    def _spoof_mask(self, src: np.ndarray) -> tuple[np.ndarray, dict[int, bool]]:
+        """A3 verdicts per flow, plus the verdicts of the sources seen for
+        the first time — the (python int → python bool) items the scalar
+        path would cache — which the caller commits to ``_spoof_cache``
+        once the minute's fold has succeeded.  Per unique source (sort +
+        neighbour compare; ``np.unique`` hashes): one C-level pass over the
+        cache, then one vectorized route-table call for the misses."""
+        order = np.argsort(src)
+        ranked = src[order]
+        first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        uniq = ranked[first]
+        verdicts = np.fromiter(
+            map(self._spoof_cache.get, uniq.tolist(), itertools.repeat(2)),
+            dtype=np.uint8,
+            count=len(uniq),
+        )
+        unseen = verdicts == 2
+        fresh = uniq[unseen]
+        spoofed = self.route_table.spoofed_mask(fresh)
+        verdicts[unseen] = spoofed
+        mask = np.empty(len(src), dtype=bool)
+        mask[order] = verdicts[np.cumsum(first) - 1]
+        return mask, dict(zip(fresh.tolist(), spoofed.tolist()))
 
     def _ingest_batch(self, batch: FlowBatch) -> tuple[int, int]:
         """Route, classify and aggregate one minute's batch.
 
         Routing by ``customer_of``, the three auxiliary class masks, and
-        one :meth:`TrafficMatrix.add_batch` fold.  Returns ``(ingested,
+        one :meth:`TrafficMatrix.add_batch` fold, which rejects a corrupt
+        batch before it writes anything: the detector's own state (spoof
+        cache, watch set) is committed after it.  Returns ``(ingested,
         unrouted)`` counts.
         """
         arr = batch.array
         if not len(arr):
             return 0, 0
-        cids, routed = self._lookup.route(
+        cust, routed = self._lookup.route(
             self.customer_of, arr["dst_addr"].astype(np.int64)
         )
         unrouted = int(len(arr) - np.count_nonzero(routed))
         if unrouted == len(arr):
             return 0, unrouted
-        cust = cids[routed]
-        arr = arr[routed]
-        seen = map(int, np.unique(cust))
-        if self.config_online.watch_idle_minutes is None:
-            self._watched.update(seen)
-        else:
-            minute = self._minute
-            for customer_id in seen:
-                self._watched.add(customer_id)
-                self._last_seen[customer_id] = minute
+        if unrouted:  # else: spare the copy of every 38-byte record
+            cust = cust[routed]
+            arr = arr[routed]
         src = arr["src_addr"].astype(np.int64)
-        self.matrix.add_batch(
+        spoofed, fresh_verdicts = self._spoof_mask(src)
+        seen = self.matrix.add_batch(
             cust,
             FlowBatch(arr),
             {
@@ -350,9 +357,17 @@ class OnlineXatu:
                 SOURCE_CLASS_PREV_ATTACKER: self.prev_attackers.batch_mask(
                     cust, src, arr["timestamp"].astype(np.int64)
                 ),
-                SOURCE_CLASS_SPOOFED: self._spoof_mask(src),
+                SOURCE_CLASS_SPOOFED: spoofed,
             },
         )
+        self._spoof_cache.update(fresh_verdicts)
+        if self.config_online.watch_idle_minutes is None:
+            self._watched.update(seen)
+        else:
+            minute = self._minute
+            for customer_id in seen:
+                self._watched.add(customer_id)
+                self._last_seen[customer_id] = minute
         return int(len(arr)), unrouted
 
     # -- stage 2: idle-watch eviction -------------------------------
@@ -593,6 +608,9 @@ class OnlineXatu:
         registry.gauge(
             "online.row_store_rows", "finalized rows held by the matrix row store"
         ).set(self.matrix.row_store_rows())
+        registry.gauge(
+            "online.spoof_cache_addrs", "source addresses with a cached A3 verdict"
+        ).set(len(self._spoof_cache))
         registry.histogram(
             "online.minute_seconds", "wall time of one observe_minute call"
         ).observe(time.perf_counter() - minute_start)

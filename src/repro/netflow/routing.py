@@ -16,6 +16,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .addressing import cidr_to_range
 
 __all__ = ["BOGON_CIDRS", "is_bogon", "RouteEntry", "RouteTable", "SpoofVerdict"]
@@ -42,6 +44,16 @@ _BOGON_RANGES: tuple[tuple[int, int], ...] = tuple(
     sorted(cidr_to_range(c) for c in BOGON_CIDRS)
 )
 _BOGON_STARTS = [lo for lo, _ in _BOGON_RANGES]
+
+
+def _in_ranges(addrs: np.ndarray, ranges) -> np.ndarray:
+    """Per address: does the range with the greatest start <= it cover it
+    (``ranges``: inclusive ``(lo, hi)`` pairs, ascending by ``lo``)."""
+    if not len(ranges):
+        return np.zeros(len(addrs), dtype=bool)
+    lo, hi = np.array(ranges, dtype=np.int64).T
+    slot = np.searchsorted(lo, addrs, side="right") - 1
+    return (slot >= 0) & (addrs <= hi[slot])
 
 
 def is_bogon(addr: int) -> bool:
@@ -139,6 +151,14 @@ class RouteTable:
     def is_spoofed(self, addr: int, observed_asn: int | None = None) -> bool:
         """Boolean convenience wrapper over :meth:`classify_source`."""
         return self.classify_source(addr, observed_asn) != SpoofVerdict.VALID
+
+    def spoofed_mask(self, addrs) -> np.ndarray:
+        """:meth:`is_spoofed` (no observed AS) over an address array: bogon
+        or not covered by a routed prefix."""
+        self._ensure_sorted()
+        addrs = np.asarray(addrs, dtype=np.int64)
+        routed = _in_ranges(addrs, [(e.lo, e.hi) for e in self._entries])
+        return _in_ranges(addrs, _BOGON_RANGES) | ~routed
 
     def __len__(self) -> int:
         return len(self._entries)

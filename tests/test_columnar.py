@@ -57,8 +57,11 @@ from repro.netflow import (
     encode_flows,
 )
 from repro.netflow.matrix import (
+    POPULAR_COUNTRIES,
+    POPULAR_PORTS,
     SOURCE_CLASS_BLOCKLIST,
     SOURCE_CLASS_PREV_ATTACKER,
+    SOURCE_CLASS_SPOOFED,
     VolumetricAccumulator,
 )
 from repro.obs import get_registry, set_enabled
@@ -265,49 +268,189 @@ def _scalar_matrix(records, customers, blocklisted) -> TrafficMatrix:
     return matrix
 
 
-def test_add_batch_bit_identical_to_add_flow():
-    def matrices_match(seed, n, n_customers, chunks):
+AUX_CLASSES = (SOURCE_CLASS_BLOCKLIST, SOURCE_CLASS_PREV_ATTACKER, SOURCE_CLASS_SPOOFED)
+EDGE_PORTS = sorted(
+    {q for p in POPULAR_PORTS for q in (p - 1, p, p + 1) if q >= 0} | {1024, 65535}
+)
+# Raw wire codes: listed, unlisted, lower-case, and every padding the decode
+# normalizes (trailing blanks and NULs go, an empty code means "US") or does
+# not (a leading NUL stays).
+EDGE_COUNTRIES = [c.encode() for c in POPULAR_COUNTRIES] + [
+    b"RU", b"XX", b"us", b"cN", b"U ", b" U", b"  ", b"\0\0", b"U\0", b"\0U",
+    b"S\0", b"C ", b"??",
+]
+
+
+def _edge_batch(rng: np.random.Generator, n: int, minutes: int) -> FlowBatch:
+    """Wire-domain records aimed at what the fold's lookup tables encode: a
+    deterministic block with every ``tcp_flags`` byte on a TCP and on a UDP
+    record, every protocol number, ports on / next to / off the popular
+    list, every edge country code — then ``n`` random draws from the same
+    pools.  Few distinct sources (high addresses included), so the
+    per-cell unique-source sets really deduplicate."""
+    block = len(EDGE_COUNTRIES) * 2
+    arr = np.zeros(512 + 256 + len(EDGE_PORTS) + block + n, dtype=FLOW_DTYPE)
+    total = len(arr)
+    arr["timestamp"] = rng.integers(0, minutes, size=total)
+    arr["src_addr"] = rng.choice(
+        [1, 2, 2**31 - 1, 2**31, 2**32 - 1, *rng.integers(1, 2**32, size=12)], size=total
+    )
+    arr["dst_addr"] = rng.integers(1, 2**32, size=total)
+    arr["src_port"] = rng.choice(EDGE_PORTS, size=total)
+    arr["dst_port"] = rng.choice(EDGE_PORTS, size=total)
+    arr["protocol"] = rng.choice([1, 6, 6, 17, 17, 0, 2, 47, 255], size=total)
+    arr["tcp_flags"] = rng.integers(0, 256, size=total)
+    arr["packets"] = rng.integers(1, 5_000, size=total)
+    arr["bytes"] = rng.integers(40, 10**7, size=total)
+    arr["sampling_rate"] = rng.choice([1, 100, 1000], size=total)
+    arr["src_country"] = rng.choice(EDGE_COUNTRIES, size=total)
+    arr["tcp_flags"][:512] = np.repeat(np.arange(256), 2)
+    arr["protocol"][:512] = np.tile([6, 17], 256)
+    arr["protocol"][512:768] = np.arange(256)
+    arr["src_port"][768 : 768 + len(EDGE_PORTS)] = EDGE_PORTS
+    arr["dst_port"][768 : 768 + len(EDGE_PORTS)] = EDGE_PORTS[::-1]
+    arr["src_country"][-block - n : total - n] = EDGE_COUNTRIES * 2
+    arr["protocol"][-block - n : total - n] = np.repeat([6, 17], len(EDGE_COUNTRIES))
+    return FlowBatch(arr)
+
+
+def test_add_batch_bit_identical_to_add_flow(monkeypatch):
+    """The fold against the per-record lane (``to_records`` + ``add_flow``),
+    on everything its tables and group-by encode: all three class masks at
+    once and overlapping (one of them sometimes empty), several minutes per
+    batch, chunks that each reach behind ``max_minute``, and keys whose row
+    store is live when the next chunk lands (dirty marking).  The kind of
+    the (cell, source) sort must not matter: equal keys are deduplicated."""
+    sort = np.sort
+
+    def matrices_match(seed, n, n_customers, chunks, pair_sort):
+        monkeypatch.setattr(np, "sort", lambda a, **kw: sort(a, kind=pair_sort, **kw))
         rng = np.random.default_rng(seed)
-        records = _random_records(rng, n)
-        customers = rng.integers(0, n_customers, size=n).astype(np.int64)
-        mask = rng.random(n) < 0.3
-        scalar = _scalar_matrix(records, customers.tolist(), mask.tolist())
+        minutes = 6
+        batch = _edge_batch(rng, n, minutes)
+        total = len(batch)
+        customers = rng.integers(0, n_customers, size=total).astype(np.int64) * 250
+        masks = {cls: rng.random(total) < 0.3 for cls in AUX_CLASSES}
+        masks[AUX_CLASSES[seed % 3]] &= rng.random() < 0.7  # sometimes empty
+
+        scalar = TrafficMatrix()
+        for i, (customer_id, record) in enumerate(zip(customers.tolist(), batch.to_records())):
+            scalar.add_flow(customer_id, record, [cls for cls in AUX_CLASSES if masks[cls][i]])
 
         columnar = TrafficMatrix()
-        batch = FlowBatch.from_records(records)
-        # feed in several chunks: partial folds must compose exactly
-        for bounds in np.array_split(np.arange(n), chunks):
-            if not len(bounds):
-                continue
+        for bounds in np.array_split(np.arange(total), chunks):
             sub = slice(int(bounds[0]), int(bounds[-1]) + 1)
-            columnar.add_batch(
-                customers[sub], batch[sub], {SOURCE_CLASS_BLOCKLIST: mask[sub]}
+            roster = columnar.add_batch(
+                customers[sub], batch[sub], {cls: mask[sub] for cls, mask in masks.items()}
             )
+            assert roster == sorted(set(customers[sub].tolist()))
+            for customer_id in roster[::2]:  # open row stores the next chunk dirties
+                columnar.feature_block(customer_id, 0, minutes, AUX_CLASSES[seed % 3])
+                columnar.feature_block(customer_id, 0, minutes)
         assert pickle.dumps(columnar.state_dict()) == pickle.dumps(scalar.state_dict())
+        for customer_id in scalar.customers():
+            for cls in ("all", *AUX_CLASSES):
+                got = columnar.feature_block(customer_id, 0, minutes, cls)
+                assert got.tobytes() == scalar.feature_block(customer_id, 0, minutes, cls).tobytes()
 
     run_property(
         matrices_match,
         integers(0, 10**6),
-        choices([1, 10, 400]),
+        choices([0, 40, 400]),
         choices([1, 4]),
         choices([1, 3]),
+        choices(["quicksort", "stable"]),
         runs=10,
         seed=59,
     )
 
 
+def test_column_tables_agree_with_the_scalar_lane():
+    """Exhaustive: each of the 65,536 two-byte country codes and each of the
+    256 ``tcp_flags`` bytes (TCP and not) selects the counters that
+    ``_decode_country`` + ``VolumetricAccumulator.add`` select."""
+    from repro.netflow import matrix as mx
+    from repro.netflow.records import _decode_country
+
+    def counters(**fields) -> set[int]:
+        probe = dict(
+            timestamp=0, src_addr=1, dst_addr=2, src_port=7, dst_port=7,
+            protocol=47, packets=1, bytes_=1, src_country="XX",
+        )
+        cell = VolumetricAccumulator()
+        cell.add(FlowRecord(**{**probe, **fields}))
+        return set(np.flatnonzero(cell.vector).tolist())
+
+    def columns(entries) -> set[int]:
+        return {c + k for c in np.atleast_1d(entries).tolist() if c != mx._TRASH for k in (0, 1)}
+
+    assert not counters()  # the probe record alone selects nothing
+    tcp_only = counters(protocol=6)
+    for flags in range(256):
+        assert columns(mx._FLAG_COLUMNS[flags]) == counters(protocol=6, tcp_flags=flags) - tcp_only
+        assert not counters(tcp_flags=flags)  # non-TCP: the fold zeroes the byte
+    by_name: dict[str, set[int]] = {}
+    raws = np.arange(65536, dtype="<u2").view("S2").tolist()
+    assert raws[0x5355] == b"US" and raws[0x0055] == b"U"  # as numpy hands codes out
+    for code, raw in enumerate(raws):
+        try:
+            name = _decode_country(raw)
+        except UnicodeDecodeError:
+            assert mx._COUNTRY_COLUMN[code] == mx._INVALID
+            continue
+        if name not in by_name:
+            by_name[name] = counters(src_country=name)
+        assert columns(mx._COUNTRY_COLUMN[code]) == by_name[name], raw
+    assert sum(bool(v) for v in by_name.values()) == len(POPULAR_COUNTRIES)
+    for port in range(65536):
+        hit = port in POPULAR_PORTS
+        assert (mx._SPORT_COLUMN[port] != mx._TRASH) == hit == (mx._DPORT_COLUMN[port] != mx._TRASH)
+    for table, field in ((mx._SPORT_COLUMN, "src_port"), (mx._DPORT_COLUMN, "dst_port")):
+        for port in EDGE_PORTS:
+            assert columns(table[port]) == counters(**{field: port})
+    for proto in range(256):
+        assert columns(mx._PROTO_COLUMN[proto]) == counters(protocol=proto)
+
+
+def _matrix_fingerprint(matrix: TrafficMatrix):
+    return (
+        pickle.dumps(matrix.state_dict()),
+        matrix.row_store_rows(),
+        {key: sorted(store.dirty) for key, store in matrix._row_stores.items()},
+    )
+
+
 def test_add_batch_empty_and_misaligned_inputs():
+    """An empty batch is a no-op.  Misaligned ``customer_ids``, a misaligned class mask and a non-ASCII
+    country byte all raise before the first write: cells, roster,
+    ``max_minute``, row stores and their dirty sets stay as they were."""
+    rng = np.random.default_rng(13)
     matrix = TrafficMatrix()
     matrix.add_batch(np.empty(0, dtype=np.int64), FlowBatch.empty())
     assert matrix.customers() == []
-    batch = FlowBatch.from_records(_random_records(np.random.default_rng(13), 3))
-    with pytest.raises(ValueError, match="customer_ids"):
-        matrix.add_batch(np.zeros(2, dtype=np.int64), batch)
-    with pytest.raises(ValueError, match="class mask"):
-        matrix.add_batch(
-            np.zeros(3, dtype=np.int64), batch,
-            {SOURCE_CLASS_BLOCKLIST: np.zeros(2, dtype=bool)},
-        )
+    first = _edge_batch(rng, 50, minutes=4)
+    matrix.add_batch(rng.integers(0, 3, size=len(first)), first)
+    matrix.feature_block(0, 0, 4)  # a clean row store
+    matrix.add_batch(np.ones(3, dtype=np.int64), first[:3])  # ...and a dirty one
+    before = _matrix_fingerprint(matrix)
+
+    batch = FlowBatch(_edge_batch(rng, 20, minutes=9).array.copy())  # minutes past max_minute
+    n = len(batch)
+    customers = rng.integers(0, 7, size=n).astype(np.int64)  # customers not yet in the roster
+    good = {SOURCE_CLASS_BLOCKLIST: rng.random(n) < 0.5}
+    bad_country = FlowBatch(batch.array.copy())
+    bad_country.array["src_country"][n // 2] = b"\xc3\xa9"
+    for exc, match, args in (
+        (ValueError, "customer_ids", (customers[:-1], batch, good)),
+        (ValueError, "customer_ids", (customers[:, None], batch, good)),
+        (ValueError, "class mask", (customers, batch, {**good, SOURCE_CLASS_SPOOFED: np.zeros(n - 1, bool)})),
+        (UnicodeDecodeError, "ascii", (customers, bad_country, good)),
+    ):
+        with pytest.raises(exc, match=match):
+            matrix.add_batch(*args)
+        assert _matrix_fingerprint(matrix) == before
+    matrix.add_batch(customers, batch, good)  # the same batch, uncorrupted, folds
+    assert _matrix_fingerprint(matrix) != before
 
 
 def test_feature_blocks_identical_across_lanes():
@@ -623,6 +766,60 @@ def test_columnar_detector_lane_matches_scalar_lane():
         assert pickle.dumps(scalar.state_dict()) == pickle.dumps(columnar.state_dict())
 
     run_property(lanes_match, integers(0, 10**6), choices([3, 8]), runs=4, seed=71)
+
+
+def test_cached_spoof_verdicts_win_over_a_changed_table():
+    """``_spoof_cache`` is checkpointed so that a restored run stays
+    faithful under a newer route table: a source judged once keeps its
+    verdict, a first-seen source is judged by the table of the day — in
+    both lanes, with the same (python int → python bool) cache."""
+    customer_of = {50_000: 0}
+    old, new = 2**31 + 5, 2**31 + 6  # both above the announced half: spoofed
+    flow = FlowRecord(
+        timestamp=0, src_addr=old, dst_addr=50_000, src_port=1, dst_port=2,
+        protocol=17, packets=1, bytes_=100,
+    )
+    lanes = [_build_detector(1, customer_of, cls) for cls in (ReferenceOnlineXatu, OnlineXatu)]
+    for detector in lanes:
+        detector.step(0, [flow])
+        state = detector.state_dict()
+        detector.route_table = RouteTable()
+        detector.route_table.announce((0, 2**32 - 1), origin_asn=1)  # now all routed
+        detector.load_state_dict(state)
+        detector.step(1, [replace(flow, timestamp=1), replace(flow, timestamp=1, src_addr=new)])
+        assert detector.matrix.cell(0, 1, SOURCE_CLASS_SPOOFED).unique_sources == 1
+        assert detector._spoof_cache == {old: True, new: False}
+    assert pickle.dumps(lanes[0].state_dict()) == pickle.dumps(lanes[1].state_dict())
+
+
+def test_rejected_minute_leaves_the_detector_state_untouched():
+    """A corrupt country byte fails the minute loudly, and before the
+    detector commits anything the fold would have justified: no matrix
+    cell, no A3 verdict for the batch's new sources, no watch refresh."""
+    customer_of = {50_000 + i: i for i in range(4)}
+    rng = np.random.default_rng(29)
+    detector = _build_detector(3, customer_of)
+    detector.config_online = replace(detector.config_online, watch_idle_minutes=30)
+    *trace, hostile = _trace_minutes(rng, customer_of, 4)
+    for minute, flows in enumerate(trace):
+        detector.step(minute, FlowBatch.from_records(flows))
+
+    def fingerprint():
+        return (
+            _matrix_fingerprint(detector.matrix),
+            dict(detector._spoof_cache),
+            set(detector._watched),
+            dict(detector._last_seen),
+        )
+
+    before = fingerprint()
+    batch = FlowBatch.from_records(hostile)
+    routed = [i for i, f in enumerate(hostile) if f.dst_addr in customer_of]
+    assert {hostile[i].src_addr for i in routed} - detector._spoof_cache.keys()
+    batch.array["src_country"][routed[-1]] = b"\xff\xfe"
+    with pytest.raises(UnicodeDecodeError):
+        detector.step(len(trace), batch)
+    assert fingerprint() == before
 
 
 def test_columnar_lane_exercises_all_auxiliary_classes():

@@ -212,3 +212,29 @@ class TestRouteTable:
 
     def test_len_counts_entries(self):
         assert len(self.make_table()) == 2
+
+    @pytest.mark.parametrize("n_prefixes", [0, 1, 7])
+    def test_spoofed_mask_equals_is_spoofed_per_address(self, n_prefixes):
+        """Range edges of every prefix and bogon block (overlapping and
+        nested prefixes included), both ends of the address space, and
+        announcements that arrive after a first lookup."""
+        rng = np.random.default_rng(n_prefixes)
+        table = RouteTable()
+        assert table.spoofed_mask([]).shape == (0,)
+        edges = [0, 1, 2**32 - 1]
+        for cidr in BOGON_CIDRS:
+            lo, hi = cidr_to_range(cidr)
+            edges += [lo - 1, lo, hi, hi + 1]
+        for k in range(n_prefixes):
+            lo = int(rng.integers(0, 2**32 - 2**20))
+            hi = lo + int(rng.integers(0, 2**20))
+            table.announce((lo, hi), origin_asn=k)
+            table.announce((lo + 5, lo + 9), origin_asn=100 + k)  # nested
+            edges += [lo - 1, lo, lo + 4, lo + 5, lo + 9, lo + 10, hi, hi + 1]
+            if k == 3:  # a lookup mid-way: later announcements must re-sort
+                assert not table.spoofed_mask([lo])[0] or is_bogon(lo)
+        addrs = [a for a in edges if 0 <= a < 2**32]
+        addrs += rng.integers(0, 2**32, size=500).tolist()
+        mask = table.spoofed_mask(np.array(addrs, dtype=np.uint32))
+        assert mask.dtype == bool
+        assert mask.tolist() == [table.is_spoofed(a) for a in addrs]
