@@ -7,8 +7,8 @@ PY := PYTHONPATH=src python
 .PHONY: verify test fast golden-check golden-record bench bench-full \
         bench-check bench-ingest bench-ingest-full scale-smoke \
         bench-scale-full metrics-selftest \
-        telemetry serve-smoke e2e-smoke e2e-compare e2e-pairs lint lint-deep \
-        lint-baseline sanitize-test scenarios scenarios-check scenarios-ci
+        telemetry serve-smoke e2e-smoke e2e-compare e2e-pairs e2e-neutral lint \
+        lint-deep lint-baseline sanitize-test scenarios scenarios-check scenarios-ci
 
 test:
 	$(PY) -m pytest -x -q
@@ -125,6 +125,15 @@ SEED ?= 7
 e2e-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make e2e-pairs PARENT=<parent checkout> [WORKLOAD=fleet_score N=10 SEED=7]"; exit 2; }
 	python3 benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) -n $(N) --seed $(SEED)
+
+# The same procedure for a PR that claims no gain (docs/TESTING.md): PAIRS
+# alternating pairs of every BENCHMARK.json workload, and per end-to-end
+# metric ok / worse than bound / unresolved.  Non-zero on any metric worse
+# than its bound or any run that was not correct.
+PAIRS ?= 3
+e2e-neutral:
+	@test -n "$(PARENT)" || { echo "usage: make e2e-neutral PARENT=<parent checkout> [PAIRS=3 SEED=7]"; exit 2; }
+	python3 benchmarks/pairs.py --parent $(PARENT) --neutral -n $(PAIRS) --seed $(SEED)
 
 # xatulint (docs/ANALYSIS.md): the domain-aware static-analysis gate.
 # Known-intentional findings live in lint-baseline.json with written

@@ -11,6 +11,16 @@ at least nine tenths of the pairs (ties count for neither side) *and* the
 medians differ, in the metric's better direction, by more than the distance
 between the parent's quartiles.  Every run is listed, and written to
 ``--out`` when given.  Exits non-zero if any run reports ``correct: false``.
+
+    python3 benchmarks/pairs.py --parent ../parent-checkout --neutral
+
+is the procedure for a change that claims *no* gain: every ``BENCHMARK.json``
+workload (3 pairs each unless ``-n``), and per metric a verdict instead of
+the gain rule — ``worse than bound`` (the change's median is worse than the
+parent's by more than the metric's bound; also exits non-zero), else
+``unresolved`` (the parent's own quartiles are further apart than the bound,
+and not every run of the change beat every run of the parent: these runs
+cannot tell), else ``ok``.
 """
 
 from __future__ import annotations
@@ -47,7 +57,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarise(runs: list[dict], specs: list[dict]) -> list[str]:
+def summarise(runs: list[dict], specs: list[dict], neutral: bool = False) -> list[str]:
+    """One line per metric, ending in the gain rule's answer — or, with
+    ``neutral``, in ``ok`` / ``worse than bound`` / ``unresolved``."""
     lines = []
     for spec in specs:
         name = spec["name"]
@@ -60,13 +72,21 @@ def summarise(runs: list[dict], specs: list[dict]) -> list[str]:
         gap = sign * (pm - cm)  # > 0: the change's median is better
         iqr = p3 - p1
         decided = len(runs) - ties
-        gain = decided > 0 and wins >= 0.9 * decided and gap > iqr
+        clean_sweep = max(sign * c for c in change) < min(sign * p for p in parent)
+        if not neutral:
+            gain = decided > 0 and wins >= 0.9 * decided and gap > iqr
+            verdict = f"wins {wins}/{len(runs)}, ties {ties}; parent IQR {iqr:.3f} "
+            verdict += f"{'<' if gap > iqr else '>='} gap; gain {'yes' if gain else 'no'}"
+        elif -gap > spec["bound"] * pm:
+            verdict = "worse than bound"
+        elif iqr > spec["bound"] * pm and not clean_sweep:
+            verdict = f"unresolved (parent IQR {iqr / pm:.1%} of its median)"
+        else:
+            verdict = "ok"
         lines.append(
             f"{name:<18} parent {pm:>11.3f} [{p1:.3f}, {p3:.3f}]  "
             f"change {cm:>11.3f} [{c1:.3f}, {c3:.3f}] {spec['unit']:<4} "
-            f"change better by {gap / pm:+.1%} (bound {spec['bound']:.0%}); "
-            f"wins {wins}/{len(runs)}, ties {ties}; parent IQR {iqr:.3f} "
-            f"{'<' if gap > iqr else '>='} gap; gain {'yes' if gain else 'no'}"
+            f"change better by {gap / pm:+.1%} (bound {spec['bound']:.0%}); {verdict}"
         )
     return lines
 
@@ -75,46 +95,55 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--workload", default="fleet_score")
-    parser.add_argument("-n", "--pairs", type=int, default=10)
+    parser.add_argument("--neutral", action="store_true", help="every workload, verdicts against the bounds")
+    parser.add_argument("-n", "--pairs", type=int, help="pairs per workload (default 10; 3 with --neutral)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", type=Path, help="also write every run as JSON")
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": REPO_ROOT}
-    specs = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    manifest = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in manifest["workloads"]] if args.neutral else [args.workload]
+    pairs = args.pairs or (3 if args.neutral else 10)
     for side, checkout in sides.items():
         if not (checkout / RUNNER).is_file():
             parser.error(f"{side}: {checkout / RUNNER} not found")
         # Untimed: trains and caches the artifacts of a tree that has none
         # (a run that trains in-process reads ~2x the warm peak RSS).
-        run_once(checkout, args.workload, args.seed, smoke=True)
+        run_once(checkout, workloads[0], args.seed, smoke=True)
 
-    runs: list[dict] = []
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        result = {side: run_once(sides[side], args.workload, args.seed) for side in order}
-        runs.append(result)
-        print(
-            f"pair {pair + 1:>2} ({order[0]} first)  "
-            + "  ".join(
-                f"{side} {result[side]['metrics']['us_per_decision']['value']:.1f} us/decision"
-                f"{'' if result[side]['correct'] else ' NOT CORRECT'}"
-                for side in ("parent", "change")
-            ),
-            flush=True,
-        )
-    print(f"# {args.workload}  seed={args.seed}  pairs={len(runs)}")
-    print("\n".join(summarise(runs, specs)))
+    runs: dict[str, list[dict]] = {}
+    summary: list[str] = []
+    for workload in workloads:
+        runs[workload] = []
+        for pair in range(pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            result = {side: run_once(sides[side], workload, args.seed) for side in order}
+            runs[workload].append(result)
+            print(
+                f"{workload} pair {pair + 1:>2} ({order[0]} first)  "
+                + "  ".join(
+                    f"{side} {result[side]['metrics']['us_per_decision']['value']:.1f} us/decision"
+                    f"{'' if result[side]['correct'] else ' NOT CORRECT'}"
+                    for side in ("parent", "change")
+                ),
+                flush=True,
+            )
+        summary.append(f"# {workload}  seed={args.seed}  pairs={pairs}")
+        summary += summarise(runs[workload], manifest["end_to_end"], args.neutral)
+    print("\n".join(summary))
     if args.out is not None:
-        args.out.write_text(
-            json.dumps({"workload": args.workload, "seed": args.seed, "runs": runs}, indent=1) + "\n"
-        )
+        args.out.write_text(json.dumps({"seed": args.seed, "runs": runs}, indent=1) + "\n")
     incorrect = sum(
-        not result[side]["correct"] or result[side]["failed"] > 0 for result in runs for side in sides
+        not result[side]["correct"] or result[side]["failed"] > 0
+        for results in runs.values() for result in results for side in sides
     )
     if incorrect:
         print(f"{incorrect} run(s) reported correct: false or failed minutes")
-    return 1 if incorrect else 0
+    worse = sum(line.endswith("worse than bound") for line in summary)
+    if worse:
+        print(f"{worse} metric(s) worse than bound")
+    return 1 if incorrect or worse else 0
 
 
 if __name__ == "__main__":

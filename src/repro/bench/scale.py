@@ -2,9 +2,10 @@
 
 Every other benchmark in :mod:`repro.bench` measures *speed* on a fixed
 small workload; this one measures *scalability*: how peak memory
-behaves as the customer universe grows 100× (minutes/sec is recorded for
-orientation only — it is mostly generator time).  Each cell runs
-one seeded lazy-world compressed day (:class:`~repro.synth.ScenarioConfig`
+behaves as the customer universe grows 100× (``minutes_per_s`` times the
+engine alone — ingest + tick, the generator outside the timer — and is
+recorded, not gated: serving speed is the end-to-end suite's number).  Each
+cell runs one seeded lazy-world compressed day (:class:`~repro.synth.ScenarioConfig`
 with ``lazy_world`` + ``benign_flow_budget``) streamed minute-by-minute
 through a sharded :class:`~repro.serve.ServeEngine` routed by a
 :class:`~repro.serve.ContiguousCustomerRouter` — generation never holds a
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import subprocess
 import sys
 import time
@@ -157,15 +157,16 @@ def run_cell(
         factory, router, ServeConfig(shards=shards, backend="inline")
     )
     flows = 0
-    alerts = 0
-    start = time.perf_counter()
+    engine_s = 0.0
+    clock = time.perf_counter
     try:
         for sl in generator.iter_minutes(0, minutes):
+            start = clock()  # the generator's minute is built by now
             flows += engine.ingest_flows(sl.batch)
-            alerts += len(engine.tick(sl.minute))
+            engine.tick(sl.minute)
+            engine_s += clock() - start
     finally:
         engine.close()
-    wall_s = time.perf_counter() - start
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "cell": cell,
@@ -173,10 +174,8 @@ def run_cell(
         "minutes": minutes,
         "shards": shards,
         "seed": seed,
-        "wall_s": wall_s,
-        "minutes_per_s": minutes / wall_s if wall_s > 0 else 0.0,
+        "minutes_per_s": minutes / engine_s if engine_s > 0 else 0.0,
         "flows": flows,
-        "alerts": alerts,
         "peak_rss_mb": peak_rss_kb / 1024.0,  # ru_maxrss is KiB on Linux
     }
 
@@ -229,11 +228,6 @@ def run_scale(
         "format_version": SCALE_FORMAT_VERSION,
         "tag": "scale",
         "smoke": smoke,
-        "platform": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
         "host": host_metadata(),
         "runs": {run["cell"]: run for run in runs},
     }
@@ -298,11 +292,8 @@ def compare_scale(
 
     A cell regresses when its peak RSS is ``tolerance`` fatter than the
     baseline's; host mismatches and smoke runs demote regressions to
-    warnings, as in :func:`repro.bench.compare_to_baseline`.  Speed is
-    recorded but not gated here — a cell's wall time is mostly trace
-    generation, and serving speed is the end-to-end suite's number
-    (``BENCHMARK.json``).  The :func:`scale_gate` failures are appended
-    as hard failures regardless.
+    warnings, as in :func:`repro.bench.compare_to_baseline`.  The
+    :func:`scale_gate` failures are appended as hard failures regardless.
     """
     warnings, host_matches = _comparability(baseline, bool(fresh.get("smoke")))
     failures: list[str] = []
@@ -329,7 +320,7 @@ def compare_scale(
 
 def render_scale(payload: dict) -> str:
     header = (
-        f"{'cell':<6} {'customers':>10} {'minutes':>7} {'min/s':>8} "
+        f"{'cell':<6} {'customers':>10} {'minutes':>7} "
         f"{'flows':>10} {'peak RSS MB':>12}"
     )
     lines = [header, "-" * len(header)]
@@ -338,8 +329,7 @@ def render_scale(payload: dict) -> str:
     ):
         lines.append(
             f"{cell:<6} {run['n_customers']:>10,} {run['minutes']:>7} "
-            f"{run['minutes_per_s']:>8.1f} {run['flows']:>10,} "
-            f"{run['peak_rss_mb']:>12.1f}"
+            f"{run['flows']:>10,} {run['peak_rss_mb']:>12.1f}"
         )
     return "\n".join(lines)
 

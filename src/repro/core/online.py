@@ -32,7 +32,7 @@ import itertools
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -110,7 +110,6 @@ class OnlineConfig:
     evict_margin_minutes:
         Traffic-matrix state older than ``lookback + margin`` is evicted
         each minute, keeping long-running detectors' memory bounded.
-        Negative disables eviction.
     watch_idle_minutes:
         When set, a watched customer that has received no flows for this
         many minutes is dropped from the per-minute scoring set (its
@@ -134,6 +133,8 @@ class OnlineConfig:
             raise ValueError("threshold must be in (0, 1)")
         if self.rearm_after < 0:
             raise ValueError("rearm_after must be >= 0")
+        if self.evict_margin_minutes < 0:
+            raise ValueError("evict_margin_minutes must be >= 0")
         if self.watch_idle_minutes is not None and self.watch_idle_minutes < 1:
             raise ValueError("watch_idle_minutes must be >= 1 (or None)")
 
@@ -194,13 +195,8 @@ class OnlineXatu:
         self.model = model
         self.scaler = scaler
         self.threshold = config.threshold
-        if customer_of is None or isinstance(customer_of, dict):
-            self.customer_of = dict(customer_of or {})
-        else:
-            # Analytic router: kept by reference (it is immutable context,
-            # and materializing it as a dict would defeat its purpose).
-            self.customer_of = customer_of
-        self.blocklist = set() if blocklist is None else blocklist
+        self.customer_of = customer_of
+        self.blocklist = blocklist
         self.route_table = route_table
         self.base_rate_of = base_rate_of or {}
         self.rearm_after = config.rearm_after
@@ -226,8 +222,6 @@ class OnlineXatu:
         else:
             self._watched = set(self.customer_of.values())
         self._last_seen: dict[int, int] = {}
-        self._lookup = CustomerLookup()
-        self._blocklist_cache: tuple | None = None
         self._cells_staged = 0  # telemetry: matrix rows scaled this minute
 
     # ------------------------------------------------------------------
@@ -271,29 +265,44 @@ class OnlineXatu:
         """CScrub mitigation-end notice: re-arm detection for the customer."""
         self._suppressed_until[customer_id] = minute
 
+    # -- deployment context: routing and blocklist tables ------------
+    @property
+    def customer_of(self):
+        """Destination address → customer id: a read-only view of the dict
+        given (or the router itself).  Assign a new one to change it."""
+        return self._lookup.mapping
+
+    @customer_of.setter
+    def customer_of(self, customer_of) -> None:
+        self._lookup = CustomerLookup(customer_of)
+
+    @property
+    def blocklist(self):
+        """A1 membership: a frozen copy of the set given (or the custom
+        membership object itself).  Assign a new one to change it."""
+        return self._blocklist
+
+    @blocklist.setter
+    def blocklist(self, blocklist) -> None:
+        self._blocklist_table = None
+        if blocklist is None or isinstance(blocklist, (set, frozenset)):
+            blocklist = frozenset(blocklist or ())
+            self._blocklist_table = np.sort(
+                np.fromiter(blocklist, dtype=np.int64, count=len(blocklist))
+            )
+        self._blocklist = blocklist
+
     # -- stage 1: ingest (route, classify, fold) --------------------
     def _blocklist_mask(self, src: np.ndarray) -> np.ndarray:
         """Vectorized A1 membership over a source-address column."""
-        blocklist = self.blocklist
-        if isinstance(blocklist, (set, frozenset)):
-            if not blocklist:
+        table = self._blocklist_table
+        if table is not None:
+            if not len(table):
                 return np.zeros(len(src), dtype=bool)
-            cache = self._blocklist_cache
-            if (
-                cache is None
-                or cache[0] is not blocklist
-                or cache[1] != len(blocklist)
-            ):
-                table = np.fromiter(
-                    blocklist, dtype=np.int64, count=len(blocklist)
-                )
-                table.sort()
-                cache = (blocklist, len(blocklist), table)
-                self._blocklist_cache = cache
-            table = cache[2]
             slot = np.minimum(np.searchsorted(table, src), len(table) - 1)
             return table[slot] == src
         # Custom membership object: one Python check per *unique* source.
+        blocklist = self._blocklist
         uniq, inverse = np.unique(src, return_inverse=True)
         hits = np.fromiter(
             (int(addr) in blocklist for addr in uniq.tolist()),
@@ -338,9 +347,7 @@ class OnlineXatu:
         arr = batch.array
         if not len(arr):
             return 0, 0
-        cust, routed = self._lookup.route(
-            self.customer_of, arr["dst_addr"].astype(np.int64)
-        )
+        cust, routed = self._lookup.route(arr["dst_addr"].astype(np.int64))
         unrouted = int(len(arr) - np.count_nonzero(routed))
         if unrouted == len(arr):
             return 0, unrouted
@@ -560,8 +567,6 @@ class OnlineXatu:
         a safety margin) and expired clustering alerts are dead state.
         Returns the evicted-cell count."""
         margin = self.config_online.evict_margin_minutes
-        if margin < 0:
-            return 0
         lookback = self.model.config.lookback_minutes
         evicted_cells = self.matrix.evict_before(minute + 1 - lookback - margin)
         self.graph.prune_before(minute)
@@ -709,7 +714,7 @@ class OnlineXatu:
                 "state_dict() requires a set-like blocklist; custom "
                 "membership objects must be re-supplied on restore"
             )
-        if not isinstance(self.customer_of, dict):
+        if not isinstance(self.customer_of, Mapping):
             raise TypeError(
                 "state_dict() requires a dict customer_of; analytic routers "
                 "are deployment context and must be re-supplied on restore"
@@ -798,7 +803,7 @@ class OnlineXatu:
             self.scaler.load_state_dict(state_from_bytes(state["scaler"]))
         self.customer_of = {int(a): int(c) for a, c in state["customer_of"]}
         self.base_rate_of = {int(c): float(r) for c, r in state["base_rate_of"]}
-        self.blocklist = set(int(a) for a in state["blocklist"])
+        self.blocklist = {int(a) for a in state["blocklist"]}
         self.matrix = TrafficMatrix()
         self.matrix.load_state_dict(state["matrix"])
         self.prev_attackers = PreviousAttackerStore()

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..detect.detectors import DetectionAlert, NetScoutDetector, TraceDetector
 from ..metrics.core import PercentileSummary, percentile_summary
-from ..scrub.center import DiversionWindow, ScrubbingCenter, ScrubbingReport
+from ..scrub.center import ScrubbingCenter, ScrubbingReport
 from ..signals.features import FeatureExtractor, FeatureScaler
 from ..signals.history import AlertRecord
 from ..survival.calibration import CalibrationResult, ThresholdCalibrator
@@ -222,25 +222,6 @@ class XatuPipeline:
         if key not in self._run_cache:
             self._run_cache[key] = detector.run(minute_range)
         return self._run_cache[key]
-
-    def _windows_from_hazards(
-        self,
-        detector: XatuDetector,
-        output: DetectionOutput,
-        minute_range: tuple[int, int],
-        threshold: float,
-    ) -> list[DiversionWindow]:
-        """Apply an alert threshold to stored hazards, producing diversions."""
-        from .detector import windows_from_hazards
-
-        return windows_from_hazards(
-            self.trace,
-            output.hazard_series,
-            minute_range,
-            detector._detect_window(),
-            threshold,
-            detector.config.max_fp_diversion,
-        )
 
     def _range_effectiveness(
         self, report: ScrubbingReport, minute_range: tuple[int, int]

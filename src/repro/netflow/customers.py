@@ -10,6 +10,8 @@ detector to pick a traffic-matrix row.  The context is either a plain
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 __all__ = ["CustomerLookup"]
@@ -18,33 +20,36 @@ __all__ = ["CustomerLookup"]
 class CustomerLookup:
     """Vectorized ``dst → customer`` routing over a dict or a router.
 
-    A dict is searched through sorted address/customer arrays, rebuilt
-    when the dict is replaced (identity) or grows (length) — the only
-    mutations its owners perform between restores.
+    A dict is copied, once, into sorted address/customer arrays, and
+    ``mapping`` is a read-only view of that copy: there is no way to change
+    the mapping behind the arrays, so a new table means a new lookup.  A
+    router is kept by reference (it is immutable context, and materializing
+    it as a dict would defeat its purpose).
     """
 
-    __slots__ = ("_table", "_size", "_addrs", "_cids")
+    __slots__ = ("mapping", "is_table", "_addrs", "_cids")
 
-    def __init__(self) -> None:
-        self._table: dict[int, int] | None = None
-        self._size = -1
-        self._addrs = self._cids = np.empty(0, dtype=np.int64)
+    def __init__(self, customer_of=None) -> None:
+        # A dict (view) is checkpointable state; a router is re-supplied.
+        self.is_table = isinstance(customer_of, (dict, MappingProxyType, type(None)))
+        if not self.is_table:
+            self.mapping = customer_of
+            return
+        table = dict(customer_of or {})
+        self.mapping = MappingProxyType(table)
+        addrs = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+        cids = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+        order = np.argsort(addrs, kind="stable")
+        self._addrs, self._cids = addrs[order], cids[order]
 
-    def route(self, customer_of, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def route(self, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(customer_ids, routed)`` for an int64 address column.
 
         ``customer_ids`` is only meaningful where ``routed`` is True.
         """
-        if not isinstance(customer_of, dict):
-            cids = customer_of.route_batch(dst)
+        if not self.is_table:
+            cids = self.mapping.route_batch(dst)
             return cids, cids >= 0
-        if self._table is not customer_of or self._size != len(customer_of):
-            n = len(customer_of)
-            addrs = np.fromiter(customer_of.keys(), dtype=np.int64, count=n)
-            cids = np.fromiter(customer_of.values(), dtype=np.int64, count=n)
-            order = np.argsort(addrs, kind="stable")
-            self._table, self._size = customer_of, n
-            self._addrs, self._cids = addrs[order], cids[order]
         addrs = self._addrs
         if not len(addrs):
             return np.zeros(len(dst), dtype=np.int64), np.zeros(len(dst), dtype=bool)

@@ -14,8 +14,7 @@ derived view of the cells (dirty on fold, flush on read).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -331,6 +330,38 @@ class _RowStore:
         return minutes, rows
 
 
+class _Series:
+    """One (customer, source-class): its cells by minute and, from the key's
+    first read on, their finalized rows (``rows`` stays ``None`` until then).
+
+    The rows are derived state with one invariant: every write to a cell of
+    a series that has rows marks that minute dirty, and every read flushes
+    the dirt first.
+    """
+
+    __slots__ = ("key", "cells", "rows")
+
+    def __init__(self, key: tuple[int, str]) -> None:
+        self.key = key
+        self.cells: dict[int, VolumetricAccumulator] = {}
+        self.rows: _RowStore | None = None
+
+    def flushed(self) -> _RowStore:
+        """The row store with its dirty rows re-finalized."""
+        rows = self.rows
+        if rows is None:
+            rows = self.rows = _RowStore(len(self.cells))
+            dirty: Iterable[int] = self.cells
+        elif rows.dirty:
+            dirty = rows.dirty & self.cells.keys()  # evicted minutes drop out
+        else:
+            return rows
+        for minute in sorted(dirty):
+            rows.put(minute, self.cells[minute].finalize())
+        rows.dirty.clear()
+        return rows
+
+
 class TrafficMatrix:
     """Sparse (customer, source-class, minute) → volumetric-cell store.
 
@@ -340,50 +371,56 @@ class TrafficMatrix:
     dense per-minute matrix a model consumes; ``rows_between`` hands out the
     same rows compactly (non-empty minutes only).
 
-    Both read a per-(customer, class) store of finalized rows, created on a
-    key's first read.  It is derived state with one invariant: every write
-    to a cell of a key that has a store marks that minute dirty
-    (:meth:`_cell_for`, :meth:`set_cell` — the only writers), and every read
-    flushes the dirt first.  ``state_dict`` never sees it and
+    State is one :class:`_Series` per (customer, class).  Everything else —
+    a series' finalized rows, the per-minute eviction index, the cell count
+    — is derived, and :meth:`_write` is the only place that creates a cell
+    or touches any of it.  ``state_dict`` never sees derived state and
     ``load_state_dict`` drops it, so checkpoints are the same bytes whether
-    or not anything was ever read.  Cells handed out by :meth:`cell` are
-    for reading only.
+    or not anything was ever read.  Cells handed out by :meth:`cell` and
+    :meth:`cells` are for reading only.
     """
 
     def __init__(self) -> None:
-        self._cells: dict[tuple[int, str, int], VolumetricAccumulator] = {}
+        self._series: dict[tuple[int, str], _Series] = {}
         self._customers: set[int] = set()
         self.max_minute = -1
-        # (customer, class) -> set of minutes with a cell; lets the dense
-        # materializers touch only non-empty rows (traffic matrices are
-        # sparse in the auxiliary classes).
-        self._minutes_index: dict[tuple[int, str], set[int]] = {}
-        self._row_stores: dict[tuple[int, str], _RowStore] = {}
-        # minute -> keys of its cells, and a lower bound on every live cell's
-        # minute (a late record lowers it again): ``evict_before`` costs what
-        # it evicts.  Derived like the row stores: never in ``state_dict``.
-        self._cells_at: dict[int, list[tuple[int, str, int]]] = {}
+        # minute -> the series with a cell there, and a lower bound on every
+        # live cell's minute (a late record lowers it again): ``evict_before``
+        # costs what it evicts.
+        self._cells_at: dict[int, list[_Series]] = {}
         self._oldest = sys.maxsize
+        self._n_cells = 0
 
-    def _index_cell(self, key: tuple[int, str, int]) -> None:
-        """Register a cell that is about to be created under ``key``."""
-        customer, cls, minute = key
-        self._minutes_index.setdefault((customer, cls), set()).add(minute)
-        self._cells_at.setdefault(minute, []).append(key)
-        if minute < self._oldest:
-            self._oldest = minute
-
-    def _cell_for(self, customer: int, cls: str, minute: int) -> VolumetricAccumulator:
-        """The cell a fold is about to write into, created if missing."""
-        key = (customer, cls, minute)
-        cell = self._cells.get(key)
-        if cell is None:
-            self._index_cell(key)
-            cell = self._cells[key] = VolumetricAccumulator()
-        store = self._row_stores.get((customer, cls))
-        if store is not None:
-            store.dirty.add(minute)
-        return cell
+    def _write(
+        self,
+        customer: int,
+        cls: str,
+        minute: int,
+        cell: VolumetricAccumulator | None = None,
+    ) -> VolumetricAccumulator:
+        """The cell a fold is about to write into, created if missing — or
+        ``cell`` installed in its place."""
+        series = self._series.get((customer, cls))
+        if series is None:
+            # Interned: a key must share identity with the module's
+            # SOURCE_CLASS_* constants, so that a restored matrix pickles
+            # byte-identically to one that never round-tripped (the
+            # checkpoint byte-identity guarantee).
+            key = (customer, sys.intern(str(cls)))
+            series = self._series[key] = _Series(key)
+        held = series.cells.get(minute)
+        if held is None:
+            self._cells_at.setdefault(minute, []).append(series)
+            if minute < self._oldest:
+                self._oldest = minute
+            self._n_cells += 1
+            if cell is None:
+                cell = VolumetricAccumulator()
+        if cell is not None:
+            held = series.cells[minute] = cell
+        if series.rows is not None:
+            series.rows.dirty.add(minute)
+        return held
 
     def set_cell(
         self, customer: int, minute: int, source_class: str, cell: VolumetricAccumulator
@@ -392,13 +429,7 @@ class TrafficMatrix:
         self._customers.add(customer)
         if minute > self.max_minute:
             self.max_minute = minute
-        key = (customer, source_class, minute)
-        if key not in self._cells:
-            self._index_cell(key)
-        self._cells[key] = cell
-        store = self._row_stores.get((customer, source_class))
-        if store is not None:
-            store.dirty.add(minute)
+        self._write(customer, source_class, minute, cell)
 
     def add_flow(
         self,
@@ -412,7 +443,7 @@ class TrafficMatrix:
         if minute > self.max_minute:
             self.max_minute = minute
         for cls in (SOURCE_CLASS_ALL, *source_classes):
-            self._cell_for(customer, cls, minute).add(flow)
+            self._write(customer, cls, minute).add(flow)
 
     def add_batch(
         self,
@@ -451,7 +482,7 @@ class TrafficMatrix:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (n,):
                 raise ValueError(f"class mask {cls!r} must align with the flow batch")
-            masks.append((sys.intern(str(cls)), mask))
+            masks.append((cls, mask))
         # Fields are read column-wise: indexing the 38-byte structured rows
         # (``arr[order]``, ``arr[mask]``) costs ~60x a single field's gather;
         # ``take`` beats ``[]`` 2-4x on strided fields and on rows.
@@ -522,7 +553,7 @@ class TrafficMatrix:
             bounds = np.searchsorted(keys, cells << 32).tolist() + [len(keys)]
             sources = (keys & 0xFFFFFFFF).tolist()
             for k, cell in enumerate(cells.tolist()):
-                self._cell_for(cell_cust[cell], cls, cell_min[cell]).add_aggregate(
+                self._write(cell_cust[cell], cls, cell_min[cell]).add_aggregate(
                     count=counts[k],
                     total_bytes=tot_bytes[k],
                     total_packets=tot_packets[k],
@@ -540,7 +571,15 @@ class TrafficMatrix:
     def cell(
         self, customer: int, minute: int, source_class: str = SOURCE_CLASS_ALL
     ) -> VolumetricAccumulator | None:
-        return self._cells.get((customer, source_class, minute))
+        series = self._series.get((customer, source_class))
+        return None if series is None else series.cells.get(minute)
+
+    def cells(self) -> Iterator[tuple[int, str, int, VolumetricAccumulator]]:
+        """Every live cell as ``(customer, class, minute, cell)``, sorted."""
+        for key in sorted(self._series):
+            cells = self._series[key].cells
+            for minute in sorted(cells):
+                yield (*key, minute, cells[minute])
 
     def rows_between(
         self,
@@ -555,29 +594,10 @@ class TrafficMatrix:
         Both arrays are read-only views into the row store, valid until the
         next write to the matrix.
         """
-        store = self._flushed_store(customer, source_class)
-        if store is None:
+        series = self._series.get((customer, source_class))
+        if series is None:
             return _NO_MINUTES, _NO_ROWS
-        return store.between(start_minute, end_minute)
-
-    def _flushed_store(self, customer: int, cls: str) -> _RowStore | None:
-        """The key's row store with its dirty rows re-finalized (built on the
-        key's first read); ``None`` while the key has no cells."""
-        store = self._row_stores.get((customer, cls))
-        if store is not None and not store.dirty:
-            return store
-        indexed = self._minutes_index.get((customer, cls))
-        if not indexed:
-            return None
-        if store is None:
-            store = self._row_stores[(customer, cls)] = _RowStore(len(indexed))
-            dirty = indexed
-        else:
-            dirty = store.dirty & indexed  # evicted minutes drop out
-        for minute in sorted(dirty):
-            store.put(minute, self._cells[(customer, cls, minute)].finalize())
-        store.dirty.clear()
-        return store
+        return series.flushed().between(start_minute, end_minute)
 
     def feature_block(
         self,
@@ -613,21 +633,20 @@ class TrafficMatrix:
         if len(span) > len(self._cells_at):  # a clock gap wider than the index
             span = [m for m in self._cells_at if m < minute]
         self._oldest = minute
-        stale = [key for m in span for key in self._cells_at.pop(m, ())]
-        for key in stale:
-            del self._cells[key]
-            customer, cls, m = key
-            minutes = self._minutes_index.get((customer, cls))
-            if minutes is not None:
-                minutes.discard(m)
-                if not minutes:
-                    del self._minutes_index[(customer, cls)]
-        for key in {key[:2] for key in stale} & self._row_stores.keys():
-            if key in self._minutes_index:
-                self._row_stores[key].trim(minute)
-            else:
-                del self._row_stores[key]
-        return len(stale)
+        evicted = 0
+        thinned: set[_Series] = set()
+        for m in span:
+            for series in self._cells_at.pop(m, ()):
+                del series.cells[m]
+                thinned.add(series)
+                evicted += 1
+        for series in thinned:
+            if not series.cells:
+                del self._series[series.key]
+            elif series.rows is not None:
+                series.rows.trim(minute)
+        self._n_cells -= evicted
+        return evicted
 
     def state_dict(self) -> dict:
         """Canonical snapshot: cells sorted by (customer, class, minute)."""
@@ -635,28 +654,20 @@ class TrafficMatrix:
             "max_minute": self.max_minute,
             "customers": sorted(self._customers),
             "cells": [
-                [customer, cls, minute, self._cells[(customer, cls, minute)].state_dict()]
-                for customer, cls, minute in sorted(self._cells)
+                [customer, cls, minute, cell.state_dict()]
+                for customer, cls, minute, cell in self.cells()
             ],
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._cells = {}
-        self._minutes_index = {}
-        self._row_stores = {}
-        self._cells_at = {}
-        self._oldest = sys.maxsize
+        self.__init__()
         self._customers = set(int(c) for c in state["customers"])
         self.max_minute = int(state["max_minute"])
         for customer, cls, minute, cell_state in state["cells"]:
-            # Interned: cell keys must share identity with the module's
-            # SOURCE_CLASS_* constants, so a restored matrix pickles
-            # byte-identically to one that never round-tripped (the
-            # checkpoint byte-identity guarantee).
             self.set_cell(
                 int(customer),
                 int(minute),
-                sys.intern(str(cls)),
+                cls,
                 VolumetricAccumulator.from_state(cell_state),
             )
 
@@ -668,12 +679,9 @@ class TrafficMatrix:
         source_class: str = SOURCE_CLASS_ALL,
     ) -> float:
         """Sum of sampling-compensated bytes over a minute range."""
-        total = 0.0
-        for t in range(start_minute, end_minute):
-            cell = self._cells.get((customer, source_class, t))
-            if cell is not None:
-                total += cell.total_bytes
-        return total
+        return float(
+            self.bytes_series(customer, start_minute, end_minute, source_class).sum()
+        )
 
     def bytes_series(
         self,
@@ -683,16 +691,21 @@ class TrafficMatrix:
         source_class: str = SOURCE_CLASS_ALL,
     ) -> np.ndarray:
         """Per-minute byte series (sampling-compensated)."""
-        series = np.zeros(end_minute - start_minute)
-        for t in range(start_minute, end_minute):
-            cell = self._cells.get((customer, source_class, t))
-            if cell is not None:
-                series[t - start_minute] = cell.total_bytes
-        return series
+        out = np.zeros(end_minute - start_minute)
+        series = self._series.get((customer, source_class))
+        if series is not None:
+            for minute, cell in series.cells.items():
+                if start_minute <= minute < end_minute:
+                    out[minute - start_minute] = cell.total_bytes
+        return out
 
     def row_store_rows(self) -> int:
         """Finalized rows currently held for reads (telemetry)."""
-        return sum(store.hi - store.lo for store in self._row_stores.values())
+        return sum(
+            series.rows.hi - series.rows.lo
+            for series in self._series.values()
+            if series.rows is not None
+        )
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return self._n_cells

@@ -94,10 +94,8 @@ class ServeEngine:
     ) -> None:
         self.config = config or ServeConfig()
         self.config.validate()
-        if isinstance(customer_of, dict):
-            self.customer_of = dict(customer_of)
-        else:
-            self.customer_of = customer_of
+        self._lookup = CustomerLookup(customer_of)
+        self.customer_of = self._lookup.mapping
         self._factory = detector_factory
         self.collector = FlowCollector()
         self.shards = [
@@ -109,7 +107,6 @@ class ServeEngine:
             )
             for index in range(self.config.shards)
         ]
-        self._lookup = CustomerLookup()
         self._minute = -1
         self._pending: list[OnlineAlert] = []
         self._pending_cdet: list[AlertRecord] = []
@@ -123,7 +120,7 @@ class ServeEngine:
 
     def _shard_factory(self, index: int) -> Callable[[], OnlineXatu]:
         n = self.config.shards
-        if isinstance(self.customer_of, dict):
+        if self._lookup.is_table:
             partition = {
                 addr: cid for addr, cid in self.customer_of.items() if cid % n == index
             }
@@ -180,9 +177,7 @@ class ServeEngine:
         arr = batch.array
         if not len(arr):
             return [FlowBatch.empty() for _ in range(n)], 0
-        cids, routed = self._lookup.route(
-            self.customer_of, arr["dst_addr"].astype(np.int64)
-        )
+        cids, routed = self._lookup.route(arr["dst_addr"].astype(np.int64))
         shard_of = np.where(routed, cids % n, -1)
         unrouted = int(len(arr) - np.count_nonzero(routed))
         return (

@@ -70,14 +70,14 @@ def save_trace(trace: Trace, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
 
     # --- matrix ---------------------------------------------------------
-    cells = trace.matrix._cells
-    class_names = sorted({cls for _cid, cls, _m in cells})
+    cells = list(trace.matrix.cells())
+    class_names = sorted({cls for _cid, cls, _m, _cell in cells})
     class_index = {name: i for i, name in enumerate(class_names)}
     keys = np.zeros((len(cells), 3), dtype=np.int64)
     vectors = np.zeros((len(cells), 63))
     counters = np.zeros((len(cells), 5), dtype=np.int64)
     source_sets: list[set[int]] = []
-    for row, ((customer, cls, minute), cell) in enumerate(sorted(cells.items())):
+    for row, (customer, cls, minute, cell) in enumerate(cells):
         keys[row] = (customer, class_index[cls], minute)
         vectors[row] = cell.vector
         counters[row] = (

@@ -327,8 +327,28 @@ class ReferenceOnlineXatu(OnlineXatu):
 
     Overrides the ``_ingest_batch`` and ``_score`` stages only; the minute
     loop, decisions, eviction, telemetry and ``state_dict`` are inherited,
-    so a snapshot moves freely between the two classes.
+    so a snapshot moves freely between the two classes.  The routing and
+    blocklist tables are plain copies asked with ``dict.get`` / ``in``:
+    nothing of production's sorted arrays is on this path.
     """
+
+    @property
+    def customer_of(self):
+        return self._plain_customer_of
+
+    @customer_of.setter
+    def customer_of(self, value) -> None:
+        router = hasattr(value, "route_batch")
+        self._plain_customer_of = value if router else dict(value or {})
+
+    @property
+    def blocklist(self):
+        return self._plain_blocklist
+
+    @blocklist.setter
+    def blocklist(self, value) -> None:
+        plain = value is None or isinstance(value, (set, frozenset))
+        self._plain_blocklist = set(value or ()) if plain else value
 
     def _classify(self, customer_id: int, flow) -> list[str]:
         classes: list[str] = []

@@ -20,16 +20,14 @@ shrinking property runner (:mod:`repro.testing.props`):
   window, by ``tobytes()``, over every sparsity, padding, pooling, dtype
   and bucket-alignment case;
 * **detector level** — production :class:`OnlineXatu` against
-  :class:`ReferenceOnlineXatu`, driven minute-by-minute over randomized
-  multi-customer traces (ragged customer counts, empty minutes,
-  mid-stream churn, attack + benign mixes, incumbent alerts and
-  mitigation ends), asserting identical ``(minute, customer, survival)``
-  alert tuples every minute and ``pickle``-byte-identical post-run state
-  dicts.  One case aims at the sparse feature-staging lane specifically:
-  a non-identity scaler, a lookback short enough to run past eviction,
-  late and future-stamped records, minute gaps, past-dated incumbent
-  alerts, idle-watch eviction and swapped-lane restores, comparing every
-  hazard bit every minute.
+  :class:`ReferenceOnlineXatu` on the twin driver
+  (:mod:`repro.testing.twin`: one builder, one seeded stream of minutes
+  and operations, one ``drive_twins``), asserting identical ``(minute,
+  customer, survival)`` alert tuples and hazard bits every minute and
+  ``pickle``-byte-identical state dicts.  The cases differ in what they
+  hold against it: ragged customer counts and thresholds, float32, 64
+  customers under three chunk sizes, and 40-step runs past eviction that
+  must have seen every hazard the stream can produce.
 """
 
 import pickle
@@ -41,13 +39,24 @@ import pytest
 import repro.core.online as online_module
 from repro.core import OnlineConfig, OnlineXatu, XatuModel
 from repro.core.model import TimescaleSpec, XatuModelConfig
-from repro.netflow import FlowRecord, RouteTable
+from repro.netflow import FlowRecord
 from repro.obs import telemetry
-from repro.signals import FeatureScaler
 from repro.signals.history import AlertRecord
 from repro.synth.attacks import AttackType
 from repro.testing.props import choices, integers, run_property
 from repro.testing.reference import ReferenceOnlineXatu
+from repro.testing.twin import (
+    BASE_ADDRESS,
+    SOURCE_POOL,
+    alert_keys,
+    build_detector,
+    build_twins,
+    checkpoint_bytes,
+    drive_twins,
+    twin_context,
+    twin_route_table,
+    twin_stream,
+)
 
 # A deliberately tiny architecture: the equivalence argument is about op
 # shapes and cast order, not capacity, so small-and-fast maximizes the
@@ -365,132 +374,45 @@ def test_staged_rejects_sequences_that_do_not_match_their_timescale():
 
 
 # ----------------------------------------------------------------------
-# detector level: full streaming loop, production vs oracle
+# detector level: full streaming loop, production vs oracle, on the twin
+# driver (``repro.testing.twin``): late and future-stamped records, clock
+# gaps, idle stretches, onboarding, re-homed and swapped addresses, blocklist
+# swaps, past-dated incumbent alerts, mitigation ends and swapped-lane
+# restores, comparing alerts, every hazard bit and checkpoint bytes.
 # ----------------------------------------------------------------------
-def _build_detector(
-    model_seed: int,
-    threshold: float,
-    customer_of: dict[int, int],
-    *,
-    reference: bool,
-    dtype=None,
-) -> OnlineXatu:
-    route_table = RouteTable()
-    route_table.announce((0, 2**32 - 1), origin_asn=1)
-    scaler = FeatureScaler()
-    scaler.mean_ = np.zeros(273)
-    scaler.std_ = np.ones(273)
-    model = XatuModel(_tiny_config(model_seed))
-    model.eval()
-    detector = (ReferenceOnlineXatu if reference else OnlineXatu)(
-        model=model,
-        scaler=scaler,
-        threshold=threshold,
-        customer_of=dict(customer_of),
-        blocklist=set(),
-        route_table=route_table,
-        config=OnlineConfig(rearm_after=3),
-    )
-    detector.inference_dtype = dtype
-    return detector
-
-
-def _random_minute(
-    rng: np.random.Generator, minute: int, addresses: list[int]
-) -> list[FlowRecord]:
-    """One minute of mixed traffic; occasionally a fully empty minute."""
-    if rng.random() < 0.15:
-        return []
-    flows: list[FlowRecord] = []
-    victim = int(rng.choice(addresses))  # this minute's attack target
-    for address in addresses:
-        n = int(rng.integers(0, 3))
-        attack = address == victim and rng.random() < 0.5
-        if attack:
-            n += int(rng.integers(3, 8))
-        for _ in range(n):
-            packets = int(rng.integers(200, 900)) if attack else int(rng.integers(1, 40))
-            flows.append(
-                FlowRecord(
-                    timestamp=minute,
-                    src_addr=int(rng.integers(1, 2**31)),
-                    dst_addr=address,
-                    src_port=int(rng.integers(1024, 65535)),
-                    dst_port=443,
-                    protocol=6,
-                    packets=packets,
-                    bytes_=packets * int(rng.integers(60, 1400)),
-                )
-            )
-    return flows
-
-
-def _cdet(customer_id: int, minute: int) -> AlertRecord:
-    return AlertRecord(
-        customer_id=customer_id,
-        attack_type=AttackType.TCP_SYN,
-        detect_minute=minute,
-        end_minute=minute + 4,
-        peak_bytes=5e6,
-        attackers=frozenset({17, 23}),
-    )
-
-
-def _alert_key(alert) -> tuple[int, int, float]:
-    return (alert.minute, alert.customer_id, alert.survival)
-
-
 def _run_differential(
-    seed: int,
-    n_customers: int,
-    n_minutes: int,
-    threshold: float,
-    *,
-    dtype=None,
-) -> None:
-    """Drive both detectors over one randomized trace; assert bitwise equality."""
-    customer_of = {60_000 + i: i for i in range(n_customers)}
-    reference = _build_detector(
-        seed % 1009, threshold, customer_of, reference=True, dtype=dtype
+    seed: int, n_customers: int, n_minutes: int, threshold: float, **options
+) -> set[str]:
+    """Drive both lanes over one seeded stream; returns what occurred."""
+    customer_of, blocklist = twin_context(n_customers)
+    reference, production = build_twins(
+        seed, customer_of, blocklist, threshold=threshold, **options
     )
-    production = _build_detector(
-        seed % 1009, threshold, customer_of, reference=False, dtype=dtype
+    return drive_twins(
+        reference, production, twin_stream(seed, customer_of, blocklist, n_minutes)
     )
-    rng = np.random.default_rng(seed)
-    addresses = sorted(customer_of)
-    churn_minute = n_minutes // 2
-    produced = 0
-    for minute in range(n_minutes):
-        if minute == churn_minute:
-            # Mid-stream churn: a brand-new customer starts routing to
-            # both detectors and must be scored from this minute on.
-            new_address, new_customer = 60_000 + n_customers, n_customers
-            reference.customer_of[new_address] = new_customer
-            production.customer_of[new_address] = new_customer
-            addresses.append(new_address)
-        flows = _random_minute(rng, minute, addresses)
-        if rng.random() < 0.2:
-            record = _cdet(int(rng.integers(0, n_customers)), minute)
-            reference.ingest_cdet_alert(record)
-            production.ingest_cdet_alert(record)
-        if rng.random() < 0.15:
-            customer = int(rng.integers(0, n_customers))
-            reference.ingest_mitigation_end(customer, minute)
-            production.ingest_mitigation_end(customer, minute)
-        ref_alerts = reference.step(minute, flows)
-        got_alerts = production.step(minute, flows)
-        assert list(map(_alert_key, ref_alerts)) == list(map(_alert_key, got_alerts)), (
-            f"alert streams diverged at minute {minute}"
-        )
-        produced += len(ref_alerts)
-    ref_bytes = pickle.dumps(reference.state_dict(), protocol=4)
-    got_bytes = pickle.dumps(production.state_dict(), protocol=4)
-    assert ref_bytes == got_bytes, "post-run checkpoints diverged"
+
+
+def _traffic(seed: int, customer_of, minutes: int) -> list[list[FlowRecord]]:
+    """Per-minute flow lists from the twin stream, its operations ignored."""
+    return [s.flows for s in twin_stream(seed, dict(customer_of), set(), minutes)]
+
+
+# Watch-forever and the default eviction margin: the paths ``TWIN_CONFIG``
+# (idle-watch eviction, a 2-minute margin) turns off.
+PLAIN_CONFIG = OnlineConfig(rearm_after=3)
 
 
 def test_lanes_agree_over_random_traces():
+    seen: set = set()
+
+    def lanes_agree(seed, n_customers, n_minutes, threshold):
+        seen.update(
+            _run_differential(seed, n_customers, n_minutes, threshold, config=PLAIN_CONFIG)
+        )
+
     run_property(
-        _run_differential,
+        lanes_agree,
         integers(0, 10**6),
         choices([1, 2, 7]),
         integers(4, 7),
@@ -498,11 +420,14 @@ def test_lanes_agree_over_random_traces():
         runs=6,
         seed=303,
     )
+    assert seen >= {"onboarded", "alerted"}, seen
 
 
 def test_lanes_agree_in_float32():
     def lanes_agree_f32(seed, n_customers, threshold):
-        _run_differential(seed, n_customers, 5, threshold, dtype=np.float32)
+        _run_differential(
+            seed, n_customers, 5, threshold, dtype=np.float32, config=PLAIN_CONFIG
+        )
 
     run_property(
         lanes_agree_f32,
@@ -514,151 +439,9 @@ def test_lanes_agree_in_float32():
     )
 
 
-# ----------------------------------------------------------------------
-# the sparse staging lane under everything that could desynchronize it
-# ----------------------------------------------------------------------
-# Lookback 12: short enough that a 40-step run passes ``lookback +
-# evict_margin_minutes`` several times over.
-SMALL_TIMESCALES = (TimescaleSpec("short", 1, 8), TimescaleSpec("long", 3, 4))
-# Half the pool sits above the announced space (spoofed, A3), every third
-# address is blocklisted (A1), and incumbent alerts draw their attackers
-# from it (A2) — so all four matrix classes hold cells.
-SOURCE_POOL = [2**31 - 6 * 7919 + i * 7919 for i in range(12)]
-
-
-def _build_sparse_lane_detector(
-    seed: int,
-    customer_of,
-    *,
-    reference: bool,
-    dtype,
-    pooling: str = "avg",
-    timescales=None,
-):
-    rng = np.random.default_rng(seed)
-    scaler = FeatureScaler()
-    # Not the identity: the scaled zero row is non-zero and differs per
-    # column, so a wrong fill or a wrong column slice changes hazards.
-    scaler.mean_ = rng.normal(1.0, 2.0, 273)
-    scaler.std_ = rng.uniform(0.25, 4.0, 273)
-    model = XatuModel(
-        XatuModelConfig(
-            hidden_size=6,
-            dense_size=5,
-            detect_window=4,
-            timescales=timescales or SMALL_TIMESCALES,
-            pooling=pooling,
-            seed=seed % 1009,
-        )
-    )
-    model.eval()
-    route_table = RouteTable()
-    route_table.announce((0, 2**31 - 1), origin_asn=1)
-    detector = (ReferenceOnlineXatu if reference else OnlineXatu)(
-        model=model,
-        scaler=scaler,
-        threshold=0.9,
-        customer_of=dict(customer_of),
-        blocklist=set(SOURCE_POOL[::3]),
-        route_table=route_table,
-        config=OnlineConfig(
-            rearm_after=3,
-            history_decay_minutes=30.0,
-            clustering_window=6,
-            evict_margin_minutes=2,
-            watch_idle_minutes=3,
-        ),
-    )
-    detector.inference_dtype = dtype
-    return detector
-
-
-def _hazard_bits(detector) -> list:
-    return sorted(
-        (customer, [h.hex() for h in hazards])
-        for customer, hazards in detector._hazards.items()
-    )
-
-
-def _run_sparse_lane_differential(
-    seed: int, n_customers: int, dtype, pooling: str, seen: set
-) -> None:
-    customer_of = {60_000 + i: i for i in range(n_customers)}
-    reference, production = (
-        _build_sparse_lane_detector(
-            seed, customer_of, reference=is_reference, dtype=dtype, pooling=pooling
-        )
-        for is_reference in (True, False)
-    )
-    rng = np.random.default_rng(seed)
-    lookback = production.model.config.lookback_minutes
-    swaps = set(rng.integers(5, 35, size=2).tolist())
-    quiet_until = dict.fromkeys(customer_of, 0)
-    minute = -1
-    for step in range(40):
-        minute += 1 if rng.random() < 0.85 else int(rng.integers(2, 5))  # minute gaps
-        flows = []
-        for address in customer_of:
-            if step < quiet_until[address]:
-                continue
-            if rng.random() < 0.1:
-                quiet_until[address] = step + int(rng.integers(4, 9))  # idle eviction
-            for _ in range(int(rng.integers(0, 4))):
-                packets = int(rng.integers(1, 900))
-                flows.append(
-                    FlowRecord(
-                        # late and future-stamped records
-                        timestamp=max(0, minute + int(rng.choice([-3, -1, 0, 0, 0, 0, 1, 2]))),
-                        src_addr=int(rng.choice(SOURCE_POOL)),
-                        dst_addr=address,
-                        src_port=int(rng.choice([53, 123, 4444])),
-                        dst_port=443,
-                        protocol=int(rng.choice([6, 17])),
-                        packets=packets,
-                        bytes_=packets * int(rng.integers(60, 1400)),
-                        tcp_flags=int(rng.integers(0, 64)),
-                    )
-                )
-        if rng.random() < 0.25:
-            detect = max(0, minute - int(rng.integers(0, 10)))  # past-dated alert
-            record = AlertRecord(
-                customer_id=int(rng.integers(0, n_customers)),
-                attack_type=AttackType.TCP_SYN if rng.random() < 0.5 else AttackType.UDP_FLOOD,
-                detect_minute=detect,
-                end_minute=detect + int(rng.integers(0, 4)),
-                peak_bytes=float(rng.choice([2.0, 8.0, 5e6])),
-                attackers=frozenset(rng.choice(SOURCE_POOL, size=3).tolist()),
-            )
-            reference.ingest_cdet_alert(record)
-            production.ingest_cdet_alert(record)
-        if step in swaps:
-            # Swapped-lane restore: each class resumes from the other's bytes.
-            ref_state = pickle.dumps(reference.state_dict(), protocol=4)
-            got_state = pickle.dumps(production.state_dict(), protocol=4)
-            assert ref_state == got_state, f"checkpoints diverged before step {step}"
-            reference.load_state_dict(pickle.loads(got_state))
-            production.load_state_dict(pickle.loads(ref_state))
-        watched_before = set(production._watched)
-        ref_alerts = reference.step(minute, flows)
-        got_alerts = production.step(minute, flows)
-        assert list(map(_alert_key, ref_alerts)) == list(map(_alert_key, got_alerts))
-        assert _hazard_bits(reference) == _hazard_bits(production), (
-            f"hazards diverged at minute {minute}"
-        )
-        seen.update(cls for _customer, cls, _minute in production.matrix._cells)
-        if watched_before - production._watched:
-            seen.add("idle-evicted")
-        if production._watched - watched_before:  # all were watched at the start
-            seen.add("re-watched")
-        if production.history._alerts and production.graph._alerts:
-            seen.add("A4+A5")
-    assert minute > 2 * (lookback + 2)
-    assert pickle.dumps(reference.state_dict(), protocol=4) == pickle.dumps(
-        production.state_dict(), protocol=4
-    ), "post-run checkpoints diverged"
-
-
 def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
+    """The stream under a non-identity scaler and a lookback short enough to
+    run past eviction several times over, 40 steps a run."""
     seen: set = set()
 
     def sparse_lane_agrees(seed, n_customers, dtype, pooling):
@@ -666,10 +449,17 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
         # so production resumes past shared prefixes while the oracle (one
         # window at a time, another kernel) never does.
         with telemetry() as registry:
-            before = registry.counter(SKIPPED).value()
-            _run_sparse_lane_differential(seed, n_customers, dtype, pooling, seen)
-            if registry.counter(SKIPPED).value() > before:
+            skipped, evicted = (
+                registry.counter(name) for name in (SKIPPED, "online.matrix_evictions")
+            )
+            before = skipped.value(), evicted.value()
+            seen.update(
+                _run_differential(seed, n_customers, 40, 0.9, dtype=dtype, pooling=pooling)
+            )
+            if skipped.value() > before[0]:
                 seen.add("shared-prefix")
+            if evicted.value() > before[1]:
+                seen.add("matrix-evicted")
         seen.add(pooling)
 
     run_property(
@@ -685,7 +475,22 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
     assert seen >= {
         "all", "blocklist", "prev_attacker", "spoofed",
         "idle-evicted", "re-watched", "A4+A5", "avg", "max", "shared-prefix",
+        "matrix-evicted", "late", "future-stamped", "onboarded",
+        "re-homed", "swapped", "blocklist-swapped",
     }, seen
+
+
+def test_routing_and_blocklist_tables_are_read_only_views():
+    """The other half of "no stale table": what the twin stream changes by
+    assignment cannot be changed behind the detector's sorted copies."""
+    customer_of, blocklist = twin_context(2)
+    detector = build_detector(OnlineXatu, 1, customer_of, blocklist)
+    with pytest.raises(TypeError):
+        detector.customer_of[BASE_ADDRESS] = 1
+    with pytest.raises(AttributeError):
+        detector.blocklist.add(5)
+    customer_of[BASE_ADDRESS] = 1  # the caller's own dict is a copy away
+    assert detector.customer_of[BASE_ADDRESS] == 0
 
 
 # ----------------------------------------------------------------------
@@ -770,8 +575,9 @@ def test_feature_windows_equal_pooling_the_dense_window(monkeypatch, layout, poo
 
     monkeypatch.setattr(online_module.fused, "pool_infer", materialised_only)
     for seed in range(3):
-        detector = _build_sparse_lane_detector(
-            seed, {}, reference=False, dtype=dtype, pooling=pooling, timescales=timescales
+        detector = build_detector(
+            OnlineXatu, seed, {}, SOURCE_POOL[::3],
+            dtype=dtype, pooling=pooling, timescales=timescales,
         )
         model, lookback = detector.model, detector.model.config.lookback_minutes
         assert any((lookback - ts.minutes) % ts.window for ts in timescales) == (
@@ -799,10 +605,10 @@ def _bench_shaped_detector(customer_of, dtype):
     """The e2e suite's timescale shape (240-minute lookback pooled to 108
     steps), so ``sum of spans != lookback`` and the dense stack is 2.2x the
     pooled one."""
-    return _build_sparse_lane_detector(
+    return build_detector(
+        OnlineXatu,
         5,
         customer_of,
-        reference=False,
         dtype=dtype,
         timescales=(
             TimescaleSpec("short", 1, 60),
@@ -830,10 +636,9 @@ def test_score_stages_every_scored_customer_exactly_once(monkeypatch):
     monkeypatch.setattr(OnlineXatu, "feature_windows", counting)
     for dtype in (None, np.float32):
         detector = _bench_shaped_detector(customer_of, dtype)
-        rng = np.random.default_rng(11)
-        for minute in range(3):
+        for minute, flows in enumerate(_traffic(11, customer_of, 3)):
             staged.clear()
-            detector.step(minute, _random_minute(rng, minute, sorted(customer_of)))
+            detector.step(minute, flows)
             assert [len(ids) for ids, _stack in staged] == [3, 3, 1]
             assert sum((ids for ids, _stack in staged), []) == sorted(detector._watched)
             for ids, stack in staged:
@@ -851,9 +656,8 @@ def test_score_never_holds_a_dense_window_stack(dtype):
     n = 16
     customer_of = {60_000 + i: i for i in range(n)}
     detector = _bench_shaped_detector(customer_of, dtype)
-    rng = np.random.default_rng(3)
-    for minute in range(6):
-        detector.step(minute, _random_minute(rng, minute, sorted(customer_of)))
+    for minute, flows in enumerate(_traffic(3, customer_of, 6)):
+        detector.step(minute, flows)
     customers = sorted(customer_of.values())  # watched or idle-evicted alike
     dense_stack = (
         n * detector.model.config.lookback_minutes * 273
@@ -872,94 +676,66 @@ def test_score_never_holds_a_dense_window_stack(dtype):
 
 
 def test_lanes_agree_at_64_customers_ragged_blocks(monkeypatch):
-    # Chunks of 1, 5 and 256 all tile 65 (64 + one churned-in) customers
+    # Chunks of 1, 5 and 256 all tile 65 (64 + one onboarded) customers
     # raggedly; SCORE_CHUNK only bounds memory, so all must agree with the
     # per-customer oracle byte for byte.
     for chunk in (1, 5, 256):
         monkeypatch.setattr(online_module, "SCORE_CHUNK", chunk)
-        _run_differential(8128, 64, 3, 0.95)
+        assert "onboarded" in _run_differential(8128, 64, 3, 0.95, config=PLAIN_CONFIG)
+
+
+def _resumed_lane_tracks_the_oracle(cls) -> None:
+    """Four minutes on two detectors, then ``cls``'s snapshot restored into a
+    production detector, which tracks the never-interrupted oracle to the end
+    of the stream."""
+    customer_of, blocklist = twin_context(5)
+    minutes = _traffic(99, customer_of, 8)
+    oracle, production = build_twins(5, customer_of, blocklist, threshold=0.95)
+    for minute in range(4):
+        oracle.step(minute, minutes[minute])
+        production.step(minute, minutes[minute])
+    state = checkpoint_bytes(oracle if cls is ReferenceOnlineXatu else production)
+    resumed = OnlineXatu.from_state_dict(pickle.loads(state), twin_route_table())
+    assert type(resumed) is OnlineXatu
+    assert checkpoint_bytes(resumed) == state
+    for minute in range(4, 8):
+        want = oracle.step(minute, minutes[minute])
+        assert alert_keys(want) == alert_keys(resumed.step(minute, minutes[minute]))
+    assert checkpoint_bytes(resumed) == checkpoint_bytes(oracle)
 
 
 def test_lane_flip_mid_stream_from_checkpoint():
     """A state dict written by the oracle restores byte-exactly into
-    production, which then tracks the oracle to the end of the stream."""
-    customer_of = {60_000 + i: i for i in range(5)}
-    route_table = RouteTable()
-    route_table.announce((0, 2**32 - 1), origin_asn=1)
-    rng = np.random.default_rng(99)
-    addresses = sorted(customer_of)
+    production."""
+    _resumed_lane_tracks_the_oracle(ReferenceOnlineXatu)
 
-    reference = _build_detector(5, 0.95, customer_of, reference=True)
-    minutes = [_random_minute(rng, m, addresses) for m in range(8)]
-    for minute in range(4):
-        reference.step(minute, minutes[minute])
-    state = reference.state_dict()
 
-    resumed = OnlineXatu.from_state_dict(state, route_table)
-    assert type(resumed) is OnlineXatu  # reference → production restore
-    assert pickle.dumps(resumed.state_dict(), protocol=4) == pickle.dumps(
-        state, protocol=4
-    )
-    for minute in range(4, 8):
-        ref_alerts = reference.step(minute, minutes[minute])
-        res_alerts = resumed.step(minute, minutes[minute])
-        assert list(map(_alert_key, ref_alerts)) == list(map(_alert_key, res_alerts))
-    assert pickle.dumps(resumed.state_dict(), protocol=4) == pickle.dumps(
-        reference.state_dict(), protocol=4
-    )
+def test_crash_restore_mid_stream_matches_uninterrupted_oracle():
+    """Production killed and restored from its own snapshot."""
+    _resumed_lane_tracks_the_oracle(OnlineXatu)
 
 
 def test_lane_knobs_never_enter_the_checkpoint(monkeypatch):
     """Which class scores, at what precision and chunk size, is policy: none
     of it may change state bytes."""
-    customer_of = {60_000 + i: i for i in range(3)}
-    plain = _build_detector(1, 0.9, customer_of, reference=True)
+    customer_of, blocklist = twin_context(3)
+    plain = build_detector(ReferenceOnlineXatu, 1, customer_of, blocklist)
     monkeypatch.setattr(online_module, "SCORE_CHUNK", 2)
-    tuned = _build_detector(1, 0.9, customer_of, reference=False, dtype=np.float64)
-    assert pickle.dumps(plain.state_dict(), protocol=4) == pickle.dumps(
-        tuned.state_dict(), protocol=4
-    )
-
-
-def test_crash_restore_mid_stream_matches_uninterrupted_oracle():
-    """Production killed and restored from its own snapshot still tracks the
-    never-interrupted oracle byte for byte."""
-    customer_of = {60_000 + i: i for i in range(5)}
-    route_table = RouteTable()
-    route_table.announce((0, 2**32 - 1), origin_asn=1)
-    rng = np.random.default_rng(7)
-    addresses = sorted(customer_of)
-    minutes = [_random_minute(rng, m, addresses) for m in range(8)]
-
-    oracle = _build_detector(5, 0.95, customer_of, reference=True)
-    production = _build_detector(5, 0.95, customer_of, reference=False)
-    for minute in range(4):
-        oracle.step(minute, minutes[minute])
-        production.step(minute, minutes[minute])
-    production = OnlineXatu.from_state_dict(
-        pickle.loads(pickle.dumps(production.state_dict(), protocol=4)), route_table
-    )
-    for minute in range(4, 8):
-        want = oracle.step(minute, minutes[minute])
-        got = production.step(minute, minutes[minute])
-        assert list(map(_alert_key, want)) == list(map(_alert_key, got))
-    assert pickle.dumps(production.state_dict(), protocol=4) == pickle.dumps(
-        oracle.state_dict(), protocol=4
-    )
+    tuned = build_detector(OnlineXatu, 1, customer_of, blocklist, dtype=np.float64)
+    assert checkpoint_bytes(plain) == checkpoint_bytes(tuned)
 
 
 def test_step_rejects_records_outside_the_wire_domain():
     """A record list is columnarized at the ``step`` boundary: a counter the
     38-byte wire record cannot hold is a loud error, never a silent wrap,
     and the failed call leaves the detector untouched."""
-    customer_of = {60_000: 0}
-    detector = _build_detector(1, 0.9, customer_of, reference=False)
-    before = pickle.dumps(detector.state_dict(), protocol=4)
+    detector = build_detector(OnlineXatu, 1, {BASE_ADDRESS: 0})
+    before = checkpoint_bytes(detector)
     bad = FlowRecord(
-        timestamp=0, src_addr=1, dst_addr=60_000, src_port=1, dst_port=2,
+        timestamp=0, src_addr=1, dst_addr=BASE_ADDRESS, src_port=1, dst_port=2,
         protocol=6, packets=2**32, bytes_=10,
     )
     with pytest.raises(OverflowError):
         detector.step(0, [bad])
-    assert pickle.dumps(detector.state_dict(), protocol=4) == before
+    assert checkpoint_bytes(detector) == before
     assert detector.step(0, []) == []  # minute 0 was not consumed

@@ -56,6 +56,49 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr(pai
     assert "wins 10/10" in higher and higher.endswith("gain yes")  # higher is better
 
 
+def test_neutral_verdicts_are_worse_than_bound_unresolved_or_ok(pairs):
+    parent = [360.0 + i for i in range(4)]  # median 361.5, IQR 1.5
+
+    def verdicts(change_us, change_rate, parent_us=parent):
+        runs = [
+            {"parent": _run(p, 50.0), "change": _run(c, change_rate)}
+            for p, c in zip(parent_us, change_us)
+        ]
+        return [line.split("; ")[-1] for line in pairs.summarise(runs, SPECS, neutral=True)]
+
+    assert verdicts([p * 1.19 for p in parent], 50.0 / 1.19) == ["ok", "ok"]  # inside 20 %
+    assert verdicts([p * 0.5 for p in parent], 500.0) == ["ok", "ok"]  # better is never worse
+    assert verdicts([p * 1.21 for p in parent], 50.0) == ["worse than bound", "ok"]
+    assert verdicts(parent, 39.0) == ["ok", "worse than bound"]  # higher is better
+    noisy = [200.0, 300.0, 400.0, 500.0]  # IQR 150 of median 350: wider than the bound
+    lower, higher = verdicts(noisy, 50.0, parent_us=noisy)
+    assert lower.startswith("unresolved") and higher == "ok"
+    assert verdicts([2 * p for p in noisy], 50.0, parent_us=noisy)[0] == "worse than bound"
+    assert verdicts([150.0] * 4, 50.0, parent_us=noisy)[0] == "ok"  # every run beats every parent run
+
+
+def test_neutral_runs_every_workload_and_fails_on_a_metric_past_its_bound(
+    pairs, monkeypatch, capsys, tmp_path
+):
+    (tmp_path / pairs.RUNNER).parent.mkdir(parents=True)
+    (tmp_path / pairs.RUNNER).touch()  # the parent "checkout"
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, smoke=False):
+        calls.append((workload, smoke))
+        slow = workload == "carpet_durable" and checkout != tmp_path
+        return _run(400.0 if slow else 300.0, 50.0)
+
+    monkeypatch.setattr(pairs, "run_once", fake_run_once)
+    status = pairs.main(["--parent", str(tmp_path), "--neutral"])
+    out = capsys.readouterr().out
+    workloads = ["fleet_score", "flood_ingest", "carpet_durable", "fleet_process"]
+    assert [w for w, smoke in calls if not smoke][::6] == workloads  # 3 pairs x 2 sides each
+    assert status == 1
+    assert "worse than bound" in out.split("# carpet_durable")[1].split("#")[0]
+    assert "worse than bound" not in out.split("# fleet_process")[1].split("metric(s)")[0]
+
+
 def test_an_incorrect_run_fails_the_command_and_sides_alternate(pairs, monkeypatch, capsys):
     calls = []
 

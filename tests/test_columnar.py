@@ -21,10 +21,10 @@ Three layers of differential tests on the PR-1 shrinking property runner:
   ``finalize()`` of every cell under random write/evict/restore/read
   interleavings;
 * **detector level** — ``OnlineXatu.step(minute, FlowBatch)`` vs the
-  per-record oracle ``ReferenceOnlineXatu`` over randomized multi-minute
-  traces (blocklist, previous-attacker and spoofed-source classes all
-  active), asserting identical alerts and pickle-identical post-run
-  state.
+  per-record oracle ``ReferenceOnlineXatu`` on the twin driver
+  (:mod:`repro.testing.twin`; blocklist, previous-attacker and
+  spoofed-source classes all active), asserting identical alerts and
+  pickle-identical state.
 
 The satellite regressions live here too: the vectorized
 ``PacketSampler.sample_many``/``sample_batch`` draw-order pin, the
@@ -39,8 +39,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import OnlineXatu, XatuModel
-from repro.core.model import TimescaleSpec, XatuModelConfig
+from repro.core import OnlineConfig, OnlineXatu
 from repro.netflow import (
     FLOW_DTYPE,
     FLOW_WIRE_SIZE,
@@ -65,11 +64,14 @@ from repro.netflow.matrix import (
     VolumetricAccumulator,
 )
 from repro.obs import get_registry, set_enabled
-from repro.signals import FeatureScaler
-from repro.signals.history import AlertRecord
-from repro.synth.attacks import AttackType
 from repro.testing.props import choices, integers, run_property
-from repro.testing.reference import ReferenceOnlineXatu
+from repro.testing.twin import (
+    build_detector,
+    build_twins,
+    drive_twins,
+    twin_context,
+    twin_stream,
+)
 
 COUNTRIES = ["US", "CN", "DE", "BR", "RU", "XX", ""]
 
@@ -412,12 +414,25 @@ def test_column_tables_agree_with_the_scalar_lane():
         assert columns(mx._PROTO_COLUMN[proto]) == counters(protocol=proto)
 
 
-def _matrix_fingerprint(matrix: TrafficMatrix):
-    return (
-        pickle.dumps(matrix.state_dict()),
-        matrix.row_store_rows(),
-        {key: sorted(store.dirty) for key, store in matrix._row_stores.items()},
-    )
+def _matrix_fingerprint(matrix: TrafficMatrix) -> dict:
+    """Everything a matrix holds, derived state included — the one place a
+    test reads ``TrafficMatrix``'s private layout."""
+    return {
+        "state": pickle.dumps(matrix.state_dict()),
+        "rows": matrix.row_store_rows(),
+        "dirty": {
+            key: sorted(series.rows.dirty)
+            for key, series in matrix._series.items()
+            if series.rows is not None
+        },
+        "series": sorted(matrix._series),
+        "cells_at": {
+            minute: sorted(series.key for series in held)
+            for minute, held in matrix._cells_at.items()
+        },
+        "oldest": matrix._oldest,
+        "count": len(matrix),
+    }
 
 
 def test_add_batch_empty_and_misaligned_inputs():
@@ -467,23 +482,19 @@ def test_feature_blocks_identical_across_lanes():
 
 
 class _FullScanMatrix(TrafficMatrix):
-    """``evict_before`` as a scan over every cell key — the implementation
-    the minute index replaced, kept as its oracle."""
+    """``evict_before`` as a filter over the public snapshot: no index, no
+    watermark, nothing of the production bookkeeping — the never-read twin.
+    Through pickle, so it also restores where the other matrix does not."""
 
     def evict_before(self, minute):
-        stale = [key for key in self._cells if key[2] < minute]
-        for key in stale:
-            del self._cells[key]
-            minutes = self._minutes_index[key[:2]]
-            minutes.discard(key[2])
-            if not minutes:
-                del self._minutes_index[key[:2]]
-        for key in {key[:2] for key in stale} & self._row_stores.keys():
-            if key in self._minutes_index:
-                self._row_stores[key].trim(minute)
-            else:
-                del self._row_stores[key]
-        return len(stale)
+        state = pickle.loads(pickle.dumps(self.state_dict(), 4))
+        kept = [entry for entry in state["cells"] if entry[2] >= minute]
+        self.load_state_dict({**state, "cells": kept})
+        return len(state["cells"]) - len(kept)
+
+
+def _cell_keys(matrix: TrafficMatrix) -> list[tuple[int, str, int]]:
+    return [(customer, cls, minute) for customer, cls, minute, _cell in matrix.cells()]
 
 
 def test_row_store_is_a_derived_view_of_the_cells():
@@ -495,7 +506,9 @@ def test_row_store_is_a_derived_view_of_the_cells():
     the two snapshots stay the same bytes.  The unread twin evicts by full
     scan, so the same run pins the minute-indexed ``evict_before`` (late
     records reopen cells behind its watermark): counts, surviving keys and
-    snapshots agree."""
+    snapshots agree, ``len`` counts the cells, and the index, the watermark
+    and the series hold what the cells say (``docs/TESTING.md`` lists the
+    mutations this kills)."""
     classes = ("all", SOURCE_CLASS_BLOCKLIST)
 
     def store_tracks_cells(seed, n_ops):
@@ -526,21 +539,35 @@ def test_row_store_is_a_derived_view_of_the_cells():
                 cutoff = now - int(rng.integers(0, 8))
                 assert reader.evict_before(cutoff) == blind.evict_before(cutoff)
                 assert reader.evict_before(cutoff) == 0
+                assert cutoff <= _matrix_fingerprint(reader)["oldest"]  # the next scan starts here
             elif op == "restore":
                 for matrix in (reader, blind):
                     matrix.load_state_dict(pickle.loads(pickle.dumps(matrix.state_dict(), 4)))
             elif op == "reinstall":
                 if len(reader):  # set_cell over a live key: indexed once, not twice
-                    customer, cls, minute = sorted(reader._cells)[int(rng.integers(len(reader)))]
+                    customer, cls, minute = _cell_keys(reader)[int(rng.integers(len(reader)))]
                     for matrix in (reader, blind):
                         state = matrix.cell(customer, minute, cls).state_dict()
+                        state["total_bytes"] += 1  # ...and it is the new cell that is read
                         matrix.set_cell(customer, minute, cls, VolumetricAccumulator.from_state(state))
+                        assert matrix.cell(customer, minute, cls).total_bytes == state["total_bytes"]
             else:
                 now += int(rng.choice([1, 2, 3, 1000]))  # 1000: a clock gap
-            assert set(reader._cells) == set(blind._cells)
+            keys = _cell_keys(reader)
+            assert keys == _cell_keys(blind)
+            assert len(reader) == len(blind) == len(keys)
+            held = _matrix_fingerprint(reader)
+            assert held["series"] == sorted({key[:2] for key in keys})
+            assert held["oldest"] <= min((key[2] for key in keys), default=held["oldest"])
+            assert sorted(
+                (minute, *key) for minute, at in held["cells_at"].items() for key in at
+            ) == sorted((minute, customer, cls) for customer, cls, minute in keys)
 
+            # A restored matrix pickles like one that never round-tripped.
+            snapshot = pickle.dumps(reader.state_dict(), 4)
             fresh = TrafficMatrix()
-            fresh.load_state_dict(reader.state_dict())
+            fresh.load_state_dict(pickle.loads(snapshot))
+            assert pickle.dumps(fresh.state_dict(), 4) == snapshot
             start = max(0, now - int(rng.integers(0, 12)))
             end = start + int(rng.integers(0, 16))
             for customer in range(3):
@@ -557,7 +584,8 @@ def test_row_store_is_a_derived_view_of_the_cells():
                     for minute, row in zip(minutes.tolist(), rows):
                         cell = reader.cell(customer, minute, cls)
                         assert row.tobytes() == cell.finalize().tobytes()
-            assert pickle.dumps(reader.state_dict(), 4) == pickle.dumps(blind.state_dict(), 4)
+                    assert not _matrix_fingerprint(reader)["dirty"].get((customer, cls))
+            assert snapshot == pickle.dumps(blind.state_dict(), 4)
         assert blind.row_store_rows() == 0
 
     run_property(store_tracks_cells, integers(0, 10**6), choices([10, 60]), runs=12, seed=83)
@@ -692,78 +720,17 @@ class TestFeedHealthSequenceAnomalies:
 # ----------------------------------------------------------------------
 # detector level: OnlineXatu's columnar ingest == the per-record oracle
 # ----------------------------------------------------------------------
-TINY_TIMESCALES = (TimescaleSpec("short", 1, 24), TimescaleSpec("long", 4, 8))
-
-
-def _build_detector(
-    model_seed: int, customer_of: dict[int, int], cls=OnlineXatu
-) -> OnlineXatu:
-    config = XatuModelConfig(
-        hidden_size=8,
-        dense_size=6,
-        detect_window=6,
-        timescales=TINY_TIMESCALES,
-        pooling="avg",
-        seed=model_seed,
-    )
-    model = XatuModel(config)
-    model.eval()
-    scaler = FeatureScaler()
-    scaler.mean_ = np.zeros(273)
-    scaler.std_ = np.ones(273)
-    route_table = RouteTable()
-    route_table.announce((0, 2**31 - 1), origin_asn=1)  # upper half spoofed
-    return cls(
-        model=model,
-        scaler=scaler,
-        threshold=0.5,
-        customer_of=customer_of,
-        blocklist={addr for addr in range(1, 2**32, 2**28)},
-        route_table=route_table,
-    )
-
-
-def _trace_minutes(rng: np.random.Generator, customer_of, minutes: int):
-    addresses = list(customer_of)
-    out = []
-    for minute in range(minutes):
-        n = int(rng.integers(0, 40))
-        flows = _random_records(rng, n, minutes=1)
-        # aim most flows at real customers; leave some unrouted
-        flows = [
-            replace(
-                f,
-                timestamp=minute,
-                dst_addr=int(rng.choice(addresses)) if rng.random() < 0.8 else f.dst_addr,
-            )
-            for f in flows
-        ]
-        out.append(flows)
-    return out
-
-
 def test_columnar_detector_lane_matches_scalar_lane():
+    """``step(minute, FlowBatch)`` against the per-record oracle on the twin
+    stream, under the default :class:`OnlineConfig` (wire-domain records,
+    unrouted destinations, all three auxiliary masks)."""
+
     def lanes_match(seed, minutes):
-        customer_of = {50_000 + i: i for i in range(4)}
-        rng = np.random.default_rng(seed)
-        trace = _trace_minutes(rng, customer_of, minutes)
-        scalar = _build_detector(seed % 97, customer_of, ReferenceOnlineXatu)
-        columnar = _build_detector(seed % 97, customer_of)
-        alert = AlertRecord(
-            customer_id=1,
-            attack_type=AttackType.TCP_SYN,
-            detect_minute=0,
-            end_minute=1,
-            peak_bytes=1e9,
-            attackers=frozenset(int(f.src_addr) for f in trace[0][:5]),
+        customer_of, blocklist = twin_context(4)
+        scalar, columnar = build_twins(
+            seed % 97, customer_of, blocklist, threshold=0.5, config=OnlineConfig()
         )
-        for detector in (scalar, columnar):
-            detector.ingest_cdet_alert(alert)
-        for minute, flows in enumerate(trace):
-            a = scalar.step(minute, list(flows))
-            b = columnar.step(minute, FlowBatch.from_records(flows))
-            assert a == b, f"alerts drifted at minute {minute}"
-        assert pickle.dumps(scalar.state_dict()) == pickle.dumps(columnar.state_dict())
+        drive_twins(scalar, columnar, twin_stream(seed, customer_of, blocklist, minutes))
 
     run_property(lanes_match, integers(0, 10**6), choices([3, 8]), runs=4, seed=71)
 
@@ -773,13 +740,12 @@ def test_cached_spoof_verdicts_win_over_a_changed_table():
     faithful under a newer route table: a source judged once keeps its
     verdict, a first-seen source is judged by the table of the day — in
     both lanes, with the same (python int → python bool) cache."""
-    customer_of = {50_000: 0}
     old, new = 2**31 + 5, 2**31 + 6  # both above the announced half: spoofed
     flow = FlowRecord(
         timestamp=0, src_addr=old, dst_addr=50_000, src_port=1, dst_port=2,
         protocol=17, packets=1, bytes_=100,
     )
-    lanes = [_build_detector(1, customer_of, cls) for cls in (ReferenceOnlineXatu, OnlineXatu)]
+    lanes = build_twins(1, {50_000: 0})
     for detector in lanes:
         detector.step(0, [flow])
         state = detector.state_dict()
@@ -796,11 +762,11 @@ def test_rejected_minute_leaves_the_detector_state_untouched():
     """A corrupt country byte fails the minute loudly, and before the
     detector commits anything the fold would have justified: no matrix
     cell, no A3 verdict for the batch's new sources, no watch refresh."""
-    customer_of = {50_000 + i: i for i in range(4)}
-    rng = np.random.default_rng(29)
-    detector = _build_detector(3, customer_of)
-    detector.config_online = replace(detector.config_online, watch_idle_minutes=30)
-    *trace, hostile = _trace_minutes(rng, customer_of, 4)
+    customer_of, blocklist = twin_context(4)
+    detector = build_detector(OnlineXatu, 3, customer_of, blocklist)
+    *trace, hostile = (
+        step.flows for step in twin_stream(29, dict(customer_of), set(), 4)
+    )
     for minute, flows in enumerate(trace):
         detector.step(minute, FlowBatch.from_records(flows))
 
@@ -824,24 +790,12 @@ def test_rejected_minute_leaves_the_detector_state_untouched():
 
 def test_columnar_lane_exercises_all_auxiliary_classes():
     """The differential pass is only meaningful if every mask fires."""
-    customer_of = {50_000 + i: i for i in range(4)}
-    rng = np.random.default_rng(3)
-    trace = _trace_minutes(rng, customer_of, 6)
-    detector = _build_detector(5, customer_of)
-    detector.ingest_cdet_alert(
-        AlertRecord(
-            customer_id=0,
-            attack_type=AttackType.TCP_SYN,
-            detect_minute=0,
-            end_minute=1,
-            peak_bytes=1e9,
-            attackers=frozenset(int(f.src_addr) for f in trace[2][:8]),
-        )
-    )
-    for minute, flows in enumerate(trace):
-        detector.step(minute, FlowBatch.from_records(flows))
-    classes = {cls for (_cust, cls, _minute) in detector.matrix._cells}
-    assert SOURCE_CLASS_PREV_ATTACKER in classes or SOURCE_CLASS_BLOCKLIST in classes
+    customer_of, blocklist = twin_context(4)
+    twins = build_twins(5, customer_of, blocklist)
+    seen = drive_twins(*twins, twin_stream(3, customer_of, blocklist, 12))
+    assert seen >= {
+        "all", SOURCE_CLASS_BLOCKLIST, SOURCE_CLASS_PREV_ATTACKER, SOURCE_CLASS_SPOOFED
+    }, seen
 
 
 # ----------------------------------------------------------------------
