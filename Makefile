@@ -119,12 +119,14 @@ e2e-compare:
 # parent/change runs of one workload, each side's median and quartiles per
 # end-to-end metric, wins/ties, and whether the median gap exceeds the
 # parent's inter-quartile distance.  Non-zero if any run was not correct.
+# LAYERS=share.checkpoint,... adds a traced run per side per pair and prints
+# those per-layer medians under the table (never part of the verdict).
 WORKLOAD ?= fleet_score
 N ?= 10
 SEED ?= 7
 e2e-pairs:
-	@test -n "$(PARENT)" || { echo "usage: make e2e-pairs PARENT=<parent checkout> [WORKLOAD=fleet_score N=10 SEED=7]"; exit 2; }
-	python3 benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) -n $(N) --seed $(SEED)
+	@test -n "$(PARENT)" || { echo "usage: make e2e-pairs PARENT=<parent checkout> [WORKLOAD=fleet_score N=10 SEED=7 LAYERS=<per-layer metrics>]"; exit 2; }
+	python3 benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) -n $(N) --seed $(SEED) $(if $(LAYERS),--trace-layers $(LAYERS)) $(if $(OUT),--out $(OUT))
 
 # The same procedure for a PR that claims no gain (docs/TESTING.md): PAIRS
 # alternating pairs of every BENCHMARK.json workload, and per end-to-end

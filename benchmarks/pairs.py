@@ -21,6 +21,12 @@ parent's by more than the metric's bound; also exits non-zero), else
 ``unresolved`` (the parent's own quartiles are further apart than the bound,
 and not every run of the change beat every run of the parent: these runs
 cannot tell), else ``ok``.
+
+``--trace-layers share.checkpoint,serve.state.write_checkpoint.self_ms_per_min``
+adds one *traced* run per side to every pair (after the untraced two, same
+alternation) and prints each named per-layer metric's median per side under
+the end-to-end table: where a claimed saving sits (choosing-metrics §6.6).
+Layer numbers come from traced runs and never enter a verdict.
 """
 
 from __future__ import annotations
@@ -36,9 +42,12 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("benchmarks") / "e2e" / "run.py"
 
 
-def run_once(checkout: Path, workload: str, seed: int, smoke: bool = False) -> dict:
+def run_once(
+    checkout: Path, workload: str, seed: int, smoke: bool = False, trace: int = 0
+) -> dict:
     """One contract run in ``checkout``; the last stdout line is its result."""
-    cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed)]
+    cmd += ["--trace", str(trace)]
     proc = subprocess.run(
         cmd + ["--smoke"] * smoke, cwd=checkout, capture_output=True, text=True
     )
@@ -91,6 +100,32 @@ def summarise(runs: list[dict], specs: list[dict], neutral: bool = False) -> lis
     return lines
 
 
+def parse_layers(text: str, known: list[str]) -> list[str]:
+    """``--trace-layers``: comma-separated ``BENCHMARK.json`` per-layer names."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    unknown = [name for name in names if name not in known]
+    if not names or unknown or len(set(names)) != len(names):
+        raise ValueError(
+            f"--trace-layers wants distinct per_layer names from BENCHMARK.json; "
+            f"got {text!r}" + (f" (unknown: {', '.join(unknown)})" if unknown else "")
+        )
+    return names
+
+
+def layer_lines(runs: list[dict], names: list[str]) -> list[str]:
+    """Per named layer metric, each side's median over the pairs' traced runs."""
+    lines = [f"per-layer medians of {len(runs)} traced run(s) a side (no verdict):"]
+    for name in names:
+        parent, change = (
+            statistics.median(r["traced"][side]["metrics"][name]["value"] for r in runs)
+            for side in ("parent", "change")
+        )
+        ratio = f"{change / parent:.2f}x" if parent else "-"
+        unit = runs[0]["traced"]["parent"]["metrics"][name]["unit"]
+        lines.append(f"{name:<52} parent {parent:>12.4f}  change {change:>12.4f} {unit:<6} {ratio}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -99,12 +134,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-n", "--pairs", type=int, help="pairs per workload (default 10; 3 with --neutral)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", type=Path, help="also write every run as JSON")
+    parser.add_argument("--trace-layers", help="comma-separated per-layer metrics: adds a traced run per side per pair")
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": REPO_ROOT}
     manifest = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in manifest["workloads"]] if args.neutral else [args.workload]
     pairs = args.pairs or (3 if args.neutral else 10)
+    layers: list[str] = []
+    if args.trace_layers is not None:
+        try:
+            layers = parse_layers(args.trace_layers, [m["name"] for m in manifest["per_layer"]])
+        except ValueError as exc:
+            parser.error(str(exc))
     for side, checkout in sides.items():
         if not (checkout / RUNNER).is_file():
             parser.error(f"{side}: {checkout / RUNNER} not found")
@@ -119,6 +161,10 @@ def main(argv: list[str] | None = None) -> int:
         for pair in range(pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             result = {side: run_once(sides[side], workload, args.seed) for side in order}
+            if layers:
+                result["traced"] = {
+                    side: run_once(sides[side], workload, args.seed, trace=1) for side in order
+                }
             runs[workload].append(result)
             print(
                 f"{workload} pair {pair + 1:>2} ({order[0]} first)  "
@@ -131,12 +177,16 @@ def main(argv: list[str] | None = None) -> int:
             )
         summary.append(f"# {workload}  seed={args.seed}  pairs={pairs}")
         summary += summarise(runs[workload], manifest["end_to_end"], args.neutral)
+        if layers:
+            summary += layer_lines(runs[workload], layers)
     print("\n".join(summary))
     if args.out is not None:
         args.out.write_text(json.dumps({"seed": args.seed, "runs": runs}, indent=1) + "\n")
     incorrect = sum(
-        not result[side]["correct"] or result[side]["failed"] > 0
-        for results in runs.values() for result in results for side in sides
+        not run["correct"] or run["failed"] > 0
+        for results in runs.values()
+        for result in results
+        for run in (result["parent"], result["change"], *result.get("traced", {}).values())
     )
     if incorrect:
         print(f"{incorrect} run(s) reported correct: false or failed minutes")

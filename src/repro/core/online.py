@@ -721,6 +721,9 @@ class OnlineXatu:
             )
         cfg = self.config_online
         model_cfg = self.model.config
+        addresses = np.fromiter(self._spoof_cache, np.int64, len(self._spoof_cache))
+        spoofed = np.fromiter(self._spoof_cache.values(), bool, len(addresses))
+        order = np.argsort(addresses)  # keys of one dict: distinct
         return {
             "minute": self._minute,
             "config": {
@@ -768,9 +771,7 @@ class OnlineXatu:
             ],
             "watched": sorted(self._watched),
             "last_seen": sorted(self._last_seen.items()),
-            "spoof_cache": sorted(
-                (addr, bool(spoofed)) for addr, spoofed in self._spoof_cache.items()
-            ),
+            "spoof_cache": {"addresses": addresses[order], "spoofed": spoofed[order]},
             "customer_of": sorted(self.customer_of.items()),
             "base_rate_of": sorted(self.base_rate_of.items()),
             "blocklist": sorted(int(a) for a in self.blocklist),
@@ -780,10 +781,17 @@ class OnlineXatu:
         """Restore the complete online state captured by :meth:`state_dict`.
 
         Model weights and scaler statistics are loaded back into the
-        current model/scaler objects (architectures must match).
+        current model/scaler objects (architectures must match).  The
+        snapshot is decoded in full before anything is assigned: a
+        malformed one raises and the detector goes on from the state it had.
         """
+
+        def loaded(store, key: str):
+            store.load_state_dict(state[key])
+            return store
+
         cfg = state["config"]
-        self.config_online = OnlineConfig(
+        config = OnlineConfig(
             threshold=float(cfg["threshold"]),
             history_decay_minutes=float(cfg["history_decay_minutes"]),
             clustering_window=int(cfg["clustering_window"]),
@@ -796,39 +804,52 @@ class OnlineXatu:
                 else int(cfg["watch_idle_minutes"])
             ),
         )
-        self.threshold = self.config_online.threshold
-        self.rearm_after = self.config_online.rearm_after
-        self.model.load_state_dict(state_from_bytes(state["model"]["weights"]))
-        if state["scaler"] is not None:
-            self.scaler.load_state_dict(state_from_bytes(state["scaler"]))
-        self.customer_of = {int(a): int(c) for a, c in state["customer_of"]}
-        self.base_rate_of = {int(c): float(r) for c, r in state["base_rate_of"]}
-        self.blocklist = {int(a) for a in state["blocklist"]}
-        self.matrix = TrafficMatrix()
-        self.matrix.load_state_dict(state["matrix"])
-        self.prev_attackers = PreviousAttackerStore()
-        self.prev_attackers.load_state_dict(state["prev_attackers"])
-        self.history = AttackHistoryStore()
-        self.history.load_state_dict(state["history"])
-        self.graph = AttackerCustomerGraph()
-        self.graph.load_state_dict(state["graph"])
-        self._minute = int(state["minute"])
-        self._hazards = defaultdict(list)
-        for customer, values in state["hazards"]:
-            self._hazards[int(customer)] = [float(v) for v in values]
-        self._suppressed_until = {
-            int(customer): int(until) for customer, until in state["suppressed_until"]
+        addresses = np.asarray(state["spoof_cache"]["addresses"])
+        spoofed = np.asarray(state["spoof_cache"]["spoofed"])
+        if (
+            addresses.dtype != np.int64
+            or spoofed.dtype != bool
+            or addresses.ndim != 1
+            or addresses.shape != spoofed.shape
+            or (addresses[1:] <= addresses[:-1]).any()
+        ):
+            raise ValueError(
+                "spoof_cache: int64 addresses, strictly ascending, and as many bool verdicts"
+            )
+        fresh = {
+            "config_online": config,
+            "threshold": config.threshold,
+            "rearm_after": config.rearm_after,
+            "customer_of": {int(a): int(c) for a, c in state["customer_of"]},
+            "base_rate_of": {int(c): float(r) for c, r in state["base_rate_of"]},
+            "blocklist": {int(a) for a in state["blocklist"]},
+            "matrix": loaded(TrafficMatrix(), "matrix"),
+            "prev_attackers": loaded(PreviousAttackerStore(), "prev_attackers"),
+            "history": loaded(AttackHistoryStore(), "history"),
+            "graph": loaded(AttackerCustomerGraph(), "graph"),
+            "_minute": int(state["minute"]),
+            "_hazards": defaultdict(
+                list, {int(c): [float(v) for v in values] for c, values in state["hazards"]}
+            ),
+            "_suppressed_until": {int(c): int(until) for c, until in state["suppressed_until"]},
+            "_pending": [OnlineAlert(int(c), int(m), float(s)) for c, m, s in state["pending"]],
+            "_watched": {int(c) for c in state["watched"]},
+            "_last_seen": {int(c): int(m) for c, m in state["last_seen"]},
+            # python int -> python bool, as the ingest lanes cache them
+            "_spoof_cache": dict(zip(addresses.tolist(), spoofed.tolist())),
         }
-        self._pending = [
-            OnlineAlert(int(c), int(m), float(s)) for c, m, s in state["pending"]
-        ]
-        self._watched = set(int(c) for c in state["watched"])
-        self._last_seen = {
-            int(c): int(m) for c, m in state.get("last_seen", [])
-        }
-        self._spoof_cache = {
-            int(addr): bool(spoofed) for addr, spoofed in state["spoof_cache"]
-        }
+        weights = state_from_bytes(state["model"]["weights"])
+        scaler = None if state["scaler"] is None else state_from_bytes(state["scaler"])
+        if any(
+            key not in weights or weights[key].shape != own.shape
+            for key, own in self.model.state_dict().items()
+        ):
+            raise ValueError("snapshot weights do not fit this model's architecture")
+        self.model.load_state_dict(weights)
+        if scaler is not None:
+            self.scaler.load_state_dict(scaler)
+        for name, value in fresh.items():
+            setattr(self, name, value)
 
     @classmethod
     def from_state_dict(

@@ -213,31 +213,6 @@ class VolumetricAccumulator:
         self.vector += vector_row
         self._sources.update(sources)
 
-    def state_dict(self) -> dict:
-        """Canonical plain-type snapshot of this cell (sources sorted so
-        two cells with equal content serialize byte-identically)."""
-        return {
-            "flow_count": self.flow_count,
-            "total_bytes": self.total_bytes,
-            "total_packets": self.total_packets,
-            "max_bytes": self.max_bytes,
-            "max_packets": self.max_packets,
-            "vector": self.vector.copy(),
-            "sources": sorted(self._sources),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "VolumetricAccumulator":
-        cell = cls()
-        cell.flow_count = int(state["flow_count"])
-        cell.total_bytes = int(state["total_bytes"])
-        cell.total_packets = int(state["total_packets"])
-        cell.max_bytes = int(state["max_bytes"])
-        cell.max_packets = int(state["max_packets"])
-        cell.vector = np.asarray(state["vector"], dtype=np.float64).copy()
-        cell._sources = set(int(a) for a in state["sources"])
-        return cell
-
     def merge(self, other: "VolumetricAccumulator") -> None:
         """Fold another cell into this one (same minute, different class).
 
@@ -362,6 +337,17 @@ class _Series:
         return rows
 
 
+def _column(state: dict, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """One array of a matrix snapshot, checked for dtype and shape."""
+    column = np.asarray(state[name])
+    if column.dtype != dtype or column.shape != shape:
+        raise ValueError(
+            f"matrix snapshot: {name} must be {np.dtype(dtype).name} {shape}, "
+            f"got {column.dtype.name} {column.shape}"
+        )
+    return column
+
+
 class TrafficMatrix:
     """Sparse (customer, source-class, minute) → volumetric-cell store.
 
@@ -402,11 +388,7 @@ class TrafficMatrix:
         ``cell`` installed in its place."""
         series = self._series.get((customer, cls))
         if series is None:
-            # Interned: a key must share identity with the module's
-            # SOURCE_CLASS_* constants, so that a restored matrix pickles
-            # byte-identically to one that never round-tripped (the
-            # checkpoint byte-identity guarantee).
-            key = (customer, sys.intern(str(cls)))
+            key = (customer, cls)
             series = self._series[key] = _Series(key)
         held = series.cells.get(minute)
         if held is None:
@@ -649,27 +631,89 @@ class TrafficMatrix:
         return evicted
 
     def state_dict(self) -> dict:
-        """Canonical snapshot: cells sorted by (customer, class, minute)."""
+        """Canonical columnar snapshot — the one matrix codec (checkpoints
+        pickle it, :func:`repro.synth.save_trace` writes its arrays).
+
+        Row ``r`` of every column is the ``r``-th cell of :meth:`cells`:
+        ``keys[r]`` = (customer, index into the sorted ``classes``, minute),
+        ``counters[r]`` = (flow_count, total_bytes, total_packets, max_bytes,
+        max_packets), ``vectors[r]`` the raw sums, ``sources_flat`` between
+        ``sources_offsets[r]`` and ``[r + 1]`` the cell's sources, ascending.
+        The arrays are built fresh: equal states pickle to equal bytes,
+        nothing aliases a cell; a counter beyond int64 raises ``OverflowError``.
+        """
+        # Interned: pickle memoizes strings by identity and a shard's state
+        # holds equal ones (``OnlineXatu.state_dict``'s "blocklist" and
+        # "spoofed" keys) — a restored matrix's names must share with them
+        # as the SOURCE_CLASS_* literals of one that never round-tripped do.
+        classes = sorted({sys.intern(str(cls)) for _customer, cls in self._series})
+        class_index = {cls: i for i, cls in enumerate(classes)}
+        n = self._n_cells
+        keys: list[tuple[int, int, int]] = []
+        counters: list[tuple[int, int, int, int, int]] = []
+        vectors = np.empty((n, N_VOLUMETRIC))
+        sources: list[int] = []
+        offsets = [0]
+        for row, (customer, cls, minute, cell) in enumerate(self.cells()):
+            keys.append((customer, class_index[cls], minute))
+            counters.append(
+                (cell.flow_count, cell.total_bytes, cell.total_packets,
+                 cell.max_bytes, cell.max_packets)
+            )
+            vectors[row] = cell.vector
+            sources += sorted(cell._sources)
+            offsets.append(len(sources))
         return {
             "max_minute": self.max_minute,
             "customers": sorted(self._customers),
-            "cells": [
-                [customer, cls, minute, cell.state_dict()]
-                for customer, cls, minute, cell in self.cells()
-            ],
+            "classes": classes,
+            "keys": np.array(keys, dtype=np.int64).reshape(n, 3),
+            "counters": np.array(counters, dtype=np.int64).reshape(n, 5),
+            "vectors": vectors,
+            "sources_flat": np.array(sources, dtype=np.int64),
+            "sources_offsets": np.array(offsets, dtype=np.int64),
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Replace the matrix with a :meth:`state_dict` snapshot.  The
+        columns are validated before the first write: a malformed snapshot
+        raises ``ValueError`` and leaves the matrix as it was."""
+        classes = [str(cls) for cls in state["classes"]]
+        customers = {int(c) for c in state["customers"]}
+        max_minute = int(state["max_minute"])
+        n = len(state["keys"])
+        keys = _column(state, "keys", np.int64, (n, 3))
+        counters = _column(state, "counters", np.int64, (n, 5))
+        vectors = _column(state, "vectors", np.float64, (n, N_VOLUMETRIC))
+        offsets = _column(state, "sources_offsets", np.int64, (n + 1,))
+        flat = _column(state, "sources_flat", np.int64, (int(offsets[-1]),))
+        if classes != sorted(set(classes)):
+            raise ValueError("matrix snapshot: classes must be sorted and distinct")
+        if n and not (0 <= keys[:, 1].min() and keys[:, 1].max() < len(classes)):
+            raise ValueError("matrix snapshot: class index out of range")
+        a, b = keys[:-1], keys[1:]
+        ahead = b[:, 2] > a[:, 2]
+        for column in (1, 0):  # lexicographic (customer, class, minute)
+            ahead = (b[:, column] > a[:, column]) | ((b[:, column] == a[:, column]) & ahead)
+        if not ahead.all():
+            raise ValueError("matrix snapshot: keys must be strictly ascending")
+        if offsets[0] != 0 or (np.diff(offsets) < 0).any():
+            raise ValueError("matrix snapshot: sources_offsets must rise from 0")
+
         self.__init__()
-        self._customers = set(int(c) for c in state["customers"])
-        self.max_minute = int(state["max_minute"])
-        for customer, cls, minute, cell_state in state["cells"]:
-            self.set_cell(
-                int(customer),
-                int(minute),
-                cls,
-                VolumetricAccumulator.from_state(cell_state),
-            )
+        self._customers = customers
+        self.max_minute = max_minute
+        bounds = offsets.tolist()
+        sources = flat.tolist()
+        for row, ((customer, cls, minute), counts) in enumerate(
+            zip(keys.tolist(), counters.tolist())
+        ):
+            cell = VolumetricAccumulator()
+            (cell.flow_count, cell.total_bytes, cell.total_packets,
+             cell.max_bytes, cell.max_packets) = counts
+            cell.vector = vectors[row].copy()  # never a view of the snapshot
+            cell._sources = set(sources[bounds[row] : bounds[row + 1]])
+            self.set_cell(customer, minute, classes[cls], cell)
 
     def total_bytes(
         self,

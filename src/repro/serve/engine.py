@@ -365,14 +365,37 @@ class ServeEngine:
             "shards": self.config.shards,
         }
 
+    def _shard_states(self) -> list[dict]:
+        """Every shard's snapshot: all are asked before any is awaited
+        (forked shards build theirs side by side) and every reply is
+        collected, so a failure — raised after — strands no command."""
+        dispatched: list[ShardWorker] = []
+        states: list[dict] = []
+        failure: ShardFailure | None = None
+        for shard in self.shards:
+            try:
+                shard.submit("state")
+                dispatched.append(shard)
+            except ShardFailure as exc:  # unhealthy: no complete snapshot
+                failure = failure or exc
+        for shard in dispatched:
+            try:
+                states.append(shard.collect())
+            except ShardFailure as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return states
+
     def checkpoint(self, root: str | Path | None = None) -> Path:
         """Snapshot the full engine + shard state to disk; returns the
         checkpoint directory."""
         root = root if root is not None else self.config.checkpoint_dir
         if root is None:
             raise ValueError("no checkpoint directory configured")
-        shard_states = [shard.state_dict() for shard in self.shards]
-        path = write_checkpoint(root, self._minute, shard_states, self._engine_state())
+        path = write_checkpoint(
+            root, self._minute, self._shard_states(), self._engine_state()
+        )
         self._checkpoints_written += 1
         if obs_enabled():
             get_registry().counter(
@@ -385,7 +408,10 @@ class ServeEngine:
         directory) into this engine; returns the restored minute.
 
         The engine must have been built with the same shard count the
-        checkpoint was written with.
+        checkpoint was written with.  An unreadable, torn or
+        otherwise-versioned checkpoint raises
+        :class:`~repro.serve.state.CheckpointFormatError` before anything
+        is loaded: the engine is as it was.
         """
         from ..synth.attacks import AttackType
 

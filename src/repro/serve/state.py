@@ -5,7 +5,7 @@ A checkpoint is a directory::
     <root>/
       LATEST                  -> name of the newest ckpt-* subdirectory
       ckpt-00000419/
-        MANIFEST.json         {"format_version": 1, "minute": 419, ...}
+        MANIFEST.json         {"format_version": 2, "minute": 419, ...}
         engine.pkl            engine-level state (collector, counters)
         shard-00.pkl          one OnlineXatu state_dict per shard
         shard-01.pkl
@@ -17,6 +17,10 @@ is sorted-key JSON with no wall-clock content — so equal states produce
 byte-identical checkpoints, the property the crash-equivalence tests
 assert.  Writes are atomic (staged to a temp directory, then renamed) so
 a crash mid-snapshot never corrupts the latest good checkpoint.
+
+Format version 2 holds the collections that grow with traffic (matrix
+cells, spoof verdicts) as flat arrays — column table in ``docs/SERVING.md``.
+Version 1 has no reader: it raises :class:`CheckpointFormatError`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ __all__ = [
     "latest_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 # Pinned: newer pickle protocols could serialize the same state to
 # different bytes, silently breaking checkpoint byte-identity.
@@ -53,8 +57,13 @@ def _dump(obj, path: Path) -> None:
 
 
 def _load(path: Path):
-    with open(path, "rb") as fh:
-        return pickle.load(fh)
+    try:
+        with open(path, "rb") as fh:
+            return pickle.load(fh)
+    except (  # what a missing, empty or torn pickle raises (pickle docs)
+        OSError, EOFError, pickle.UnpicklingError, AttributeError, ImportError, IndexError
+    ) as exc:
+        raise CheckpointFormatError(f"unreadable checkpoint file {path}: {exc!r}") from exc
 
 
 def write_checkpoint(
@@ -120,8 +129,10 @@ def read_checkpoint(path: str | Path) -> tuple[int, list[dict], dict]:
     """Load ``(minute, shard_states, engine_state)`` from one checkpoint.
 
     ``path`` may be a ``ckpt-*`` directory or a checkpoint root (the
-    newest checkpoint is used).  Raises :class:`CheckpointFormatError` on
-    missing manifests or a format version this code does not understand.
+    newest checkpoint is used).  Raises :class:`CheckpointFormatError`,
+    naming the file, for a missing or unreadable manifest, a manifest
+    without ``shards`` / ``minute``, any other format version, and a
+    missing, empty or torn payload file.
     """
     path = Path(path)
     if not (path / "MANIFEST.json").is_file():
@@ -133,13 +144,20 @@ def read_checkpoint(path: str | Path) -> tuple[int, list[dict], dict]:
         manifest = json.loads((path / "MANIFEST.json").read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"unreadable manifest in {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointFormatError(f"manifest in {path} is not a JSON object")
     version = manifest.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointFormatError(
             f"checkpoint {path} has format_version={version!r}; "
             f"this build reads version {CHECKPOINT_FORMAT_VERSION}"
         )
-    n_shards = int(manifest["shards"])
+    try:
+        minute, n_shards = int(manifest["minute"]), int(manifest["shards"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(
+            f"manifest {path / 'MANIFEST.json'} lacks a usable {exc!r}"
+        ) from exc
     engine_state = _load(path / "engine.pkl")
     shard_states = [_load(path / f"shard-{i:02d}.pkl") for i in range(n_shards)]
-    return int(manifest["minute"]), shard_states, engine_state
+    return minute, shard_states, engine_state

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..netflow.matrix import TrafficMatrix, VolumetricAccumulator
+from ..netflow.matrix import TrafficMatrix
 from .attacks import AttackSignature, AttackType
 from .campaign import PlannedPrep
 from .scenario import AttackEvent, ScenarioConfig, Trace
@@ -70,26 +70,12 @@ def save_trace(trace: Trace, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
 
     # --- matrix ---------------------------------------------------------
-    cells = list(trace.matrix.cells())
-    class_names = sorted({cls for _cid, cls, _m, _cell in cells})
-    class_index = {name: i for i, name in enumerate(class_names)}
-    keys = np.zeros((len(cells), 3), dtype=np.int64)
-    vectors = np.zeros((len(cells), 63))
-    counters = np.zeros((len(cells), 5), dtype=np.int64)
-    source_sets: list[set[int]] = []
-    for row, (customer, cls, minute, cell) in enumerate(cells):
-        keys[row] = (customer, class_index[cls], minute)
-        vectors[row] = cell.vector
-        counters[row] = (
-            cell.flow_count, cell.total_bytes, cell.total_packets,
-            cell.max_bytes, cell.max_packets,
-        )
-        source_sets.append(cell._sources)
-    sources_flat, sources_offsets = _flatten_sets(source_sets)
+    # matrix.npz is the arrays of ``TrafficMatrix.state_dict()``, under their
+    # names; its class names go into the manifest, roster and clock nowhere.
+    columns = trace.matrix.state_dict()
     np.savez_compressed(
         directory / "matrix.npz",
-        keys=keys, vectors=vectors, counters=counters,
-        sources_flat=sources_flat, sources_offsets=sources_offsets,
+        **{name: value for name, value in columns.items() if isinstance(value, np.ndarray)},
     )
 
     # --- events ----------------------------------------------------------
@@ -117,7 +103,7 @@ def save_trace(trace: Trace, directory: str | Path) -> Path:
         "horizon": trace.horizon,
         "total_flows": trace.total_flows,
         "sampled_flows": trace.sampled_flows,
-        "class_names": class_names,
+        "class_names": columns["classes"],
         "events": [
             {
                 "event_id": e.event_id,
@@ -174,23 +160,14 @@ def load_trace(directory: str | Path) -> Trace:
         )
 
     # --- matrix -----------------------------------------------------------
-    matrix = TrafficMatrix()
-    class_names = manifest["class_names"]
     with np.load(directory / "matrix.npz") as archive:
-        keys = archive["keys"]
-        vectors = archive["vectors"]
-        counters = archive["counters"]
-        source_sets = _unflatten_sets(
-            archive["sources_flat"], archive["sources_offsets"]
-        )
-    for row in range(len(keys)):
-        customer, class_id, minute = (int(x) for x in keys[row])
-        cell = VolumetricAccumulator()
-        cell.vector = vectors[row].copy()
-        (cell.flow_count, cell.total_bytes, cell.total_packets,
-         cell.max_bytes, cell.max_packets) = (int(x) for x in counters[row])
-        cell._sources = source_sets[row]
-        matrix.set_cell(customer, minute, class_names[class_id], cell)
+        columns = {name: archive[name] for name in archive.files}
+    matrix = TrafficMatrix()
+    # ``set_cell`` rebuilds roster and clock from the cells (a trace's
+    # matrix is never evicted from).
+    matrix.load_state_dict(
+        {"max_minute": -1, "customers": [], "classes": manifest["class_names"], **columns}
+    )
 
     # --- events -------------------------------------------------------------
     with np.load(directory / "events.npz") as archive:

@@ -165,7 +165,8 @@ def twin_stream(
     n_ids = len(customer_of)
     live, dead = sorted(customer_of), []  # swapped-out addresses keep receiving
     next_address = BASE_ADDRESS + n_ids
-    restores = set(rng.integers(1, max(steps, 2), size=2).tolist())
+    # Step 0 restores two detectors that hold nothing: the empty snapshot.
+    restores = {0, *rng.integers(1, max(steps, 2), size=2).tolist()}
     quiet_until: dict[int, int] = {}
     minute = -1
     for step in range(steps):
@@ -247,9 +248,14 @@ def _hazard_bits(detector) -> list:
 def drive_twins(reference, production, stream) -> set[str]:
     """Run both detectors over ``stream``; after every step their alerts and
     every hazard bit agree, at every restore and at the end their checkpoint
-    bytes do.  Returns the names of the hazards that occurred."""
+    bytes do.  A restore is ``state_dict`` → pickle (protocol 4) → unpickle →
+    ``load_state_dict`` — the columnar snapshot end to end — and whatever it
+    dropped or rebuilt has to survive every later step's comparison.
+    Returns the names of the hazards that occurred."""
     twins = (reference, production)
     seen: set[str] = set()
+    series: set[tuple[int, str]] = set()  # the matrix's live (customer, class)
+    thinned = False  # a series lost its last cell to an eviction
     for step in stream:
         for detector in twins:
             if step.tables is not None:
@@ -264,6 +270,9 @@ def drive_twins(reference, production, stream) -> set[str]:
             assert ref_state == got_state, f"checkpoints diverged before minute {step.minute}"
             reference.load_state_dict(pickle.loads(got_state))
             production.load_state_dict(pickle.loads(ref_state))
+            seen.add("restored" if series else "restored-empty")
+            if thinned:
+                seen.add("restored-after-series-evicted")
         watched = set(production._watched)
         want = reference.step(step.minute, step.flows)
         got = production.step(step.minute, FlowBatch.from_records(step.flows))
@@ -272,7 +281,10 @@ def drive_twins(reference, production, stream) -> set[str]:
             f"hazards diverged at minute {step.minute}"
         )
         seen |= step.hazards
-        seen.update(cls for _customer, cls, _minute, _cell in production.matrix.cells())
+        live = {(customer, cls) for customer, cls, _m, _cell in production.matrix.cells()}
+        seen.update(cls for _customer, cls in live)
+        thinned = thinned or bool(series - live)
+        series = live
         if watched - production._watched:
             seen.add("idle-evicted")
         if production._watched - watched:

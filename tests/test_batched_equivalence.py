@@ -477,6 +477,7 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
         "idle-evicted", "re-watched", "A4+A5", "avg", "max", "shared-prefix",
         "matrix-evicted", "late", "future-stamped", "onboarded",
         "re-homed", "swapped", "blocklist-swapped",
+        "restored", "restored-empty", "restored-after-series-evicted",
     }, seen
 
 

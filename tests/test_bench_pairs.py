@@ -112,3 +112,61 @@ def test_an_incorrect_run_fails_the_command_and_sides_alternate(pairs, monkeypat
     assert "NOT CORRECT" in out and "1 run(s) reported correct: false" in out
     assert [smoke for _name, smoke in calls] == [True, True, False, False, False, False]
     assert "pair  1 (parent first)" in out and "pair  2 (change first)" in out
+
+
+def test_trace_layers_adds_a_traced_run_per_side_and_stays_out_of_the_verdict(
+    pairs, monkeypatch, capsys, tmp_path
+):
+    """``--trace-layers``: names are checked against ``BENCHMARK.json``, every
+    pair gets one traced run per side after its untraced two (same
+    alternation), the medians print under the end-to-end table, and the gain
+    verdicts are what they are without the flag."""
+    known = ["share.checkpoint", "serve.state.write_checkpoint.self_ms_per_min", "trace.coverage"]
+    assert pairs.parse_layers(" share.checkpoint, trace.coverage ,", known) == [
+        "share.checkpoint", "trace.coverage",
+    ]
+    for bad in ("", " , ", "share.checkpoint,share.checkpoint", "share.checkpoint,minute_ms_p95"):
+        with pytest.raises(ValueError, match="per_layer names"):
+            pairs.parse_layers(bad, known)
+
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, smoke=False, trace=0):
+        side = "parent" if checkout == tmp_path else "change"
+        calls.append((side, smoke, trace))
+        if not trace:
+            return _run(300.0 if side == "parent" else 200.0, 50.0)
+        nth = sum(c == (side, False, 1) for c in calls)  # this side's traced runs so far
+        share = {"parent": [0.26, 0.30], "change": [0.13, 0.15]}[side][nth - 1]
+        return {
+            "correct": True, "attempted": 10, "failed": 0,
+            "metrics": {
+                "share.checkpoint": {"value": share, "unit": "share"},
+                "trace.coverage": {"value": 0.998, "unit": "share"},
+            },
+        }
+
+    monkeypatch.setattr(pairs, "run_once", fake_run_once)
+    (tmp_path / pairs.RUNNER).parent.mkdir(parents=True)
+    (tmp_path / pairs.RUNNER).touch()  # the parent "checkout"
+    argv = ["--parent", str(tmp_path), "--workload", "carpet_durable", "-n", "2"]
+    assert pairs.main([*argv, "--trace-layers", "share.checkpoint,trace.coverage"]) == 0
+    out = capsys.readouterr().out
+    assert [c for c in calls if not c[1]] == [
+        ("parent", False, 0), ("change", False, 0), ("parent", False, 1), ("change", False, 1),
+        ("change", False, 0), ("parent", False, 0), ("change", False, 1), ("parent", False, 1),
+    ]
+    table, layers = out.split("per-layer medians of 2 traced run(s) a side (no verdict):")
+    assert "share.checkpoint" in layers and "0.50x" in layers  # medians 0.28 and 0.14
+    assert "trace.coverage" in layers and "1.00x" in layers
+    assert "share.checkpoint" not in table
+    verdicts = [line for line in table.splitlines() if "; gain " in line]
+    del calls[:]
+    assert pairs.main(argv) == 0
+    plain = capsys.readouterr().out
+    assert [line for line in plain.splitlines() if "; gain " in line] == verdicts
+    assert "per-layer" not in plain and all(trace == 0 for _side, _smoke, trace in calls)
+
+    with pytest.raises(SystemExit):
+        pairs.main([*argv, "--trace-layers", "share.nonsense"])
+    assert "unknown: share.nonsense" in capsys.readouterr().err

@@ -65,9 +65,12 @@ from repro.netflow.matrix import (
 )
 from repro.obs import get_registry, set_enabled
 from repro.testing.props import choices, integers, run_property
+from repro.core.model import TimescaleSpec
 from repro.testing.twin import (
+    alert_keys,
     build_detector,
     build_twins,
+    checkpoint_bytes,
     drive_twins,
     twin_context,
     twin_stream,
@@ -482,15 +485,20 @@ def test_feature_blocks_identical_across_lanes():
 
 
 class _FullScanMatrix(TrafficMatrix):
-    """``evict_before`` as a filter over the public snapshot: no index, no
+    """``evict_before`` as a row mask over the public snapshot: no index, no
     watermark, nothing of the production bookkeeping — the never-read twin.
     Through pickle, so it also restores where the other matrix does not."""
 
     def evict_before(self, minute):
         state = pickle.loads(pickle.dumps(self.state_dict(), 4))
-        kept = [entry for entry in state["cells"] if entry[2] >= minute]
-        self.load_state_dict({**state, "cells": kept})
-        return len(state["cells"]) - len(kept)
+        keep = state["keys"][:, 2] >= minute
+        sizes = np.diff(state["sources_offsets"])
+        for name in ("keys", "counters", "vectors"):
+            state[name] = state[name][keep]
+        state["sources_flat"] = state["sources_flat"][np.repeat(keep, sizes)]
+        state["sources_offsets"] = np.concatenate(([0], np.cumsum(sizes[keep])))
+        self.load_state_dict(state)  # ``classes`` may now list a class no row uses
+        return int(len(keep) - keep.sum())
 
 
 def _cell_keys(matrix: TrafficMatrix) -> list[tuple[int, str, int]]:
@@ -508,13 +516,17 @@ def test_row_store_is_a_derived_view_of_the_cells():
     records reopen cells behind its watermark): counts, surviving keys and
     snapshots agree, ``len`` counts the cells, and the index, the watermark
     and the series hold what the cells say (``docs/TESTING.md`` lists the
-    mutations this kills)."""
+    mutations this kills).  Restores go through the pickled columnar
+    snapshot, and must have met an empty matrix, one that lost a whole
+    series to an eviction, and one holding a late cell behind an eviction."""
     classes = ("all", SOURCE_CLASS_BLOCKLIST)
+    seen: set = set()
 
     def store_tracks_cells(seed, n_ops):
         rng = np.random.default_rng(seed)
         reader, blind = TrafficMatrix(), _FullScanMatrix()
-        now = 0
+        now = evicted_to = 0
+        dropped: set = set()  # series that lost their last cell to an eviction
         for _ in range(n_ops):
             op = str(rng.choice(["add_flow", "add_batch", "evict", "restore", "reinstall", "tick"]))
             if op in ("add_flow", "add_batch"):
@@ -537,20 +549,31 @@ def test_row_store_is_a_derived_view_of_the_cells():
                         matrix.add_flow(customer, record, [SOURCE_CLASS_BLOCKLIST] if hot else [])
             elif op == "evict":
                 cutoff = now - int(rng.integers(0, 8))
+                series = {key[:2] for key in _cell_keys(reader)}
                 assert reader.evict_before(cutoff) == blind.evict_before(cutoff)
+                evicted_to = max(evicted_to, cutoff)
+                dropped |= series - {key[:2] for key in _cell_keys(reader)}
                 assert reader.evict_before(cutoff) == 0
                 assert cutoff <= _matrix_fingerprint(reader)["oldest"]  # the next scan starts here
             elif op == "restore":
+                keys = _cell_keys(reader)
+                if not keys:
+                    seen.add("restored empty")
+                if any(minute < evicted_to for _customer, _cls, minute in keys):
+                    seen.add("restored a late cell behind an eviction")
+                if dropped:
+                    seen.add("restored after a series was evicted")
                 for matrix in (reader, blind):
                     matrix.load_state_dict(pickle.loads(pickle.dumps(matrix.state_dict(), 4)))
             elif op == "reinstall":
                 if len(reader):  # set_cell over a live key: indexed once, not twice
                     customer, cls, minute = _cell_keys(reader)[int(rng.integers(len(reader)))]
                     for matrix in (reader, blind):
-                        state = matrix.cell(customer, minute, cls).state_dict()
-                        state["total_bytes"] += 1  # ...and it is the new cell that is read
-                        matrix.set_cell(customer, minute, cls, VolumetricAccumulator.from_state(state))
-                        assert matrix.cell(customer, minute, cls).total_bytes == state["total_bytes"]
+                        cell = VolumetricAccumulator()
+                        cell.merge(matrix.cell(customer, minute, cls))
+                        cell.total_bytes += 1  # ...and it is the new cell that is read
+                        matrix.set_cell(customer, minute, cls, cell)
+                        assert matrix.cell(customer, minute, cls) is cell
             else:
                 now += int(rng.choice([1, 2, 3, 1000]))  # 1000: a clock gap
             keys = _cell_keys(reader)
@@ -589,6 +612,179 @@ def test_row_store_is_a_derived_view_of_the_cells():
         assert blind.row_store_rows() == 0
 
     run_property(store_tracks_cells, integers(0, 10**6), choices([10, 60]), runs=12, seed=83)
+    assert seen == {
+        "restored empty",
+        "restored a late cell behind an eviction",
+        "restored after a series was evicted",
+    }
+
+
+def _written_out_of_order(seed: int) -> TrafficMatrix:
+    """A matrix whose insertion order is nobody's sort order — customers and
+    minutes descending, the spoofed class before the blocklist one — with a
+    read (row stores) and a fold after it (dirt) on top."""
+    rng = np.random.default_rng(seed)
+    matrix = TrafficMatrix()
+    records = sorted(_random_records(rng, 90, minutes=6), key=lambda r: -r.timestamp)
+    for i, record in enumerate(records):
+        classes = [SOURCE_CLASS_SPOOFED] if i < 30 else [SOURCE_CLASS_BLOCKLIST] * (i % 2)
+        matrix.add_flow(3 - i % 4, record, classes)
+    matrix.feature_block(0, 0, 6)
+    matrix.add_flow(0, records[0])
+    return matrix
+
+
+_COLUMNS = ("keys", "counters", "vectors", "sources_flat", "sources_offsets")
+
+
+def test_snapshot_columns_follow_the_cells():
+    """The columnar snapshot against ``cells()``: sorted class names, rows in
+    (customer, class name, minute) order whatever the insertion order was,
+    each cell's sources ascending between its two offsets — and the shapes
+    of an empty matrix."""
+    matrix = _written_out_of_order(41)
+    state = matrix.state_dict()
+    n = len(matrix)
+    assert list(state) == ["max_minute", "customers", "classes", *_COLUMNS]
+    assert state["classes"] == ["all", SOURCE_CLASS_BLOCKLIST, SOURCE_CLASS_SPOOFED]
+    assert state["customers"] == [0, 1, 2, 3] and state["max_minute"] == 5
+    assert {name: (state[name].dtype, state[name].shape) for name in _COLUMNS} == {
+        "keys": (np.int64, (n, 3)),
+        "counters": (np.int64, (n, 5)),
+        "vectors": (np.float64, (n, 63)),
+        "sources_flat": (np.int64, (state["sources_offsets"][-1],)),
+        "sources_offsets": (np.int64, (n + 1,)),
+    }
+    named = [(c, state["classes"][k], m) for c, k, m in state["keys"].tolist()]
+    assert named == sorted(named) == _cell_keys(matrix) and len(set(named)) == n > 40
+    assert state["sources_offsets"][0] == 0
+    for row, (_customer, _cls, _minute, cell) in enumerate(matrix.cells()):
+        lo, hi = state["sources_offsets"][row : row + 2]
+        assert state["sources_flat"][lo:hi].tolist() == sorted(cell._sources)
+        assert state["counters"][row].tolist() == [
+            cell.flow_count, cell.total_bytes, cell.total_packets,
+            cell.max_bytes, cell.max_packets,
+        ]
+        assert state["vectors"][row].tobytes() == cell.vector.tobytes()
+
+    empty = TrafficMatrix().state_dict()
+    assert [empty[name].shape for name in _COLUMNS] == [(0, 3), (0, 5), (0, 63), (0,), (1,)]
+    assert empty["sources_offsets"].tolist() == [0] and empty["classes"] == []
+    restored = TrafficMatrix()
+    restored.load_state_dict(pickle.loads(pickle.dumps(empty, 4)))
+    assert pickle.dumps(restored.state_dict(), 4) == pickle.dumps(empty, 4)
+
+
+def test_snapshot_and_matrix_alias_nothing():
+    """Writing into a returned snapshot does not reach the matrix, folding
+    into a restored matrix does not reach the snapshot it came from, and no
+    two cells' vectors share memory (``vectors[row]`` is copied on load)."""
+    matrix = _written_out_of_order(43)
+    snapshot = matrix.state_dict()
+    frozen = pickle.dumps(snapshot, 4)
+    for name in _COLUMNS:
+        snapshot[name][...] = 7
+    snapshot["classes"].clear()
+    snapshot["customers"].clear()
+    assert pickle.dumps(matrix.state_dict(), 4) == frozen
+
+    state = pickle.loads(frozen)
+    restored = TrafficMatrix()
+    restored.load_state_dict(state)
+    vectors = [cell.vector for _customer, _cls, _minute, cell in restored.cells()]
+    assert all(v.base is None and v.flags.owndata for v in vectors)
+    assert not any(np.shares_memory(v, state["vectors"]) for v in vectors)
+    rng = np.random.default_rng(5)
+    batch = _edge_batch(rng, 60, minutes=6)
+    restored.add_batch(
+        rng.integers(0, 4, size=len(batch)),
+        batch,
+        {SOURCE_CLASS_SPOOFED: rng.random(len(batch)) < 0.5},
+    )
+    restored.evict_before(2)
+    assert pickle.dumps(state, 4) == frozen
+    held = pickle.dumps(restored.state_dict(), 4)
+    for name in _COLUMNS:
+        state[name][...] = 7
+    assert pickle.dumps(restored.state_dict(), 4) == held != frozen
+
+
+def test_malformed_snapshot_is_rejected_before_the_first_write():
+    """``load_state_dict`` checks the columns before it resets anything:
+    cells, roster, clock, row stores and their dirt stay as they were."""
+    matrix = _written_out_of_order(47)
+    before = _matrix_fingerprint(matrix)
+    assert before["rows"] and before["dirty"][(0, "all")]
+    good = TrafficMatrix()
+    good.load_state_dict(pickle.loads(before["state"]))
+    good.add_flow(9, _random_records(np.random.default_rng(1), 1)[0])  # not ``matrix``'s state
+
+    def edit(name, change):
+        def apply(state):
+            state[name] = change(state[name].copy())
+        return apply
+
+    def poke(index, value):
+        def change(column):
+            column[index] = value
+            return column
+        return change
+
+    n = len(good)
+    breaks = {
+        "keys must be strictly ascending": [
+            edit("keys", lambda keys: keys[::-1]),
+            edit("keys", poke(1, good.state_dict()["keys"][0])),  # a cell twice
+            edit("keys", poke((n // 2, 2), -1)),  # one minute out of order
+        ],
+        "class index out of range": [
+            edit("keys", poke((n - 1, 1), 3)),
+            edit("keys", poke((0, 1), -1)),
+        ],
+        "classes must be sorted": [lambda state: state["classes"].reverse()],
+        "sources_offsets must rise": [
+            edit("sources_offsets", poke(0, 1)),
+            edit("sources_offsets", poke(n // 2, 10**6)),
+        ],
+        "must be": [
+            edit("counters", lambda counters: counters[:-1]),
+            edit("vectors", lambda vectors: vectors.astype(np.float32)),
+            edit("vectors", lambda vectors: vectors[:, :62]),
+            edit("sources_offsets", lambda offsets: offsets[:-1]),
+            edit("sources_flat", lambda flat: flat.astype(np.uint32)),
+            edit("sources_offsets", poke(-1, 10**6)),  # past the end of sources_flat
+            edit("sources_flat", lambda flat: flat[:-1]),
+            edit("keys", lambda keys: keys.ravel()),
+        ],
+    }
+    for message, edits in breaks.items():
+        for apply in edits:
+            state = good.state_dict()
+            apply(state)
+            with pytest.raises(ValueError, match=message):
+                matrix.load_state_dict(state)
+            assert _matrix_fingerprint(matrix) == before
+    state = good.state_dict()
+    del state["counters"]
+    with pytest.raises(KeyError):
+        matrix.load_state_dict(state)
+    assert _matrix_fingerprint(matrix) == before
+    matrix.load_state_dict(good.state_dict())  # the same snapshot, unbroken, loads
+    assert _matrix_fingerprint(matrix)["state"] == pickle.dumps(good.state_dict())
+
+
+def test_counter_beyond_int64_fails_the_snapshot():
+    """Cells count in Python ints; the columns are int64.  The largest int64
+    round-trips, one more raises at snapshot time instead of wrapping."""
+    matrix = _written_out_of_order(53)
+    cell = next(cell for *_key, cell in matrix.cells())
+    cell.total_bytes = 2**63 - 1
+    restored = TrafficMatrix()
+    restored.load_state_dict(matrix.state_dict())
+    assert next(cell for *_key, cell in restored.cells()).total_bytes == 2**63 - 1
+    cell.total_bytes += 1
+    with pytest.raises(OverflowError):
+        matrix.state_dict()
 
 
 # ----------------------------------------------------------------------
@@ -786,6 +982,79 @@ def test_rejected_minute_leaves_the_detector_state_untouched():
     with pytest.raises(UnicodeDecodeError):
         detector.step(len(trace), batch)
     assert fingerprint() == before
+
+
+def test_rejected_snapshot_leaves_the_detector_state_untouched():
+    """``OnlineXatu.load_state_dict`` decodes the whole snapshot before it
+    assigns anything: a malformed matrix, spoof cache, collection or set of
+    weights raises, and the detector — matrix row stores included — is bit
+    for bit what it was and goes on scoring like a twin that never tried."""
+    customer_of, blocklist = twin_context(4)
+    detector, twin = (build_detector(OnlineXatu, 3, customer_of, blocklist) for _ in range(2))
+    steps = list(twin_stream(29, dict(customer_of), set(), 8))
+    for step in steps[:5]:
+        for lane in (detector, twin):
+            lane.step(step.minute, FlowBatch.from_records(step.flows))
+    good = checkpoint_bytes(detector)
+    before = _matrix_fingerprint(detector.matrix), detector.model.state_dict()
+    assert before[0]["rows"] and len(detector._spoof_cache) > 2
+
+    def reverse(*path):
+        def apply(state):
+            *parents, last = path
+            for key in parents:
+                state = state[key]
+            state[last] = state[last][::-1]
+        return apply
+
+    other = build_detector(  # other weights, and a timescale short of this architecture
+        OnlineXatu, 4, customer_of, blocklist, timescales=(TimescaleSpec("short", 1, 8),)
+    )
+    breaks = [
+        reverse("matrix", "keys"),
+        reverse("spoof_cache", "addresses"),
+        lambda state: state["spoof_cache"].update(spoofed=state["spoof_cache"]["spoofed"][:-1]),
+        lambda state: state["spoof_cache"].update(spoofed=state["spoof_cache"]["spoofed"].astype(np.int8)),
+        lambda state: state.pop("watched"),
+        lambda state: state["pending"].append([1, 2]),
+        lambda state: state["model"].update(weights=other.state_dict()["model"]["weights"]),
+    ]
+    for apply in breaks:
+        state = pickle.loads(good)
+        apply(state)
+        with pytest.raises((ValueError, KeyError)):
+            detector.load_state_dict(state)
+        assert checkpoint_bytes(detector) == good
+        assert _matrix_fingerprint(detector.matrix) == before[0]
+        assert all(np.array_equal(v, before[1][k]) for k, v in detector.model.state_dict().items())
+    for step in steps[5:]:
+        got, want = (
+            lane.step(step.minute, FlowBatch.from_records(step.flows)) for lane in (detector, twin)
+        )
+        assert alert_keys(got) == alert_keys(want)
+    assert checkpoint_bytes(detector) == checkpoint_bytes(twin)
+
+
+def test_a_restored_detector_pickles_like_one_that_never_stopped():
+    """Pickle memoizes strings by identity, and a detector's state says
+    "blocklist" and "spoofed" twice — as matrix class names and as dict keys.
+    A detector that never round-tripped holds the interned literals; one
+    restored from bytes must share them the same way, whoever named the
+    class (here: a name built at run time)."""
+    customer_of, blocklist = twin_context(4)
+    fresh = build_detector(OnlineXatu, 7, customer_of, blocklist)
+    for step in twin_stream(31, dict(customer_of), set(), 6):
+        for alert in step.alerts:
+            fresh.ingest_cdet_alert(alert)
+        fresh.step(step.minute, FlowBatch.from_records(step.flows))
+    classes = {cls for _customer, cls, _minute, _cell in fresh.matrix.cells()}
+    assert classes >= {SOURCE_CLASS_BLOCKLIST, SOURCE_CLASS_SPOOFED}
+    late = fresh.matrix.max_minute
+    fresh.matrix.add_flow(0, _random_records(np.random.default_rng(3), 1, late + 1)[0], ["".join(["block", "list"])])
+    snapshot = checkpoint_bytes(fresh)
+    restored = build_detector(OnlineXatu, 7, customer_of, blocklist)
+    restored.load_state_dict(pickle.loads(snapshot))
+    assert checkpoint_bytes(restored) == snapshot
 
 
 def test_columnar_lane_exercises_all_auxiliary_classes():

@@ -274,6 +274,66 @@ class TestCheckpointFiles:
         assert latest_checkpoint(tmp_path) is None
         assert list_checkpoints(tmp_path) == []
 
+    def test_version_1_directory_is_refused_naming_both_versions(self, tmp_path):
+        """No reader for the per-cell layout: a parent-written checkpoint
+        fails loudly and the deployment restarts cold."""
+        path = write_checkpoint(tmp_path, 1, [{}], {})
+        manifest = json.loads((path / "MANIFEST.json").read_text())
+        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
+        (path / "MANIFEST.json").write_text(json.dumps({**manifest, "format_version": 1}))
+        with pytest.raises(CheckpointFormatError, match=r"format_version=1\b.*version 2\b"):
+            read_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda path: (path / "shard-01.pkl").write_bytes(b""), "shard-01.pkl"),
+            (
+                lambda path: (path / "shard-01.pkl").write_bytes(
+                    (path / "shard-01.pkl").read_bytes()[:-7]
+                ),
+                "shard-01.pkl",
+            ),
+            (lambda path: (path / "engine.pkl").write_bytes(b"\x80\x04garbage"), "engine.pkl"),
+            (lambda path: (path / "shard-00.pkl").unlink(), "shard-00.pkl"),
+            (lambda path: _edit_manifest(path, lambda m: m.pop("shards")), "MANIFEST.json"),
+            (lambda path: _edit_manifest(path, lambda m: m.pop("minute")), "MANIFEST.json"),
+            (lambda path: _edit_manifest(path, lambda m: m.update(shards="two")), "MANIFEST.json"),
+            (lambda path: (path / "MANIFEST.json").write_text("[2]"), "ckpt-00000004"),
+            (lambda path: (path / "MANIFEST.json").write_text("{"), "ckpt-00000004"),
+        ],
+    )
+    def test_damaged_checkpoint_raises_format_error_and_restore_touches_nothing(
+        self, tmp_path, damage, named
+    ):
+        """Torn, empty, garbled or missing payloads and manifests without
+        their keys all surface as ``CheckpointFormatError`` naming the file
+        — and ``restore`` leaves a running engine exactly as it was."""
+        with _stub_engine(shards=2, checkpoint_dir=tmp_path / "good") as engine:
+            for minute in range(5):
+                engine.ingest_flows(_minutes_of_flows(1)[0])
+                engine.tick(minute)
+            damaged = engine.checkpoint(tmp_path / "bad")
+            engine.tick(5)
+            damage(damaged)
+            with pytest.raises(CheckpointFormatError, match=named):
+                read_checkpoint(damaged)
+            before = _checkpoint_files(engine.checkpoint())
+            with pytest.raises(CheckpointFormatError, match=named):
+                engine.restore(tmp_path / "bad")
+            assert engine.current_minute == 5
+            assert _checkpoint_files(engine.checkpoint()) == before
+
+
+def _edit_manifest(path, change) -> None:
+    manifest = json.loads((path / "MANIFEST.json").read_text())
+    change(manifest)
+    (path / "MANIFEST.json").write_text(json.dumps(manifest))
+
+
+def _checkpoint_files(path) -> dict[str, bytes]:
+    return {entry.name: entry.read_bytes() for entry in sorted(path.iterdir())}
+
 
 # ----------------------------------------------------------------------
 # engine mechanics (stub detector, inline backend)
@@ -352,6 +412,45 @@ class TestEngineMechanics:
                 engine.tick(minute)
             assert engine.stats()["checkpoints_written"] == 3
         assert len(list_checkpoints(tmp_path)) == 3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_checkpoint_asks_every_shard_first_and_strands_none(
+        self, tmp_path, monkeypatch, backend
+    ):
+        """Snapshots are requested from all shards before any is awaited
+        (forked shards build theirs side by side).  A shard that fails in
+        the middle still lets every other reply be collected — no shard is
+        left with a pending command — and nothing is written."""
+
+        class FlakySnapshot(StubDetector):
+            def state_dict(self):
+                if 1 in self.partition.values():  # the shard of customer 1
+                    raise RuntimeError("induced snapshot failure")
+                return super().state_dict()
+
+        calls = []
+        for name in ("submit", "collect"):
+            def logged(self, *message, _real=getattr(ShardWorker, name), _name=name):
+                calls.append((_name, self.index))
+                return _real(self, *message)
+            monkeypatch.setattr(ShardWorker, name, logged)
+        engine = ServeEngine(
+            FlakySnapshot, ADDRESS_OF, ServeConfig(shards=3, backend=backend)
+        )
+        with engine:
+            engine.tick(0)
+            del calls[:]
+            with pytest.raises(ShardFailure, match="induced snapshot failure"):
+                engine.checkpoint(tmp_path)
+            assert calls == [("submit", i) for i in range(3)] + [("collect", i) for i in range(3)]
+            assert [shard._pending for shard in engine.shards] == [0, 0, 0]
+            assert engine.shard_health() == {0: True, 1: False, 2: True}
+            assert list_checkpoints(tmp_path) == []
+            engine.ingest_flows(_minutes_of_flows(1)[0])
+            assert {a.customer_id % 3 for a in engine.tick(1)} == {0, 2}  # still serving
+            with pytest.raises(ShardFailure, match="unhealthy"):
+                engine.checkpoint(tmp_path)
+            assert [shard._pending for shard in engine.shards] == [0, 0, 0]
 
 
 # ----------------------------------------------------------------------

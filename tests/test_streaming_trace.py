@@ -65,18 +65,16 @@ def lazy_scenario(n_customers: int, seed: int = 5) -> ScenarioConfig:
 
 def assert_matrix_equal(a: TrafficMatrix, b: TrafficMatrix) -> None:
     sa, sb = a.state_dict(), b.state_dict()
-    assert sa["max_minute"] == sb["max_minute"]
-    assert sa["customers"] == sb["customers"]
-    assert len(sa["cells"]) == len(sb["cells"])
-    for cell_a, cell_b in zip(sa["cells"], sb["cells"]):
-        assert cell_a[:3] == cell_b[:3]
-        state_a, state_b = cell_a[3], cell_b[3]
-        for key in (
-            "flow_count", "total_bytes", "total_packets",
-            "max_bytes", "max_packets", "sources",
-        ):
-            assert state_a[key] == state_b[key], (cell_a[:3], key)
-        assert np.array_equal(state_a["vector"], state_b["vector"]), cell_a[:3]
+    assert sa.keys() == sb.keys()
+    for name in ("max_minute", "customers", "classes"):
+        assert sa[name] == sb[name], name
+    assert np.array_equal(sa["keys"], sb["keys"])
+    where = [tuple(key) for key in sa["keys"].tolist()]  # (customer, class index, minute)
+    for name in ("counters", "vectors"):
+        differ = np.flatnonzero((sa[name] != sb[name]).any(axis=1))
+        assert not len(differ), (name, where[differ[0]])
+    for name in ("sources_offsets", "sources_flat"):
+        assert np.array_equal(sa[name], sb[name]), name
 
 
 def assert_events_equal(a, b) -> None:

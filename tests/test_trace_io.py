@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.synth import TraceGenerator, load_trace, save_trace, world_checksum
 from repro.netflow import SOURCE_CLASS_ALL, SOURCE_CLASS_BLOCKLIST
+
+MATRIX_COLUMNS = ("keys", "vectors", "counters", "sources_flat", "sources_offsets")
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +89,60 @@ class TestRoundtrip:
         assert [(x.customer_id, x.detect_minute) for x in a] == [
             (x.customer_id, x.detect_minute) for x in b
         ]
+
+
+class TestOneMatrixCodec:
+    """``matrix.npz`` is ``TrafficMatrix.state_dict()``'s arrays and nothing
+    else: the trace files and the serve checkpoints share one codec."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "trace_v1"
+
+    def test_round_trip_is_the_matrix_snapshot_bit_for_bit(self, saved):
+        directory, original, restored = saved
+        assert pickle.dumps(restored.matrix.state_dict(), 4) == pickle.dumps(
+            original.matrix.state_dict(), 4
+        )
+        columns = original.matrix.state_dict()
+        with np.load(directory / "matrix.npz") as archive:
+            assert sorted(archive.files) == sorted(MATRIX_COLUMNS)
+            for name in MATRIX_COLUMNS:
+                assert archive[name].dtype == columns[name].dtype
+                assert archive[name].tobytes() == columns[name].tobytes()
+        manifest = json.loads((directory / "trace.json").read_text())
+        assert manifest["class_names"] == columns["classes"]
+
+    def test_a_trace_written_before_the_shared_codec_still_loads(self, tmp_path):
+        """``tests/fixtures/trace_v1`` was written by the commit before the
+        codec was shared (``save_trace`` with its own per-cell loop).  It
+        loads, and saving it again produces the same arrays: format version
+        1 did not move.  (The world is rebuilt from the config's seed: if
+        the generator changes, ``load_trace`` says so and the fixture is to
+        be re-recorded with ``save_trace`` on a 3-customer, 40-minute
+        scenario.)"""
+        trace = load_trace(self.FIXTURE)
+        assert len(trace.matrix) == 163 and trace.matrix.customers() == [0, 1, 2]
+        assert trace.matrix.max_minute == 39 and len(trace.events) == 2
+        save_trace(trace, tmp_path)
+        for name in ("matrix.npz", "events.npz"):
+            with np.load(self.FIXTURE / name) as old, np.load(tmp_path / name) as new:
+                assert sorted(old.files) == sorted(new.files)
+                for key in old.files:
+                    assert old[key].dtype == new[key].dtype
+                    assert old[key].tobytes() == new[key].tobytes(), (name, key)
+        assert json.loads((tmp_path / "trace.json").read_text()) == json.loads(
+            (self.FIXTURE / "trace.json").read_text()
+        )
+
+    def test_a_malformed_matrix_file_is_refused(self, saved, tmp_path):
+        directory, *_ = saved
+        for name in ("trace.json", "events.npz"):
+            (tmp_path / name).write_bytes((directory / name).read_bytes())
+        with np.load(directory / "matrix.npz") as archive:
+            columns = {name: archive[name] for name in archive.files}
+        columns["sources_offsets"] = columns["sources_offsets"][:-1]
+        np.savez_compressed(tmp_path / "matrix.npz", **columns)
+        with pytest.raises(ValueError, match="sources_offsets"):
+            load_trace(tmp_path)
 
 
 class TestGuards:
