@@ -104,15 +104,27 @@ serve-smoke:
 e2e-smoke:
 	$(PY) -m pytest benchmarks/e2e -q
 
-# Parent/change comparison for a perf PR (docs/TESTING.md): the full e2e
-# suite on the working tree, then the per-metric diff against the report the
-# same command wrote in a clone of the parent commit
+# Regression sweep for a perf PR (docs/TESTING.md): the full e2e suite on
+# the working tree, then the per-metric diff against BASE — by default the
+# committed trajectory point benchmarks/results/BENCH_e2e.json (the last
+# perf-affecting PR's `--suite` report, host block included), or the
+# report the same command wrote in a clone of the parent commit
 # (`python3 benchmarks/e2e/run.py --suite --out parent.json` there).
+# A BASE from another host warns: its timings then say nothing, its exact
+# counts and alert digests (`differs` lines) still must match.
 E2E_OUT ?= /tmp/repro-e2e/change.json
+BASE ?= benchmarks/results/BENCH_e2e.json
+define E2E_HOST_DIFF
+import json, sys
+hosts = [next(iter(json.load(open(p))["workloads"].values()))["untraced"]["info"]["host"] for p in sys.argv[1:]]
+differ = [k for k in ("nproc", "machine", "python", "numpy") if hosts[0].get(k) != hosts[1].get(k)]
+if differ: print(f"e2e-compare: warning: {sys.argv[1]} was recorded on another host ({', '.join(differ)} differ): read the counts and digests below, not the timings")
+endef
+export E2E_HOST_DIFF
 e2e-compare:
-	@test -n "$(BASE)" || { echo "usage: make e2e-compare BASE=<parent report.json>"; exit 2; }
 	mkdir -p $(dir $(E2E_OUT))
 	python3 benchmarks/e2e/run.py --suite --out $(E2E_OUT)
+	@python3 -c "$$E2E_HOST_DIFF" $(BASE) $(E2E_OUT)
 	python3 benchmarks/e2e/run.py --compare $(BASE) $(E2E_OUT)
 
 # The claim procedure for a perf PR (docs/TESTING.md): N alternating

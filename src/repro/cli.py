@@ -515,10 +515,14 @@ def cmd_serve(args) -> int:
 
     pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     if args.backend == "process" and not any(os.environ.get(v) for v in pins):
-        # Measured (docs/SERVING.md): unpinned, forked shards lose to inline.
+        # Measured (docs/SERVING.md): unpinned, forked shards lose to inline;
+        # pinned, the fan-out still costs a fixed ~1.2 ms a minute.
         print("serve: warning: --backend process with none of " + "/".join(pins)
               + " set — every shard's BLAS pool competes for the same cores; "
-              "export OPENBLAS_NUM_THREADS=1 before starting (docs/SERVING.md)",
+              "export OPENBLAS_NUM_THREADS=1 before starting, and below ~5 "
+              "watched customers per shard prefer --backend inline: the "
+              "fan-out's fixed ~1.2 ms a minute outweighs what it overlaps "
+              "(docs/SERVING.md)",
               file=sys.stderr)
     if args.checkpoint_dir is None and (
         args.restart_at is not None or args.checkpoint_every

@@ -344,21 +344,21 @@ class OnlineXatu:
         cache, watch set) is committed after it.  Returns ``(ingested,
         unrouted)`` counts.
         """
-        arr = batch.array
-        if not len(arr):
+        if not len(batch):
             return 0, 0
-        cust, routed = self._lookup.route(arr["dst_addr"].astype(np.int64))
-        unrouted = int(len(arr) - np.count_nonzero(routed))
-        if unrouted == len(arr):
+        cust, routed = self._lookup.route(batch.array["dst_addr"].astype(np.int64))
+        unrouted = int(len(batch) - np.count_nonzero(routed))
+        if unrouted == len(batch):
             return 0, unrouted
         if unrouted:  # else: spare the copy of every 38-byte record
             cust = cust[routed]
-            arr = arr[routed]
+            batch = batch.take(routed)
+        arr = batch.array
         src = arr["src_addr"].astype(np.int64)
         spoofed, fresh_verdicts = self._spoof_mask(src)
         seen = self.matrix.add_batch(
             cust,
-            FlowBatch(arr),
+            batch,
             {
                 SOURCE_CLASS_BLOCKLIST: self._blocklist_mask(src),
                 SOURCE_CLASS_PREV_ATTACKER: self.prev_attackers.batch_mask(

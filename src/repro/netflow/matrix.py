@@ -466,8 +466,9 @@ class TrafficMatrix:
                 raise ValueError(f"class mask {cls!r} must align with the flow batch")
             masks.append((cls, mask))
         # Fields are read column-wise: indexing the 38-byte structured rows
-        # (``arr[order]``, ``arr[mask]``) costs ~60x a single field's gather;
-        # ``take`` beats ``[]`` 2-4x on strided fields and on rows.
+        # (``arr[order]``, ``arr[mask]``) costs ~60x a single field's gather
+        # — where whole rows must move, ``FlowBatch.take`` moves them as
+        # bytes; ``take`` beats ``[]`` 2-4x on strided fields too.
         proto = arr["protocol"]
         country = _COUNTRY_COLUMN.take(arr["src_country"].view("<u2"))
         if country.max() == _INVALID:

@@ -220,13 +220,38 @@ class FlowBatch:
 
     @staticmethod
     def concat(batches: Sequence["FlowBatch"]) -> "FlowBatch":
-        """Concatenate batches into one (copies; empty input allowed)."""
+        """Concatenate batches into one (copies; empty input allowed).
+
+        The blocks are joined as bytes: ``np.concatenate`` of structured
+        arrays copies field by field (~25x slower on this dtype).  A
+        strided chunk (``batch[::2]``) is made contiguous first.
+        """
         arrays = [b.array for b in batches if len(b.array)]
         if not arrays:
             return FlowBatch.empty()
         if len(arrays) == 1:
             return FlowBatch(arrays[0])
-        return FlowBatch(np.concatenate(arrays))
+        blocks = [np.ascontiguousarray(a).view(np.uint8) for a in arrays]
+        return FlowBatch(np.concatenate(blocks).view(FLOW_DTYPE))
+
+    def take(self, indices) -> "FlowBatch":
+        """The rows at ``indices`` as a fresh contiguous batch.
+
+        ``indices`` is an integer index array (order and repeats kept) or
+        a boolean mask over the batch (arrival order kept).  Same rows as
+        ``array[indices]``, which copies each record field by field;
+        ``ndarray.take`` moves it as one 38-byte block (~10x faster).
+        """
+        indices = np.asarray(indices)
+        if indices.dtype == bool:
+            if indices.shape != self.array.shape:
+                raise IndexError(
+                    f"mask of shape {indices.shape} over a batch of {len(self.array)}"
+                )
+            indices = np.flatnonzero(indices)
+        elif not indices.size:
+            indices = indices.astype(np.intp)  # ``[]`` arrives as float64
+        return FlowBatch(self.array.take(indices))
 
     # -- wire -----------------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -288,7 +313,9 @@ class FlowBatch:
                 src_country=_decode_country(bytes(row["src_country"])),
                 sampling_rate=int(row["sampling_rate"]),
             )
-        return FlowBatch(self.array[key])
+        if isinstance(key, slice):
+            return FlowBatch(self.array[key])
+        return self.take(key)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FlowBatch):

@@ -180,10 +180,7 @@ class ServeEngine:
         cids, routed = self._lookup.route(arr["dst_addr"].astype(np.int64))
         shard_of = np.where(routed, cids % n, -1)
         unrouted = int(len(arr) - np.count_nonzero(routed))
-        return (
-            [FlowBatch(arr[shard_of == index]) for index in range(n)],
-            unrouted,
-        )
+        return [batch.take(shard_of == index) for index in range(n)], unrouted
 
     def _fan_out(
         self, minute: int, by_shard: list[FlowBatch]

@@ -31,8 +31,11 @@ checkpoints.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import warnings
 from typing import Callable, Sequence
+
+import numpy as np
 
 from ..core.online import OnlineAlert, OnlineXatu
 from ..netflow.records import FLOW_WIRE_SIZE, FlowBatch, FlowRecord
@@ -88,7 +91,17 @@ def _execute(detector: OnlineXatu, message, reader: ShmReader | None = None):
 
 
 def _worker_loop(detector: OnlineXatu, conn) -> None:
-    """Serve commands until ``stop`` (the process backend's child)."""
+    """Serve commands until ``stop`` (the process backend's child).
+
+    The shard runs under ``SCHED_BATCH``: the kernel never lets a batch
+    task preempt on wake-up, so the dispatcher finishes sending the minute
+    to every shard (and blocks in ``collect``) before a shard sharing its
+    CPU starts.  A host that lacks or refuses the policy serves the same.
+    """
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
     reader = ShmReader()
     while True:
         try:
@@ -198,11 +211,13 @@ class ShardWorker:
     ) -> None:
         if isinstance(flows, FlowBatch):
             if self._ring is not None:
-                # Stage the batch bytes in shared memory; the pipe carries
-                # only the control tuple.  Safe to reuse the ring slot on
-                # the next submit: the child replies only after the
-                # detector fully consumed this payload.
-                payload = ("shm", *self._ring.write(flows.to_bytes()))
+                # Stage the batch's own buffer in shared memory (one copy,
+                # into the ring); the pipe carries only the control tuple.
+                # Safe to reuse the ring slot on the next submit: the
+                # child replies only after the detector fully consumed
+                # this payload.
+                block = np.ascontiguousarray(flows.array).view(np.uint8)
+                payload = ("shm", *self._ring.write(block))
             else:
                 payload = flows
         else:

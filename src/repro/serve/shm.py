@@ -50,8 +50,12 @@ class ShmRing:
     def capacity(self) -> int:
         return self._shm.size
 
-    def write(self, payload: bytes) -> tuple[str, int, int]:
-        """Stage one payload; returns its ``(name, offset, length)``."""
+    def write(self, payload) -> tuple[str, int, int]:
+        """Stage one payload; returns its ``(name, offset, length)``.
+
+        ``payload`` is ``bytes`` or any contiguous byte buffer whose
+        ``len()`` is its byte count (a ``uint8`` array view of a batch).
+        """
         n = len(payload)
         if n > self._shm.size:
             self._grow(n)

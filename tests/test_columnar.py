@@ -201,6 +201,47 @@ def test_batch_sequence_protocol():
     assert FlowBatch.concat([batch[:2], FlowBatch.empty(), batch[2:]]) == batch
 
 
+def test_row_movement_matches_the_structured_forms():
+    """``concat`` / ``take`` move 38-byte rows as bytes; the forms they
+    replaced (``np.concatenate`` of structured arrays, ``arr[mask]``,
+    ``arr[index_array]``) are the reference, compared by ``tobytes()``."""
+
+    def moves_match(seed, n):
+        rng = np.random.default_rng(seed)
+        batch = FlowBatch.from_records(_random_records(rng, n))
+        read_only = FlowBatch.from_buffer(batch.to_bytes())
+        strided = batch[::2]  # ``view(np.uint8)`` raises on this one as it is
+        assert not read_only.array.flags.writeable
+        assert n < 3 or not strided.array.flags.c_contiguous
+        for chunks in (
+            [],
+            [read_only],
+            [batch, FlowBatch.empty(), read_only],
+            [strided, batch, FlowBatch.empty(), strided, read_only],
+        ):
+            expected = np.concatenate([FlowBatch.empty().array] + [c.array for c in chunks])
+            assert FlowBatch.concat(chunks).to_bytes() == expected.tobytes()
+        if n:  # a single datagram's minute is handed on, not copied
+            assert FlowBatch.concat([FlowBatch.empty(), read_only]).array is read_only.array
+
+        mask = rng.random(n) < 0.5
+        index = rng.integers(-n, n, size=2 * n) if n else np.zeros(0, dtype=np.int64)
+        for source in (batch, read_only, strided):
+            m, i = mask[: len(source)], index[np.abs(index) < len(source)]
+            for key in (m, ~m | m, m & ~m, i, i.tolist(), i[:0], []):
+                expected = source.array[key].tobytes()
+                taken = source.take(key)
+                assert taken.to_bytes() == expected
+                assert source[key].to_bytes() == expected
+                assert taken.array.flags.c_contiguous and taken.array.flags.writeable
+        with pytest.raises(IndexError):
+            batch.take(np.zeros(n + 1, dtype=bool))
+        with pytest.raises(IndexError):
+            batch.take([n])
+
+    run_property(moves_match, integers(0, 10**6), choices([0, 1, 2, 7, 60]), runs=12, seed=53)
+
+
 # ----------------------------------------------------------------------
 # sampler: one batched binomial draw == the scalar per-flow loop
 # ----------------------------------------------------------------------
@@ -220,16 +261,21 @@ class TestVectorizedSampler:
             draws_match,
             integers(0, 10**6),
             choices([0, 1, 7, 200]),
-            choices([1, 10, 1000]),
-            runs=10,
+            choices([1, 10, 100, 1000]),
+            runs=12,
             seed=47,
         )
 
     def test_rate_one_is_identity_with_rate_stamped(self):
         records = _random_records(np.random.default_rng(11), 5)
+        records += [replace(records[0], sampling_rate=1), replace(records[1], sampling_rate=100)]
         sampler = PacketSampler(1, rng=np.random.default_rng(0))
-        assert [r.packets for r in sampler.sample_many(records)] == [r.packets for r in records]
-        assert all(r.sampling_rate == 1 for r in sampler.sample_many(records))
+        # nothing to draw: each record re-stamped, or itself if it needs none
+        stamped = [replace(r, sampling_rate=1) for r in records]
+        assert sampler.sample_many(records) == stamped
+        assert [sampler.sample(r) for r in records] == stamped
+        for record, kept in zip(records, sampler.sample_many(records)):
+            assert (kept is record) == (record.sampling_rate == 1)
         assert sampler.sample_batch(FlowBatch.from_records(records)).to_records() == [
             r for r in sampler.sample_many(records)
         ]

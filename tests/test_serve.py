@@ -357,6 +357,48 @@ class TestEngineMechanics:
             assert [(a.minute, a.customer_id) for a in engine.poll_alerts()] == keys
             assert engine.poll_alerts() == []
 
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    @pytest.mark.parametrize("routing", ["dict", "router"])
+    def test_partition_keeps_arrival_order_and_drops_the_unrouted(self, shards, routing):
+        """Per-shard bytes == the per-record append loop's, for both routing
+        forms: an even spread, every record on one shard, an unrouted share."""
+        from repro.netflow import FlowBatch, encode_flow
+        from repro.serve import ContiguousCustomerRouter
+
+        stride = 1 if routing == "dict" else 4
+        customer_of = (
+            ADDRESS_OF if routing == "dict"
+            else ContiguousCustomerRouter(50_000, N_CUSTOMERS, stride=stride)
+        )
+        rng = np.random.default_rng(shards)
+        spread = rng.integers(0, N_CUSTOMERS, size=40).tolist()
+        streams = {
+            "spread": spread,
+            "one_shard": [1, 1 + shards] * 5,
+            "unrouted_share": [c if i % 3 else None for i, c in enumerate(spread)],
+            "all_unrouted": [None] * 5,
+            "empty": [],
+        }
+        with ServeEngine(
+            lambda partition: StubDetector({}), customer_of, ServeConfig(shards=shards)
+        ) as engine:
+            for name, customers in streams.items():
+                records = [
+                    FlowRecord(
+                        timestamp=0, src_addr=i + 1, src_port=i, dst_port=2, protocol=6,
+                        packets=1 + i, bytes_=10,
+                        dst_addr=49_999 if c is None else 50_000 + stride * c,
+                    )
+                    for i, c in enumerate(customers)
+                ]
+                expected = [b""] * shards
+                for record, c in zip(records, customers):
+                    if c is not None:
+                        expected[c % shards] += encode_flow(record)
+                by_shard, unrouted = engine._partition(FlowBatch.from_records(records))
+                assert [b.to_bytes() for b in by_shard] == expected, name
+                assert unrouted == customers.count(None), name
+
     def test_datagrams_reach_tick_without_materializing_records(self, monkeypatch):
         """The serve path is columnar end to end: no per-flow Python objects
         between the wire and the shard."""

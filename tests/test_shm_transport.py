@@ -18,13 +18,14 @@ tests pin that, plus the ring mechanics the guarantee rests on:
   the shared-memory transport.
 """
 
+import os
 import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.netflow import DatagramCodec, FlowBatch, FlowRecord
+from repro.netflow import FLOW_WIRE_SIZE, DatagramCodec, FlowBatch, FlowRecord
 from repro.serve import ServeConfig, ServeEngine, latest_checkpoint
 from repro.serve import shard as shard_mod
 from repro.serve.shard import ShardWorker
@@ -117,6 +118,34 @@ class TestShmRing:
             reader.close()
             ring.close()
 
+    def test_batch_buffers_decode_to_the_same_batch(self):
+        """What ``submit_step`` stages — a batch's own ``uint8`` view, never
+        a ``bytes`` copy — through a wrap, a zero-length payload and a
+        growth; the control tuple's length is in bytes, not records."""
+        ring = ShmRing(MIN_RING_BYTES)
+        reader = ShmReader()
+        try:
+            first = ring.name
+            placed = []
+            for batch in (
+                _flow_batch(60, seed=1),
+                _flow_batch(60, seed=2),  # 2 x 2,280 B > 4,096: wraps
+                FlowBatch.empty(),
+                FlowBatch.from_buffer(_flow_batch(9, seed=3).to_bytes()),  # read-only
+                _flow_batch(400, seed=4),  # 15,200 B: grows
+            ):
+                name, offset, length = ring.write(batch.array.view(np.uint8))
+                assert length == len(batch) * FLOW_WIRE_SIZE
+                decoded = shard_mod._decode_payload(("shm", name, offset, length), reader)
+                assert decoded.to_bytes() == batch.to_bytes()
+                del decoded  # the reader cannot drop a segment a view still maps
+                placed.append((name, offset))
+            assert placed[:4] == [(first, 0), (first, 0), (first, 2280), (first, 2280)]
+            assert placed[4][0] != first
+        finally:
+            reader.close()
+            ring.close()
+
     def test_close_is_idempotent(self):
         ring = ShmRing(MIN_RING_BYTES)
         ring.close()
@@ -138,6 +167,12 @@ class TestShardWorkerTransport:
 
     def test_process_shm_matches_inline(self):
         batches = [_flow_batch(30, seed=i) for i in range(4)]
+        # the shapes a caller can hand submit_step: strided, empty, read-only
+        batches += [
+            _flow_batch(30, seed=4)[::2],
+            FlowBatch.empty(),
+            FlowBatch.from_buffer(_flow_batch(30, seed=5).to_bytes()),
+        ]
         inline = ShardWorker(0, _detector_factory(), backend="inline")
         shm = ShardWorker(
             0, _detector_factory(), backend="process", transport="shm"
@@ -167,6 +202,32 @@ class TestShardWorkerTransport:
         finally:
             shm.close()
             inline.close()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setscheduler"), reason="no scheduler API on this platform"
+    )
+    def test_shards_run_sched_batch_and_serve_without_it(self, monkeypatch):
+        """A forked shard cannot preempt its dispatcher on wake-up; a host
+        that refuses the policy serves the same alerts."""
+        batches = [_flow_batch(30, seed=i) for i in range(3)]
+        inline = ShardWorker(0, _detector_factory(), backend="inline")
+        batch_shard = ShardWorker(0, _detector_factory(), backend="process")
+
+        def refuse(*args):
+            raise PermissionError("sched_setscheduler refused")
+
+        monkeypatch.setattr(os, "sched_setscheduler", refuse)  # inherited by the fork
+        refused = ShardWorker(0, _detector_factory(), backend="process")
+        try:
+            expected = self._alerts(inline, batches)
+            assert self._alerts(batch_shard, batches) == expected
+            assert self._alerts(refused, batches) == expected
+            assert os.sched_getscheduler(batch_shard._process.pid) == os.SCHED_BATCH
+            assert os.sched_getscheduler(refused._process.pid) == os.SCHED_OTHER
+            assert os.sched_getscheduler(0) == os.SCHED_OTHER  # the dispatcher's own
+        finally:
+            for worker in (inline, batch_shard, refused):
+                worker.close()
 
     def test_record_lists_still_travel_the_pipe(self):
         records = list(_flow_batch(10, seed=3))
