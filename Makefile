@@ -1,5 +1,5 @@
-# Developer entry points.  `make verify` is the pre-merge gate: both lint
-# layers, the full tier-1 suite, the golden differential check and the
+# Developer entry points.  `make verify` is the pre-merge gate: the lint
+# pass, the full tier-1 suite, the golden differential check and the
 # end-to-end benchmark smoke (docs/TESTING.md).
 
 PY := PYTHONPATH=src python
@@ -8,7 +8,7 @@ PY := PYTHONPATH=src python
         bench-check bench-ingest bench-ingest-full scale-smoke \
         bench-scale-full metrics-selftest \
         telemetry serve-smoke e2e-smoke e2e-compare e2e-pairs e2e-neutral lint \
-        lint-deep lint-baseline sanitize-test scenarios scenarios-check scenarios-ci
+        lint-baseline sanitize-test scenarios scenarios-check scenarios-ci
 
 test:
 	$(PY) -m pytest -x -q
@@ -149,26 +149,21 @@ e2e-neutral:
 	@test -n "$(PARENT)" || { echo "usage: make e2e-neutral PARENT=<parent checkout> [PAIRS=3 SEED=7]"; exit 2; }
 	python3 benchmarks/pairs.py --parent $(PARENT) --neutral -n $(PAIRS) --seed $(SEED)
 
-# xatulint (docs/ANALYSIS.md): the domain-aware static-analysis gate.
+# xatulint (docs/ANALYSIS.md): the domain-aware static-analysis gate,
+# every rule (per-file XL and interprocedural XF) in one pass.
 # Known-intentional findings live in lint-baseline.json with written
 # reasons; --strict also fails on stale baseline entries.
 lint:
 	$(PY) -m repro.cli lint --strict
 
-# xatuflow (docs/ANALYSIS.md): adds the interprocedural XF001-XF004
-# checkers on top of the shallow rules, over a cached symbol graph.
-lint-deep:
-	$(PY) -m repro.cli lint --deep --strict
-
 # Regenerate the baseline after fixing or intentionally adding findings
-# (new entries get a TODO reason that must be replaced by hand).  Runs
-# --deep so XF entries are captured too.
+# (new entries get a TODO reason that must be replaced by hand).
 lint-baseline:
-	$(PY) -m repro.cli lint --deep --write-baseline
+	$(PY) -m repro.cli lint --write-baseline
 
 # Tier-1 suite under the runtime sanitizer: frozen tape buffers +
 # NaN/inf kernel-boundary guards (docs/ANALYSIS.md).
 sanitize-test:
 	REPRO_SANITIZE=1 $(PY) -m pytest -x -q -m "not slow"
 
-verify: lint lint-deep test golden-check metrics-selftest e2e-smoke
+verify: lint test golden-check metrics-selftest e2e-smoke

@@ -60,6 +60,10 @@ class BaselineEntry:
         )
 
 
+def _in_scope(entry: BaselineEntry, scope: set[str] | None) -> bool:
+    return scope is None or entry.path in scope
+
+
 class Baseline:
     """An ordered set of :class:`BaselineEntry` with matching helpers."""
 
@@ -128,10 +132,20 @@ class Baseline:
             (suppressed if self.suppresses(finding) else new).append(finding)
         return new, suppressed
 
-    def unused_entries(self, findings: Iterable[Finding]) -> list[BaselineEntry]:
-        """Entries matching no current finding — stale, delete them."""
+    def unused_entries(
+        self, findings: Iterable[Finding], scope: set[str] | None = None
+    ) -> list[BaselineEntry]:
+        """Entries matching no current finding — stale, delete them.
+
+        ``scope`` is the set of paths the run read (default: every
+        path); an entry for a file outside it is never judged stale.
+        """
         seen = {finding.fingerprint for finding in findings}
-        return [e for e in self.entries if e.fingerprint not in seen]
+        return [
+            e
+            for e in self.entries
+            if e.fingerprint not in seen and _in_scope(e, scope)
+        ]
 
     # ------------------------------------------------------------------
     # persistence
@@ -176,11 +190,19 @@ class Baseline:
         findings: Iterable[Finding],
         previous: "Baseline | None" = None,
         reason: str = _PLACEHOLDER_REASON,
+        scope: set[str] | None = None,
     ) -> "Baseline":
         """Build a baseline covering ``findings``, keeping the written
-        reasons of any entry that still matches (``--write-baseline``)."""
+        reasons of any entry that still matches (``--write-baseline``).
+
+        Entries of ``previous`` for files outside ``scope`` (the paths the
+        run read; default: every path) are carried over unchanged — a run
+        cannot judge a file it did not read.
+        """
         previous = previous or cls()
-        seen: dict[tuple[str, str, str], BaselineEntry] = {}
+        seen: dict[tuple[str, str, str], BaselineEntry] = {
+            e.fingerprint: e for e in previous.entries if not _in_scope(e, scope)
+        }
         for finding in findings:
             if finding.fingerprint in seen:
                 continue

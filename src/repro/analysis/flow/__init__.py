@@ -1,32 +1,27 @@
-"""xatuflow: interprocedural dataflow analysis for the repro codebase.
+"""xatuflow: the project-wide half of xatulint.
 
-Layered under :mod:`repro.analysis` (the shallow per-file xatulint
-framework), this package adds the project-wide half of the lint story:
+Under :mod:`repro.analysis.framework` (findings, file contexts, the one
+rule registry and driver), this package holds the parse and the
+interprocedural machinery every ``cli lint`` run uses:
 
-* :mod:`.symbols` — module/import resolution into one symbol table;
+* :mod:`.symbols` — the one parser: every file into a
+  :class:`~repro.analysis.framework.FileContext`, plus module/import
+  resolution into one symbol table;
 * :mod:`.callgraph` — call edges between every table function;
 * :mod:`.cfg` — per-function basic-block control-flow graphs;
 * :mod:`.engine` — inter- and intraprocedural fixpoint engines;
-* :mod:`.checkers` — the four deep rules (XF001 dtype-flow, XF002
-  seed-stream discipline, XF003 shard-state ownership, XF004 no_grad
-  reachability);
-* :mod:`.cache` — manifest-keyed symbol-graph cache behind
-  ``cli lint --deep``.
+* :mod:`.checkers` — the four project-wide rules (XF001 dtype-flow,
+  XF002 seed-stream discipline, XF003 shard-state ownership, XF004
+  no_grad reachability).
 
 Like the parent package, nothing here imports other ``repro``
 subpackages and nothing executes analyzed code — analysis is purely
 source-level.
 """
 
-from .cache import build_symbol_graph, load_symbol_graph, manifest_digest
-from .callgraph import CallGraph, CallSite, build_call_graph, dotted_name
+from .callgraph import CallGraph, CallSite, build_call_graph
 from .cfg import CFG, Block, build_cfg
-from .checkers import (
-    ALL_FLOW_RULE_IDS,
-    FlowChecker,
-    SymbolGraph,
-    all_flow_checkers,
-)
+from .checkers import SymbolGraph
 from .engine import dataflow_forward, fixpoint_summaries
 from .symbols import (
     ClassInfo,
@@ -37,25 +32,18 @@ from .symbols import (
 )
 
 __all__ = [
-    "ALL_FLOW_RULE_IDS",
     "Block",
     "CFG",
     "CallGraph",
     "CallSite",
     "ClassInfo",
-    "FlowChecker",
     "FunctionInfo",
     "ModuleInfo",
     "SymbolGraph",
     "SymbolTable",
-    "all_flow_checkers",
     "build_call_graph",
     "build_cfg",
-    "build_symbol_graph",
     "dataflow_forward",
-    "dotted_name",
     "fixpoint_summaries",
-    "load_symbol_graph",
-    "manifest_digest",
     "module_name_for",
 ]

@@ -25,20 +25,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from ..framework import dotted_name
 from .symbols import ClassInfo, FunctionInfo, ModuleInfo, SymbolTable
 
-__all__ = ["CallSite", "CallGraph", "build_call_graph", "dotted_name"]
-
-
-def dotted_name(node: ast.AST) -> str:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
+__all__ = ["CallSite", "CallGraph", "build_call_graph"]
 
 
 @dataclass

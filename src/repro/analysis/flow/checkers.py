@@ -1,9 +1,8 @@
-"""The xatuflow deep checkers (XF001–XF004).
+"""The xatuflow project-wide rules (XF001–XF004).
 
-Each checker consumes the whole-project :class:`SymbolGraph` (symbol
-table + call graph) instead of one file's AST, so its facts survive
-function and module boundaries — the exact blind spot of the shallow
-XL rules:
+Each rule reads the whole-project :class:`SymbolGraph` (symbol table +
+call graph) instead of one file's AST, so its facts survive function and
+module boundaries — the exact blind spot of the per-file XL rules:
 
 * **XF001 dtype-flow** — float32/float64 provenance through assignments
   and *call-return summaries*; flags mixed-dtype joins (binops, concats)
@@ -23,54 +22,42 @@ XL rules:
   ``ShmRing`` paths, hold a lock, or target an attribute declared with an
   ``# owner:`` note.
 * **XF004 no-grad-reachability** — walks unguarded call chains from
-  inference entry points; any function on such a chain that allocates
-  tape nodes (``Tensor(...)``, ``lstm_sequence``, ``.forward``) outside
-  ``no_grad`` fires, with the full call path in the message.
+  inference entry points (the entry itself included); any function on
+  such a chain that allocates tape nodes (``Tensor(...)``,
+  ``lstm_sequence``, ``.forward``) outside ``no_grad`` fires, with the
+  full call path in the message.
 
-Findings reuse the shallow framework's :class:`Finding` (same
-fingerprints), so the one committed baseline covers both rule families.
+They register into the same registry as the XL rules and build findings
+through the same :meth:`Rule.finding`, so one pass, one suppression
+filter and one baseline cover both families.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from ..framework import Finding, Severity
-from .callgraph import CallGraph, CallSite, dotted_name
+from ..framework import FileContext, Finding, Rule, Severity, dotted_name, register
+from .callgraph import build_call_graph
 from .cfg import CFG, build_cfg
 from .engine import dataflow_forward, fixpoint_summaries
 from .symbols import ClassInfo, FunctionInfo, SymbolTable
 
-__all__ = [
-    "FlowChecker",
-    "SymbolGraph",
-    "all_flow_checkers",
-    "ALL_FLOW_RULE_IDS",
-]
+__all__ = ["SymbolGraph"]
 
 
 class SymbolGraph:
-    """Symbol table + call graph + per-function AST indexes, built once
-    and shared by every checker (and cached across runs)."""
+    """Symbol table + call graph + per-function CFGs, built once per run
+    and shared by every rule."""
 
-    def __init__(self, table: SymbolTable, graph: CallGraph) -> None:
+    def __init__(self, table: SymbolTable) -> None:
         self.table = table
-        self.graph = graph
-        self._parents: dict[str, dict[int, ast.AST]] = {}
+        self.graph = build_call_graph(table)
         self._cfgs: dict[str, CFG] = {}
 
-    # -- lazy per-function indexes -------------------------------------
-    def parents_of(self, fn: FunctionInfo) -> dict[int, ast.AST]:
-        cached = self._parents.get(fn.qualname)
-        if cached is None:
-            cached = {}
-            for parent in ast.walk(fn.node):
-                for child in ast.iter_child_nodes(parent):
-                    cached[id(child)] = parent
-            self._parents[fn.qualname] = cached
-        return cached
+    def ctx_of(self, fn: FunctionInfo) -> FileContext:
+        return self.table.module_of(fn).ctx
 
     def cfg_of(self, fn: FunctionInfo) -> CFG:
         cfg = self._cfgs.get(fn.qualname)
@@ -79,108 +66,46 @@ class SymbolGraph:
             self._cfgs[fn.qualname] = cfg
         return cfg
 
-    def ancestors(self, fn: FunctionInfo, node: ast.AST):
-        parents = self.parents_of(fn)
-        current = parents.get(id(node))
-        while current is not None:
-            yield current
-            current = parents.get(id(current))
 
-    def statement_of(self, fn: FunctionInfo, node: ast.AST) -> ast.stmt | None:
-        current: ast.AST | None = node
-        parents = self.parents_of(fn)
-        while current is not None and not isinstance(current, ast.stmt):
-            current = parents.get(id(current))
-        return current
-
-    def under_no_grad(self, fn: FunctionInfo, node: ast.AST) -> bool:
-        for anc in self.ancestors(fn, node):
-            if isinstance(anc, ast.With):
-                for item in anc.items:
-                    expr = item.context_expr
-                    target = expr.func if isinstance(expr, ast.Call) else expr
-                    if "no_grad" in dotted_name(target):
-                        return True
-        return False
-
-    def under_lock(self, fn: FunctionInfo, node: ast.AST) -> bool:
-        for anc in self.ancestors(fn, node):
-            if isinstance(anc, ast.With):
-                for item in anc.items:
-                    expr = item.context_expr
-                    if "lock" in dotted_name(expr).lower() or (
-                        isinstance(expr, ast.Call)
-                        and "lock" in dotted_name(expr.func).lower()
-                    ):
-                        return True
-        return False
-
-    def in_comprehension(self, fn: FunctionInfo, node: ast.AST) -> bool:
-        for anc in self.ancestors(fn, node):
-            if isinstance(
-                anc, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                return True
-        return False
+def _with_targets(ctx: FileContext, node: ast.AST) -> Iterator[ast.AST]:
+    """The context expression of every ``with`` item enclosing ``node``."""
+    for anc in ctx.ancestors(node):
+        if isinstance(anc, ast.With):
+            for item in anc.items:
+                yield item.context_expr
 
 
-def _render_path(path: list[str]) -> str:
-    return " -> ".join(q.split(":")[-1] for q in path)
+def _under_no_grad(ctx: FileContext, node: ast.AST) -> bool:
+    return any(
+        "no_grad" in dotted_name(expr.func if isinstance(expr, ast.Call) else expr)
+        for expr in _with_targets(ctx, node)
+    )
 
 
-class FlowChecker:
-    """Base class for one interprocedural rule."""
+def _is_lock(expr: ast.AST) -> bool:
+    """A lock by construction (``Lock()``/``RLock()``) or by name: the
+    last name component is ``lock`` or ends in ``_lock`` (``self._lock``,
+    ``_CACHE_LOCK``) — never a mere substring (``blocklist``, ``clock``)."""
+    if isinstance(expr, ast.Call):
+        return dotted_name(expr.func).split(".")[-1] in ("Lock", "RLock")
+    leaf = dotted_name(expr).split(".")[-1].lower()
+    return leaf == "lock" or leaf.endswith("_lock")
 
-    id: str = "XF000"
-    name: str = "unnamed"
-    severity: str = Severity.ERROR
-    fix_hint: str = ""
-    description: str = ""
 
-    def check(self, sg: SymbolGraph) -> Iterable[Finding]:
-        raise NotImplementedError
+def _under_lock(ctx: FileContext, node: ast.AST) -> bool:
+    return any(_is_lock(expr) for expr in _with_targets(ctx, node))
 
-    def finding(
-        self,
-        sg: SymbolGraph,
-        fn: FunctionInfo,
-        node: ast.AST,
-        message: str,
-        trace: list[str] | None = None,
-    ) -> Finding:
-        mod = sg.table.module_of(fn)
-        line = getattr(node, "lineno", fn.node.lineno)
-        if trace:
-            message = f"{message} [call path: {_render_path(trace)}]"
-        return Finding(
-            rule=self.id,
-            severity=self.severity,
-            path=fn.rel_path,
-            line=line,
-            col=getattr(node, "col_offset", 0),
-            message=message,
-            fix_hint=self.fix_hint,
-            line_text=mod.line_text(line),
-        )
 
-    def run(self, sg: SymbolGraph) -> list[Finding]:
-        from ..framework import _SUPPRESS_RE
+def _in_comprehension(ctx: FileContext, node: ast.AST) -> bool:
+    return any(
+        isinstance(anc, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+        for anc in ctx.ancestors(node)
+    )
 
-        by_path = {m.rel_path: m for m in sg.table.modules.values()}
-        out = []
-        for finding in self.check(sg):
-            # honour the same inline-suppression escape as shallow rules
-            mod = by_path.get(finding.path)
-            if mod is not None:
-                match = _SUPPRESS_RE.search(mod.line_text(finding.line))
-                if match is not None:
-                    listed = match.group(1)
-                    if listed is None or finding.rule in {
-                        part.strip() for part in listed.split(",")
-                    }:
-                        continue
-            out.append(finding)
-        return sorted(out, key=lambda f: (f.path, f.line, f.col))
+
+def _with_call_path(message: str, path: list[str]) -> str:
+    rendered = " -> ".join(q.split(":")[-1] for q in path)
+    return f"{message} [call path: {rendered}]"
 
 
 # ======================================================================
@@ -214,7 +139,8 @@ def _join_dtype(a: str | None, b: str | None) -> str | None:
     return a if a == b else None
 
 
-class DtypeFlowChecker(FlowChecker):
+@register
+class DtypeFlowChecker(Rule):
     """XF001: float64 values must not silently join a float32 lane."""
 
     id = "XF001"
@@ -432,7 +358,7 @@ class DtypeFlowChecker(FlowChecker):
                         )
 
     # ------------------------------------------------------------------
-    def check(self, sg: SymbolGraph) -> Iterable[Finding]:
+    def run(self, sg: SymbolGraph) -> Iterable[Finding]:
         names = list(sg.table.functions)
 
         summaries = fixpoint_summaries(
@@ -450,13 +376,14 @@ class DtypeFlowChecker(FlowChecker):
         findings: list[Finding] = []
         for qualname in names:
             fn = sg.table.functions[qualname]
+            ctx = sg.ctx_of(fn)
             seen: set[int] = set()
 
             def report(node: ast.AST, message: str) -> None:
                 if id(node) in seen:
                     return
                 seen.add(id(node))
-                findings.append(self.finding(sg, fn, node, message))
+                findings.append(self.finding(ctx, node, message))
 
             self._analyze(sg, fn, get_summary, report)
         return findings
@@ -470,7 +397,8 @@ _GEN = "generator"
 _SAFE_CALLS = {"len", "isinstance", "repr", "str", "id", "type", "print"}
 
 
-class SeedStreamChecker(FlowChecker):
+@register
+class SeedStreamChecker(Rule):
     """XF002: each named SeedSequence/Generator stream has one owner."""
 
     id = "XF002"
@@ -609,7 +537,7 @@ class SeedStreamChecker(FlowChecker):
                             consume(node.value)
         return {var: list(by_id.values()) for var, by_id in sites.items()}
 
-    def check(self, sg: SymbolGraph) -> Iterable[Finding]:
+    def run(self, sg: SymbolGraph) -> Iterable[Finding]:
         names = list(sg.table.functions)
         summaries = fixpoint_summaries(
             sg.graph,
@@ -628,19 +556,19 @@ class SeedStreamChecker(FlowChecker):
             if not env:
                 continue
             cfg = sg.cfg_of(fn)
+            ctx = sg.ctx_of(fn)
             for var, sites in sorted(self._consumptions(sg, fn, env).items()):
                 kind = env[var]
                 noun = "SeedSequence" if kind == _SEEDSEQ else "Generator"
                 flagged: set[int] = set()
                 resolved: list[tuple[ast.AST, int | None]] = []
                 for site in sites:
-                    if sg.in_comprehension(fn, site):
+                    if _in_comprehension(ctx, site):
                         if id(site) not in flagged:
                             flagged.add(id(site))
                             findings.append(
                                 self.finding(
-                                    sg,
-                                    fn,
+                                    ctx,
                                     site,
                                     f"{noun} stream `{var}` is consumed "
                                     "inside a comprehension — one stream "
@@ -649,15 +577,14 @@ class SeedStreamChecker(FlowChecker):
                                 )
                             )
                         continue
-                    stmt = sg.statement_of(fn, site)
+                    stmt = ctx.statement_of(site)
                     block = cfg.block_of(stmt) if stmt is not None else None
                     if block is not None and cfg.in_loop(block):
                         if id(site) not in flagged:
                             flagged.add(id(site))
                             findings.append(
                                 self.finding(
-                                    sg,
-                                    fn,
+                                    ctx,
                                     site,
                                     f"{noun} stream `{var}` is consumed "
                                     "inside a loop body — one stream "
@@ -682,8 +609,7 @@ class SeedStreamChecker(FlowChecker):
                             flagged.add(id(site_b))
                             findings.append(
                                 self.finding(
-                                    sg,
-                                    fn,
+                                    ctx,
                                     site_b,
                                     f"{noun} stream `{var}` is consumed a "
                                     "second time (first hand-off at line "
@@ -702,7 +628,8 @@ _CHECKPOINT_FUNCS = {"state_dict", "load_state_dict"}
 _MEDIATED_MODULES = ("serve.shm", "serve.state")
 
 
-class ShardOwnershipChecker(FlowChecker):
+@register
+class ShardOwnershipChecker(Rule):
     """XF003: state shared across a spawn boundary needs mediation."""
 
     id = "XF003"
@@ -817,11 +744,11 @@ class ShardOwnershipChecker(FlowChecker):
     def _owned_attrs(self, sg: SymbolGraph, cls: ClassInfo) -> set[str]:
         """Attributes introduced with an `# owner:` note: single-writer
         ownership declared once, at the attribute's introduction."""
-        mod = sg.table.modules[cls.module]
+        ctx = sg.table.modules[cls.module].ctx
         owned: set[str] = set()
         for node in ast.walk(cls.node):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                if "owner:" not in mod.line_text(node.lineno):
+                if "owner:" not in ctx.line_text(node.lineno):
                     continue
                 targets = (
                     node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -835,7 +762,7 @@ class ShardOwnershipChecker(FlowChecker):
                         owned.add(target.attr)
         return owned
 
-    def check(self, sg: SymbolGraph) -> Iterable[Finding]:
+    def run(self, sg: SymbolGraph) -> Iterable[Finding]:
         table = sg.table
         findings: list[Finding] = []
         flagged: set[tuple[str, int]] = set()
@@ -876,7 +803,7 @@ class ShardOwnershipChecker(FlowChecker):
                             method.module.endswith(m) for m in _MEDIATED_MODULES
                         ):
                             continue
-                        mod = table.module_of(method)
+                        ctx = sg.ctx_of(method)
                         for node in ast.walk(method.node):
                             if not isinstance(node, (ast.Assign, ast.AugAssign)):
                                 continue
@@ -894,9 +821,9 @@ class ShardOwnershipChecker(FlowChecker):
                                     continue
                                 if target.attr in owned:
                                     continue
-                                if "owner:" in mod.line_text(node.lineno):
+                                if "owner:" in ctx.line_text(node.lineno):
                                     continue
-                                if sg.under_lock(method, node):
+                                if _under_lock(ctx, node):
                                     continue
                                 key = (method.rel_path, node.lineno)
                                 if key in flagged:
@@ -904,15 +831,17 @@ class ShardOwnershipChecker(FlowChecker):
                                 flagged.add(key)
                                 findings.append(
                                     self.finding(
-                                        sg,
-                                        method,
+                                        ctx,
                                         node,
-                                        f"`self.{target.attr}` of "
-                                        f"`{shared.name}` is written on the "
-                                        "worker side of a spawn boundary "
-                                        "while the spawning side retains an "
-                                        "alias — unmediated shared state",
-                                        trace=path,
+                                        _with_call_path(
+                                            f"`self.{target.attr}` of "
+                                            f"`{shared.name}` is written on "
+                                            "the worker side of a spawn "
+                                            "boundary while the spawning side "
+                                            "retains an alias — unmediated "
+                                            "shared state",
+                                            path,
+                                        ),
                                     )
                                 )
         return findings
@@ -927,7 +856,8 @@ _INFER_ENTRY_RE = re.compile(
 _TAPE_LEAVES = {"Tensor", "lstm_sequence"}
 
 
-class NoGradReachabilityChecker(FlowChecker):
+@register
+class NoGradReachabilityChecker(Rule):
     """XF004: inference-reachable functions must not allocate tape."""
 
     id = "XF004"
@@ -974,7 +904,7 @@ class NoGradReachabilityChecker(FlowChecker):
     def _decorated_no_grad(self, fn: FunctionInfo) -> bool:
         return any("no_grad" in d for d in fn.decorator_names)
 
-    def check(self, sg: SymbolGraph) -> Iterable[Finding]:
+    def run(self, sg: SymbolGraph) -> Iterable[Finding]:
         table = sg.table
         entries = [
             fn.qualname
@@ -999,8 +929,9 @@ class NoGradReachabilityChecker(FlowChecker):
                 continue
             if self._decorated_no_grad(fn):
                 continue
+            ctx = sg.ctx_of(fn)
             for node, what in self._alloc_sites(fn):
-                if sg.under_no_grad(fn, node):
+                if _under_no_grad(ctx, node):
                     continue
                 key = (fn.rel_path, node.lineno)
                 if key in flagged:
@@ -1008,18 +939,19 @@ class NoGradReachabilityChecker(FlowChecker):
                 flagged.add(key)
                 findings.append(
                     self.finding(
-                        sg,
-                        fn,
+                        ctx,
                         node,
-                        f"`{what}(...)` allocates tape nodes outside "
-                        "no_grad on an inference path",
-                        trace=paths[current],
+                        _with_call_path(
+                            f"`{what}(...)` allocates tape nodes outside "
+                            "no_grad on an inference path",
+                            paths[current],
+                        ),
                     )
                 )
             for site in sg.graph.callees_of(current):
                 if site.callee in paths:
                     continue
-                if sg.under_no_grad(fn, site.node):
+                if _under_no_grad(ctx, site.node):
                     continue
                 callee = table.functions.get(site.callee)
                 if callee is None:
@@ -1029,19 +961,3 @@ class NoGradReachabilityChecker(FlowChecker):
                 paths[site.callee] = paths[current] + [site.callee]
                 queue.append(site.callee)
         return findings
-
-
-# ======================================================================
-_FLOW_CHECKERS: list[FlowChecker] = [
-    DtypeFlowChecker(),
-    SeedStreamChecker(),
-    ShardOwnershipChecker(),
-    NoGradReachabilityChecker(),
-]
-
-ALL_FLOW_RULE_IDS = tuple(checker.id for checker in _FLOW_CHECKERS)
-
-
-def all_flow_checkers() -> list[FlowChecker]:
-    """Every deep checker, ordered by rule id."""
-    return sorted(_FLOW_CHECKERS, key=lambda c: c.id)

@@ -1,11 +1,13 @@
 """xatuflow symbol layer: module/import resolution into one project table.
 
 The flow checkers need to answer "what does this name mean *here*" across
-file boundaries — a question the per-file :class:`~repro.analysis.framework.
-FileContext` cannot ask.  This module parses every analyzed file once and
-builds:
+file boundaries.  This module is the linter's one parser: it parses every
+analyzed file once — a file that does not parse becomes an XL000 finding
+— and builds:
 
-* :class:`ModuleInfo` — one parsed module: its import alias map (``np`` →
+* :class:`ModuleInfo` — one parsed module: its
+  :class:`~repro.analysis.framework.FileContext` (tree, lines, parent map,
+  shared with the per-file XL rules), its import alias map (``np`` →
   ``numpy``, ``OnlineXatu`` → ``repro.core.online.OnlineXatu``), top-level
   functions, and classes;
 * :class:`FunctionInfo` / :class:`ClassInfo` — one symbol each, addressed
@@ -27,6 +29,15 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Iterable
+
+from ..framework import (
+    FileContext,
+    Finding,
+    Severity,
+    dotted_name,
+    iter_python_files,
+    relative_path,
+)
 
 __all__ = [
     "FunctionInfo",
@@ -74,7 +85,7 @@ class FunctionInfo:
         out = []
         for dec in self.node.decorator_list:
             target = dec.func if isinstance(dec, ast.Call) else dec
-            out.append(_dotted(target))
+            out.append(dotted_name(target))
         return out
 
 
@@ -93,34 +104,19 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One parsed module: source, tree, imports, and member indexes."""
+    """One parsed module: its file context, imports, and member indexes."""
 
     name: str
-    rel_path: str
-    source: str
-    tree: ast.Module
-    lines: list[str] = field(default_factory=list)
+    ctx: FileContext
     # local alias -> fully dotted target ("np" -> "numpy",
     # "OnlineXatu" -> "repro.core.online.OnlineXatu")
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
 
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
-
-def _dotted(node: ast.AST) -> str:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
+    @property
+    def rel_path(self) -> str:
+        return self.ctx.rel_path
 
 
 def _package_of(module: str, rel_path: str) -> str:
@@ -135,6 +131,11 @@ class SymbolTable:
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
+        # rel_path -> the file's context: every parsed file, for the
+        # per-file rules and the inline-suppression filter
+        self.files: dict[str, FileContext] = {}
+        # XL000: one finding per file that does not parse
+        self.errors: list[Finding] = []
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         # bare method name -> every FunctionInfo carrying it (the
@@ -149,22 +150,11 @@ class SymbolTable:
         cls, root: Path, paths: Iterable[str | Path] | None = None
     ) -> "SymbolTable":
         """Parse every ``.py`` file under ``paths`` (default: ``src``)
-        relative to ``root`` into one table.  Files that fail to parse are
-        skipped — the shallow XL000 rule owns syntax errors."""
-        from ..framework import iter_python_files
-
+        relative to ``root`` into one table."""
+        root = Path(root)
         table = cls()
-        for path in iter_python_files(paths or ["src"], Path(root)):
-            try:
-                rel = path.relative_to(root).as_posix()
-            except ValueError:
-                rel = path.as_posix()
-            try:
-                source = path.read_text()
-                tree = ast.parse(source)
-            except (OSError, SyntaxError):
-                continue
-            table.add_module(rel, source, tree)
+        for path in iter_python_files(paths or ["src"], root):
+            table.add_source(relative_path(path, root), path.read_text())
         table.finalize()
         return table
 
@@ -173,27 +163,34 @@ class SymbolTable:
         """Build from in-memory ``{rel_path: source}`` (the test entry)."""
         table = cls()
         for rel, source in sorted(sources.items()):
-            try:
-                tree = ast.parse(source)
-            except SyntaxError:
-                continue
-            table.add_module(rel, source, tree)
+            table.add_source(rel, source)
         table.finalize()
         return table
 
-    def add_module(self, rel_path: str, source: str, tree: ast.Module) -> None:
-        name = module_name_for(rel_path)
-        mod = ModuleInfo(
-            name=name,
-            rel_path=PurePosixPath(rel_path).as_posix(),
-            source=source,
-            tree=tree,
-            lines=source.splitlines(),
-        )
-        package = _package_of(name, mod.rel_path)
+    def add_source(self, rel: str, source: str) -> None:
+        """Parse one file into the table, or record its XL000 finding."""
+        rel = PurePosixPath(rel).as_posix()
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            self.errors.append(
+                Finding(
+                    rule="XL000",
+                    severity=Severity.ERROR,
+                    path=rel,
+                    line=exc.lineno or 1,
+                    col=exc.offset or 0,
+                    message=f"syntax error: {exc.msg}",
+                )
+            )
+            return
+        ctx = FileContext(rel, source, tree)
+        self.files[rel] = ctx
+        mod = ModuleInfo(name=module_name_for(rel), ctx=ctx)
+        package = _package_of(mod.name, rel)
         for node in tree.body:
             self._collect(mod, node, package)
-        self.modules[name] = mod
+        self.modules[mod.name] = mod
 
     def _collect(self, mod: ModuleInfo, node: ast.stmt, package: str) -> None:
         if isinstance(node, ast.Import):
@@ -231,7 +228,7 @@ class SymbolTable:
                 name=node.name,
                 node=node,
                 rel_path=mod.rel_path,
-                bases=[_dotted(b) for b in node.bases],
+                bases=[dotted_name(b) for b in node.bases],
             )
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -1,12 +1,16 @@
-"""xatulint — the AST framework: contexts, rules, findings, drivers.
+"""xatulint — the framework: findings, file contexts, one rule registry,
+one driver.
 
-A *rule* is a small class that walks one file's AST and yields
-:class:`Finding`\\ s.  Rules register themselves into a module-level
-registry via the :func:`register` decorator, so adding a rule is one
-class in :mod:`repro.analysis.rules` (see docs/ANALYSIS.md for the
-how-to).  The framework deliberately knows nothing about the domain —
-everything Xatu-specific (tape immutability, grad-mode hygiene, alert
-determinism) lives in the rules.
+A *rule* is a small class registered with :func:`register`.  A per-file
+rule (the XL family, :mod:`repro.analysis.rules`) walks one
+:class:`FileContext` and yields ``(node, message)`` pairs; a project-wide
+rule (the XF family, :mod:`repro.analysis.flow.checkers`) overrides
+:meth:`Rule.run` and reads the whole symbol graph.  Both families share
+one parse per file, one :class:`Finding` constructor, one inline
+suppression filter and one inventory (:func:`all_rules`), so ``cli lint``
+runs every rule in one pass (see docs/ANALYSIS.md for the how-to).  The
+framework deliberately knows nothing about the domain — everything
+Xatu-specific lives in the rules.
 
 Design points that matter for a lint gate:
 
@@ -29,7 +33,11 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .flow.checkers import SymbolGraph
+    from .flow.symbols import SymbolTable
 
 __all__ = [
     "ANALYZER_VERSION",
@@ -37,12 +45,15 @@ __all__ = [
     "Finding",
     "Rule",
     "FileContext",
+    "dotted_name",
     "register",
     "all_rules",
     "get_rule",
     "analyze_source",
+    "analyze_sources",
     "analyze_paths",
     "iter_python_files",
+    "relative_path",
 ]
 
 
@@ -50,7 +61,7 @@ __all__ = [
 # the rule inventory or a rule's semantics change enough that an old
 # baseline deserves a re-audit; `cli lint` warns when a baseline was
 # written by an older analyzer or a different rule set.
-ANALYZER_VERSION = "2.0"
+ANALYZER_VERSION = "3.0"
 
 
 class Severity:
@@ -98,11 +109,28 @@ class Finding:
         )
 
 
+def dotted_name(node: ast.AST) -> str:
+    """Best-effort dotted name of an expression (``np.random.normal``);
+    ``""`` for anything that is not a chain of attributes on a name."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
+
+
 _SUPPRESS_RE = re.compile(r"#\s*xatulint:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
 
 
 class FileContext:
-    """Everything a rule needs to inspect one parsed source file."""
+    """One parsed source file: its tree, lines and parent map.
+
+    Built once per file by :class:`~repro.analysis.flow.symbols.SymbolTable`
+    and shared by every rule of both families.
+    """
 
     def __init__(self, rel_path: str, source: str, tree: ast.Module) -> None:
         self.rel_path = PurePosixPath(rel_path).as_posix()
@@ -147,15 +175,16 @@ class FileContext:
             yield current
             current = self._parents.get(current)
 
+    def statement_of(self, node: ast.AST) -> ast.stmt | None:
+        """The innermost statement containing ``node`` (itself if one)."""
+        current: ast.AST | None = node
+        while current is not None and not isinstance(current, ast.stmt):
+            current = self._parents.get(current)
+        return current
+
     def enclosing_function(self, node: ast.AST) -> ast.AST | None:
         for anc in self.ancestors(node):
             if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return anc
-        return None
-
-    def enclosing_class(self, node: ast.AST) -> ast.ClassDef | None:
-        for anc in self.ancestors(node):
-            if isinstance(anc, ast.ClassDef):
                 return anc
         return None
 
@@ -182,10 +211,10 @@ class FileContext:
 class Rule:
     """Base class for one lint rule.
 
-    Subclasses set the class attributes and implement :meth:`check`,
-    yielding ``(node, message)`` pairs (or fully-built :class:`Finding`
-    objects); the framework attaches location, severity, fix hint, line
-    text, and honours inline suppressions.
+    A per-file rule sets the class attributes and implements
+    :meth:`check`, yielding ``(node, message)`` pairs; a project-wide rule
+    overrides :meth:`run` instead.  Either way findings are built by
+    :meth:`finding`, and the driver honours inline suppressions and sorts.
     """
 
     id: str = "XL000"
@@ -201,31 +230,25 @@ class Rule:
     def check(self, ctx: FileContext) -> Iterable[tuple[ast.AST, str]]:
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    def run(self, ctx: FileContext) -> list[Finding]:
-        if not self.applies_to(ctx):
-            return []
-        findings = []
-        for item in self.check(ctx):
-            if isinstance(item, Finding):
-                finding = item
-            else:
-                node, message = item
-                line = getattr(node, "lineno", 1)
-                finding = Finding(
-                    rule=self.id,
-                    severity=self.severity,
-                    path=ctx.rel_path,
-                    line=line,
-                    col=getattr(node, "col_offset", 0),
-                    message=message,
-                    fix_hint=self.fix_hint,
-                    line_text=ctx.line_text(line),
-                )
-            if ctx.suppressed(finding.line, finding.rule):
-                continue
-            findings.append(finding)
-        return findings
+    def run(self, sg: "SymbolGraph") -> Iterable[Finding]:
+        """Every finding of this rule over the analyzed files."""
+        for ctx in sg.table.files.values():
+            if self.applies_to(ctx):
+                for node, message in self.check(ctx):
+                    yield self.finding(ctx, node, message)
+
+    def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
+        line = getattr(node, "lineno", 1)
+        return Finding(
+            rule=self.id,
+            severity=self.severity,
+            path=ctx.rel_path,
+            line=line,
+            col=getattr(node, "col_offset", 0),
+            message=message,
+            fix_hint=self.fix_hint,
+            line_text=ctx.line_text(line),
+        )
 
 
 _REGISTRY: dict[str, Rule] = {}
@@ -241,46 +264,51 @@ def register(cls: type[Rule]) -> type[Rule]:
 
 
 def all_rules() -> list[Rule]:
-    """Every registered rule, ordered by id."""
-    import repro.analysis.rules  # noqa: F401  (self-registration on import)
+    """Every registered rule, ordered by id: the one rule inventory."""
+    from . import rules  # noqa: F401  (self-registration on import)
+    from .flow import checkers  # noqa: F401
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
 
 
 def get_rule(rule_id: str) -> Rule:
-    import repro.analysis.rules  # noqa: F401
-
+    all_rules()
     return _REGISTRY[rule_id]
 
 
 # ----------------------------------------------------------------------
 # drivers
 # ----------------------------------------------------------------------
+def _analyze(
+    table: "SymbolTable", rules: Iterable[Rule] | None = None
+) -> list[Finding]:
+    """Run ``rules`` (default: every rule) over one parsed table."""
+    from .flow.checkers import SymbolGraph
+
+    sg = SymbolGraph(table)
+    findings = list(table.errors)
+    for rule in rules if rules is not None else all_rules():
+        for finding in rule.run(sg):
+            if not table.files[finding.path].suppressed(finding.line, finding.rule):
+                findings.append(finding)
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings
+
+
+def analyze_sources(
+    sources: dict[str, str], rules: Iterable[Rule] | None = None
+) -> list[Finding]:
+    """Lint in-memory ``{rel_path: source}`` blobs (the unit-test entry)."""
+    from .flow.symbols import SymbolTable
+
+    return _analyze(SymbolTable.from_sources(sources), rules)
+
+
 def analyze_source(
     source: str, rel_path: str, rules: Iterable[Rule] | None = None
 ) -> list[Finding]:
-    """Lint one in-memory source blob (the unit-test entry point)."""
-    rules = list(rules) if rules is not None else all_rules()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule="XL000",
-                severity=Severity.ERROR,
-                path=PurePosixPath(rel_path).as_posix(),
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"syntax error: {exc.msg}",
-                line_text="",
-            )
-        ]
-    ctx = FileContext(rel_path, source, tree)
-    findings: list[Finding] = []
-    for rule in rules:
-        findings.extend(rule.run(ctx))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    """Lint one in-memory source blob."""
+    return analyze_sources({rel_path: source}, rules)
 
 
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
@@ -302,6 +330,14 @@ def iter_python_files(paths: Iterable[str | Path], root: Path) -> list[Path]:
     return sorted(out)
 
 
+def relative_path(path: Path, root: Path) -> str:
+    """``path`` relative to ``root`` in POSIX form (as-is when outside)."""
+    try:
+        return path.relative_to(root).as_posix()
+    except ValueError:
+        return path.as_posix()
+
+
 def analyze_paths(
     paths: Iterable[str | Path],
     root: str | Path | None = None,
@@ -309,14 +345,7 @@ def analyze_paths(
 ) -> list[Finding]:
     """Lint every ``.py`` file under ``paths``; paths in findings are
     reported relative to ``root`` (default: the current directory)."""
+    from .flow.symbols import SymbolTable
+
     root = Path(root) if root is not None else Path.cwd()
-    rules = list(rules) if rules is not None else all_rules()
-    findings: list[Finding] = []
-    for path in iter_python_files(paths, root):
-        try:
-            rel = path.relative_to(root).as_posix()
-        except ValueError:
-            rel = path.as_posix()
-        findings.extend(analyze_source(path.read_text(), rel, rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    return _analyze(SymbolTable.build(root, paths), rules)

@@ -1,4 +1,4 @@
-"""The xatulint domain rules (XL001–XL010).
+"""The xatulint per-file domain rules (XL001, XL003–XL005, XL008–XL010).
 
 Each rule encodes one invariant the train/serve stack's correctness
 rests on — invariants no generic linter knows about.  The catalogue,
@@ -18,9 +18,7 @@ import ast
 import re
 from typing import Iterable
 
-from .framework import FileContext, Rule, Severity, register
-
-__all__ = ["ALL_RULE_IDS"]
+from .framework import FileContext, Rule, Severity, dotted_name, register
 
 
 # ----------------------------------------------------------------------
@@ -44,29 +42,10 @@ def _call_name(call: ast.Call) -> str:
     return ""
 
 
-def _dotted(node: ast.AST) -> str:
-    """Best-effort dotted name of an expression (``np.random.normal``)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 def _inside_try_finally(ctx: FileContext, node: ast.AST) -> bool:
     return any(
         isinstance(anc, ast.Try) and anc.finalbody for anc in ctx.ancestors(node)
     )
-
-
-def _statement_of(ctx: FileContext, node: ast.AST) -> ast.stmt | None:
-    current: ast.AST | None = node
-    while current is not None and not isinstance(current, ast.stmt):
-        current = ctx.parent(current)
-    return current
 
 
 # ----------------------------------------------------------------------
@@ -118,60 +97,6 @@ class TapeMutationRule(Rule):
                         "ufunc out= targets a Tensor .data buffer "
                         "(mutates the tape in place)"
                     )
-
-
-# ----------------------------------------------------------------------
-# XL002 — inference entry points must run under no_grad
-# ----------------------------------------------------------------------
-_INFER_NAME_RE = re.compile(r"(^_?infer)|(_infer($|_))|(^predict)|(_np$)")
-
-
-@register
-class InferenceOutsideNoGradRule(Rule):
-    """Inference lanes that build Tensors outside ``no_grad()`` leak tape.
-
-    A function that *names itself* an inference path (``infer*``,
-    ``*_infer``, ``predict*``, ``*_np``) and constructs Tensors (or
-    calls the fused kernels / ``.forward``) without disabling gradients
-    allocates a closure per op — the exact regression the graph-free
-    lane exists to avoid — and silently grows the tape.
-    """
-
-    id = "XL002"
-    name = "inference-outside-no-grad"
-    severity = Severity.ERROR
-    fix_hint = (
-        "wrap the tensor-building body in `with no_grad():` or decorate "
-        "with @no_grad"
-    )
-    description = "inference-named function builds Tensors without no_grad"
-
-    def check(self, ctx: FileContext) -> Iterable[tuple[ast.AST, str]]:
-        for func in ctx.walk(ast.FunctionDef):
-            if not _INFER_NAME_RE.search(func.name):
-                continue
-            builds_tensors = False
-            has_guard = any(
-                "no_grad" in _dotted(dec) for dec in func.decorator_list
-            )
-            for sub in ast.walk(func):
-                if isinstance(sub, ast.Call):
-                    name = _call_name(sub)
-                    if name in ("Tensor", "lstm_sequence") or name == "forward":
-                        builds_tensors = True
-                if isinstance(sub, ast.With):
-                    for item in sub.items:
-                        if "no_grad" in _dotted(
-                            item.context_expr.func
-                            if isinstance(item.context_expr, ast.Call)
-                            else item.context_expr
-                        ):
-                            has_guard = True
-            if builds_tensors and not has_guard:
-                yield func, (
-                    f"inference path `{func.name}` builds Tensors outside "
-                    "no_grad() — every op allocates a tape closure"
-                )
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +156,7 @@ class GlobalSwitchLeakRule(Rule):
             # Toggle immediately followed by the try/finally that restores
             # it is fine — check siblings of the statement and of each
             # enclosing statement (the toggle often sits in an `if`).
-            stmt = _statement_of(ctx, call)
+            stmt = ctx.statement_of(call)
             restored = False
             while stmt is not None and not restored:
                 sibling = ctx.next_sibling(stmt)
@@ -243,7 +168,7 @@ class GlobalSwitchLeakRule(Rule):
                     parent, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)
                 ):
                     break  # never climb across a function boundary
-                stmt = _statement_of(ctx, parent)
+                stmt = ctx.statement_of(parent)
             if restored:
                 continue
             yield call, (
@@ -297,7 +222,7 @@ class UnseededRandomnessRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterable[tuple[ast.AST, str]]:
         for call in ctx.walk(ast.Call):
-            dotted = _dotted(call.func)
+            dotted = dotted_name(call.func)
             parts = dotted.split(".")
             if len(parts) == 3 and parts[0] in ("np", "numpy") and parts[1] == "random":
                 if parts[2] not in _RNG_FACTORIES:
@@ -358,7 +283,7 @@ class WallClockRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterable[tuple[ast.AST, str]]:
         for call in ctx.walk(ast.Call):
-            dotted = _dotted(call.func)
+            dotted = dotted_name(call.func)
             if dotted in _WALL_CLOCK:
                 yield call, (
                     f"`{_WALL_CLOCK[dotted]}` reads the wall clock in a "
@@ -479,8 +404,3 @@ class AlertOrderHazardRule(Rule):
                         "alert path; emission order must be canonical"
                     )
 
-
-ALL_RULE_IDS = (
-    "XL001", "XL002", "XL003", "XL004", "XL005",
-    "XL008", "XL009", "XL010",
-)

@@ -1,7 +1,7 @@
 """SARIF 2.1.0 output for xatulint findings.
 
-``cli lint --format sarif`` serialises both the shallow (XL) and deep
-(XF) rule families into one SARIF run, so CI can upload the file as an
+``cli lint --format sarif`` serialises every rule (the per-file XL and
+project-wide XF families alike) into one SARIF run, so CI can upload the file as an
 artifact and code-scanning UIs can render findings inline.  Only the
 subset of the format that consumers actually read is emitted: the tool
 driver with its rule inventory, one result per finding with a physical
@@ -17,7 +17,7 @@ import hashlib
 import json
 from typing import Iterable
 
-from .framework import ANALYZER_VERSION, Finding, Severity
+from .framework import ANALYZER_VERSION, Finding, Rule, Severity
 
 __all__ = ["to_sarif", "render_sarif", "sarif_level"]
 
@@ -47,24 +47,23 @@ def _fingerprint(finding: Finding) -> str:
 
 def to_sarif(
     findings: Iterable[Finding],
-    rules: Iterable[tuple[str, str, str, str]],
+    rules: Iterable[Rule],
     suppressed: Iterable[Finding] = (),
 ) -> dict:
     """Build the SARIF document as a plain dict.
 
-    ``rules`` is ``(id, name, description, severity)`` for the full rule
-    inventory of the run (shallow + deep when ``--deep``).  ``suppressed``
+    ``rules`` is the rule inventory of the run.  ``suppressed``
     findings (baseline-matched) are included with a suppression record so
     the artifact shows the whole ledger, not just new findings.
     """
     rule_descriptors = [
         {
-            "id": rule_id,
-            "name": name,
-            "shortDescription": {"text": description},
-            "defaultConfiguration": {"level": sarif_level(severity)},
+            "id": rule.id,
+            "name": rule.name,
+            "shortDescription": {"text": rule.description},
+            "defaultConfiguration": {"level": sarif_level(rule.severity)},
         }
-        for rule_id, name, description, severity in rules
+        for rule in rules
     ]
 
     def result(finding: Finding, *, suppressed_entry: bool) -> dict:
@@ -121,7 +120,7 @@ def to_sarif(
 
 def render_sarif(
     findings: Iterable[Finding],
-    rules: Iterable[tuple[str, str, str, str]],
+    rules: Iterable[Rule],
     suppressed: Iterable[Finding] = (),
 ) -> str:
     return json.dumps(to_sarif(findings, rules, suppressed), indent=2)

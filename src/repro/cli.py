@@ -681,8 +681,8 @@ def cmd_report(args) -> int:
 def cmd_lint(args) -> int:
     """Run xatulint (repro.analysis) over the tree and gate on findings.
 
-    ``--deep`` adds the xatuflow interprocedural checkers (XF001–XF004)
-    on top of the shallow XL rules, built from a cached symbol graph.
+    One pass: every file is parsed once and every rule runs, the per-file
+    XL rules and the project-wide XF001–XF004 alike.
 
     Exit codes: 0 clean (baselined findings don't count), 1 when the gate
     fails — any new finding or stale baseline entry under ``--strict``,
@@ -691,50 +691,34 @@ def cmd_lint(args) -> int:
     import json
     from pathlib import Path
 
-    from .analysis import (
-        Baseline,
+    from .analysis.baseline import Baseline
+    from .analysis.framework import (
         Severity,
         all_rules,
         analyze_paths,
         iter_python_files,
+        relative_path,
     )
-    from .analysis.flow import ALL_FLOW_RULE_IDS, all_flow_checkers
 
+    rules = all_rules()
     if args.list_rules:
-        for rule in all_rules():
+        for rule in rules:
             print(f"{rule.id}  {rule.severity:<7}  {rule.name}")
             if rule.description:
                 print(f"       {rule.description}")
-        for checker in all_flow_checkers():
-            print(f"{checker.id}  {checker.severity:<7}  {checker.name}  "
-                  f"(--deep)")
-            if checker.description:
-                print(f"       {checker.description}")
         return 0
 
     root = Path.cwd()
-    findings = analyze_paths(args.paths, root=root)
-
-    if args.deep:
-        from .analysis.flow import load_symbol_graph
-
-        sg, _from_cache = load_symbol_graph(
-            root, list(args.paths), use_cache=not args.no_cache
-        )
-        for checker in all_flow_checkers():
-            findings.extend(checker.run(sg))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    # The full inventory (shallow + deep) is what baselines are stamped
-    # with, independent of --deep, so stamp warnings are stable.
-    inventory = tuple(sorted(
-        [r.id for r in all_rules()] + list(ALL_FLOW_RULE_IDS)
-    ))
+    findings = analyze_paths(args.paths, root=root, rules=rules)
+    inventory = [rule.id for rule in rules]
+    # Baseline entries are judged only for files this run read: linting
+    # a subtree neither flags nor drops the entries of the rest.
+    scope = {relative_path(p, root) for p in iter_python_files(args.paths, root)}
 
     baseline_path = root / args.baseline
+    baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
     if args.write_baseline:
-        previous = Baseline() if args.no_baseline else Baseline.load(baseline_path)
-        written = Baseline.from_findings(findings, previous=previous)
+        written = Baseline.from_findings(findings, previous=baseline, scope=scope)
         written.save(baseline_path, rules=inventory)
         print(f"wrote {len(written)} entr{'y' if len(written) == 1 else 'ies'} "
               f"to {baseline_path}")
@@ -742,29 +726,11 @@ def cmd_lint(args) -> int:
               "committing")
         return 0
 
-    baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
     if not args.no_baseline:
         for warning in baseline.stamp_warnings(inventory):
             print(f"lint: warning: {warning}", file=sys.stderr)
     new, suppressed = baseline.partition(findings)
-    # An entry is stale only if its *file* was in this run's scope —
-    # linting a subtree must not flag entries for files it never read.
-    analyzed = set()
-    for path in iter_python_files(args.paths, root):
-        try:
-            analyzed.add(path.relative_to(root).as_posix())
-        except ValueError:
-            analyzed.add(path.as_posix())
-    # ... and only if its *rule* ran: a shallow run cannot judge deep
-    # (XF) entries stale, and vice versa.
-    ran_rules = {r.id for r in all_rules()}
-    if args.deep:
-        ran_rules |= set(ALL_FLOW_RULE_IDS)
-    stale = [
-        e
-        for e in baseline.unused_entries(findings)
-        if e.path in analyzed and e.rule in ran_rules
-    ]
+    stale = baseline.unused_entries(findings, scope=scope)
 
     if args.format == "json":
         payload = {
@@ -787,15 +753,7 @@ def cmd_lint(args) -> int:
     elif args.format == "sarif":
         from .analysis.sarif import render_sarif
 
-        rule_info = [
-            (r.id, r.name, r.description, r.severity) for r in all_rules()
-        ]
-        if args.deep:
-            rule_info += [
-                (c.id, c.name, c.description, c.severity)
-                for c in all_flow_checkers()
-            ]
-        print(render_sarif(new, rule_info, suppressed))
+        print(render_sarif(new, rules, suppressed))
     else:
         for finding in new:
             print(finding.render())
@@ -1008,9 +966,11 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run xatulint (domain-aware static analysis) over the tree",
-        description="AST rules for the autograd/serving stack: tape "
-        "mutation, grad-mode hygiene, global-switch leaks, determinism "
-        "hazards, alert-order hygiene (see docs/ANALYSIS.md).  "
+        description="One pass of per-file and interprocedural rules for "
+        "the autograd/serving stack: tape mutation, global-switch leaks, "
+        "determinism and alert-order hazards, dtype lanes, seed streams, "
+        "spawn-boundary ownership, no_grad reachability (see "
+        "docs/ANALYSIS.md).  "
         "Known-intentional findings live in lint-baseline.json with "
         "written reasons; the gate fails only on new ones.",
     )
@@ -1019,19 +979,14 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--strict", action="store_true",
                       help="fail on any new finding or stale baseline "
                       "entry, regardless of severity (the CI gate)")
-    lint.add_argument("--deep", action="store_true",
-                      help="also run the xatuflow interprocedural "
-                      "checkers (XF001-XF004) over a cached symbol graph")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="rebuild the --deep symbol graph from scratch, "
-                      "ignoring .xatuflow-cache")
     lint.add_argument("--baseline", default="lint-baseline.json",
                       help="baseline suppression file (repo-relative)")
     lint.add_argument("--no-baseline", action="store_true",
                       help="report every finding, ignoring the baseline")
     lint.add_argument("--write-baseline", action="store_true",
                       help="rewrite the baseline to cover current findings "
-                      "(keeps existing reasons; new entries get a TODO)")
+                      "(keeps existing reasons and every entry for a file "
+                      "outside the linted paths; new entries get a TODO)")
     lint.add_argument("--format", choices=["text", "json", "sarif"],
                       default="text",
                       help="report rendering (sarif: SARIF 2.1.0 for CI "

@@ -1,5 +1,6 @@
 """xatulint: per-rule positive/negative fixtures, baseline round-trip,
-inline suppressions, and the meta-test that the repo itself lints clean.
+inline suppressions, and the meta-tests that the repo lints clean and
+that serving never loads the linter.
 
 Every rule gets at least one snippet that MUST fire and one that MUST
 stay silent — the negatives are as load-bearing as the positives, since
@@ -8,18 +9,19 @@ an over-eager rule erodes trust in the gate.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    ALL_RULE_IDS,
-    Baseline,
-    BaselineEntry,
+from repro.analysis.baseline import Baseline, BaselineEntry
+from repro.analysis.framework import (
     Severity,
     all_rules,
-    analyze_paths,
     analyze_source,
     get_rule,
 )
@@ -50,7 +52,11 @@ def silent(rule_id: str, source: str, rel_path: str = "src/repro/fixture.py"):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_all_rules_registered(self):
-        assert [r.id for r in all_rules()] == sorted(ALL_RULE_IDS)
+        # One inventory for both families.
+        assert [r.id for r in all_rules()] == [
+            "XF001", "XF002", "XF003", "XF004",
+            "XL001", "XL003", "XL004", "XL005", "XL008", "XL009", "XL010",
+        ]
 
     def test_rules_have_metadata(self):
         for rule in all_rules():
@@ -87,18 +93,18 @@ class TestTapeMutation:
 
 
 # ----------------------------------------------------------------------
-# XL002 — inference outside no_grad
+# XF004 on single-file inputs (the class keeps the per-file rule's name)
 # ----------------------------------------------------------------------
 class TestInferenceOutsideNoGrad:
     def test_predict_without_guard_fires(self):
-        fires("XL002", """
+        fires("XF004", """
             def predict_scores(model, x):
                 t = Tensor(x)
                 return model.forward(t)
         """)
 
     def test_with_no_grad_is_fine(self):
-        silent("XL002", """
+        silent("XF004", """
             def predict_scores(model, x):
                 with no_grad():
                     t = Tensor(x)
@@ -106,20 +112,20 @@ class TestInferenceOutsideNoGrad:
         """)
 
     def test_decorator_is_fine(self):
-        silent("XL002", """
+        silent("XF004", """
             @no_grad
             def infer_batch(model, x):
                 return model.forward(Tensor(x))
         """)
 
     def test_non_inference_name_is_fine(self):
-        silent("XL002", """
+        silent("XF004", """
             def train_step(model, x):
                 return model.forward(Tensor(x))
         """)
 
     def test_pure_numpy_inference_is_fine(self):
-        silent("XL002", """
+        silent("XF004", """
             def infer_fast(w, x):
                 return np.tanh(x @ w)
         """)
@@ -367,6 +373,20 @@ class TestBaseline:
         baseline = Baseline([stale])
         assert baseline.unused_entries([]) == [stale]
 
+    def test_write_baseline_keeps_out_of_scope_entries(self, tmp_path, monkeypatch):
+        # A rewrite from a subtree carries over, reasons included, the
+        # entries of every file it did not read.
+        from repro.cli import main
+
+        entries = []
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.py").write_text("def f(x=[]):\n    return x\n")
+            entries.append(BaselineEntry("XL008", f"{name}.py", "def f(x=[]):", name))
+        Baseline(entries).save(tmp_path / "lint-baseline.json")
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--write-baseline", "a.py"]) == 0
+        assert Baseline.load(tmp_path / "lint-baseline.json").entries == entries
+
     def test_write_baseline_keeps_reasons(self, tmp_path):
         findings = lint("def f(items=[]):\n    return items\n")
         first = Baseline.from_findings(findings)
@@ -382,31 +402,32 @@ class TestBaseline:
 # the repo itself must lint clean
 # ----------------------------------------------------------------------
 class TestRepoIsClean:
-    def test_src_lints_clean_against_baseline(self):
-        findings = analyze_paths([REPO_ROOT / "src"], root=REPO_ROOT)
+    def test_src_lints_clean_against_baseline(self, src_findings):
         baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        new, _ = baseline.partition(findings)
+        new, _ = baseline.partition(src_findings)
         assert new == [], "new lint findings:\n" + "\n".join(
             f.render() for f in new
         )
-        # A shallow run can only judge shallow entries stale; deep (XF)
-        # entries are covered by test_flow_analysis.py's repo-clean test.
-        shallow_ids = set(ALL_RULE_IDS)
-        stale = [
-            e
-            for e in baseline.unused_entries(findings)
-            if e.rule in shallow_ids
-        ]
+        stale = baseline.unused_entries(src_findings)
         assert stale == [], "stale baseline entries: " + ", ".join(
             f"{e.path}:{e.rule}" for e in stale
         )
 
-    def test_cli_lint_strict_exits_clean(self, monkeypatch, capsys):
-        from repro.cli import main
-
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "--strict"]) == 0
+    def test_cli_lint_strict_exits_clean(self, cli_over_src, capsys):
+        assert cli_over_src(["lint", "--strict"]) == 0
         assert "0 new finding(s)" in capsys.readouterr().out
+
+    def test_cli_lint_sarif_is_valid_json(self, cli_over_src, capsys):
+        assert cli_over_src(["lint", "--format", "sarif"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["version"] == "2.1.0"
+        run = doc["runs"][0]
+        ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+        assert ids == [r.id for r in all_rules()]
+        # baselined findings ride along as suppressed results
+        assert run["results"] and all(
+            "suppressions" in r for r in run["results"]
+        ), "clean repo: every SARIF result should be a baselined suppression"
 
     def test_cli_lint_subtree_ignores_out_of_scope_baseline(
         self, monkeypatch, capsys
@@ -426,3 +447,18 @@ class TestRepoIsClean:
             assert entry.reason and "TODO" not in entry.reason, (
                 f"{entry.path}:{entry.rule} has no written reason"
             )
+
+
+def test_serve_import_leaves_the_linter_unloaded():
+    # repro.nn imports the sanitizer through repro.analysis; that must
+    # not drag the linter onto the serving path.
+    code = (
+        "import json, sys, repro.serve; print(json.dumps(sorted("
+        "m for m in sys.modules if m.startswith('repro.analysis'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert json.loads(out) == ["repro.analysis", "repro.analysis.sanitizer"]

@@ -1,5 +1,5 @@
-"""xatuflow: symbol table, call graph, CFG, and the XF001–XF004 deep
-checkers.
+"""xatuflow: symbol table, call graph, CFG, and the XF001–XF004
+project-wide rules.
 
 The positive fixtures here are deliberately *interprocedural* — each
 rule gets at least one case where the triggering fact crosses two or
@@ -12,35 +12,39 @@ ownership-transfer, and mode-aware cases pin the FP-avoidance design.
 
 from __future__ import annotations
 
+import json
 import textwrap
 from pathlib import Path
 
+from repro.analysis import framework
+from repro.analysis.baseline import Baseline
 from repro.analysis.flow import (
-    ALL_FLOW_RULE_IDS,
     SymbolGraph,
     SymbolTable,
-    all_flow_checkers,
-    build_call_graph,
     build_cfg,
-    load_symbol_graph,
-    manifest_digest,
     module_name_for,
+)
+from repro.analysis.framework import (
+    ANALYZER_VERSION,
+    all_rules,
+    analyze_sources,
+    get_rule,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+FLOW_RULE_IDS = {r.id for r in all_rules() if r.id.startswith("XF")}
+
+
+def _dedented(sources: dict[str, str]) -> dict[str, str]:
+    return {path: textwrap.dedent(src) for path, src in sources.items()}
 
 
 def graph_of(sources: dict[str, str]) -> SymbolGraph:
-    table = SymbolTable.from_sources(
-        {path: textwrap.dedent(src) for path, src in sources.items()}
-    )
-    return SymbolGraph(table, build_call_graph(table))
+    return SymbolGraph(SymbolTable.from_sources(_dedented(sources)))
 
 
 def run_checker(rule_id: str, sources: dict[str, str]):
-    sg = graph_of(sources)
-    (checker,) = [c for c in all_flow_checkers() if c.id == rule_id]
-    return checker.run(sg)
+    return analyze_sources(_dedented(sources), rules=[get_rule(rule_id)])
 
 
 def fires(rule_id: str, sources: dict[str, str]):
@@ -569,6 +573,17 @@ _WORKER_SHARED = {
 }
 
 
+def _step_under(guard: str) -> dict[str, str]:
+    """``_WORKER_SHARED`` with ``Detector.step``'s write under ``with guard:``."""
+    return {
+        "src/pkg/serve.py": _WORKER_SHARED["src/pkg/serve.py"].replace(
+            "def step(self, x):\n            self.count += 1",
+            f"def step(self, x):\n            with {guard}:\n"
+            "                self.count += 1",
+        )
+    }
+
+
 class TestShardOwnership:
     def test_escaped_self_attr_write_two_hops_fires(self):
         # Engine retains self.detector while the worker mutates it; the
@@ -621,14 +636,15 @@ class TestShardOwnership:
         )
 
     def test_lock_guard_silences(self):
-        sources = {
-            "src/pkg/serve.py": _WORKER_SHARED["src/pkg/serve.py"].replace(
-                "def step(self, x):\n            self.count += 1",
-                "def step(self, x):\n            with self._lock:\n"
-                "                self.count += 1",
-            )
-        }
-        silent("XF003", sources)
+        silent("XF003", _step_under("self._lock"))
+        silent("XF003", _step_under("threading.RLock()"))
+
+    def test_lock_like_name_does_not_silence(self):
+        # `blocklist` and `clock` contain "lock" but are not locks: a
+        # write under them is as unguarded as a bare one.
+        for guard in ("self.blocklist", "clock"):
+            findings = fires("XF003", _step_under(guard))
+            assert any("count" in f.message for f in findings)
 
     def test_owner_comment_silences(self):
         sources = {
@@ -704,6 +720,23 @@ class TestNoGradReachability:
             },
         )
 
+    def test_guard_elsewhere_in_the_entry_fires(self):
+        # A `with no_grad():` block in the same function does not cover a
+        # Tensor built before it — the guard must enclose the allocation.
+        findings = fires(
+            "XF004",
+            {
+                "src/pkg/infer.py": """
+                def predict_scores(model, x):
+                    t = Tensor(x)
+                    with no_grad():
+                        out = model.forward(t)
+                    return out
+                """
+            },
+        )
+        assert [f.line_text for f in findings] == ["t = Tensor(x)"]
+
     def test_no_grad_decorated_callee_silent(self):
         silent(
             "XF004",
@@ -771,89 +804,38 @@ class TestNoGradReachability:
 
 
 # ----------------------------------------------------------------------
-# cache
-# ----------------------------------------------------------------------
-class TestCache:
-    def _write_tree(self, root: Path, body: str) -> None:
-        (root / "src" / "pkg").mkdir(parents=True, exist_ok=True)
-        (root / "src" / "pkg" / "m.py").write_text(textwrap.dedent(body))
-
-    def test_warm_load_hits_and_edit_invalidates(self, tmp_path):
-        self._write_tree(tmp_path, "def f():\n    return 1\n")
-        _, from_cache = load_symbol_graph(tmp_path, ["src"])
-        assert not from_cache
-        sg, from_cache = load_symbol_graph(tmp_path, ["src"])
-        assert from_cache
-        assert "pkg.m:f" in sg.table.functions
-        # Any edit changes the manifest digest: cold rebuild, new symbol.
-        before = manifest_digest(tmp_path, ["src"])
-        self._write_tree(tmp_path, "def g():\n    return 2\n")
-        assert manifest_digest(tmp_path, ["src"]) != before
-        sg, from_cache = load_symbol_graph(tmp_path, ["src"])
-        assert not from_cache
-        assert "pkg.m:g" in sg.table.functions
-        assert "pkg.m:f" not in sg.table.functions
-
-    def test_corrupt_cache_falls_back_to_build(self, tmp_path):
-        self._write_tree(tmp_path, "def f():\n    return 1\n")
-        load_symbol_graph(tmp_path, ["src"])
-        cache_dir = tmp_path / ".xatuflow-cache"
-        for blob in cache_dir.glob("*.pkl"):
-            blob.write_bytes(b"not a pickle")
-        sg, from_cache = load_symbol_graph(tmp_path, ["src"])
-        assert not from_cache
-        assert "pkg.m:f" in sg.table.functions
-
-
-# ----------------------------------------------------------------------
-# the repo itself must deep-lint clean
+# the repo itself must be clean under the project-wide rules
 # ----------------------------------------------------------------------
 class TestRepoIsDeepClean:
-    def test_src_deep_lints_clean_against_baseline(self):
-        from repro.analysis import Baseline
-
-        sg, _ = load_symbol_graph(REPO_ROOT, ["src"], use_cache=False)
-        findings = []
-        for checker in all_flow_checkers():
-            findings.extend(checker.run(sg))
+    def test_src_deep_lints_clean_against_baseline(self, src_findings):
+        deep = [f for f in src_findings if f.rule in FLOW_RULE_IDS]
         baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        new, _suppressed = baseline.partition(findings)
+        new, _suppressed = baseline.partition(deep)
         assert new == [], "new deep findings:\n" + "\n".join(
             f.render() for f in new
         )
-        flow_ids = set(ALL_FLOW_RULE_IDS)
         stale = [
-            e
-            for e in baseline.unused_entries(findings)
-            if e.rule in flow_ids
+            e for e in baseline.unused_entries(deep) if e.rule in FLOW_RULE_IDS
         ]
         assert stale == [], "stale deep baseline entries: " + ", ".join(
             f"{e.path}:{e.rule}" for e in stale
         )
 
-    def test_cli_lint_deep_strict_exits_clean(self, monkeypatch, capsys):
-        from repro.cli import main
+    def test_cli_lint_deep_strict_exits_clean(
+        self, cli_over_src, src_findings, monkeypatch, capsys
+    ):
+        # No flag asks for the project-wide rules: plain `lint --strict`
+        # hands every XF rule to the one analysis pass.
+        passed = []
 
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "--deep", "--strict", "--no-cache"]) == 0
+        def analyze_paths(paths, root=None, rules=None):
+            passed.append({r.id for r in rules})
+            return src_findings
+
+        monkeypatch.setattr(framework, "analyze_paths", analyze_paths)
+        assert cli_over_src(["lint", "--strict"]) == 0
         assert "0 new finding(s)" in capsys.readouterr().out
-
-    def test_cli_lint_deep_sarif_is_valid_json(self, monkeypatch, capsys):
-        import json
-
-        from repro.cli import main
-
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "--deep", "--format", "sarif"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert set(ALL_FLOW_RULE_IDS) <= ids
-        # baselined findings ride along as suppressed results
-        assert all(
-            "suppressions" in r for r in run["results"]
-        ), "clean repo: every SARIF result should be a baselined suppression"
+        assert len(passed) == 1 and FLOW_RULE_IDS <= passed[0]
 
 
 # ----------------------------------------------------------------------
@@ -861,10 +843,6 @@ class TestRepoIsDeepClean:
 # ----------------------------------------------------------------------
 class TestBaselineStamp:
     def test_save_stamps_analyzer_and_rules(self, tmp_path):
-        import json
-
-        from repro.analysis import ANALYZER_VERSION, Baseline
-
         path = tmp_path / "baseline.json"
         Baseline().save(path, rules=["XL001", "XF001"])
         payload = json.loads(path.read_text())
@@ -872,8 +850,6 @@ class TestBaselineStamp:
         assert payload["rules"] == ["XF001", "XL001"]
 
     def test_old_unstamped_baseline_warns(self, tmp_path):
-        from repro.analysis import Baseline
-
         path = tmp_path / "baseline.json"
         path.write_text('{"version": 1, "entries": []}')
         baseline = Baseline.load(path)
@@ -881,10 +857,6 @@ class TestBaselineStamp:
         assert warnings and "stamp" in warnings[0]
 
     def test_outdated_rule_inventory_warns(self, tmp_path):
-        import json
-
-        from repro.analysis import ANALYZER_VERSION, Baseline
-
         path = tmp_path / "baseline.json"
         path.write_text(
             json.dumps(
@@ -901,8 +873,6 @@ class TestBaselineStamp:
         assert warnings and "XF009" in warnings[0]
 
     def test_current_stamp_is_quiet(self, tmp_path):
-        from repro.analysis import Baseline
-
         path = tmp_path / "baseline.json"
         Baseline().save(path, rules=["XL001"])
         assert Baseline.load(path).stamp_warnings(["XL001"]) == []
