@@ -5,8 +5,7 @@
 PY := PYTHONPATH=src python
 
 .PHONY: verify test fast golden-check golden-record bench bench-full \
-        bench-check bench-ingest bench-ingest-full scale-smoke \
-        bench-scale-full metrics-selftest \
+        bench-check scale-smoke bench-scale-full metrics-selftest \
         telemetry serve-smoke e2e-smoke e2e-compare e2e-pairs e2e-neutral lint \
         lint-baseline sanitize-test scenarios scenarios-check scenarios-ci
 
@@ -22,39 +21,30 @@ golden-check:
 golden-record:
 	$(PY) -m repro.cli golden record
 
-# Smoke-mode microbenchmarks: exercises every case + the JSON round-trip
-# in seconds without touching the committed results (docs/PERFORMANCE.md).
+# Smoke-mode training benchmarks: exercises every case + the JSON
+# round-trip in seconds without touching the committed results
+# (docs/PERFORMANCE.md).
 bench:
-	$(PY) -m repro.cli bench --smoke --out /tmp/repro-bench
+	$(PY) -m repro.cli bench --suite train --smoke --out /tmp/repro-bench
 
-# Full-size run that refreshes the committed baseline.
+# Full-size run that refreshes the committed BENCH_train.json.
 bench-full:
-	$(PY) -m repro.cli bench --tag fused
+	$(PY) -m repro.cli bench --suite train
 
 # Compare a fresh full-size run against the committed baseline without
 # overwriting it; host mismatches warn instead of fail.
 bench-check:
-	$(PY) -m repro.cli bench --tag fused --check
-
-# Columnar-ingest benchmarks (docs/PERFORMANCE.md): zero-copy codec,
-# group-by aggregation, vectorized sampling, ingest telemetry overhead.
-# Smoke mode for CI; -full refreshes the committed baseline.  (Serving,
-# shard transport included, is measured by benchmarks/e2e only.)
-bench-ingest:
-	$(PY) -m repro.cli bench --suite ingest --smoke --out /tmp/repro-bench
-
-bench-ingest-full:
-	$(PY) -m repro.cli bench --suite ingest
+	$(PY) -m repro.cli bench --suite train --check
 
 # Scale suite (docs/PERFORMANCE.md): streamed lazy-world compressed days
 # at growing customer counts, each cell in its own subprocess for a clean
-# ru_maxrss.  scale-smoke runs the 10k/100k cells at 30 minutes under a
-# hard per-cell memory bound and compares against the committed
-# BENCH_scale.json (host mismatches demote to warnings); -full runs all
-# three cells (incl. 1M) at the full compressed day and refreshes the
-# committed baseline — the 1M-within-2x-of-100k RSS gate applies to both.
+# ru_maxrss.  scale-smoke runs the 10k/100k cells at 30 minutes and
+# compares against the committed BENCH_scale.json (host mismatches and
+# smoke runs demote to warnings); -full runs all three cells (incl. 1M) at
+# the full compressed day and refreshes the committed baseline.  The
+# memory gates (every cell under 512 MB, 1M within 2x of 100k) fail both.
 scale-smoke:
-	$(PY) -m repro.cli bench --suite scale --smoke --check --max-rss-mb 512
+	$(PY) -m repro.cli bench --suite scale --smoke --check
 
 bench-scale-full:
 	$(PY) -m repro.cli bench --suite scale

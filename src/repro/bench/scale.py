@@ -1,25 +1,16 @@
-"""Scale benchmark: streaming trace generation + serving at 10k/100k/1M.
+"""The ``scale`` suite: peak RSS of a streamed day at 10k/100k/1M customers.
 
-Every other benchmark in :mod:`repro.bench` measures *speed* on a fixed
-small workload; this one measures *scalability*: how peak memory
-behaves as the customer universe grows 100× (``minutes_per_s`` times the
-engine alone — ingest + tick, the generator outside the timer — and is
-recorded, not gated: serving speed is the end-to-end suite's number).  Each
-cell runs one seeded lazy-world compressed day (:class:`~repro.synth.ScenarioConfig`
-with ``lazy_world`` + ``benign_flow_budget``) streamed minute-by-minute
-through a sharded :class:`~repro.serve.ServeEngine` routed by a
-:class:`~repro.serve.ContiguousCustomerRouter` — generation never holds a
-materialized :class:`~repro.synth.Trace` and serving never materializes a
-routing table, so both sides should be O(active traffic), not
-O(n_customers).
-
-Isolation: each cell runs in its **own subprocess** (``python -m
-repro.bench.scale --cell <name>``) so ``ru_maxrss`` is that cell's true
-high-water mark, not whatever a previous cell left behind in the
-allocator.  Results land in ``BENCH_scale.json`` next to the other bench
-files; ``--check`` compares a fresh run against the committed baseline
-with the usual host-mismatch demotion, and the *scale gate* — 1M peak RSS
-within 2× of 100k — is a host-independent hard failure.
+Each cell streams one seeded lazy-world compressed day
+(:class:`~repro.synth.ScenarioConfig` with ``lazy_world`` +
+``benign_flow_budget``) minute by minute through a sharded
+:class:`~repro.serve.ServeEngine` routed by a
+:class:`~repro.serve.ContiguousCustomerRouter`.  Neither side holds
+per-customer state for silent customers, so memory should stay flat while
+the universe grows 100×.  ``minutes_per_s`` (ingest + tick, generator
+outside the timer) is recorded, never gated: serving speed is the
+end-to-end suite's number.  Each cell runs in its **own subprocess**
+(``python -m repro.bench.scale --cell <name>``) so ``ru_maxrss`` is that
+cell's own high-water mark.
 """
 
 from __future__ import annotations
@@ -33,34 +24,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import _comparability
+from .harness import bench_report
 
 __all__ = [
-    "SCALE_FORMAT_VERSION",
-    "SCALE_CELLS",
-    "SCALE_MINUTES",
-    "scale_scenario",
-    "run_cell",
-    "run_scale",
-    "write_scale_json",
-    "load_scale_json",
-    "compare_scale",
-    "scale_gate",
+    "SCALE_CELLS", "SCALE_MINUTES", "scale_scenario", "run_cell", "run_scale",
     "render_scale",
 ]
-
-SCALE_FORMAT_VERSION = 1
 
 # One compressed day (120 "minutes") per cell; the universe grows 100×
 # across the table while the per-minute work should not.
 SCALE_CELLS: dict[str, int] = {"10k": 10_000, "100k": 100_000, "1m": 1_000_000}
 SCALE_MINUTES = 120
 _SMOKE_MINUTES = 30
-
-# The RSS ratio the scale gate enforces between the largest and the
-# reference cell (the ISSUE acceptance criterion: 1M within 2× of 100k).
-SCALE_GATE_PAIR = ("1m", "100k")
-SCALE_GATE_RATIO = 2.0
 
 
 def scale_scenario(n_customers: int, seed: int = 7):
@@ -110,15 +85,15 @@ def _tiny_artifacts():
 
 def run_cell(
     cell: str,
-    minutes: int | None = None,
+    minutes: int = SCALE_MINUTES,
     shards: int = 2,
     seed: int = 7,
 ) -> dict:
-    """Stream one scale cell end to end and return its measurements.
+    """Stream one scale cell end to end and return its row.
 
     Runs inside the per-cell subprocess: generator → collector → sharded
     engine, minute by minute, then reads ``ru_maxrss`` as the process-wide
-    peak.  Returns a JSON-ready dict.
+    peak.
     """
     import resource
 
@@ -126,12 +101,9 @@ def run_cell(
     from ..serve import ContiguousCustomerRouter, ServeConfig, ServeEngine
     from ..synth import TraceGenerator
 
-    if cell not in SCALE_CELLS:
-        raise ValueError(f"unknown scale cell {cell!r}; choose from {list(SCALE_CELLS)}")
     n_customers = SCALE_CELLS[cell]
     config = scale_scenario(n_customers, seed=seed)
-    horizon = config.horizon_minutes
-    minutes = horizon if minutes is None else min(minutes, horizon)
+    minutes = min(minutes, config.horizon_minutes)
 
     model, scaler = _tiny_artifacts()
     generator = TraceGenerator(config)
@@ -169,13 +141,9 @@ def run_cell(
         engine.close()
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
-        "cell": cell,
         "n_customers": n_customers,
-        "minutes": minutes,
-        "shards": shards,
-        "seed": seed,
-        "minutes_per_s": minutes / engine_s if engine_s > 0 else 0.0,
         "flows": flows,
+        "minutes_per_s": minutes / engine_s if engine_s > 0 else 0.0,
         "peak_rss_mb": peak_rss_kb / 1024.0,  # ru_maxrss is KiB on Linux
     }
 
@@ -183,21 +151,15 @@ def run_cell(
 # ----------------------------------------------------------------------
 # orchestration (parent process)
 # ----------------------------------------------------------------------
-def _spawn_cell(cell: str, minutes: int | None, shards: int, seed: int) -> dict:
-    """Run one cell in a fresh interpreter and parse its JSON result."""
+def _spawn_cell(cell: str, minutes: int, shards: int, seed: int) -> dict:
+    """Run one cell in a fresh interpreter and parse its JSON row."""
     src_root = str(Path(__file__).resolve().parents[2])
-    env = dict(os.environ)
-    pythonpath = env.get("PYTHONPATH", "")
-    if src_root not in pythonpath.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            src_root if not pythonpath else src_root + os.pathsep + pythonpath
-        )
+    paths = (src_root, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     cmd = [
-        sys.executable, "-m", "repro.bench.scale",
-        "--cell", cell, "--shards", str(shards), "--seed", str(seed),
+        sys.executable, "-m", "repro.bench.scale", "--cell", cell,
+        "--minutes", str(minutes), "--shards", str(shards), "--seed", str(seed),
     ]
-    if minutes is not None:
-        cmd += ["--minutes", str(minutes)]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise RuntimeError(
@@ -207,147 +169,46 @@ def _spawn_cell(cell: str, minutes: int | None, shards: int, seed: int) -> dict:
 
 
 def run_scale(
-    cells: tuple[str, ...] | None = None,
     smoke: bool = False,
+    cases: tuple[str, ...] | None = None,
     shards: int = 2,
     seed: int = 7,
 ) -> dict:
-    """Run the scale cells (each in its own subprocess) and build the report."""
-    from ..obs.export import host_metadata
-
-    if cells is None:
-        cells = ("10k", "100k") if smoke else tuple(SCALE_CELLS)
-    unknown = [c for c in cells if c not in SCALE_CELLS]
-    if unknown:
-        raise ValueError(
-            f"unknown scale cell(s) {unknown}; choose from {list(SCALE_CELLS)}"
-        )
-    minutes = _SMOKE_MINUTES if smoke else None
-    runs = [_spawn_cell(cell, minutes, shards, seed) for cell in cells]
-    return {
-        "format_version": SCALE_FORMAT_VERSION,
-        "tag": "scale",
-        "smoke": smoke,
-        "host": host_metadata(),
-        "runs": {run["cell"]: run for run in runs},
-    }
-
-
-def write_scale_json(payload: dict, out_dir: str | Path) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "BENCH_scale.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    return out
-
-
-def load_scale_json(path: str | Path) -> dict:
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("format_version")
-    if version != SCALE_FORMAT_VERSION:
-        raise ValueError(
-            f"scale bench file {path} has format_version {version!r}; this "
-            f"code understands {SCALE_FORMAT_VERSION}"
-        )
-    return payload
-
-
-def scale_gate(payload: dict, max_rss_mb: float | None = None) -> list[str]:
-    """Host-independent hard checks on one (fresh) scale report.
-
-    The cross-cell RSS ratio is the scalability claim itself — if the 1M
-    cell needs more than ``SCALE_GATE_RATIO``× the 100k cell's memory,
-    something reintroduced O(n_customers) state and no host difference
-    can excuse it.  ``max_rss_mb`` optionally bounds every cell (the CI
-    memory gate).
-    """
-    failures: list[str] = []
-    runs = payload.get("runs", {})
-    big, ref = SCALE_GATE_PAIR
-    if big in runs and ref in runs:
-        big_rss = float(runs[big]["peak_rss_mb"])
-        ref_rss = float(runs[ref]["peak_rss_mb"])
-        if ref_rss > 0 and big_rss > SCALE_GATE_RATIO * ref_rss:
-            failures.append(
-                f"scale gate: {big} peak RSS {big_rss:.1f} MB exceeds "
-                f"{SCALE_GATE_RATIO}x the {ref} cell ({ref_rss:.1f} MB)"
-            )
-    if max_rss_mb is not None:
-        for cell, run in sorted(runs.items()):
-            rss = float(run["peak_rss_mb"])
-            if rss > max_rss_mb:
-                failures.append(
-                    f"memory gate: cell {cell} peak RSS {rss:.1f} MB exceeds "
-                    f"the {max_rss_mb:.0f} MB bound"
-                )
-    return failures
-
-
-def compare_scale(
-    fresh: dict,
-    baseline: dict,
-    tolerance: float = 0.5,
-) -> tuple[list[str], list[str]]:
-    """Compare a fresh scale report against the committed baseline.
-
-    A cell regresses when its peak RSS is ``tolerance`` fatter than the
-    baseline's; host mismatches and smoke runs demote regressions to
-    warnings, as in :func:`repro.bench.compare_to_baseline`.  The
-    :func:`scale_gate` failures are appended as hard failures regardless.
-    """
-    warnings, host_matches = _comparability(baseline, bool(fresh.get("smoke")))
-    failures: list[str] = []
-
-    baseline_runs = baseline.get("runs", {})
-    for cell, run in sorted(fresh.get("runs", {}).items()):
-        base = baseline_runs.get(cell)
-        if base is None:
-            warnings.append(f"{cell}: no baseline entry; skipped")
-            continue
-        if (run["minutes"], run["shards"]) != (base["minutes"], base["shards"]):
-            warnings.append(f"{cell}: workload sizes differ; skipped")
-            continue
-        base_rss = float(base["peak_rss_mb"])
-        rss = float(run["peak_rss_mb"])
-        if base_rss > 0 and rss > base_rss * (1.0 + tolerance):
-            (failures if host_matches else warnings).append(
-                f"{cell}: peak RSS {rss:.1f} MB vs baseline "
-                f"{base_rss:.1f} MB ({rss / base_rss:.2f}x fatter)"
-            )
-    failures.extend(scale_gate(fresh))
-    return warnings, failures
+    """Run the scale cells (each in its own subprocess); the ``scale`` payload."""
+    if cases is None:
+        cases = ("10k", "100k") if smoke else tuple(SCALE_CELLS)
+    minutes = _SMOKE_MINUTES if smoke else SCALE_MINUTES
+    sizes = {"minutes": minutes, "shards": shards, "seed": seed}
+    rows = {cell: _spawn_cell(cell, minutes, shards, seed) for cell in cases}
+    return bench_report("scale", smoke, sizes, rows)
 
 
 def render_scale(payload: dict) -> str:
-    header = (
-        f"{'cell':<6} {'customers':>10} {'minutes':>7} "
-        f"{'flows':>10} {'peak RSS MB':>12}"
-    )
-    lines = [header, "-" * len(header)]
-    for cell, run in sorted(
-        payload.get("runs", {}).items(), key=lambda kv: kv[1]["n_customers"]
+    header = f"{'cell':<6} {'customers':>10} {'flows':>10} {'peak RSS MB':>12}"
+    lines = [f"{payload['sizes']['minutes']} minutes per cell", header]
+    lines.append("-" * len(header))
+    for cell, row in sorted(
+        payload["rows"].items(), key=lambda kv: kv[1]["n_customers"]
     ):
         lines.append(
-            f"{cell:<6} {run['n_customers']:>10,} {run['minutes']:>7} "
-            f"{run['flows']:>10,} {run['peak_rss_mb']:>12.1f}"
+            f"{cell:<6} {row['n_customers']:>10,} {row['flows']:>10,} "
+            f"{row['peak_rss_mb']:>12.1f}"
         )
     return "\n".join(lines)
 
 
 def _main(argv: list[str] | None = None) -> int:
-    """Subprocess entry: run one cell, print its JSON measurement."""
+    """Subprocess entry: run one cell, print its JSON row."""
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cell", required=True, choices=tuple(SCALE_CELLS))
-    parser.add_argument("--minutes", type=int, default=None)
+    parser.add_argument("--minutes", type=int, default=SCALE_MINUTES)
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-    result = run_cell(
-        args.cell, minutes=args.minutes, shards=args.shards, seed=args.seed
-    )
-    print(json.dumps(result))
+    row = run_cell(args.cell, minutes=args.minutes, shards=args.shards, seed=args.seed)
+    print(json.dumps(row))
     return 0
 
 

@@ -8,8 +8,10 @@ Commands
 ``compare``  — four-system comparison (NetScout / FastNetMon / RF / Xatu)
                at one overhead bound.
 ``train``    — train a per-attack-type model registry and save it to disk.
-``bench``    — fused-vs-unfused nn microbenchmarks, tracked via
-               ``BENCH_<tag>.json`` (docs/PERFORMANCE.md); ``--check``
+``bench``    — the offline benches the end-to-end suite cannot see:
+               training throughput (``--suite train``) and peak RSS at
+               10k–1M customers (``--suite scale``), tracked via
+               ``BENCH_<suite>.json`` (docs/PERFORMANCE.md); ``--check``
                compares against the committed baseline (host mismatches
                warn rather than fail).
 ``serve``    — run the sharded, checkpointable serving engine over a
@@ -371,129 +373,43 @@ def cmd_scenarios(args) -> int:
     return 1 if failures else 0
 
 
-def _bench_scale(args) -> int:
-    """The scale suite: streamed compressed days at 10k/100k/1M customers."""
-    from pathlib import Path
-
-    from .bench.scale import (
-        SCALE_CELLS,
-        compare_scale,
-        load_scale_json,
-        render_scale,
-        run_scale,
-        scale_gate,
-        write_scale_json,
-    )
-
-    cells = None
-    if args.only:
-        unknown = [c for c in args.only if c not in SCALE_CELLS]
-        if unknown:
-            print(f"unknown scale cell(s): {', '.join(unknown)}; "
-                  f"choose from {', '.join(SCALE_CELLS)}")
-            return 2
-        cells = tuple(args.only)
-    payload = run_scale(cells=cells, smoke=args.smoke)
-    print(render_scale(payload))
-    max_rss = getattr(args, "max_rss_mb", None)
-    gate_failures = scale_gate(payload, max_rss_mb=max_rss)
-    for message in gate_failures:
-        print(f"GATE: {message}")
-    status = 1 if gate_failures else 0
-    baseline_path = Path(args.out) / "BENCH_scale.json"
-    if args.check:
-        if not baseline_path.exists():
-            print(f"\nno baseline at {baseline_path}; nothing to check against")
-        else:
-            warnings, failures = compare_scale(
-                payload, load_scale_json(baseline_path)
-            )
-            for message in warnings:
-                print(f"warning: {message}")
-            for message in failures:
-                print(f"REGRESSION: {message}")
-            if failures:
-                status = 1
-            elif not gate_failures:
-                print(f"\ncheck against {baseline_path}: OK "
-                      f"({len(warnings)} warning(s))")
-    else:
-        out = write_scale_json(payload, args.out)
-        print(f"\nwrote {out}")
-    return status
-
-
 def cmd_bench(args) -> int:
-    """Run the fused-vs-unfused microbenchmarks and write BENCH_<tag>.json."""
+    """Run one offline bench suite, then ``--check`` it or write BENCH_<suite>.json."""
     from pathlib import Path
 
-    from .bench import (
-        BENCH_CASES,
-        INGEST_BENCH_CASES,
-        compare_to_baseline,
-        load_bench_json,
-        run_all,
-        run_ingest,
-        write_bench_json,
-    )
+    from .bench import SUITES, compare, gates, load_bench_json, write_bench_json
 
-    if args.suite == "scale":
-        return _bench_scale(args)
-    if args.suite == "ingest":
-        runner, suite_cases = run_ingest, INGEST_BENCH_CASES
-        if args.tag == "fused":  # the parser default belongs to the nn suite
-            args.tag = "ingest"
+    suite_cases, run, render = SUITES[args.suite]
+    cases = tuple(args.only) if args.only else None
+    unknown = [c for c in cases or () if c not in suite_cases]
+    if unknown:
+        print(f"unknown {args.suite} case(s): {', '.join(unknown)}; "
+              f"choose from {', '.join(suite_cases)}")
+        return 2
+    with _telemetry_context(args.telemetry):
+        payload = run(smoke=args.smoke, cases=cases)
+        if args.telemetry:
+            _write_cli_telemetry(args.telemetry)
+    print(render(payload))
+    failures = gates(payload)
+    for message in failures:
+        print(f"GATE: {message}")
+    baseline_path = Path(args.out) / f"BENCH_{args.suite}.json"
+    if not args.check:
+        print(f"\nwrote {write_bench_json(payload, args.out)}")
+    elif not baseline_path.exists():
+        print(f"\nno baseline at {baseline_path}; nothing to check against")
     else:
-        runner, suite_cases = run_all, BENCH_CASES
-    cases = None
-    if args.only:
-        unknown = [c for c in args.only if c not in suite_cases]
-        if unknown:
-            print(f"unknown benchmark case(s): {', '.join(unknown)}; "
-                  f"choose from {', '.join(suite_cases)}")
-            return 2
-        cases = tuple(args.only)
-    telemetry_path = getattr(args, "telemetry", None)
-    with _telemetry_context(telemetry_path):
-        report = runner(
-            tag=args.tag, smoke=args.smoke, reps=args.reps, cases=cases
-        )
-        if telemetry_path:
-            _write_cli_telemetry(telemetry_path)
-    print(report.render())
-    status = 0
-    if args.check:
-        # Compare-only mode: never overwrite the committed baseline.
-        baseline_path = Path(args.out) / f"BENCH_{args.tag}.json"
-        if not baseline_path.exists():
-            print(f"\nno baseline at {baseline_path}; nothing to check against")
-        else:
-            warnings, failures = compare_to_baseline(
-                report, load_bench_json(baseline_path)
-            )
-            for message in warnings:
-                print(f"warning: {message}")
-            for message in failures:
-                print(f"REGRESSION: {message}")
-            if failures:
-                status = 1
-            else:
-                print(f"\ncheck against {baseline_path}: OK "
-                      f"({len(warnings)} warning(s))")
-    else:
-        out = write_bench_json(report, args.out)
-        print(f"\nwrote {out}")
-    speedups = report.speedups()
-    if speedups:
-        worst = min(speedups, key=speedups.get)
-        print(f"smallest speedup: {worst} at {speedups[worst]:.1f}x")
-    overheads = report.obs_overheads()
-    for name, frac in overheads.items():
-        budget = 0.03
-        verdict = "within" if frac < budget else "OVER"
-        print(f"telemetry overhead ({name}): {frac:+.1%} — "
-              f"{verdict} the {budget:.0%} budget")
-    return status
+        warnings, regressions = compare(payload, load_bench_json(baseline_path))
+        for message in warnings:
+            print(f"warning: {message}")
+        for message in regressions:
+            print(f"REGRESSION: {message}")
+        failures += regressions
+        if not failures:
+            print(f"\ncheck against {baseline_path}: OK "
+                  f"({len(warnings)} warning(s))")
+    return 1 if failures else 0
 
 
 def cmd_serve(args) -> int:
@@ -826,38 +742,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="time the fused nn kernels against the pre-fusion baseline",
-        description="Microbenchmarks: LSTM forward / training step, pooling, "
-        "a full training epoch, and end-to-end synthetic-day scoring, each "
-        "fused and unfused.  Results go to a versioned BENCH_<tag>.json "
-        "(see docs/PERFORMANCE.md).",
+        help="the offline benches: training throughput and peak RSS at scale",
+        description="Offline benches for what the end-to-end suite "
+        "(BENCHMARK.json) never runs: 'train' times an LSTM training step, "
+        "pooling and a training epoch, each fused vs the pre-fusion tape, "
+        "plus the telemetry overhead of an epoch; 'scale' streams seeded "
+        "compressed days at 10k/100k/1M customers and gates peak RSS.  "
+        "Results go to BENCH_<suite>.json (see docs/PERFORMANCE.md).",
     )
-    bench.add_argument("--suite", choices=("fused", "ingest", "scale"),
-                       default="fused",
-                       help="benchmark suite: 'fused' times the nn kernels, "
-                       "'ingest' times the columnar NetFlow ingest path, "
-                       "'scale' streams seeded compressed days at "
-                       "10k/100k/1M customers and gates peak RSS "
-                       "(BENCH_scale.json)")
-    bench.add_argument("--max-rss-mb", type=float, default=None,
-                       help="scale suite only: fail if any cell's peak RSS "
-                       "exceeds this bound (the CI memory gate)")
-    bench.add_argument("--tag", default="fused",
-                       help="result file suffix: BENCH_<tag>.json "
-                       "(defaults to the suite name)")
-    bench.add_argument("--reps", type=int, default=None,
-                       help="timed repetitions per case (default 5, smoke 1)")
+    bench.add_argument("--suite", choices=("train", "scale"), default="train",
+                       help="benchmark suite (default: train)")
     bench.add_argument("--smoke", action="store_true",
-                       help="tiny sizes + 1 rep: correctness-of-the-harness "
-                       "mode for CI")
+                       help="CI mode: tiny sizes and 1 rep (train), the "
+                       "10k/100k cells at 30 minutes (scale)")
     bench.add_argument("--out", default="benchmarks/results",
                        help="directory for the result JSON")
     bench.add_argument("--only", nargs="*", default=None,
-                       help="subset of cases to run")
+                       help="subset of cases (train) or cells (scale) to run")
     bench.add_argument("--check", action="store_true",
-                       help="compare against the committed BENCH_<tag>.json "
-                       "instead of overwriting it; host mismatches demote "
-                       "regressions to warnings")
+                       help="compare against the committed BENCH_<suite>.json "
+                       "instead of overwriting it; host mismatches and smoke "
+                       "runs demote regressions to warnings")
     bench.add_argument("--telemetry", default=None, metavar="PATH",
                        help="enable repro.obs during the run and write the "
                        "telemetry snapshot to this JSON file")

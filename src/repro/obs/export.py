@@ -46,10 +46,16 @@ __all__ = [
 TELEMETRY_FORMAT_VERSION = 1
 
 _INF = float("inf")
+_BLAS_PIN = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def host_metadata() -> dict:
-    """Provenance for telemetry/benchmark files: interpreter + machine."""
+    """Provenance for telemetry/benchmark files: interpreter + machine.
+
+    ``nproc`` (the CPUs this process may run on) and ``blas_threads`` (the
+    BLAS thread pins) are the e2e suite's host fields; ``cpu_count`` is the
+    machine's, which the telemetry header prints.
+    """
     import numpy as np
 
     return {
@@ -58,6 +64,8 @@ def host_metadata() -> dict:
         "machine": platform.machine(),
         "system": platform.system(),
         "cpu_count": os.cpu_count() or 1,
+        "nproc": len(os.sched_getaffinity(0)),
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_PIN},
     }
 
 

@@ -1111,37 +1111,3 @@ def test_columnar_lane_exercises_all_auxiliary_classes():
     assert seen >= {
         "all", SOURCE_CLASS_BLOCKLIST, SOURCE_CLASS_PREV_ATTACKER, SOURCE_CLASS_SPOOFED
     }, seen
-
-
-# ----------------------------------------------------------------------
-# the tracked ingest benchmark
-# ----------------------------------------------------------------------
-class TestIngestBench:
-    def test_smoke_run_and_speedups(self, tmp_path):
-        from repro.bench import run_ingest, write_bench_json, load_bench_json
-
-        report = run_ingest(tag="t", smoke=True, cases=("datagram_decode", "sampler"))
-        speedups = report.speedups()
-        assert set(speedups) == {"datagram_decode", "sampler"}
-        assert all(s > 0 for s in speedups.values())
-        out = write_bench_json(report, tmp_path)
-        assert load_bench_json(out)["smoke"] is True
-
-    def test_committed_baseline_meets_the_bar(self):
-        from pathlib import Path
-
-        from repro.bench import INGEST_BENCH_CASES, load_bench_json
-
-        path = Path(__file__).resolve().parents[1] / (
-            "benchmarks/results/BENCH_ingest.json"
-        )
-        payload = load_bench_json(path)
-        assert not payload["smoke"]
-        # one row set per live case: no orphan of a retired bench
-        assert {k.split("/")[0] for k in payload["benchmarks"]} == set(
-            INGEST_BENCH_CASES
-        )
-        # the acceptance bar: >= 10x flows/sec on decode + aggregation
-        assert payload["speedups"]["ingest_flows"] >= 10.0
-        assert payload["speedups"]["datagram_decode"] >= 10.0
-        assert payload["speedups"]["sampler"] >= 10.0

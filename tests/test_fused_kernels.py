@@ -269,22 +269,29 @@ class TestMatmulVectorRegression:
 
 class TestBenchHarness:
     def test_smoke_run_and_json_roundtrip(self, tmp_path):
-        from repro.bench import load_bench_json, run_all, write_bench_json
-
-        report = run_all(
-            tag="t", smoke=True, cases=("lstm_forward", "pooling")
+        from repro.bench import (
+            load_bench_json,
+            render_train,
+            run_train,
+            speedups,
+            write_bench_json,
         )
-        speedups = report.speedups()
-        assert set(speedups) == {"lstm_forward", "pooling"}
-        assert all(s > 0 for s in speedups.values())
-        assert "lstm_forward" in report.render()
 
-        out = write_bench_json(report, tmp_path)
-        assert out.name == "BENCH_t.json"
-        payload = load_bench_json(out)
-        assert payload["smoke"] is True
-        assert payload["speedups"].keys() == speedups.keys()
-        assert payload["benchmarks"]["pooling/fused"]["reps"] == 1
+        payload = run_train(smoke=True, cases=("lstm_train_step", "pooling"))
+        ratios = speedups(payload)
+        assert set(ratios) == {"lstm_train_step", "pooling"}
+        assert all(s > 0 for s in ratios.values())
+        assert "lstm_train_step" in render_train(payload)
+
+        out = write_bench_json(payload, tmp_path)
+        assert out.name == "BENCH_train.json"
+        loaded = load_bench_json(out)
+        assert loaded == payload
+        assert set(loaded) == {
+            "format_version", "suite", "smoke", "host", "sizes", "rows"
+        }
+        assert loaded["smoke"] is True
+        assert len(loaded["rows"]["pooling/fused"]["seconds"]) == 1
 
     def test_version_mismatch_rejected(self, tmp_path):
         from repro.bench import load_bench_json
@@ -294,17 +301,34 @@ class TestBenchHarness:
         with pytest.raises(ValueError, match="format_version"):
             load_bench_json(bad)
 
+    def test_v1_file_refused(self, tmp_path):
+        """The pre-unification files (``tag``/``benchmarks``/``runs``) have
+        no reader: loading one fails loudly instead of comparing nothing."""
+        import json
+
+        from repro.bench import load_bench_json
+
+        v1 = tmp_path / "BENCH_train.json"
+        v1.write_text(json.dumps({
+            "format_version": 1, "tag": "fused", "smoke": False,
+            "benchmarks": {"pooling/fused": {"best_s": 0.01}},
+        }))
+        with pytest.raises(ValueError, match="format_version 1"):
+            load_bench_json(v1)
+
     def test_committed_baseline_is_current_format(self):
         from pathlib import Path
 
-        from repro.bench import BENCH_CASES, load_bench_json
+        from repro.bench import SUITES, load_bench_json, speedups
 
-        path = Path(__file__).resolve().parents[1] / (
-            "benchmarks/results/BENCH_fused.json"
-        )
-        payload = load_bench_json(path)
-        assert not payload["smoke"]
-        # one row set per live case: no orphan of a retired bench
-        assert {k.split("/")[0] for k in payload["benchmarks"]} == set(BENCH_CASES)
-        assert payload["speedups"]["lstm_train_step"] >= 5.0
-        assert payload["speedups"]["synthetic_day"] >= 3.0
+        results = Path(__file__).resolve().parents[1] / "benchmarks/results"
+        for suite, (cases, _run, _render) in SUITES.items():
+            payload = load_bench_json(results / f"BENCH_{suite}.json")
+            assert payload["suite"] == suite
+            assert not payload["smoke"]
+            assert "nproc" in payload["host"]
+            # one row set per live case: no orphan of a retired bench
+            assert {k.split("/")[0] for k in payload["rows"]} == set(cases)
+        ratios = speedups(load_bench_json(results / "BENCH_train.json"))
+        assert ratios["lstm_train_step"] >= 5.0
+        assert ratios["train_epoch"] >= 2.0

@@ -427,7 +427,7 @@ class TestBitwiseNeutrality:
 
     def test_training_bitwise_identical(self):
         from repro.core import TrainConfig, XatuModel, XatuTrainer
-        from repro.bench.micro import _synthetic_samples
+        from repro.bench.train import _synthetic_samples
         from tests.conftest import small_model_config
 
         config = small_model_config()
@@ -516,7 +516,7 @@ class TestFeedHealth:
 
 class TestTrainerInstrumentation:
     def _fit(self, progress=None):
-        from repro.bench.micro import _synthetic_samples
+        from repro.bench.train import _synthetic_samples
         from repro.core import TrainConfig, XatuModel, XatuTrainer
         from tests.conftest import small_model_config
 
@@ -615,105 +615,114 @@ class TestOnlineAndScrubInstrumentation:
 # bench integration
 # ----------------------------------------------------------------------
 class TestBenchObs:
+    @staticmethod
+    def _payload(best_s: float, smoke: bool = False) -> dict:
+        """A hand-built one-row ``train`` payload stamped with this host."""
+        from repro.bench import bench_report
+
+        rows = {"pooling/fused": {"best_s": best_s}}
+        return bench_report("train", smoke, {"pooling": {"steps": 1430}}, rows)
+
     def test_host_metadata_in_bench_json(self, tmp_path):
-        from repro.bench import run_all, write_bench_json, load_bench_json
-
-        report = run_all(smoke=True, cases=("pooling", "train_epoch_obs"))
-        out = write_bench_json(report, tmp_path)
-        payload = load_bench_json(out)
-        host = payload["host"]
-        for key in ("python", "numpy", "machine", "system", "cpu_count"):
-            assert key in host
-        assert "train_epoch_obs/enabled" in payload["benchmarks"]
-        assert "train_epoch_obs" in payload["obs_overheads"]
-
-    def test_compare_to_baseline_host_mismatch_warns(self, tmp_path):
         from repro.bench import (
-            compare_to_baseline,
             load_bench_json,
-            run_all,
+            obs_overheads,
+            run_train,
             write_bench_json,
         )
 
-        report = run_all(smoke=True, cases=("pooling",))
-        baseline = load_bench_json(write_bench_json(report, tmp_path))
+        payload = run_train(smoke=True, cases=("pooling", "train_epoch_obs"))
+        loaded = load_bench_json(write_bench_json(payload, tmp_path))
+        host = loaded["host"]
+        for key in ("python", "numpy", "machine", "system", "cpu_count",
+                    "nproc", "blas_threads"):
+            assert key in host
+        assert "train_epoch_obs/enabled" in loaded["rows"]
+        assert "train_epoch_obs" in obs_overheads(loaded)
+
+    def test_compare_to_baseline_host_mismatch_warns(self):
+        from repro.bench import compare
+
+        fresh = self._payload(0.01)
         # Identical run against itself: no failures.
-        warnings, failures = compare_to_baseline(report, baseline)
-        assert failures == []
+        assert compare(fresh, fresh) == ([], [])
         # Slower rerun on a mismatched host: warning, not failure.
-        slow = load_bench_json(tmp_path / "BENCH_fused.json")
+        slow = self._payload(0.01 / 100.0)
         slow["host"]["python"] = "0.0.0"
-        for entry in slow["benchmarks"].values():
-            entry["best_s"] = entry["best_s"] / 100.0
-        warnings, failures = compare_to_baseline(report, slow)
+        warnings, failures = compare(fresh, slow)
         assert failures == []
         assert any("host differs" in w for w in warnings)
         assert any("slower" in w for w in warnings)
 
+    def test_compare_demotes_a_cpu_count_mismatch(self):
+        """A baseline recorded with another usable CPU count says nothing
+        about this host's timings: 100x slower rows only warn."""
+        from repro.bench import compare
+
+        baseline = self._payload(0.01 / 100.0)
+        baseline["host"]["nproc"] += 1
+        warnings, failures = compare(self._payload(0.01), baseline)
+        assert failures == []
+        assert any("host differs" in w and "nproc" in w for w in warnings)
+        assert any("slower" in w for w in warnings)
+
     def test_compare_flags_regression_on_same_host(self, tmp_path):
-        from repro.bench import (
-            compare_to_baseline,
-            load_bench_json,
-            run_all,
-            write_bench_json,
-        )
+        from repro.bench import compare, load_bench_json, run_train, write_bench_json
 
         # Full-size run: smoke timings are single-rep noise and never fail.
-        report = run_all(cases=("pooling",), reps=1)
-        baseline = load_bench_json(write_bench_json(report, tmp_path))
-        for entry in baseline["benchmarks"].values():
-            entry["best_s"] = entry["best_s"] / 100.0
-        warnings, failures = compare_to_baseline(report, baseline)
+        payload = run_train(cases=("pooling",), reps=1)
+        baseline = load_bench_json(write_bench_json(payload, tmp_path))
+        for row in baseline["rows"].values():
+            row["best_s"] = row["best_s"] / 100.0
+        warnings, failures = compare(payload, baseline)
         assert any("slower" in f for f in failures)
 
-    def test_compare_demotes_smoke_regressions_to_warnings(self, tmp_path):
-        from repro.bench import (
-            compare_to_baseline,
-            load_bench_json,
-            run_all,
-            write_bench_json,
-        )
+    def test_compare_demotes_smoke_regressions_to_warnings(self):
+        from repro.bench import compare
 
-        report = run_all(smoke=True, cases=("pooling",))
-        baseline = load_bench_json(write_bench_json(report, tmp_path))
-        for entry in baseline["benchmarks"].values():
-            entry["best_s"] = entry["best_s"] / 100.0
-        warnings, failures = compare_to_baseline(report, baseline)
+        warnings, failures = compare(
+            self._payload(0.01, smoke=True), self._payload(0.0001, smoke=True)
+        )
         assert failures == []
         assert any("smoke mode" in w for w in warnings)
         assert any("slower" in w for w in warnings)
 
     def test_obs_overhead_render(self):
-        from repro.bench import run_all
+        from repro.bench import obs_overheads, render_train, run_train
 
-        report = run_all(smoke=True, cases=("train_epoch_obs",))
-        assert "telemetry overhead" in report.render()
-        assert "train_epoch_obs" in report.obs_overheads()
+        payload = run_train(smoke=True, cases=("train_epoch_obs",))
+        assert "telemetry overhead" in render_train(payload)
+        assert "train_epoch_obs" in obs_overheads(payload)
 
     def test_compare_scale_gates_memory_not_speed(self):
         """The scale suite owns peak RSS; serving speed is the e2e suite's
         number, so a cell's engine-only rate is recorded and never gated."""
-        from repro.bench.scale import compare_scale, render_scale
-        from repro.obs.export import host_metadata
+        from repro.bench import bench_report, compare, gates, render_scale
 
-        def payload(rss_mb, minutes_per_s, smoke=False):
-            run = {
-                "cell": "10k", "n_customers": 10_000, "minutes": 120,
-                "shards": 2, "seed": 7, "minutes_per_s": minutes_per_s,
-                "flows": 1_000, "peak_rss_mb": rss_mb,
+        def payload(rss_mb, minutes_per_s, smoke=False, cell="10k"):
+            row = {
+                "n_customers": 10_000, "flows": 1_000,
+                "minutes_per_s": minutes_per_s, "peak_rss_mb": rss_mb,
             }
-            return {"smoke": smoke, "host": host_metadata(), "runs": {"10k": run}}
+            sizes = {"minutes": 120, "shards": 2, "seed": 7}
+            return bench_report("scale", smoke, sizes, {cell: row})
 
         baseline = payload(100.0, 20.0)
-        assert compare_scale(payload(100.0, 1.0), baseline) == ([], [])
-        warnings, failures = compare_scale(payload(200.0, 20.0), baseline)
+        assert compare(payload(100.0, 1.0), baseline) == ([], [])
+        warnings, failures = compare(payload(200.0, 20.0), baseline)
         assert warnings == [] and any("fatter" in f for f in failures)
         # the shared comparability rule: smoke runs only ever warn
-        warnings, failures = compare_scale(
+        warnings, failures = compare(
             payload(200.0, 20.0, smoke=True), payload(100.0, 20.0, smoke=True)
         )
         assert failures == [] and any("fatter" in w for w in warnings)
         assert "min/s" not in render_scale(baseline)
+        # the host-independent gates: an absolute bound and the 1M/100k ratio
+        assert gates(baseline) == []
+        assert any("memory gate" in f for f in gates(payload(600.0, 20.0)))
+        ratio = payload(100.0, 20.0, cell="100k")
+        ratio["rows"]["1m"] = dict(ratio["rows"]["100k"], peak_rss_mb=250.0)
+        assert any("scale gate" in f for f in gates(ratio))
 
 
 # ----------------------------------------------------------------------
