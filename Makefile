@@ -73,9 +73,10 @@ telemetry:
 	$(PY) -m repro.cli metrics /tmp/repro-telemetry.json
 
 # Serving-engine smoke (docs/SERVING.md): the same replayed deployment
-# twice — once uninterrupted, once with an induced crash + restore at
-# minute 180 — then a byte-identity check on the two merged alert
-# streams (the crash-equivalence guarantee).
+# three times — once uninterrupted, then with an induced crash + restore at
+# minute 180 on the inline and on the process backend (where the
+# deployment-digest check runs inside forked shards) — each restarted
+# stream byte-compared against the first (the crash-equivalence guarantee).
 serve-smoke:
 	rm -rf /tmp/repro-serve && mkdir -p /tmp/repro-serve
 	$(PY) -m repro.cli serve --days 3 --customers 6 --epochs 1 --shards 2 \
@@ -86,7 +87,12 @@ serve-smoke:
 	    --telemetry /tmp/repro-serve/telemetry.json \
 	    --alerts-out /tmp/repro-serve/alerts-restart.json
 	cmp /tmp/repro-serve/alerts-base.json /tmp/repro-serve/alerts-restart.json
-	@echo "crash-equivalence holds: alert streams byte-identical"
+	$(PY) -m repro.cli serve --days 3 --customers 6 --epochs 1 --shards 2 \
+	    --threshold 0.95 --backend process --checkpoint-dir /tmp/repro-serve/ckpt-process \
+	    --checkpoint-every 60 --restart-at 180 \
+	    --alerts-out /tmp/repro-serve/alerts-process.json
+	cmp /tmp/repro-serve/alerts-base.json /tmp/repro-serve/alerts-process.json
+	@echo "crash-equivalence holds: alert streams byte-identical (inline and process)"
 
 # End-to-end benchmark smoke (benchmarks/e2e/README.md): the tracer patches
 # its 29 TARGETS callables by name, so a deleted or renamed one fails here

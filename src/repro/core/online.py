@@ -28,7 +28,8 @@ margin is discarded each minute.
 
 from __future__ import annotations
 
-import itertools
+import hashlib
+import pickle
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -46,7 +47,6 @@ from ..netflow.customers import CustomerLookup
 from ..netflow.records import FlowBatch, FlowRecord, _as_batch
 from ..netflow.routing import RouteTable
 from ..nn import fused
-from ..nn.serialization import state_from_bytes, state_to_bytes
 from ..obs import get_registry, obs_enabled, trace
 from ..signals.clustering import AttackerCustomerGraph
 from ..signals.features import N_FEATURES, FeatureScaler, group_slices
@@ -168,8 +168,8 @@ class OnlineXatu:
     ``inference_dtype`` (None | np.float32 | np.float64) is a plain
     class-level-default attribute, set per instance by the serving layer
     from :class:`~repro.serve.ServeConfig`.  Deliberately **not** part of
-    :class:`OnlineConfig` or :meth:`state_dict`: it is engine policy, so
-    a restore may change it freely.
+    :class:`OnlineConfig`, :meth:`state_dict` or :meth:`deployment_digest`:
+    it is engine policy, so a restore may change it freely.
     """
 
     name = "xatu"
@@ -214,7 +214,6 @@ class OnlineXatu:
         self._hazards: dict[int, list[float]] = defaultdict(list)
         self._suppressed_until: dict[int, int] = {}
         self._pending: list[OnlineAlert] = []
-        self._spoof_cache: dict[int, bool] = {}
         if getattr(self.customer_of, "lazy_watch", False):
             # Router-backed routing over a huge universe: watch only the
             # customers that actually show up in traffic.
@@ -311,38 +310,15 @@ class OnlineXatu:
         )
         return hits[inverse]
 
-    def _spoof_mask(self, src: np.ndarray) -> tuple[np.ndarray, dict[int, bool]]:
-        """A3 verdicts per flow, plus the verdicts of the sources seen for
-        the first time — the (python int → python bool) items the scalar
-        path would cache — which the caller commits to ``_spoof_cache``
-        once the minute's fold has succeeded.  Per unique source (sort +
-        neighbour compare; ``np.unique`` hashes): one C-level pass over the
-        cache, then one vectorized route-table call for the misses."""
-        order = np.argsort(src)
-        ranked = src[order]
-        first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-        uniq = ranked[first]
-        verdicts = np.fromiter(
-            map(self._spoof_cache.get, uniq.tolist(), itertools.repeat(2)),
-            dtype=np.uint8,
-            count=len(uniq),
-        )
-        unseen = verdicts == 2
-        fresh = uniq[unseen]
-        spoofed = self.route_table.spoofed_mask(fresh)
-        verdicts[unseen] = spoofed
-        mask = np.empty(len(src), dtype=bool)
-        mask[order] = verdicts[np.cumsum(first) - 1]
-        return mask, dict(zip(fresh.tolist(), spoofed.tolist()))
-
     def _ingest_batch(self, batch: FlowBatch) -> tuple[int, int]:
         """Route, classify and aggregate one minute's batch.
 
         Routing by ``customer_of``, the three auxiliary class masks, and
         one :meth:`TrafficMatrix.add_batch` fold, which rejects a corrupt
-        batch before it writes anything: the detector's own state (spoof
-        cache, watch set) is committed after it.  Returns ``(ingested,
-        unrouted)`` counts.
+        batch before it writes anything: the detector's own state (the
+        watch set) is committed after it.  A3 verdicts come straight from
+        :meth:`RouteTable.spoofed_mask`.  Returns ``(ingested, unrouted)``
+        counts.
         """
         if not len(batch):
             return 0, 0
@@ -355,7 +331,6 @@ class OnlineXatu:
             batch = batch.take(routed)
         arr = batch.array
         src = arr["src_addr"].astype(np.int64)
-        spoofed, fresh_verdicts = self._spoof_mask(src)
         seen = self.matrix.add_batch(
             cust,
             batch,
@@ -364,10 +339,9 @@ class OnlineXatu:
                 SOURCE_CLASS_PREV_ATTACKER: self.prev_attackers.batch_mask(
                     cust, src, arr["timestamp"].astype(np.int64)
                 ),
-                SOURCE_CLASS_SPOOFED: spoofed,
+                SOURCE_CLASS_SPOOFED: self.route_table.spoofed_mask(src),
             },
         )
-        self._spoof_cache.update(fresh_verdicts)
         if self.config_online.watch_idle_minutes is None:
             self._watched.update(seen)
         else:
@@ -613,9 +587,6 @@ class OnlineXatu:
         registry.gauge(
             "online.row_store_rows", "finalized rows held by the matrix row store"
         ).set(self.matrix.row_store_rows())
-        registry.gauge(
-            "online.spoof_cache_addrs", "source addresses with a cached A3 verdict"
-        ).set(len(self._spoof_cache))
         registry.histogram(
             "online.minute_seconds", "wall time of one observe_minute call"
         ).observe(time.perf_counter() - minute_start)
@@ -694,66 +665,62 @@ class OnlineXatu:
     # ------------------------------------------------------------------
     # durable state (repro.serve checkpoints)
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Canonical snapshot of the *complete* online state.
+    def deployment_digest(self) -> str:
+        """sha256 (hex) of the deployment this detector serves: what the
+        detector factory supplies and serving never changes.
 
-        Covers everything scoring depends on — traffic-matrix windows, the
-        A2/A4/A5 stores, scaler statistics, model weights, the hazard and
-        suppression trackers, and the clock — so a detector restored from
-        this dict emits byte-identical alerts to one that never stopped.
-        All collections are emitted in sorted order, making equal states
-        serialize to equal bytes (the serve-layer crash-equivalence
-        guarantee).
-
-        The routing table is deployment context, not detector state, and
-        must be re-supplied on restore; the spoof cache is carried so
-        restored runs stay bitwise-faithful even if the table changed.
+        Covers the model config and weights, the scaler statistics, every
+        :class:`OnlineConfig` field, ``customer_of`` (sorted items, or the
+        pickled router), ``base_rate_of``, the blocklist (sorted, or the
+        pickled membership object) and the route table's ``(lo, hi)``
+        ranges.  Recomputed on every call: weights change in place.
         """
-        if not isinstance(self.blocklist, (set, frozenset)):
-            raise TypeError(
-                "state_dict() requires a set-like blocklist; custom "
-                "membership objects must be re-supplied on restore"
-            )
-        if not isinstance(self.customer_of, Mapping):
-            raise TypeError(
-                "state_dict() requires a dict customer_of; analytic routers "
-                "are deployment context and must be re-supplied on restore"
-            )
-        cfg = self.config_online
-        model_cfg = self.model.config
-        addresses = np.fromiter(self._spoof_cache, np.int64, len(self._spoof_cache))
-        spoofed = np.fromiter(self._spoof_cache.values(), bool, len(addresses))
-        order = np.argsort(addresses)  # keys of one dict: distinct
+        digest = hashlib.sha256()
+
+        def feed(label: str, *parts) -> None:
+            digest.update(label.encode())
+            for part in parts:
+                if isinstance(part, np.ndarray):
+                    digest.update(f"{part.dtype.str}{part.shape}".encode())
+                    part = np.ascontiguousarray(part)  # hashed in place
+                elif not isinstance(part, bytes):
+                    part = repr(part).encode()
+                digest.update(memoryview(part).nbytes.to_bytes(8, "little"))
+                digest.update(part)
+
+        feed("model", self.model.config)
+        for name, weights in sorted(self.model.state_dict().items()):
+            feed(name, weights)
+        feed("scaler", self.scaler.mean_, self.scaler.std_)
+        feed("config", self.config_online)
+        routing, blocklist = self.customer_of, self.blocklist
+        if isinstance(routing, Mapping):
+            feed("customer_of", *_sorted_items(routing, np.int64))
+        else:
+            feed("customer_of", pickle.dumps(routing, protocol=4))
+        feed("base_rate_of", *_sorted_items(self.base_rate_of, np.float64))
+        if isinstance(blocklist, (set, frozenset)):
+            feed("blocklist", np.sort(np.fromiter(blocklist, np.int64, len(blocklist))))
+        else:
+            feed("blocklist", pickle.dumps(blocklist, protocol=4))
+        table = self.route_table
+        feed("route_table", *(() if table is None else table.ranges()))
+        return digest.hexdigest()
+
+    def state_dict(self) -> dict:
+        """Canonical snapshot of what serving mutates: the clock, the
+        traffic-matrix windows, the A2/A4/A5 stores, the hazard and
+        suppression trackers, pending alerts, the watch set — and, as
+        ``deployment``, the :meth:`deployment_digest` it was served under.
+
+        The deployment itself is not in it: every restore rebuilds the
+        detector through the same factory, and :meth:`load_state_dict`
+        refuses a snapshot written under another deployment.  All
+        collections are emitted in sorted order, so equal states serialize
+        to equal bytes (the serve-layer crash-equivalence guarantee).
+        """
         return {
             "minute": self._minute,
-            "config": {
-                "threshold": self.threshold,
-                "history_decay_minutes": cfg.history_decay_minutes,
-                "clustering_window": cfg.clustering_window,
-                "rearm_after": self.rearm_after,
-                "start_minute": cfg.start_minute,
-                "evict_margin_minutes": cfg.evict_margin_minutes,
-                "watch_idle_minutes": cfg.watch_idle_minutes,
-            },
-            "model": {
-                "meta": {
-                    "n_features": model_cfg.n_features,
-                    "hidden_size": model_cfg.hidden_size,
-                    "dense_size": model_cfg.dense_size,
-                    "detect_window": model_cfg.detect_window,
-                    "pooling": model_cfg.pooling,
-                    "seed": model_cfg.seed,
-                    "timescales": [
-                        [ts.name, ts.window, ts.span] for ts in model_cfg.timescales
-                    ],
-                },
-                "weights": state_to_bytes(self.model.state_dict()),
-            },
-            "scaler": (
-                None
-                if self.scaler.mean_ is None
-                else state_to_bytes(self.scaler.state_dict())
-            ),
             "matrix": self.matrix.state_dict(),
             "prev_attackers": self.prev_attackers.state_dict(),
             "history": self.history.state_dict(),
@@ -771,58 +738,31 @@ class OnlineXatu:
             ],
             "watched": sorted(self._watched),
             "last_seen": sorted(self._last_seen.items()),
-            "spoof_cache": {"addresses": addresses[order], "spoofed": spoofed[order]},
-            "customer_of": sorted(self.customer_of.items()),
-            "base_rate_of": sorted(self.base_rate_of.items()),
-            "blocklist": sorted(int(a) for a in self.blocklist),
+            "deployment": self.deployment_digest(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore the complete online state captured by :meth:`state_dict`.
+        """Restore the serving state captured by :meth:`state_dict` into a
+        detector built for the same deployment.
 
-        Model weights and scaler statistics are loaded back into the
-        current model/scaler objects (architectures must match).  The
-        snapshot is decoded in full before anything is assigned: a
-        malformed one raises and the detector goes on from the state it had.
+        A snapshot whose ``deployment`` digest is not this detector's
+        raises ``ValueError`` naming both, and so does a malformed one: the
+        digest is checked and the snapshot decoded in full before anything
+        is assigned, so a refused snapshot leaves the detector as it was.
         """
+        ours = self.deployment_digest()
+        if state["deployment"] != ours:
+            raise ValueError(
+                f"snapshot was written for deployment {state['deployment']}, "
+                f"this detector serves deployment {ours}: restore through the "
+                "detector factory that wrote it"
+            )
 
         def loaded(store, key: str):
             store.load_state_dict(state[key])
             return store
 
-        cfg = state["config"]
-        config = OnlineConfig(
-            threshold=float(cfg["threshold"]),
-            history_decay_minutes=float(cfg["history_decay_minutes"]),
-            clustering_window=int(cfg["clustering_window"]),
-            rearm_after=int(cfg["rearm_after"]),
-            start_minute=int(cfg["start_minute"]),
-            evict_margin_minutes=int(cfg["evict_margin_minutes"]),
-            watch_idle_minutes=(
-                None
-                if cfg.get("watch_idle_minutes") is None
-                else int(cfg["watch_idle_minutes"])
-            ),
-        )
-        addresses = np.asarray(state["spoof_cache"]["addresses"])
-        spoofed = np.asarray(state["spoof_cache"]["spoofed"])
-        if (
-            addresses.dtype != np.int64
-            or spoofed.dtype != bool
-            or addresses.ndim != 1
-            or addresses.shape != spoofed.shape
-            or (addresses[1:] <= addresses[:-1]).any()
-        ):
-            raise ValueError(
-                "spoof_cache: int64 addresses, strictly ascending, and as many bool verdicts"
-            )
         fresh = {
-            "config_online": config,
-            "threshold": config.threshold,
-            "rearm_after": config.rearm_after,
-            "customer_of": {int(a): int(c) for a, c in state["customer_of"]},
-            "base_rate_of": {int(c): float(r) for c, r in state["base_rate_of"]},
-            "blocklist": {int(a) for a in state["blocklist"]},
             "matrix": loaded(TrafficMatrix(), "matrix"),
             "prev_attackers": loaded(PreviousAttackerStore(), "prev_attackers"),
             "history": loaded(AttackHistoryStore(), "history"),
@@ -835,58 +775,14 @@ class OnlineXatu:
             "_pending": [OnlineAlert(int(c), int(m), float(s)) for c, m, s in state["pending"]],
             "_watched": {int(c) for c in state["watched"]},
             "_last_seen": {int(c): int(m) for c, m in state["last_seen"]},
-            # python int -> python bool, as the ingest lanes cache them
-            "_spoof_cache": dict(zip(addresses.tolist(), spoofed.tolist())),
         }
-        weights = state_from_bytes(state["model"]["weights"])
-        scaler = None if state["scaler"] is None else state_from_bytes(state["scaler"])
-        if any(
-            key not in weights or weights[key].shape != own.shape
-            for key, own in self.model.state_dict().items()
-        ):
-            raise ValueError("snapshot weights do not fit this model's architecture")
-        self.model.load_state_dict(weights)
-        if scaler is not None:
-            self.scaler.load_state_dict(scaler)
         for name, value in fresh.items():
             setattr(self, name, value)
 
-    @classmethod
-    def from_state_dict(
-        cls, state: dict, route_table: RouteTable, model: XatuModel | None = None
-    ) -> "OnlineXatu":
-        """Rebuild a detector from a :meth:`state_dict` snapshot.
 
-        ``model`` may be supplied to reuse an existing architecture object;
-        otherwise one is rebuilt from the snapshot's model metadata.  The
-        routing table is deployment context and always comes from the
-        caller.
-        """
-        from .model import TimescaleSpec, XatuModelConfig
-
-        if model is None:
-            meta = state["model"]["meta"]
-            model = XatuModel(
-                XatuModelConfig(
-                    n_features=int(meta["n_features"]),
-                    hidden_size=int(meta["hidden_size"]),
-                    dense_size=int(meta["dense_size"]),
-                    detect_window=int(meta["detect_window"]),
-                    pooling=str(meta["pooling"]),
-                    seed=int(meta["seed"]),
-                    timescales=tuple(
-                        TimescaleSpec(name, int(window), int(span))
-                        for name, window, span in meta["timescales"]
-                    ),
-                )
-            )
-        online = cls(
-            model=model,
-            scaler=FeatureScaler(),
-            customer_of={},
-            blocklist=set(),
-            route_table=route_table,
-            config=OnlineConfig(threshold=float(state["config"]["threshold"])),
-        )
-        online.load_state_dict(state)
-        return online
+def _sorted_items(mapping: Mapping, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A mapping's int keys (ascending) and its values, as two arrays."""
+    keys = np.fromiter(mapping.keys(), np.int64, len(mapping))
+    values = np.fromiter(mapping.values(), dtype, len(mapping))
+    order = np.argsort(keys)
+    return keys[order], values[order]

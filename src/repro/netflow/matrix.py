@@ -643,11 +643,7 @@ class TrafficMatrix:
         The arrays are built fresh: equal states pickle to equal bytes,
         nothing aliases a cell; a counter beyond int64 raises ``OverflowError``.
         """
-        # Interned: pickle memoizes strings by identity and a shard's state
-        # holds equal ones (``OnlineXatu.state_dict``'s "blocklist" and
-        # "spoofed" keys) — a restored matrix's names must share with them
-        # as the SOURCE_CLASS_* literals of one that never round-tripped do.
-        classes = sorted({sys.intern(str(cls)) for _customer, cls in self._series})
+        classes = sorted({str(cls) for _customer, cls in self._series})
         class_index = {cls: i for i, cls in enumerate(classes)}
         n = self._n_cells
         keys: list[tuple[int, int, int]] = []

@@ -44,14 +44,14 @@ _BOGON_RANGES: tuple[tuple[int, int], ...] = tuple(
     sorted(cidr_to_range(c) for c in BOGON_CIDRS)
 )
 _BOGON_STARTS = [lo for lo, _ in _BOGON_RANGES]
+_BOGON_LO, _BOGON_HI = np.array(_BOGON_RANGES, dtype=np.int64).T
 
 
-def _in_ranges(addrs: np.ndarray, ranges) -> np.ndarray:
+def _in_ranges(addrs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per address: does the range with the greatest start <= it cover it
-    (``ranges``: inclusive ``(lo, hi)`` pairs, ascending by ``lo``)."""
-    if not len(ranges):
+    (inclusive ``lo``/``hi`` bounds, ascending by ``lo``)."""
+    if not len(lo):
         return np.zeros(len(addrs), dtype=bool)
-    lo, hi = np.array(ranges, dtype=np.int64).T
     slot = np.searchsorted(lo, addrs, side="right") - 1
     return (slot >= 0) & (addrs <= hi[slot])
 
@@ -96,6 +96,7 @@ class RouteTable:
     def __init__(self) -> None:
         self._entries: list[RouteEntry] = []
         self._starts: list[int] = []
+        self._lo = self._hi = np.zeros(0, dtype=np.int64)
         self._sorted = True
         self.customer_cones: dict[int, set[int]] = {}
 
@@ -119,7 +120,15 @@ class RouteTable:
         if not self._sorted:
             self._entries.sort(key=lambda e: e.lo)
             self._starts = [e.lo for e in self._entries]
+            self._lo = np.array(self._starts, dtype=np.int64)
+            self._hi = np.array([e.hi for e in self._entries], dtype=np.int64)
             self._sorted = True
+
+    def ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The routed prefixes' inclusive ``(lo, hi)`` bounds, ascending by
+        ``lo`` (int64; built once per change of the table)."""
+        self._ensure_sorted()
+        return self._lo, self._hi
 
     def lookup(self, addr: int) -> RouteEntry | None:
         """Return the routed entry covering ``addr``, if any."""
@@ -155,10 +164,9 @@ class RouteTable:
     def spoofed_mask(self, addrs) -> np.ndarray:
         """:meth:`is_spoofed` (no observed AS) over an address array: bogon
         or not covered by a routed prefix."""
-        self._ensure_sorted()
         addrs = np.asarray(addrs, dtype=np.int64)
-        routed = _in_ranges(addrs, [(e.lo, e.hi) for e in self._entries])
-        return _in_ranges(addrs, _BOGON_RANGES) | ~routed
+        routed = _in_ranges(addrs, *self.ranges())
+        return _in_ranges(addrs, _BOGON_LO, _BOGON_HI) | ~routed
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -358,11 +358,7 @@ class ReferenceOnlineXatu(OnlineXatu):
             customer_id, flow.src_addr, flow.timestamp
         ):
             classes.append(SOURCE_CLASS_PREV_ATTACKER)
-        spoofed = self._spoof_cache.get(flow.src_addr)
-        if spoofed is None:
-            spoofed = self.route_table.is_spoofed(flow.src_addr)
-            self._spoof_cache[flow.src_addr] = spoofed
-        if spoofed:
+        if self.route_table.is_spoofed(flow.src_addr):
             classes.append(SOURCE_CLASS_SPOOFED)
         return classes
 

@@ -54,7 +54,6 @@ from repro.testing.twin import (
     checkpoint_bytes,
     drive_twins,
     twin_context,
-    twin_route_table,
     twin_stream,
 )
 
@@ -696,8 +695,8 @@ def _resumed_lane_tracks_the_oracle(cls) -> None:
         oracle.step(minute, minutes[minute])
         production.step(minute, minutes[minute])
     state = checkpoint_bytes(oracle if cls is ReferenceOnlineXatu else production)
-    resumed = OnlineXatu.from_state_dict(pickle.loads(state), twin_route_table())
-    assert type(resumed) is OnlineXatu
+    resumed = build_detector(OnlineXatu, 5, customer_of, blocklist, threshold=0.95)
+    resumed.load_state_dict(pickle.loads(state))
     assert checkpoint_bytes(resumed) == state
     for minute in range(4, 8):
         want = oracle.step(minute, minutes[minute])

@@ -65,7 +65,6 @@ from repro.netflow.matrix import (
 )
 from repro.obs import get_registry, set_enabled
 from repro.testing.props import choices, integers, run_property
-from repro.core.model import TimescaleSpec
 from repro.testing.twin import (
     alert_keys,
     build_detector,
@@ -977,33 +976,39 @@ def test_columnar_detector_lane_matches_scalar_lane():
     run_property(lanes_match, integers(0, 10**6), choices([3, 8]), runs=4, seed=71)
 
 
-def test_cached_spoof_verdicts_win_over_a_changed_table():
-    """``_spoof_cache`` is checkpointed so that a restored run stays
-    faithful under a newer route table: a source judged once keeps its
-    verdict, a first-seen source is judged by the table of the day — in
-    both lanes, with the same (python int → python bool) cache."""
+def test_a_changed_route_table_refuses_the_snapshot_in_both_lanes():
+    """A3 verdicts are a pure function of the route table, which is
+    deployment context: neither lane remembers one, a snapshot written
+    under one table is refused — naming both digests — by a detector that
+    holds another, and under the table it was written with it resumes."""
     old, new = 2**31 + 5, 2**31 + 6  # both above the announced half: spoofed
     flow = FlowRecord(
         timestamp=0, src_addr=old, dst_addr=50_000, src_port=1, dst_port=2,
         protocol=17, packets=1, bytes_=100,
     )
+    minute_1 = [replace(flow, timestamp=1), replace(flow, timestamp=1, src_addr=new)]
     lanes = build_twins(1, {50_000: 0})
     for detector in lanes:
         detector.step(0, [flow])
         state = detector.state_dict()
+        written_under = detector.route_table
         detector.route_table = RouteTable()
         detector.route_table.announce((0, 2**32 - 1), origin_asn=1)  # now all routed
+        with pytest.raises(ValueError, match=rf"deployment {state['deployment']}\b.*deployment [0-9a-f]{{64}}"):
+            detector.load_state_dict(state)
+        detector.step(1, minute_1)
+        assert detector.matrix.cell(0, 1, SOURCE_CLASS_SPOOFED) is None
+        detector.route_table = written_under
         detector.load_state_dict(state)
-        detector.step(1, [replace(flow, timestamp=1), replace(flow, timestamp=1, src_addr=new)])
-        assert detector.matrix.cell(0, 1, SOURCE_CLASS_SPOOFED).unique_sources == 1
-        assert detector._spoof_cache == {old: True, new: False}
+        detector.step(1, minute_1)
+        assert detector.matrix.cell(0, 1, SOURCE_CLASS_SPOOFED).unique_sources == 2
     assert pickle.dumps(lanes[0].state_dict()) == pickle.dumps(lanes[1].state_dict())
 
 
 def test_rejected_minute_leaves_the_detector_state_untouched():
     """A corrupt country byte fails the minute loudly, and before the
     detector commits anything the fold would have justified: no matrix
-    cell, no A3 verdict for the batch's new sources, no watch refresh."""
+    cell, no watch refresh."""
     customer_of, blocklist = twin_context(4)
     detector = build_detector(OnlineXatu, 3, customer_of, blocklist)
     *trace, hostile = (
@@ -1015,7 +1020,6 @@ def test_rejected_minute_leaves_the_detector_state_untouched():
     def fingerprint():
         return (
             _matrix_fingerprint(detector.matrix),
-            dict(detector._spoof_cache),
             set(detector._watched),
             dict(detector._last_seen),
         )
@@ -1023,7 +1027,6 @@ def test_rejected_minute_leaves_the_detector_state_untouched():
     before = fingerprint()
     batch = FlowBatch.from_records(hostile)
     routed = [i for i, f in enumerate(hostile) if f.dst_addr in customer_of]
-    assert {hostile[i].src_addr for i in routed} - detector._spoof_cache.keys()
     batch.array["src_country"][routed[-1]] = b"\xff\xfe"
     with pytest.raises(UnicodeDecodeError):
         detector.step(len(trace), batch)
@@ -1031,10 +1034,11 @@ def test_rejected_minute_leaves_the_detector_state_untouched():
 
 
 def test_rejected_snapshot_leaves_the_detector_state_untouched():
-    """``OnlineXatu.load_state_dict`` decodes the whole snapshot before it
-    assigns anything: a malformed matrix, spoof cache, collection or set of
-    weights raises, and the detector — matrix row stores included — is bit
-    for bit what it was and goes on scoring like a twin that never tried."""
+    """``OnlineXatu.load_state_dict`` checks the deployment digest and
+    decodes the whole snapshot before it assigns anything: a malformed
+    matrix or collection, or a snapshot of another deployment, raises, and
+    the detector — matrix row stores included — is bit for bit what it was
+    and goes on scoring like a twin that never tried."""
     customer_of, blocklist = twin_context(4)
     detector, twin = (build_detector(OnlineXatu, 3, customer_of, blocklist) for _ in range(2))
     steps = list(twin_stream(29, dict(customer_of), set(), 8))
@@ -1042,8 +1046,8 @@ def test_rejected_snapshot_leaves_the_detector_state_untouched():
         for lane in (detector, twin):
             lane.step(step.minute, FlowBatch.from_records(step.flows))
     good = checkpoint_bytes(detector)
-    before = _matrix_fingerprint(detector.matrix), detector.model.state_dict()
-    assert before[0]["rows"] and len(detector._spoof_cache) > 2
+    before = _matrix_fingerprint(detector.matrix)
+    assert before["rows"]
 
     def reverse(*path):
         def apply(state):
@@ -1053,17 +1057,12 @@ def test_rejected_snapshot_leaves_the_detector_state_untouched():
             state[last] = state[last][::-1]
         return apply
 
-    other = build_detector(  # other weights, and a timescale short of this architecture
-        OnlineXatu, 4, customer_of, blocklist, timescales=(TimescaleSpec("short", 1, 8),)
-    )
+    other = build_detector(OnlineXatu, 4, customer_of, blocklist)  # other weights
     breaks = [
         reverse("matrix", "keys"),
-        reverse("spoof_cache", "addresses"),
-        lambda state: state["spoof_cache"].update(spoofed=state["spoof_cache"]["spoofed"][:-1]),
-        lambda state: state["spoof_cache"].update(spoofed=state["spoof_cache"]["spoofed"].astype(np.int8)),
         lambda state: state.pop("watched"),
         lambda state: state["pending"].append([1, 2]),
-        lambda state: state["model"].update(weights=other.state_dict()["model"]["weights"]),
+        lambda state: state.update(deployment=other.deployment_digest()),
     ]
     for apply in breaks:
         state = pickle.loads(good)
@@ -1071,8 +1070,7 @@ def test_rejected_snapshot_leaves_the_detector_state_untouched():
         with pytest.raises((ValueError, KeyError)):
             detector.load_state_dict(state)
         assert checkpoint_bytes(detector) == good
-        assert _matrix_fingerprint(detector.matrix) == before[0]
-        assert all(np.array_equal(v, before[1][k]) for k, v in detector.model.state_dict().items())
+        assert _matrix_fingerprint(detector.matrix) == before
     for step in steps[5:]:
         got, want = (
             lane.step(step.minute, FlowBatch.from_records(step.flows)) for lane in (detector, twin)

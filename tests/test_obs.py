@@ -589,8 +589,6 @@ class TestOnlineAndScrubInstrumentation:
         assert registry.counter("online.flows").value() == 2
         assert registry.counter("online.flows_unrouted").value() == 1
         assert registry.gauge("online.watched_customers").value() == 1
-        # the two routed flows' sources; the unrouted flow's is never classified
-        assert registry.gauge("online.spoof_cache_addrs").value() == 2
         assert registry.histogram("online.batch_score_seconds").value().count == 2
         root = get_tracer().snapshot()
         assert root.find("online.observe_minute").calls == 2

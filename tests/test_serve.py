@@ -275,14 +275,18 @@ class TestCheckpointFiles:
         assert list_checkpoints(tmp_path) == []
 
     def test_version_1_directory_is_refused_naming_both_versions(self, tmp_path):
-        """No reader for the per-cell layout: a parent-written checkpoint
+        """No reader for the per-cell layout (1) nor for shard files that
+        carry the deployment (2): a checkpoint written by an older build
         fails loudly and the deployment restarts cold."""
         path = write_checkpoint(tmp_path, 1, [{}], {})
         manifest = json.loads((path / "MANIFEST.json").read_text())
-        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
-        (path / "MANIFEST.json").write_text(json.dumps({**manifest, "format_version": 1}))
-        with pytest.raises(CheckpointFormatError, match=r"format_version=1\b.*version 2\b"):
-            read_checkpoint(tmp_path)
+        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
+        for old in (1, 2):
+            (path / "MANIFEST.json").write_text(json.dumps({**manifest, "format_version": old}))
+            with pytest.raises(
+                CheckpointFormatError, match=rf"format_version={old}\b.*version 3\b"
+            ):
+                read_checkpoint(tmp_path)
 
     @pytest.mark.parametrize(
         "damage, named",
@@ -829,11 +833,57 @@ class TestBatchedLaneServe:
         assert self._checkpoint_bytes(tmp_path / "base") == self._checkpoint_bytes(root)
 
 
+def _factory_differing_in(change: str):
+    """``_xatu_factory`` with exactly one piece of the deployment changed."""
+    base = _xatu_factory(threshold=0.91 if change == "threshold" else 0.9)
+
+    def factory(partition):
+        detector = base(partition)
+        if change == "weights":
+            detector.model.parameters()[0].data.flat[0] += 1e-6
+        elif change == "blocklist":
+            detector.blocklist = {2**31 + 1}
+        elif change == "route table":
+            detector.route_table = RouteTable()
+            detector.route_table.announce((0, 2**31 - 1), origin_asn=1)
+        return detector
+
+    return factory
+
+
+class TestDeploymentPinning:
+    """A checkpoint pins the deployment it was served under by one digest:
+    restoring it through a factory that differs in any piece fails loudly,
+    never silently serves the snapshot under other weights or tables."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "change", ["weights", "threshold", "blocklist", "route table"]
+    )
+    def test_restore_into_another_deployment_is_refused(self, tmp_path, backend, change):
+        codec = DatagramCodec(engine_id=1)
+        minutes = _minutes_of_flows(6)
+        with _xatu_engine(2, backend=backend, checkpoint_dir=tmp_path) as engine:
+            _drive(engine, codec, minutes[:4], cdet_at={3})
+            engine.checkpoint()
+        written = read_checkpoint(tmp_path)[1][0]["deployment"]
+        config = ServeConfig(shards=2, backend=backend, checkpoint_dir=tmp_path)
+        with ServeEngine(_factory_differing_in(change), ADDRESS_OF, config) as engine:
+            _drive(engine, codec, minutes[4:], start=4)
+            refusing = engine.shards[0]
+            before = pickle.dumps(refusing.state_dict(), protocol=4)
+            with pytest.raises(
+                ShardFailure, match=rf"deployment {written}\b.*deployment [0-9a-f]{{64}}"
+            ):
+                engine.restore()
+            assert engine.current_minute == 5 and not refusing.healthy
+            refusing.healthy = True  # the worker is alive: read its state back
+            assert pickle.dumps(refusing.state_dict(), protocol=4) == before
+
+
 class TestOnlineStateRoundTrip:
     def test_state_dict_round_trips_byte_identically(self):
         factory = _xatu_factory()
-        route_table = RouteTable()
-        route_table.announce((0, 2**32 - 1), origin_asn=1)
         minutes = _minutes_of_flows(8)
 
         online = factory(ADDRESS_OF)
@@ -842,7 +892,8 @@ class TestOnlineStateRoundTrip:
         online.ingest_cdet_alert(_cdet_record(2, 3))
         state = online.state_dict()
 
-        clone = OnlineXatu.from_state_dict(state, route_table)
+        clone = factory(ADDRESS_OF)
+        clone.load_state_dict(state)
         assert pickle.dumps(clone.state_dict(), protocol=4) == pickle.dumps(
             state, protocol=4
         )

@@ -430,17 +430,44 @@ class TestWatchIdleEviction:
         detector.step(1, batch)
         assert detector._watched == {2}
 
-    def test_state_dict_rejects_router_mode(self):
-        detector = _tiny_online(ContiguousCustomerRouter(1000, 50))
-        with pytest.raises(TypeError, match="analytic routers"):
-            detector.state_dict()
+    def test_router_mode_state_round_trips(self):
+        """The router is deployment context that the factory re-supplies, so
+        a router-mode detector checkpoints like a dict-mode one and resumes
+        with identical alerts; a detector over another universe refuses the
+        snapshot."""
+
+        def build(n_customers=50):
+            return _tiny_online(
+                ContiguousCustomerRouter(1000, n_customers), watch_idle_minutes=3
+            )
+
+        feed = {m: [_flow_to(1000 + 256 * (m % 3), m)] for m in range(1, 11)}
+        detector = build()
+        for minute in range(1, 5):
+            detector.step(minute, feed[minute])
+        state = pickle.dumps(detector.state_dict(), protocol=4)
+        with pytest.raises(ValueError, match="deployment"):
+            build(n_customers=51).load_state_dict(pickle.loads(state))
+        restored = build()
+        restored.load_state_dict(pickle.loads(state))
+        assert pickle.dumps(restored.state_dict(), protocol=4) == state
+        assert restored._watched == detector._watched and restored._watched
+        for minute in range(5, 11):
+            want = detector.step(minute, feed[minute])
+            got = restored.step(minute, feed[minute])
+            assert [(a.minute, a.customer_id, a.survival) for a in got] == [
+                (a.minute, a.customer_id, a.survival) for a in want
+            ]
+        assert restored._hazards == detector._hazards
+        assert pickle.dumps(restored.state_dict(), protocol=4) == pickle.dumps(
+            detector.state_dict(), protocol=4
+        )
 
     def test_dict_mode_state_round_trips_idle_tracking(self):
         customer_of = {1000: 0, 1256: 1}
         detector = _tiny_online(customer_of, watch_idle_minutes=5)
         detector.step(1, [_flow_to(1000, 1)])
         state = detector.state_dict()
-        assert state["config"]["watch_idle_minutes"] == 5
         assert state["last_seen"] == [(0, 1)]
 
         restored = _tiny_online(customer_of, watch_idle_minutes=5)
