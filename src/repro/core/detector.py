@@ -8,14 +8,17 @@ the test phase independent of the incumbent CDet.
 
 For evaluation efficiency the detector runs one forward pass per
 ``detect_window`` minutes per customer (each pass yields hazards for all
-minutes of the window), then applies the rolling-sum survival rule per
+minutes of the window), then applies the rolling-sum survival alarm per
 minute — numerically identical to a per-minute evaluation of ``S_t`` over
-the trailing window.
+the trailing window.  :func:`divert` is the one rule that turns alarm
+minutes into diversion windows, for the block loop, for threshold
+re-sweeps over stored hazards, and for the RF baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +28,10 @@ from ..signals.history import AlertRecord
 from ..synth.scenario import Trace
 from .model import XatuModel
 
-__all__ = ["XatuAlert", "DetectorConfig", "XatuDetector", "match_event", "windows_from_hazards"]
+__all__ = [
+    "XatuAlert", "DetectorConfig", "XatuDetector", "divert", "match_event",
+    "windows_from_hazards",
+]
 
 
 def match_event(trace: Trace, customer_id: int, minute: int, window: int) -> int:
@@ -48,6 +54,62 @@ def match_event(trace: Trace, customer_id: int, minute: int, window: int) -> int
     return best
 
 
+def divert(
+    trace: Trace,
+    customer_id: int,
+    alarm: Callable[[int], bool],
+    minute_range: tuple[int, int],
+    detect_window: int,
+    max_fp_diversion: int = 10,
+    scan: tuple[int, int] | None = None,
+) -> list[tuple[DiversionWindow, int]]:
+    """The diversion rule: one customer's alarm minutes → CScrub windows.
+
+    Walks ``scan`` (default: all of ``minute_range``) and reads
+    ``alarm(minute)`` at every minute not already under diversion.  An
+    alarm matched to a ground-truth event (:func:`match_event`) diverts
+    until the event's mitigation end, an unmatched one for
+    ``max_fp_diversion`` minutes, both clipped to the range end.  Returns
+    ``(window, matched event id or -1)`` per alarm; a window may run past
+    the scan's stop, which is how a block-wise caller carries an active
+    diversion into its next block.  This is the only code that turns
+    alarms into diversion windows: Xatu's survival rule
+    (:func:`windows_from_hazards`, :meth:`XatuDetector.run`) and the RF
+    baseline's score rule both call it.
+    """
+    hi = minute_range[1]
+    minute, stop = scan if scan is not None else minute_range
+    diversions: list[tuple[DiversionWindow, int]] = []
+    while minute < stop:
+        if not alarm(minute):
+            minute += 1
+            continue
+        event_id = match_event(trace, customer_id, minute, detect_window)
+        if event_id >= 0:
+            end = min(hi, max(trace.events[event_id].end, minute + 1))
+        else:
+            end = min(hi, minute + max_fp_diversion)
+        diversions.append((DiversionWindow(customer_id, minute, end), event_id))
+        minute = max(end, minute + 1)
+    return diversions
+
+
+def _survival(csum: np.ndarray, i: int, detect_window: int) -> float:
+    """``S_t`` at offset ``i`` of a hazard series, from its prefix sums."""
+    return float(np.exp(-(csum[i + 1] - csum[max(0, i + 1 - detect_window)])))
+
+
+def _prefix_sums(hazards: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0.0], np.cumsum(hazards)])
+
+
+def _survival_alarm(
+    csum: np.ndarray, lo: int, detect_window: int, threshold: float
+) -> Callable[[int], bool]:
+    """Xatu's alarm at a minute: ``S_t < threshold`` (hazards start at ``lo``)."""
+    return lambda minute: _survival(csum, minute - lo, detect_window) < threshold
+
+
 def windows_from_hazards(
     trace: Trace,
     hazard_series: dict[int, np.ndarray],
@@ -58,33 +120,22 @@ def windows_from_hazards(
 ) -> list[DiversionWindow]:
     """Apply the survival alert rule to stored hazards → diversion windows.
 
-    The rule is the paper's: alert when the rolling survival over the
-    trailing ``detect_window`` minutes drops below ``threshold``; a matched
-    alert diverts until the event's mitigation end, an unmatched one for
-    ``max_fp_diversion`` minutes.  This is the single shared implementation
-    behind the pipeline, the headline sweep, and the ablation harness, so a
-    threshold re-sweep never re-runs the expensive model forwards.
+    The alarm is the paper's: the rolling survival over the trailing
+    ``detect_window`` minutes drops below ``threshold``; :func:`divert`
+    turns alarms into windows.  A threshold re-sweep over one detector
+    run's ``hazard_series`` therefore never re-runs the model forwards.
     """
-    lo, hi = minute_range
-    result: list[DiversionWindow] = []
+    lo = minute_range[0]
+    windows: list[DiversionWindow] = []
     for cid, hazards in hazard_series.items():
-        csum = np.concatenate([[0.0], np.cumsum(hazards)])
-        minute = lo
-        while minute < hi:
-            i = minute - lo
-            lo_idx = max(0, i + 1 - detect_window)
-            s_t = float(np.exp(-(csum[i + 1] - csum[lo_idx])))
-            if s_t < threshold:
-                event_id = match_event(trace, cid, minute, detect_window)
-                if event_id >= 0:
-                    end = min(hi, max(trace.events[event_id].end, minute + 1))
-                else:
-                    end = min(hi, minute + max_fp_diversion)
-                result.append(DiversionWindow(cid, minute, end))
-                minute = end
-            else:
-                minute += 1
-    return result
+        alarm = _survival_alarm(_prefix_sums(hazards), lo, detect_window, threshold)
+        windows += [
+            window
+            for window, _ in divert(
+                trace, cid, alarm, minute_range, detect_window, max_fp_diversion
+            )
+        ]
+    return windows
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,8 +175,7 @@ class DetectionOutput:
 
     def survival_series(self, customer_id: int, detect_window: int) -> np.ndarray:
         """Rolling ``S_t`` over the trailing window, from stored hazards."""
-        hazards = self.hazard_series[customer_id]
-        csum = np.concatenate([[0.0], np.cumsum(hazards)])
+        csum = _prefix_sums(self.hazard_series[customer_id])
         rolling = csum[detect_window:] - csum[:-detect_window]
         head = csum[1:detect_window]  # partial windows at the start
         return np.exp(-np.concatenate([head, rolling]))
@@ -182,10 +232,6 @@ class XatuDetector:
                 return overrides[key]
         return self.config.threshold
 
-    def _match_event(self, customer_id: int, minute: int) -> int:
-        """Ground-truth event matching an alert minute (-1 = none)."""
-        return match_event(self.trace, customer_id, minute, self._detect_window())
-
     def _detect_window(self) -> int:
         model = (
             self._models["_default"]
@@ -215,8 +261,8 @@ class XatuDetector:
         hazard_series = {cid: np.zeros(hi - lo) for cid in customers}
         alerts: list[XatuAlert] = []
         windows: list[DiversionWindow] = []
-        # Per customer: minute until which diversion is already active.
-        diverted_until: dict[int, int] = {cid: -1 for cid in customers}
+        # Per customer: the first minute not under an active diversion.
+        free_from: dict[int, int] = {cid: lo for cid in customers}
 
         for block_start in range(lo, hi, window):
             block_end = min(block_start + window, hi)
@@ -234,28 +280,19 @@ class XatuDetector:
 
             # Alert pass for this block (after all hazards are in).
             for cid in customers:
-                series = hazard_series[cid][: block_end - lo]
-                csum = np.concatenate([[0.0], np.cumsum(series)])
-                customer_threshold = self.threshold_for(cid)
-                for minute in range(block_start, block_end):
-                    i = minute - lo
-                    if minute <= diverted_until[cid]:
-                        continue
-                    lo_idx = max(0, i + 1 - window)
-                    s_t = float(np.exp(-(csum[i + 1] - csum[lo_idx])))
-                    if s_t >= customer_threshold:
-                        continue
-                    event_id = self._match_event(cid, minute)
-                    alerts.append(XatuAlert(cid, minute, s_t, event_id))
-                    if event_id >= 0:
-                        event = self.trace.events[event_id]
-                        end = min(hi, event.end)
-                        # Diversion runs until CScrub's mitigation end.
-                        end = max(end, minute + 1)
-                    else:
-                        end = min(hi, minute + cfg.max_fp_diversion)
-                    windows.append(DiversionWindow(cid, minute, end))
-                    diverted_until[cid] = end - 1
+                csum = _prefix_sums(hazard_series[cid][: block_end - lo])
+                alarm = _survival_alarm(csum, lo, window, self.threshold_for(cid))
+                scan = (max(block_start, free_from[cid]), block_end)
+                for diversion, event_id in divert(
+                    self.trace, cid, alarm, minute_range, window,
+                    cfg.max_fp_diversion, scan,
+                ):
+                    minute, end = diversion.start, diversion.end
+                    alerts.append(
+                        XatuAlert(cid, minute, _survival(csum, minute - lo, window), event_id)
+                    )
+                    windows.append(diversion)
+                    free_from[cid] = max(end, minute + 1)
                     if cfg.autoregressive and event_id >= 0:
                         event = self.trace.events[event_id]
                         self.extractor.add_alert(
@@ -268,5 +305,4 @@ class XatuDetector:
                                 attackers=frozenset(event.attackers),
                             )
                         )
-        output = DetectionOutput(alerts=alerts, windows=windows, hazard_series=hazard_series)
-        return output
+        return DetectionOutput(alerts=alerts, windows=windows, hazard_series=hazard_series)

@@ -16,19 +16,20 @@ This reproduces the full experimental procedure of §6:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..detect.detectors import DetectionAlert, NetScoutDetector, TraceDetector
-from ..metrics.core import PercentileSummary, percentile_summary
+from ..metrics.core import PercentileSummary
 from ..scrub.center import ScrubbingCenter, ScrubbingReport
-from ..signals.features import FeatureExtractor, FeatureScaler
+from ..scrub.summary import summarize_report
+from ..signals.features import FeatureExtractor
 from ..signals.history import AlertRecord
 from ..survival.calibration import CalibrationResult, ThresholdCalibrator
 from ..synth.scenario import ScenarioConfig, Trace, TraceGenerator
-from .dataset import DatasetBuilder, SampleSet
-from .detector import DetectorConfig, DetectionOutput, XatuDetector
+from .dataset import DatasetBuilder
+from .detector import DetectorConfig, DetectionOutput, XatuDetector, windows_from_hazards
 from .model import XatuModel, XatuModelConfig
 from .trainer import TrainConfig, XatuTrainer
 
@@ -65,7 +66,6 @@ class PipelineConfig:
     overhead_bound: float = 0.1  # fraction (0.1 = 10%); Fig 8 sweeps this
     enabled_groups: frozenset[str] | None = None  # feature ablation mask
     stabilization_fraction: float = 0.33  # head of test excluded from metrics
-    autoregressive: bool = True
     # §5.3: "Xatu trains separate models for each attack type".  With
     # per_type=True, a XatuModelRegistry trains one model per type with at
     # least ``min_events_per_type`` labeled training events plus a pooled
@@ -170,87 +170,6 @@ class XatuPipeline:
             enabled_groups=self.config.enabled_groups,
         )
 
-    def _evaluate_threshold(
-        self,
-        detector: XatuDetector,
-        minute_range: tuple[int, int],
-        threshold: float,
-        customers: list[int] | None = None,
-    ) -> tuple[float, np.ndarray]:
-        """(median effectiveness, per-customer overheads) at a threshold.
-
-        Re-running the full detector per candidate threshold would redo the
-        expensive forward passes; instead the detector runs once per range
-        (cached) and thresholds are applied to the stored hazard series.
-        ``customers`` restricts the evaluation to a subset (per-type
-        threshold calibration).
-        """
-        output = self._cached_run(detector, minute_range)
-        hazard_series = output.hazard_series
-        if customers is not None:
-            wanted = set(customers)
-            hazard_series = {
-                cid: h for cid, h in hazard_series.items() if cid in wanted
-            }
-        from .detector import windows_from_hazards
-
-        windows = windows_from_hazards(
-            self.trace, hazard_series, minute_range,
-            detector._detect_window(), threshold,
-            detector.config.max_fp_diversion,
-        )
-        report = ScrubbingCenter(self.trace).account(windows)
-        lo, hi = minute_range
-        eff = [
-            report.effectiveness(e.event_id)
-            for e in self.trace.events
-            if lo <= e.onset < hi
-            and (customers is None or e.customer_id in set(customers))
-        ]
-        if customers is None:
-            overheads = report.overhead_values()
-        else:
-            overheads = np.array([report.overhead(c) for c in customers])
-        return (float(np.median(eff)) if eff else 0.0, overheads)
-
-    def _cached_run(
-        self, detector: XatuDetector, minute_range: tuple[int, int]
-    ) -> DetectionOutput:
-        key = minute_range
-        if not hasattr(self, "_run_cache"):
-            self._run_cache: dict[tuple[int, int], DetectionOutput] = {}
-        if key not in self._run_cache:
-            self._run_cache[key] = detector.run(minute_range)
-        return self._run_cache[key]
-
-    def _range_effectiveness(
-        self, report: ScrubbingReport, minute_range: tuple[int, int]
-    ) -> np.ndarray:
-        lo, hi = minute_range
-        values = [
-            report.effectiveness(e.event_id)
-            for e in self.trace.events
-            if lo <= e.onset < hi
-        ]
-        return np.array(values)
-
-    def _range_overheads(
-        self, report: ScrubbingReport, minute_range: tuple[int, int]
-    ) -> np.ndarray:
-        return report.overhead_values()
-
-    def _range_delays(
-        self, report: ScrubbingReport, minute_range: tuple[int, int], missed: int
-    ) -> np.ndarray:
-        lo, hi = minute_range
-        values = []
-        for e in self.trace.events:
-            if not lo <= e.onset < hi:
-                continue
-            delay = report.detection_delay.get(e.event_id)
-            values.append(missed if delay is None else delay)
-        return np.array(values, dtype=np.float64)
-
     # ------------------------------------------------------------------
     def run(self) -> PipelineResult:
         """Execute the full pipeline and return every artefact."""
@@ -308,16 +227,27 @@ class XatuPipeline:
             self._trained_model = single_model
             self._trained_scaler = scaler
 
-        # 5. Calibrate on validation.
-        det_cfg = DetectorConfig(autoregressive=False)
+        # 5. Calibrate on validation: one detector run, then every candidate
+        # threshold re-applies the diversion rule to its stored hazards.
         cal_detector = XatuDetector(
-            trace, extractor, model, scaler, det_cfg
+            trace, extractor, model, scaler, DetectorConfig(autoregressive=False)
         )
+        val_range = (val_lo, val_hi)
+        val_hazards = cal_detector.run(val_range).hazard_series
+        center = ScrubbingCenter(trace)
+
+        def evaluate(threshold: float, customers: list[int] | None = None):
+            hazards = val_hazards
+            if customers is not None:
+                hazards = {c: h for c, h in val_hazards.items() if c in customers}
+            windows = windows_from_hazards(
+                trace, hazards, val_range, cfg.model.detect_window, threshold,
+                cal_detector.config.max_fp_diversion,
+            )
+            return center.account(windows).operating_point(val_range, customers)
+
         calibrator = ThresholdCalibrator()
-        calibration = calibrator.calibrate(
-            lambda thr: self._evaluate_threshold(cal_detector, (val_lo, val_hi), thr),
-            overhead_bound=cfg.overhead_bound,
-        )
+        calibration = calibrator.calibrate(evaluate, overhead_bound=cfg.overhead_bound)
         self._calibrated_threshold = calibration.threshold
         thresholds_by_key: dict[str, float] | None = None
         if cfg.per_type:
@@ -331,9 +261,7 @@ class XatuPipeline:
                 by_key.setdefault(key, []).append(customer.customer_id)
             for key, customer_ids in by_key.items():
                 result_k = calibrator.calibrate(
-                    lambda thr, ids=customer_ids: self._evaluate_threshold(
-                        cal_detector, (val_lo, val_hi), thr, customers=ids
-                    ),
+                    lambda thr, ids=customer_ids: evaluate(thr, ids),
                     overhead_bound=cfg.overhead_bound,
                 )
                 thresholds_by_key[key] = result_k.threshold
@@ -351,19 +279,16 @@ class XatuPipeline:
             scaler,
             DetectorConfig(
                 threshold=calibration.threshold,
-                autoregressive=cfg.autoregressive,
                 thresholds_by_key=thresholds_by_key,
             ),
         )
         detection = test_detector.run((test_lo, test_hi))
-        report = ScrubbingCenter(trace).account(detection.windows)
+        report = center.account(detection.windows)
 
         # 7. Metrics after the stabilization period.
         stab = int((test_hi - test_lo) * cfg.stabilization_fraction)
         eval_range = (test_lo + stab, test_hi)
-        eff = self._range_effectiveness(report, eval_range)
-        overheads = self._range_overheads(report, eval_range)
-        delays = self._range_delays(report, eval_range, missed=cfg.model.detect_window)
+        summary = summarize_report(trace, report, eval_range, cfg.model.detect_window)
 
         return PipelineResult(
             trace=trace,
@@ -371,9 +296,9 @@ class XatuPipeline:
             calibration=calibration,
             detection=detection,
             report=report,
-            effectiveness=percentile_summary(eff, 10, 90),
-            overhead=percentile_summary(overheads, 25, 75),
-            delay=percentile_summary(delays, 10, 90),
+            effectiveness=summary.effectiveness,
+            overhead=summary.overhead,
+            delay=summary.delay,
             test_range=(test_lo, test_hi),
             eval_range=eval_range,
             train_losses=train_result.train_losses,

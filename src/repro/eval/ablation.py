@@ -16,13 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core.dataset import DatasetBuilder
-from ..core.detector import DetectorConfig, XatuDetector
+from ..core.detector import DetectorConfig, XatuDetector, windows_from_hazards
 from ..core.model import XatuModel, XatuModelConfig
 from ..core.pipeline import PipelineConfig, alerts_to_records
 from ..core.trainer import TrainConfig, XatuTrainer
 from ..detect.detectors import NetScoutDetector
-from ..metrics.core import percentile_summary
-from ..scrub.center import DiversionWindow, ScrubbingCenter
+from ..scrub.center import ScrubbingCenter
+from ..scrub.summary import summarize_report
 from ..signals.features import FeatureExtractor
 from ..survival.calibration import ThresholdCalibrator
 from ..synth.attacks import AttackType
@@ -87,19 +87,6 @@ class AblationExperiment:
         scales = tuple(cfg.timescales[i] for i in variant.timescales_subset)
         return replace(cfg, timescales=scales)
 
-    def _windows_at(
-        self, output, model_cfg: XatuModelConfig, minute_range, threshold: float
-    ) -> list[DiversionWindow]:
-        from ..core.detector import windows_from_hazards
-
-        return windows_from_hazards(
-            self.trace,
-            output.hazard_series,
-            minute_range,
-            model_cfg.detect_window,
-            threshold,
-        )
-
     # ------------------------------------------------------------------
     def run_variant(
         self,
@@ -128,21 +115,16 @@ class AblationExperiment:
         train_cfg = replace(cfg.train, loss=variant.loss)
         XatuTrainer(model, train_cfg).fit(train_set, validation=val_set)
 
-        val_output = XatuDetector(
+        val_hazards = XatuDetector(
             self.trace, extractor, model, train_set.scaler,
             DetectorConfig(autoregressive=False),
-        ).run(self.val_rng)
+        ).run(self.val_rng).hazard_series
 
         def evaluate(threshold: float) -> tuple[float, np.ndarray]:
-            windows = self._windows_at(val_output, model_cfg, self.val_rng, threshold)
-            report = self._center.account(windows)
-            lo, hi = self.val_rng
-            eff = [
-                report.effectiveness(e.event_id)
-                for e in self.trace.events
-                if lo <= e.onset < hi
-            ]
-            return (float(np.median(eff)) if eff else 0.0, report.overhead_values())
+            windows = windows_from_hazards(
+                self.trace, val_hazards, self.val_rng, model_cfg.detect_window, threshold
+            )
+            return self._center.account(windows).operating_point(self.val_rng)
 
         threshold = (
             ThresholdCalibrator()
@@ -154,33 +136,15 @@ class AblationExperiment:
             self.trace, extractor, model, train_set.scaler,
             DetectorConfig(threshold=threshold, autoregressive=False),
         ).run(self.test_rng)
-        windows = self._windows_at(test_output, model_cfg, self.test_rng, threshold)
-        report = self._center.account(windows)
-        lo, hi = self.eval_range
-        events = [
-            e for e in self.trace.events
-            if lo <= e.onset < hi
-            and (attack_types is None or e.attack_type in attack_types)
-        ]
-        eff = np.array([report.effectiveness(e.event_id) for e in events])
-        missed = model_cfg.detect_window
-        delays = np.array(
-            [
-                report.detection_delay.get(e.event_id)
-                if report.detection_delay.get(e.event_id) is not None
-                else missed
-                for e in events
-            ],
-            dtype=np.float64,
+        summary = summarize_report(
+            self.trace, self._center.account(test_output.windows), self.eval_range,
+            model_cfg.detect_window, attack_types,
         )
-        e_sum = percentile_summary(eff, 10, 90)
         return AblationResult(
-            variant=variant.name,
-            effectiveness_p10=e_sum.low,
-            effectiveness_median=e_sum.median,
-            effectiveness_p90=e_sum.high,
-            delay_median=float(np.median(delays)) if len(delays) else 0.0,
-            n_events=len(events),
+            variant.name,
+            *summary.effectiveness.as_tuple(),
+            delay_median=summary.delay.median,
+            n_events=summary.n_events,
         )
 
     def run(

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.dataset import DatasetBuilder
-from ..core.detector import DetectorConfig, XatuDetector
+from ..core.detector import DetectorConfig, XatuDetector, divert, windows_from_hazards
 from ..core.model import XatuModel
 from ..core.pipeline import PipelineConfig, alerts_to_records
 from ..core.trainer import XatuTrainer
 from ..detect.detectors import DetectionAlert, FastNetMonDetector, NetScoutDetector, TraceDetector
-from ..metrics.core import auc, percentile_summary, roc_curve
+from ..metrics.core import auc, roc_curve
 from ..scrub.center import DiversionWindow, ScrubbingCenter
+from ..scrub.summary import summarize_report
 from ..signals.features import FeatureExtractor
 from ..survival.calibration import ThresholdCalibrator
 from ..synth.attacks import AttackType
@@ -101,8 +102,7 @@ class HeadlineExperiment:
             DetectorConfig(autoregressive=False),
         ).run(self.val_rng)
         self._test_output = XatuDetector(
-            trace, extractor, self.model, self.train_set.scaler,
-            DetectorConfig(autoregressive=cfg.autoregressive),
+            trace, extractor, self.model, self.train_set.scaler
         ).run(self.test_rng)
 
         # RF per-minute scores on validation and test.
@@ -128,8 +128,6 @@ class HeadlineExperiment:
     def _xatu_windows(
         self, output, minute_range: tuple[int, int], threshold: float
     ) -> list[DiversionWindow]:
-        from ..core.detector import windows_from_hazards
-
         return windows_from_hazards(
             self.trace,
             output.hazard_series,
@@ -137,6 +135,20 @@ class HeadlineExperiment:
             self.model.config.detect_window,
             threshold,
         )
+
+    def _rf_windows(
+        self, scores: dict[int, np.ndarray], minute_range: tuple[int, int], threshold: float
+    ) -> list[DiversionWindow]:
+        """The RF alarm (``score >= threshold``) through the one diversion rule."""
+        lo = minute_range[0]
+        return [
+            window
+            for cid, series in scores.items()
+            for window, _ in divert(
+                self.trace, cid, lambda minute, s=series: s[minute - lo] >= threshold,
+                minute_range, self.model.config.detect_window,
+            )
+        ]
 
     def _metrics(
         self,
@@ -146,75 +158,32 @@ class HeadlineExperiment:
         minute_range: tuple[int, int],
         types: set[AttackType] | None = None,
     ) -> SystemMetrics:
-        report = self._center.account(windows)
-        lo, hi = minute_range
-        events = [
-            e for e in self.trace.events
-            if lo <= e.onset < hi and (types is None or e.attack_type in types)
-        ]
-        eff = np.array([report.effectiveness(e.event_id) for e in events])
-        missed = self.config.model.detect_window
-        delays = np.array(
-            [
-                report.detection_delay.get(e.event_id)
-                if report.detection_delay.get(e.event_id) is not None
-                else missed
-                for e in events
-            ],
-            dtype=np.float64,
+        summary = summarize_report(
+            self.trace, self._center.account(windows), minute_range,
+            self.config.model.detect_window, types,
         )
-        overheads = report.overhead_values()
-        e_sum = percentile_summary(eff, 10, 90)
-        d_sum = percentile_summary(delays, 10, 90)
-        o_sum = percentile_summary(overheads, 25, 75)
         return SystemMetrics(
-            system=system,
-            overhead_bound=bound,
-            effectiveness_p10=e_sum.low,
-            effectiveness_median=e_sum.median,
-            effectiveness_p90=e_sum.high,
-            delay_p10=d_sum.low,
-            delay_median=d_sum.median,
-            delay_p90=d_sum.high,
-            overhead_p25=o_sum.low,
-            overhead_median=o_sum.median,
-            overhead_p75=o_sum.high,
-            n_events=len(events),
+            system, bound,
+            *summary.effectiveness.as_tuple(),
+            *summary.delay.as_tuple(),
+            *summary.overhead.as_tuple(),
+            summary.n_events,
         )
 
     def _calibrate_xatu(self, bound: float) -> float:
         def evaluate(threshold: float) -> tuple[float, np.ndarray]:
             windows = self._xatu_windows(self._val_output, self.val_rng, threshold)
-            report = self._center.account(windows)
-            lo, hi = self.val_rng
-            eff = [
-                report.effectiveness(e.event_id)
-                for e in self.trace.events
-                if lo <= e.onset < hi
-            ]
-            return (float(np.median(eff)) if eff else 0.0, report.overhead_values())
+            return self._center.account(windows).operating_point(self.val_rng)
 
         return ThresholdCalibrator().calibrate(evaluate, bound).threshold
 
     def _calibrate_rf(self, bound: float) -> float:
-        def evaluate(threshold: float) -> tuple[float, np.ndarray]:
-            windows = self.rf.windows_from_scores(
-                self.trace, self._rf_val, self.val_rng, threshold
-            )
-            report = self._center.account(windows)
-            lo, hi = self.val_rng
-            eff = [
-                report.effectiveness(e.event_id)
-                for e in self.trace.events
-                if lo <= e.onset < hi
-            ]
-            return (float(np.median(eff)) if eff else 0.0, report.overhead_values())
-
         # RF scores are probabilities with "alert when >= thr": invert grid.
         grid = np.linspace(0.05, 0.95, 19)
         best_thr, best_eff = 0.95, -1.0
         for thr in grid[::-1]:
-            eff, overheads = evaluate(float(thr))
+            windows = self._rf_windows(self._rf_val, self.val_rng, float(thr))
+            eff, overheads = self._center.account(windows).operating_point(self.val_rng)
             p75 = float(np.percentile(overheads, 75)) if len(overheads) else 0.0
             if p75 <= bound and eff > best_eff:
                 best_eff, best_thr = eff, float(thr)
@@ -255,9 +224,7 @@ class HeadlineExperiment:
                     bound, self.eval_range, types,
                 ))
             rf_thr = self._calibrate_rf(bound)
-            rf_windows = self.rf.windows_from_scores(
-                self.trace, self._rf_test, self.test_rng, rf_thr
-            )
+            rf_windows = self._rf_windows(self._rf_test, self.test_rng, rf_thr)
             rows.append(self._metrics("rf", rf_windows, bound, self.eval_range, types))
             xatu_thr = self._calibrate_xatu(bound)
             xatu_windows = self._xatu_windows(self._test_output, self.test_rng, xatu_thr)

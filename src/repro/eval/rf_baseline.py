@@ -5,7 +5,9 @@ feature set from the same three timescales".  Here each sample minute is
 summarized as the concatenation of the 273-feature vector averaged over the
 short / medium / long timescale windows ending at that minute (3 x 273
 columns), and the forest's attack probability drives a thresholded detector
-that is calibrated under the same overhead bound as Xatu.
+(alarm when the score reaches the threshold, diverted by the same rule as
+Xatu, :func:`repro.core.detector.divert`) that is calibrated under the same
+overhead bound.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 from ..core.dataset import SampleSet
 from ..core.model import XatuModelConfig
 from ..forest.ensemble import RandomForestClassifier
-from ..scrub.center import DiversionWindow
 from ..signals.features import FeatureExtractor
 from ..synth.scenario import Trace
 
@@ -73,18 +74,16 @@ class RFBaseline:
         minute_range: tuple[int, int],
         stride: int = 1,
     ) -> np.ndarray:
-        """Per-minute attack probability for one customer over a range."""
-        from ..signals.cache import CachedFeatureExtractor
+        """Per-minute attack probability for one customer over a range.
 
+        Consecutive windows overlap by lookback-1 minutes, so the range's
+        features are extracted once, densely, and each scored minute's
+        window is a slice of that block.
+        """
         lo, hi = minute_range
         lookback = self.model_config.lookback_minutes
-        # Consecutive windows overlap by lookback-1 minutes; a dense cache
-        # turns each extraction into a slice.
-        cached = (
-            extractor
-            if isinstance(extractor, CachedFeatureExtractor)
-            else CachedFeatureExtractor(extractor)
-        )
+        first = max(0, lo + 1 - lookback)
+        dense = extractor.window(customer_id, first, hi)
         scores = np.zeros(hi - lo)
         last = 0.0
         for minute in range(lo, hi):
@@ -93,39 +92,8 @@ class RFBaseline:
                 if start < 0:
                     scores[minute - lo] = 0.0
                     continue
-                raw = cached.window(customer_id, start, minute + 1)
+                raw = dense[start - first : minute + 1 - first]
                 row = rf_features_from_window(scaler.transform(raw), self.model_config)
                 last = float(self.forest.predict_proba(row[None, :])[0])
             scores[minute - lo] = last
         return scores
-
-    def windows_from_scores(
-        self,
-        trace: Trace,
-        scores_by_customer: dict[int, np.ndarray],
-        minute_range: tuple[int, int],
-        threshold: float,
-        max_fp_diversion: int = 10,
-    ) -> list[DiversionWindow]:
-        """Thresholded alerting with the same diversion rules as Xatu."""
-        lo, hi = minute_range
-        windows: list[DiversionWindow] = []
-        for cid, scores in scores_by_customer.items():
-            minute = lo
-            while minute < hi:
-                if scores[minute - lo] >= threshold:
-                    event_id = self._match_event(trace, cid, minute)
-                    if event_id >= 0:
-                        end = min(hi, max(trace.events[event_id].end, minute + 1))
-                    else:
-                        end = min(hi, minute + max_fp_diversion)
-                    windows.append(DiversionWindow(cid, minute, end))
-                    minute = end
-                else:
-                    minute += 1
-        return windows
-
-    def _match_event(self, trace: Trace, customer_id: int, minute: int) -> int:
-        from ..core.detector import match_event
-
-        return match_event(trace, customer_id, minute, self.model_config.detect_window)

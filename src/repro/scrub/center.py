@@ -17,11 +17,13 @@ detector, or from Xatu's early alerts) plus ground truth into a
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..obs import get_registry, obs_enabled, trace as obs_trace
+from ..synth.attacks import AttackType
 from ..synth.scenario import AttackEvent, Trace
 
 __all__ = ["DiversionWindow", "ScrubbingCenter", "ScrubbingReport"]
@@ -42,7 +44,13 @@ class DiversionWindow:
 
 @dataclass
 class ScrubbingReport:
-    """Per-event and per-customer accounting of a scrubbing run."""
+    """Per-event and per-customer accounting of a scrubbing run.
+
+    The ``*_values`` readers are the one split evaluator: each takes the
+    same optional filters — events whose onset lies in ``minute_range``,
+    of ``types``, on ``customers`` — so validation calibration and every
+    per-range / per-type summary read the same accounting the same way.
+    """
 
     # per event_id: (anomalous A, diverted-anomalous B)
     event_area: dict[int, tuple[float, float]] = field(default_factory=dict)
@@ -51,14 +59,40 @@ class ScrubbingReport:
     customer_anomalous: dict[int, float] = field(default_factory=dict)
     # per event_id: detection delay in minutes (None = never diverted)
     detection_delay: dict[int, int | None] = field(default_factory=dict)
+    # the accounted ground-truth events, in event-id order
+    events: list[AttackEvent] = field(default_factory=list, repr=False)
+
+    def select(
+        self,
+        minute_range: tuple[int, int] | None = None,
+        types: Collection[AttackType] | None = None,
+        customers: Collection[int] | None = None,
+    ) -> list[AttackEvent]:
+        """Accounted events passing every given filter (None = no filter)."""
+        lo, hi = minute_range if minute_range is not None else (-np.inf, np.inf)
+        return [
+            e for e in self.events
+            if lo <= e.onset < hi
+            and (types is None or e.attack_type in types)
+            and (customers is None or e.customer_id in customers)
+        ]
 
     def effectiveness(self, event_id: int) -> float:
         """B/A for one event (0 when A is 0)."""
         a, b = self.event_area.get(event_id, (0.0, 0.0))
         return b / a if a > 0 else 0.0
 
-    def effectiveness_values(self) -> np.ndarray:
-        return np.array([self.effectiveness(e) for e in sorted(self.event_area)])
+    def effectiveness_values(
+        self,
+        minute_range: tuple[int, int] | None = None,
+        types: Collection[AttackType] | None = None,
+        customers: Collection[int] | None = None,
+    ) -> np.ndarray:
+        """B/A per selected event (filters as in :meth:`select`)."""
+        return np.array([
+            self.effectiveness(e.event_id)
+            for e in self.select(minute_range, types, customers)
+        ])
 
     def overhead(self, customer_id: int) -> float:
         """Cumulative C/A for one customer (§2.4)."""
@@ -66,23 +100,39 @@ class ScrubbingReport:
         c = self.customer_extraneous.get(customer_id, 0.0)
         return c / a if a > 0 else 0.0
 
-    def overhead_values(self) -> np.ndarray:
-        customers = sorted(
-            set(self.customer_anomalous) | set(self.customer_extraneous)
-        )
+    def overhead_values(self, customers: Sequence[int] | None = None) -> np.ndarray:
+        """C/A per customer: the given ones, or every attacked or diverted one."""
+        if customers is None:
+            customers = sorted(
+                set(self.customer_anomalous) | set(self.customer_extraneous)
+            )
         return np.array([self.overhead(c) for c in customers])
 
-    def delay_values(self, missed_value: int | None = None) -> np.ndarray:
-        """Detection delays; missed events map to ``missed_value`` (or drop)."""
+    def delay_values(
+        self,
+        missed_value: int | None = None,
+        minute_range: tuple[int, int] | None = None,
+        types: Collection[AttackType] | None = None,
+        customers: Collection[int] | None = None,
+    ) -> np.ndarray:
+        """Detection delays per selected event; missed events map to
+        ``missed_value`` (or drop)."""
         values = []
-        for event_id in sorted(self.detection_delay):
-            delay = self.detection_delay[event_id]
-            if delay is None:
-                if missed_value is not None:
-                    values.append(missed_value)
-            else:
+        for event in self.select(minute_range, types, customers):
+            delay = self.detection_delay.get(event.event_id)
+            if delay is not None:
                 values.append(delay)
+            elif missed_value is not None:
+                values.append(missed_value)
         return np.array(values, dtype=np.float64)
+
+    def operating_point(
+        self, minute_range: tuple[int, int], customers: Sequence[int] | None = None
+    ) -> tuple[float, np.ndarray]:
+        """(median effectiveness, per-customer overheads) over a split: the
+        pair :meth:`ThresholdCalibrator.calibrate` scores a threshold by."""
+        eff = self.effectiveness_values(minute_range, customers=customers)
+        return (float(np.median(eff)) if len(eff) else 0.0, self.overhead_values(customers))
 
 
 class ScrubbingCenter:
@@ -112,7 +162,7 @@ class ScrubbingCenter:
 
     def _account(self, windows: list[DiversionWindow]) -> ScrubbingReport:
         trace = self.trace
-        report = ScrubbingReport()
+        report = ScrubbingReport(events=trace.events)
         horizon = trace.horizon
 
         # Diverted-minute masks per customer.

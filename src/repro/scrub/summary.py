@@ -7,11 +7,11 @@ way everywhere.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..metrics.core import PercentileSummary, percentile_summary
+from ..synth.attacks import AttackType
 from ..synth.scenario import Trace
 from .center import ScrubbingReport
 
@@ -38,29 +38,20 @@ def summarize_report(
     report: ScrubbingReport,
     minute_range: tuple[int, int] | None = None,
     missed_delay: int = 30,
+    types: Collection[AttackType] | None = None,
 ) -> ReportSummary:
     """Summarize a scrubbing report over ``minute_range`` (default: all).
 
     Effectiveness and delay are per-event over events whose onset falls in
-    the range (missed events contribute ``missed_delay``); overhead is the
-    cumulative per-customer metric (25/75 percentiles, §6 convention).
+    the range (and, given ``types``, of those attack types); missed events
+    contribute ``missed_delay``.  Overhead is the cumulative per-customer
+    metric (25/75 percentiles, §6 convention).
     """
-    lo, hi = minute_range if minute_range is not None else (0, trace.horizon)
-    events = [e for e in trace.events if lo <= e.onset < hi]
-    eff = np.array([report.effectiveness(e.event_id) for e in events])
-    delays = []
-    n_detected = 0
-    for event in events:
-        delay = report.detection_delay.get(event.event_id)
-        if delay is None:
-            delays.append(missed_delay)
-        else:
-            delays.append(delay)
-            n_detected += 1
+    minute_range = minute_range if minute_range is not None else (0, trace.horizon)
     return ReportSummary(
-        effectiveness=percentile_summary(eff, 10, 90),
+        effectiveness=percentile_summary(report.effectiveness_values(minute_range, types), 10, 90),
         overhead=percentile_summary(report.overhead_values(), 25, 75),
-        delay=percentile_summary(np.array(delays, dtype=np.float64), 10, 90),
-        n_events=len(events),
-        n_detected=n_detected,
+        delay=percentile_summary(report.delay_values(missed_delay, minute_range, types), 10, 90),
+        n_events=len(report.select(minute_range, types)),
+        n_detected=len(report.delay_values(None, minute_range, types)),
     )

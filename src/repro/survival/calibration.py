@@ -54,12 +54,7 @@ class ThresholdCalibrator:
         self,
         thresholds: Sequence[float] | None = None,
         overhead_percentile: float = 75.0,
-        refine_steps: int = 0,
     ) -> None:
-        """``refine_steps`` bisection iterations sharpen the grid winner:
-        after the sweep, the interval between the best feasible threshold
-        and its infeasible upper neighbour is bisected, keeping the most
-        effective feasible midpoint."""
         if thresholds is None:
             thresholds = np.concatenate(
                 [
@@ -71,10 +66,7 @@ class ThresholdCalibrator:
         self.thresholds = np.sort(np.asarray(thresholds, dtype=np.float64))
         if ((self.thresholds <= 0) | (self.thresholds >= 1)).any():
             raise ValueError("thresholds must lie strictly inside (0, 1)")
-        if refine_steps < 0:
-            raise ValueError("refine_steps must be >= 0")
         self.overhead_percentile = overhead_percentile
-        self.refine_steps = refine_steps
 
     def calibrate(
         self,
@@ -124,30 +116,6 @@ class ThresholdCalibrator:
             if fallback is None or candidate.overhead_p75 < fallback.overhead_p75:
                 fallback = candidate
         if best is not None:
-            # Optional bisection refinement between the winner and its
-            # nearest infeasible upper neighbour on the grid.
-            if self.refine_steps:
-                uppers = self.thresholds[self.thresholds > best.threshold]
-                hi = float(uppers[0]) if len(uppers) else 1.0 - 1e-6
-                lo = best.threshold
-                for _ in range(self.refine_steps):
-                    mid = 0.5 * (lo + hi)
-                    effectiveness, overheads = evaluate(mid)
-                    evaluations += 1
-                    p = (
-                        float(np.percentile(overheads, self.overhead_percentile))
-                        if len(overheads)
-                        else 0.0
-                    )
-                    if p <= overhead_bound:
-                        lo = mid
-                        if effectiveness >= best.effectiveness:
-                            best = CalibrationResult(
-                                mid, float(effectiveness), p,
-                                overhead_bound, True, evaluations,
-                            )
-                    else:
-                        hi = mid
             return CalibrationResult(
                 best.threshold,
                 best.effectiveness,

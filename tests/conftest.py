@@ -45,9 +45,8 @@ def trace():
     return TraceGenerator(small_scenario()).materialize()
 
 
-@pytest.fixture(scope="session")
-def pipeline_result():
-    """One shared end-to-end pipeline run (the expensive integration artefact)."""
+def build_pipeline_result():
+    """(pipeline, result) of one end-to-end run on the small scenario."""
     from repro.core import XatuPipeline
 
     config = PipelineConfig(
@@ -58,6 +57,47 @@ def pipeline_result():
     )
     pipeline = XatuPipeline(config)
     return pipeline, pipeline.run()
+
+
+@pytest.fixture(scope="session")
+def pipeline_result():
+    """One shared end-to-end pipeline run (the expensive integration artefact)."""
+    return build_pipeline_result()
+
+
+def headline_smoke_config() -> PipelineConfig:
+    """The smallest config the Fig. 8–10 harness still produces events on."""
+    return PipelineConfig(
+        scenario=ScenarioConfig(
+            total_days=12, minutes_per_day=100, prep_days=1.5,
+            n_customers=6, n_botnets=3, botnet_size=80,
+            campaigns_per_botnet=2, seed=3,
+        ),
+        model=XatuModelConfig(
+            hidden_size=8, dense_size=6, detect_window=8,
+            timescales=(
+                TimescaleSpec("short", 1, 40),
+                TimescaleSpec("long", 10, 12),
+            ),
+        ),
+        train=TrainConfig(epochs=2, batch_size=8, learning_rate=3e-3),
+        overhead_bound=0.25,
+    )
+
+
+def build_headline_experiment():
+    """A prepared HeadlineExperiment on :func:`headline_smoke_config`."""
+    from repro.eval import HeadlineExperiment
+
+    exp = HeadlineExperiment(headline_smoke_config())
+    exp.prepare()
+    return exp
+
+
+@pytest.fixture(scope="session")
+def headline_experiment():
+    """One shared prepared HeadlineExperiment (Fig. 8–10 harness)."""
+    return build_headline_experiment()
 
 
 @pytest.fixture(scope="session")

@@ -1,100 +1,9 @@
-"""Tests for the cached feature extractor and the pooling ablation knob."""
+"""Tests for the pooling ablation knob."""
 
 import numpy as np
 import pytest
 
 from repro.core import XatuModel, XatuModelConfig, TimescaleSpec
-from repro.signals import AlertRecord, CachedFeatureExtractor, FeatureExtractor
-from repro.synth import AttackType
-
-
-@pytest.fixture(scope="module")
-def extractor_pair(trace):
-    base = FeatureExtractor(trace)
-    cached = CachedFeatureExtractor(FeatureExtractor(trace), block_minutes=64)
-    return trace, base, cached
-
-
-class TestCachedFeatureExtractor:
-    def test_matches_direct_extraction(self, extractor_pair):
-        trace, base, cached = extractor_pair
-        cid = trace.world.customers[0].customer_id
-        for start, end in [(0, 30), (50, 114), (60, 200), (63, 65)]:
-            direct = base.window(cid, start, end)
-            from_cache = cached.window(cid, start, end)
-            assert from_cache == pytest.approx(direct)
-
-    def test_cache_hits_on_overlapping_windows(self, trace):
-        cached = CachedFeatureExtractor(FeatureExtractor(trace), block_minutes=64)
-        cid = trace.world.customers[1].customer_id
-        for minute in range(100, 130):
-            cached.window(cid, minute - 60, minute)
-        assert cached.hits > cached.fills
-
-    def test_alert_invalidates_only_later_blocks(self, trace):
-        cached = CachedFeatureExtractor(FeatureExtractor(trace), block_minutes=64)
-        cid = trace.world.customers[2].customer_id
-        cached.window(cid, 0, 256)  # fills blocks 0..3
-        before = cached.cached_blocks
-        cached.add_alert(
-            AlertRecord(
-                customer_id=cid, attack_type=AttackType.UDP_FLOOD,
-                detect_minute=130, end_minute=140, peak_bytes=1e9,
-                attackers=frozenset({1, 2}),
-            )
-        )
-        # Blocks 0 and 1 (minutes < 128) survive; 2 and 3 are dropped.
-        assert cached.cached_blocks == before - 2
-
-    def test_alert_changes_reflected_after_invalidation(self, trace):
-        cid = trace.world.customers[3].customer_id
-        cached = CachedFeatureExtractor(FeatureExtractor(trace), block_minutes=64)
-        quiet = cached.window(cid, 128, 192).copy()
-        cached.add_alert(
-            AlertRecord(
-                customer_id=cid, attack_type=AttackType.TCP_SYN,
-                detect_minute=130, end_minute=140, peak_bytes=1e9,
-                attackers=frozenset({5}),
-            )
-        )
-        after = cached.window(cid, 128, 192)
-        from repro.signals import group_slices
-        a4 = group_slices()["A4"]
-        assert after[:, a4].sum() > quiet[:, a4].sum()
-
-    def test_other_customers_unaffected_by_alert(self, trace):
-        cached = CachedFeatureExtractor(FeatureExtractor(trace), block_minutes=64)
-        cid_a = trace.world.customers[0].customer_id
-        cid_b = trace.world.customers[1].customer_id
-        cached.window(cid_a, 0, 64)
-        cached.window(cid_b, 0, 64)
-        cached.add_alert(
-            AlertRecord(
-                customer_id=cid_a, attack_type=AttackType.UDP_FLOOD,
-                detect_minute=0, end_minute=5, peak_bytes=1.0,
-                attackers=frozenset({9}),
-            )
-        )
-        # Customer B's block survives; A's was invalidated.
-        assert (cid_b, 0) in cached._blocks
-        assert (cid_a, 0) not in cached._blocks
-
-    def test_invalidate_all(self, extractor_pair):
-        trace, _base, cached = extractor_pair
-        cached.window(trace.world.customers[0].customer_id, 0, 64)
-        cached.invalidate()
-        assert cached.cached_blocks == 0
-
-    def test_bad_ranges_rejected(self, extractor_pair):
-        _trace, _base, cached = extractor_pair
-        with pytest.raises(ValueError):
-            cached.window(0, 10, 10)
-        with pytest.raises(ValueError):
-            cached.window(0, -5, 10)
-
-    def test_bad_block_size_rejected(self, trace):
-        with pytest.raises(ValueError):
-            CachedFeatureExtractor(FeatureExtractor(trace), block_minutes=0)
 
 
 class TestPoolingKnob:

@@ -7,34 +7,12 @@ the unit suite so regressions surface without running benchmarks.
 import numpy as np
 import pytest
 
-from repro.core import PipelineConfig, TimescaleSpec, TrainConfig, XatuModelConfig
-from repro.eval import HeadlineExperiment
-from repro.synth import ScenarioConfig
-
 pytestmark = pytest.mark.slow  # full multi-system sweep; skip with -m "not slow"
 
 
-@pytest.fixture(scope="module")
-def experiment():
-    config = PipelineConfig(
-        scenario=ScenarioConfig(
-            total_days=12, minutes_per_day=100, prep_days=1.5,
-            n_customers=6, n_botnets=3, botnet_size=80,
-            campaigns_per_botnet=2, seed=3,
-        ),
-        model=XatuModelConfig(
-            hidden_size=8, dense_size=6, detect_window=8,
-            timescales=(
-                TimescaleSpec("short", 1, 40),
-                TimescaleSpec("long", 10, 12),
-            ),
-        ),
-        train=TrainConfig(epochs=2, batch_size=8, learning_rate=3e-3),
-        overhead_bound=0.25,
-    )
-    exp = HeadlineExperiment(config)
-    exp.prepare()
-    return exp
+@pytest.fixture()
+def experiment(headline_experiment):
+    return headline_experiment
 
 
 class TestHeadlineSmoke:

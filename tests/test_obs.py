@@ -638,7 +638,7 @@ class TestBenchObs:
         assert "train_epoch_obs/enabled" in loaded["rows"]
         assert "train_epoch_obs" in obs_overheads(loaded)
 
-    def test_compare_to_baseline_host_mismatch_warns(self):
+    def test_compare_host_mismatch_warns(self):
         from repro.bench import compare
 
         fresh = self._payload(0.01)
@@ -692,7 +692,7 @@ class TestBenchObs:
         assert "telemetry overhead" in render_train(payload)
         assert "train_epoch_obs" in obs_overheads(payload)
 
-    def test_compare_scale_gates_memory_not_speed(self):
+    def test_compare_gates_scale_memory_not_speed(self):
         """The scale suite owns peak RSS; serving speed is the e2e suite's
         number, so a cell's engine-only rate is recorded and never gated."""
         from repro.bench import bench_report, compare, gates, render_scale
