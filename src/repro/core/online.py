@@ -49,7 +49,7 @@ from ..netflow.routing import RouteTable
 from ..nn import fused
 from ..obs import get_registry, obs_enabled, trace
 from ..signals.clustering import AttackerCustomerGraph
-from ..signals.features import N_FEATURES, FeatureScaler, group_slices
+from ..signals.features import _CLASS_OF_GROUP, N_FEATURES, FeatureScaler, group_slices
 from ..signals.history import AlertRecord, AttackHistoryStore, PreviousAttackerStore
 from .model import XatuModel
 
@@ -61,14 +61,6 @@ __all__ = ["OnlineAlert", "OnlineConfig", "OnlineXatu"]
 # every op in the fused pass is per-item bitwise stable, so the value cannot
 # change results.
 SCORE_CHUNK = 256
-
-_CLASS_OF_GROUP = {
-    "V": "all",
-    "A1": SOURCE_CLASS_BLOCKLIST,
-    "A2": SOURCE_CLASS_PREV_ATTACKER,
-    "A3": SOURCE_CLASS_SPOOFED,
-}
-
 
 @dataclass(frozen=True, slots=True)
 class OnlineAlert:
@@ -721,7 +713,7 @@ class OnlineXatu:
         """
         return {
             "minute": self._minute,
-            "matrix": self.matrix.state_dict(),
+            "matrix": self._matrix_state(),
             "prev_attackers": self.prev_attackers.state_dict(),
             "history": self.history.state_dict(),
             "graph": self.graph.state_dict(),
@@ -740,6 +732,16 @@ class OnlineXatu:
             "last_seen": sorted(self._last_seen.items()),
             "deployment": self.deployment_digest(),
         }
+
+    def _matrix_state(self) -> dict:
+        """The matrix snapshot; telemetry counts the cells it re-encoded."""
+        state = self.matrix.state_dict()
+        if obs_enabled():
+            get_registry().counter(
+                "online.snapshot_cells_encoded",
+                "matrix cells re-encoded by checkpoint snapshots",
+            ).inc(self.matrix.snapshot_cells_encoded())
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore the serving state captured by :meth:`state_dict` into a

@@ -8,12 +8,14 @@ spoofed, the A1–A3 splits).  :class:`TrafficMatrix` maintains exactly that:
 a dict of :class:`VolumetricAccumulator` keyed by (customer, source-class,
 minute), and materializes dense ``(minutes, 63)`` numpy blocks on demand —
 from a per-(customer, class) store of finalized rows that is kept as a
-derived view of the cells (dirty on fold, flush on read).
+derived view of the cells (dirty on fold, flush on read); a second store of
+the same kind keeps the cells encoded for the columnar snapshot.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -246,53 +248,102 @@ class VolumetricAccumulator:
 
 _NO_MINUTES = np.zeros(0, dtype=np.int64)
 _NO_ROWS = np.zeros((0, N_VOLUMETRIC))
+_NO_COUNTERS = np.zeros((0, 5), dtype=np.int64)
+
+
+def _finalized(cell: VolumetricAccumulator) -> tuple:
+    return (cell.finalize(),)
+
+
+def _encoded(cell: VolumetricAccumulator) -> tuple:
+    """One cell as the snapshot holds it: raw sums, the five counters, the
+    source count and the sources ascending, as int64 bytes (one ``join``
+    concatenates thousands of them far faster than ``np.concatenate``).  A
+    counter beyond int64 raises ``OverflowError`` here, before the store is
+    touched."""
+    counters = np.array(
+        (cell.flow_count, cell.total_bytes, cell.total_packets,
+         cell.max_bytes, cell.max_packets),
+        dtype=np.int64,
+    )
+    sources = np.fromiter(cell._sources, np.int64, len(cell._sources))
+    sources.sort()
+    return cell.vector, counters, len(sources), sources.tobytes()
+
+
+# (shape of one row, dtype) per column of a store.
+_FINALIZED = (((N_VOLUMETRIC,), np.float64),)
+_ENCODED = (((N_VOLUMETRIC,), np.float64), ((5,), np.int64), ((), np.int64), ((), object))
 
 
 class _RowStore:
-    """Finalized rows of one (customer, source-class), in minute order.
+    """The cells of one (customer, source-class), encoded one row per
+    minute, in minute order.
 
-    ``minutes[lo:hi]`` ascends and ``rows[k] == cell(minutes[k]).finalize()``
-    for every minute not in ``dirty``.  Appends go to the spare capacity
-    behind ``hi`` and trims advance ``lo``, so the steady state of a
-    streaming detector (one new minute, one evicted minute) copies nothing.
+    ``minutes[lo:hi]`` ascends and row ``k`` of every column is the encoding
+    of ``cell(minutes[k])`` for every minute not in ``dirty``.  Appends go
+    to the spare capacity behind ``hi`` and trims advance ``lo``, so the
+    steady state of a streaming detector (one new minute, one evicted
+    minute) copies nothing.  A new store holds no rows and every cell dirty.
     """
 
-    __slots__ = ("minutes", "rows", "lo", "hi", "dirty")
+    __slots__ = ("minutes", "columns", "lo", "hi", "dirty")
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, cells: Mapping[int, VolumetricAccumulator], layout) -> None:
+        capacity = len(cells)
         self.minutes = np.empty(capacity, dtype=np.int64)
-        self.rows = np.empty((capacity, N_VOLUMETRIC))
+        self.columns = [
+            np.empty((capacity, *shape), dtype=dtype) for shape, dtype in layout
+        ]
         self.lo = self.hi = 0
-        self.dirty: set[int] = set()
+        self.dirty: set[int] = set(cells)
 
-    def put(self, minute: int, row: np.ndarray) -> None:
-        """Overwrite, append or insert one minute's row."""
+    def put(self, minute: int, row: tuple) -> None:
+        """Overwrite, append or insert one minute's row (one value per column)."""
         lo, hi = self.lo, self.hi
         at = hi
         if hi > lo and minute <= self.minutes[hi - 1]:
             at = lo + int(np.searchsorted(self.minutes[lo:hi], minute))
             if self.minutes[at] == minute:
-                self.rows[at] = row
+                for column, value in zip(self.columns, row):
+                    column[at] = value
                 return
         if hi == len(self.minutes):
             # Out of spare capacity: repack the live rows at the front, in
             # place when trims freed enough room, else in buffers half again
             # their size (most keys hold a handful of rows: no big minimum).
-            minutes, rows, live = self.minutes, self.rows, hi - lo
+            # The column list is reused, not rebuilt: a new container per
+            # repack counts toward the garbage collector's young-generation
+            # threshold, and a collection set off inside the next fold walks
+            # every source set it just grew (≈ 6 ms each on flood_ingest).
+            minutes, live = self.minutes, hi - lo
             capacity = live + max(live // 2, 2)
             if capacity > len(minutes):
-                minutes = np.empty(capacity, dtype=np.int64)
-                rows = np.empty((capacity, N_VOLUMETRIC))
-            minutes[:live] = self.minutes[lo:hi]
-            rows[:live] = self.rows[lo:hi]
-            self.minutes, self.rows, self.lo = minutes, rows, 0
+                self.minutes = np.empty(capacity, dtype=np.int64)
+            self.minutes[:live] = minutes[lo:hi]
+            for k, column in enumerate(self.columns):
+                if capacity > len(column):
+                    shape = (capacity, *column.shape[1:])
+                    self.columns[k] = np.empty(shape, dtype=column.dtype)
+                self.columns[k][:live] = column[lo:hi]
+            self.lo = 0
             at, hi = at - lo, live
         if at < hi:  # a late record opened a cell in the middle
             self.minutes[at + 1 : hi + 1] = self.minutes[at:hi]
-            self.rows[at + 1 : hi + 1] = self.rows[at:hi]
+            for column in self.columns:
+                column[at + 1 : hi + 1] = column[at:hi]
         self.minutes[at] = minute
-        self.rows[at] = row
+        for column, value in zip(self.columns, row):
+            column[at] = value
         self.hi = hi + 1
+
+    def flush(self, cells: Mapping[int, VolumetricAccumulator], encode) -> int:
+        """Re-encode the dirty minutes; return how many still held a cell."""
+        live = sorted(self.dirty & cells.keys())  # evicted minutes drop out
+        for minute in live:
+            self.put(minute, encode(cells[minute]))
+        self.dirty.clear()
+        return len(live)
 
     def trim(self, minute: int) -> None:
         """Forget the rows older than ``minute``."""
@@ -300,41 +351,45 @@ class _RowStore:
 
     def between(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         i, j = np.searchsorted(self.minutes[self.lo : self.hi], (start, end)) + self.lo
-        minutes, rows = self.minutes[i:j], self.rows[i:j]
+        minutes, rows = self.minutes[i:j], self.columns[0][i:j]
         minutes.flags.writeable = rows.flags.writeable = False
         return minutes, rows
 
 
 class _Series:
-    """One (customer, source-class): its cells by minute and, from the key's
-    first read on, their finalized rows (``rows`` stays ``None`` until then).
+    """One (customer, source-class): its cells by minute and two stores of
+    them — ``rows``, finalized for reads, from the key's first read on, and
+    ``snapshot``, encoded for :meth:`TrafficMatrix.state_dict`, from the
+    first snapshot on (each stays ``None`` until then).
 
-    The rows are derived state with one invariant: every write to a cell of
-    a series that has rows marks that minute dirty, and every read flushes
-    the dirt first.
+    Both stores are derived state with one invariant: every write to a cell
+    of the series marks that minute dirty in each store it has, and every
+    read of a store flushes its dirt first.
     """
 
-    __slots__ = ("key", "cells", "rows")
+    __slots__ = ("key", "cells", "rows", "snapshot")
 
     def __init__(self, key: tuple[int, str]) -> None:
         self.key = key
         self.cells: dict[int, VolumetricAccumulator] = {}
         self.rows: _RowStore | None = None
+        self.snapshot: _RowStore | None = None
 
     def flushed(self) -> _RowStore:
         """The row store with its dirty rows re-finalized."""
         rows = self.rows
         if rows is None:
-            rows = self.rows = _RowStore(len(self.cells))
-            dirty: Iterable[int] = self.cells
-        elif rows.dirty:
-            dirty = rows.dirty & self.cells.keys()  # evicted minutes drop out
-        else:
-            return rows
-        for minute in sorted(dirty):
-            rows.put(minute, self.cells[minute].finalize())
-        rows.dirty.clear()
+            rows = self.rows = _RowStore(self.cells, _FINALIZED)
+        if rows.dirty:
+            rows.flush(self.cells, _finalized)
         return rows
+
+    def encoded(self) -> tuple[_RowStore, int]:
+        """The snapshot store with its dirty rows re-encoded, and how many
+        cells that re-encoded."""
+        if self.snapshot is None:
+            self.snapshot = _RowStore(self.cells, _ENCODED)
+        return self.snapshot, self.snapshot.flush(self.cells, _encoded)
 
 
 def _column(state: dict, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
@@ -358,12 +413,13 @@ class TrafficMatrix:
     same rows compactly (non-empty minutes only).
 
     State is one :class:`_Series` per (customer, class).  Everything else —
-    a series' finalized rows, the per-minute eviction index, the cell count
-    — is derived, and :meth:`_write` is the only place that creates a cell
-    or touches any of it.  ``state_dict`` never sees derived state and
-    ``load_state_dict`` drops it, so checkpoints are the same bytes whether
-    or not anything was ever read.  Cells handed out by :meth:`cell` and
-    :meth:`cells` are for reading only.
+    a series' finalized rows and snapshot rows, the per-minute eviction
+    index, the cell count — is derived, and :meth:`_write` is the only place
+    that creates a cell or touches any of it.  ``load_state_dict`` drops the
+    stores, and ``state_dict`` encodes what its store does not yet hold, so
+    checkpoints are the same bytes whether or not anything was ever read or
+    snapshot.  Cells handed out by :meth:`cell` and :meth:`cells` are for
+    reading only: a cell changed in place is a write no store sees.
     """
 
     def __init__(self) -> None:
@@ -376,6 +432,7 @@ class TrafficMatrix:
         self._cells_at: dict[int, list[_Series]] = {}
         self._oldest = sys.maxsize
         self._n_cells = 0
+        self._snapshot_encoded = 0
 
     def _write(
         self,
@@ -402,6 +459,8 @@ class TrafficMatrix:
             held = series.cells[minute] = cell
         if series.rows is not None:
             series.rows.dirty.add(minute)
+        if series.snapshot is not None:
+            series.snapshot.dirty.add(minute)
         return held
 
     def set_cell(
@@ -626,8 +685,10 @@ class TrafficMatrix:
         for series in thinned:
             if not series.cells:
                 del self._series[series.key]
-            elif series.rows is not None:
-                series.rows.trim(minute)
+                continue
+            for store in (series.rows, series.snapshot):
+                if store is not None:
+                    store.trim(minute)
         self._n_cells -= evicted
         return evicted
 
@@ -642,33 +703,47 @@ class TrafficMatrix:
         ``sources_offsets[r]`` and ``[r + 1]`` the cell's sources, ascending.
         The arrays are built fresh: equal states pickle to equal bytes,
         nothing aliases a cell; a counter beyond int64 raises ``OverflowError``.
+
+        Each series keeps its cells encoded between snapshots (its
+        ``snapshot`` store, built on the first call), so a call re-encodes
+        the cells written since the last one and concatenates per series:
+        O(written + series), not O(cells).
         """
+        keys = sorted(self._series)
         classes = sorted({str(cls) for _customer, cls in self._series})
         class_index = {cls: i for i, cls in enumerate(classes)}
+        self._snapshot_encoded = 0
+        # Per series, the live slice of minutes and of each store column —
+        # led by an empty one, so a matrix without cells concatenates to the
+        # right dtypes and shapes.
+        parts = [(_NO_MINUTES, _NO_ROWS, _NO_COUNTERS, _NO_MINUTES, ())]
+        for key in keys:
+            store, encoded = self._series[key].encoded()
+            self._snapshot_encoded += encoded
+            at = slice(store.lo, store.hi)
+            parts.append((store.minutes[at], *(column[at] for column in store.columns)))
+        minutes, vectors, counters, sizes, sources = zip(*parts)
+        lengths = [len(span) for span in minutes[1:]]
         n = self._n_cells
-        keys: list[tuple[int, int, int]] = []
-        counters: list[tuple[int, int, int, int, int]] = []
-        vectors = np.empty((n, N_VOLUMETRIC))
-        sources: list[int] = []
-        offsets = [0]
-        for row, (customer, cls, minute, cell) in enumerate(self.cells()):
-            keys.append((customer, class_index[cls], minute))
-            counters.append(
-                (cell.flow_count, cell.total_bytes, cell.total_packets,
-                 cell.max_bytes, cell.max_packets)
-            )
-            vectors[row] = cell.vector
-            sources += sorted(cell._sources)
-            offsets.append(len(sources))
+        keys_column = np.empty((n, 3), dtype=np.int64)
+        # The class index is filled per series, never stored: a newly seen
+        # class shifts every index after it.
+        keys_column[:, 0] = np.repeat([customer for customer, _ in keys], lengths)
+        keys_column[:, 1] = np.repeat([class_index[cls] for _, cls in keys], lengths)
+        np.concatenate(minutes, out=keys_column[:, 2])
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(sizes), out=offsets[1:])
         return {
             "max_minute": self.max_minute,
             "customers": sorted(self._customers),
             "classes": classes,
-            "keys": np.array(keys, dtype=np.int64).reshape(n, 3),
-            "counters": np.array(counters, dtype=np.int64).reshape(n, 5),
-            "vectors": vectors,
-            "sources_flat": np.array(sources, dtype=np.int64),
-            "sources_offsets": np.array(offsets, dtype=np.int64),
+            "keys": keys_column,
+            "counters": np.concatenate(counters),
+            "vectors": np.concatenate(vectors),
+            "sources_flat": np.frombuffer(
+                b"".join(chain.from_iterable(sources)), dtype=np.int64
+            ).copy(),
+            "sources_offsets": offsets,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -747,6 +822,11 @@ class TrafficMatrix:
             for series in self._series.values()
             if series.rows is not None
         )
+
+    def snapshot_cells_encoded(self) -> int:
+        """Cells the last :meth:`state_dict` re-encoded (telemetry): those
+        written since the snapshot before it, or every cell on the first."""
+        return self._snapshot_encoded
 
     def __len__(self) -> int:
         return self._n_cells

@@ -54,6 +54,7 @@ from .reference import (
     reference_hazard_to_survival,
     reference_lstm_cell,
     reference_lstm_sequence,
+    reference_matrix_state,
     reference_max_pool_1d,
     reference_safe_survival_loss,
     reference_sgd_step,
@@ -94,6 +95,7 @@ __all__ = [
     "reference_binary_cross_entropy",
     "reference_cusum_scores",
     "ReferenceOnlineXatu",
+    "reference_matrix_state",
     "max_abs_diff",
     "diff_summary",
 ]

@@ -13,9 +13,11 @@ Arrays come in and go out as ``numpy.ndarray`` (for convenient comparison)
 but every arithmetic step happens on Python floats.
 
 :class:`ReferenceOnlineXatu` is the one exception to "no shared code": it
-*is* the production :class:`~repro.core.OnlineXatu` with exactly two
-stages swapped for slow, obviously-correct ones — per-record ingest, and
-per-customer scoring over a dense window rebuilt and scaled whole — so
+*is* the production :class:`~repro.core.OnlineXatu` with two stages
+swapped for slow, obviously-correct ones — per-record ingest, and
+per-customer scoring over a dense window rebuilt and scaled whole — and its
+checkpoint's matrix encoded cell by cell (:func:`reference_matrix_state`,
+also the oracle of ``TrafficMatrix.state_dict`` on its own), so
 the differential suites
 (``tests/test_batched_equivalence.py``, ``tests/test_columnar.py``,
 ``tests/test_serve.py``) can demand byte-identical alerts and checkpoints.
@@ -27,13 +29,15 @@ import math
 
 import numpy as np
 
-from ..core.online import _CLASS_OF_GROUP, OnlineXatu
+from ..core.online import OnlineXatu
 from ..netflow.matrix import (
+    N_VOLUMETRIC,
     SOURCE_CLASS_BLOCKLIST,
     SOURCE_CLASS_PREV_ATTACKER,
     SOURCE_CLASS_SPOOFED,
+    TrafficMatrix,
 )
-from ..signals.features import N_FEATURES
+from ..signals.features import _CLASS_OF_GROUP, N_FEATURES
 
 __all__ = [
     "reference_sigmoid",
@@ -49,6 +53,7 @@ __all__ = [
     "reference_binary_cross_entropy",
     "reference_cusum_scores",
     "ReferenceOnlineXatu",
+    "reference_matrix_state",
     "max_abs_diff",
     "diff_summary",
 ]
@@ -318,19 +323,57 @@ def reference_cusum_scores(
 
 
 # ----------------------------------------------------------------------
-# the streaming detector's oracle
+# the streaming detector's oracles
 # ----------------------------------------------------------------------
+def reference_matrix_state(matrix: TrafficMatrix) -> dict:
+    """:meth:`TrafficMatrix.state_dict` rebuilt cell by cell from
+    :meth:`~TrafficMatrix.cells`, with none of the matrix's stores: the
+    snapshot of the same cells must pickle to the same bytes."""
+    cells = list(matrix.cells())
+    classes = sorted({str(cls) for _customer, cls, _minute, _cell in cells})
+    class_index = {cls: i for i, cls in enumerate(classes)}
+    n = len(cells)
+    keys: list[tuple[int, int, int]] = []
+    counters: list[tuple[int, int, int, int, int]] = []
+    vectors = np.empty((n, N_VOLUMETRIC))
+    sources: list[int] = []
+    offsets = [0]
+    for row, (customer, cls, minute, cell) in enumerate(cells):
+        keys.append((customer, class_index[cls], minute))
+        counters.append(
+            (cell.flow_count, cell.total_bytes, cell.total_packets,
+             cell.max_bytes, cell.max_packets)
+        )
+        vectors[row] = cell.vector
+        sources += sorted(cell._sources)
+        offsets.append(len(sources))
+    return {
+        "max_minute": matrix.max_minute,
+        "customers": matrix.customers(),
+        "classes": classes,
+        "keys": np.array(keys, dtype=np.int64).reshape(n, 3),
+        "counters": np.array(counters, dtype=np.int64).reshape(n, 5),
+        "vectors": vectors,
+        "sources_flat": np.array(sources, dtype=np.int64),
+        "sources_offsets": np.array(offsets, dtype=np.int64),
+    }
+
+
 class ReferenceOnlineXatu(OnlineXatu):
     """:class:`~repro.core.OnlineXatu` with scalar ingest and per-customer
     scoring: one ``add_flow`` per record; one dense window, one whole-window
     ``FeatureScaler.transform`` and one model call per customer.
 
-    Overrides the ``_ingest_batch`` and ``_score`` stages only; the minute
-    loop, decisions, eviction, telemetry and ``state_dict`` are inherited,
-    so a snapshot moves freely between the two classes.  The routing and
+    Overrides the ``_ingest_batch`` and ``_score`` stages, and snapshots
+    its matrix through :func:`reference_matrix_state`; the minute loop,
+    decisions, eviction, telemetry and ``state_dict`` are inherited, so a
+    snapshot moves freely between the two classes.  The routing and
     blocklist tables are plain copies asked with ``dict.get`` / ``in``:
     nothing of production's sorted arrays is on this path.
     """
+
+    def _matrix_state(self) -> dict:
+        return reference_matrix_state(self.matrix)
 
     @property
     def customer_of(self):

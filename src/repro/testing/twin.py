@@ -1,7 +1,8 @@
 """Twin driver: the one differential behind every cache of the serving lane.
 
 Production :class:`~repro.core.OnlineXatu` keeps derived state — finalized
-matrix rows and their dirt, the per-minute eviction index, sorted routing
+and snapshot-encoded matrix rows and their dirt, the per-minute eviction
+index, sorted routing
 and blocklist tables, the LSTM shared-prefix memo — and its oracle
 :class:`~repro.testing.reference.ReferenceOnlineXatu` keeps none.  Three
 pieces prove that nobody can tell: :func:`build_twins` (one detector pair on
@@ -247,8 +248,10 @@ def _hazard_bits(detector) -> list:
 
 def drive_twins(reference, production, stream) -> set[str]:
     """Run both detectors over ``stream``; after every step their alerts and
-    every hazard bit agree, at every restore and at the end their checkpoint
-    bytes do.  A restore is ``state_dict`` → pickle (protocol 4) → unpickle →
+    every hazard bit agree, and their checkpoint bytes do at every restore,
+    after every minute divisible by 3 (a checkpoint the stream keeps serving
+    past, so the matrix's snapshot store carries over) and at the end.  A
+    restore is ``state_dict`` → pickle (protocol 4) → unpickle →
     ``load_state_dict`` — the columnar snapshot end to end — and whatever it
     dropped or rebuilt has to survive every later step's comparison.
     Returns the names of the hazards that occurred."""
@@ -293,6 +296,10 @@ def drive_twins(reference, production, stream) -> set[str]:
             seen.add("A4+A5")
         if got:
             seen.add("alerted")
+        if step.minute % 3 == 0:  # a served checkpoint: a snapshot, no restore
+            assert checkpoint_bytes(reference) == checkpoint_bytes(production), (
+                f"checkpoints diverged at minute {step.minute}"
+            )
     assert checkpoint_bytes(reference) == checkpoint_bytes(production), (
         "post-run checkpoints diverged"
     )

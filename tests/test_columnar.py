@@ -65,6 +65,7 @@ from repro.netflow.matrix import (
 )
 from repro.obs import get_registry, set_enabled
 from repro.testing.props import choices, integers, run_property
+from repro.testing.reference import reference_matrix_state
 from repro.testing.twin import (
     alert_keys,
     build_detector,
@@ -633,6 +634,7 @@ def test_row_store_is_a_derived_view_of_the_cells():
 
             # A restored matrix pickles like one that never round-tripped.
             snapshot = pickle.dumps(reader.state_dict(), 4)
+            assert snapshot == pickle.dumps(reference_matrix_state(reader), 4)
             fresh = TrafficMatrix()
             fresh.load_state_dict(pickle.loads(snapshot))
             assert pickle.dumps(fresh.state_dict(), 4) == snapshot
@@ -661,6 +663,97 @@ def test_row_store_is_a_derived_view_of_the_cells():
         "restored empty",
         "restored a late cell behind an eviction",
         "restored after a series was evicted",
+    }
+
+
+def test_snapshot_store_is_a_derived_view_of_the_cells():
+    """``state_dict`` keeps every series' cells encoded between snapshots,
+    by the row store's scheme ("dirty on write, flush on snapshot").  One
+    matrix takes random writes — late and future-stamped records, a class
+    first seen after a snapshot, ``set_cell`` over a live key, evictions
+    that empty a series, restores (which drop the store), row-store reads
+    in between — and at random points its snapshot must pickle to the bytes
+    of ``reference_matrix_state``, the per-cell rebuild, and must have
+    re-encoded exactly the live cells written since the snapshot before
+    (every cell on the first one after a restore): O(written)."""
+    seen: set = set()
+
+    def snapshot_tracks_cells(seed, n_ops):
+        rng = np.random.default_rng(seed)
+        matrix = TrafficMatrix()
+        now = 0
+        written: set | None = None  # cells written since the last snapshot; None: no store
+        snapshot_classes: set = set()
+        for step in range(n_ops):
+            op = str(rng.choice(["add_flow", "add_batch", "evict", "restore", "reinstall", "read", "tick"]))
+            if op in ("add_flow", "add_batch"):
+                n = int(rng.integers(1, 12))
+                records = [
+                    replace(r, timestamp=max(0, now + int(rng.choice([-4, -1, 0, 0, 1, 3]))))
+                    for r in _random_records(rng, n, minutes=1)
+                ]
+                customers = rng.integers(0, 3, size=n).astype(np.int64)
+                masks = {SOURCE_CLASS_BLOCKLIST: rng.random(n) < 0.4}
+                if step > n_ops // 3:
+                    masks[SOURCE_CLASS_SPOOFED] = rng.random(n) < 0.3
+                keys = set()
+                for i, (customer, record) in enumerate(zip(customers.tolist(), records)):
+                    classes = [cls for cls, mask in masks.items() if mask[i]]
+                    keys |= {(customer, cls, record.timestamp) for cls in ("all", *classes)}
+                    if record.timestamp < matrix.max_minute:
+                        seen.add("late")
+                    if record.timestamp > now:
+                        seen.add("future-stamped")
+                    if op == "add_flow":
+                        matrix.add_flow(customer, record, classes)
+                if op == "add_batch":
+                    matrix.add_batch(customers, FlowBatch.from_records(records), masks)
+                if written is not None:
+                    if {cls for _c, cls, _m in keys} - snapshot_classes:
+                        seen.add("class first seen after a snapshot")
+                    written |= keys
+            elif op == "evict":
+                series = {key[:2] for key in _cell_keys(matrix)}
+                matrix.evict_before(now - int(rng.integers(0, 8)))
+                if series - {key[:2] for key in _cell_keys(matrix)}:
+                    seen.add("eviction emptied a series")
+            elif op == "restore":
+                matrix.load_state_dict(pickle.loads(pickle.dumps(reference_matrix_state(matrix), 4)))
+                written = None
+                seen.add("restored")
+            elif op == "reinstall" and len(matrix):
+                customer, cls, minute = _cell_keys(matrix)[int(rng.integers(len(matrix)))]
+                cell = VolumetricAccumulator()
+                cell.merge(matrix.cell(customer, minute, cls))
+                cell.total_bytes += 1
+                matrix.set_cell(customer, minute, cls, cell)
+                if written is not None:
+                    written.add((customer, cls, minute))
+                    seen.add("set_cell over a live key")
+            elif op == "read":
+                start = max(0, now - int(rng.integers(0, 12)))
+                for customer in range(3):
+                    matrix.feature_block(customer, start, start + 12, SOURCE_CLASS_BLOCKLIST)
+                    matrix.feature_block(customer, start, start + 12)
+            elif op == "tick":
+                now += int(rng.choice([1, 2, 3, 1000]))  # 1000: a clock gap
+            if rng.random() < 0.3 or step == n_ops - 1:
+                state = pickle.dumps(matrix.state_dict(), 4)
+                live = set(_cell_keys(matrix))
+                want = len(live) if written is None else len(written & live)
+                assert matrix.snapshot_cells_encoded() == want, op
+                assert state == pickle.dumps(reference_matrix_state(matrix), 4), op
+                written = set()
+                snapshot_classes = {cls for _c, cls, _m in live}
+
+    run_property(snapshot_tracks_cells, integers(0, 10**6), choices([10, 60]), runs=12, seed=89)
+    assert seen == {
+        "late",
+        "future-stamped",
+        "class first seen after a snapshot",
+        "eviction emptied a series",
+        "restored",
+        "set_cell over a live key",
     }
 
 
@@ -820,16 +913,38 @@ def test_malformed_snapshot_is_rejected_before_the_first_write():
 
 def test_counter_beyond_int64_fails_the_snapshot():
     """Cells count in Python ints; the columns are int64.  The largest int64
-    round-trips, one more raises at snapshot time instead of wrapping."""
+    round-trips, one more raises at snapshot time instead of wrapping — and
+    again at the next snapshot, while feature reads never raise — and the
+    refused cell, a late one inserted in front of its series, leaves the
+    snapshot store whole: once it is replaced, the snapshot is the per-cell
+    rebuild's.  Counters come in through ``set_cell`` as a bumped copy of a
+    live cell: cells handed out are for reading only, and the snapshot
+    store, built here by the first ``state_dict``, would not see one
+    changed in place."""
     matrix = _written_out_of_order(53)
-    cell = next(cell for *_key, cell in matrix.cells())
-    cell.total_bytes = 2**63 - 1
+    matrix.evict_before(1)
+    matrix.state_dict()
+    customer, cls, minute, held = next(matrix.cells())
+
+    def install(at, total_bytes):
+        cell = VolumetricAccumulator()
+        cell.merge(held)
+        cell.total_bytes = total_bytes
+        matrix.set_cell(customer, at, cls, cell)
+
+    install(minute, 2**63 - 1)
     restored = TrafficMatrix()
     restored.load_state_dict(matrix.state_dict())
-    assert next(cell for *_key, cell in restored.cells()).total_bytes == 2**63 - 1
-    cell.total_bytes += 1
-    with pytest.raises(OverflowError):
-        matrix.state_dict()
+    assert restored.cell(customer, minute, cls).total_bytes == 2**63 - 1
+    install(minute - 1, 2**63)
+    matrix.feature_block(customer, 0, 6, cls)
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            matrix.state_dict()
+    install(minute - 1, 2**63 - 1)
+    assert pickle.dumps(matrix.state_dict(), 4) == pickle.dumps(
+        reference_matrix_state(matrix), 4
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1099,6 +1214,35 @@ def test_a_restored_detector_pickles_like_one_that_never_stopped():
     restored = build_detector(OnlineXatu, 7, customer_of, blocklist)
     restored.load_state_dict(pickle.loads(snapshot))
     assert checkpoint_bytes(restored) == snapshot
+
+
+def test_checkpoint_telemetry_counts_the_cells_written():
+    """``online.snapshot_cells_encoded`` reads what a checkpoint re-encoded:
+    every cell the first time, none when nothing was written since, and
+    after one more served minute that minute's writes — fewer than the
+    cells held."""
+    customer_of, _blocklist = twin_context(4)
+    detector = build_detector(OnlineXatu, 7, customer_of)
+    stream = list(twin_stream(31, dict(customer_of), set(), 12))
+    previous = set_enabled(True)
+    get_registry().reset()
+    try:
+        counter = get_registry().counter("online.snapshot_cells_encoded")
+        for step in stream[:-1]:
+            detector.step(step.minute, FlowBatch.from_records(step.flows))
+        detector.state_dict()
+        assert counter.value() == len(detector.matrix) > 0
+        detector.state_dict()
+        assert counter.value() == len(detector.matrix)
+        held = counter.value()
+        detector.step(stream[-1].minute, FlowBatch.from_records(stream[-1].flows))
+        detector.state_dict()
+        written = detector.matrix.snapshot_cells_encoded()
+        assert counter.value() - held == written
+        assert 0 < written < len(detector.matrix)
+    finally:
+        set_enabled(previous)
+        get_registry().reset()
 
 
 def test_columnar_lane_exercises_all_auxiliary_classes():
