@@ -110,17 +110,20 @@ e2e-smoke:
 # counts and alert digests (`differs` lines) still must match.
 E2E_OUT ?= /tmp/repro-e2e/change.json
 BASE ?= benchmarks/results/BENCH_e2e.json
+# The host rule is repro.bench.harness.host_differences, the one `bench
+# --check` applies too.
 define E2E_HOST_DIFF
 import json, sys
+from repro.bench.harness import host_differences
 hosts = [next(iter(json.load(open(p))["workloads"].values()))["untraced"]["info"]["host"] for p in sys.argv[1:]]
-differ = [k for k in ("nproc", "machine", "python", "numpy") if hosts[0].get(k) != hosts[1].get(k)]
+differ = host_differences(*hosts)
 if differ: print(f"e2e-compare: warning: {sys.argv[1]} was recorded on another host ({', '.join(differ)} differ): read the counts and digests below, not the timings")
 endef
 export E2E_HOST_DIFF
 e2e-compare:
 	mkdir -p $(dir $(E2E_OUT))
 	python3 benchmarks/e2e/run.py --suite --out $(E2E_OUT)
-	@python3 -c "$$E2E_HOST_DIFF" $(BASE) $(E2E_OUT)
+	@$(PY) -c "$$E2E_HOST_DIFF" $(BASE) $(E2E_OUT)
 	python3 benchmarks/e2e/run.py --compare $(BASE) $(E2E_OUT)
 
 # The claim procedure for a perf PR (docs/TESTING.md): N alternating

@@ -6,19 +6,16 @@ The correctness gate for the autograd/serving stack (docs/ANALYSIS.md):
   rule registry (:func:`~repro.analysis.framework.all_rules`) and the
   one-pass driver (``analyze_paths`` / ``analyze_source``), inline
   suppressions;
-* :mod:`repro.analysis.rules` — the per-file XL rules (tape
-  immutability, global-switch leaks, reproducibility, alert-order
-  determinism);
+* :mod:`repro.analysis.rules` — the per-file XL rules (global-switch
+  leaks, bare excepts);
 * :mod:`repro.analysis.flow` — **xatuflow**: the one parser (symbol
-  table), call graph, per-function CFGs, fixpoint engines, and the
-  project-wide XF001–XF004 rules;
+  table), call graph, per-function CFGs, the fixpoint engine, and the
+  project-wide XF002 rule;
 * :mod:`repro.analysis.baseline` — the committed suppression ledger
   (``lint-baseline.json``) with per-entry written reasons and an
   analyzer-version + rule-inventory stamp;
-* :mod:`repro.analysis.sarif` — SARIF 2.1.0 serialisation for CI
-  artifacts (``cli lint --format sarif``);
 * :mod:`repro.analysis.sanitizer` — the ``REPRO_SANITIZE=1`` runtime
-  backstop: frozen tape buffers and NaN/inf kernel-boundary guards.
+  guard: frozen tape buffers and NaN/inf kernel-boundary guards.
 
 Run the linter via ``python -m repro.cli lint --strict`` / ``make lint``.
 

@@ -9,10 +9,9 @@ interprocedural machinery every ``cli lint`` run uses:
   resolution into one symbol table;
 * :mod:`.callgraph` — call edges between every table function;
 * :mod:`.cfg` — per-function basic-block control-flow graphs;
-* :mod:`.engine` — inter- and intraprocedural fixpoint engines;
-* :mod:`.checkers` — the four project-wide rules (XF001 dtype-flow,
-  XF002 seed-stream discipline, XF003 shard-state ownership, XF004
-  no_grad reachability).
+* :mod:`.engine` — the interprocedural fixpoint engine;
+* :mod:`.checkers` — the project-wide rule, XF002 seed-stream
+  discipline.
 
 Like the parent package, nothing here imports other ``repro``
 subpackages and nothing executes analyzed code — analysis is purely
@@ -22,7 +21,7 @@ source-level.
 from .callgraph import CallGraph, CallSite, build_call_graph
 from .cfg import CFG, Block, build_cfg
 from .checkers import SymbolGraph
-from .engine import dataflow_forward, fixpoint_summaries
+from .engine import fixpoint_summaries
 from .symbols import (
     ClassInfo,
     FunctionInfo,
@@ -43,7 +42,6 @@ __all__ = [
     "SymbolTable",
     "build_call_graph",
     "build_cfg",
-    "dataflow_forward",
     "fixpoint_summaries",
     "module_name_for",
 ]

@@ -9,15 +9,13 @@ resolved to a callee qualname when possible:
 * dotted access (``module.func``, ``Class.method``, ``pkg.mod.Class``)
   through the import-aware :meth:`SymbolTable.resolve`;
 * constructor calls (``OnlineXatu(...)``) become edges to
-  ``Class.__init__`` and are additionally recorded as *constructions*
-  (the escape checker needs to know which class a value was built from);
+  ``Class.__init__``;
 * as a last resort, a *unique-name fallback*: ``obj.step(...)`` where
   exactly one class in the whole table defines ``step`` resolves to that
   method, marked ``heuristic=True`` so checkers can weigh it.
 
-Edges carry the call node, so checkers can reason about the *site*
-(guarded by ``with no_grad():``? inside a comprehension?) and findings
-can print an interprocedural trace.
+Edges carry the call node, so a checker can match a call expression to
+its resolved callee (XF002 reads the callee's return summary there).
 """
 
 from __future__ import annotations
@@ -39,14 +37,12 @@ class CallSite:
     callee: str  # qualname
     node: ast.Call
     heuristic: bool = False  # resolved only via the unique-name fallback
-    constructs: str | None = None  # ClassInfo qualname when a constructor
 
 
 class CallGraph:
-    """Edges between table functions, with reverse index and path search."""
+    """Edges between table functions, with a reverse index."""
 
-    def __init__(self, table: SymbolTable) -> None:
-        self.table = table
+    def __init__(self) -> None:
         self.edges: dict[str, list[CallSite]] = {}
         self.callers: dict[str, list[CallSite]] = {}
 
@@ -60,33 +56,10 @@ class CallGraph:
     def callers_of(self, qualname: str) -> list[CallSite]:
         return self.callers.get(qualname, [])
 
-    # ------------------------------------------------------------------
-    def reachable_from(
-        self, entries: list[str], include_heuristic: bool = True
-    ) -> dict[str, list[str]]:
-        """BFS closure: qualname → shortest call path (list of qualnames,
-        entry first) for every function reachable from ``entries``."""
-        paths: dict[str, list[str]] = {}
-        queue: list[str] = []
-        for entry in entries:
-            if entry not in paths:
-                paths[entry] = [entry]
-                queue.append(entry)
-        while queue:
-            current = queue.pop(0)
-            for site in self.callees_of(current):
-                if site.heuristic and not include_heuristic:
-                    continue
-                if site.callee in paths:
-                    continue
-                paths[site.callee] = paths[current] + [site.callee]
-                queue.append(site.callee)
-        return paths
-
 
 # ----------------------------------------------------------------------
 def build_call_graph(table: SymbolTable) -> CallGraph:
-    graph = CallGraph(table)
+    graph = CallGraph()
     for fn in table.functions.values():
         mod = table.module_of(fn)
         cls = table.class_of(fn)
@@ -126,15 +99,8 @@ def _resolve_call(
         if isinstance(resolved, ClassInfo):
             init = table.method_of(resolved, "__init__")
             if init is not None:
-                return CallSite(
-                    fn.qualname, init.qualname, call, constructs=resolved.qualname
-                )
-            # Constructor of a class with no table __init__ (dataclass,
-            # inherited init): keep the construction fact on a synthetic
-            # edge to the class qualname so escape analysis still sees it.
-            return CallSite(
-                fn.qualname, resolved.qualname, call, constructs=resolved.qualname
-            )
+                return CallSite(fn.qualname, init.qualname, call)
+            return None
     # unique-name fallback for attribute calls on values of unknown type
     if isinstance(func, ast.Attribute):
         candidates = table.method_index.get(func.attr, [])

@@ -1,7 +1,7 @@
-"""Per-function control-flow graphs for the xatuflow checkers.
+"""Per-function control-flow graphs for the xatuflow checker.
 
 A :class:`CFG` is a list of basic blocks (statement runs with no internal
-branching) plus successor edges.  Two derived queries carry the checkers:
+branching) plus successor edges.  Two derived queries carry XF002:
 
 * :meth:`CFG.reaches` — can execution flow from block ``a`` to block
   ``b``?  The seed-stream checker (XF002) uses this to tell *exclusive*
@@ -27,10 +27,10 @@ __all__ = ["Block", "CFG", "build_cfg"]
 
 @dataclass
 class Block:
-    """One basic block: statements executed straight through."""
+    """One basic block: a run of statements executed straight through
+    (:meth:`CFG.block_of` maps each statement to its block)."""
 
     index: int
-    statements: list[ast.stmt] = field(default_factory=list)
     successors: set[int] = field(default_factory=set)
 
 
@@ -39,7 +39,6 @@ class CFG:
 
     def __init__(self) -> None:
         self.blocks: list[Block] = []
-        self.entry = 0
         self._block_of_stmt: dict[int, int] = {}  # id(stmt) -> block index
         self._reach_cache: dict[int, set[int]] = {}
 
@@ -50,7 +49,6 @@ class CFG:
         return block
 
     def add_stmt(self, block: Block, stmt: ast.stmt) -> None:
-        block.statements.append(stmt)
         self._block_of_stmt[id(stmt)] = block.index
 
     def link(self, src: Block, dst: Block) -> None:
@@ -94,7 +92,6 @@ def build_cfg(func: ast.FunctionDef | ast.AsyncFunctionDef) -> CFG:
     final = _build_body(cfg, func.body, entry, exit_block, loops=[])
     if final is not None:
         cfg.link(final, exit_block)
-    cfg.entry = entry.index
     return cfg
 
 

@@ -1,20 +1,14 @@
-"""The xatuflow fixpoint machinery.
+"""The xatuflow fixpoint engine.
 
-Two engines, both classic worklist iterations:
+:func:`fixpoint_summaries` computes one abstract summary per function
+(e.g. "returns a fresh Generator") by iterating a transfer function to
+fixpoint over the call graph — a classic worklist iteration.  When a
+function's summary changes, its *callers* re-enter the worklist, so facts
+propagate across call edges — the property that separates the XF rules
+from the per-file XL rules.
 
-* :func:`fixpoint_summaries` — **interprocedural**: computes one abstract
-  summary per function (e.g. "returns a float32 array", "returns a fresh
-  Generator") by iterating a transfer function to fixpoint over the call
-  graph.  When a function's summary changes, its *callers* re-enter the
-  worklist, so facts propagate across call edges — the property that
-  separates the XF rules from the per-file XL rules.
-
-* :func:`dataflow_forward` — **intraprocedural**: block-level forward
-  dataflow over one :class:`~repro.analysis.flow.cfg.CFG` with a
-  caller-supplied join, for the flow-sensitive checkers (dtype lanes).
-
-Both terminate because the abstract domains the checkers use are finite
-lattices and the transfer functions are monotone; a hard iteration cap
+It terminates because the abstract domain the checker uses is a finite
+lattice and the transfer function is monotone; a hard iteration cap
 guards against a checker bug ever hanging the lint gate.
 """
 
@@ -23,9 +17,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, TypeVar
 
 from .callgraph import CallGraph
-from .cfg import CFG
 
-__all__ = ["fixpoint_summaries", "dataflow_forward"]
+__all__ = ["fixpoint_summaries"]
 
 S = TypeVar("S")
 
@@ -69,40 +62,3 @@ def fixpoint_summaries(
                 if site.caller in in_set and site.caller not in worklist:
                     worklist.append(site.caller)
     return summaries
-
-
-def dataflow_forward(
-    cfg: CFG,
-    init: S,
-    transfer_block: Callable[[int, S], S],
-    join: Callable[[S, S], S],
-    equal: Callable[[S, S], bool] | None = None,
-) -> dict[int, S]:
-    """Forward dataflow to fixpoint; returns the *input* state per block.
-
-    ``transfer_block(index, state)`` returns the block's output state;
-    ``join`` merges states at control-flow joins.  ``equal`` defaults to
-    ``==``.
-    """
-    eq = equal or (lambda a, b: a == b)
-    n = len(cfg.blocks)
-    in_states: dict[int, S] = {cfg.entry: init}
-    worklist = [cfg.entry]
-    visits: dict[int, int] = {}
-    while worklist:
-        idx = worklist.pop(0)
-        visits[idx] = visits.get(idx, 0) + 1
-        if visits[idx] > _MAX_ROUNDS * max(1, n):
-            continue
-        out = transfer_block(idx, in_states[idx])
-        for succ in cfg.blocks[idx].successors:
-            if succ not in in_states:
-                in_states[succ] = out
-                worklist.append(succ)
-            else:
-                merged = join(in_states[succ], out)
-                if not eq(merged, in_states[succ]):
-                    in_states[succ] = merged
-                    if succ not in worklist:
-                        worklist.append(succ)
-    return in_states

@@ -78,15 +78,6 @@ class FunctionInfo:
     cls: str | None  # owning class name, None for module-level
     name: str  # bare function name
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    rel_path: str
-
-    @property
-    def decorator_names(self) -> list[str]:
-        out = []
-        for dec in self.node.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            out.append(dotted_name(target))
-        return out
 
 
 @dataclass
@@ -96,8 +87,6 @@ class ClassInfo:
     qualname: str  # "repro.serve.shard:ShardWorker"
     module: str
     name: str
-    node: ast.ClassDef
-    rel_path: str
     bases: list[str] = field(default_factory=list)
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
 
@@ -218,7 +207,6 @@ class SymbolTable:
                 cls=None,
                 name=node.name,
                 node=node,
-                rel_path=mod.rel_path,
             )
             mod.functions[node.name] = info
         elif isinstance(node, ast.ClassDef):
@@ -226,8 +214,6 @@ class SymbolTable:
                 qualname=f"{mod.name}:{node.name}",
                 module=mod.name,
                 name=node.name,
-                node=node,
-                rel_path=mod.rel_path,
                 bases=[dotted_name(b) for b in node.bases],
             )
             for sub in node.body:
@@ -238,7 +224,6 @@ class SymbolTable:
                         cls=node.name,
                         name=sub.name,
                         node=sub,
-                        rel_path=mod.rel_path,
                     )
                     cinfo.methods[sub.name] = finfo
             mod.classes[node.name] = cinfo

@@ -21,7 +21,7 @@ Design points that matter for a lint gate:
   line it points at; the baseline (:mod:`repro.analysis.baseline`)
   matches on ``(rule, path, line_text)`` rather than line numbers, so
   unrelated edits don't churn the suppression file.
-* **Inline escapes** — ``# xatulint: ignore[XL001]`` on the offending
+* **Inline escapes** — ``# xatulint: ignore[XL009]`` on the offending
   line suppresses that rule there (``ignore`` with no bracket list
   suppresses every rule); use sparingly, prefer the baseline file which
   forces a written reason.
@@ -61,7 +61,7 @@ __all__ = [
 # the rule inventory or a rule's semantics change enough that an old
 # baseline deserves a re-audit; `cli lint` warns when a baseline was
 # written by an older analyzer or a different rule set.
-ANALYZER_VERSION = "3.0"
+ANALYZER_VERSION = "4.0"
 
 
 class Severity:

@@ -1,16 +1,18 @@
-"""Runtime sanitizer: the dynamic backstop for the xatulint invariants.
+"""Runtime sanitizer: the one guard on tape mutation, plus finite
+kernel boundaries.
 
-The static rules in :mod:`repro.analysis.rules` catch invariant
-violations they can *see*; this module enforces the two most
-corruption-prone ones at runtime, under an environment switch so the
-production hot path pays a single module-level boolean read:
+No lint rule checks tape writes: a write through a recorded op's
+``.data`` fails here, in the sanitized CI lane (docs/ANALYSIS.md,
+"Mutant audit").  Under an environment switch, so the production hot
+path pays a single module-level boolean read, it enforces two
+invariants at runtime:
 
-* **Tape immutability** (the dynamic half of rule XL001) — every tensor
-  produced by a recorded op gets ``ndarray.flags.writeable = False``,
-  so any in-place write to an activation buffer between forward and
-  backward raises immediately at the mutation site instead of silently
-  corrupting gradients.  Leaf tensors (parameters, inputs) stay
-  writable: optimizers and ``gradcheck`` mutate those by design.
+* **Tape immutability** — every tensor produced by a recorded op gets
+  ``ndarray.flags.writeable = False``, so any in-place write to an
+  activation buffer between forward and backward raises immediately at
+  the mutation site instead of silently corrupting gradients.  Leaf
+  tensors (parameters, inputs) stay writable: optimizers and
+  ``gradcheck`` mutate those by design.
 * **Finite kernel boundaries** — the fused kernels assert their inputs
   and outputs are free of NaN/inf, so a poisoned batch is caught at the
   kernel that first saw it, not three subsystems downstream as a weird
@@ -91,8 +93,9 @@ def freeze_tape_buffer(array: np.ndarray) -> np.ndarray:
     try:
         array.flags.writeable = False
     except ValueError:
-        # Some exotic views refuse the flag change; the static rule and
-        # the finite guards still cover these.
+        # Some exotic views refuse the flag change.  Such a buffer stays
+        # writable: an in-place write to it goes unseen unless it
+        # produces NaN/inf at a finite guard.
         pass
     return array
 

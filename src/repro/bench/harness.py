@@ -20,6 +20,8 @@ from pathlib import Path
 __all__ = [
     "BENCH_FORMAT_VERSION",
     "GATED",
+    "HOST_FIELDS",
+    "host_differences",
     "bench_report",
     "write_bench_json",
     "load_bench_json",
@@ -38,6 +40,10 @@ TOLERANCE = 0.5  # a row regresses when its gated value is 50 % worse
 RSS_RATIO_PAIR = ("1m", "100k")
 RSS_RATIO = 2.0
 MAX_RSS_MB = 512.0  # no scale cell, smoke or full, may exceed this
+
+# The host fields that make two timing runs comparable: the one host rule
+# of both `bench --check` and `make e2e-compare`.
+HOST_FIELDS = ("python", "numpy", "machine", "nproc")
 
 
 def bench_report(suite: str, smoke: bool, sizes: dict, rows: dict) -> dict:
@@ -81,6 +87,12 @@ def load_bench_json(path: str | Path) -> dict:
     return payload
 
 
+def host_differences(a: dict, b: dict) -> list[str]:
+    """The :data:`HOST_FIELDS` on which two ``host_metadata()`` blocks
+    differ; empty when their timings may be compared."""
+    return [key for key in HOST_FIELDS if a.get(key) != b.get(key)]
+
+
 def _comparability(baseline: dict, smoke: bool) -> tuple[list[str], bool]:
     """Whether a fresh run may *fail* against ``baseline``, and why not.
 
@@ -95,11 +107,7 @@ def _comparability(baseline: dict, smoke: bool) -> tuple[list[str], bool]:
     warnings: list[str] = []
     baseline_host = baseline.get("host", {})
     here = host_metadata()
-    mismatched = [
-        key
-        for key in ("python", "numpy", "machine", "nproc")
-        if baseline_host.get(key) != here.get(key)
-    ]
+    mismatched = host_differences(baseline_host, here)
     comparable = not mismatched
     if mismatched:
         detail = ", ".join(

@@ -598,7 +598,7 @@ def cmd_lint(args) -> int:
     """Run xatulint (repro.analysis) over the tree and gate on findings.
 
     One pass: every file is parsed once and every rule runs, the per-file
-    XL rules and the project-wide XF001–XF004 alike.
+    XL rules and the project-wide XF002 alike.
 
     Exit codes: 0 clean (baselined findings don't count), 1 when the gate
     fails — any new finding or stale baseline entry under ``--strict``,
@@ -666,10 +666,6 @@ def cmd_lint(args) -> int:
             "stale_baseline_entries": [e.to_json() for e in stale],
         }
         print(json.dumps(payload, indent=2))
-    elif args.format == "sarif":
-        from .analysis.sarif import render_sarif
-
-        print(render_sarif(new, rules, suppressed))
     else:
         for finding in new:
             print(finding.render())
@@ -872,9 +868,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run xatulint (domain-aware static analysis) over the tree",
         description="One pass of per-file and interprocedural rules for "
-        "the autograd/serving stack: tape mutation, global-switch leaks, "
-        "determinism and alert-order hazards, dtype lanes, seed streams, "
-        "spawn-boundary ownership, no_grad reachability (see "
+        "the bugs no runtime gate catches: global-switch leaks, bare "
+        "excepts, seed streams shared by two owners (see "
         "docs/ANALYSIS.md).  "
         "Known-intentional findings live in lint-baseline.json with "
         "written reasons; the gate fails only on new ones.",
@@ -892,10 +887,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="rewrite the baseline to cover current findings "
                       "(keeps existing reasons and every entry for a file "
                       "outside the linted paths; new entries get a TODO)")
-    lint.add_argument("--format", choices=["text", "json", "sarif"],
-                      default="text",
-                      help="report rendering (sarif: SARIF 2.1.0 for CI "
-                      "artifacts / code-scanning upload)")
+    lint.add_argument("--format", choices=["text", "json"],
+                      default="text", help="report rendering")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
     lint.set_defaults(func=cmd_lint)

@@ -120,7 +120,7 @@ class XatuModel(Module):
         # untrained model's survival stays near 1 instead of alerting on
         # everything (softplus(0) ~ 0.69/min would drive S_30 to ~1e-9).
         # Rebind rather than write in place: the tape may already hold a
-        # reference to the buffer, and rebinding keeps XL001 happy.
+        # reference to the buffer.
         self.combine.bias.data = np.full_like(self.combine.bias.data, -4.0)
         self._indices_cache: dict[int, list[np.ndarray]] = {}
 

@@ -4,7 +4,9 @@ that serving never loads the linter.
 
 Every rule gets at least one snippet that MUST fire and one that MUST
 stay silent — the negatives are as load-bearing as the positives, since
-an over-eager rule erodes trust in the gate.
+an over-eager rule erodes trust in the gate — plus one fixture named for
+the mutant that keeps the rule alive: the bug of docs/ANALYSIS.md's
+mutant audit that no runtime gate catches.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.analysis import sanitized
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.framework import (
     Severity,
@@ -25,8 +29,13 @@ from repro.analysis.framework import (
     analyze_source,
     get_rule,
 )
+from repro.nn import Tensor
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+# One finding (XL009 at line 3), for the framework and baseline tests.
+BARE_EXCEPT = "try:\n    work()\nexcept:\n    pass\n"
 
 
 def lint(source: str, rel_path: str = "src/repro/fixture.py") -> list:
@@ -53,10 +62,7 @@ def silent(rule_id: str, source: str, rel_path: str = "src/repro/fixture.py"):
 class TestRegistry:
     def test_all_rules_registered(self):
         # One inventory for both families.
-        assert [r.id for r in all_rules()] == [
-            "XF001", "XF002", "XF003", "XF004",
-            "XL001", "XL003", "XL004", "XL005", "XL008", "XL009", "XL010",
-        ]
+        assert [r.id for r in all_rules()] == ["XF002", "XL003", "XL009"]
 
     def test_rules_have_metadata(self):
         for rule in all_rules():
@@ -64,71 +70,63 @@ class TestRegistry:
             assert rule.severity in (Severity.ERROR, Severity.WARNING, Severity.INFO)
 
     def test_get_rule(self):
-        assert get_rule("XL001").name == "tape-mutation"
+        assert get_rule("XL003").name == "global-switch-leak"
 
 
 # ----------------------------------------------------------------------
-# XL001 — tape mutation
+# Tape mutation: the sanitizer is the one guard
 # ----------------------------------------------------------------------
 class TestTapeMutation:
+    """Rule XL001 is retired (docs/ANALYSIS.md, "Mutant audit"): its
+    mutant fails the sanitized CI lane.  Each write shape it matched must
+    raise at the mutation site under ``REPRO_SANITIZE``; each shape it let
+    pass must stay legal."""
+
+    @pytest.fixture(autouse=True)
+    def _sanitize(self):
+        with sanitized(True):
+            yield
+
+    @staticmethod
+    def tape_node():
+        return Tensor(np.ones(3), requires_grad=True) * 2.0
+
     def test_subscript_write_fires(self):
-        fires("XL001", "t.data[...] = new_values\n")
+        t = self.tape_node()
+        with pytest.raises(ValueError):
+            t.data[...] = np.zeros(3)
 
     def test_subscript_augassign_fires(self):
-        fires("XL001", "t.data[0] += 1\n")
+        t = self.tape_node()
+        with pytest.raises(ValueError):
+            t.data[0] += 1
 
     def test_attribute_augassign_fires(self):
-        fires("XL001", "p.data -= lr * grad\n")
+        t = self.tape_node()
+        with pytest.raises(ValueError):
+            t.data -= 0.1 * np.ones(3)
 
     def test_ufunc_out_fires(self):
-        fires("XL001", "np.add(a, b, out=t.data)\n")
+        t = self.tape_node()
+        with pytest.raises(ValueError):
+            np.add(t.data, 1.0, out=t.data)
 
     def test_rebind_is_fine(self):
         # Rebinding the attribute makes a fresh array; the old tape
         # node's buffer is untouched.
-        silent("XL001", "t.data = np.zeros(3)\n")
+        t = self.tape_node()
+        t.data = np.zeros(3)
+        assert t.data.flags.writeable
 
     def test_plain_array_write_is_fine(self):
-        silent("XL001", "x[0] = 1\nbuf += delta\n")
-
-
-# ----------------------------------------------------------------------
-# XF004 on single-file inputs (the class keeps the per-file rule's name)
-# ----------------------------------------------------------------------
-class TestInferenceOutsideNoGrad:
-    def test_predict_without_guard_fires(self):
-        fires("XF004", """
-            def predict_scores(model, x):
-                t = Tensor(x)
-                return model.forward(t)
-        """)
-
-    def test_with_no_grad_is_fine(self):
-        silent("XF004", """
-            def predict_scores(model, x):
-                with no_grad():
-                    t = Tensor(x)
-                    return model.forward(t)
-        """)
-
-    def test_decorator_is_fine(self):
-        silent("XF004", """
-            @no_grad
-            def infer_batch(model, x):
-                return model.forward(Tensor(x))
-        """)
-
-    def test_non_inference_name_is_fine(self):
-        silent("XF004", """
-            def train_step(model, x):
-                return model.forward(Tensor(x))
-        """)
-
-    def test_pure_numpy_inference_is_fine(self):
-        silent("XF004", """
-            def infer_fast(w, x):
-                return np.tanh(x @ w)
-        """)
+        # Only recorded-op outputs freeze: the array an op read stays
+        # writable.
+        x = np.ones(3)
+        y = Tensor(x, requires_grad=True) * 2.0
+        assert not y.data.flags.writeable
+        x[0] = 5.0
+        x += 1.0
+        assert x.tolist() == [6.0, 2.0, 2.0]
 
 
 # ----------------------------------------------------------------------
@@ -186,57 +184,23 @@ class TestGlobalSwitchLeak:
     def test_grad_flag_poke_fires(self):
         fires("XL003", "_MODE.grad_enabled = False\n")
 
+    def test_bench_obs_toggle_without_finally_fires(self):
+        # The audit mutant: bench/train.py's telemetry-on epoch without its
+        # try/finally.  A raising fit() leaves telemetry on for every later
+        # bench case; no test, golden or smoke fails on it.
+        fires("XL003", """
+            def _make_train_epoch_obs(sizes, enabled):
+                from ..obs import set_enabled
 
-# ----------------------------------------------------------------------
-# XL004 — unseeded randomness
-# ----------------------------------------------------------------------
-class TestUnseededRandomness:
-    def test_global_numpy_draw_fires(self):
-        fires("XL004", "noise = np.random.normal(0.0, 1.0, size=8)\n")
+                fit = _make_train_epoch(sizes, fused=True)
 
-    def test_stdlib_draw_fires(self):
-        fires("XL004", "jitter = random.random()\n")
+                def run():
+                    previous = set_enabled(enabled)
+                    fit()
+                    set_enabled(previous)
 
-    def test_seeded_generator_is_fine(self):
-        silent("XL004", """
-            rng = np.random.default_rng(7)
-            noise = rng.normal(0.0, 1.0, size=8)
-        """)
-
-    def test_seeded_stdlib_rng_is_fine(self):
-        silent("XL004", "r = random.Random(3)\njitter = r.random()\n")
-
-
-# ----------------------------------------------------------------------
-# XL005 — wall clock
-# ----------------------------------------------------------------------
-class TestWallClock:
-    def test_time_time_in_core_fires(self):
-        fires("XL005", "stamp = time.time()\n",
-              rel_path="src/repro/core/fixture.py")
-
-    def test_perf_counter_is_fine(self):
-        silent("XL005", "t0 = time.perf_counter()\n",
-               rel_path="src/repro/serve/fixture.py")
-
-    def test_out_of_scope_path_is_fine(self):
-        # Host-metadata stamping in eval/bench/obs is legitimate.
-        silent("XL005", "stamp = time.time()\n",
-               rel_path="src/repro/eval/fixture.py")
-
-
-# ----------------------------------------------------------------------
-# XL008 — mutable defaults
-# ----------------------------------------------------------------------
-class TestMutableDefault:
-    def test_list_default_fires(self):
-        fires("XL008", "def f(items=[]):\n    return items\n")
-
-    def test_dict_kwonly_default_fires(self):
-        fires("XL008", "def f(*, cache={}):\n    return cache\n")
-
-    def test_none_default_is_fine(self):
-        silent("XL008", "def f(items=None, key=()):\n    return items\n")
+                return run
+        """, rel_path="src/repro/bench/train.py")
 
 
 # ----------------------------------------------------------------------
@@ -251,47 +215,26 @@ class TestBareExcept:
                 pass
         """)
 
+    def test_shard_execute_bare_except_fires(self):
+        # The audit mutant: the one shard dispatch catching everything.
+        # Error replies read the same, so every gate passes, but a Ctrl-C
+        # in a forked shard becomes an error reply instead of a shutdown.
+        fires("XL009", """
+            def _execute(detector, message, reader=None):
+                try:
+                    result = detector.step(*message[1:])
+                    return ("ok", result)
+                except:
+                    exc = sys.exc_info()[1]
+                    return ("error", f"{type(exc).__name__}: {exc}")
+        """, rel_path="src/repro/serve/shard.py")
+
     def test_typed_except_is_fine(self):
         silent("XL009", """
             try:
                 work()
             except Exception:
                 pass
-        """)
-
-
-# ----------------------------------------------------------------------
-# XL010 — alert-order hazards
-# ----------------------------------------------------------------------
-class TestAlertOrderHazard:
-    def test_raw_values_iteration_fires(self):
-        fires("XL010", """
-            def merge_alerts(by_shard):
-                out = []
-                for alerts in by_shard.values():
-                    out.extend(alerts)
-                return out
-        """)
-
-    def test_comprehension_fires(self):
-        fires("XL010", """
-            def poll_alerts(pending):
-                return [a for a in pending.values()]
-        """)
-
-    def test_sorted_iteration_is_fine(self):
-        silent("XL010", """
-            def merge_alerts(by_shard):
-                out = []
-                for shard, alerts in sorted(by_shard.items()):
-                    out.extend(alerts)
-                return out
-        """)
-
-    def test_non_alert_function_is_fine(self):
-        silent("XL010", """
-            def summarize(counts):
-                return [v for v in counts.values()]
         """)
 
 
@@ -316,16 +259,22 @@ class TestFramework:
         fires("XL009", """
             try:
                 work()
-            except:  # xatulint: ignore[XL001]
+            except:  # xatulint: ignore[XL003]
                 pass
         """)
 
     def test_inline_suppression_blanket(self):
-        silent("XL008", "def f(items=[]):  # xatulint: ignore\n    return items\n")
+        silent("XL009", """
+            try:
+                work()
+            except:  # xatulint: ignore
+                pass
+        """)
 
     def test_findings_sorted_deterministically(self):
         source = """
-            def f(items=[]):
+            def f():
+                set_enabled(True)
                 try:
                     work()
                 except:
@@ -338,7 +287,7 @@ class TestFramework:
         assert keys == sorted(keys)
 
     def test_fingerprint_survives_line_shift(self):
-        base = "def f(items=[]):\n    return items\n"
+        base = BARE_EXCEPT
         shifted = "import os\n\n\n" + base
         (a,) = lint(base)
         (b,) = lint(shifted)
@@ -351,7 +300,7 @@ class TestFramework:
 # ----------------------------------------------------------------------
 class TestBaseline:
     def test_round_trip(self, tmp_path):
-        findings = lint("def f(items=[]):\n    return items\n")
+        findings = lint(BARE_EXCEPT)
         baseline = Baseline.from_findings(findings)
         path = baseline.save(tmp_path / "baseline.json")
         loaded = Baseline.load(path)
@@ -369,7 +318,7 @@ class TestBaseline:
             Baseline.load(path)
 
     def test_stale_entries_reported(self):
-        stale = BaselineEntry("XL008", "src/gone.py", "def f(x=[]):", "why")
+        stale = BaselineEntry("XL009", "src/gone.py", "except:", "why")
         baseline = Baseline([stale])
         assert baseline.unused_entries([]) == [stale]
 
@@ -380,15 +329,15 @@ class TestBaseline:
 
         entries = []
         for name in ("a", "b"):
-            (tmp_path / f"{name}.py").write_text("def f(x=[]):\n    return x\n")
-            entries.append(BaselineEntry("XL008", f"{name}.py", "def f(x=[]):", name))
+            (tmp_path / f"{name}.py").write_text(BARE_EXCEPT)
+            entries.append(BaselineEntry("XL009", f"{name}.py", "except:", name))
         Baseline(entries).save(tmp_path / "lint-baseline.json")
         monkeypatch.chdir(tmp_path)
         assert main(["lint", "--write-baseline", "a.py"]) == 0
         assert Baseline.load(tmp_path / "lint-baseline.json").entries == entries
 
     def test_write_baseline_keeps_reasons(self, tmp_path):
-        findings = lint("def f(items=[]):\n    return items\n")
+        findings = lint(BARE_EXCEPT)
         first = Baseline.from_findings(findings)
         entry = first.entries[0]
         documented = Baseline(
@@ -416,18 +365,6 @@ class TestRepoIsClean:
     def test_cli_lint_strict_exits_clean(self, cli_over_src, capsys):
         assert cli_over_src(["lint", "--strict"]) == 0
         assert "0 new finding(s)" in capsys.readouterr().out
-
-    def test_cli_lint_sarif_is_valid_json(self, cli_over_src, capsys):
-        assert cli_over_src(["lint", "--format", "sarif"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert ids == [r.id for r in all_rules()]
-        # baselined findings ride along as suppressed results
-        assert run["results"] and all(
-            "suppressions" in r for r in run["results"]
-        ), "clean repo: every SARIF result should be a baselined suppression"
 
     def test_cli_lint_subtree_ignores_out_of_scope_baseline(
         self, monkeypatch, capsys

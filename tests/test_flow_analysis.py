@@ -1,13 +1,13 @@
-"""xatuflow: symbol table, call graph, CFG, and the XF001–XF004
-project-wide rules.
+"""xatuflow: symbol table, call graph, CFG, and the XF002 project-wide
+rule.
 
-The positive fixtures here are deliberately *interprocedural* — each
-rule gets at least one case where the triggering fact crosses two or
-more function calls (a return-dtype summary, a stream minted in a
-helper, a spawn entry two hops from the write, an unguarded chain), so
-they demonstrate exactly what the shallow per-file XL rules cannot see.
-Negatives are as load-bearing as positives: the exclusive-branch,
-ownership-transfer, and mode-aware cases pin the FP-avoidance design.
+The positive fixtures here are deliberately *interprocedural* — a
+stream minted in a helper is tracked across the call — so they
+demonstrate exactly what the shallow per-file XL rules cannot see.
+Negatives are as load-bearing as positives: the exclusive-branch and
+sequential-draw cases pin the FP-avoidance design.  The spoof-stream
+case is the mutant of docs/ANALYSIS.md's audit that no runtime gate
+catches.
 """
 
 from __future__ import annotations
@@ -197,25 +197,6 @@ class TestCallGraph:
         )
         (site,) = sg.graph.callees_of("pkg.m:make")
         assert site.callee == "pkg.m:Widget.__init__"
-        assert site.constructs == "pkg.m:Widget"
-
-    def test_reachable_from_returns_shortest_paths(self):
-        sg = graph_of(
-            {
-                "src/pkg/m.py": """
-                def a():
-                    b()
-
-                def b():
-                    c()
-
-                def c():
-                    pass
-                """
-            }
-        )
-        paths = sg.graph.reachable_from(["pkg.m:a"])
-        assert paths["pkg.m:c"] == ["pkg.m:a", "pkg.m:b", "pkg.m:c"]
 
     def test_unique_name_fallback_marked_heuristic(self):
         sg = graph_of(
@@ -306,104 +287,6 @@ class TestCfg:
         ret_block = cfg.block_of(func.body[0].body[0])
         after_block = cfg.block_of(func.body[1])
         assert not cfg.reaches(ret_block, after_block)
-
-
-# ----------------------------------------------------------------------
-# XF001 dtype-flow
-# ----------------------------------------------------------------------
-class TestDtypeFlow:
-    def test_interprocedural_mixed_join_two_hops(self):
-        # The f64 provenance crosses TWO call returns before the join —
-        # per-file rules cannot connect make_base -> load -> combine.
-        fires(
-            "XF001",
-            {
-                "src/pkg/a.py": """
-                import numpy as np
-
-                def make_base():
-                    return np.zeros(8)
-
-                def load():
-                    return make_base()
-                """,
-                "src/pkg/b.py": """
-                import numpy as np
-                from pkg.a import load
-
-                def combine():
-                    lane = np.asarray([1.0], dtype=np.float32)
-                    base = load()
-                    return lane + base
-                """,
-            },
-        )
-
-    def test_same_dtype_join_silent(self):
-        silent(
-            "XF001",
-            {
-                "src/pkg/a.py": """
-                import numpy as np
-
-                def make_base():
-                    return np.zeros(8, dtype=np.float32)
-
-                def combine():
-                    lane = np.asarray([1.0], dtype=np.float32)
-                    return lane + make_base()
-                """
-            },
-        )
-
-    def test_unknown_dtype_never_fires(self):
-        # asarray without dtype is input-dependent: unknown, not f64
-        silent(
-            "XF001",
-            {
-                "src/pkg/a.py": """
-                import numpy as np
-
-                def combine(x):
-                    lane = np.asarray(x)
-                    other = np.zeros(4, dtype=np.float32)
-                    return lane + other
-                """
-            },
-        )
-
-    def test_concatenate_mixed_fires(self):
-        fires(
-            "XF001",
-            {
-                "src/pkg/a.py": """
-                import numpy as np
-
-                def f():
-                    a = np.zeros(4, dtype=np.float32)
-                    b = np.zeros(4, dtype=np.float64)
-                    return np.concatenate([a, b])
-                """
-            },
-        )
-
-    def test_astype_cast_silences(self):
-        silent(
-            "XF001",
-            {
-                "src/pkg/a.py": """
-                import numpy as np
-
-                def make_base():
-                    return np.zeros(8)
-
-                def combine():
-                    lane = np.asarray([1.0], dtype=np.float32)
-                    base = make_base().astype(np.float32)
-                    return lane + base
-                """
-            },
-        )
 
 
 # ----------------------------------------------------------------------
@@ -515,6 +398,29 @@ class TestSeedStreams:
             },
         )
 
+    def test_spoof_stream_from_plan_seed_fires(self):
+        # The audit mutant: TraceGenerator seeding its spoof stream from
+        # the plan's child.  Plan and spoof draws then correlate, yet every
+        # golden, scenario and byte-identity gate passes.
+        fires(
+            "XF002",
+            {
+                "src/repro/synth/scenario.py": """
+                import numpy as np
+
+                class TraceGenerator:
+                    def __init__(self, seed):
+                        root = np.random.SeedSequence(seed)
+                        plan_ss, traffic_ss, benign_ss, sampler_ss, spoof_ss = (
+                            root.spawn(5)
+                        )
+                        self._plan_rng = np.random.default_rng(plan_ss)
+                        self._traffic_rng = np.random.default_rng(traffic_ss)
+                        self._spoof_rng = np.random.default_rng(plan_ss)
+                """
+            },
+        )
+
     def test_spawned_children_one_owner_each_silent(self):
         silent(
             "XF002",
@@ -532,272 +438,6 @@ class TestSeedStreams:
                     return Owner(np.random.default_rng(a_ss)), Owner(
                         np.random.default_rng(b_ss)
                     )
-                """
-            },
-        )
-
-
-# ----------------------------------------------------------------------
-# XF003 shard-state ownership
-# ----------------------------------------------------------------------
-_WORKER_SHARED = {
-    "src/pkg/serve.py": """
-    import threading
-
-    class Detector:
-        def __init__(self):
-            self.count = 0
-
-        def step(self, x):
-            self.count += 1
-            return x
-
-    class Engine:
-        def __init__(self):
-            self.detector = Detector()
-            self.thread = threading.Thread(
-                target=worker_loop, args=(self.detector,)
-            )
-            self.thread.start()
-
-        def snapshot(self):
-            return self.detector.count
-
-    def worker_loop(detector):
-        while True:
-            inner(detector)
-
-    def inner(detector):
-        detector.step(1)
-    """
-}
-
-
-def _step_under(guard: str) -> dict[str, str]:
-    """``_WORKER_SHARED`` with ``Detector.step``'s write under ``with guard:``."""
-    return {
-        "src/pkg/serve.py": _WORKER_SHARED["src/pkg/serve.py"].replace(
-            "def step(self, x):\n            self.count += 1",
-            f"def step(self, x):\n            with {guard}:\n"
-            "                self.count += 1",
-        )
-    }
-
-
-class TestShardOwnership:
-    def test_escaped_self_attr_write_two_hops_fires(self):
-        # Engine retains self.detector while the worker mutates it; the
-        # write sits two calls below the spawn target (worker_loop ->
-        # inner -> Detector.step) — invisible to any per-file rule.
-        findings = fires("XF003", _WORKER_SHARED)
-        assert any("count" in f.message for f in findings)
-        assert any("call path" in f.message for f in findings)
-
-    def test_process_spawn_site_fires(self):
-        # The only spawn the tree has left is ShardWorker's forked
-        # Process(target=..., args=...); the same escape must fire there.
-        sources = {
-            "src/pkg/serve.py": _WORKER_SHARED["src/pkg/serve.py"]
-            .replace("import threading", "import multiprocessing")
-            .replace("threading.Thread(", "multiprocessing.Process(")
-        }
-        findings = fires("XF003", sources)
-        assert any("count" in f.message for f in findings)
-
-    def test_ownership_transfer_inline_construction_silent(self):
-        # Constructing the detector inside the spawn args hands it
-        # wholly to the worker — the ShardWorker shape.
-        silent(
-            "XF003",
-            {
-                "src/pkg/serve.py": """
-                import threading
-
-                class Detector:
-                    def __init__(self):
-                        self.count = 0
-
-                    def step(self, x):
-                        self.count += 1
-                        return x
-
-                def worker_loop(detector):
-                    while True:
-                        detector.step(1)
-
-                class Engine:
-                    def __init__(self):
-                        self.thread = threading.Thread(
-                            target=worker_loop, args=(Detector(),)
-                        )
-                        self.thread.start()
-                """
-            },
-        )
-
-    def test_lock_guard_silences(self):
-        silent("XF003", _step_under("self._lock"))
-        silent("XF003", _step_under("threading.RLock()"))
-
-    def test_lock_like_name_does_not_silence(self):
-        # `blocklist` and `clock` contain "lock" but are not locks: a
-        # write under them is as unguarded as a bare one.
-        for guard in ("self.blocklist", "clock"):
-            findings = fires("XF003", _step_under(guard))
-            assert any("count" in f.message for f in findings)
-
-    def test_owner_comment_silences(self):
-        sources = {
-            "src/pkg/serve.py": _WORKER_SHARED["src/pkg/serve.py"].replace(
-                "self.count += 1", "self.count += 1  # owner: worker thread"
-            )
-        }
-        silent("XF003", sources)
-
-    def test_checkpoint_methods_exempt(self):
-        sources = {
-            "src/pkg/serve.py": _WORKER_SHARED["src/pkg/serve.py"]
-            .replace("def step(self, x):", "def load_state_dict(self, x):")
-            .replace("detector.step(1)", "detector.load_state_dict(1)")
-        }
-        silent("XF003", sources)
-
-
-# ----------------------------------------------------------------------
-# XF004 no_grad reachability
-# ----------------------------------------------------------------------
-class TestNoGradReachability:
-    def test_unguarded_allocation_two_hops_fires(self):
-        # predict -> featurize -> embed: the Tensor allocation is two
-        # calls below the inference entry, and no frame establishes
-        # no_grad — only the call graph sees this.
-        findings = fires(
-            "XF004",
-            {
-                "src/pkg/infer.py": """
-                from pkg.tape import Tensor
-
-                def predict(x):
-                    return featurize(x)
-
-                def featurize(x):
-                    return embed(x)
-
-                def embed(x):
-                    return Tensor(x)
-                """,
-                "src/pkg/tape.py": """
-                class Tensor:
-                    def __init__(self, data):
-                        self.data = data
-                """,
-            },
-        )
-        assert any("call path" in f.message for f in findings)
-
-    def test_guarded_entry_silent(self):
-        silent(
-            "XF004",
-            {
-                "src/pkg/infer.py": """
-                from pkg.tape import Tensor, no_grad
-
-                def predict(x):
-                    with no_grad():
-                        return embed(x)
-
-                def embed(x):
-                    return Tensor(x)
-                """,
-                "src/pkg/tape.py": """
-                class Tensor:
-                    def __init__(self, data):
-                        self.data = data
-
-                def no_grad():
-                    pass
-                """,
-            },
-        )
-
-    def test_guard_elsewhere_in_the_entry_fires(self):
-        # A `with no_grad():` block in the same function does not cover a
-        # Tensor built before it — the guard must enclose the allocation.
-        findings = fires(
-            "XF004",
-            {
-                "src/pkg/infer.py": """
-                def predict_scores(model, x):
-                    t = Tensor(x)
-                    with no_grad():
-                        out = model.forward(t)
-                    return out
-                """
-            },
-        )
-        assert [f.line_text for f in findings] == ["t = Tensor(x)"]
-
-    def test_no_grad_decorated_callee_silent(self):
-        silent(
-            "XF004",
-            {
-                "src/pkg/infer.py": """
-                from pkg.tape import Tensor, no_grad
-
-                def predict(x):
-                    return embed(x)
-
-                @no_grad
-                def embed(x):
-                    return Tensor(x)
-                """,
-                "src/pkg/tape.py": """
-                class Tensor:
-                    def __init__(self, data):
-                        self.data = data
-
-                def no_grad(fn):
-                    return fn
-                """,
-            },
-        )
-
-    def test_mode_aware_function_exempt(self):
-        silent(
-            "XF004",
-            {
-                "src/pkg/infer.py": """
-                from pkg.tape import Tensor, grad_enabled
-
-                def predict(x):
-                    if not grad_enabled():
-                        return x
-                    return Tensor(x)
-                """,
-                "src/pkg/tape.py": """
-                class Tensor:
-                    def __init__(self, data):
-                        self.data = data
-
-                def grad_enabled():
-                    return True
-                """,
-            },
-        )
-
-    def test_mechanism_module_exempt(self):
-        # The module defining Tensor IS the tape; its own infer-named
-        # helpers may allocate freely.
-        silent(
-            "XF004",
-            {
-                "src/pkg/tape.py": """
-                class Tensor:
-                    def __init__(self, data):
-                        self.data = data
-
-                def tape_infer(x):
-                    return Tensor(x)
                 """
             },
         )

@@ -651,6 +651,18 @@ class TestBenchObs:
         assert failures == []
         assert any("host differs" in w for w in warnings)
         assert any("slower" in w for w in warnings)
+        # Each host field alone demotes: the one rule `make e2e-compare`
+        # applies too.
+        from repro.bench.harness import HOST_FIELDS, host_differences
+
+        assert HOST_FIELDS == ("python", "numpy", "machine", "nproc")
+        for field in HOST_FIELDS:
+            slow = self._payload(0.01 / 100.0)
+            slow["host"][field] = "elsewhere"
+            assert host_differences(slow["host"], fresh["host"]) == [field]
+            warnings, failures = compare(fresh, slow)
+            assert failures == [], field
+            assert any("host differs" in w and field in w for w in warnings)
 
     def test_compare_demotes_a_cpu_count_mismatch(self):
         """A baseline recorded with another usable CPU count says nothing

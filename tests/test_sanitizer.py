@@ -1,5 +1,5 @@
 """Runtime sanitizer (REPRO_SANITIZE=1): frozen tape buffers and finite
-kernel-boundary guards — the dynamic backstop behind xatulint XL001.
+kernel-boundary guards — the one guard on tape mutation.
 
 These run with the switch flipped programmatically (``sanitized``), so
 they exercise the sanitizer regardless of the environment; the CI
