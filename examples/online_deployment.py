@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.core import OnlineXatu, PipelineConfig, TrainConfig, XatuPipeline
 from repro.eval import bench_model_config, tiny_scenario
+from repro.netflow import FlowBatch
 from repro.synth import BenignConfig, BenignTrafficModel, TraceGenerator, generate_attack_flows
 
 
@@ -82,7 +83,7 @@ def main() -> None:
                 sources, total_bytes=victim.base_rate_bytes * 20.0,
                 rng=rng, country_of=botnet.country_of,
             ))
-        alerts = online.step(minute, flows)
+        alerts = online.step(minute, FlowBatch.from_records(flows))
         for alert in alerts:
             n_alerts += 1
             marker = "<< ATTACK WINDOW" if attack_start <= minute else ""

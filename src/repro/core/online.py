@@ -5,17 +5,17 @@ deployment instead receives sampled NetFlow continuously, plus alert and
 mitigation-end notices from the incumbent defense.  :class:`OnlineXatu`
 implements that loop:
 
-* ``observe_minute(flows)`` / ``step(minute, flows)`` ingest one minute
-  of sampled flows for all customers, tagging each flow's auxiliary
-  source classes (blocklist membership, previous attackers, spoof check)
-  and folding it into an internal :class:`~repro.netflow.TrafficMatrix`;
+* ``step(minute, batch)`` ingests one minute of sampled flows (a
+  :class:`~repro.netflow.FlowBatch`) for all customers, tagging each
+  flow's auxiliary source classes (blocklist membership, previous
+  attackers, spoof check) and folding it into an internal
+  :class:`~repro.netflow.TrafficMatrix`;
 * ``ingest_cdet_alert`` / ``ingest_mitigation_end`` maintain the A2/A4/A5
   stores from the incumbent's feed (or from Xatu's own alerts);
 * every minute, the survival score of each watched customer is refreshed
-  and crossing alerts are emitted through ``poll_alerts()``.
+  and ``step`` returns the alerts that crossed the threshold.
 
-There is one path per concern: a record list is columnarized once at the
-``step`` boundary, and every minute then runs the same named stages —
+There is one path per concern: every minute runs the same named stages —
 ``_ingest_batch`` → ``_evict_idle`` → ``_score`` → ``_decide`` →
 ``_evict_state`` → ``_record_minute``.  The differential suites compare
 it against :class:`repro.testing.reference.ReferenceOnlineXatu`, which
@@ -44,7 +44,7 @@ from ..netflow.matrix import (
     TrafficMatrix,
 )
 from ..netflow.customers import CustomerLookup
-from ..netflow.records import FlowBatch, FlowRecord, _as_batch
+from ..netflow.records import FlowBatch
 from ..netflow.routing import RouteTable
 from ..nn import fused
 from ..obs import get_registry, obs_enabled, trace
@@ -149,7 +149,7 @@ class OnlineXatu:
         with observed traffic, so million-customer universes don't score
         every customer every minute.
     blocklist:
-        Object supporting ``addr in blocklist`` (A1 membership).
+        The set of blocklisted source addresses (A1 membership).
     route_table:
         Spoof classification source (A3).
     base_rate_of:
@@ -196,7 +196,7 @@ class OnlineXatu:
         self.reset()
 
     def reset(self) -> None:
-        """Return to the post-construction state (clock, stores, alerts)."""
+        """Return to the post-construction state (clock, stores, trackers)."""
         config = self.config_online
         self.matrix = TrafficMatrix()
         self.prev_attackers = PreviousAttackerStore()
@@ -205,7 +205,6 @@ class OnlineXatu:
         self._minute = config.start_minute - 1
         self._hazards: dict[int, list[float]] = defaultdict(list)
         self._suppressed_until: dict[int, int] = {}
-        self._pending: list[OnlineAlert] = []
         if getattr(self.customer_of, "lazy_watch", False):
             # Router-backed routing over a huge universe: watch only the
             # customers that actually show up in traffic.
@@ -214,31 +213,6 @@ class OnlineXatu:
             self._watched = set(self.customer_of.values())
         self._last_seen: dict[int, int] = {}
         self._cells_staged = 0  # telemetry: matrix rows scaled this minute
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_registry(
-        cls,
-        registry,
-        attack_type: str | None,
-        customer_of: dict[int, int],
-        blocklist,
-        route_table: RouteTable,
-        **kwargs,
-    ) -> "OnlineXatu":
-        """Build a streaming detector from a trained
-        :class:`~repro.core.registry.XatuModelRegistry` entry (its model,
-        scaler, and calibrated threshold)."""
-        entry = registry.entry_for(attack_type)
-        return cls(
-            model=entry.model,
-            scaler=entry.scaler,
-            threshold=entry.threshold,
-            customer_of=customer_of,
-            blocklist=blocklist,
-            route_table=route_table,
-            **kwargs,
-        )
 
     @property
     def current_minute(self) -> int:
@@ -268,47 +242,34 @@ class OnlineXatu:
         self._lookup = CustomerLookup(customer_of)
 
     @property
-    def blocklist(self):
-        """A1 membership: a frozen copy of the set given (or the custom
-        membership object itself).  Assign a new one to change it."""
+    def blocklist(self) -> frozenset[int]:
+        """A1 membership: a frozen copy of the set given.  Assign a new one
+        to change it."""
         return self._blocklist
 
     @blocklist.setter
     def blocklist(self, blocklist) -> None:
-        self._blocklist_table = None
-        if blocklist is None or isinstance(blocklist, (set, frozenset)):
-            blocklist = frozenset(blocklist or ())
-            self._blocklist_table = np.sort(
-                np.fromiter(blocklist, dtype=np.int64, count=len(blocklist))
-            )
-        self._blocklist = blocklist
+        self._blocklist = frozenset(blocklist or ())
+        self._blocklist_table = np.sort(
+            np.fromiter(self._blocklist, dtype=np.int64, count=len(self._blocklist))
+        )
 
     # -- stage 1: ingest (route, classify, fold) --------------------
     def _blocklist_mask(self, src: np.ndarray) -> np.ndarray:
         """Vectorized A1 membership over a source-address column."""
         table = self._blocklist_table
-        if table is not None:
-            if not len(table):
-                return np.zeros(len(src), dtype=bool)
-            slot = np.minimum(np.searchsorted(table, src), len(table) - 1)
-            return table[slot] == src
-        # Custom membership object: one Python check per *unique* source.
-        blocklist = self._blocklist
-        uniq, inverse = np.unique(src, return_inverse=True)
-        hits = np.fromiter(
-            (int(addr) in blocklist for addr in uniq.tolist()),
-            dtype=bool,
-            count=len(uniq),
-        )
-        return hits[inverse]
+        if not len(table):
+            return np.zeros(len(src), dtype=bool)
+        slot = np.minimum(np.searchsorted(table, src), len(table) - 1)
+        return table[slot] == src
 
-    def _ingest_batch(self, batch: FlowBatch) -> tuple[int, int]:
+    def _ingest_batch(self, batch: FlowBatch, minute: int) -> tuple[int, int]:
         """Route, classify and aggregate one minute's batch.
 
         Routing by ``customer_of``, the three auxiliary class masks, and
         one :meth:`TrafficMatrix.add_batch` fold, which rejects a corrupt
         batch before it writes anything: the detector's own state (the
-        watch set) is committed after it.  A3 verdicts come straight from
+        watch set, last-seen ``minute``) is committed after it.  A3 verdicts come straight from
         :meth:`RouteTable.spoofed_mask`.  Returns ``(ingested, unrouted)``
         counts.
         """
@@ -337,7 +298,6 @@ class OnlineXatu:
         if self.config_online.watch_idle_minutes is None:
             self._watched.update(seen)
         else:
-            minute = self._minute
             for customer_id in seen:
                 self._watched.add(customer_id)
                 self._last_seen[customer_id] = minute
@@ -580,36 +540,20 @@ class OnlineXatu:
             "online.row_store_rows", "finalized rows held by the matrix row store"
         ).set(self.matrix.row_store_rows())
         registry.histogram(
-            "online.minute_seconds", "wall time of one observe_minute call"
+            "online.minute_seconds", "wall time of one step call"
         ).observe(time.perf_counter() - minute_start)
         registry.ewma("online.flow_rate", "flows per observed minute").observe(
             float(flows)
         )
 
     # ------------------------------------------------------------------
-    def observe_minute(self, flows: "FlowBatch | Sequence[FlowRecord]") -> None:
-        """Ingest one minute of sampled flows (:class:`repro.detect.Detector`
-        protocol form).
-
-        The internal clock advances one minute per call (or jumps to the
-        newest flow timestamp) and alerts surface via :meth:`poll_alerts`.
-        Use :meth:`step` when the caller owns the clock.
-        """
-        batch = _as_batch(flows)
-        minute = self._minute + 1
-        if len(batch):
-            minute = max(minute, int(batch.array["timestamp"].max()))
-        self.step(minute, batch)
-
-    def step(
-        self, minute: int, flows: "FlowBatch | Sequence[FlowRecord]"
-    ) -> list[OnlineAlert]:
-        """Ingest one minute of flows and return any new alerts.
+    def step(self, minute: int, flows: FlowBatch) -> list[OnlineAlert]:
+        """Ingest one minute of flows and return its alerts.
 
         ``minute`` must advance monotonically; quiet customers still get a
-        hazard evaluation (absence of traffic is signal too).  A record
-        list is columnarized here, once: values outside the 38-byte wire
-        record's domain raise ``OverflowError`` before any state changes.
+        hazard evaluation (absence of traffic is signal too).  The clock
+        moves only once the fold has accepted ``flows``: a rejected batch
+        leaves the detector as it was, so the same minute can be retried.
         """
         if minute <= self._minute:
             raise ValueError(
@@ -617,13 +561,12 @@ class OnlineXatu:
             )
         telemetry_on = obs_enabled()
         minute_start = time.perf_counter() if telemetry_on else 0.0
-        batch = _as_batch(flows)
-        self._minute = minute
         self._cells_staged = 0
         alerts: list[OnlineAlert] = []
         evicted = 0
         with trace("online.observe_minute"):
-            ingested, unrouted = self._ingest_batch(batch)
+            ingested, unrouted = self._ingest_batch(flows, minute)
+            self._minute = minute
             self._evict_idle(minute)
             customers = sorted(self._watched)
             with trace("online.score_customers"):
@@ -640,19 +583,13 @@ class OnlineXatu:
                             "online.batch_score_seconds",
                             "scoring latency (all watched customers, one minute)",
                         ).observe(time.perf_counter() - score_start)
-        self._pending.extend(alerts)
         evicted_cells = self._evict_state(minute)
         if telemetry_on:
             self._record_minute(
-                len(batch), ingested, unrouted, len(alerts), evicted,
+                len(flows), ingested, unrouted, len(alerts), evicted,
                 evicted_cells, minute_start,
             )
         return alerts
-
-    def poll_alerts(self) -> list[OnlineAlert]:
-        """Drain alerts accumulated since the last poll."""
-        pending, self._pending = self._pending, []
-        return pending
 
     # ------------------------------------------------------------------
     # durable state (repro.serve checkpoints)
@@ -663,9 +600,8 @@ class OnlineXatu:
 
         Covers the model config and weights, the scaler statistics, every
         :class:`OnlineConfig` field, ``customer_of`` (sorted items, or the
-        pickled router), ``base_rate_of``, the blocklist (sorted, or the
-        pickled membership object) and the route table's ``(lo, hi)``
-        ranges.  Recomputed on every call: weights change in place.
+        pickled router), ``base_rate_of``, the sorted blocklist and the
+        route table's ``(lo, hi)`` ranges.  Recomputed on every call: weights change in place.
         """
         digest = hashlib.sha256()
 
@@ -685,24 +621,22 @@ class OnlineXatu:
             feed(name, weights)
         feed("scaler", self.scaler.mean_, self.scaler.std_)
         feed("config", self.config_online)
-        routing, blocklist = self.customer_of, self.blocklist
+        routing = self.customer_of
         if isinstance(routing, Mapping):
             feed("customer_of", *_sorted_items(routing, np.int64))
         else:
             feed("customer_of", pickle.dumps(routing, protocol=4))
         feed("base_rate_of", *_sorted_items(self.base_rate_of, np.float64))
-        if isinstance(blocklist, (set, frozenset)):
-            feed("blocklist", np.sort(np.fromiter(blocklist, np.int64, len(blocklist))))
-        else:
-            feed("blocklist", pickle.dumps(blocklist, protocol=4))
+        blocklist = self.blocklist
+        feed("blocklist", np.sort(np.fromiter(blocklist, np.int64, len(blocklist))))
         table = self.route_table
         feed("route_table", *(() if table is None else table.ranges()))
         return digest.hexdigest()
 
     def state_dict(self) -> dict:
         """Canonical snapshot of what serving mutates: the clock, the
-        traffic-matrix windows, the A2/A4/A5 stores, the hazard and
-        suppression trackers, pending alerts, the watch set — and, as
+        traffic-matrix windows, the A2/A4/A5 stores, the hazard,
+        suppression, watch and last-seen trackers — and, as
         ``deployment``, the :meth:`deployment_digest` it was served under.
 
         The deployment itself is not in it: every restore rebuilds the
@@ -725,9 +659,6 @@ class OnlineXatu:
             "suppressed_until": sorted(
                 (customer, until) for customer, until in self._suppressed_until.items()
             ),
-            "pending": [
-                [a.customer_id, a.minute, a.survival] for a in self._pending
-            ],
             "watched": sorted(self._watched),
             "last_seen": sorted(self._last_seen.items()),
             "deployment": self.deployment_digest(),
@@ -774,7 +705,6 @@ class OnlineXatu:
                 list, {int(c): [float(v) for v in values] for c, values in state["hazards"]}
             ),
             "_suppressed_until": {int(c): int(until) for c, until in state["suppressed_until"]},
-            "_pending": [OnlineAlert(int(c), int(m), float(s)) for c, m, s in state["pending"]],
             "_watched": {int(c) for c in state["watched"]},
             "_last_seen": {int(c): int(m) for c, m in state["last_seen"]},
         }

@@ -4,20 +4,17 @@ Every deployable detector in the reproduction — the incumbent CDet
 simulators (:class:`~repro.detect.detectors.NetScoutDetector`,
 :class:`~repro.detect.detectors.FastNetMonDetector`) and Xatu's streaming
 mode (:class:`~repro.core.online.OnlineXatu`) — conforms to one minute-
-driven protocol, so evaluation harnesses and the serving engine
-(:mod:`repro.serve`) can drive any of them interchangeably:
+driven contract, so evaluation harnesses can drive any of them
+interchangeably, and the serving engine's shards (:mod:`repro.serve`)
+call the same method on their :class:`~repro.core.online.OnlineXatu`:
 
-* ``observe_minute(flows)`` ingests one minute of sampled flow records and
-  returns ``None`` (alerts are *polled*, not returned, so drivers never
-  depend on a detector's internal alert type);
-* ``poll_alerts()`` drains the alerts emitted since the last poll;
+* ``step(minute, batch)`` ingests one minute of sampled flows (a
+  :class:`~repro.netflow.FlowBatch`) and returns that minute's alerts;
 * ``reset()`` returns the detector to its post-construction state.
 
-Minutes are implicit: each ``observe_minute`` call advances the detector's
-internal clock by one minute, or jumps it forward to the newest flow
-timestamp in the batch (flow records carry their export minute).  Drivers
-therefore call ``observe_minute`` exactly once per minute, passing an
-empty list for quiet minutes — absence of traffic is itself signal.
+The caller owns the clock: ``minute`` must advance on every call, and a
+driver steps quiet minutes too, with :meth:`FlowBatch.empty` — absence of
+traffic is itself signal.  :func:`drive` is that driver.
 
 Alerts are structural: anything with ``customer_id``, ``minute``, and
 ``score`` attributes satisfies :class:`Alert`.  ``score`` is detector-
@@ -29,11 +26,11 @@ detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol as TypingProtocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol as TypingProtocol, runtime_checkable
 
-from ..netflow.records import FlowRecord
+from ..netflow.records import FlowBatch
 
-__all__ = ["Alert", "StreamAlert", "Detector", "infer_minute", "drive"]
+__all__ = ["Alert", "StreamAlert", "Detector", "drive"]
 
 
 @runtime_checkable
@@ -61,57 +58,36 @@ class StreamAlert:
 
 @runtime_checkable
 class Detector(TypingProtocol):
-    """The minute-driven streaming detector protocol (see module docs)."""
+    """The minute-driven streaming detector contract (see module docs)."""
 
     name: str
 
-    def observe_minute(self, flows: Sequence[FlowRecord]) -> None:
-        """Ingest one minute of sampled flows; alerts surface via
-        :meth:`poll_alerts`."""
-        ...  # pragma: no cover - protocol
-
-    def poll_alerts(self) -> list[Alert]:
-        """Drain alerts accumulated since the last poll."""
+    def step(self, minute: int, flows: FlowBatch) -> list[Alert]:
+        """Ingest one minute of sampled flows; return its alerts."""
         ...  # pragma: no cover - protocol
 
     def reset(self) -> None:
-        """Return to the post-construction state (clock, stores, alerts)."""
+        """Return to the post-construction state (clock, stores, trackers)."""
         ...  # pragma: no cover - protocol
-
-
-def infer_minute(current: int, flows: Sequence[FlowRecord]) -> int:
-    """The minute an ``observe_minute(flows)`` call covers.
-
-    One call is one minute: the clock advances by one, or jumps forward to
-    the newest flow timestamp when the batch is ahead (e.g. resuming a
-    replay mid-trace).  Flows are never allowed to rewind the clock.
-    """
-    minute = current + 1
-    for flow in flows:
-        if flow.timestamp > minute:
-            minute = flow.timestamp
-    return minute
 
 
 def drive(
     detector: Detector,
-    minutes: Iterable[tuple[int, Sequence[FlowRecord]]],
+    minutes: Iterable[tuple[int, FlowBatch]],
 ) -> list[Alert]:
-    """Feed ``(minute, flows)`` batches to any protocol detector and return
-    the collected alerts.
+    """Feed ``(minute, batch)`` pairs to any detector and return the
+    collected alerts.
 
-    Quiet minutes between consecutive batch minutes are filled with empty
-    calls so the detector's internal clock tracks wall time — this is the
-    reference driver the eval harness and tests share.
+    Quiet minutes between consecutive batch minutes are stepped with an
+    empty batch, so the detector sees every minute — this is the reference
+    driver the eval harness and tests share.
     """
     alerts: list[Alert] = []
     last: int | None = None
     for minute, flows in minutes:
         if last is not None:
-            for _quiet in range(last + 1, minute):
-                detector.observe_minute([])
-                alerts.extend(detector.poll_alerts())
-        detector.observe_minute(list(flows))
-        alerts.extend(detector.poll_alerts())
+            for quiet in range(last + 1, minute):
+                alerts.extend(detector.step(quiet, FlowBatch.empty()))
+        alerts.extend(detector.step(minute, flows))
         last = minute
     return alerts

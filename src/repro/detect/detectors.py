@@ -20,23 +20,23 @@ Both detectors run in two modes sharing one sustain/release engine:
 
 * **offline** — :meth:`detect(trace)` sweeps a materialized trace (the
   evaluation path; thresholds may profile over the whole window at once);
-* **streaming** — the :class:`repro.detect.api.Detector` protocol
-  (``observe_minute`` / ``poll_alerts`` / ``reset``): thresholds are built
+* **streaming** — the :class:`repro.detect.api.Detector` contract
+  (``step(minute, batch) -> alerts`` / ``reset``): thresholds are built
   causally, so NetScout stays silent until its profile window completes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Protocol as TypingProtocol, Sequence, runtime_checkable
+from typing import Protocol as TypingProtocol, runtime_checkable
 
 import numpy as np
 
-from ..netflow.records import FlowRecord
+from ..netflow.customers import CustomerLookup
+from ..netflow.records import FlowBatch
 from ..synth.attacks import AttackType
 from ..synth.scenario import AttackEvent, Trace
-from .api import StreamAlert, infer_minute
+from .api import StreamAlert
 
 __all__ = [
     "DetectionAlert",
@@ -100,7 +100,7 @@ class _SustainedThresholdDetector:
         self.release = release
         # Streaming mode: destination address -> customer id.  Without a
         # map, destination addresses are treated as customer keys directly.
-        self.customer_of = dict(customer_of) if customer_of else None
+        self._lookup = CustomerLookup(customer_of) if customer_of else None
         self.reset()
 
     def _threshold_series(
@@ -109,14 +109,13 @@ class _SustainedThresholdDetector:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # streaming protocol (repro.detect.api.Detector)
+    # streaming contract (repro.detect.api.Detector)
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Return to the post-construction streaming state."""
         self._minute = -1
         self._runs: dict[int, int] = {}
         self._active: dict[int, int] = {}  # customer -> consecutive quiet minutes
-        self._pending: list[StreamAlert] = []
         self._reset_thresholds()
 
     def _reset_thresholds(self) -> None:
@@ -138,23 +137,33 @@ class _SustainedThresholdDetector:
     def current_minute(self) -> int:
         return self._minute
 
-    def observe_minute(self, flows: Sequence[FlowRecord]) -> None:
-        """Ingest one minute of sampled flows (protocol mode).
+    def _observed_bytes(self, flows: FlowBatch) -> dict[int, float]:
+        """Sampling-compensated bytes per customer, each total summed in
+        arrival order (``bincount`` adds its weights one by one)."""
+        dst = flows.array["dst_addr"].astype(np.int64)
+        estimated = flows.estimated_bytes()
+        if self._lookup is None:
+            customers = dst
+        else:
+            customers, routed = self._lookup.route(dst)
+            customers, estimated = customers[routed], estimated[routed]
+        keys, slot = np.unique(customers, return_inverse=True)
+        totals = np.bincount(slot, weights=estimated, minlength=len(keys))
+        return dict(zip(keys.tolist(), totals.tolist()))
+
+    def step(self, minute: int, flows: FlowBatch) -> list[StreamAlert]:
+        """Ingest one minute of sampled flows; return its alerts.
 
         The per-customer byte totals drive the same sustain/release engine
         the offline sweep uses, against causally-built thresholds.
         """
-        minute = infer_minute(self._minute, flows)
+        if minute <= self._minute:
+            raise ValueError(
+                f"minutes must advance: got {minute} after {self._minute}"
+            )
         self._minute = minute
-        observed: dict[int, float] = defaultdict(float)
-        for flow in flows:
-            if self.customer_of is not None:
-                customer_id = self.customer_of.get(flow.dst_addr)
-                if customer_id is None:
-                    continue
-            else:
-                customer_id = flow.dst_addr
-            observed[customer_id] += flow.estimated_bytes
+        observed = self._observed_bytes(flows)
+        alerts: list[StreamAlert] = []
         watched = set(self._runs) | set(self._active) | set(observed)
         for customer_id in sorted(watched):
             bytes_ = observed.get(customer_id, 0.0)
@@ -173,7 +182,7 @@ class _SustainedThresholdDetector:
             run = self._runs.get(customer_id, 0) + 1 if over else 0
             self._runs[customer_id] = run
             if run >= self.sustain:
-                self._pending.append(
+                alerts.append(
                     StreamAlert(
                         customer_id=customer_id,
                         minute=minute,
@@ -183,12 +192,7 @@ class _SustainedThresholdDetector:
                 )
                 self._active[customer_id] = 0
                 self._runs[customer_id] = 0
-        return None
-
-    def poll_alerts(self) -> list[StreamAlert]:
-        """Drain alerts accumulated since the last poll."""
-        pending, self._pending = self._pending, []
-        return pending
+        return alerts
 
     # ------------------------------------------------------------------
     # offline sweep

@@ -1,6 +1,6 @@
-"""Drive any protocol detector over a streamed trace.
+"""Drive any streaming detector over a streamed trace.
 
-The :class:`~repro.detect.Detector` protocol makes the incumbent CDet
+The :class:`~repro.detect.Detector` contract makes the incumbent CDet
 simulators and Xatu's streaming mode interchangeable; this module is the
 eval-side driver that exploits that — one loop, any detector, any
 :class:`~repro.synth.TraceSource` (a live streaming generator, a
@@ -25,17 +25,18 @@ def stream_trace(
     end_minute: int | None = None,
     seed: int = 0,
 ) -> list[Alert]:
-    """Stream a trace minute-by-minute through any protocol detector.
+    """Stream a trace minute-by-minute through any streaming detector.
 
     Accepts a materialized :class:`Trace` (wrapped in a replaying
     :class:`~repro.synth.MaterializedTraceSource`, reconstructing each
     minute's flows from the matrix) or any :class:`TraceSource` directly;
-    feeds the minutes via the protocol (``observe_minute`` /
-    ``poll_alerts``) and returns every alert emitted over the range.
+    steps each minute's :attr:`~repro.synth.MinuteSlice.batch` through
+    :func:`~repro.detect.drive` and returns every alert emitted over the
+    range.
     """
     source = as_trace_source(trace, seed=seed)
     minutes = (
-        (sl.minute, sl.records)
+        (sl.minute, sl.batch)
         for sl in source.iter_minutes(start_minute, end_minute)
     )
     return drive(detector, minutes)

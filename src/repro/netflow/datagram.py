@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 
 from ..obs import get_registry, obs_enabled
-from .records import FLOW_WIRE_SIZE, FlowBatch, FlowRecord, _as_batch
+from .records import FLOW_WIRE_SIZE, FlowBatch, FlowRecord, _as_batch, _ascii_countries
 
 __all__ = ["DatagramHeader", "DatagramCodec", "SequenceTracker"]
 
@@ -72,7 +72,8 @@ class DatagramCodec:
 
     @staticmethod
     def decode_batch(blob: bytes) -> tuple[DatagramHeader, FlowBatch]:
-        """Parse header + records columnar; validates version and length.
+        """Parse header + records columnar; validates version, length and
+        country codes (``ValueError``, before any caller state changes).
 
         The returned batch is a zero-copy view over ``blob``.
         """
@@ -86,7 +87,7 @@ class DatagramCodec:
             raise ValueError(
                 f"datagram length mismatch: expected {expected}, got {len(blob)}"
             )
-        batch = FlowBatch.from_buffer(blob, count=count, offset=HEADER_SIZE)
+        batch = _ascii_countries(FlowBatch.from_buffer(blob, count=count, offset=HEADER_SIZE))
         header = DatagramHeader(version, count, uptime, secs, sequence, engine)
         return header, batch
 

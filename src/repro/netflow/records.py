@@ -186,7 +186,13 @@ class FlowBatch:
 
     @classmethod
     def from_records(cls, flows: Iterable[FlowRecord]) -> "FlowBatch":
-        """Columnarize a record list (the scalar-API conversion shim)."""
+        """Columnarize a record list (the scalar-API conversion shim).
+
+        The one place a record list enters the columnar path: a value
+        outside the 38-byte wire record's domain raises ``OverflowError``
+        (a non-ASCII country ``UnicodeEncodeError``) here, before any
+        consumer sees the batch.
+        """
         flows = list(flows)
         array = np.empty(len(flows), dtype=FLOW_DTYPE)
         for i, f in enumerate(flows):
@@ -396,7 +402,8 @@ def decode_flows_batch(blob: bytes) -> FlowBatch:
     """Parse a batch produced by :func:`encode_flows` as one columnar view.
 
     The returned batch aliases ``blob`` (zero copy, read-only); slice or
-    ``concat`` it to detach.
+    ``concat`` it to detach.  A truncated blob or a non-ASCII country code
+    raises ``ValueError``.
     """
     if len(blob) < 4:
         raise ValueError("truncated flow batch: missing count header")
@@ -406,7 +413,24 @@ def decode_flows_batch(blob: bytes) -> FlowBatch:
         raise ValueError(
             f"truncated flow batch: expected {expected} bytes, got {len(blob)}"
         )
-    return FlowBatch.from_buffer(blob, count=count, offset=4)
+    return _ascii_countries(FlowBatch.from_buffer(blob, count=count, offset=4))
+
+
+def _ascii_countries(batch: FlowBatch) -> FlowBatch:
+    """``batch``, once every country code in it is ASCII.
+
+    A non-ASCII code is what a corrupted record carries (no exporter
+    writes one): the decoders refuse it with ``ValueError`` here, before a
+    collector keeps the batch, so it never reaches a shard's fold.
+    """
+    codes = batch.array["src_country"].view("<u2")
+    if np.bitwise_or.reduce(codes) & 0x8080:  # no temporary on the clean path
+        first = int(np.flatnonzero(codes & 0x8080)[0])
+        raise ValueError(
+            f"record {first} has a non-ASCII country code "
+            f"{bytes(batch.array['src_country'][first])!r}"
+        )
+    return batch
 
 
 def decode_flows(blob: bytes) -> list[FlowRecord]:

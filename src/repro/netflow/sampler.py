@@ -237,9 +237,13 @@ class FlowCollector:
         """Record-list shim over :meth:`ingest_datagram_batch`."""
         return self.ingest_datagram_batch(blob).to_records()
 
-    def add_flows(self, flows: "FlowBatch | Iterable[FlowRecord]") -> int:
+    def add_flows(self, batch: FlowBatch) -> int:
         """Retain already-decoded flows (bypasses the wire codec)."""
-        batch = flows if isinstance(flows, FlowBatch) else FlowBatch.from_records(flows)
+        if not isinstance(batch, FlowBatch):
+            raise TypeError(
+                f"add_flows takes a FlowBatch, got {type(batch).__name__}: "
+                "convert records once with FlowBatch.from_records"
+            )
         if len(batch):
             self._chunks.append(batch)
         self.records_received += len(batch)

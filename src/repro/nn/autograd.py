@@ -36,10 +36,13 @@ __all__ = [
 class _TensorMode(threading.local):
     """Per-thread autograd mode: the grad flag and active inference dtype.
 
-    Thread-local, not a module global: concurrent scoring threads (e.g.
-    repro.serve's thread-backed shards) enter ``no_grad()`` independently,
-    and with a shared flag one worker's exit could restore the value
-    another worker saved — leaving gradients disabled process-wide.
+    Thread-local, not a module global: ``no_grad()`` and the inference
+    dtype are dynamic scopes of one call stack.  A library user who scores
+    in one thread while another trains (the serving shards are processes,
+    but nothing stops an embedding application from using threads) must not
+    see the scorer's ``no_grad()`` in the trainer, nor, with a shared flag,
+    have one thread's exit restore the value another thread saved —
+    leaving gradients disabled process-wide.
     """
 
     def __init__(self) -> None:

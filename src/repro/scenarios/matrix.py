@@ -2,7 +2,8 @@
 
 One set of Xatu artifacts is trained once (on a mixed paper-style campaign
 scenario) and then evaluated — *without retraining* — on every registered
-scenario via the PR-4 streaming protocol.  That is deliberately the
+scenario through the streaming detector contract
+(``step(minute, batch) -> alerts``).  That is deliberately the
 deployment question: a model trained on the paper's attack mix meets
 carpet bombing, pulse waves, adaptive attackers, and benign drift it never
 saw.  The incumbent CDet simulators run beside it for the earliness
@@ -206,10 +207,9 @@ def _serve_lane_alerts(
     merged: list[tuple[int, int]] = []
     try:
         for sl in as_trace_source(trace).iter_minutes(0, trace.horizon):
-            engine.ingest_flows(sl.records)
-            engine.tick(sl.minute)
+            engine.ingest_flows(sl.batch)
             merged.extend(
-                (int(a.customer_id), int(a.minute)) for a in engine.poll_alerts()
+                (int(a.customer_id), int(a.minute)) for a in engine.tick(sl.minute)
             )
     finally:
         engine.close()

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..core.online import OnlineAlert, OnlineXatu
 from ..netflow.customers import CustomerLookup
-from ..netflow.records import FlowBatch, FlowRecord
+from ..netflow.records import FlowBatch
 from ..netflow.sampler import FeedHealth, FlowCollector
 from ..obs import get_registry, obs_enabled, trace
 from ..signals.history import AlertRecord
@@ -149,8 +149,10 @@ class ServeEngine:
         """Receive one headered export datagram; returns its record count."""
         return len(self.collector.ingest_datagram_batch(blob))
 
-    def ingest_flows(self, flows: "FlowBatch | Sequence[FlowRecord]") -> int:
-        """Receive already-decoded flows (bypasses the wire codec)."""
+    def ingest_flows(self, flows: FlowBatch) -> int:
+        """Receive already-decoded flows (bypasses the wire codec).  A caller
+        holding records converts them once, with
+        :meth:`FlowBatch.from_records`."""
         return self.collector.add_flows(flows)
 
     def ingest_cdet_alert(self, record: AlertRecord) -> None:
@@ -408,7 +410,11 @@ class ServeEngine:
         checkpoint was written with.  An unreadable, torn or
         otherwise-versioned checkpoint raises
         :class:`~repro.serve.state.CheckpointFormatError` before anything
-        is loaded: the engine is as it was.
+        is loaded: the engine is as it was.  A shard that refuses its
+        snapshot (another deployment, a malformed state) raises
+        :class:`~repro.serve.shard.ShardFailure` after earlier shards may
+        have loaded theirs, so the engine closes first: it never serves a
+        mix of restored and unrestored shards, and ``tick`` raises.
         """
         from ..synth.attacks import AttackType
 
@@ -421,8 +427,12 @@ class ServeEngine:
                 f"checkpoint has {len(shard_states)} shards, engine has "
                 f"{len(self.shards)}"
             )
-        for shard, state in zip(self.shards, shard_states):
-            shard.load_state_dict(state)
+        try:
+            for shard, state in zip(self.shards, shard_states):
+                shard.load_state_dict(state)
+        except ShardFailure:
+            self.close()
+            raise
         self._minute = int(engine_state["minute"])
         self._minutes_observed = int(engine_state["minutes_observed"])
         self._alerts_emitted = int(engine_state["alerts_emitted"])

@@ -18,7 +18,7 @@ A worker that raises is marked unhealthy and stops scoring
 Shared-memory transport
 -----------------------
 With ``transport="shm"`` the process backend stops pickling flow payloads
-through the pipe: a :class:`FlowBatch` step payload is staged in a
+through the pipe: every step's :class:`FlowBatch` is staged in a
 per-shard :class:`~repro.serve.shm.ShmRing` and the pipe carries only the
 ``("shm", name, offset, length)`` control tuple.  The child decodes the
 block as a zero-copy view and replies after the detector has consumed it,
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.online import OnlineAlert, OnlineXatu
-from ..netflow.records import FLOW_WIRE_SIZE, FlowBatch, FlowRecord
+from ..netflow.records import FLOW_WIRE_SIZE, FlowBatch
 from ..signals.history import AlertRecord
 from .shm import ShmReader, ShmRing
 
@@ -205,29 +205,24 @@ class ShardWorker:
     def submit_step(
         self,
         minute: int,
-        flows: "FlowBatch | Sequence[FlowRecord]",
+        flows: FlowBatch,
         cdet_alerts: Sequence[AlertRecord] = (),
         mitigation_ends: Sequence[tuple[int, int]] = (),
     ) -> None:
-        if isinstance(flows, FlowBatch):
-            if self._ring is not None:
-                # Stage the batch's own buffer in shared memory (one copy,
-                # into the ring); the pipe carries only the control tuple.
-                # Safe to reuse the ring slot on the next submit: the
-                # child replies only after the detector fully consumed
-                # this payload.
-                block = np.ascontiguousarray(flows.array).view(np.uint8)
-                payload = ("shm", *self._ring.write(block))
-            else:
-                payload = flows
-        else:
-            payload = list(flows)
+        payload = flows
+        if self._ring is not None:
+            # Stage the batch's own buffer in shared memory (one copy, into
+            # the ring); the pipe carries only the control tuple.  Safe to
+            # reuse the ring slot on the next submit: the child replies only
+            # after the detector fully consumed this payload.
+            block = np.ascontiguousarray(flows.array).view(np.uint8)
+            payload = ("shm", *self._ring.write(block))
         self.submit("step", minute, payload, list(cdet_alerts), list(mitigation_ends))
 
     def step(
         self,
         minute: int,
-        flows: "FlowBatch | Sequence[FlowRecord]",
+        flows: FlowBatch,
         cdet_alerts: Sequence[AlertRecord] = (),
         mitigation_ends: Sequence[tuple[int, int]] = (),
     ) -> list[OnlineAlert]:

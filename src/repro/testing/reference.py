@@ -390,8 +390,7 @@ class ReferenceOnlineXatu(OnlineXatu):
 
     @blocklist.setter
     def blocklist(self, value) -> None:
-        plain = value is None or isinstance(value, (set, frozenset))
-        self._plain_blocklist = set(value or ()) if plain else value
+        self._plain_blocklist = set(value or ())
 
     def _classify(self, customer_id: int, flow) -> list[str]:
         classes: list[str] = []
@@ -405,7 +404,7 @@ class ReferenceOnlineXatu(OnlineXatu):
             classes.append(SOURCE_CLASS_SPOOFED)
         return classes
 
-    def _ingest_batch(self, batch) -> tuple[int, int]:
+    def _ingest_batch(self, batch, minute: int) -> tuple[int, int]:
         ingested = unrouted = 0
         for flow in batch.to_records():
             customer_id = self.customer_of.get(flow.dst_addr)
@@ -415,7 +414,7 @@ class ReferenceOnlineXatu(OnlineXatu):
             ingested += 1
             self._watched.add(customer_id)
             if self.config_online.watch_idle_minutes is not None:
-                self._last_seen[customer_id] = self._minute
+                self._last_seen[customer_id] = minute
             self.matrix.add_flow(customer_id, flow, self._classify(customer_id, flow))
         return ingested, unrouted
 

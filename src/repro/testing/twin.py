@@ -277,8 +277,9 @@ def drive_twins(reference, production, stream) -> set[str]:
             if thinned:
                 seen.add("restored-after-series-evicted")
         watched = set(production._watched)
-        want = reference.step(step.minute, step.flows)
-        got = production.step(step.minute, FlowBatch.from_records(step.flows))
+        batch = FlowBatch.from_records(step.flows)
+        want = reference.step(step.minute, batch)
+        got = production.step(step.minute, batch)
         assert alert_keys(want) == alert_keys(got), f"alerts diverged at minute {step.minute}"
         assert _hazard_bits(reference) == _hazard_bits(production), (
             f"hazards diverged at minute {step.minute}"

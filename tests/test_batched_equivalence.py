@@ -39,7 +39,7 @@ import pytest
 import repro.core.online as online_module
 from repro.core import OnlineConfig, OnlineXatu, XatuModel
 from repro.core.model import TimescaleSpec, XatuModelConfig
-from repro.netflow import FlowRecord
+from repro.netflow import FlowBatch, FlowRecord
 from repro.obs import telemetry
 from repro.signals.history import AlertRecord
 from repro.synth.attacks import AttackType
@@ -392,9 +392,12 @@ def _run_differential(
     )
 
 
-def _traffic(seed: int, customer_of, minutes: int) -> list[list[FlowRecord]]:
-    """Per-minute flow lists from the twin stream, its operations ignored."""
-    return [s.flows for s in twin_stream(seed, dict(customer_of), set(), minutes)]
+def _traffic(seed: int, customer_of, minutes: int) -> list[FlowBatch]:
+    """Per-minute batches from the twin stream, its operations ignored."""
+    return [
+        FlowBatch.from_records(s.flows)
+        for s in twin_stream(seed, dict(customer_of), set(), minutes)
+    ]
 
 
 # Watch-forever and the default eviction margin: the paths ``TWIN_CONFIG``
@@ -725,17 +728,14 @@ def test_lane_knobs_never_enter_the_checkpoint(monkeypatch):
     assert checkpoint_bytes(plain) == checkpoint_bytes(tuned)
 
 
-def test_step_rejects_records_outside_the_wire_domain():
-    """A record list is columnarized at the ``step`` boundary: a counter the
-    38-byte wire record cannot hold is a loud error, never a silent wrap,
-    and the failed call leaves the detector untouched."""
-    detector = build_detector(OnlineXatu, 1, {BASE_ADDRESS: 0})
-    before = checkpoint_bytes(detector)
+def test_records_outside_the_wire_domain_are_refused_at_conversion():
+    """A caller holding records converts them once, with
+    ``FlowBatch.from_records``: a counter the 38-byte wire record cannot
+    hold is a loud error there, never a silent wrap, so no detector ever
+    sees it."""
     bad = FlowRecord(
         timestamp=0, src_addr=1, dst_addr=BASE_ADDRESS, src_port=1, dst_port=2,
         protocol=6, packets=2**32, bytes_=10,
     )
     with pytest.raises(OverflowError):
-        detector.step(0, [bad])
-    assert checkpoint_bytes(detector) == before
-    assert detector.step(0, []) == []  # minute 0 was not consumed
+        FlowBatch.from_records([bad])

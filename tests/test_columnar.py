@@ -1103,8 +1103,9 @@ def test_a_changed_route_table_refuses_the_snapshot_in_both_lanes():
     )
     minute_1 = [replace(flow, timestamp=1), replace(flow, timestamp=1, src_addr=new)]
     lanes = build_twins(1, {50_000: 0})
+    minute_1 = FlowBatch.from_records(minute_1)
     for detector in lanes:
-        detector.step(0, [flow])
+        detector.step(0, FlowBatch.from_records([flow]))
         state = detector.state_dict()
         written_under = detector.route_table
         detector.route_table = RouteTable()
@@ -1148,6 +1149,28 @@ def test_rejected_minute_leaves_the_detector_state_untouched():
     assert fingerprint() == before
 
 
+def test_a_rejected_minute_is_retried_like_a_clean_run():
+    """The clock moves only once the fold has accepted the batch: after a
+    rejected minute the same minute is retried with the good batch, and the
+    detector emits the alerts and checkpoint bytes of a twin that never saw
+    the bad one."""
+    customer_of, blocklist = twin_context(4)
+    detector, clean = (build_detector(OnlineXatu, 3, customer_of, blocklist) for _ in range(2))
+    steps = list(twin_stream(29, dict(customer_of), set(), 8))
+    for i, step in enumerate(steps):
+        batch = FlowBatch.from_records(step.flows)
+        if i == 5:
+            hostile = FlowBatch(batch.array.copy())
+            routed = [j for j, f in enumerate(step.flows) if f.dst_addr in customer_of]
+            hostile.array["src_country"][routed[-1]] = b"\xff\xfe"
+            with pytest.raises(UnicodeDecodeError):
+                detector.step(step.minute, hostile)
+            assert detector.current_minute == steps[i - 1].minute
+        got, want = (lane.step(step.minute, batch) for lane in (detector, clean))
+        assert alert_keys(got) == alert_keys(want)
+    assert checkpoint_bytes(detector) == checkpoint_bytes(clean)
+
+
 def test_rejected_snapshot_leaves_the_detector_state_untouched():
     """``OnlineXatu.load_state_dict`` checks the deployment digest and
     decodes the whole snapshot before it assigns anything: a malformed
@@ -1176,7 +1199,7 @@ def test_rejected_snapshot_leaves_the_detector_state_untouched():
     breaks = [
         reverse("matrix", "keys"),
         lambda state: state.pop("watched"),
-        lambda state: state["pending"].append([1, 2]),
+        lambda state: state["hazards"].append([1]),
         lambda state: state.update(deployment=other.deployment_digest()),
     ]
     for apply in breaks:

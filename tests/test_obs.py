@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.netflow import DatagramCodec, FlowCollector, FlowRecord, SequenceTracker
+from repro.netflow import DatagramCodec, FlowBatch, FlowCollector, FlowRecord, SequenceTracker
 from repro.obs import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
@@ -578,12 +578,12 @@ class TestOnlineAndScrubInstrumentation:
             route_table=RouteTable(),
         )
         set_enabled(True)
-        online.step(0, [_flow(0), _flow(1)])
+        online.step(0, FlowBatch.from_records([_flow(0), _flow(1)]))
         unknown = FlowRecord(
             timestamp=1, src_addr=9, dst_addr=777, src_port=1, dst_port=2,
             protocol=6, packets=1, bytes_=10,
         )
-        online.step(1, [unknown])
+        online.step(1, FlowBatch.from_records([unknown]))
         registry = get_registry()
         assert registry.counter("online.minutes").value() == 2
         assert registry.counter("online.flows").value() == 2

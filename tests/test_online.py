@@ -11,7 +11,7 @@ from repro.core import (
     alerts_to_records,
 )
 from repro.detect import NetScoutDetector
-from repro.netflow import RouteTable
+from repro.netflow import FlowBatch, RouteTable
 from repro.signals import AlertRecord, FeatureScaler
 from repro.synth import AttackType
 from tests.conftest import small_model_config
@@ -63,7 +63,7 @@ def minute_flows(trace, minute):
     flows = []
     for customer in trace.world.customers[:3]:
         flows.extend(benign.flows_at(customer, minute))
-    return flows
+    return FlowBatch.from_records(flows)
 
 
 class TestOnlineXatu:
@@ -90,7 +90,7 @@ class TestOnlineXatu:
         trace = online_setup[0]
         online.step(0, minute_flows(trace, 0))
         with pytest.raises(ValueError, match="advance"):
-            online.step(0, [])
+            online.step(0, FlowBatch.empty())
 
     def test_cold_model_stays_quiet(self, online_setup):
         """The cold-initialized model's survival stays near 1 — no alerts."""
@@ -99,7 +99,6 @@ class TestOnlineXatu:
         for minute in range(5):
             alerts = online.step(minute, minute_flows(trace, minute))
             assert alerts == []
-        assert online.poll_alerts() == []
         assert online.current_minute == 4
 
     def test_flows_for_unknown_destinations_ignored(self, online_setup):
@@ -107,7 +106,7 @@ class TestOnlineXatu:
         from tests.test_netflow import make_flow
 
         stray = make_flow(timestamp=0, dst_addr=123456)
-        online.step(0, [stray])
+        online.step(0, FlowBatch.from_records([stray]))
         assert len(online.matrix) == 0
 
     def test_classification_tags_blocklisted(self, online_setup):
@@ -121,7 +120,7 @@ class TestOnlineXatu:
         from tests.test_netflow import make_flow
 
         flow = make_flow(timestamp=0, src_addr=listed, dst_addr=customer.address)
-        online.step(0, [flow])
+        online.step(0, FlowBatch.from_records([flow]))
         from repro.netflow import SOURCE_CLASS_BLOCKLIST
 
         assert online.matrix.total_bytes(
@@ -147,7 +146,7 @@ class TestOnlineXatu:
         from repro.netflow import SOURCE_CLASS_PREV_ATTACKER
 
         flow = make_flow(timestamp=2, src_addr=attacker, dst_addr=customer.address)
-        online.step(2, [flow])
+        online.step(2, FlowBatch.from_records([flow]))
         assert online.matrix.total_bytes(
             customer.customer_id, 2, 3, SOURCE_CLASS_PREV_ATTACKER
         ) > 0
@@ -189,7 +188,9 @@ class TestOnlineXatu:
         second = online.step(1, minute_flows(trace, 1))
         assert cid in {a.customer_id for a in second}
 
-    def test_poll_alerts_drains(self, online_setup):
+    def test_alerts_leave_with_their_step(self, online_setup):
+        """``step`` is the only way out for an alert: the detector keeps no
+        queue of them, so its snapshot carries none."""
         trace, model, scaler, customer_of, blocklist = online_setup
         hot = XatuModel(model.config)
         hot.combine.bias.data[...] = 3.0
@@ -198,16 +199,15 @@ class TestOnlineXatu:
             customer_of=customer_of, blocklist=blocklist,
             route_table=trace.world.route_table,
         )
-        online.step(0, minute_flows(trace, 0))
-        drained = online.poll_alerts()
-        assert drained
-        assert online.poll_alerts() == []
+        assert online.step(0, minute_flows(trace, 0))
+        assert not hasattr(online, "poll_alerts")
+        assert "pending" not in online.state_dict()
 
     def test_hazard_memory_bounded(self, online_setup):
         trace, *_ = online_setup
         online = make_online(online_setup, threshold=0.01)
         window = online.model.config.detect_window
         for minute in range(5 * window):
-            online.step(minute, [])
+            online.step(minute, FlowBatch.empty())
         for series in online._hazards.values():
             assert len(series) <= 4 * window

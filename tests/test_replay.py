@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.netflow import FlowBatch
 from repro.synth import TraceReplayer
 
 
@@ -91,6 +92,6 @@ class TestReplay:
         )
         lo = trace.horizon // 2
         for minute, flows in rp.replay(lo, lo + 5):
-            online.step(minute, flows)
+            online.step(minute, FlowBatch.from_records(flows))
         assert online.current_minute == lo + 4
         assert len(online.matrix) > 0

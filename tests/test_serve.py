@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import OnlineXatu, XatuModel
 from repro.core.online import OnlineAlert
-from repro.netflow import DatagramCodec, FlowRecord, RouteTable
+from repro.netflow import DatagramCodec, FlowBatch, FlowRecord, RouteTable
 from repro.serve import (
     BACKENDS,
     CHECKPOINT_FORMAT_VERSION,
@@ -48,11 +48,11 @@ ADDRESS_OF = {50_000 + i: i for i in range(N_CUSTOMERS)}  # addr -> customer
 # ----------------------------------------------------------------------
 # workload + factories
 # ----------------------------------------------------------------------
-def _minutes_of_flows(n_minutes: int, seed: int = 7) -> list[list[FlowRecord]]:
+def _minutes_of_flows(n_minutes: int, seed: int = 7) -> list[FlowBatch]:
     """A deterministic synthetic feed: every customer, every minute."""
     rng = np.random.default_rng(seed)
     return [
-        [
+        FlowBatch.from_records([
             FlowRecord(
                 timestamp=minute,
                 src_addr=int(rng.integers(1, 2**31)),
@@ -65,7 +65,7 @@ def _minutes_of_flows(n_minutes: int, seed: int = 7) -> list[list[FlowRecord]]:
             )
             for address in ADDRESS_OF
             for _ in range(2)
-        ]
+        ])
         for minute in range(n_minutes)
     ]
 
@@ -275,16 +275,17 @@ class TestCheckpointFiles:
         assert list_checkpoints(tmp_path) == []
 
     def test_version_1_directory_is_refused_naming_both_versions(self, tmp_path):
-        """No reader for the per-cell layout (1) nor for shard files that
-        carry the deployment (2): a checkpoint written by an older build
-        fails loudly and the deployment restarts cold."""
+        """No reader for the per-cell layout (1), for shard files that carry
+        the deployment (2), nor for shard files that carry an alert queue
+        (3): a checkpoint written by an older build fails loudly and the
+        deployment restarts cold."""
         path = write_checkpoint(tmp_path, 1, [{}], {})
         manifest = json.loads((path / "MANIFEST.json").read_text())
-        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
-        for old in (1, 2):
+        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 4
+        for old in (1, 2, 3):
             (path / "MANIFEST.json").write_text(json.dumps({**manifest, "format_version": old}))
             with pytest.raises(
-                CheckpointFormatError, match=rf"format_version={old}\b.*version 3\b"
+                CheckpointFormatError, match=rf"format_version={old}\b.*version 4\b"
             ):
                 read_checkpoint(tmp_path)
 
@@ -350,7 +351,7 @@ class TestEngineMechanics:
                 timestamp=0, src_addr=1, dst_addr=999, src_port=1, dst_port=2,
                 protocol=6, packets=1, bytes_=10,
             )
-            engine.ingest_flows(flows + [stray])
+            engine.ingest_flows(FlowBatch.concat([flows, FlowBatch.from_records([stray])]))
             alerts = engine.tick(0)
             # every routed flow alerted (stub), none for the unknown address
             assert len(alerts) == len(flows)
@@ -360,6 +361,14 @@ class TestEngineMechanics:
             # poll_alerts drains the same stream exactly once
             assert [(a.minute, a.customer_id) for a in engine.poll_alerts()] == keys
             assert engine.poll_alerts() == []
+
+    def test_record_lists_are_refused_at_ingest(self):
+        """Flows enter columnar: a record list is converted once, by the
+        caller, with ``FlowBatch.from_records``, never kept as records."""
+        with _stub_engine() as engine:
+            with pytest.raises(TypeError, match="FlowBatch.from_records"):
+                engine.ingest_flows(list(_minutes_of_flows(1)[0]))
+            assert len(engine.collector) == 0 == engine.collector.records_received
 
     @pytest.mark.parametrize("shards", [1, 2, 3])
     @pytest.mark.parametrize("routing", ["dict", "router"])
@@ -585,10 +594,10 @@ class TestShardWorker:
     def test_failure_marks_unhealthy_and_refuses_submits(self):
         worker = ShardWorker(0, lambda: StubDetector({}, fail_at=0))
         with pytest.raises(ShardFailure, match="induced"):
-            worker.step(0, [])
+            worker.step(0, FlowBatch.empty())
         assert not worker.healthy
         with pytest.raises(ShardFailure, match="unhealthy"):
-            worker.submit_step(1, [])
+            worker.submit_step(1, FlowBatch.empty())
         worker.close()
 
     def test_collect_without_submit_fails(self):
@@ -870,15 +879,41 @@ class TestDeploymentPinning:
         config = ServeConfig(shards=2, backend=backend, checkpoint_dir=tmp_path)
         with ServeEngine(_factory_differing_in(change), ADDRESS_OF, config) as engine:
             _drive(engine, codec, minutes[4:], start=4)
-            refusing = engine.shards[0]
-            before = pickle.dumps(refusing.state_dict(), protocol=4)
             with pytest.raises(
                 ShardFailure, match=rf"deployment {written}\b.*deployment [0-9a-f]{{64}}"
             ):
                 engine.restore()
-            assert engine.current_minute == 5 and not refusing.healthy
-            refusing.healthy = True  # the worker is alive: read its state back
-            assert pickle.dumps(refusing.state_dict(), protocol=4) == before
+            # Refused, and closed rather than left serving half a restore
+            # (the refusing detector's own state is untouched: see
+            # test_columnar's rejected-snapshot test).
+            assert engine.current_minute == 5 and not engine.shards[0].healthy
+            with pytest.raises(RuntimeError, match="closed"):
+                engine.tick(6)
+
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_restore_one_shard_refuses_leaves_no_half_restored_engine(
+        self, tmp_path, backend
+    ):
+        """Shard 1's snapshot was written under other weights; shard 0's is
+        good and loads first.  The engine must not go on serving shard 0's
+        restored state beside shard 1's live one under the old clock and
+        collector: it closes, and the next ``tick`` raises."""
+        minutes = _minutes_of_flows(6)
+        with _xatu_engine(2, backend=backend) as engine:
+            _drive(engine, DatagramCodec(engine_id=1), minutes[:4])
+            ours = engine.checkpoint(tmp_path / "ours")
+        config = ServeConfig(shards=2, backend=backend)
+        with ServeEngine(_factory_differing_in("weights"), ADDRESS_OF, config) as engine:
+            _drive(engine, DatagramCodec(engine_id=1), minutes[:4])
+            theirs = engine.checkpoint(tmp_path / "theirs")
+        (ours / "shard-01.pkl").write_bytes((theirs / "shard-01.pkl").read_bytes())
+        with _xatu_engine(2, backend=backend) as engine:
+            _drive(engine, DatagramCodec(engine_id=1), minutes[:2])
+            with pytest.raises(ShardFailure, match="shard 1 failed.*deployment"):
+                engine.restore(ours)
+            with pytest.raises(RuntimeError, match="closed"):
+                engine.tick(2)
 
 
 class TestOnlineStateRoundTrip:

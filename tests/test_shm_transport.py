@@ -229,16 +229,6 @@ class TestShardWorkerTransport:
             for worker in (inline, batch_shard, refused):
                 worker.close()
 
-    def test_record_lists_still_travel_the_pipe(self):
-        records = list(_flow_batch(10, seed=3))
-        inline = ShardWorker(0, _detector_factory(), backend="inline")
-        shm = ShardWorker(0, _detector_factory(), backend="process", transport="shm")
-        try:
-            assert shm.step(0, records) == inline.step(0, records)
-        finally:
-            shm.close()
-            inline.close()
-
     def test_unavailable_shm_falls_back_to_pipe(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise OSError("no /dev/shm here")

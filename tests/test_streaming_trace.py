@@ -396,29 +396,29 @@ class TestWatchIdleEviction:
         router = ContiguousCustomerRouter(1000, 50)
         detector = _tiny_online(router)
         assert detector._watched == set()
-        detector.step(1, [_flow_to(1000 + 256 * 7, 1)])
+        detector.step(1, FlowBatch.from_records([_flow_to(1000 + 256 * 7, 1)]))
         assert detector._watched == {7}
 
     def test_idle_customers_are_evicted_and_rewatched(self):
         router = ContiguousCustomerRouter(1000, 50)
         detector = _tiny_online(router, watch_idle_minutes=3)
-        detector.step(1, [_flow_to(1000, 1)])
+        detector.step(1, FlowBatch.from_records([_flow_to(1000, 1)]))
         assert detector._watched == {0}
         for minute in (2, 3, 4):
-            detector.step(minute, [])
+            detector.step(minute, FlowBatch.empty())
             assert detector._watched == {0}  # within the idle window
-        detector.step(5, [])
+        detector.step(5, FlowBatch.empty())
         assert detector._watched == set()  # last seen 1 < 5 - 3
-        detector.step(6, [_flow_to(1000, 6)])
+        detector.step(6, FlowBatch.from_records([_flow_to(1000, 6)]))
         assert detector._watched == {0}  # traffic re-watches
 
     def test_active_customer_survives_while_idle_one_is_evicted(self):
         router = ContiguousCustomerRouter(1000, 50)
         detector = _tiny_online(router, watch_idle_minutes=3)
-        detector.step(1, [_flow_to(1000, 1), _flow_to(1000 + 256, 1)])
+        detector.step(1, FlowBatch.from_records([_flow_to(1000, 1), _flow_to(1000 + 256, 1)]))
         assert detector._watched == {0, 1}
         for minute in range(2, 8):
-            detector.step(minute, [_flow_to(1000 + 256, minute)])
+            detector.step(minute, FlowBatch.from_records([_flow_to(1000 + 256, minute)]))
         assert detector._watched == {1}
 
     def test_batch_lane_routes_through_router(self):
@@ -441,7 +441,10 @@ class TestWatchIdleEviction:
                 ContiguousCustomerRouter(1000, n_customers), watch_idle_minutes=3
             )
 
-        feed = {m: [_flow_to(1000 + 256 * (m % 3), m)] for m in range(1, 11)}
+        feed = {
+            m: FlowBatch.from_records([_flow_to(1000 + 256 * (m % 3), m)])
+            for m in range(1, 11)
+        }
         detector = build()
         for minute in range(1, 5):
             detector.step(minute, feed[minute])
@@ -466,7 +469,7 @@ class TestWatchIdleEviction:
     def test_dict_mode_state_round_trips_idle_tracking(self):
         customer_of = {1000: 0, 1256: 1}
         detector = _tiny_online(customer_of, watch_idle_minutes=5)
-        detector.step(1, [_flow_to(1000, 1)])
+        detector.step(1, FlowBatch.from_records([_flow_to(1000, 1)]))
         state = detector.state_dict()
         assert state["last_seen"] == [(0, 1)]
 
@@ -475,5 +478,5 @@ class TestWatchIdleEviction:
         assert restored._last_seen == {0: 1}
         # Eviction continues from the restored clock.
         for minute in range(2, 8):
-            restored.step(minute, [])
+            restored.step(minute, FlowBatch.empty())
         assert 0 not in restored._watched

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.netflow import FlowBatch
 from repro.synth import ScenarioConfig
 
 
@@ -99,7 +100,9 @@ class TestSeedSweepDeterminism:
 
 
 class TestRegistryToOnline:
-    def test_from_registry_builds_working_detector(self, trace):
+    def test_registry_entry_builds_working_detector(self, trace):
+        """A trained registry entry carries everything a streaming detector
+        needs beside the deployment context: model, scaler, threshold."""
         from repro.core import (
             OnlineXatu,
             TrainConfig,
@@ -121,15 +124,17 @@ class TestRegistryToOnline:
         blocklist = set()
         for botnet in trace.world.botnets:
             blocklist.update(int(a) for a in botnet.blocklisted_members)
-        online = OnlineXatu.from_registry(
-            registry,
-            attack_type=None,
+        entry = registry.entry_for(None)
+        online = OnlineXatu(
+            model=entry.model,
+            scaler=entry.scaler,
+            threshold=entry.threshold,
             customer_of={c.address: c.customer_id for c in trace.world.customers},
             blocklist=blocklist,
             route_table=trace.world.route_table,
         )
         assert online.threshold == 0.3
-        online.step(0, [])
+        online.step(0, FlowBatch.empty())
         assert online.current_minute == 0
 
 
