@@ -535,13 +535,11 @@ def cmd_serve(args) -> int:
         print(f"served            {horizon} minutes on {args.shards} shard(s) "
               f"[{args.backend}] in {elapsed:.2f}s "
               f"({horizon / elapsed:.1f} min/s)")
-        print(f"alerts            {len(merged)} merged "
-              f"({stats['alerts_suppressed']} suppressed)")
+        print(f"alerts            {len(merged)} merged")
         print(f"feed health       {health.records_received} records, "
               f"{health.records_lost} lost ({health.loss_rate:.1%}), "
               f"{stats['degraded_minutes']} degraded minute(s)")
-        print(f"shards healthy    {stats['healthy_shards']}/{stats['shards']}, "
-              f"{stats['checkpoints_written']} checkpoint(s)")
+        print(f"checkpoints       {stats['checkpoints_written']}")
         if telemetry_path:
             _write_cli_telemetry(telemetry_path)
     return 0

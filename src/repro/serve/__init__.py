@@ -9,7 +9,7 @@ killed-and-restored run emits the same alerts as one that never stopped.
 See docs/SERVING.md.
 """
 
-from .config import BACKENDS, DEGRADATION_POLICIES, ServeConfig
+from .config import BACKENDS, ServeConfig
 from .engine import ServeEngine
 from .routing import ContiguousCustomerRouter
 from .shard import ShardFailure, ShardWorker
@@ -29,7 +29,6 @@ __all__ = [
     "ShardWorker",
     "ShardFailure",
     "BACKENDS",
-    "DEGRADATION_POLICIES",
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointFormatError",
     "write_checkpoint",

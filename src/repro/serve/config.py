@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["ServeConfig", "BACKENDS", "DEGRADATION_POLICIES", "TRANSPORTS"]
+__all__ = ["ServeConfig", "BACKENDS", "TRANSPORTS"]
 
 BACKENDS = ("inline", "process")
-DEGRADATION_POLICIES = ("flag", "suppress")
 TRANSPORTS = ("pipe", "shm")
 
 
@@ -33,14 +32,6 @@ class ServeConfig:
         online state.  ``checkpoint_every=0`` disables periodic snapshots
         (explicit :meth:`~repro.serve.ServeEngine.checkpoint` calls still
         work); a positive value requires ``checkpoint_dir``.
-    degraded_loss_rate:
-        Export-feed loss rate (from
-        :meth:`~repro.netflow.FlowCollector.feed_health`) above which the
-        feed counts as degraded.
-    degradation_policy:
-        ``flag`` keeps alerting and records the degradation in the obs
-        metrics; ``suppress`` additionally withholds alerts emitted during
-        degraded minutes (state still advances, so recovery is seamless).
     inference_dtype:
         ``None`` (full float64), ``"float32"`` or ``"float64"``; selects
         the reduced-precision inference policy applied to every
@@ -61,8 +52,6 @@ class ServeConfig:
     backend: str = "inline"
     checkpoint_dir: str | Path | None = None
     checkpoint_every: int = 0
-    degraded_loss_rate: float = 0.05
-    degradation_policy: str = "flag"
     inference_dtype: str | None = None
     transport: str = "shm"
 
@@ -77,12 +66,6 @@ class ServeConfig:
             raise ValueError("checkpoint_every must be >= 0 (0 disables)")
         if self.checkpoint_every and self.checkpoint_dir is None:
             raise ValueError("checkpoint_every > 0 requires a checkpoint_dir")
-        if not 0.0 <= self.degraded_loss_rate <= 1.0:
-            raise ValueError("degraded_loss_rate must be in [0, 1]")
-        if self.degradation_policy not in DEGRADATION_POLICIES:
-            raise ValueError(
-                f"degradation_policy must be one of {DEGRADATION_POLICIES}"
-            )
         if self.inference_dtype not in (None, "float32", "float64"):
             raise ValueError(
                 "inference_dtype must be None, 'float32' or 'float64'"

@@ -24,14 +24,20 @@ online state into a versioned on-disk format
 replaying the same minutes produces the same merged stream as a run that
 never stopped (the crash-equivalence guarantee).
 
-Degradation
------------
+Faults
+------
 ``tick()`` consults :meth:`~repro.netflow.FlowCollector.feed_health`
 every minute: when the export-feed loss rate exceeds
-``ServeConfig.degraded_loss_rate`` the minute counts as degraded —
-flagged in the obs metrics, and (under the ``suppress`` policy) its
-alerts are withheld.  An unhealthy shard (worker raised or died) stops
-scoring its partition while the rest of the feed continues.
+:data:`DEGRADED_LOSS_RATE` the minute counts as degraded and is flagged
+in the obs metrics; its alerts are emitted as usual.  A shard fault has
+one rule: any :class:`~repro.serve.shard.ShardFailure` — the shard raised
+in ``step``, in a snapshot or in a load, or its worker died — ends the
+``tick``, ``checkpoint`` or ``restore`` it happened in.  The engine first
+collects the reply of every shard it sent the command to, then closes and
+re-raises the first failure; from then on every ``tick``, ``checkpoint``
+and ``restore`` raises ``RuntimeError("engine is closed")``.  It never
+serves a partial fleet.  Recovery is the crash-equivalent path: a fresh
+engine ``restore()``s the last checkpoint.
 """
 
 from __future__ import annotations
@@ -52,7 +58,11 @@ from .config import ServeConfig
 from .shard import ShardFailure, ShardWorker
 from .state import read_checkpoint, write_checkpoint
 
-__all__ = ["ServeEngine"]
+__all__ = ["ServeEngine", "DEGRADED_LOSS_RATE"]
+
+# Export-feed loss rate (FlowCollector.feed_health) above which a minute
+# counts as degraded.
+DEGRADED_LOSS_RATE = 0.05
 
 DetectorFactory = Callable[[dict[int, int]], OnlineXatu]
 
@@ -98,21 +108,26 @@ class ServeEngine:
         self.customer_of = self._lookup.mapping
         self._factory = detector_factory
         self.collector = FlowCollector()
-        self.shards = [
-            ShardWorker(
-                index,
-                self._shard_factory(index),
-                backend=self.config.backend,
-                transport=self.config.transport,
-            )
-            for index in range(self.config.shards)
-        ]
+        self.shards: list[ShardWorker] = []
+        try:
+            for index in range(self.config.shards):
+                self.shards.append(
+                    ShardWorker(
+                        index,
+                        self._shard_factory(index),
+                        backend=self.config.backend,
+                        transport=self.config.transport,
+                    )
+                )
+        except BaseException:
+            for shard in self.shards:
+                shard.close()
+            raise
         self._minute = -1
         self._pending: list[OnlineAlert] = []
         self._pending_cdet: list[AlertRecord] = []
         self._pending_ends: list[tuple[int, int]] = []
         self._alerts_emitted = 0
-        self._alerts_suppressed = 0
         self._degraded_minutes = 0
         self._minutes_observed = 0
         self._checkpoints_written = 0
@@ -185,66 +200,61 @@ class ServeEngine:
         return [batch.take(shard_of == index) for index in range(n)], unrouted
 
     def _fan_out(
-        self, minute: int, by_shard: list[FlowBatch]
-    ) -> list[tuple[ShardWorker, float]]:
-        """Dispatch the minute to every healthy shard before joining any
-        of them — with the process backend the shards score concurrently.
-        Queued incumbent alerts and mitigation ends go to all shards."""
-        cdet_alerts, self._pending_cdet = self._pending_cdet, []
-        ends, self._pending_ends = self._pending_ends, []
+        self, submit: Callable[[ShardWorker], None]
+    ) -> tuple[list[tuple[ShardWorker, float]], ShardFailure | None]:
+        """Send one command to every shard before joining any of them —
+        with the process backend the shards work concurrently.  Stops at
+        the first shard that refuses it; returns the shards sent to, with
+        their start times, and that refusal."""
         dispatched = []
-        for shard, shard_flows in zip(self.shards, by_shard):
-            if not shard.healthy:
-                continue
+        for shard in self.shards:
             start = time.perf_counter()
             try:
-                shard.submit_step(minute, shard_flows, cdet_alerts, ends)
-            except ShardFailure:
-                continue
+                submit(shard)
+            except ShardFailure as exc:
+                return dispatched, exc
             dispatched.append((shard, start))
-        return dispatched
+        return dispatched, None
 
     def _collect(
-        self, dispatched: list[tuple[ShardWorker, float]]
-    ) -> list[OnlineAlert]:
-        """Join every dispatched shard; a failed one contributes nothing."""
-        telemetry_on = obs_enabled()
-        alerts: list[OnlineAlert] = []
+        self,
+        dispatched: list[tuple[ShardWorker, float]],
+        failure: ShardFailure | None,
+        timed: bool = False,
+    ) -> list:
+        """Join every dispatched shard, so none is left with a pending
+        command; then, if any shard failed (``failure``: the send
+        ``_fan_out`` had refused), close the engine and raise the first
+        failure.  Returns the replies in shard order; ``timed`` observes
+        each shard's minute in ``serve.shard_minute_seconds``."""
+        telemetry_on = timed and obs_enabled()
+        replies = []
         for shard, start in dispatched:
             try:
-                alerts.extend(shard.collect())
-            except ShardFailure:
-                pass
+                replies.append(shard.collect())
+            except ShardFailure as exc:
+                failure = failure or exc
             if telemetry_on:
                 get_registry().histogram(
                     "serve.shard_minute_seconds",
                     "per-shard wall time for one minute",
                 ).observe(time.perf_counter() - start, shard=str(shard.index))
-        return alerts
+        if failure is not None:
+            self.close()
+            raise failure
+        return replies
 
-    def _merge(
-        self, alerts: list[OnlineAlert], suppressed: bool
-    ) -> tuple[list[OnlineAlert], int]:
+    def _merge(self, replies: list[list[OnlineAlert]]) -> list[OnlineAlert]:
         """Order the shards' alerts canonically and hold them for
-        :meth:`poll_alerts`; a suppressed minute's alerts are withheld.
-        Returns ``(emitted alerts, withheld count)``."""
+        :meth:`poll_alerts`."""
+        alerts = [alert for shard_alerts in replies for alert in shard_alerts]
         alerts.sort(key=_merge_key)
-        withheld = 0
-        if suppressed:
-            withheld, alerts = len(alerts), []
-        self._alerts_suppressed += withheld
         self._pending.extend(alerts)
         self._alerts_emitted += len(alerts)
-        return alerts, withheld
+        return alerts
 
     def _record_minute(
-        self,
-        emitted: int,
-        withheld: int,
-        suppressed: bool,
-        unrouted: int,
-        loss_rate: float,
-        degraded: bool,
+        self, emitted: int, unrouted: int, loss_rate: float, degraded: bool
     ) -> None:
         registry = get_registry()
         registry.counter("serve.minutes", "minutes served").inc()
@@ -254,20 +264,12 @@ class ServeEngine:
             registry.counter(
                 "serve.flows_unrouted", "flows dropped: unknown destination"
             ).inc(unrouted)
-        if suppressed:
-            registry.counter(
-                "serve.alerts_suppressed", "alerts withheld while degraded"
-            ).inc(withheld)
         registry.gauge(
             "serve.feed_loss_rate", "collector-observed export loss rate"
         ).set(loss_rate)
         registry.gauge(
             "serve.feed_degraded", "1 while the export feed is degraded"
         ).set(1.0 if degraded else 0.0)
-        for shard in self.shards:
-            registry.gauge(
-                "serve.shard_healthy", "1 while the shard worker is live"
-            ).set(1.0 if shard.healthy else 0.0, shard=str(shard.index))
 
     def tick(self, minute: int) -> list[OnlineAlert]:
         """Score one minute: drain/partition → ``_fan_out`` → ``_collect``
@@ -275,10 +277,10 @@ class ServeEngine:
 
         Must be called once per minute, monotonically — quiet minutes too
         (absence of traffic is signal).  Returns the minute's merged
-        alerts (also available via :meth:`poll_alerts`).
+        alerts (also available via :meth:`poll_alerts`).  A shard failure
+        closes the engine and raises :class:`ShardFailure`.
         """
-        if self._closed:
-            raise RuntimeError("engine is closed")
+        self._check_open()
         if minute <= self._minute:
             raise ValueError(f"minutes must advance: got {minute} after {self._minute}")
         self._minute = minute
@@ -286,18 +288,23 @@ class ServeEngine:
 
         by_shard, unrouted = self._partition(self.collector.drain_batch())
         loss_rate = self.collector.feed_health().loss_rate
-        degraded = loss_rate > self.config.degraded_loss_rate
+        degraded = loss_rate > DEGRADED_LOSS_RATE
         if degraded:
             self._degraded_minutes += 1
-        suppressed = degraded and self.config.degradation_policy == "suppress"
+        # Queued incumbent alerts and mitigation ends go to all shards.
+        cdet_alerts, self._pending_cdet = self._pending_cdet, []
+        ends, self._pending_ends = self._pending_ends, []
 
         with trace("serve.tick"):
-            alerts = self._collect(self._fan_out(minute, by_shard))
-        alerts, withheld = self._merge(alerts, suppressed)
-        if obs_enabled():
-            self._record_minute(
-                len(alerts), withheld, suppressed, unrouted, loss_rate, degraded
+            dispatched, refused = self._fan_out(
+                lambda shard: shard.submit_step(
+                    minute, by_shard[shard.index], cdet_alerts, ends
+                )
             )
+            replies = self._collect(dispatched, refused, timed=True)
+        alerts = self._merge(replies)
+        if obs_enabled():
+            self._record_minute(len(alerts), unrouted, loss_rate, degraded)
         every = self.config.checkpoint_every
         if every and self._minutes_observed % every == 0:
             self.checkpoint()
@@ -319,19 +326,19 @@ class ServeEngine:
         return self.collector.feed_health()
 
     def shard_health(self) -> dict[int, bool]:
-        """Liveness of every shard worker."""
+        """Liveness of every shard worker: all true while the engine
+        serves; after a shard failure closed it, false names the shard."""
         return {shard.index: shard.healthy for shard in self.shards}
 
     def stats(self) -> dict:
-        """Engine-level counters (the checkpointed subset plus health)."""
+        """Engine-level counters (the checkpointed subset plus the
+        checkpoint and shard counts)."""
         return {
             "minute": self._minute,
             "minutes_observed": self._minutes_observed,
             "alerts_emitted": self._alerts_emitted,
-            "alerts_suppressed": self._alerts_suppressed,
             "degraded_minutes": self._degraded_minutes,
             "checkpoints_written": self._checkpoints_written,
-            "healthy_shards": sum(1 for s in self.shards if s.healthy),
             "shards": self.config.shards,
         }
 
@@ -343,7 +350,6 @@ class ServeEngine:
             "minute": self._minute,
             "minutes_observed": self._minutes_observed,
             "alerts_emitted": self._alerts_emitted,
-            "alerts_suppressed": self._alerts_suppressed,
             "degraded_minutes": self._degraded_minutes,
             "collector": self.collector.state_dict(),
             "pending": [
@@ -364,37 +370,21 @@ class ServeEngine:
             "shards": self.config.shards,
         }
 
-    def _shard_states(self) -> list[dict]:
-        """Every shard's snapshot: all are asked before any is awaited
-        (forked shards build theirs side by side) and every reply is
-        collected, so a failure — raised after — strands no command."""
-        dispatched: list[ShardWorker] = []
-        states: list[dict] = []
-        failure: ShardFailure | None = None
-        for shard in self.shards:
-            try:
-                shard.submit("state")
-                dispatched.append(shard)
-            except ShardFailure as exc:  # unhealthy: no complete snapshot
-                failure = failure or exc
-        for shard in dispatched:
-            try:
-                states.append(shard.collect())
-            except ShardFailure as exc:
-                failure = failure or exc
-        if failure is not None:
-            raise failure
-        return states
-
     def checkpoint(self, root: str | Path | None = None) -> Path:
         """Snapshot the full engine + shard state to disk; returns the
-        checkpoint directory."""
+        checkpoint directory.
+
+        Every shard is asked for its snapshot before any is awaited (forked
+        shards build theirs side by side).  A shard that fails closes the
+        engine and raises :class:`ShardFailure`, after every other reply
+        is collected and before anything is written."""
+        self._check_open()
         root = root if root is not None else self.config.checkpoint_dir
         if root is None:
             raise ValueError("no checkpoint directory configured")
-        path = write_checkpoint(
-            root, self._minute, self._shard_states(), self._engine_state()
-        )
+        dispatched, refused = self._fan_out(lambda shard: shard.submit("state"))
+        states = self._collect(dispatched, refused)
+        path = write_checkpoint(root, self._minute, states, self._engine_state())
         self._checkpoints_written += 1
         if obs_enabled():
             get_registry().counter(
@@ -411,13 +401,14 @@ class ServeEngine:
         otherwise-versioned checkpoint raises
         :class:`~repro.serve.state.CheckpointFormatError` before anything
         is loaded: the engine is as it was.  A shard that refuses its
-        snapshot (another deployment, a malformed state) raises
+        snapshot (another deployment, a malformed state) or dies raises
         :class:`~repro.serve.shard.ShardFailure` after earlier shards may
         have loaded theirs, so the engine closes first: it never serves a
-        mix of restored and unrestored shards, and ``tick`` raises.
+        mix of restored and unrestored shards.
         """
         from ..synth.attacks import AttackType
 
+        self._check_open()
         root = path if path is not None else self.config.checkpoint_dir
         if root is None:
             raise ValueError("no checkpoint directory configured")
@@ -436,7 +427,6 @@ class ServeEngine:
         self._minute = int(engine_state["minute"])
         self._minutes_observed = int(engine_state["minutes_observed"])
         self._alerts_emitted = int(engine_state["alerts_emitted"])
-        self._alerts_suppressed = int(engine_state["alerts_suppressed"])
         self._degraded_minutes = int(engine_state["degraded_minutes"])
         self.collector = FlowCollector()
         self.collector.load_state_dict(engine_state["collector"])
@@ -459,6 +449,10 @@ class ServeEngine:
             (int(c), int(m)) for c, m in engine_state["pending_ends"]
         ]
         return minute
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("engine is closed")
 
     def close(self) -> None:
         """Stop every shard worker (idempotent)."""

@@ -12,8 +12,10 @@ The worker speaks a tiny command protocol (``step`` / ``state`` / ``load``
 ``submit_step`` / ``collect`` split each minute into a dispatch and a
 join, so the engine can fan a minute out to every shard before waiting on
 any of them — that overlap is the whole point of the process backend.
-A worker that raises is marked unhealthy and stops scoring
-(the engine degrades gracefully instead of crashing the feed).
+A worker that raises, dies, or cannot be sent its command is marked
+unhealthy, keeps no pending command, and refuses every later one with
+:class:`ShardFailure`; the engine then closes and re-raises (one fault
+rule, docs/SERVING.md "Faults").
 
 Shared-memory transport
 -----------------------
@@ -40,6 +42,7 @@ import numpy as np
 from ..core.online import OnlineAlert, OnlineXatu
 from ..netflow.records import FLOW_WIRE_SIZE, FlowBatch
 from ..signals.history import AlertRecord
+from .config import BACKENDS
 from .shm import ShmReader, ShmRing
 
 __all__ = ["ShardWorker", "ShardFailure"]
@@ -125,6 +128,8 @@ class ShardWorker:
         backend: str = "inline",
         transport: str = "pipe",
     ) -> None:
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown shard backend {backend!r}")
         self.index = index
         self.backend = backend
         # The worker loop never touches `self` — it owns only the detector
@@ -132,6 +137,9 @@ class ShardWorker:
         # exclusively by the engine thread driving submit()/collect().
         self.healthy = True  # owner: engine thread
         self._pending = 0  # owner: engine thread
+        # Built before any ring or process, so a factory that raises
+        # leaves nothing of this shard behind.
+        detector = detector_factory()
         self._ring: ShmRing | None = None
         self.transport = "pipe"
         if backend == "process" and transport == "shm":
@@ -146,9 +154,9 @@ class ShardWorker:
                     stacklevel=2,
                 )
         if backend == "inline":
-            self._detector = detector_factory()
+            self._detector = detector
             self._inline_result = None  # owner: engine thread
-        elif backend == "process":
+        else:
             ctx = multiprocessing.get_context()
             self._conn, child_conn = ctx.Pipe()
             # The detector is built in the parent and inherited by the
@@ -156,13 +164,11 @@ class ShardWorker:
             # reads it back via the ``state`` command).
             self._process = ctx.Process(
                 target=_worker_loop,
-                args=(detector_factory(), child_conn),
+                args=(detector, child_conn),
                 name=f"serve-shard-{index}",
                 daemon=True,
             )
             self._process.start()
-        else:
-            raise ValueError(f"unknown shard backend {backend!r}")
 
     # ------------------------------------------------------------------
     def _call(self, *message):
@@ -171,16 +177,22 @@ class ShardWorker:
         return self.collect()
 
     def submit(self, *message) -> None:
-        """Dispatch one command without waiting for its reply."""
+        """Dispatch one command without waiting for its reply.  A send the
+        worker cannot take (it died) is a :class:`ShardFailure` that leaves
+        no pending command."""
         if not self.healthy:
             raise ShardFailure(f"shard {self.index} is unhealthy")
         if self._pending:
             raise ShardFailure(f"shard {self.index} already has a pending command")
-        self._pending = 1
         if self.backend == "inline":
             self._inline_result = _execute(self._detector, message)
         else:
-            self._conn.send(message)
+            try:
+                self._conn.send(message)
+            except (EOFError, OSError) as exc:
+                self.healthy = False
+                raise ShardFailure(f"shard {self.index} died: {exc}") from exc
+        self._pending = 1
 
     def collect(self):
         """Wait for and unwrap the pending command's reply."""
@@ -236,18 +248,21 @@ class ShardWorker:
         self._call("load", state)
 
     def close(self) -> None:
-        """Stop the backend (idempotent; tolerates a dead worker)."""
+        """Stop the backend (idempotent; tolerates a dead worker).  A worker
+        that replied with an error still takes ``stop``; one that cannot
+        (dead, or mid-command) is terminated and reaped."""
         if self.backend == "inline":
             return
         try:
-            if self.healthy and not self._pending:
+            if not self._pending:
                 self._conn.send(("stop",))
                 self._conn.recv()
-        except (EOFError, OSError, ShardFailure):
+        except (EOFError, OSError):
             pass
         self._process.join(timeout=5)
         if self._process.is_alive():
             self._process.terminate()
+            self._process.join()
         if self._ring is not None:
             self._ring.close()
             self._ring = None  # owner: engine thread

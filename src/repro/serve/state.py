@@ -5,7 +5,7 @@ A checkpoint is a directory::
     <root>/
       LATEST                  -> name of the newest ckpt-* subdirectory
       ckpt-00000419/
-        MANIFEST.json         {"format_version": 4, "minute": 419, ...}
+        MANIFEST.json         {"format_version": 5, "minute": 419, ...}
         engine.pkl            engine-level state (collector, counters)
         shard-00.pkl          one OnlineXatu state_dict per shard
         shard-01.pkl
@@ -18,16 +18,17 @@ byte-identical checkpoints, the property the crash-equivalence tests
 assert.  Writes are atomic (staged to a temp directory, then renamed) so
 a crash mid-snapshot never corrupts the latest good checkpoint.
 
-Format version 4 holds serving state only: a shard file is the clock, the
+Format version 5 holds serving state only: a shard file is the clock, the
 columnar matrix, the A2/A4/A5 stores, the hazard, suppression, watch and
 last-seen trackers, and the ``deployment`` digest of the model, scaler,
 config, routing, blocklist and route table it was served under (key table
 in ``docs/SERVING.md``).  Alerts leave a shard with the ``step`` that
 raised them, so no shard holds an alert queue (version 3 did).  The
 deployment itself comes from the detector factory on restore, and a shard
-refuses a snapshot whose digest is not its own.  Versions 1 to 3 have no
-reader: they raise :class:`CheckpointFormatError`, and the deployment
-restarts cold.
+refuses a snapshot whose digest is not its own.  ``engine.pkl`` has no
+count of withheld alerts: the engine withholds none (version 4 did, under
+a ``suppress`` policy).  Versions 1 to 4 have no reader: they raise
+:class:`CheckpointFormatError`, and the deployment restarts cold.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
     "latest_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 # Pinned: newer pickle protocols could serialize the same state to
 # different bytes, silently breaking checkpoint byte-identity.
