@@ -13,7 +13,7 @@ test:
 	$(PY) -m pytest -x -q
 
 fast:
-	$(PY) -m pytest -x -q -m "not slow"
+	$(PY) -m pytest -x -q -m "not slow" $(PYTEST_ARGS)
 
 golden-check:
 	$(PY) -m repro.cli golden check

@@ -73,17 +73,15 @@ def main() -> None:
 
     n_alerts = 0
     for minute in range(45):
-        flows = []
-        for customer in trace.world.customers[:4]:
-            flows.extend(benign.flows_at(customer, minute))
+        _ids, flows = benign.minute_flows(trace.world.customers[:4], minute)
         if attack_start <= minute < attack_start + attack_minutes:
             sources = botnet.members[:80]
-            flows.extend(generate_attack_flows(
+            flows = FlowBatch.concat([flows, generate_attack_flows(
                 event.attack_type, minute, victim.address,
                 sources, total_bytes=victim.base_rate_bytes * 20.0,
                 rng=rng, country_of=botnet.country_of,
-            ))
-        alerts = online.step(minute, FlowBatch.from_records(flows))
+            )])
+        alerts = online.step(minute, flows)
         for alert in alerts:
             n_alerts += 1
             marker = "<< ATTACK WINDOW" if attack_start <= minute else ""

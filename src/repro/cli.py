@@ -125,8 +125,8 @@ def _lossy_export(trace, start: int, stop: int):
     sent = 0
     for sl in as_trace_source(trace).iter_minutes(start, stop):
         arrived = []
-        for lo in range(0, len(sl.records), 30):
-            blob = codec.encode(sl.records[lo : lo + 30], unix_secs=sl.minute * 60)
+        for lo in range(0, len(sl.batch), 30):
+            blob = codec.encode(sl.batch[lo : lo + 30], unix_secs=sl.minute * 60)
             sent += 1
             if sent % 17:
                 arrived.append(blob)

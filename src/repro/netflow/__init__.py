@@ -20,6 +20,7 @@ from .records import (
     FlowRecord,
     Protocol,
     TcpFlags,
+    check_flow_columns,
     decode_flow,
     decode_flows,
     decode_flows_batch,
@@ -33,7 +34,7 @@ from .sampler import FeedHealth, FlowCollector, FlowExporter, PacketSampler
 __all__ = [
     "FlowRecord", "FlowBatch", "Protocol", "TcpFlags", "FLOW_DTYPE",
     "encode_flow", "decode_flow", "encode_flows", "decode_flows",
-    "decode_flows_batch", "FLOW_WIRE_SIZE",
+    "decode_flows_batch", "FLOW_WIRE_SIZE", "check_flow_columns",
     "ip_to_int", "int_to_ip", "subnet24", "subnet24_str", "in_cidr", "cidr_to_range",
     "BOGON_CIDRS", "is_bogon", "RouteEntry", "RouteTable", "SpoofVerdict",
     "PacketSampler", "FlowExporter", "FlowCollector", "FeedHealth",

@@ -16,7 +16,9 @@ byte for byte, so a whole datagram's record block decodes as **one**
 thin conversion shim (:meth:`FlowBatch.to_records` /
 :meth:`FlowBatch.from_records`), so every list-of-records caller and every
 golden fixture stands unchanged; the two paths are proven byte-identical
-by the differential suite in ``tests/test_columnar.py``.
+by the differential suite in ``tests/test_columnar.py``.  Batches are built
+from columns with :meth:`FlowBatch.from_columns` (``from_records`` included),
+which refuses out-of-domain values first (:func:`check_flow_columns`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
     "FlowRecord",
     "FlowBatch",
     "FLOW_DTYPE",
+    "check_flow_columns",
+    "encode_countries",
     "encode_flow",
     "decode_flow",
     "encode_flows",
@@ -155,6 +159,78 @@ def _encode_country(country: str) -> bytes:
     return country.encode("ascii")[:2].ljust(2, b" ")
 
 
+def encode_countries(countries: Sequence[str]) -> np.ndarray:
+    """The ``src_country`` column (``S2``) for a list of country codes,
+    each encoded as :class:`FlowBatch.from_records` writes one."""
+    table = {c: _encode_country(c) for c in set(countries)}
+    return np.array([table[c] for c in countries], dtype="S2")
+
+
+# FlowRecord attribute of each integer wire field, in wire order.
+_RECORD_ATTRS = (
+    ("timestamp", "timestamp"),
+    ("src_addr", "src_addr"),
+    ("dst_addr", "dst_addr"),
+    ("src_port", "src_port"),
+    ("dst_port", "dst_port"),
+    ("protocol", "protocol"),
+    ("tcp_flags", "tcp_flags"),
+    ("packets", "packets"),
+    ("bytes", "bytes_"),
+    ("sampling_rate", "sampling_rate"),
+)
+_FIELD_BOUNDS = {
+    name: (int(np.iinfo(FLOW_DTYPE[name]).min), int(np.iinfo(FLOW_DTYPE[name]).max))
+    for name, _attr in _RECORD_ATTRS
+}
+
+
+def check_flow_columns(columns: dict) -> None:
+    """Refuse integer columns outside the 38-byte wire record's domain.
+
+    An array assignment into a :data:`FLOW_DTYPE` field casts silently
+    (``-1`` lands as ``2**32 - 1``), so every columnar builder calls this
+    before it writes.  It raises what the scalar path raises: ``ValueError``
+    for what :class:`FlowRecord` refuses (a negative counter, a port beyond
+    16 bits, a sampling rate below 1) and ``OverflowError`` for any other
+    value that does not fit its field.  ``columns`` maps wire field names
+    to arrays or scalars; ``src_country`` is not checked here.
+    """
+    spans: dict[str, tuple[int, int]] = {}
+    for name, column in columns.items():
+        if name == "src_country":
+            continue
+        if isinstance(column, int):
+            spans[name] = (column, column)
+            continue
+        column = np.asarray(column)
+        if column.dtype.kind not in "iub" and column.dtype != object:
+            raise TypeError(f"flow column {name!r} must hold integers, got {column.dtype}")
+        if column.size:
+            spans[name] = (int(column.min()), int(column.max()))
+    if any(spans.get(name, (0, 0))[0] < 0 for name in ("packets", "bytes")):
+        raise ValueError("flow counters must be non-negative")
+    for name in ("src_port", "dst_port"):
+        lo, hi = spans.get(name, (0, 0))
+        if lo < 0 or hi > 0xFFFF:
+            raise ValueError("ports must fit in 16 bits")
+    if spans.get("sampling_rate", (1, 1))[0] < 1:
+        raise ValueError("sampling_rate is 1:N with N >= 1")
+    for name, (lo, hi) in spans.items():
+        floor, ceiling = _FIELD_BOUNDS[name]
+        if lo < floor or hi > ceiling:
+            bad = lo if lo < floor else hi
+            raise OverflowError(f"{name} value {bad} out of bounds for {FLOW_DTYPE[name]}")
+
+
+def _int_column(values: list) -> np.ndarray:
+    """``values`` as int64, or as Python ints when one does not fit."""
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def _decode_country(raw: bytes) -> str:
     return raw.decode("ascii").strip() or "US"
 
@@ -185,6 +261,39 @@ class FlowBatch:
         return cls(np.empty(0, dtype=FLOW_DTYPE))
 
     @classmethod
+    def from_columns(
+        cls,
+        n: int,
+        *,
+        tcp_flags=0,
+        src_country: "np.ndarray | str" = "US",
+        sampling_rate=1,
+        **columns,
+    ) -> "FlowBatch":
+        """``n`` records from per-field columns, each an array of length
+        ``n`` or a scalar for every row.
+
+        ``columns`` names the other integer wire fields (``timestamp``,
+        ``src_addr``, ``dst_addr``, ``src_port``, ``dst_port``,
+        ``protocol``, ``packets``, ``bytes``); the defaults are
+        :class:`FlowRecord`'s.  ``src_country`` is an ``S2`` column
+        (:func:`encode_countries`) or one code.  Values are checked with
+        :func:`check_flow_columns` before anything is written.
+        """
+        columns.update(tcp_flags=tcp_flags, sampling_rate=sampling_rate)
+        missing = {name for name, _attr in _RECORD_ATTRS} - set(columns)
+        if missing:
+            raise TypeError(f"missing flow columns: {sorted(missing)}")
+        check_flow_columns(columns)
+        array = np.zeros(n, dtype=FLOW_DTYPE)
+        for name, column in columns.items():
+            array[name] = column
+        if isinstance(src_country, str):
+            src_country = _encode_country(src_country)
+        array["src_country"] = src_country
+        return cls(array)
+
+    @classmethod
     def from_records(cls, flows: Iterable[FlowRecord]) -> "FlowBatch":
         """Columnarize a record list (the scalar-API conversion shim).
 
@@ -194,23 +303,12 @@ class FlowBatch:
         consumer sees the batch.
         """
         flows = list(flows)
-        array = np.empty(len(flows), dtype=FLOW_DTYPE)
-        for i, f in enumerate(flows):
-            array[i] = (
-                f.timestamp,
-                f.src_addr,
-                f.dst_addr,
-                f.src_port,
-                f.dst_port,
-                f.protocol,
-                f.tcp_flags,
-                f.packets,
-                f.bytes_,
-                f.sampling_rate,
-                _encode_country(f.src_country),
-                0,
-            )
-        return cls(array)
+        columns = {
+            name: _int_column([getattr(f, attr) for f in flows])
+            for name, attr in _RECORD_ATTRS
+        }
+        countries = encode_countries([f.src_country for f in flows])
+        return cls.from_columns(len(flows), src_country=countries, **columns)
 
     @classmethod
     def from_buffer(cls, buffer, count: int | None = None, offset: int = 0) -> "FlowBatch":

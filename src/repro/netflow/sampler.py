@@ -16,7 +16,9 @@ aggregation layer via :meth:`FlowCollector.drain_batch`.
 Sampling is vectorized the same way: :meth:`PacketSampler.sample_many`
 makes **one** batched ``rng.binomial`` draw for the whole batch, in the
 same per-flow order the scalar loop used, so seeded traces stay
-deterministic (``tests/test_columnar.py`` pins the outputs).
+deterministic (``tests/test_columnar.py`` pins the outputs);
+:func:`sample_at_rates` is the same draw with one rate per flow (the
+trace generator's per-POP samplers share one RNG).
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ import numpy as np
 from ..obs import obs_enabled
 from .datagram import DatagramCodec, SequenceTracker
 from .records import (
-    FLOW_DTYPE,
     FlowBatch,
     FlowRecord,
+    check_flow_columns,
     decode_flows_batch,
     encode_flows,
 )
 
-__all__ = ["PacketSampler", "FlowExporter", "FlowCollector", "FeedHealth"]
+__all__ = ["PacketSampler", "sample_at_rates", "FlowExporter", "FlowCollector", "FeedHealth"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,22 +137,39 @@ class PacketSampler:
         flows (one draw per input record, in order), and keeps the same
         records with the same counters.
         """
-        if self.rate == 1:
-            out = batch.array.copy()
-            out["sampling_rate"] = 1
-            return FlowBatch(out)
-        if not len(batch):
-            return FlowBatch.empty()
-        packets = batch.array["packets"].astype(np.int64)
-        kept = self._draw_kept(packets)
-        seen = np.flatnonzero(kept)
-        out = batch.take(seen)
-        out.array["packets"] = kept[seen]
-        out.array["bytes"] = self._scaled_bytes(
-            kept[seen], packets[seen], batch.array["bytes"].astype(np.int64)[seen]
-        )
-        out.array["sampling_rate"] = self.rate
-        return out
+        rates = np.full(len(batch), self.rate, dtype=np.int64)
+        return sample_at_rates(batch, rates, self._rng)[0]
+
+
+def sample_at_rates(
+    batch: FlowBatch, rates: np.ndarray, rng: np.random.Generator
+) -> tuple[FlowBatch, np.ndarray]:
+    """Sample each flow at its own 1:N rate with one binomial draw.
+
+    ``rates`` holds one N per flow.  Flows at 1:1 pass unchanged and draw
+    nothing; the others take one elementwise ``rng.binomial`` over them in
+    arrival order, the same stream as a :meth:`PacketSampler.sample` loop
+    with every sampler sharing ``rng``.  Returns the sampled batch (arrival
+    order kept, unseen flows dropped, ``sampling_rate`` stamped) and the
+    indices of the input flows it kept.
+    """
+    rates = np.asarray(rates, dtype=np.int64)
+    if rates.shape != (len(batch),):
+        raise ValueError("rates must hold one sampling rate per flow")
+    check_flow_columns({"sampling_rate": rates})
+    packets = batch.array["packets"].astype(np.int64)
+    bytes_ = batch.array["bytes"].astype(np.int64)
+    drawn = np.flatnonzero(rates > 1)
+    if len(drawn):
+        kept = rng.binomial(packets[drawn], 1.0 / rates[drawn])
+        bytes_[drawn] = PacketSampler._scaled_bytes(kept, packets[drawn], bytes_[drawn])
+        packets[drawn] = kept
+    seen = np.flatnonzero((packets > 0) | (rates == 1))
+    out = batch.take(seen)
+    out.array["packets"] = packets[seen]
+    out.array["bytes"] = bytes_[seen]
+    out.array["sampling_rate"] = rates[seen]
+    return out, seen
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..netflow.records import FlowRecord, Protocol, TcpFlags
+from ..netflow.records import FlowBatch, FlowRecord, Protocol, TcpFlags, encode_countries
 
 __all__ = [
     "AttackType",
@@ -111,6 +111,18 @@ class AttackSignature:
             return False
         return True
 
+    def match_mask(self, batch: FlowBatch) -> np.ndarray:
+        """:meth:`matches` over every flow of ``batch``, as a boolean mask."""
+        array = batch.array
+        mask = (array["dst_addr"] == self.dst_addr) & (array["protocol"] == self.protocol)
+        if self.src_port is not None:
+            mask &= array["src_port"] == self.src_port
+        if self.dst_port is not None:
+            mask &= array["dst_port"] == self.dst_port
+        if self.tcp_flags is not None:
+            mask &= (array["tcp_flags"] & self.tcp_flags) != 0
+        return mask
+
 
 # Flow-shape parameters per type: (mean packet size bytes, src_port,
 # dst_port, tcp_flags).  None ports mean "random ephemeral".
@@ -157,35 +169,38 @@ def generate_attack_flows(
     total_bytes: float,
     rng: np.random.Generator,
     country_of: dict[int, str] | None = None,
-) -> list[FlowRecord]:
+) -> FlowBatch:
     """Emit one minute of attack flows totalling roughly ``total_bytes``.
 
     ``sources`` is the array of participating source addresses this minute;
     bytes are split across them log-normally (bots differ in capacity).
+    A port the type leaves open is drawn per flow, source port before
+    destination port: one vector draw over the open slots in row-major
+    order.
     """
     if len(sources) == 0 or total_bytes <= 0:
-        return []
+        return FlowBatch.empty()
     mean_size, src_port, dst_port, flags = _TYPE_SHAPE[attack_type]
-    protocol = _TYPE_PROTOCOL[attack_type]
-    weights = rng.lognormal(mean=0.0, sigma=0.6, size=len(sources))
+    n = len(sources)
+    weights = rng.lognormal(mean=0.0, sigma=0.6, size=n)
     weights /= weights.sum()
-    flows: list[FlowRecord] = []
-    for addr, weight in zip(sources, weights):
-        flow_bytes = max(mean_size, int(total_bytes * weight))
-        packets = max(1, int(round(flow_bytes / mean_size)))
-        country = (country_of or {}).get(int(addr), "US")
-        flows.append(
-            FlowRecord(
-                timestamp=minute,
-                src_addr=int(addr),
-                dst_addr=dst_addr,
-                src_port=src_port if src_port is not None else int(rng.integers(1024, 65535)),
-                dst_port=dst_port if dst_port is not None else int(rng.integers(1024, 65535)),
-                protocol=protocol,
-                packets=packets,
-                bytes_=flow_bytes,
-                tcp_flags=flags,
-                src_country=country,
-            )
-        )
-    return flows
+    flow_bytes = np.maximum(mean_size, (total_bytes * weights).astype(np.int64))
+    ports = np.tile(
+        [-1 if src_port is None else src_port, -1 if dst_port is None else dst_port], (n, 1)
+    )
+    ephemeral = ports < 0
+    ports[ephemeral] = rng.integers(1024, 65535, size=int(ephemeral.sum()))
+    countries = country_of or {}
+    return FlowBatch.from_columns(
+        n,
+        timestamp=minute,
+        src_addr=sources,
+        dst_addr=dst_addr,
+        src_port=ports[:, 0],
+        dst_port=ports[:, 1],
+        protocol=_TYPE_PROTOCOL[attack_type],
+        packets=np.maximum(1, np.rint(flow_bytes / mean_size).astype(np.int64)),
+        bytes=flow_bytes,
+        tcp_flags=flags,
+        src_country=encode_countries([countries.get(a, "US") for a in np.asarray(sources).tolist()]),
+    )

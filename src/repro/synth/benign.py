@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..netflow.records import FlowRecord, Protocol, TcpFlags
+from ..netflow.records import FlowBatch, Protocol, TcpFlags, encode_countries
 from .world import Customer
 
 __all__ = ["BenignTrafficModel", "BenignConfig", "BudgetedBenignTraffic"]
@@ -51,6 +51,21 @@ _BENIGN_MIX = (
     (int(Protocol.TCP), 0, 443, int(TcpFlags.SYN | TcpFlags.ACK), 0.08),
     (int(Protocol.ICMP), 0, 0, 0, 0.05),
 )
+# The mix as columns: (protocol, src_port, dst_port, tcp_flags) per kind,
+# and how many of each kind's ports are ephemeral (drawn per flow).
+_MIX_COLUMNS = np.array([row[:4] for row in _BENIGN_MIX], dtype=np.int64)
+_EPHEMERAL_PORTS = (_MIX_COLUMNS[:, 1:3] == 0).sum(axis=1)
+
+
+class _Draws(NamedTuple):
+    """What the benign stream decides for a run of flows: each flow's byte
+    count, client index and mix kind, and the ephemeral ports in flow
+    order, source port before destination port."""
+
+    flow_bytes: np.ndarray
+    picks: np.ndarray
+    kinds: np.ndarray
+    ports: np.ndarray
 
 
 class BenignTrafficModel:
@@ -72,6 +87,10 @@ class BenignTrafficModel:
         self._burst_until: dict[int, int] = {}
         weights = np.array([w for *_rest, w in _BENIGN_MIX])
         self._mix_weights = weights / weights.sum()
+        # Each client's country code, read once: flows pick clients by index.
+        self._client_countries = encode_countries(
+            [country_of.get(int(a), "US") for a in clients]
+        )
 
     def rate_at(self, customer: Customer, minute: int) -> float:
         """Expected benign bytes/minute at ``minute`` (diurnal + noise).
@@ -108,39 +127,64 @@ class BenignTrafficModel:
             rate *= cfg.burst_multiplier
         return rate
 
-    def flows_at(self, customer: Customer, minute: int) -> list[FlowRecord]:
+    def flows_at(self, customer: Customer, minute: int) -> FlowBatch:
         """Sample the benign flows arriving at ``customer`` this minute."""
-        total_bytes = self.rate_at(customer, minute)
-        n_flows = max(1, int(self._rng.poisson(self.config.flows_per_minute)))
-        return self._make_flows(customer.address, minute, n_flows, total_bytes)
+        return self.minute_flows([customer], minute)[1]
 
-    def _make_flows(
-        self, dst_addr: int, minute: int, n_flows: int, total_bytes: float
-    ) -> list[FlowRecord]:
-        """Split ``total_bytes`` into ``n_flows`` mix-shaped flows."""
-        shares = self._rng.dirichlet(np.ones(n_flows))
-        sources = self._rng.choice(self.clients, size=n_flows)
-        kinds = self._rng.choice(len(_BENIGN_MIX), size=n_flows, p=self._mix_weights)
-        flows = []
-        for src, share, kind in zip(sources, shares, kinds):
-            protocol, src_port, dst_port, flags, _w = _BENIGN_MIX[kind]
-            flow_bytes = max(64, int(total_bytes * share))
-            packets = max(1, flow_bytes // 700)
-            flows.append(
-                FlowRecord(
-                    timestamp=minute,
-                    src_addr=int(src),
-                    dst_addr=dst_addr,
-                    src_port=src_port or int(self._rng.integers(1024, 65535)),
-                    dst_port=dst_port or int(self._rng.integers(1024, 65535)),
-                    protocol=protocol,
-                    packets=packets,
-                    bytes_=flow_bytes,
-                    tcp_flags=flags,
-                    src_country=self.country_of.get(int(src), "US"),
-                )
-            )
-        return flows
+    def minute_flows(
+        self, customers: Sequence[Customer], minute: int, n_flows: int | None = None
+    ) -> tuple[np.ndarray, FlowBatch]:
+        """:meth:`flows_at` for each of ``customers`` in turn, as one batch
+        with each flow's customer id.  ``n_flows`` fixes the flows per
+        customer instead of the Poisson draw."""
+        draws = []
+        for customer in customers:
+            total_bytes = self.rate_at(customer, minute)
+            n = n_flows or max(1, int(self._rng.poisson(self.config.flows_per_minute)))
+            draws.append(self._draw(n, total_bytes))
+        counts = [len(d.picks) for d in draws]
+        return (
+            np.repeat(np.array([c.customer_id for c in customers], dtype=np.int64), counts),
+            self._assemble(
+                minute, np.repeat([c.address for c in customers], counts), draws
+            ),
+        )
+
+    def _draw(self, n_flows: int, total_bytes: float) -> _Draws:
+        """Split ``total_bytes`` into ``n_flows`` mix-shaped flows.
+
+        Clients are drawn by index (``rng.choice(len(clients))`` draws what
+        ``rng.choice(clients)`` draws).  The ephemeral ports are drawn flow
+        by flow, source port before destination port: one vector draw over
+        the zero slots of the mix in row-major order.
+        """
+        rng = self._rng
+        shares = rng.dirichlet(np.ones(n_flows))
+        picks = rng.choice(len(self.clients), size=n_flows)
+        kinds = rng.choice(len(_BENIGN_MIX), size=n_flows, p=self._mix_weights)
+        ports = rng.integers(1024, 65535, size=int(_EPHEMERAL_PORTS[kinds].sum()))
+        flow_bytes = np.maximum(64, (total_bytes * shares).astype(np.int64))
+        return _Draws(flow_bytes, picks, kinds, ports)
+
+    def _assemble(self, minute: int, dst_addr: np.ndarray, draws: list[_Draws]) -> FlowBatch:
+        """One batch from runs of drawn flows, in order."""
+        flow_bytes, picks, kinds, drawn = (np.concatenate(column) for column in zip(*draws))
+        mix = _MIX_COLUMNS[kinds]
+        ports = mix[:, 1:3].copy()
+        ports[ports == 0] = drawn
+        return FlowBatch.from_columns(
+            len(kinds),
+            timestamp=minute,
+            src_addr=self.clients[picks],
+            dst_addr=dst_addr,
+            src_port=ports[:, 0],
+            dst_port=ports[:, 1],
+            protocol=mix[:, 0],
+            packets=np.maximum(1, flow_bytes // 700),
+            bytes=flow_bytes,
+            tcp_flags=mix[:, 3],
+            src_country=self._client_countries[picks],
+        )
 
 
 class BudgetedBenignTraffic:
@@ -149,12 +193,19 @@ class BudgetedBenignTraffic:
     The dense :class:`BenignTrafficModel` pass costs one generator call per
     customer per minute — fatal at a million customers.  This model spends
     a fixed per-minute *flow budget* instead: most of it on a deterministic
-    "hot" subset of customers (stride-spread over the id space so every
-    sector/sampler bucket is represented) that keeps the full diurnal /
-    burst / drift machinery, and the rest on a uniform low-rate tail over
-    the whole population so arbitrary customers still see occasional
-    background flows.  Work and memory per minute are O(budget), entirely
-    independent of ``n_customers``.
+    "hot" subset of customers that keeps the full diurnal / burst / drift
+    machinery, and the rest on a uniform low-rate tail over the whole
+    population so arbitrary customers still see occasional background
+    flows.  Work and memory per minute are O(budget), entirely independent
+    of ``n_customers``.
+
+    The hot set is every ``stride = n // hot_customers``-th id from 0.  It
+    spans the id space but does not balance any modulus: every hot id is a
+    multiple of the stride, so when the stride shares a factor with a
+    shard or sampler count, the hot customers share residues.  At 2,000
+    customers and 8 hot ones the stride is 250 and every hot id is even,
+    so ``customer_id % 2`` puts all of them on one shard (and, with two
+    per-POP sampling rates, on one rate).
     """
 
     def __init__(
@@ -190,42 +241,40 @@ class BudgetedBenignTraffic:
     def config(self) -> BenignConfig:
         return self._model.config
 
-    def flows_for_minute(self, minute: int) -> list[tuple[int, FlowRecord]]:
-        """One minute of budgeted benign traffic as (customer_id, flow)."""
-        out: list[tuple[int, FlowRecord]] = []
+    def flows_for_minute(self, minute: int) -> tuple[np.ndarray, FlowBatch]:
+        """One minute of budgeted benign traffic: each flow's customer id,
+        and the flows (hot customers in turn, then the tail)."""
         n_tail = int(self.flow_budget * self.tail_fraction)
         n_hot = max(len(self._hot), self.flow_budget - n_tail)
         per_hot = max(1, n_hot // len(self._hot))
-        for customer in self._hot:
-            total_bytes = self._model.rate_at(customer, minute)
-            for flow in self._model._make_flows(
-                customer.address, minute, per_hot, total_bytes
-            ):
-                out.append((customer.customer_id, flow))
-        n = len(self.customers)
+        hot_ids, hot = self._model.minute_flows(self._hot, minute, per_hot)
+        tail_ids, tail = self._tail_flows(minute, n_tail)
+        return np.concatenate([hot_ids, tail_ids]), FlowBatch.concat([hot, tail])
+
+    def _tail_flows(self, minute: int, n_tail: int) -> tuple[np.ndarray, FlowBatch]:
+        """The uniform low-rate tail.  Each flow interleaves five kinds of
+        draw (customer, mix kind, client, size, ephemeral ports), so the
+        loop stays sequential and only writes columns."""
         rng = self._rng
-        for _ in range(n_tail):
-            cid = int(rng.integers(n))
-            customer = self.customers[cid]
-            kind = int(rng.choice(len(_BENIGN_MIX), p=self._model._mix_weights))
-            protocol, src_port, dst_port, flags, _w = _BENIGN_MIX[kind]
-            src = int(rng.choice(self._model.clients))
-            flow_bytes = max(64, int(rng.lognormal(mean=8.0, sigma=1.0)))
-            out.append(
-                (
-                    cid,
-                    FlowRecord(
-                        timestamp=minute,
-                        src_addr=src,
-                        dst_addr=customer.address,
-                        src_port=src_port or int(rng.integers(1024, 65535)),
-                        dst_port=dst_port or int(rng.integers(1024, 65535)),
-                        protocol=protocol,
-                        packets=max(1, flow_bytes // 700),
-                        bytes_=flow_bytes,
-                        tcp_flags=flags,
-                        src_country=self._model.country_of.get(src, "US"),
-                    ),
-                )
-            )
-        return out
+        model = self._model
+        n = len(self.customers)
+        n_clients = len(model.clients)
+        ids = np.empty(n_tail, dtype=np.int64)
+        dst = np.empty(n_tail, dtype=np.int64)
+        kinds = np.empty(n_tail, dtype=np.int64)
+        picks = np.empty(n_tail, dtype=np.int64)
+        sizes = np.empty(n_tail, dtype=np.int64)
+        ports: list[int] = []
+        for i in range(n_tail):
+            ids[i] = cid = int(rng.integers(n))
+            dst[i] = self.customers[cid].address
+            kinds[i] = kind = int(rng.choice(len(_BENIGN_MIX), p=model._mix_weights))
+            _protocol, src_port, dst_port, _flags, _w = _BENIGN_MIX[kind]
+            picks[i] = int(rng.choice(n_clients))
+            sizes[i] = max(64, int(rng.lognormal(mean=8.0, sigma=1.0)))
+            if not src_port:
+                ports.append(int(rng.integers(1024, 65535)))
+            if not dst_port:
+                ports.append(int(rng.integers(1024, 65535)))
+        draws = _Draws(sizes, picks, kinds, np.array(ports, dtype=np.int64))
+        return ids, model._assemble(minute, dst, [draws])

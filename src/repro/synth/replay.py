@@ -21,7 +21,7 @@ from ..netflow.matrix import (
     SOURCE_CLASS_ALL,
     VOLUMETRIC_FEATURE_NAMES,
 )
-from ..netflow.records import FlowRecord, Protocol, TcpFlags
+from ..netflow.records import FlowBatch, FlowRecord, Protocol, TcpFlags
 from .scenario import AttackEvent, Trace
 from .stream import MinuteSlice
 
@@ -177,7 +177,7 @@ class TraceReplayer:
             yield MinuteSlice(
                 minute,
                 np.array(customer_ids, dtype=np.int64),
-                records=records,
+                FlowBatch.from_records(records),
                 events_started=tuple(self._events_by_onset.get(minute, ())),
                 events_ended=tuple(self._events_by_end.get(minute, ())),
             )

@@ -18,7 +18,6 @@ the learning problem is preserved at laptop scale.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -30,8 +29,8 @@ from ..netflow.matrix import (
     SOURCE_CLASS_SPOOFED,
     TrafficMatrix,
 )
-from ..netflow.records import FlowRecord
-from ..netflow.sampler import PacketSampler
+from ..netflow.records import FlowBatch, encode_countries
+from ..netflow.sampler import sample_at_rates
 from .attacks import AttackSignature, AttackType, generate_attack_flows, signature_for
 from .benign import BenignConfig, BenignTrafficModel, BudgetedBenignTraffic
 from .campaign import (
@@ -278,11 +277,13 @@ class AttackEvent:
     # of them matching counts the flow as anomalous for this event.
     extra_signatures: tuple[AttackSignature, ...] = ()
 
-    def matches_flow(self, flow: FlowRecord) -> bool:
-        """Whether a flow matches any of the event's vector signatures."""
-        if self.signature.matches(flow):
-            return True
-        return any(sig.matches(flow) for sig in self.extra_signatures)
+    def match_mask(self, batch: FlowBatch) -> np.ndarray:
+        """Which flows of ``batch`` match any of the event's vector
+        signatures."""
+        mask = self.signature.match_mask(batch)
+        for sig in self.extra_signatures:
+            mask |= sig.match_mask(batch)
+        return mask
 
     @property
     def duration(self) -> int:
@@ -366,8 +367,8 @@ class TraceGenerator:
                 rng=np.random.default_rng(benign_ss),
             )
         rates = self.config.sampling_rates or (self.config.sampling_rate,)
-        sampler_rng = np.random.default_rng(sampler_ss)
-        self._samplers = [PacketSampler(r, rng=sampler_rng) for r in rates]
+        self._rates = np.array(rates, dtype=np.int64)
+        self._sampler_rng = np.random.default_rng(sampler_ss)  # shared by every POP
         # Blocklisted /24 ground truth is the union over botnets; the
         # signals.BlocklistDirectory adds category structure and noise on top.
         self.blocklisted_addrs: set[int] = set()
@@ -385,14 +386,15 @@ class TraceGenerator:
         self._total_flows = 0
         self._sampled_flows = 0
 
-    def _sampler_for(self, customer_id: int) -> PacketSampler:
-        """Each customer's ingress POP uses one sampler (round-robin).
+    def sampling_rates_of(self, customer_ids) -> np.ndarray:
+        """Each customer's ingress-POP sampling rate (1:N).
 
-        Customer ids are allocation indices, so the modulo mapping matches
-        the historical per-customer round-robin table without materializing
-        an entry per customer.
+        POPs take ``sampling_rates`` round-robin; customer ids are
+        allocation indices, so the modulo mapping matches the historical
+        per-customer round-robin table without materializing an entry per
+        customer.
         """
-        return self._samplers[customer_id % len(self._samplers)]
+        return self._rates[np.asarray(customer_ids, dtype=np.int64) % len(self._rates)]
 
     # ------------------------------------------------------------------
     def _attack_sources(
@@ -438,72 +440,78 @@ class TraceGenerator:
             sources = real
         return sources.astype(np.int64), country_of
 
-    def _prep_flows(
-        self,
-        prep: PlannedPrep,
-        minute: int,
-        rng: np.random.Generator,
-    ) -> list[FlowRecord]:
-        """Low-rate probe traffic during a preparation window.
+    def _probe_flows(
+        self, minute: int, preps: list[PlannedPrep], rng: np.random.Generator
+    ) -> tuple[np.ndarray, FlowBatch]:
+        """Low-rate probe traffic of every preparation window open at
+        ``minute``, window by window, with each flow's customer id.
 
         The active fraction of eventual sources rises toward the attack
         (Figure 15: median blocklisted-source reappearance grows from ~66%
-        five days out to ~93% one day out).
+        five days out to ~93% one day out).  Each probe interleaves six
+        kinds of draw, so the loop stays sequential and only collects rows.
         """
-        span = max(1, prep.end - prep.start)
-        progress = (minute - prep.start) / span  # 0 → 1 approaching onset
-        botnet = self.world.botnets[prep.botnet_id]
+        rows: list[tuple[int, ...]] = []
+        countries: list[str] = []
         damping = self.config.prep_damping
-        active_fraction = 0.05 + 0.30 * progress
-        n_active = max(1, int(active_fraction * botnet.size * 0.05))
-        if damping > 0:
-            # Adaptive attacker: probe with proportionally fewer sources;
-            # a fully-damped minute stays silent.
-            n_active = int(round((1.0 - damping) * n_active))
-            if n_active == 0:
-                return []
-        # Probing favours blocklisted members (they are the reused, noisy
-        # bots); an adaptive attacker avoids its listed bots proportionally.
-        use_listed = rng.random() < 0.7 * (1.0 - damping)
-        pool = botnet.blocklisted_members if use_listed else botnet.members
-        sources = rng.choice(pool, size=min(n_active, len(pool)), replace=False)
-
-        customer = self.world.customers[prep.customer_id]
-        flows: list[FlowRecord] = []
-        for src in sources:
-            flows.append(
-                FlowRecord(
-                    timestamp=minute,
-                    src_addr=int(src),
-                    dst_addr=customer.address,
-                    src_port=int(rng.integers(1024, 65535)),
-                    dst_port=int(rng.choice([80, 443, 53, 0])),
-                    protocol=int(rng.choice([6, 17])),
-                    packets=int(rng.integers(1, 8)),
-                    bytes_=int(rng.integers(60, 1500)),
-                    tcp_flags=2 if rng.random() < 0.5 else 0,
-                    src_country=botnet.country_of.get(int(src), "US"),
-                )
-            )
-        # Occasional spoofed probes (the adaptive attacker damps these too).
-        spoof_probability = prep.spoofed_fraction * progress * (1.0 - damping)
-        if prep.spoofed_fraction > 0 and rng.random() < spoof_probability:
-            for src in self.world.bogon_pool(max(1, n_active // 4), rng=self._spoof_rng):
-                flows.append(
-                    FlowRecord(
-                        timestamp=minute,
-                        src_addr=int(src),
-                        dst_addr=customer.address,
-                        src_port=int(rng.integers(1024, 65535)),
-                        dst_port=443,
-                        protocol=6,
-                        packets=1,
-                        bytes_=60,
-                        tcp_flags=2,
-                        src_country="US",
+        for prep in preps:
+            if not prep.start <= minute < prep.end:
+                continue
+            span = max(1, prep.end - prep.start)
+            progress = (minute - prep.start) / span  # 0 → 1 approaching onset
+            botnet = self.world.botnets[prep.botnet_id]
+            active_fraction = 0.05 + 0.30 * progress
+            n_active = max(1, int(active_fraction * botnet.size * 0.05))
+            if damping > 0:
+                # Adaptive attacker: probe with proportionally fewer sources;
+                # a fully-damped minute stays silent.
+                n_active = int(round((1.0 - damping) * n_active))
+                if n_active == 0:
+                    continue
+            # Probing favours blocklisted members (they are the reused, noisy
+            # bots); an adaptive attacker avoids its listed bots proportionally.
+            use_listed = rng.random() < 0.7 * (1.0 - damping)
+            pool = botnet.blocklisted_members if use_listed else botnet.members
+            sources = rng.choice(pool, size=min(n_active, len(pool)), replace=False)
+            customer_id = prep.customer_id
+            dst = self.world.customers[customer_id].address
+            for src in sources.tolist():
+                rows.append(
+                    (
+                        customer_id, src, dst,
+                        int(rng.integers(1024, 65535)),  # src_port
+                        int(rng.choice([80, 443, 53, 0])),  # dst_port
+                        int(rng.choice([6, 17])),  # protocol
+                        int(rng.integers(1, 8)),  # packets
+                        int(rng.integers(60, 1500)),  # bytes
+                        2 if rng.random() < 0.5 else 0,  # tcp_flags
                     )
                 )
-        return flows
+                countries.append(botnet.country_of.get(src, "US"))
+            # Occasional spoofed probes (the adaptive attacker damps these too).
+            spoof_probability = prep.spoofed_fraction * progress * (1.0 - damping)
+            if prep.spoofed_fraction > 0 and rng.random() < spoof_probability:
+                spoofed = self.world.bogon_pool(max(1, n_active // 4), rng=self._spoof_rng)
+                ports = rng.integers(1024, 65535, size=len(spoofed))
+                for src, port in zip(spoofed.tolist(), ports.tolist()):
+                    rows.append((customer_id, src, dst, port, 443, 6, 1, 60, 2))
+                    countries.append("US")
+        ids, src, dst, sport, dport, protocol, packets, nbytes, flags = (
+            np.array(rows, dtype=np.int64).reshape(-1, 9).T
+        )
+        return ids, FlowBatch.from_columns(
+            len(rows),
+            timestamp=minute,
+            src_addr=src,
+            dst_addr=dst,
+            src_port=sport,
+            dst_port=dport,
+            protocol=protocol,
+            packets=packets,
+            bytes=nbytes,
+            tcp_flags=flags,
+            src_country=encode_countries(countries),
+        )
 
     # ------------------------------------------------------------------
     def _plan_campaigns(self, horizon: int) -> list[Campaign]:
@@ -649,14 +657,12 @@ class TraceGenerator:
             e.event_id: self._attack_sources(planned[e.event_id], rng) for e in events
         }
 
-        # Per-customer state is allocated on first touch only, so idle
-        # customers in a huge universe cost nothing.
-        prev_attackers: defaultdict[int, set[int]] = defaultdict(set)
-        # Index events/preps by active minute ranges for the sweep.
+        # Previous attackers (sorted, unique) per customer with a finished
+        # attack: idle customers in a huge universe cost nothing.
+        prev_attackers: dict[int, np.ndarray] = {}
         events_by_onset = sorted(events, key=lambda e: e.onset)
         active_events: list[AttackEvent] = []
         event_cursor = 0
-        spoof_cache: dict[int, bool] = {}
 
         for minute in range(end):
             # Activate/retire events.
@@ -667,110 +673,142 @@ class TraceGenerator:
                 event_cursor += 1
             finished = [e for e in active_events if e.end <= minute]
             for e in finished:
-                prev_attackers[e.customer_id].update(e.attackers)
+                if e.attackers:
+                    attackers = np.fromiter(e.attackers, dtype=np.int64, count=len(e.attackers))
+                    prev_attackers[e.customer_id] = np.union1d(
+                        prev_attackers.get(e.customer_id, attackers), attackers
+                    )
             active_events = [e for e in active_events if e.end > minute]
             self._events_seen.extend(started_events)
 
-            minute_flows: list[tuple[int, FlowRecord]] = []  # (customer_id, flow)
-
-            # Benign traffic.
-            minute_flows.extend(self._benign_flows(minute))
-
-            # Preparation probes (suppressed in the §8 evasion scenario).
-            if not cfg.skip_preparation:
-                for prep in preps:
-                    if prep.start <= minute < prep.end:
-                        for flow in self._prep_flows(prep, minute, rng):
-                            minute_flows.append((prep.customer_id, flow))
-
-            # Attack floods.
-            for event in active_events:
-                attack = planned[event.event_id]
-                rate = attack.rate_at(minute)
-                if rate <= 0:
-                    continue
-                if rate < attack.peak_bytes and cfg.rampup_volume_scale != 1.0:
-                    rate *= cfg.rampup_volume_scale
-                sources, country_of = source_pools[event.event_id]
-                # A per-minute subset participates (rotating bots).
-                k = max(3, int(len(sources) * min(1.0, 0.3 + 0.7 * rate / attack.peak_bytes)))
-                subset = rng.choice(sources, size=min(k, len(sources)), replace=False)
-                flows = generate_attack_flows(
-                    attack.type_at(minute),
-                    minute,
-                    event.customer_address,
-                    subset,
-                    rate,
-                    rng,
-                    country_of=country_of,
-                )
-                for flow in flows:
-                    minute_flows.append((event.customer_id, flow))
-
+            customer_ids, flows = self._minute_flows(
+                minute, preps, active_events, planned, source_pools
+            )
             # Sample and tag — and fold signature-matching bytes into the
             # per-event anomalous series / attacker sets.  Aggregation into
             # a matrix is the *consumer's* choice (see ``materialize``).
-            customer_ids: list[int] = []
-            records: list[FlowRecord] = []
-            mask_rows: dict[str, list[int]] = {}
-            minute_total = 0
-            for customer_id, flow in minute_flows:
-                minute_total += 1
-                sampled = self._sampler_for(customer_id).sample(flow)
-                if sampled is None:
-                    continue
-                classes: list[str] = []
-                if sampled.src_addr in self._blocklist:
-                    classes.append(SOURCE_CLASS_BLOCKLIST)
-                if sampled.src_addr in prev_attackers[customer_id]:
-                    classes.append(SOURCE_CLASS_PREV_ATTACKER)
-                spoofed = spoof_cache.get(sampled.src_addr)
-                if spoofed is None:
-                    spoofed = self.world.route_table.is_spoofed(sampled.src_addr)
-                    spoof_cache[sampled.src_addr] = spoofed
-                if spoofed:
-                    classes.append(SOURCE_CLASS_SPOOFED)
-                # Provenance class for autoregressive A2 recomputation.
-                for event in active_events:
-                    if event.customer_id == customer_id and event.matches_flow(sampled):
-                        classes.append(f"botnet:{event.botnet_id}")
-                        event.attackers.add(sampled.src_addr)
-                        event.anomalous_bytes[minute - event.onset] += sampled.estimated_bytes
-                        break
-                row = len(records)
-                customer_ids.append(customer_id)
-                records.append(sampled)
-                for cls in classes:
-                    mask_rows.setdefault(cls, []).append(row)
-
-            self._total_flows += minute_total
-            self._sampled_flows += len(records)
+            sampled, kept = sample_at_rates(
+                flows, self.sampling_rates_of(customer_ids), self._sampler_rng
+            )
+            customer_ids = customer_ids[kept]
+            masks = self._tag(minute, customer_ids, sampled, prev_attackers, active_events)
+            self._total_flows += len(flows)
+            self._sampled_flows += len(sampled)
             if minute >= start:
-                n = len(records)
-                masks: dict[str, np.ndarray] = {}
-                for cls, rows in mask_rows.items():
-                    m = np.zeros(n, dtype=bool)
-                    m[rows] = True
-                    masks[cls] = m
                 yield MinuteSlice(
                     minute,
-                    np.array(customer_ids, dtype=np.int64),
-                    records=records,
+                    customer_ids,
+                    sampled,
                     class_masks=masks,
                     events_started=tuple(started_events),
                     events_ended=tuple(finished),
-                    total_flows=minute_total,
+                    total_flows=len(flows),
                 )
 
-    def _benign_flows(self, minute: int) -> list[tuple[int, FlowRecord]]:
-        """One minute of benign traffic (dense per-customer or budgeted)."""
+    def _minute_flows(
+        self,
+        minute: int,
+        preps: list[PlannedPrep],
+        active_events: list[AttackEvent],
+        planned: list[PlannedAttack],
+        source_pools: dict[int, tuple[np.ndarray, dict[int, str]]],
+    ) -> tuple[np.ndarray, FlowBatch]:
+        """Every ground-truth flow of one minute with its customer id, in
+        arrival order: benign traffic, preparation probes, attack floods."""
+        cfg = self.config
+        rng = self._rng
         if isinstance(self._benign, BudgetedBenignTraffic):
-            return self._benign.flows_for_minute(minute)
-        out: list[tuple[int, FlowRecord]] = []
-        for customer in self.world.customers:
-            for flow in self._benign.flows_at(customer, minute):
-                out.append((customer.customer_id, flow))
-        return out
+            parts = [self._benign.flows_for_minute(minute)]
+        else:
+            parts = [self._benign.minute_flows(self.world.customers, minute)]
+
+        # Preparation probes (suppressed in the §8 evasion scenario).
+        if not cfg.skip_preparation:
+            parts.append(self._probe_flows(minute, preps, rng))
+
+        # Attack floods.
+        for event in active_events:
+            attack = planned[event.event_id]
+            rate = attack.rate_at(minute)
+            if rate <= 0:
+                continue
+            if rate < attack.peak_bytes and cfg.rampup_volume_scale != 1.0:
+                rate *= cfg.rampup_volume_scale
+            sources, country_of = source_pools[event.event_id]
+            # A per-minute subset participates (rotating bots).
+            k = max(3, int(len(sources) * min(1.0, 0.3 + 0.7 * rate / attack.peak_bytes)))
+            subset = rng.choice(sources, size=min(k, len(sources)), replace=False)
+            flood = generate_attack_flows(
+                attack.type_at(minute),
+                minute,
+                event.customer_address,
+                subset,
+                rate,
+                rng,
+                country_of=country_of,
+            )
+            parts.append((np.full(len(flood), event.customer_id, dtype=np.int64), flood))
+        return (
+            np.concatenate([ids for ids, _ in parts]),
+            FlowBatch.concat([flows for _, flows in parts]),
+        )
+
+    def _tag(
+        self,
+        minute: int,
+        customer_ids: np.ndarray,
+        flows: FlowBatch,
+        prev_attackers: dict[int, np.ndarray],
+        active_events: list[AttackEvent],
+    ) -> dict[str, np.ndarray]:
+        """The minute's class masks, and each active event's provenance.
+
+        A sampled flow is A1 when its source is blocklisted, A2 when the
+        source attacked the same customer before, A3 when it is spoofed,
+        and ``botnet:<id>`` for the first active event on its customer
+        whose signature it matches; that event adds the source to its
+        attackers and the flow's estimated bytes to its anomalous series,
+        in arrival order.  Classes enter the dict in the order a per-flow
+        scan meets them: by first row, then A1, A2, A3, botnet.
+        """
+        src = flows.array["src_addr"].astype(np.int64)
+        n = len(src)
+        unique, inverse = np.unique(src, return_inverse=True)
+        listed = np.fromiter(
+            (addr in self._blocklist for addr in unique.tolist()), dtype=bool, count=len(unique)
+        )[inverse]
+        reused = np.zeros(n, dtype=bool)
+        for customer_id, attackers in prev_attackers.items():
+            rows = np.flatnonzero(customer_ids == customer_id)
+            if len(rows):
+                slot = np.minimum(np.searchsorted(attackers, src[rows]), len(attackers) - 1)
+                reused[rows] = attackers[slot] == src[rows]
+        tagged = [
+            (SOURCE_CLASS_BLOCKLIST, listed),
+            (SOURCE_CLASS_PREV_ATTACKER, reused),
+            (SOURCE_CLASS_SPOOFED, self.world.route_table.spoofed_mask(src)),
+        ]
+        claimed = np.zeros(n, dtype=bool)
+        estimated = flows.estimated_bytes().astype(np.float64)
+        for event in active_events:
+            rows = ~claimed & (customer_ids == event.customer_id) & event.match_mask(flows)
+            if not rows.any():
+                continue
+            claimed |= rows
+            tagged.append((f"botnet:{event.botnet_id}", rows))
+            event.attackers.update(src[rows].tolist())
+            slot = minute - event.onset
+            # cumsum adds left to right, as the per-flow loop did.
+            event.anomalous_bytes[slot] = np.cumsum(
+                np.concatenate(([event.anomalous_bytes[slot]], estimated[rows]))
+            )[-1]
+        masks: dict[str, np.ndarray] = {}
+        for cls, mask in tagged:
+            if mask.any():  # two active events may share a botnet class
+                masks[cls] = masks[cls] | mask if cls in masks else mask
+        rank = {SOURCE_CLASS_BLOCKLIST: 0, SOURCE_CLASS_PREV_ATTACKER: 1, SOURCE_CLASS_SPOOFED: 2}
+        order = sorted(masks, key=lambda cls: (int(np.argmax(masks[cls])), rank.get(cls, 3)))
+        return {cls: masks[cls] for cls in order}
 
     def materialize(self) -> Trace:
         """Collect the full stream into an in-memory :class:`Trace`.

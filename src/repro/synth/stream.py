@@ -11,12 +11,10 @@ speaks one protocol::
 
 Consumers (``eval.stream_trace``, the scenario matrix, ``cli serve``, the
 scale bench) iterate :class:`MinuteSlice` objects and never need the whole
-trace in memory.  A slice carries the minute's sampled flows in *both*
-representations — a scalar record list and a columnar
-:class:`~repro.netflow.FlowBatch` — each materialized lazily from whichever
-one the producer built, so scalar-protocol consumers and the columnar
-ingest fast path share one stream without conversion overhead on the side
-they don't use.
+trace in memory.  A slice is built from the minute's sampled flows as one
+columnar :class:`~repro.netflow.FlowBatch`; its scalar record list is a
+view materialized on first access, so only record-protocol consumers pay
+for it.
 """
 
 from __future__ import annotations
@@ -41,10 +39,10 @@ __all__ = [
 class MinuteSlice:
     """One minute of sampled, source-class-tagged traffic.
 
-    ``records`` and ``batch`` are two views of the same flows (arrival
-    order preserved); ``class_masks`` maps each auxiliary source class
+    ``batch`` holds the flows in arrival order and ``records`` is its
+    lazy scalar view; ``class_masks`` maps each auxiliary source class
     (A1/A2/A3 plus per-botnet provenance) to a boolean membership mask
-    over the records.  ``events_started`` / ``events_ended`` reveal
+    over the flows.  ``events_started`` / ``events_ended`` reveal
     ground truth incrementally: an event appears in ``events_ended`` once
     its ``attackers`` / ``anomalous_bytes`` fields are final.
     """
@@ -52,36 +50,33 @@ class MinuteSlice:
     __slots__ = (
         "minute",
         "customer_ids",
+        "batch",
         "class_masks",
         "events_started",
         "events_ended",
         "total_flows",
         "_records",
-        "_batch",
     )
 
     def __init__(
         self,
         minute: int,
         customer_ids: np.ndarray,
+        batch: FlowBatch,
         *,
-        records: list[FlowRecord] | None = None,
-        batch: FlowBatch | None = None,
         class_masks: dict[str, np.ndarray] | None = None,
         events_started: tuple["AttackEvent", ...] = (),
         events_ended: tuple["AttackEvent", ...] = (),
         total_flows: int | None = None,
     ) -> None:
-        if records is None and batch is None:
-            raise ValueError("a MinuteSlice needs records or a batch")
         self.minute = minute
         self.customer_ids = np.asarray(customer_ids, dtype=np.int64)
-        self._records = records
-        self._batch = batch
+        self.batch = batch
+        self._records: list[FlowRecord] | None = None
         self.class_masks = class_masks or {}
         self.events_started = events_started
         self.events_ended = events_ended
-        n = len(records) if records is not None else len(batch.array)
+        n = len(batch)
         if self.customer_ids.shape != (n,):
             raise ValueError("customer_ids must align with the minute's flows")
         self.total_flows = n if total_flows is None else total_flows
@@ -94,15 +89,8 @@ class MinuteSlice:
     def records(self) -> list[FlowRecord]:
         """Scalar view (materialized from the batch on first access)."""
         if self._records is None:
-            self._records = self._batch.to_records()
+            self._records = self.batch.to_records()
         return self._records
-
-    @property
-    def batch(self) -> FlowBatch:
-        """Columnar view (materialized from the records on first access)."""
-        if self._batch is None:
-            self._batch = FlowBatch.from_records(self._records)
-        return self._batch
 
 
 @runtime_checkable

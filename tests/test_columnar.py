@@ -63,6 +63,7 @@ from repro.netflow.matrix import (
     SOURCE_CLASS_SPOOFED,
     VolumetricAccumulator,
 )
+from repro.netflow.sampler import sample_at_rates
 from repro.obs import get_registry, set_enabled
 from repro.testing.props import choices, integers, run_property
 from repro.testing.reference import reference_matrix_state
@@ -264,6 +265,37 @@ class TestVectorizedSampler:
             choices([1, 10, 100, 1000]),
             runs=12,
             seed=47,
+        )
+
+    def test_per_flow_rates_match_a_shared_rng_scalar_loop(self):
+        """``sample_at_rates`` (one elementwise draw over the flows whose
+        rate is above 1) keeps what a loop of per-rate samplers sharing one
+        RNG keeps, and leaves that RNG at the same next draw."""
+
+        def draws_match(seed, n, pops):
+            records = _random_records(np.random.default_rng(seed), n)
+            rates = np.random.default_rng(seed + 1).choice(pops, size=n)
+            shared = np.random.default_rng(seed)
+            samplers = {r: PacketSampler(r, rng=shared) for r in pops}
+            expected, kept_rows = [], []
+            for i, (record, rate) in enumerate(zip(records, rates.tolist())):
+                kept = samplers[rate].sample(record)
+                if kept is not None:
+                    expected.append(kept)
+                    kept_rows.append(i)
+            rng = np.random.default_rng(seed)
+            out, rows = sample_at_rates(FlowBatch.from_records(records), rates, rng)
+            assert out.to_records() == expected
+            assert rows.tolist() == kept_rows
+            assert rng.integers(2**62) == shared.integers(2**62)
+
+        run_property(
+            draws_match,
+            integers(0, 10**6),
+            choices([0, 1, 9, 150]),
+            choices([(1,), (10,), (1, 10), (1, 4, 100), (7, 1000)]),
+            runs=16,
+            seed=48,
         )
 
     def test_rate_one_is_identity_with_rate_stamped(self):

@@ -23,8 +23,8 @@ def mini_scenario(**overrides):
 class TestHeterogeneousSampling:
     def test_rates_assigned_round_robin(self):
         gen = TraceGenerator(mini_scenario(sampling_rates=(1, 10)))
-        rates = [gen._sampler_for(c.customer_id).rate for c in gen.world.customers]
-        assert rates == [1, 10, 1, 10, 1]
+        rates = gen.sampling_rates_of([c.customer_id for c in gen.world.customers])
+        assert rates.tolist() == [1, 10, 1, 10, 1]
 
     def test_sampled_flow_count_drops_with_rate(self):
         dense = TraceGenerator(mini_scenario()).materialize()
@@ -43,7 +43,8 @@ class TestHeterogeneousSampling:
 
     def test_single_rate_fallback(self):
         gen = TraceGenerator(mini_scenario(sampling_rate=5))
-        assert all(s.rate == 5 for s in gen._samplers)
+        rates = gen.sampling_rates_of([c.customer_id for c in gen.world.customers])
+        assert rates.tolist() == [5] * len(gen.world.customers)
 
 
 @pytest.mark.slow

@@ -1,13 +1,20 @@
 """The property-based fuzzing pillar: runner self-tests plus the stack's
 core invariants (gradcheck over random op DAGs, survival monotonicity,
-detector/CUSUM causality, sampler unbiasedness)."""
+detector/CUSUM causality, sampler unbiasedness, the wire-domain checks
+of the columnar flow builders)."""
 
 import numpy as np
 import pytest
 
 from repro.detect.cusum import cusum_detect
-from repro.netflow.records import decode_flows, encode_flows
-from repro.netflow.sampler import PacketSampler
+from repro.netflow.records import (
+    FLOW_DTYPE,
+    FlowBatch,
+    FlowRecord,
+    decode_flows,
+    encode_flows,
+)
+from repro.netflow.sampler import PacketSampler, sample_at_rates
 from repro.nn import Tensor, gradcheck, hazard_to_survival
 from repro.survival.analysis import hazards_to_survival_np
 from repro.testing import (
@@ -227,3 +234,91 @@ class TestSamplerInvariants:
             return True
 
         run_property(prop, flow_records(), runs=50, seed=11)
+
+
+class TestWireDomainChecks:
+    """An array assignment into a ``FLOW_DTYPE`` field casts silently, so
+    the columnar builders check their columns first and must refuse
+    exactly what the scalar path (``FlowRecord`` + ``from_records``)
+    refuses, with the same exception type."""
+
+    FIELDS = (
+        "timestamp", "src_addr", "dst_addr", "src_port", "dst_port",
+        "protocol", "tcp_flags", "packets", "bytes", "sampling_rate",
+    )
+    VALID = dict(
+        timestamp=3, src_addr=1, dst_addr=2, src_port=80, dst_port=443,
+        protocol=6, tcp_flags=2, packets=4, bytes=240, sampling_rate=1,
+    )
+
+    @classmethod
+    def scalar_error(cls, field, value):
+        """The exception type the record path raises for ``value``."""
+        kwargs = {("bytes_" if k == "bytes" else k): v for k, v in cls.VALID.items()}
+        kwargs["bytes_" if field == "bytes" else field] = value
+        try:
+            FlowBatch.from_records([FlowRecord(**kwargs)])
+        except (ValueError, OverflowError) as exc:
+            return type(exc)
+        return None
+
+    @classmethod
+    def columns_with(cls, field, value, n, row):
+        """Valid ``n``-row columns with ``value`` at ``row`` of ``field``."""
+        columns = {k: np.full(n, v, dtype=np.int64) for k, v in cls.VALID.items()}
+        column = columns[field]
+        if not np.iinfo(np.int64).min <= value <= np.iinfo(np.int64).max:
+            column = column.astype(object)
+        column[row % n] = value
+        columns[field] = column
+        return columns
+
+    def test_builders_refuse_out_of_domain_columns_like_the_record_path(self):
+        def prop(field, side, excess, n, row):
+            info = np.iinfo(FLOW_DTYPE[field])
+            value = info.min - excess if side == "below" else info.max + excess
+            expected = self.scalar_error(field, value)
+            assert expected is not None, (field, value)
+            with pytest.raises(expected):
+                FlowBatch.from_columns(n, **self.columns_with(field, value, n, row))
+            return True
+
+        run_property(
+            prop,
+            choices(self.FIELDS),
+            choices(["below", "above"]),
+            choices([1, 2, 2**31, 2**64]),
+            integers(1, 12),
+            integers(0, 11),
+            runs=120,
+            seed=35,
+        )
+
+    def test_domain_edges_are_accepted_and_match_the_record_path(self):
+        def prop(field, side, n, row):
+            info = np.iinfo(FLOW_DTYPE[field])
+            floor = 1 if field == "sampling_rate" else int(info.min)
+            value = floor if side == "floor" else int(info.max)
+            assert self.scalar_error(field, value) is None
+            batch = FlowBatch.from_columns(n, **self.columns_with(field, value, n, row))
+            assert batch == FlowBatch.from_records(batch.to_records())
+            assert int(batch.array[field][row % n]) == value
+            return True
+
+        run_property(
+            prop,
+            choices(self.FIELDS),
+            choices(["floor", "ceiling"]),
+            integers(1, 12),
+            integers(0, 11),
+            runs=60,
+            seed=36,
+        )
+
+    def test_sampling_rates_beyond_the_wire_field_are_refused(self):
+        batch = FlowBatch.from_columns(2, **self.columns_with("packets", 10, 2, 0))
+        rng = np.random.default_rng(0)
+        with pytest.raises(OverflowError):
+            sample_at_rates(batch, np.array([1, 2**16]), rng)
+        with pytest.raises(ValueError):
+            sample_at_rates(batch, np.array([0, 2]), rng)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.netflow import is_bogon
+from repro.netflow import FlowBatch, is_bogon
 from repro.synth import (
     ATTACK_TYPE_MIX,
     TYPE_TRANSITIONS,
@@ -132,6 +132,18 @@ class TestAttackTypes:
             assert flows, attack_type
             assert all(sig.matches(f) for f in flows)
 
+    def test_match_mask_agrees_with_matches(self, rng):
+        flows = FlowBatch.concat(
+            [
+                generate_attack_flows(t, 0, dst, np.arange(6), 1e5, rng)
+                for t in AttackType
+                for dst in (999, 1000)
+            ]
+        )
+        for attack_type in AttackType:
+            sig = signature_for(attack_type, dst_addr=999)
+            assert sig.match_mask(flows).tolist() == [sig.matches(f) for f in flows]
+
     def test_signature_rejects_other_destination(self, rng):
         sig = signature_for(AttackType.UDP_FLOOD, dst_addr=999)
         flows = generate_attack_flows(
@@ -148,9 +160,8 @@ class TestAttackTypes:
         assert total == pytest.approx(1e7, rel=0.2)
 
     def test_empty_sources_yield_nothing(self, rng):
-        assert generate_attack_flows(
-            AttackType.TCP_SYN, 0, 1, np.array([]), 1e6, rng
-        ) == []
+        flows = generate_attack_flows(AttackType.TCP_SYN, 0, 1, np.array([]), 1e6, rng)
+        assert isinstance(flows, FlowBatch) and len(flows) == 0
 
 
 class TestCampaigns:
