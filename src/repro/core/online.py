@@ -191,6 +191,7 @@ class OnlineXatu:
         self.blocklist = blocklist
         self.route_table = route_table
         self.base_rate_of = base_rate_of or {}
+        self._deployment: tuple[tuple, str] | None = None  # see _served_deployment
         self.rearm_after = config.rearm_after
         self._slices = group_slices()
         self.reset()
@@ -407,13 +408,20 @@ class OnlineXatu:
         # (Read off the module per call, like ``core.model`` does, so a
         # tracer that patches ``fused.pool_infer`` sees these calls too.)
         pool, mode = fused.pool_infer, cfg.pooling
+        # The stack is filled by one broadcast of a ``(sum of spans,
+        # N_FEATURES)`` template of the timescales' pooled empty buckets —
+        # whole contiguous customer rows — and the pooled buckets go over it.
+        empties = [
+            pool(np.tile(zero, (1, ts.window, 1)), ts.window, mode)[0, 0]  # a real tile
+            for ts in cfg.timescales
+        ]
+        template = np.repeat(empties, [ts.span for ts in cfg.timescales], axis=0)
         stack = np.empty((len(customer_ids), steps, N_FEATURES), dtype)
+        stack[:] = template
         flat = stack.reshape(-1, N_FEATURES)
         base = 0
         for ts in cfg.timescales:
             w, span, off = ts.window, ts.span, lookback - ts.minutes
-            empty = pool(np.tile(zero, (1, w, 1)), w, mode)[0, 0]  # a real tile
-            stack[:, base : base + span] = empty
             for cols, origin, pos, rows in sparse:
                 if off:  # minutes this timescale does not reach back to
                     keep = np.flatnonzero(pos >= off)
@@ -601,7 +609,10 @@ class OnlineXatu:
         Covers the model config and weights, the scaler statistics, every
         :class:`OnlineConfig` field, ``customer_of`` (sorted items, or the
         pickled router), ``base_rate_of``, the sorted blocklist and the
-        route table's ``(lo, hi)`` ranges.  Recomputed on every call: weights change in place.
+        route table's ``(lo, hi)`` ranges.  :meth:`state_dict` computes it
+        once, and again after one of those pieces is reassigned (a piece
+        edited in place goes unnoticed); :meth:`load_state_dict` always
+        computes it afresh.
         """
         digest = hashlib.sha256()
 
@@ -661,8 +672,21 @@ class OnlineXatu:
             ),
             "watched": sorted(self._watched),
             "last_seen": sorted(self._last_seen.items()),
-            "deployment": self.deployment_digest(),
+            "deployment": self._served_deployment(),
         }
+
+    def _served_deployment(self) -> str:
+        """:meth:`deployment_digest`, memoised on the identity of every
+        piece it covers: serving never changes one, and a reassigned piece
+        (a routing table swapped mid-stream) recomputes it."""
+        pieces = (
+            self.model, self.scaler, self.config_online, self.customer_of,
+            self.blocklist, self.route_table, self.base_rate_of,
+        )
+        held = self._deployment
+        if held is None or any(a is not b for a, b in zip(held[0], pieces)):
+            held = self._deployment = (pieces, self.deployment_digest())
+        return held[1]
 
     def _matrix_state(self) -> dict:
         """The matrix snapshot; telemetry counts the cells it re-encoded."""

@@ -25,6 +25,7 @@ policy installed via :class:`repro.nn.autograd.inference_dtype`.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -194,6 +195,17 @@ _PREFIX_CHAINS_MAX = 8
 _PREFIX_CHAINS_LOCK = threading.Lock()
 
 
+def _fresh_prefix_chains_lock() -> None:
+    """A forked child inherits the lock as the parent's other threads left
+    it, and no thread in the child will ever release it: re-create it
+    there.  The memo itself is only ever missing an entry, never torn."""
+    global _PREFIX_CHAINS_LOCK
+    _PREFIX_CHAINS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_prefix_chains_lock)
+
+
 def _prefix_chain(row: np.ndarray, Wh: np.ndarray, lead: int) -> np.ndarray:
     """The memoised chain for ``(Wh, row)``, extended to ``lead`` steps."""
     key = (row.dtype.str, Wh.tobytes(), row.tobytes())
@@ -259,11 +271,15 @@ def lstm_infer_batched(
     hidden = Wh.shape[0]
 
     # Stacked input projection; per-item identical to the 2-D
-    # ``(time, features) @ Wx`` the single-sequence path computes.  The bias
-    # add lands time-major (as do the outputs), so step ``t`` reads and
-    # writes one contiguous ``(batch, 1, ·)`` slab.
+    # ``(time, features) @ Wx`` the single-sequence path computes.  It lands
+    # time-major (as do the outputs), so step ``t`` reads and writes one
+    # contiguous ``(batch, 1, ·)`` slab: the GEMM writes straight into that
+    # buffer through a batch-first view, which changes only each item's
+    # output row stride (BLAS ``ldc``), never its blocking, and the bias is
+    # added in place.
     x_proj = np.empty((steps, batch, 1, 4 * hidden), dtype=X.dtype)
-    np.add(np.matmul(X, Wx).transpose(1, 0, 2)[:, :, None], b, out=x_proj)
+    np.matmul(X, Wx, out=x_proj[:, :, 0].transpose(1, 0, 2))
+    x_proj += b
 
     outputs = np.empty((steps, batch, 1, hidden), dtype=X.dtype)
     h = np.zeros((batch, 1, hidden), dtype=X.dtype)

@@ -1153,6 +1153,38 @@ def test_a_changed_route_table_refuses_the_snapshot_in_both_lanes():
     assert pickle.dumps(lanes[0].state_dict()) == pickle.dumps(lanes[1].state_dict())
 
 
+def test_reassigning_a_deployment_piece_changes_the_next_snapshot():
+    """``state_dict`` computes the deployment digest once per detector, so
+    every piece a deployment can swap mid-stream must invalidate it when
+    reassigned: the next snapshot carries the digest of the pieces it was
+    served under, and assigning the old piece back brings the old one."""
+    from repro.signals.features import FeatureScaler
+
+    customer_of, blocklist = twin_context(3)
+    detector = build_detector(OnlineXatu, 2, customer_of, blocklist)
+    detector.step(0, FlowBatch.empty())
+    first = detector.state_dict()["deployment"]
+    assert detector.state_dict()["deployment"] == first == detector.deployment_digest()
+    scaler = FeatureScaler()
+    scaler.mean_, scaler.std_ = detector.scaler.mean_ + 1.0, detector.scaler.std_
+    route_table = RouteTable()
+    route_table.announce((0, 2**32 - 1), origin_asn=1)
+    changes = {
+        "customer_of": {**customer_of, max(customer_of) + 1: 0},
+        "blocklist": {*blocklist, 2**31 + 7},
+        "route_table": route_table,
+        "scaler": scaler,
+    }
+    for name, value in changes.items():
+        held = getattr(detector, name)
+        setattr(detector, name, value)
+        changed = detector.state_dict()["deployment"]
+        assert changed != first, name
+        assert changed == detector.deployment_digest(), name
+        setattr(detector, name, held)
+        assert detector.state_dict()["deployment"] == first, name
+
+
 def test_rejected_minute_leaves_the_detector_state_untouched():
     """A corrupt country byte fails the minute loudly, and before the
     detector commits anything the fold would have justified: no matrix
