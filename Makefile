@@ -7,7 +7,8 @@ PY := PYTHONPATH=src python
 .PHONY: verify test fast golden-check golden-record bench bench-full \
         bench-check scale-smoke bench-scale-full metrics-selftest \
         telemetry serve-smoke e2e-smoke e2e-compare e2e-pairs e2e-neutral lint \
-        lint-baseline sanitize-test scenarios scenarios-check scenarios-ci
+        lint-baseline sanitize-test scenarios scenarios-check scenarios-ci \
+        examples-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -51,9 +52,9 @@ bench-scale-full:
 
 # Scenario matrix (docs/TESTING.md): every registered paper/adversarial/
 # drift scenario through all four detector lanes.  `scenarios` refreshes
-# the committed SCENARIOS.json baseline (~10 min); `scenarios-check`
+# the committed SCENARIOS.json baseline (~5 min); `scenarios-check`
 # re-runs and compares without overwriting; `scenarios-ci` is the reduced
-# deterministic subset CI gates on (~3 min).
+# deterministic subset CI gates on (~1 min).
 scenarios:
 	$(PY) -m repro.cli scenarios run
 
@@ -62,6 +63,14 @@ scenarios-check:
 
 scenarios-ci:
 	$(PY) -m repro.cli scenarios check --ci
+
+# Example smoke (examples/README.md): the four examples that reach the
+# streamed and persisted paths must run to completion (~35 s together).
+EXAMPLES_SMOKE := reproducible_workflow quickstart online_deployment why_xatu_works
+examples-smoke:
+	set -e; for ex in $(EXAMPLES_SMOKE); do \
+	    echo "== examples/$$ex.py"; $(PY) examples/$$ex.py; \
+	done
 
 # Telemetry (docs/OBSERVABILITY.md): exporter selftest, and a pipeline
 # run that writes a full snapshot to /tmp/repro-telemetry.json.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reproducibility workflow: pin, persist, reload, and replay a dataset.
+"""Reproducibility workflow: pin, persist, reload, and stream a dataset.
 
 The pattern a research group would actually use:
 
@@ -7,7 +7,8 @@ The pattern a research group would actually use:
 2. generate the trace once and persist it (npz/json, no pickle),
 3. reload it in later sessions — bit-identical aggregates guaranteed by a
    world checksum,
-4. replay any slice as a live flow stream (e.g. into OnlineXatu).
+4. stream any slice as live flows (e.g. into OnlineXatu): the restored
+   trace re-streams the very flows its matrix was folded from.
 """
 
 import tempfile
@@ -18,7 +19,7 @@ from repro.detect import NetScoutDetector
 from repro.eval import tiny_scenario
 from repro.synth import (
     TraceGenerator,
-    TraceReplayer,
+    as_trace_source,
     load_scenario_file,
     load_trace,
     save_scenario_file,
@@ -54,11 +55,12 @@ def main() -> None:
     ]
     print(f"detector runs identical on both copies ({len(a)} alerts)")
 
-    # 4. Replay a slice as live flows.
-    replayer = TraceReplayer(restored)
+    # 4. Stream a slice as live flows.
     lo = restored.horizon // 2
-    n_flows = sum(len(flows) for _m, flows in replayer.replay(lo, lo + 10))
-    print(f"replayed minutes [{lo}, {lo + 10}) as {n_flows} live flows")
+    n_flows = sum(
+        len(sl.batch) for sl in as_trace_source(restored).iter_minutes(lo, lo + 10)
+    )
+    print(f"streamed minutes [{lo}, {lo + 10}) as {n_flows} live flows")
 
 
 if __name__ == "__main__":

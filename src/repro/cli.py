@@ -117,6 +117,8 @@ def _lossy_export(trace, start: int, stop: int):
     single codec (so flow sequence numbers run on across an engine
     restart), every 17th dropped after encoding — deterministic export
     loss, so the collector's gap accounting has something to count.
+    The trace re-streams its generator, which always simulates from
+    minute 0: a ``start`` above 0 pays for the minutes before it.
     """
     from .netflow import DatagramCodec
     from .synth import as_trace_source

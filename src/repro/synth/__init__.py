@@ -26,13 +26,7 @@ from .configio import (
     scenario_to_json,
 )
 from .io import load_trace, save_trace, world_checksum
-from .replay import TraceReplayer
-from .stream import (
-    MaterializedTraceSource,
-    MinuteSlice,
-    TraceSource,
-    as_trace_source,
-)
+from .stream import MinuteSlice, TraceSource, as_trace_source
 from .scenario import (
     ATTACK_FAMILIES,
     BENIGN_DRIFTS,
@@ -55,6 +49,5 @@ __all__ = [
     "save_trace", "load_trace", "world_checksum",
     "scenario_to_json", "scenario_from_json",
     "save_scenario_file", "load_scenario_file",
-    "TraceReplayer",
-    "TraceSource", "MinuteSlice", "MaterializedTraceSource", "as_trace_source",
+    "TraceSource", "MinuteSlice", "as_trace_source",
 ]

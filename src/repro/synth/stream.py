@@ -1,20 +1,21 @@
 """The ``TraceSource`` streaming protocol: traces as minute-slice streams.
 
-Every producer of per-minute flow data — the live :class:`TraceGenerator`,
-the :class:`TraceReplayer` reconstruction of a saved trace, and the
-:class:`MaterializedTraceSource` adapter over an in-memory :class:`Trace` —
-speaks one protocol::
+Every producer of per-minute flow data speaks one protocol::
 
     source.horizon                  # minutes in the stream
     source.iter_minutes(a, b)       # Iterator[MinuteSlice] over [a, b)
     source.events_so_far()          # ground-truth events revealed so far
 
+The producer is the :class:`TraceGenerator`.  A materialized
+:class:`Trace` streams through :func:`as_trace_source`, which builds a
+fresh generator from the trace's config: a trace's flows are a function
+of its config alone, so the stream is exactly the one the trace's matrix
+was folded from (a saved trace re-streams after ``load_trace`` too).
+
 Consumers (``eval.stream_trace``, the scenario matrix, ``cli serve``, the
 scale bench) iterate :class:`MinuteSlice` objects and never need the whole
-trace in memory.  A slice is built from the minute's sampled flows as one
-columnar :class:`~repro.netflow.FlowBatch`; its scalar record list is a
-view materialized on first access, so only record-protocol consumers pay
-for it.
+trace in memory.  A slice carries the minute's sampled flows as one
+columnar :class:`~repro.netflow.FlowBatch`.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..netflow.records import FlowBatch, FlowRecord
+from ..netflow.records import FlowBatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scenario imports us)
-    from .scenario import AttackEvent, Trace
+    from .scenario import AttackEvent
 
 __all__ = [
     "MinuteSlice",
     "TraceSource",
-    "MaterializedTraceSource",
     "as_trace_source",
 ]
 
@@ -39,8 +39,7 @@ __all__ = [
 class MinuteSlice:
     """One minute of sampled, source-class-tagged traffic.
 
-    ``batch`` holds the flows in arrival order and ``records`` is its
-    lazy scalar view; ``class_masks`` maps each auxiliary source class
+    ``batch`` holds the flows in arrival order; ``class_masks`` maps each auxiliary source class
     (A1/A2/A3 plus per-botnet provenance) to a boolean membership mask
     over the flows.  ``events_started`` / ``events_ended`` reveal
     ground truth incrementally: an event appears in ``events_ended`` once
@@ -55,7 +54,6 @@ class MinuteSlice:
         "events_started",
         "events_ended",
         "total_flows",
-        "_records",
     )
 
     def __init__(
@@ -72,7 +70,6 @@ class MinuteSlice:
         self.minute = minute
         self.customer_ids = np.asarray(customer_ids, dtype=np.int64)
         self.batch = batch
-        self._records: list[FlowRecord] | None = None
         self.class_masks = class_masks or {}
         self.events_started = events_started
         self.events_ended = events_ended
@@ -84,13 +81,6 @@ class MinuteSlice:
     @property
     def sampled_flows(self) -> int:
         return len(self.customer_ids)
-
-    @property
-    def records(self) -> list[FlowRecord]:
-        """Scalar view (materialized from the batch on first access)."""
-        if self._records is None:
-            self._records = self.batch.to_records()
-        return self._records
 
 
 @runtime_checkable
@@ -107,43 +97,18 @@ class TraceSource(Protocol):
     def events_so_far(self) -> list["AttackEvent"]: ...
 
 
-class MaterializedTraceSource:
-    """Adapter presenting an in-memory :class:`Trace` as a TraceSource.
+def as_trace_source(obj) -> TraceSource:
+    """Coerce a :class:`Trace` (or any TraceSource) to a TraceSource.
 
-    Flow reconstruction delegates to :class:`TraceReplayer`, so the
-    records it yields are identical to ``TraceReplayer.replay`` — the
-    pre-streaming consumers' behaviour (alert streams, scenario
-    baselines) is preserved byte for byte.
+    A trace streams as a fresh ``TraceGenerator(trace.config)``: the very
+    flows its matrix was folded from, class masks aside when the trace was
+    built with a ``blocklist_membership`` override (tagging draws no
+    randomness, so the flows themselves never depend on it).
     """
-
-    def __init__(self, trace: "Trace", seed: int = 0) -> None:
-        from .replay import TraceReplayer
-
-        self.trace = trace
-        self._replayer = TraceReplayer(trace, seed=seed)
-        self._cursor = 0
-
-    @property
-    def horizon(self) -> int:
-        return self.trace.horizon
-
-    def iter_minutes(
-        self, start_minute: int = 0, end_minute: int | None = None
-    ) -> Iterator[MinuteSlice]:
-        for sl in self._replayer.iter_minutes(start_minute, end_minute):
-            self._cursor = max(self._cursor, sl.minute + 1)
-            yield sl
-
-    def events_so_far(self) -> list["AttackEvent"]:
-        return [e for e in self.trace.events if e.onset < self._cursor]
-
-
-def as_trace_source(obj, seed: int = 0) -> TraceSource:
-    """Coerce a :class:`Trace` (or any TraceSource) to a TraceSource."""
     if isinstance(obj, TraceSource):
         return obj
-    from .scenario import Trace
+    from .scenario import Trace, TraceGenerator
 
     if isinstance(obj, Trace):
-        return MaterializedTraceSource(obj, seed=seed)
+        return TraceGenerator(obj.config)
     raise TypeError(f"cannot stream {type(obj).__name__} as a TraceSource")

@@ -3,11 +3,11 @@
 The streaming redesign's contract is byte-identity: folding the minute
 slices a :class:`TraceGenerator` streams must reproduce exactly the
 :class:`Trace` the one-shot materialization builds — same matrix cells,
-same ground-truth events, same counters — and every producer of the
-protocol (generator, replayer, materialized adapter) must agree with its
-legacy lane.  The suite also covers the scale machinery that rides on
-the protocol: bounded-memory lazy worlds, the analytic customer router,
-and idle-watch eviction in the online detector.
+same ground-truth events, same counters — and a materialized trace must
+re-stream exactly the flows its matrix was folded from.  The suite also
+covers the scale machinery that rides on the protocol: bounded-memory
+lazy worlds, the analytic customer router, and idle-watch eviction in
+the online detector.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from repro.eval.streaming import stream_trace
 from repro.netflow import FlowBatch, FlowRecord, TrafficMatrix
 from repro.serve import ContiguousCustomerRouter
 from repro.synth import (
-    MaterializedTraceSource,
     ScenarioConfig,
     TraceGenerator,
-    TraceReplayer,
     TraceSource,
     as_trace_source,
+    load_trace,
+    save_trace,
 )
 
 
@@ -113,7 +113,7 @@ class TestStreamMaterializeEquivalence:
             total_flows += sl.total_flows
             streamed_flows += sl.sampled_flows
             masks = {cls: np.asarray(m, dtype=bool) for cls, m in sl.class_masks.items()}
-            for i, record in enumerate(sl.records):
+            for i, record in enumerate(sl.batch.to_records()):
                 classes = [cls for cls, mask in masks.items() if mask[i]]
                 folded.add_flow(int(sl.customer_ids[i]), record, classes)
 
@@ -172,7 +172,7 @@ class TestStreamMaterializeEquivalence:
         for sl in TraceGenerator(streaming_scenario(23)).iter_minutes(0, 30):
             if not sl.sampled_flows:
                 continue
-            rebuilt = FlowBatch.from_records(sl.records)
+            rebuilt = FlowBatch.from_records(sl.batch.to_records())
             assert batch_fields_equal(rebuilt, sl.batch)
 
     def test_generator_streams_are_single_shot(self):
@@ -193,27 +193,21 @@ class TestStreamMaterializeEquivalence:
 # the TraceSource protocol across producers
 # ----------------------------------------------------------------------
 class TestTraceSourceProtocol:
-    def test_producers_satisfy_protocol(self, trace):
+    def test_producers_satisfy_protocol(self):
         assert isinstance(TraceGenerator(streaming_scenario()), TraceSource)
-        assert isinstance(TraceReplayer(trace), TraceSource)
-        assert isinstance(MaterializedTraceSource(trace), TraceSource)
 
     def test_as_trace_source_passthrough(self, trace):
         generator = TraceGenerator(streaming_scenario())
         assert as_trace_source(generator) is generator
         source = as_trace_source(trace)
-        assert isinstance(source, MaterializedTraceSource)
+        assert isinstance(source, TraceGenerator)
+        assert source.config == trace.config
         assert source.horizon == trace.horizon
+        assert as_trace_source(trace) is not source  # a fresh one-pass stream each call
 
     def test_as_trace_source_rejects_garbage(self):
         with pytest.raises(TypeError, match="cannot stream"):
             as_trace_source(42)
-
-    def test_replayer_slices_match_replay(self, trace):
-        replay = dict(TraceReplayer(trace, seed=0).replay(40, 70))
-        for sl in TraceReplayer(trace, seed=0).iter_minutes(40, 70):
-            assert sl.records == replay[sl.minute]
-            assert len(sl.customer_ids) == len(sl.records)
 
     def test_events_so_far_is_causal(self):
         config = streaming_scenario(37)
@@ -229,7 +223,7 @@ class TestTraceSourceProtocol:
         assert seen == len(reference.events)
 
     def test_materialized_source_cursor(self, trace):
-        source = MaterializedTraceSource(trace)
+        source = as_trace_source(trace)
         assert source.events_so_far() == []
         for _ in source.iter_minutes(0, trace.horizon // 2):
             pass
@@ -238,14 +232,38 @@ class TestTraceSourceProtocol:
 
     def test_stream_trace_accepts_trace_and_source(self, trace):
         """`stream_trace` must produce the identical alert stream whether
-        handed the Trace, the adapter, or the replayer directly."""
+        handed the Trace or its generator directly."""
         detector = NetScoutDetector()
         via_trace = stream_trace(detector, trace, 0, 120)
         detector.reset()
-        via_adapter = stream_trace(detector, MaterializedTraceSource(trace), 0, 120)
-        detector.reset()
-        via_replayer = stream_trace(detector, TraceReplayer(trace, seed=0), 0, 120)
-        assert via_trace == via_adapter == via_replayer
+        via_generator = stream_trace(detector, TraceGenerator(trace.config), 0, 120)
+        assert via_trace == via_generator
+
+    def test_trace_restreams_its_matrix(self, trace, tmp_path):
+        """Refolding the stream of a materialized trace gives back its
+        matrix array for array — in memory and after a save/load round
+        trip, since a saved trace re-streams from its config."""
+        for source in (trace, load_trace(save_trace(trace, tmp_path / "trace"))):
+            folded = TrafficMatrix()
+            for sl in as_trace_source(source).iter_minutes():
+                if sl.sampled_flows:
+                    folded.add_batch(sl.customer_ids, sl.batch, sl.class_masks)
+            assert_matrix_equal(folded, trace.matrix)
+
+    def test_blocklist_override_tags_but_never_moves_flows(self):
+        """Tagging draws no randomness: a ``blocklist_membership`` override
+        changes class masks only, so every minute's flows are the default
+        generator's byte for byte."""
+        config = streaming_scenario(31)
+        default = TraceGenerator(config).iter_minutes()
+        empty = TraceGenerator(config, blocklist_membership=set()).iter_minutes()
+        masks_moved = 0
+        for sl, ref in zip(empty, default, strict=True):
+            assert sl.minute == ref.minute
+            assert np.array_equal(sl.customer_ids, ref.customer_ids)
+            assert sl.batch.array.tobytes() == ref.batch.array.tobytes()
+            masks_moved += sl.class_masks.keys() != ref.class_masks.keys()
+        assert masks_moved  # the override did reach the tagging
 
 
 # ----------------------------------------------------------------------
