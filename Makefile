@@ -65,12 +65,18 @@ scenarios-ci:
 	$(PY) -m repro.cli scenarios check --ci
 
 # Example smoke (examples/README.md): the four examples that reach the
-# streamed and persisted paths must run to completion (~35 s together).
+# streamed and persisted paths must run to completion (~35 s together),
+# with TMPDIR set to one fresh directory that must be empty afterwards: an
+# example that leaves temporary files behind fails.
 EXAMPLES_SMOKE := reproducible_workflow quickstart online_deployment why_xatu_works
 examples-smoke:
-	set -e; for ex in $(EXAMPLES_SMOKE); do \
-	    echo "== examples/$$ex.py"; $(PY) examples/$$ex.py; \
-	done
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for ex in $(EXAMPLES_SMOKE); do \
+	    echo "== examples/$$ex.py"; TMPDIR=$$tmp $(PY) examples/$$ex.py; \
+	done; \
+	if [ -n "$$(ls -A "$$tmp")" ]; then \
+	    echo "examples left files in TMPDIR:"; ls -A "$$tmp"; exit 1; \
+	fi
 
 # Telemetry (docs/OBSERVABILITY.md): exporter selftest, and a pipeline
 # run that writes a full snapshot to /tmp/repro-telemetry.json.

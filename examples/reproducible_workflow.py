@@ -28,8 +28,11 @@ from repro.synth import (
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="xatu_repro_"))
+    with tempfile.TemporaryDirectory(prefix="xatu_repro_") as workdir:
+        workflow(Path(workdir))
 
+
+def workflow(workdir: Path) -> None:
     # 1. Pin the scenario.
     scenario_path = save_scenario_file(tiny_scenario(seed=3), workdir / "scenario.json")
     print(f"scenario pinned at {scenario_path}")

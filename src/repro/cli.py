@@ -110,22 +110,20 @@ def _write_cli_telemetry(path: str) -> None:
     print(f"wrote telemetry to {out}")
 
 
-def _lossy_export(trace, start: int, stop: int):
-    """Yield ``(minute, datagrams)`` for ``trace`` minutes ``[start, stop)``.
+def _lossy_export(trace, stop: int):
+    """Yield ``(minute, datagrams)`` for ``trace`` minutes ``[0, stop)``.
 
     One exporter's view of the trace: 30-record v5-style datagrams from a
     single codec (so flow sequence numbers run on across an engine
     restart), every 17th dropped after encoding — deterministic export
     loss, so the collector's gap accounting has something to count.
-    The trace re-streams its generator, which always simulates from
-    minute 0: a ``start`` above 0 pays for the minutes before it.
     """
     from .netflow import DatagramCodec
     from .synth import as_trace_source
 
     codec = DatagramCodec(engine_id=1)
     sent = 0
-    for sl in as_trace_source(trace).iter_minutes(start, stop):
+    for sl in as_trace_source(trace).iter_minutes(0, stop):
         arrived = []
         for lo in range(0, len(sl.batch), 30):
             blob = codec.encode(sl.batch[lo : lo + 30], unix_secs=sl.minute * 60)
@@ -138,10 +136,12 @@ def _lossy_export(trace, start: int, stop: int):
 def _replay_online_minutes(pipeline, minutes: int = 10) -> None:
     """Feed-health replay for the telemetry snapshot.
 
-    Streams the tail of the pipeline's trace (:func:`_lossy_export`) into
-    an :class:`~repro.core.OnlineXatu` built from the trained artefacts —
-    populating the ``online.*`` and ``netflow.*`` series alongside the
-    ``train.*`` ones.
+    Streams the first ``minutes`` of the pipeline's trace
+    (:func:`_lossy_export`) into a cold :class:`~repro.core.OnlineXatu`
+    built from the trained artefacts — populating the ``online.*`` and
+    ``netflow.*`` series alongside the ``train.*`` ones.  The head, not the
+    tail: the trace re-streams its generator, which simulates every minute
+    before the ones it yields.
     """
     from .netflow import FlowCollector
     from .scenarios.matrix import TrainedArtifacts
@@ -167,14 +167,14 @@ def _replay_online_minutes(pipeline, minutes: int = 10) -> None:
         trace, {c.address: c.customer_id for c in trace.world.customers}
     )
     collector = FlowCollector()
-    start = max(0, trace.horizon - minutes)
+    minutes = min(minutes, trace.horizon)
     alerts = 0
-    for minute, datagrams in _lossy_export(trace, start, trace.horizon):
+    for minute, datagrams in _lossy_export(trace, minutes):
         for blob in datagrams:
             collector.ingest_datagram_batch(blob)
         alerts += len(online.step(minute, collector.drain_batch()))
     health = collector.feed_health()
-    print(f"online replay    {trace.horizon - start} minutes, "
+    print(f"online replay    {minutes} minutes, "
           f"{health.records_received} records "
           f"({health.records_lost} lost, {health.loss_rate:.1%}), "
           f"{alerts} alerts")
@@ -496,7 +496,7 @@ def cmd_serve(args) -> int:
         engine = ServeEngine(factory, customer_of, config)
         merged = []
         start_wall = time_mod.perf_counter()
-        for minute, datagrams in _lossy_export(trace, 0, horizon):
+        for minute, datagrams in _lossy_export(trace, horizon):
             for blob in datagrams:
                 engine.ingest_datagram(blob)
             for record in by_detect.get(minute, []):

@@ -21,23 +21,19 @@ from .records import (
     Protocol,
     TcpFlags,
     check_flow_columns,
-    decode_flow,
-    decode_flows,
     decode_flows_batch,
-    encode_flow,
     encode_flows,
 )
 from .datagram import DatagramCodec, DatagramHeader, SequenceTracker
 from .routing import BOGON_CIDRS, RouteEntry, RouteTable, SpoofVerdict, is_bogon
-from .sampler import FeedHealth, FlowCollector, FlowExporter, PacketSampler
+from .sampler import FeedHealth, FlowCollector
 
 __all__ = [
     "FlowRecord", "FlowBatch", "Protocol", "TcpFlags", "FLOW_DTYPE",
-    "encode_flow", "decode_flow", "encode_flows", "decode_flows",
-    "decode_flows_batch", "FLOW_WIRE_SIZE", "check_flow_columns",
+    "encode_flows", "decode_flows_batch", "FLOW_WIRE_SIZE", "check_flow_columns",
     "ip_to_int", "int_to_ip", "subnet24", "subnet24_str", "in_cidr", "cidr_to_range",
     "BOGON_CIDRS", "is_bogon", "RouteEntry", "RouteTable", "SpoofVerdict",
-    "PacketSampler", "FlowExporter", "FlowCollector", "FeedHealth",
+    "FlowCollector", "FeedHealth",
     "TrafficMatrix", "VolumetricAccumulator",
     "POPULAR_PORTS", "POPULAR_COUNTRIES", "VOLUMETRIC_FEATURE_NAMES", "N_VOLUMETRIC",
     "SOURCE_CLASS_ALL", "SOURCE_CLASS_BLOCKLIST", "SOURCE_CLASS_PREV_ATTACKER",

@@ -6,11 +6,11 @@ record count, router uptime, export timestamp, and a flow sequence number
 that lets collectors detect datagram loss.  :class:`DatagramCodec` adds
 that envelope (and the loss accounting) on top of the record codec.
 
-The columnar fast path is :meth:`DatagramCodec.decode_batch`: the whole
-record block becomes one :class:`~repro.netflow.records.FlowBatch` view
-over the datagram bytes (a single ``np.frombuffer``, no per-record
-unpacking).  :meth:`DatagramCodec.decode` keeps the record-list shape for
-existing callers by converting that view.
+Both directions are columnar: :meth:`DatagramCodec.encode` writes a
+:class:`~repro.netflow.records.FlowBatch`'s buffer behind the header, and
+:meth:`DatagramCodec.decode_batch` turns the whole record block into one
+``FlowBatch`` view over the datagram bytes (a single ``np.frombuffer``, no
+per-record unpacking).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 
 from ..obs import get_registry, obs_enabled
-from .records import FLOW_WIRE_SIZE, FlowBatch, FlowRecord, _as_batch, _ascii_countries
+from .records import FLOW_WIRE_SIZE, FlowBatch, _ascii_countries
 
 __all__ = ["DatagramHeader", "DatagramCodec", "SequenceTracker"]
 
@@ -48,17 +48,9 @@ class DatagramCodec:
         self._sequence = 0
 
     def encode(
-        self,
-        flows: "FlowBatch | list[FlowRecord]",
-        sys_uptime_ms: int = 0,
-        unix_secs: int = 0,
+        self, batch: FlowBatch, sys_uptime_ms: int = 0, unix_secs: int = 0
     ) -> bytes:
-        """Encode one export datagram, advancing the flow sequence.
-
-        Accepts a record list or a :class:`FlowBatch`; a batch encodes
-        straight from its array buffer.
-        """
-        batch = _as_batch(flows)
+        """Encode one export datagram, advancing the flow sequence."""
         header = _HEADER_STRUCT.pack(
             _VERSION,
             len(batch),
@@ -90,12 +82,6 @@ class DatagramCodec:
         batch = _ascii_countries(FlowBatch.from_buffer(blob, count=count, offset=HEADER_SIZE))
         header = DatagramHeader(version, count, uptime, secs, sequence, engine)
         return header, batch
-
-    @staticmethod
-    def decode(blob: bytes) -> tuple[DatagramHeader, list[FlowRecord]]:
-        """Parse header + records; validates version and length."""
-        header, batch = DatagramCodec.decode_batch(blob)
-        return header, batch.to_records()
 
 
 class SequenceTracker:

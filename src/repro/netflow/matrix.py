@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import sys
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .records import FlowBatch, FlowRecord, Protocol, TcpFlags, _decode_country
+from .records import FlowBatch, Protocol, TcpFlags, _decode_country
 
 __all__ = [
     "POPULAR_PORTS",
@@ -94,9 +94,11 @@ _INVALID = 255            # country code that is not ASCII: the batch is rejecte
 
 
 def _column_tables() -> tuple[np.ndarray, ...]:
-    """Field value → bytes-counter column, as :meth:`VolumetricAccumulator.add`
-    picks it; country codes through ``_decode_country`` itself, on the bytes
-    numpy hands out for each of the 65,536 two-byte codes."""
+    """Field value → bytes-counter column: UDP/TCP/ICMP, a popular source or
+    destination port, each TCP flag bit (on TCP flows only, which the fold
+    applies), a popular country — every other value lands on the trash
+    column.  Country codes go through ``_decode_country`` itself, on the
+    bytes numpy hands out for each of the 65,536 two-byte codes."""
     proto = np.full(256, _TRASH, dtype=np.uint8)
     for i, value in enumerate((Protocol.UDP, Protocol.TCP, Protocol.ICMP)):
         proto[value] = _OFF_PROTO + 2 * i
@@ -144,48 +146,6 @@ class VolumetricAccumulator:
         self.vector = np.zeros(N_VOLUMETRIC)
         self._sources: set[int] = set()
 
-    def add(self, flow: FlowRecord) -> None:
-        """Fold one sampled flow into the counters (sampling-compensated)."""
-        bytes_ = flow.estimated_bytes
-        packets = flow.estimated_packets
-        self.flow_count += 1
-        self.total_bytes += bytes_
-        self.total_packets += packets
-        self.max_bytes = max(self.max_bytes, bytes_)
-        self.max_packets = max(self.max_packets, packets)
-        self._sources.add(flow.src_addr)
-
-        v = self.vector
-        if flow.protocol == Protocol.UDP:
-            v[_OFF_PROTO + 0] += bytes_
-            v[_OFF_PROTO + 1] += packets
-        elif flow.protocol == Protocol.TCP:
-            v[_OFF_PROTO + 2] += bytes_
-            v[_OFF_PROTO + 3] += packets
-        elif flow.protocol == Protocol.ICMP:
-            v[_OFF_PROTO + 4] += bytes_
-            v[_OFF_PROTO + 5] += packets
-
-        sp = _PORT_INDEX.get(flow.src_port)
-        if sp is not None:
-            v[_OFF_SPORT + 2 * sp] += bytes_
-            v[_OFF_SPORT + 2 * sp + 1] += packets
-        dp = _PORT_INDEX.get(flow.dst_port)
-        if dp is not None:
-            v[_OFF_DPORT + 2 * dp] += bytes_
-            v[_OFF_DPORT + 2 * dp + 1] += packets
-
-        if flow.protocol == Protocol.TCP and flow.tcp_flags:
-            for i, bit in enumerate(_TCP_FLAG_BITS):
-                if flow.tcp_flags & bit:
-                    v[_OFF_FLAGS + 2 * i] += bytes_
-                    v[_OFF_FLAGS + 2 * i + 1] += packets
-
-        cc = _COUNTRY_INDEX.get(flow.src_country)
-        if cc is not None:
-            v[_OFF_COUNTRY + 2 * cc] += bytes_
-            v[_OFF_COUNTRY + 2 * cc + 1] += packets
-
     def add_aggregate(
         self,
         count: int,
@@ -198,12 +158,14 @@ class VolumetricAccumulator:
     ) -> None:
         """Fold one pre-aggregated (vectorized) contribution into the cell.
 
-        Equivalent to ``count`` :meth:`add` calls whose sampling-compensated
-        counters sum to the given totals: every counter is an integer sum,
-        max, or set union, so as long as the partial and total sums are
-        exactly representable in float64 (< 2**53 — far beyond any per-cell
-        minute of ISP traffic) the result is bit-identical to the scalar
-        path.  ``tests/test_columnar.py`` proves it differentially.
+        Equivalent to folding ``count`` flows one at a time whose
+        sampling-compensated counters sum to the given totals: every counter
+        is an integer sum, max, or set union, so as long as the partial and
+        total sums are exactly representable in float64 (< 2**53 — far
+        beyond any per-cell minute of ISP traffic) the result is
+        bit-identical to the per-flow fold
+        (:func:`repro.testing.reference.reference_add_flow`).
+        ``tests/test_columnar.py`` proves it differentially.
         """
         self.flow_count += count
         self.total_bytes += total_bytes
@@ -406,10 +368,10 @@ def _column(state: dict, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray
 class TrafficMatrix:
     """Sparse (customer, source-class, minute) → volumetric-cell store.
 
-    ``add_flow`` tags each flow with its auxiliary source classes (computed
-    by the caller — see :class:`repro.signals.SourceClassifier`) and updates
-    the "all" cell plus one cell per class.  ``feature_block`` produces the
-    dense per-minute matrix a model consumes; ``rows_between`` hands out the
+    ``add_batch`` folds each flow into the "all" cell plus one cell per
+    auxiliary source class it belongs to (masks computed by the caller —
+    see :class:`repro.signals.SourceClassifier`).  ``feature_block``
+    produces the dense per-minute matrix a model consumes; ``rows_between`` hands out the
     same rows compactly (non-empty minutes only).
 
     State is one :class:`_Series` per (customer, class).  Everything else —
@@ -472,27 +434,13 @@ class TrafficMatrix:
             self.max_minute = minute
         self._write(customer, source_class, minute, cell)
 
-    def add_flow(
-        self,
-        customer: int,
-        flow: FlowRecord,
-        source_classes: Sequence[str] = (),
-    ) -> None:
-        """Fold a flow destined to ``customer`` into the matrix."""
-        self._customers.add(customer)
-        minute = flow.timestamp
-        if minute > self.max_minute:
-            self.max_minute = minute
-        for cls in (SOURCE_CLASS_ALL, *source_classes):
-            self._write(customer, cls, minute).add(flow)
-
     def add_batch(
         self,
         customer_ids: np.ndarray,
         flows: FlowBatch,
         class_masks: Mapping[str, np.ndarray] | None = None,
     ) -> list[int]:
-        """Vectorized :meth:`add_flow` over a whole columnar batch.
+        """Fold a whole columnar batch into the matrix.
 
         ``customer_ids`` carries the destination customer of each record
         (the caller routed already); ``class_masks`` maps each auxiliary
@@ -503,11 +451,12 @@ class TrafficMatrix:
         import-time lookup tables, the records are grouped by (customer,
         minute) once, and each source class is then one exact int64
         scatter-add per quantity into ``cell * width + column``, folded into
-        the same :class:`VolumetricAccumulator` cells the scalar loop feeds
-        — sums, maxes, and unique-source sets are exact integer arithmetic,
-        so the resulting matrix is bit-identical to calling
-        ``add_flow(customer, flow, classes)`` per record in arrival order
-        (proven by the differential property suite).  A rejected batch —
+        the :class:`VolumetricAccumulator` cells — sums, maxes, and
+        unique-source sets are exact integer arithmetic, so the resulting
+        matrix is bit-identical to the scalar oracle
+        :func:`repro.testing.reference.reference_add_flow` called per
+        record in arrival order (proven by the differential property
+        suite in ``tests/test_columnar.py``).  A rejected batch —
         misaligned ``customer_ids`` or mask, a non-ASCII country code —
         raises before anything is written.
         """
@@ -531,7 +480,7 @@ class TrafficMatrix:
         proto = arr["protocol"]
         country = _COUNTRY_COLUMN.take(arr["src_country"].view("<u2"))
         if country.max() == _INVALID:
-            # Raises the scalar lane's UnicodeDecodeError.
+            # Raise the UnicodeDecodeError that decoding this code raises.
             _decode_country(bytes(arr["src_country"][country.argmax()]))
         columns = np.empty((n, _SLOTS), dtype=np.uint8)
         columns[:, 0] = _PROTO_COLUMN.take(proto)

@@ -2,23 +2,24 @@
 
 A :class:`FlowRecord` is the reproduction's stand-in for one sampled NetFlow
 v5/v9 record: the 5-tuple, byte/packet counters, TCP flags, a timestamp, and
-the exporter's sampling rate.  The synthetic ISP world (:mod:`repro.synth`)
-emits these; the feature extractor (:mod:`repro.signals`) consumes per-minute
-aggregations of them.
+the exporter's sampling rate.  The feature extractor (:mod:`repro.signals`)
+consumes per-minute aggregations of them.
 
-Columnar fast path
-------------------
+Columnar path
+-------------
 :data:`FLOW_DTYPE` is a numpy structured dtype that mirrors the wire record
 byte for byte, so a whole datagram's record block decodes as **one**
 ``np.frombuffer`` view — no per-record ``struct.unpack`` — wrapped in a
 :class:`FlowBatch`.  Encoding goes the other way: the array's own buffer
-*is* the wire payload.  The scalar :class:`FlowRecord` API survives as a
-thin conversion shim (:meth:`FlowBatch.to_records` /
-:meth:`FlowBatch.from_records`), so every list-of-records caller and every
-golden fixture stands unchanged; the two paths are proven byte-identical
-by the differential suite in ``tests/test_columnar.py``.  Batches are built
-from columns with :meth:`FlowBatch.from_columns` (``from_records`` included),
-which refuses out-of-domain values first (:func:`check_flow_columns`).
+*is* the wire payload.  ``FlowBatch`` is the only form flows take on the
+production path (generation, sampling, codec, collection, fold); a
+:class:`FlowRecord` list enters it once through
+:meth:`FlowBatch.from_records` and leaves through
+:meth:`FlowBatch.to_records`.  The per-record ``struct`` codec survives as
+the scalar wire oracle in :mod:`repro.testing.reference`.  Batches are
+built from columns with :meth:`FlowBatch.from_columns` (``from_records``
+included), which refuses out-of-domain values first
+(:func:`check_flow_columns`).
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ __all__ = [
     "FLOW_DTYPE",
     "check_flow_columns",
     "encode_countries",
-    "encode_flow",
-    "decode_flow",
     "encode_flows",
-    "decode_flows",
     "decode_flows_batch",
     "FLOW_WIRE_SIZE",
 ]
@@ -128,14 +126,9 @@ class FlowRecord:
 
 # Wire format: a fixed 38-byte little-endian layout per record, preceded in
 # streams by a u32 record count.  This mimics the fixed-size record blocks of
-# NetFlow v5 export datagrams.
-_FLOW_STRUCT = struct.Struct("<IIIHHBBIQH2sI")
-FLOW_WIRE_SIZE = _FLOW_STRUCT.size
-
-# The same layout as a packed numpy structured dtype: field order, widths,
-# and endianness line up with ``_FLOW_STRUCT`` exactly, so a record block
-# views as an array (and an array's buffer is a record block) with zero
-# re-serialization.
+# NetFlow v5 export datagrams.  As a packed numpy structured dtype, a record
+# block views as an array (and an array's buffer is a record block) with
+# zero re-serialization.
 FLOW_DTYPE = np.dtype(
     [
         ("timestamp", "<u4"),
@@ -152,7 +145,7 @@ FLOW_DTYPE = np.dtype(
         ("reserved", "<u4"),
     ]
 )
-assert FLOW_DTYPE.itemsize == FLOW_WIRE_SIZE, "structured dtype must mirror the wire layout"
+FLOW_WIRE_SIZE = FLOW_DTYPE.itemsize
 
 
 def _encode_country(country: str) -> bytes:
@@ -241,9 +234,9 @@ class FlowBatch:
     The canonical in-memory form of the ingest fast path: datagram decode
     yields a ``FlowBatch`` view straight over the wire bytes, the collector
     retains batches, and :meth:`repro.netflow.TrafficMatrix.add_batch`
-    aggregates them with vectorized group-bys.  Iteration and indexing fall
-    back to :class:`FlowRecord` conversion so protocol-shaped consumers that
-    expect record sequences keep working unmodified.
+    aggregates them with vectorized group-bys.  Iterating, or indexing with
+    an integer, converts rows to :class:`FlowRecord` objects (tests and
+    examples read them that way; the production path never does).
     """
 
     __slots__ = ("array",)
@@ -359,8 +352,7 @@ class FlowBatch:
 
     # -- wire -----------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """The raw record block (no count prefix); byte-identical to
-        concatenating :func:`encode_flow` over :meth:`to_records`."""
+        """The raw record block (no count prefix)."""
         return self.array.tobytes()
 
     # -- record shim ------------------------------------------------------
@@ -403,20 +395,7 @@ class FlowBatch:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            row = self.array[int(key)]
-            return FlowRecord(
-                timestamp=int(row["timestamp"]),
-                src_addr=int(row["src_addr"]),
-                dst_addr=int(row["dst_addr"]),
-                src_port=int(row["src_port"]),
-                dst_port=int(row["dst_port"]),
-                protocol=int(row["protocol"]),
-                packets=int(row["packets"]),
-                bytes_=int(row["bytes"]),
-                tcp_flags=int(row["tcp_flags"]),
-                src_country=_decode_country(bytes(row["src_country"])),
-                sampling_rate=int(row["sampling_rate"]),
-            )
+            return self.take([key]).to_records()[0]
         if isinstance(key, slice):
             return FlowBatch(self.array[key])
         return self.take(key)
@@ -430,69 +409,8 @@ class FlowBatch:
         return f"FlowBatch(n={len(self.array)})"
 
 
-def _as_batch(flows: "FlowBatch | Sequence[FlowRecord]") -> FlowBatch:
-    """Coerce either flow representation to a :class:`FlowBatch`."""
-    if isinstance(flows, FlowBatch):
-        return flows
-    return FlowBatch.from_records(flows)
-
-
-def encode_flow(flow: FlowRecord) -> bytes:
-    """Serialize one record to its fixed-size wire form."""
-    return _FLOW_STRUCT.pack(
-        flow.timestamp,
-        flow.src_addr,
-        flow.dst_addr,
-        flow.src_port,
-        flow.dst_port,
-        flow.protocol,
-        flow.tcp_flags,
-        flow.packets,
-        flow.bytes_,
-        flow.sampling_rate,
-        _encode_country(flow.src_country),
-        0,  # reserved
-    )
-
-
-def decode_flow(blob: bytes) -> FlowRecord:
-    """Parse one fixed-size wire record back into a :class:`FlowRecord`."""
-    (
-        timestamp,
-        src_addr,
-        dst_addr,
-        src_port,
-        dst_port,
-        protocol,
-        tcp_flags,
-        packets,
-        bytes_,
-        sampling_rate,
-        country,
-        _reserved,
-    ) = _FLOW_STRUCT.unpack(blob)
-    return FlowRecord(
-        timestamp=timestamp,
-        src_addr=src_addr,
-        dst_addr=dst_addr,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=protocol,
-        packets=packets,
-        bytes_=bytes_,
-        tcp_flags=tcp_flags,
-        src_country=_decode_country(country),
-        sampling_rate=sampling_rate,
-    )
-
-
-def encode_flows(flows: "FlowBatch | Sequence[FlowRecord]") -> bytes:
-    """Serialize a batch: u32 count followed by fixed-size records.
-
-    Accepts a :class:`FlowBatch` (encoded straight from its buffer) or a
-    record list (columnarized first); the bytes are identical either way.
-    """
-    batch = _as_batch(flows)
+def encode_flows(batch: FlowBatch) -> bytes:
+    """Serialize a batch: u32 count followed by fixed-size records."""
     return struct.pack("<I", len(batch)) + batch.to_bytes()
 
 
@@ -530,7 +448,3 @@ def _ascii_countries(batch: FlowBatch) -> FlowBatch:
         )
     return batch
 
-
-def decode_flows(blob: bytes) -> list[FlowRecord]:
-    """Parse a batch produced by :func:`encode_flows` (record-list shim)."""
-    return decode_flows_batch(blob).to_records()

@@ -10,12 +10,11 @@ world and to re-derive them for custom scenarios.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..netflow.records import FlowRecord
+from ..netflow.records import FlowBatch, _decode_country
 
 __all__ = ["CoverageReport", "coverage_by_key", "select_covering"]
 
@@ -37,31 +36,34 @@ class CoverageReport:
         return [value for value, _share in self.ranked[:n]]
 
 
-def coverage_by_key(flows, key) -> CoverageReport:
-    """Aggregate byte shares of ``flows`` grouped by ``key(flow)``.
+def coverage_by_key(batch: FlowBatch, key) -> CoverageReport:
+    """Sampling-compensated byte shares of ``batch`` grouped by ``key``.
 
-    ``flows`` is any iterable of :class:`FlowRecord`; ``key`` may be a
-    callable or one of the shorthand strings "src_port", "dst_port",
-    "src_country", "protocol".
+    ``key`` is a column name ("src_port", "dst_port", "src_country",
+    "protocol"; countries come out as decoded codes) or an array of one key
+    value per flow.  Values are ranked by share, descending; equal shares
+    keep the order in which their first flow arrives.
     """
     if isinstance(key, str):
-        attr = key
-        key_fn = lambda flow: getattr(flow, attr)  # noqa: E731
-        name = attr
+        name, keys = key, batch.array[key]
+        if key == "src_country":
+            codes, at = np.unique(keys, return_inverse=True)
+            keys = np.array([_decode_country(bytes(c)) for c in codes], dtype=object)[at]
     else:
-        key_fn = key
-        name = getattr(key, "__name__", "custom")
-    totals: Counter = Counter()
-    grand_total = 0
-    for flow in flows:
-        weight = flow.estimated_bytes
-        totals[key_fn(flow)] += weight
-        grand_total += weight
+        name, keys = "custom", np.asarray(key)
+        if keys.shape != (len(batch),):
+            raise ValueError("key must hold one value per flow")
+    weights = batch.estimated_bytes()
+    grand_total = int(weights.sum())
     if grand_total <= 0:
         return CoverageReport(name, (), 0.0)
+    values, first, at = np.unique(keys, return_index=True, return_inverse=True)
+    totals = np.zeros(len(values), dtype=np.int64)
+    np.add.at(totals, at, weights)
+    order = np.lexsort((first, -totals))
     ranked = tuple(
-        (value, count / grand_total)
-        for value, count in totals.most_common()
+        (value, total / grand_total)
+        for value, total in zip(values[order].tolist(), totals[order].tolist())
     )
     return CoverageReport(name, ranked, float(grand_total))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..netflow.records import FlowBatch, FlowRecord, Protocol, TcpFlags, encode_countries
+from ..netflow.records import FlowBatch, Protocol, TcpFlags, encode_countries
 
 __all__ = [
     "AttackType",
@@ -99,20 +99,9 @@ class AttackSignature:
     dst_port: int | None = None
     tcp_flags: int | None = None
 
-    def matches(self, flow: FlowRecord) -> bool:
-        """Whether a flow matches this diversion signature."""
-        if flow.dst_addr != self.dst_addr or flow.protocol != self.protocol:
-            return False
-        if self.src_port is not None and flow.src_port != self.src_port:
-            return False
-        if self.dst_port is not None and flow.dst_port != self.dst_port:
-            return False
-        if self.tcp_flags is not None and not (flow.tcp_flags & self.tcp_flags):
-            return False
-        return True
-
     def match_mask(self, batch: FlowBatch) -> np.ndarray:
-        """:meth:`matches` over every flow of ``batch``, as a boolean mask."""
+        """Which flows of ``batch`` match this diversion signature, as a
+        boolean mask (a set ``tcp_flags`` needs any one of its bits)."""
         array = batch.array
         mask = (array["dst_addr"] == self.dst_addr) & (array["protocol"] == self.protocol)
         if self.src_port is not None:

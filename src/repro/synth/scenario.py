@@ -813,9 +813,10 @@ class TraceGenerator:
     def materialize(self) -> Trace:
         """Collect the full stream into an in-memory :class:`Trace`.
 
-        The matrix fold uses the vectorized ``add_batch`` lane, which is
-        bit-identical to scalar ``add_flow`` in arrival order, so the
-        result matches the historical one-shot generation byte for byte.
+        The matrix fold is ``add_batch``, bit-identical to the per-record
+        oracle ``repro.testing.reference.reference_add_flow`` in arrival
+        order, so the result matches the historical one-shot generation
+        byte for byte.
         """
         cfg = self.config
         matrix = TrafficMatrix()

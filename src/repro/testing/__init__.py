@@ -5,9 +5,10 @@ silent numerical drift while the hot paths get refactored:
 
 * :mod:`repro.testing.reference` — slow, obviously-correct scalar
   re-implementations of the production kernels (LSTM cell, Dense, Adam,
-  SAFE loss, survival transform, CUSUM) for differential testing, plus
-  :class:`ReferenceOnlineXatu`, the per-record / per-customer oracle for
-  the streaming detector;
+  SAFE loss, survival transform, CUSUM) for differential testing, the
+  per-record NetFlow oracles (wire codec, packet sampling, matrix fold,
+  signature match), and :class:`ReferenceOnlineXatu`, the per-record /
+  per-customer oracle for the streaming detector;
 * :mod:`repro.testing.golden` — versioned end-to-end golden fixtures
   (``manifest.json`` + ``arrays.npz``) recorded once and checked on every
   change via ``python -m repro.cli golden record|check``;
@@ -47,16 +48,21 @@ from .reference import (
     diff_summary,
     max_abs_diff,
     reference_adam_step,
+    reference_add_flow,
     reference_avg_pool_1d,
     reference_binary_cross_entropy,
     reference_cusum_scores,
+    reference_decode_flow,
     reference_dense,
+    reference_encode_flow,
     reference_hazard_to_survival,
     reference_lstm_cell,
     reference_lstm_sequence,
+    reference_matches,
     reference_matrix_state,
     reference_max_pool_1d,
     reference_safe_survival_loss,
+    reference_sample,
     reference_sgd_step,
     reference_sigmoid,
 )
@@ -94,6 +100,11 @@ __all__ = [
     "reference_safe_survival_loss",
     "reference_binary_cross_entropy",
     "reference_cusum_scores",
+    "reference_encode_flow",
+    "reference_decode_flow",
+    "reference_sample",
+    "reference_add_flow",
+    "reference_matches",
     "ReferenceOnlineXatu",
     "reference_matrix_state",
     "max_abs_diff",

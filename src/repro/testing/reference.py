@@ -12,6 +12,16 @@ that silently changes its math is caught immediately.
 Arrays come in and go out as ``numpy.ndarray`` (for convenient comparison)
 but every arithmetic step happens on Python floats.
 
+The NetFlow layer's production path is columnar end to end
+(:class:`~repro.netflow.FlowBatch`); its scalar oracles live here, one
+:class:`~repro.netflow.FlowRecord` at a time: the 38-byte ``struct`` wire
+codec (:func:`reference_encode_flow` / :func:`reference_decode_flow`, the
+oracle of ``FlowBatch.to_bytes`` and the decoders), 1:N packet sampling
+(:func:`reference_sample`, of ``sample_at_rates``), the per-flow matrix
+fold (:func:`reference_add_flow`, of ``TrafficMatrix.add_batch``) and the
+diversion-signature test (:func:`reference_matches`, of
+``AttackSignature.match_mask``).
+
 :class:`ReferenceOnlineXatu` is the one exception to "no shared code": it
 *is* the production :class:`~repro.core.OnlineXatu` with two stages
 swapped for slow, obviously-correct ones — per-record ingest, and
@@ -26,17 +36,26 @@ the differential suites
 from __future__ import annotations
 
 import math
+import struct
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from ..core.online import OnlineXatu
 from ..netflow.matrix import (
     N_VOLUMETRIC,
+    POPULAR_COUNTRIES,
+    POPULAR_PORTS,
+    SOURCE_CLASS_ALL,
     SOURCE_CLASS_BLOCKLIST,
     SOURCE_CLASS_PREV_ATTACKER,
     SOURCE_CLASS_SPOOFED,
+    VOLUMETRIC_FEATURE_NAMES,
     TrafficMatrix,
+    VolumetricAccumulator,
 )
+from ..netflow.records import FlowRecord, Protocol, TcpFlags
 from ..signals.features import _CLASS_OF_GROUP, N_FEATURES
 
 __all__ = [
@@ -52,6 +71,11 @@ __all__ = [
     "reference_safe_survival_loss",
     "reference_binary_cross_entropy",
     "reference_cusum_scores",
+    "reference_encode_flow",
+    "reference_decode_flow",
+    "reference_sample",
+    "reference_add_flow",
+    "reference_matches",
     "ReferenceOnlineXatu",
     "reference_matrix_state",
     "max_abs_diff",
@@ -323,6 +347,124 @@ def reference_cusum_scores(
 
 
 # ----------------------------------------------------------------------
+# NetFlow: one FlowRecord at a time
+# ----------------------------------------------------------------------
+# The 38-byte little-endian wire record, field by field: timestamp, src/dst
+# address, src/dst port, protocol, tcp_flags, packets, bytes, sampling rate,
+# two-byte country code, four reserved bytes.
+_WIRE_RECORD = struct.Struct("<IIIHHBBIQH2sI")
+
+
+def reference_encode_flow(flow: FlowRecord) -> bytes:
+    """One record in its fixed-size wire form (``struct.pack``)."""
+    return _WIRE_RECORD.pack(
+        flow.timestamp, flow.src_addr, flow.dst_addr, flow.src_port,
+        flow.dst_port, flow.protocol, flow.tcp_flags, flow.packets,
+        flow.bytes_, flow.sampling_rate,
+        flow.src_country.encode("ascii")[:2].ljust(2, b" "), 0,
+    )
+
+
+def reference_decode_flow(blob: bytes) -> FlowRecord:
+    """One fixed-size wire record back as a :class:`FlowRecord`; a blank
+    country code reads as "US"."""
+    (timestamp, src, dst, src_port, dst_port, protocol, tcp_flags,
+     packets, bytes_, rate, country, _reserved) = _WIRE_RECORD.unpack(blob)
+    return FlowRecord(
+        timestamp, src, dst, src_port, dst_port, protocol, packets, bytes_,
+        tcp_flags, country.decode("ascii").strip() or "US", rate,
+    )
+
+
+def reference_sample(
+    flow: FlowRecord, rate: int, rng: np.random.Generator
+) -> FlowRecord | None:
+    """1:``rate`` packet sampling of one flow, or None if no packet survives.
+
+    Each packet is kept with probability ``1/rate`` (one scalar binomial
+    draw; none at 1:1) and bytes scale with the kept packets, rounded
+    half-to-even, at least 1.
+    """
+    if rate == 1:
+        return replace(flow, sampling_rate=1)
+    kept = int(rng.binomial(flow.packets, 1.0 / rate))
+    if kept == 0:
+        return None
+    mean_packet = flow.bytes_ / flow.packets if flow.packets else 0.0
+    return replace(
+        flow, packets=kept, bytes_=max(1, int(round(kept * mean_packet))), sampling_rate=rate
+    )
+
+
+_PROTOCOL_NAMES = {Protocol.UDP: "udp", Protocol.TCP: "tcp", Protocol.ICMP: "icmp"}
+_FEATURE_COLUMN = {name: i for i, name in enumerate(VOLUMETRIC_FEATURE_NAMES)}
+
+
+def _counter_columns(flow: FlowRecord) -> list[tuple[int, int]]:
+    """The (bytes, packets) feature columns of Table 1 one flow adds to,
+    looked up by feature name."""
+    names = []
+    if flow.protocol in _PROTOCOL_NAMES:
+        names.append(_PROTOCOL_NAMES[flow.protocol])
+    if flow.src_port in POPULAR_PORTS:
+        names.append(f"sport{flow.src_port}")
+    if flow.dst_port in POPULAR_PORTS:
+        names.append(f"dport{flow.dst_port}")
+    if flow.protocol == Protocol.TCP:
+        names += [f"flag_{bit.name.lower()}" for bit in TcpFlags if flow.tcp_flags & bit]
+    if flow.src_country in POPULAR_COUNTRIES:
+        names.append(f"cc_{flow.src_country}")
+    return [(_FEATURE_COLUMN[f"{n}_bytes"], _FEATURE_COLUMN[f"{n}_packets"]) for n in names]
+
+
+def reference_add_flow(
+    matrix: TrafficMatrix,
+    customer: int,
+    flow: FlowRecord,
+    source_classes: Sequence[str] = (),
+) -> None:
+    """Fold one flow destined to ``customer`` into ``matrix``: its "all"
+    cell and one cell per source class, sampling-compensated.
+
+    Each cell is read with ``matrix.cell``, folded in place and installed
+    back with ``matrix.set_cell``: the public write, which keeps the
+    roster, ``max_minute`` and the matrix's derived row stores in step
+    (folded without it, the cell would be a write no store sees).
+    """
+    bytes_ = flow.bytes_ * flow.sampling_rate
+    packets = flow.packets * flow.sampling_rate
+    columns = _counter_columns(flow)
+    for cls in (SOURCE_CLASS_ALL, *source_classes):
+        cell = matrix.cell(customer, flow.timestamp, cls)
+        if cell is None:
+            cell = VolumetricAccumulator()
+        cell.flow_count += 1
+        cell.total_bytes += bytes_
+        cell.total_packets += packets
+        cell.max_bytes = max(cell.max_bytes, bytes_)
+        cell.max_packets = max(cell.max_packets, packets)
+        cell._sources.add(flow.src_addr)
+        for bytes_column, packets_column in columns:
+            cell.vector[bytes_column] += bytes_
+            cell.vector[packets_column] += packets
+        matrix.set_cell(customer, flow.timestamp, cls, cell)
+
+
+def reference_matches(signature, flow: FlowRecord) -> bool:
+    """Whether ``flow`` matches an ``AttackSignature``: destination and
+    protocol, each port that is set, and any one bit of set ``tcp_flags``."""
+    if flow.dst_addr != signature.dst_addr or flow.protocol != signature.protocol:
+        return False
+    if signature.src_port is not None and flow.src_port != signature.src_port:
+        return False
+    if signature.dst_port is not None and flow.dst_port != signature.dst_port:
+        return False
+    if signature.tcp_flags is not None and not flow.tcp_flags & signature.tcp_flags:
+        return False
+    return True
+
+
+# ----------------------------------------------------------------------
 # the streaming detector's oracles
 # ----------------------------------------------------------------------
 def reference_matrix_state(matrix: TrafficMatrix) -> dict:
@@ -361,7 +503,7 @@ def reference_matrix_state(matrix: TrafficMatrix) -> dict:
 
 class ReferenceOnlineXatu(OnlineXatu):
     """:class:`~repro.core.OnlineXatu` with scalar ingest and per-customer
-    scoring: one ``add_flow`` per record; one dense window, one whole-window
+    scoring: one :func:`reference_add_flow` per record; one dense window, one whole-window
     ``FeatureScaler.transform`` and one model call per customer.
 
     Overrides the ``_ingest_batch`` and ``_score`` stages, and snapshots
@@ -415,7 +557,9 @@ class ReferenceOnlineXatu(OnlineXatu):
             self._watched.add(customer_id)
             if self.config_online.watch_idle_minutes is not None:
                 self._last_seen[customer_id] = minute
-            self.matrix.add_flow(customer_id, flow, self._classify(customer_id, flow))
+            reference_add_flow(
+                self.matrix, customer_id, flow, self._classify(customer_id, flow)
+            )
         return ingested, unrouted
 
     def _feature_window(self, customer_id: int, end_minute: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from repro.obs import telemetry
 from repro.signals.history import AlertRecord
 from repro.synth.attacks import AttackType
 from repro.testing.props import choices, integers, run_property
-from repro.testing.reference import ReferenceOnlineXatu
+from repro.testing.reference import ReferenceOnlineXatu, reference_add_flow
 from repro.testing.twin import (
     BASE_ADDRESS,
     SOURCE_POOL,
@@ -598,12 +598,13 @@ def _fill_staging_fixture(detector, rng: np.random.Generator, last_minute: int) 
     """Six customers, one per sparsity shape; returns their ids."""
     matrix = detector.matrix
     for minute in range(last_minute + 1):
-        matrix.add_flow(2, _flow(rng, minute), ALL_CLASSES)  # every cell present
+        reference_add_flow(matrix, 2, _flow(rng, minute), ALL_CLASSES)  # every cell present
         for customer in (3, 4):  # random sparsity, random class subsets
             if rng.random() < 0.3:
                 classes = [c for c in ALL_CLASSES if rng.random() < 0.4]
-                matrix.add_flow(customer, _flow(rng, minute), classes)
-    matrix.add_flow(1, _flow(rng, int(rng.integers(0, last_minute + 1))), ("spoofed",))  # one row
+                reference_add_flow(matrix, customer, _flow(rng, minute), classes)
+    late = _flow(rng, int(rng.integers(0, last_minute + 1)))
+    reference_add_flow(matrix, 1, late, ("spoofed",))  # one row
     for customer in (2, 4, 5):  # A4/A5: 5 has alerts and no traffic at all
         for _ in range(3):
             detect = int(rng.integers(0, last_minute + 1))

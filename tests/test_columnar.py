@@ -1,9 +1,10 @@
 """Differential proof that the columnar ingest path is bit-identical.
 
 The columnar lane (``FlowBatch`` / ``decode_batch`` / ``add_batch`` /
-``sample_batch``) exists purely for speed: one ``np.frombuffer`` view per
-datagram and one sorted group-by per minute instead of a Python loop per
-record.  Its contract is *bitwise* equivalence with the scalar path —
+``sample_at_rates``) is the only production path: one ``np.frombuffer``
+view per datagram and one sorted group-by per minute instead of a Python
+loop per record.  Its contract is *bitwise* equivalence with the scalar
+oracles of :mod:`repro.testing.reference` —
 same wire bytes, same sampled records, same traffic-matrix cells down to
 the pickle bytes, same alerts out of :class:`OnlineXatu` — because the
 matrix feeds checkpointed state and any drift would break the serve
@@ -12,10 +13,11 @@ engine's crash-equivalence guarantee.
 Three layers of differential tests on the PR-1 shrinking property runner:
 
 * **codec level** — ``encode_flows``/``decode_flows_batch`` vs the
-  per-record ``struct`` path over random record lists, plus the error
+  per-record ``struct`` oracle (``reference_encode_flow`` /
+  ``reference_decode_flow``) over random record lists, plus the error
   paths (truncated block, bad version, zero-record datagrams);
-* **aggregation level** — ``TrafficMatrix.add_batch`` vs an
-  ``add_flow``-per-record loop over random batches and class masks,
+* **aggregation level** — ``TrafficMatrix.add_batch`` vs a
+  ``reference_add_flow``-per-record loop over random batches and class masks,
   compared by ``pickle``-byte-identical ``state_dict``; and the matrix's
   row store (what ``feature_block``/``rows_between`` read) vs
   ``finalize()`` of every cell under random write/evict/restore/read
@@ -27,7 +29,7 @@ Three layers of differential tests on the PR-1 shrinking property runner:
   pickle-identical state.
 
 The satellite regressions live here too: the vectorized
-``PacketSampler.sample_many``/``sample_batch`` draw-order pin, the
+``sample_at_rates`` draw-order pin against ``reference_sample``, the
 unified ``netflow.*`` obs accounting across both collector entry points,
 and feed-health accounting for out-of-order and duplicated datagrams.
 """
@@ -47,14 +49,12 @@ from repro.netflow import (
     FlowBatch,
     FlowCollector,
     FlowRecord,
-    PacketSampler,
     RouteTable,
     TrafficMatrix,
-    decode_flows,
     decode_flows_batch,
-    encode_flow,
     encode_flows,
 )
+from repro.netflow.datagram import HEADER_SIZE
 from repro.netflow.matrix import (
     POPULAR_COUNTRIES,
     POPULAR_PORTS,
@@ -66,7 +66,13 @@ from repro.netflow.matrix import (
 from repro.netflow.sampler import sample_at_rates
 from repro.obs import get_registry, set_enabled
 from repro.testing.props import choices, integers, run_property
-from repro.testing.reference import reference_matrix_state
+from repro.testing.reference import (
+    reference_add_flow,
+    reference_decode_flow,
+    reference_encode_flow,
+    reference_matrix_state,
+    reference_sample,
+)
 from repro.testing.twin import (
     alert_keys,
     build_detector,
@@ -103,22 +109,29 @@ def _random_records(rng: np.random.Generator, n: int, minutes: int = 30) -> list
 # ----------------------------------------------------------------------
 # codec level: one frombuffer view == per-record struct unpacking
 # ----------------------------------------------------------------------
+def _scalar_records(block: bytes) -> list[FlowRecord]:
+    """A wire record block, record by record through the ``struct`` oracle."""
+    return [
+        reference_decode_flow(block[at : at + FLOW_WIRE_SIZE])
+        for at in range(0, len(block), FLOW_WIRE_SIZE)
+    ]
+
+
 def test_flow_dtype_mirrors_wire_layout():
     assert FLOW_DTYPE.itemsize == FLOW_WIRE_SIZE
     record = _random_records(np.random.default_rng(0), 1)[0]
-    assert FlowBatch.from_records([record]).to_bytes() == encode_flow(record)
+    assert FlowBatch.from_records([record]).to_bytes() == reference_encode_flow(record)
 
 
 def test_codec_paths_byte_identical():
     def round_trips(seed, n):
         records = _random_records(np.random.default_rng(seed), n)
         batch = FlowBatch.from_records(records)
-        # encode: array buffer == per-record struct packing
-        wire = encode_flows(records)
-        assert encode_flows(batch) == wire
-        assert batch.to_bytes() == b"".join(encode_flow(r) for r in records)
+        # encode: count + array buffer == per-record struct packing
+        wire = encode_flows(batch)
+        assert wire == struct.pack("<I", n) + b"".join(map(reference_encode_flow, records))
         # decode: the columnar view materializes the same records
-        assert decode_flows(wire) == records
+        assert _scalar_records(wire[4:]) == records
         decoded = decode_flows_batch(wire)
         assert decoded.to_records() == records
         assert np.array_equal(decoded.array, batch.array)
@@ -128,24 +141,25 @@ def test_codec_paths_byte_identical():
 
 def test_datagram_decode_batch_matches_scalar_decode():
     records = _random_records(np.random.default_rng(5), 17)
-    blob = DatagramCodec(engine_id=3).encode(records)
-    header, scalar = DatagramCodec.decode(blob)
-    header2, batch = DatagramCodec.decode_batch(blob)
-    assert header == header2
-    assert batch.to_records() == scalar
+    blob = DatagramCodec(engine_id=3).encode(FlowBatch.from_records(records))
+    header, batch = DatagramCodec.decode_batch(blob)
+    assert (header.count, header.engine_id, header.flow_sequence) == (17, 3, 0)
+    assert batch.to_records() == _scalar_records(blob[HEADER_SIZE:]) == records
 
 
 def test_datagram_encode_accepts_batches_and_advances_sequence():
     records = _random_records(np.random.default_rng(6), 9)
-    scalar_codec = DatagramCodec(engine_id=1)
-    batch_codec = DatagramCodec(engine_id=1)
-    for _ in range(3):  # sequence must advance identically
-        assert batch_codec.encode(FlowBatch.from_records(records)) == scalar_codec.encode(records)
+    codec = DatagramCodec(engine_id=1)
+    block = b"".join(map(reference_encode_flow, records))
+    for k in range(3):  # the sequence advances by the record count
+        blob = codec.encode(FlowBatch.from_records(records))
+        assert blob[HEADER_SIZE:] == block
+        assert DatagramCodec.decode_batch(blob)[0].flow_sequence == 9 * k
 
 
 def test_decode_batch_is_zero_copy():
     records = _random_records(np.random.default_rng(7), 4)
-    blob = DatagramCodec(engine_id=1).encode(records)
+    blob = DatagramCodec(engine_id=1).encode(FlowBatch.from_records(records))
     _header, batch = DatagramCodec.decode_batch(blob)
     # the batch aliases the datagram bytes: no copy was made
     assert batch.array.base is blob
@@ -154,17 +168,19 @@ def test_decode_batch_is_zero_copy():
 
 class TestColumnarDecoderErrorPaths:
     def test_zero_record_datagram_decodes(self):
-        blob = DatagramCodec(engine_id=1).encode([])
+        blob = DatagramCodec(engine_id=1).encode(FlowBatch.empty())
         header, batch = DatagramCodec.decode_batch(blob)
         assert header.count == 0 and len(batch) == 0
 
     def test_truncated_record_block_rejected(self):
-        blob = DatagramCodec(engine_id=1).encode(_random_records(np.random.default_rng(8), 3))
+        records = _random_records(np.random.default_rng(8), 3)
+        blob = DatagramCodec(engine_id=1).encode(FlowBatch.from_records(records))
         with pytest.raises(ValueError, match="length mismatch"):
             DatagramCodec.decode_batch(blob[:-1])
 
     def test_oversized_record_block_rejected(self):
-        blob = DatagramCodec(engine_id=1).encode(_random_records(np.random.default_rng(8), 3))
+        records = _random_records(np.random.default_rng(8), 3)
+        blob = DatagramCodec(engine_id=1).encode(FlowBatch.from_records(records))
         with pytest.raises(ValueError, match="length mismatch"):
             DatagramCodec.decode_batch(blob + b"\x00")
 
@@ -173,13 +189,14 @@ class TestColumnarDecoderErrorPaths:
             DatagramCodec.decode_batch(b"\x05\x00")
 
     def test_bad_version_rejected(self):
-        blob = bytearray(DatagramCodec(engine_id=1).encode([]))
+        blob = bytearray(DatagramCodec(engine_id=1).encode(FlowBatch.empty()))
         struct.pack_into("<H", blob, 0, 9)
         with pytest.raises(ValueError, match="unsupported datagram version"):
             DatagramCodec.decode_batch(bytes(blob))
 
     def test_headerless_truncations_rejected(self):
-        wire = encode_flows(_random_records(np.random.default_rng(9), 2))
+        records = _random_records(np.random.default_rng(9), 2)
+        wire = encode_flows(FlowBatch.from_records(records))
         with pytest.raises(ValueError, match="missing count header"):
             decode_flows_batch(wire[:3])
         with pytest.raises(ValueError, match="truncated flow batch"):
@@ -247,16 +264,18 @@ def test_row_movement_matches_the_structured_forms():
 # sampler: one batched binomial draw == the scalar per-flow loop
 # ----------------------------------------------------------------------
 class TestVectorizedSampler:
-    def test_sample_many_and_sample_batch_match_scalar_draws(self):
+    def test_constant_rate_matches_scalar_draws(self):
         def draws_match(seed, n, rate):
             records = _random_records(np.random.default_rng(seed), n)
-            scalar = PacketSampler(rate, rng=np.random.default_rng(seed))
-            expected = [kept for kept in map(scalar.sample, records) if kept is not None]
-            many = PacketSampler(rate, rng=np.random.default_rng(seed))
-            assert many.sample_many(records) == expected
-            batched = PacketSampler(rate, rng=np.random.default_rng(seed))
-            out = batched.sample_batch(FlowBatch.from_records(records))
+            scalar = np.random.default_rng(seed)
+            expected = [
+                kept for kept in (reference_sample(r, rate, scalar) for r in records)
+                if kept is not None
+            ]
+            rng = np.random.default_rng(seed)
+            out, _rows = sample_at_rates(FlowBatch.from_records(records), np.full(n, rate), rng)
             assert out.to_records() == expected
+            assert rng.integers(2**62) == scalar.integers(2**62)
 
         run_property(
             draws_match,
@@ -269,17 +288,16 @@ class TestVectorizedSampler:
 
     def test_per_flow_rates_match_a_shared_rng_scalar_loop(self):
         """``sample_at_rates`` (one elementwise draw over the flows whose
-        rate is above 1) keeps what a loop of per-rate samplers sharing one
+        rate is above 1) keeps what a ``reference_sample`` loop sharing one
         RNG keeps, and leaves that RNG at the same next draw."""
 
         def draws_match(seed, n, pops):
             records = _random_records(np.random.default_rng(seed), n)
             rates = np.random.default_rng(seed + 1).choice(pops, size=n)
             shared = np.random.default_rng(seed)
-            samplers = {r: PacketSampler(r, rng=shared) for r in pops}
             expected, kept_rows = [], []
             for i, (record, rate) in enumerate(zip(records, rates.tolist())):
-                kept = samplers[rate].sample(record)
+                kept = reference_sample(record, rate, shared)
                 if kept is not None:
                     expected.append(kept)
                     kept_rows.append(i)
@@ -301,16 +319,15 @@ class TestVectorizedSampler:
     def test_rate_one_is_identity_with_rate_stamped(self):
         records = _random_records(np.random.default_rng(11), 5)
         records += [replace(records[0], sampling_rate=1), replace(records[1], sampling_rate=100)]
-        sampler = PacketSampler(1, rng=np.random.default_rng(0))
-        # nothing to draw: each record re-stamped, or itself if it needs none
+        records += [replace(records[2], packets=0, bytes_=0)]  # kept: nothing is drawn
+        rng = np.random.default_rng(0)
+        # nothing to draw: each record re-stamped, the RNG untouched
         stamped = [replace(r, sampling_rate=1) for r in records]
-        assert sampler.sample_many(records) == stamped
-        assert [sampler.sample(r) for r in records] == stamped
-        for record, kept in zip(records, sampler.sample_many(records)):
-            assert (kept is record) == (record.sampling_rate == 1)
-        assert sampler.sample_batch(FlowBatch.from_records(records)).to_records() == [
-            r for r in sampler.sample_many(records)
-        ]
+        assert [reference_sample(r, 1, rng) for r in records] == stamped
+        out, rows = sample_at_rates(FlowBatch.from_records(records), np.ones(len(records)), rng)
+        assert out.to_records() == stamped
+        assert rows.tolist() == list(range(len(records)))
+        assert rng.integers(2**62) == np.random.default_rng(0).integers(2**62)
 
     def test_seeded_output_is_pinned(self):
         """Regression pin: the vectorized draw order must never drift.
@@ -333,21 +350,22 @@ class TestVectorizedSampler:
             )
             for i in range(8)
         ]
-        sampler = PacketSampler(100, rng=np.random.default_rng(42))
-        sampled = sampler.sample_many(records)
-        assert [(s.packets, s.bytes_) for s in sampled] == [
+        sampled, _rows = sample_at_rates(
+            FlowBatch.from_records(records), np.full(8, 100), np.random.default_rng(42)
+        )
+        assert [(s.packets, s.bytes_) for s in sampled.to_records()] == [
             (46, 22_940), (28, 5_389), (4, 10_767), (9, 11_216),
             (7, 8_050), (25, 2_754), (30, 4_558), (27, 5_471),
         ]
 
 
 # ----------------------------------------------------------------------
-# aggregation level: add_batch == add_flow per record, bit for bit
+# aggregation level: add_batch == reference_add_flow per record, bit for bit
 # ----------------------------------------------------------------------
 def _scalar_matrix(records, customers, blocklisted) -> TrafficMatrix:
     matrix = TrafficMatrix()
     for customer_id, record, hot in zip(customers, records, blocklisted):
-        matrix.add_flow(customer_id, record, [SOURCE_CLASS_BLOCKLIST] if hot else [])
+        reference_add_flow(matrix, customer_id, record, [SOURCE_CLASS_BLOCKLIST] if hot else [])
     return matrix
 
 
@@ -398,7 +416,8 @@ def _edge_batch(rng: np.random.Generator, n: int, minutes: int) -> FlowBatch:
 
 
 def test_add_batch_bit_identical_to_add_flow(monkeypatch):
-    """The fold against the per-record lane (``to_records`` + ``add_flow``),
+    """The fold against the per-record oracle (``to_records`` +
+    ``reference_add_flow``),
     on everything its tables and group-by encode: all three class masks at
     once and overlapping (one of them sometimes empty), several minutes per
     batch, chunks that each reach behind ``max_minute``, and keys whose row
@@ -418,7 +437,9 @@ def test_add_batch_bit_identical_to_add_flow(monkeypatch):
 
         scalar = TrafficMatrix()
         for i, (customer_id, record) in enumerate(zip(customers.tolist(), batch.to_records())):
-            scalar.add_flow(customer_id, record, [cls for cls in AUX_CLASSES if masks[cls][i]])
+            reference_add_flow(
+                scalar, customer_id, record, [cls for cls in AUX_CLASSES if masks[cls][i]]
+            )
 
         columnar = TrafficMatrix()
         for bounds in np.array_split(np.arange(total), chunks):
@@ -451,7 +472,7 @@ def test_add_batch_bit_identical_to_add_flow(monkeypatch):
 def test_column_tables_agree_with_the_scalar_lane():
     """Exhaustive: each of the 65,536 two-byte country codes and each of the
     256 ``tcp_flags`` bytes (TCP and not) selects the counters that
-    ``_decode_country`` + ``VolumetricAccumulator.add`` select."""
+    ``_decode_country`` + ``reference_add_flow`` select."""
     from repro.netflow import matrix as mx
     from repro.netflow.records import _decode_country
 
@@ -460,9 +481,9 @@ def test_column_tables_agree_with_the_scalar_lane():
             timestamp=0, src_addr=1, dst_addr=2, src_port=7, dst_port=7,
             protocol=47, packets=1, bytes_=1, src_country="XX",
         )
-        cell = VolumetricAccumulator()
-        cell.add(FlowRecord(**{**probe, **fields}))
-        return set(np.flatnonzero(cell.vector).tolist())
+        matrix = TrafficMatrix()
+        reference_add_flow(matrix, 0, FlowRecord(**{**probe, **fields}))
+        return set(np.flatnonzero(matrix.cell(0, 0).vector).tolist())
 
     def columns(entries) -> set[int]:
         return {c + k for c in np.atleast_1d(entries).tolist() if c != mx._TRASH for k in (0, 1)}
@@ -624,7 +645,9 @@ def test_row_store_is_a_derived_view_of_the_cells():
                         )
                         continue
                     for customer, record, hot in zip(customers.tolist(), records, mask.tolist()):
-                        matrix.add_flow(customer, record, [SOURCE_CLASS_BLOCKLIST] if hot else [])
+                        reference_add_flow(
+                            matrix, customer, record, [SOURCE_CLASS_BLOCKLIST] if hot else []
+                        )
             elif op == "evict":
                 cutoff = now - int(rng.integers(0, 8))
                 series = {key[:2] for key in _cell_keys(reader)}
@@ -737,7 +760,7 @@ def test_snapshot_store_is_a_derived_view_of_the_cells():
                     if record.timestamp > now:
                         seen.add("future-stamped")
                     if op == "add_flow":
-                        matrix.add_flow(customer, record, classes)
+                        reference_add_flow(matrix, customer, record, classes)
                 if op == "add_batch":
                     matrix.add_batch(customers, FlowBatch.from_records(records), masks)
                 if written is not None:
@@ -798,9 +821,9 @@ def _written_out_of_order(seed: int) -> TrafficMatrix:
     records = sorted(_random_records(rng, 90, minutes=6), key=lambda r: -r.timestamp)
     for i, record in enumerate(records):
         classes = [SOURCE_CLASS_SPOOFED] if i < 30 else [SOURCE_CLASS_BLOCKLIST] * (i % 2)
-        matrix.add_flow(3 - i % 4, record, classes)
+        reference_add_flow(matrix, 3 - i % 4, record, classes)
     matrix.feature_block(0, 0, 6)
-    matrix.add_flow(0, records[0])
+    reference_add_flow(matrix, 0, records[0])
     return matrix
 
 
@@ -887,7 +910,8 @@ def test_malformed_snapshot_is_rejected_before_the_first_write():
     assert before["rows"] and before["dirty"][(0, "all")]
     good = TrafficMatrix()
     good.load_state_dict(pickle.loads(before["state"]))
-    good.add_flow(9, _random_records(np.random.default_rng(1), 1)[0])  # not ``matrix``'s state
+    record = _random_records(np.random.default_rng(1), 1)[0]
+    reference_add_flow(good, 9, record)  # not ``matrix``'s state
 
     def edit(name, change):
         def apply(state):
@@ -1000,11 +1024,11 @@ class TestCollectorAccounting:
         )
 
     def test_headerless_ingest_feeds_the_same_counters(self):
-        records = _random_records(np.random.default_rng(19), 5)
+        batch = FlowBatch.from_records(_random_records(np.random.default_rng(19), 5))
         collector = FlowCollector()
-        collector.ingest_batch(encode_flows(records))
+        collector.ingest_batch(encode_flows(batch))
         assert self._counters() == (1, 5)
-        collector.ingest_datagram(DatagramCodec(engine_id=1).encode(records))
+        collector.ingest_datagram(DatagramCodec(engine_id=1).encode(batch))
         assert self._counters() == (2, 10)
         assert collector.datagrams_received == 2
         assert collector.records_received == 10
@@ -1014,9 +1038,9 @@ class TestCollectorAccounting:
         order, and the two ingest calls return what they retained."""
         records = _random_records(np.random.default_rng(23), 12)
         collector = FlowCollector()
-        head = collector.ingest_batch(encode_flows(records[:7]))
+        head = collector.ingest_batch(encode_flows(FlowBatch.from_records(records[:7])))
         tail = collector.ingest_datagram_batch(
-            DatagramCodec(engine_id=1).encode(records[7:])
+            DatagramCodec(engine_id=1).encode(FlowBatch.from_records(records[7:]))
         )
         assert head.to_records() == records[:7]
         assert tail.to_records() == records[7:]
@@ -1033,17 +1057,17 @@ class TestCollectorAccounting:
         assert collector.records_received == 0
         # ...and does not wedge the collector: later ingests still flow
         records = _random_records(np.random.default_rng(31), 3)
-        collector.ingest_batch(encode_flows(records))
+        collector.ingest_batch(encode_flows(FlowBatch.from_records(records)))
         assert collector.drain_batch().to_records() == records
 
     def test_drain_batch_partial_drains_never_redeliver(self):
         records = _random_records(np.random.default_rng(41), 10)
         collector = FlowCollector()
-        collector.ingest_batch(encode_flows(records[:6]))
+        collector.ingest_batch(encode_flows(FlowBatch.from_records(records[:6])))
         assert collector.drain_batch().to_records() == records[:6]
         # flows ingested after a drain come out alone — no re-delivery of
         # the already-drained chunk, and counters stay cumulative
-        collector.ingest_batch(encode_flows(records[6:]))
+        collector.ingest_batch(encode_flows(FlowBatch.from_records(records[6:])))
         assert collector.drain_batch().to_records() == records[6:]
         assert collector.records_received == 10
         assert len(collector) == 0 and collector.drain_batch() == FlowBatch.empty()
@@ -1051,8 +1075,8 @@ class TestCollectorAccounting:
     def test_state_round_trip_preserves_pending_chunks(self):
         records = _random_records(np.random.default_rng(29), 9)
         collector = FlowCollector()
-        collector.ingest_batch(encode_flows(records[:4]))
-        collector.ingest_batch(encode_flows(records[4:]))
+        collector.ingest_batch(encode_flows(FlowBatch.from_records(records[:4])))
+        collector.ingest_batch(encode_flows(FlowBatch.from_records(records[4:])))
         state = collector.state_dict()
         restored = FlowCollector()
         restored.load_state_dict(state)
@@ -1069,7 +1093,7 @@ class TestFeedHealthSequenceAnomalies:
     def _datagrams(n, per=3):
         codec = DatagramCodec(engine_id=1)
         rng = np.random.default_rng(37)
-        return [codec.encode(_random_records(rng, per)) for _ in range(n)]
+        return [codec.encode(FlowBatch.from_records(_random_records(rng, per))) for _ in range(n)]
 
     def test_out_of_order_counts_without_loss(self):
         first, second, third = self._datagrams(3)
@@ -1296,7 +1320,8 @@ def test_a_restored_detector_pickles_like_one_that_never_stopped():
     classes = {cls for _customer, cls, _minute, _cell in fresh.matrix.cells()}
     assert classes >= {SOURCE_CLASS_BLOCKLIST, SOURCE_CLASS_SPOOFED}
     late = fresh.matrix.max_minute
-    fresh.matrix.add_flow(0, _random_records(np.random.default_rng(3), 1, late + 1)[0], ["".join(["block", "list"])])
+    record = _random_records(np.random.default_rng(3), 1, late + 1)[0]
+    reference_add_flow(fresh.matrix, 0, record, ["".join(["block", "list"])])
     snapshot = checkpoint_bytes(fresh)
     restored = build_detector(OnlineXatu, 7, customer_of, blocklist)
     restored.load_state_dict(pickle.loads(snapshot))

@@ -4,16 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netflow import DatagramCodec, DatagramHeader, SequenceTracker
+from repro.netflow import DatagramCodec, DatagramHeader, FlowBatch, SequenceTracker
 from tests.test_netflow import make_flow
+
+
+def decode(blob):
+    """``(header, records)`` of one datagram, through the columnar decoder."""
+    header, batch = DatagramCodec.decode_batch(blob)
+    return header, batch.to_records()
+
+
+def batch_of(flows):
+    return FlowBatch.from_records(flows)
 
 
 class TestDatagramCodec:
     def test_roundtrip(self):
         codec = DatagramCodec(engine_id=7)
         flows = [make_flow(timestamp=i) for i in range(5)]
-        header, decoded = DatagramCodec.decode(
-            codec.encode(flows, sys_uptime_ms=1234, unix_secs=99)
+        header, decoded = decode(
+            codec.encode(batch_of(flows), sys_uptime_ms=1234, unix_secs=99)
         )
         assert decoded == flows
         assert header.version == 5
@@ -24,39 +34,39 @@ class TestDatagramCodec:
 
     def test_sequence_advances_by_record_count(self):
         codec = DatagramCodec()
-        h1, _ = DatagramCodec.decode(codec.encode([make_flow()] * 3))
-        h2, _ = DatagramCodec.decode(codec.encode([make_flow()] * 2))
+        h1, _ = decode(codec.encode(batch_of([make_flow()] * 3)))
+        h2, _ = decode(codec.encode(batch_of([make_flow()] * 2)))
         assert h1.flow_sequence == 0
         assert h2.flow_sequence == 3
 
     def test_empty_datagram(self):
         codec = DatagramCodec()
-        header, flows = DatagramCodec.decode(codec.encode([]))
+        header, flows = decode(codec.encode(batch_of([])))
         assert flows == [] and header.count == 0
 
     def test_truncated_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
-            DatagramCodec.decode(b"\x05\x00")
+            decode(b"\x05\x00")
 
     def test_wrong_version_rejected(self):
         codec = DatagramCodec()
-        blob = bytearray(codec.encode([make_flow()]))
+        blob = bytearray(codec.encode(batch_of([make_flow()])))
         blob[0] = 9
         with pytest.raises(ValueError, match="version"):
-            DatagramCodec.decode(bytes(blob))
+            decode(bytes(blob))
 
     def test_length_mismatch_rejected(self):
         codec = DatagramCodec()
-        blob = codec.encode([make_flow()])
+        blob = codec.encode(batch_of([make_flow()]))
         with pytest.raises(ValueError, match="length mismatch"):
-            DatagramCodec.decode(blob[:-4])
+            decode(blob[:-4])
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(0, 10), engine=st.integers(0, 2**31 - 1))
     def test_roundtrip_property(self, n, engine):
         codec = DatagramCodec(engine_id=engine)
         flows = [make_flow(timestamp=i) for i in range(n)]
-        header, decoded = DatagramCodec.decode(codec.encode(flows))
+        header, decoded = decode(codec.encode(batch_of(flows)))
         assert decoded == flows and header.engine_id == engine
 
 
@@ -64,7 +74,7 @@ class TestSequenceTracker:
     def headers(self, codec, sizes):
         result = []
         for n in sizes:
-            header, _ = DatagramCodec.decode(codec.encode([make_flow()] * n))
+            header, _ = decode(codec.encode(batch_of([make_flow()] * n)))
             result.append(header)
         return result
 

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from repro.netflow import (
     BOGON_CIDRS,
+    FLOW_DTYPE,
     FLOW_WIRE_SIZE,
+    FlowBatch,
     FlowRecord,
     Protocol,
     RouteTable,
     SpoofVerdict,
     TcpFlags,
     cidr_to_range,
-    decode_flow,
-    decode_flows,
-    encode_flow,
+    decode_flows_batch,
     encode_flows,
     in_cidr,
     int_to_ip,
@@ -25,6 +25,7 @@ from repro.netflow import (
     subnet24,
     subnet24_str,
 )
+from repro.testing.reference import reference_decode_flow, reference_encode_flow
 
 
 def make_flow(**overrides) -> FlowRecord:
@@ -61,29 +62,37 @@ class TestFlowRecord:
         assert flow.estimated_packets == 1000
 
 
+def wire_roundtrip(flows: list[FlowRecord]) -> list[FlowRecord]:
+    """``flows`` through the production codec: batch, bytes, batch, records."""
+    return decode_flows_batch(encode_flows(FlowBatch.from_records(flows))).to_records()
+
+
 class TestCodec:
+    """The columnar codec against the scalar ``struct`` oracle."""
+
     def test_roundtrip(self):
         flow = make_flow(tcp_flags=int(TcpFlags.SYN | TcpFlags.ACK), src_country="DE")
-        assert decode_flow(encode_flow(flow)) == flow
+        assert wire_roundtrip([flow]) == [flow]
+        assert FlowBatch.from_records([flow]).to_bytes() == reference_encode_flow(flow)
 
     def test_wire_size_fixed(self):
-        assert len(encode_flow(make_flow())) == FLOW_WIRE_SIZE
+        assert len(reference_encode_flow(make_flow())) == FLOW_WIRE_SIZE == FLOW_DTYPE.itemsize
 
     def test_batch_roundtrip(self):
         flows = [make_flow(timestamp=i) for i in range(5)]
-        assert decode_flows(encode_flows(flows)) == flows
+        assert wire_roundtrip(flows) == flows
 
     def test_empty_batch(self):
-        assert decode_flows(encode_flows([])) == []
+        assert wire_roundtrip([]) == []
 
     def test_truncated_batch_raises(self):
-        blob = encode_flows([make_flow()])
+        blob = encode_flows(FlowBatch.from_records([make_flow()]))
         with pytest.raises(ValueError, match="truncated"):
-            decode_flows(blob[:-3])
+            decode_flows_batch(blob[:-3])
 
     def test_missing_header_raises(self):
         with pytest.raises(ValueError, match="count header"):
-            decode_flows(b"\x01")
+            decode_flows_batch(b"\x01")
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -107,7 +116,10 @@ class TestCodec:
             dst_port=dport, protocol=proto, packets=packets, bytes_=bytes_,
             tcp_flags=flags, src_country=country, sampling_rate=rate,
         )
-        assert decode_flow(encode_flow(flow)) == flow
+        wire = FlowBatch.from_records([flow]).to_bytes()
+        assert wire == reference_encode_flow(flow)
+        assert reference_decode_flow(wire) == flow
+        assert wire_roundtrip([flow]) == [flow]
 
 
 class TestAddressing:

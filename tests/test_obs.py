@@ -478,7 +478,7 @@ class TestFeedHealth:
     def test_collector_gap_accounting(self):
         codec = DatagramCodec(engine_id=3)
         collector = FlowCollector()
-        blobs = [codec.encode([_flow(i), _flow(i + 50)]) for i in range(4)]
+        blobs = [codec.encode(FlowBatch.from_records([_flow(i), _flow(i + 50)])) for i in range(4)]
         collector.ingest_datagram(blobs[0])
         # blobs[1] dropped in transit.
         collector.ingest_datagram(blobs[2])
@@ -494,8 +494,8 @@ class TestFeedHealth:
     def test_reorder_detection(self):
         codec = DatagramCodec()
         collector = FlowCollector()
-        first = codec.encode([_flow(0)])
-        second = codec.encode([_flow(1)])
+        first = codec.encode(FlowBatch.from_records([_flow(0)]))
+        second = codec.encode(FlowBatch.from_records([_flow(1)]))
         collector.ingest_datagram(second)
         collector.ingest_datagram(first)  # arrives late
         assert collector.feed_health().datagrams_reordered == 1
@@ -503,10 +503,10 @@ class TestFeedHealth:
     def test_tracker_counters_reach_registry(self):
         tracker = SequenceTracker()
         codec = DatagramCodec()
-        blobs = [codec.encode([_flow(i)]) for i in range(3)]
+        blobs = [codec.encode(FlowBatch.from_records([_flow(i)])) for i in range(3)]
         set_enabled(True)
-        tracker.observe(DatagramCodec.decode(blobs[0])[0])
-        tracker.observe(DatagramCodec.decode(blobs[2])[0])  # one lost
+        tracker.observe(DatagramCodec.decode_batch(blobs[0])[0])
+        tracker.observe(DatagramCodec.decode_batch(blobs[2])[0])  # one lost
         registry = get_registry()
         assert registry.counter("netflow.datagrams").value() == 2
         assert registry.counter("netflow.records").value() == 2

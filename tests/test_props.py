@@ -11,10 +11,10 @@ from repro.netflow.records import (
     FLOW_DTYPE,
     FlowBatch,
     FlowRecord,
-    decode_flows,
+    decode_flows_batch,
     encode_flows,
 )
-from repro.netflow.sampler import PacketSampler, sample_at_rates
+from repro.netflow.sampler import sample_at_rates
 from repro.nn import Tensor, gradcheck, hazard_to_survival
 from repro.survival.analysis import hazards_to_survival_np
 from repro.testing import (
@@ -29,6 +29,7 @@ from repro.testing import (
     run_property,
     tensors,
 )
+from repro.testing.reference import reference_sample
 
 
 class TestRunnerSelfChecks:
@@ -196,23 +197,28 @@ class TestDetectorCausality:
 class TestSamplerInvariants:
     def test_packet_sampling_unbiased_within_ci(self):
         """Total kept packets over many flows stays inside a 6-sigma
-        binomial confidence band around n/rate."""
+        binomial confidence band around n/rate — for ``sample_at_rates``,
+        which keeps exactly what a ``reference_sample`` loop keeps."""
 
         from repro.netflow.records import FlowRecord, Protocol
 
         def prop(rate, packets):
-            rng = np.random.default_rng(rate * 7919 + packets)
-            sampler = PacketSampler(rate, rng=rng)
+            seed = rate * 7919 + packets
             flow = FlowRecord(
                 timestamp=0, src_addr=1, dst_addr=2, src_port=0,
                 dst_port=0, protocol=Protocol.UDP,
                 packets=packets, bytes_=packets * 100,
             )
             trials = 400
-            total = 0
-            for _ in range(trials):
-                sampled = sampler.sample(flow)
-                total += sampled.packets if sampled is not None else 0
+            scalar = np.random.default_rng(seed)
+            kept = [reference_sample(flow, rate, scalar) for _ in range(trials)]
+            sampled, _rows = sample_at_rates(
+                FlowBatch.from_records([flow] * trials),
+                np.full(trials, rate),
+                np.random.default_rng(seed),
+            )
+            total = int(sampled.array["packets"].sum())
+            assert total == sum(k.packets for k in kept if k is not None)
             n = trials * packets
             p = 1.0 / rate
             expected = n * p
@@ -225,7 +231,7 @@ class TestSamplerInvariants:
 
     def test_wire_codec_roundtrip_preserves_counters(self):
         def prop(flow):
-            (back,) = decode_flows(encode_flows([flow]))
+            (back,) = decode_flows_batch(encode_flows(FlowBatch.from_records([flow])))
             assert back.packets == flow.packets
             assert back.bytes_ == flow.bytes_
             assert back.src_addr == flow.src_addr

@@ -378,7 +378,8 @@ class TestEngineMechanics:
     def test_partition_keeps_arrival_order_and_drops_the_unrouted(self, shards, routing):
         """Per-shard bytes == the per-record append loop's, for both routing
         forms: an even spread, every record on one shard, an unrouted share."""
-        from repro.netflow import FlowBatch, encode_flow
+        from repro.netflow import FlowBatch
+        from repro.testing.reference import reference_encode_flow
         from repro.serve import ContiguousCustomerRouter
 
         stride = 1 if routing == "dict" else 4
@@ -410,7 +411,7 @@ class TestEngineMechanics:
                 expected = [b""] * shards
                 for record, c in zip(records, customers):
                     if c is not None:
-                        expected[c % shards] += encode_flow(record)
+                        expected[c % shards] += reference_encode_flow(record)
                 by_shard, unrouted = engine._partition(FlowBatch.from_records(records))
                 assert [b.to_bytes() for b in by_shard] == expected, name
                 assert unrouted == customers.count(None), name

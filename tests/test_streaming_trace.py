@@ -31,6 +31,7 @@ from repro.synth import (
     load_trace,
     save_trace,
 )
+from repro.testing.reference import reference_add_flow
 
 
 def streaming_scenario(seed: int = 11, **overrides) -> ScenarioConfig:
@@ -101,9 +102,10 @@ def batch_fields_equal(a: FlowBatch, b: FlowBatch) -> bool:
 class TestStreamMaterializeEquivalence:
     @pytest.mark.parametrize("seed", [11, 29])
     def test_scalar_fold_matches_materialized(self, seed):
-        """Folding streamed slices record-by-record (the scalar add_flow
-        lane) reproduces the materialized matrix bit for bit — this pins
-        both the stream's content and the scalar/columnar fold identity."""
+        """Folding streamed slices record-by-record (the scalar oracle
+        ``reference_add_flow``) reproduces the materialized matrix bit for
+        bit — this pins both the stream's content and the scalar/columnar
+        fold identity."""
         trace = TraceGenerator(streaming_scenario(seed)).materialize()
 
         folded = TrafficMatrix()
@@ -115,7 +117,7 @@ class TestStreamMaterializeEquivalence:
             masks = {cls: np.asarray(m, dtype=bool) for cls, m in sl.class_masks.items()}
             for i, record in enumerate(sl.batch.to_records()):
                 classes = [cls for cls, mask in masks.items() if mask[i]]
-                folded.add_flow(int(sl.customer_ids[i]), record, classes)
+                reference_add_flow(folded, int(sl.customer_ids[i]), record, classes)
 
         assert_matrix_equal(folded, trace.matrix)
         assert streamed_flows == trace.sampled_flows

@@ -20,6 +20,7 @@ from repro.synth import (
     schedule_campaigns,
     signature_for,
 )
+from repro.testing.reference import reference_matches
 
 
 class TestWorld:
@@ -130,7 +131,7 @@ class TestAttackTypes:
                 sources=np.arange(10), total_bytes=1e6, rng=rng,
             )
             assert flows, attack_type
-            assert all(sig.matches(f) for f in flows)
+            assert sig.match_mask(flows).all()
 
     def test_match_mask_agrees_with_matches(self, rng):
         flows = FlowBatch.concat(
@@ -142,7 +143,7 @@ class TestAttackTypes:
         )
         for attack_type in AttackType:
             sig = signature_for(attack_type, dst_addr=999)
-            assert sig.match_mask(flows).tolist() == [sig.matches(f) for f in flows]
+            assert sig.match_mask(flows).tolist() == [reference_matches(sig, f) for f in flows]
 
     def test_signature_rejects_other_destination(self, rng):
         sig = signature_for(AttackType.UDP_FLOOD, dst_addr=999)
@@ -150,7 +151,7 @@ class TestAttackTypes:
             AttackType.UDP_FLOOD, 0, dst_addr=1000,
             sources=np.arange(5), total_bytes=1e5, rng=rng,
         )
-        assert not any(sig.matches(f) for f in flows)
+        assert not sig.match_mask(flows).any()
 
     def test_flow_volume_approximates_request(self, rng):
         flows = generate_attack_flows(
