@@ -292,7 +292,7 @@ class XatuModel(Module):
         ]
 
     def _hazards_staged(self, staged: list[np.ndarray]) -> np.ndarray:
-        from ..nn.fused import dense_infer, lstm_infer_batched
+        from ..nn.fused import dense_infer, lstm_infer_lockstep
 
         cfg = self.config
         if len(staged) != len(cfg.timescales):
@@ -312,13 +312,12 @@ class XatuModel(Module):
         # original (unpooled) window length, which staging preserves.
         total_minutes = cfg.lookback_minutes
         indices = self._scale_indices(total_minutes)
+        hiddens = lstm_infer_lockstep(
+            staged,
+            [(lstm.w_x.data, lstm.w_h.data, lstm.bias.data) for lstm in self.lstms],
+        )
         projections: list[np.ndarray] = []
-        for pooled, lstm, dense, idx in zip(
-            staged, self.lstms, self.scale_dense, indices
-        ):
-            hidden = lstm_infer_batched(
-                pooled, lstm.w_x.data, lstm.w_h.data, lstm.bias.data
-            )
+        for hidden, dense, idx in zip(hiddens, self.scale_dense, indices):
             selected = hidden[:, idx, :]
             projections.append(
                 dense_infer(

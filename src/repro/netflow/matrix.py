@@ -177,21 +177,6 @@ class VolumetricAccumulator:
         self.vector += vector_row
         self._sources.update(sources)
 
-    def merge(self, other: "VolumetricAccumulator") -> None:
-        """Fold another cell into this one (same minute, different class).
-
-        Used to recompute the A2 (previous-attacker) split from per-botnet
-        provenance cells when the alert timeline that defines "previous
-        attackers" changes (e.g. Xatu's autoregressive test mode, §5.3).
-        """
-        self.flow_count += other.flow_count
-        self.total_bytes += other.total_bytes
-        self.total_packets += other.total_packets
-        self.max_bytes = max(self.max_bytes, other.max_bytes)
-        self.max_packets = max(self.max_packets, other.max_packets)
-        self.vector += other.vector
-        self._sources |= other._sources
-
     def finalize(self) -> np.ndarray:
         """Return the completed 63-feature vector for this cell."""
         v = self.vector.copy()
@@ -735,18 +720,6 @@ class TrafficMatrix:
             cell.vector = vectors[row].copy()  # never a view of the snapshot
             cell._sources = set(sources[bounds[row] : bounds[row + 1]])
             self.set_cell(customer, minute, classes[cls], cell)
-
-    def total_bytes(
-        self,
-        customer: int,
-        start_minute: int,
-        end_minute: int,
-        source_class: str = SOURCE_CLASS_ALL,
-    ) -> float:
-        """Sum of sampling-compensated bytes over a minute range."""
-        return float(
-            self.bytes_series(customer, start_minute, end_minute, source_class).sum()
-        )
 
     def bytes_series(
         self,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "pool_infer",
     "dense_infer",
     "lstm_infer_batched",
+    "lstm_infer_lockstep",
 ]
 
 
@@ -122,50 +124,61 @@ def _lstm_infer(
 
 
 def _lstm_steps(
-    x_proj: np.ndarray, Wh: np.ndarray, h: np.ndarray, c: np.ndarray,
-    outputs: np.ndarray, start: int, cells: np.ndarray | None = None,
+    x_proj: np.ndarray, Wh: np.ndarray, cell: np.ndarray, outputs: np.ndarray,
+    starts: Sequence[int], cells: np.ndarray | None = None,
 ) -> None:
-    """Steps ``start ..`` of the batched recurrence, time-major operands.
+    """The recurrence of ``S`` stacked LSTMs in one time loop, scale-major
+    operands aligned at their last step.
 
-    ``h`` (read only) and ``c`` (advanced in place) are the ``(batch, 1,
-    hidden)`` state entering step ``start``; ``h_t`` lands in ``outputs[t]``
-    and, when given, a copy of ``c_t`` in ``cells[t]``.  The one loop body of
-    both the batch and its single-item prefix chain, so they cannot drift.
+    ``x_proj`` is ``(S, T, batch, 1, 4·hidden)``, ``Wh`` ``(S, hidden,
+    4·hidden)`` and ``cell`` the ``(S, batch, 1, hidden)`` cell state,
+    advanced in place.  Slot ``s`` runs steps ``starts[s] .. T - 1``:
+    ``outputs[s, t]`` holds the hidden state entering step ``t``, ``h_t``
+    lands in ``outputs[s, t + 1]`` and, when given, a copy of ``c_t`` in
+    ``cells[s, t + 1]``.  ``starts`` is non-decreasing, so the slots running
+    at a step are always a prefix ``[:a]`` — at most ``S`` phases of one
+    stacked step per time step.  The recurrent product broadcasts ``Wh``
+    over the batch and never copies it per item, so each item's matmul is
+    the ``(1, hidden) @ (hidden, 4·hidden)`` of a one-LSTM call.  The one
+    loop body of every timescale, every batch and the single-item prefix
+    chain, so they cannot drift.
     """
-    batch, _, hidden = c.shape
-    gates = np.empty((batch, 1, 4 * hidden), dtype=c.dtype)
-    e = np.empty_like(gates)
-    num = np.empty_like(gates)
-    g = np.empty_like(c)
-    tmp = np.empty_like(c)
-    candidate = gates[..., 2 * hidden : 3 * hidden]
-    i = num[..., :hidden]
-    f = num[..., hidden : 2 * hidden]
-    o = num[..., 3 * hidden :]
-    for t in range(start, len(outputs)):
-        np.matmul(h, Wh, out=gates)
-        gates += x_proj[t]
-        np.tanh(candidate, out=g)
-        np.abs(gates, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        # ``where(a >= 0, 1, e)`` as a max — no mask, and no masked copy,
-        # which costs as much as the recurrent matmul at serving batch sizes:
-        # e = exp(-|a|) lies in [0, 1], so max(e, sign(a)) is 1 for a > 0, e
-        # for a < 0, and at a = ±0 it is max(1, ±0) = 1 — the same bits, NaN
-        # included.
-        np.sign(gates, out=num)
-        np.maximum(e, num, out=num)
-        e += 1.0
-        np.divide(num, e, out=num)
-        np.multiply(f, c, out=c)
-        np.multiply(i, g, out=tmp)
-        c += tmp
-        h = outputs[t]
-        np.tanh(c, out=tmp)
-        np.multiply(o, tmp, out=h)
-        if cells is not None:
-            cells[t] = c
+    slots, batch, _, hidden = cell.shape
+    wide = np.empty((3, slots, batch, 1, 4 * hidden), dtype=cell.dtype)
+    narrow = np.empty((2, slots, batch, 1, hidden), dtype=cell.dtype)
+    for a, (lo, hi) in enumerate(zip(starts, (*starts[1:], x_proj.shape[1])), 1):
+        gates, e, num = wide[:, :a]
+        g, tmp = narrow[:, :a]
+        c, xs, hs, W = cell[:a], x_proj[:a], outputs[:a], Wh[:a, None]
+        candidate = gates[..., 2 * hidden : 3 * hidden]
+        i = num[..., :hidden]
+        f = num[..., hidden : 2 * hidden]
+        o = num[..., 3 * hidden :]
+        h = hs[:, lo]
+        for t in range(lo, hi):
+            np.matmul(h, W, out=gates)
+            gates += xs[:, t]
+            np.tanh(candidate, out=g)
+            np.abs(gates, out=e)
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            # ``where(a >= 0, 1, e)`` as a max — no mask, and no masked copy,
+            # which costs as much as the recurrent matmul at serving batch sizes:
+            # e = exp(-|a|) lies in [0, 1], so max(e, sign(a)) is 1 for a > 0, e
+            # for a < 0, and at a = ±0 it is max(1, ±0) = 1 — the same bits, NaN
+            # included.
+            np.sign(gates, out=num)
+            np.maximum(e, num, out=num)
+            e += 1.0
+            np.divide(num, e, out=num)
+            np.multiply(f, c, out=c)
+            np.multiply(i, g, out=tmp)
+            c += tmp
+            h = hs[:, t + 1]
+            np.tanh(c, out=tmp)
+            np.multiply(o, tmp, out=h)
+            if cells is not None:
+                cells[:a, t + 1] = c
 
 
 def _shared_lead(x_proj: np.ndarray) -> int:
@@ -217,8 +230,8 @@ def _prefix_chain(row: np.ndarray, Wh: np.ndarray, lead: int) -> np.ndarray:
             grown = np.zeros((2, lead + 1, 1, 1, Wh.shape[0]), dtype=row.dtype)
             grown[:, : have + 1] = chain
             _lstm_steps(
-                np.broadcast_to(row, (lead, *row.shape)), Wh,
-                grown[0, have], grown[1, have].copy(), grown[0, 1:], have, grown[1, 1:],
+                np.broadcast_to(row, (1, lead, *row.shape)), Wh[None],
+                grown[1, have][None].copy(), grown[0][None], (have,), grown[1][None],
             )
             grown.flags.writeable = False
             chain = grown
@@ -234,7 +247,8 @@ def lstm_infer_batched(
     Wh: np.ndarray,
     bias: np.ndarray,
 ) -> np.ndarray:
-    """Batch-first graph-free LSTM inference over stacked sequences.
+    """Batch-first graph-free LSTM inference over stacked sequences: the
+    one-timescale call of :func:`lstm_infer_lockstep`.
 
     ``X`` is ``(batch, time, features)`` where each batch item is one
     independent sequence (one customer, in the serving lane).  Returns the
@@ -244,15 +258,17 @@ def lstm_infer_batched(
     Bitwise contract: row ``b`` of the result equals
     ``lstm_sequence(x[b:b+1], ...)`` under ``no_grad`` exactly, not just to
     round-off.  The per-item guarantee rests on keeping every matmul a
-    *stacked* 3-D ``np.matmul`` whose per-item 2-D shape matches the
-    single-sequence call — ``(B, 1, hidden) @ (hidden, 4*hidden)`` for the
-    recurrent step and ``(B, time, features) @ (features, 4*hidden)`` for
-    the input projection.  Flattening either into one big 2-D GEMM changes
-    the BLAS kernel's blocking with the row count and is **not** row-stable;
+    *stacked* ``np.matmul`` whose per-item 2-D shape matches the
+    single-sequence call — ``(1, hidden) @ (hidden, 4*hidden)`` for the
+    recurrent step and ``(time, features) @ (features, 4*hidden)`` for the
+    input projection.  Flattening either into one big 2-D GEMM changes the
+    BLAS kernel's blocking with the row count and is **not** row-stable;
     the differential tests in ``tests/test_batched_equivalence.py`` pin the
     stacked form.  All elementwise arithmetic reuses the exact expressions
     of :func:`_lstm_infer` (the oracle's lane, deliberately left alone); the
     sigmoid's branch selection is spelled differently, with the same bits.
+    Every step of every item runs in the one loop body, :func:`_lstm_steps`,
+    whichever timescales share the call.
 
     Leading steps whose *projected* rows are bit-identical across the batch
     (a cold fleet's padding) are not recomputed per item: a step is a pure
@@ -262,50 +278,99 @@ def lstm_infer_batched(
     is still computed in full and is what is compared, so an absent prefix
     costs one comparison and a present one changes no bit.
     """
-    X, Wx, Wh, b = _maybe_cast(
-        np.asarray(X), np.asarray(Wx), np.asarray(Wh), np.asarray(bias)
-    )
+    return lstm_infer_lockstep([X], [(Wx, Wh, bias)])[0]
+
+
+def lstm_infer_lockstep(
+    sequences: Sequence[np.ndarray],
+    weights: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> list[np.ndarray]:
+    """Several LSTMs over one batch, their recurrences in one time loop.
+
+    ``sequences[s]`` is timescale ``s``'s ``(batch, time_s, features_s)``
+    stack and ``weights[s]`` its LSTM's ``(w_x, w_h, bias)``; every
+    sequence has the same batch and every LSTM the same hidden size.
+    Returns each timescale's hidden sequence as :func:`lstm_infer_batched`
+    would, and bit for bit what it returns on that timescale alone: the
+    input projection, the shared-prefix resume and every step's arithmetic
+    are the one-timescale call's, so only the interleaving of independent
+    steps changes.
+
+    Each timescale keeps its own stacked projection GEMM (the rows and row
+    stride of a one-timescale call), its own :func:`_shared_lead` and its
+    own :func:`_prefix_chain`.  The timescales are then aligned at their
+    last step and ordered by the steps left to run, longest first, so the
+    loop runs for the longest timescale's steps rather than their sum: at
+    the e2e spans a warm minute takes 60 loop iterations, not 60 + 36 + 12.
+    """
+    cast = [
+        _maybe_cast(np.asarray(X), np.asarray(Wx), np.asarray(Wh), np.asarray(b))
+        for X, (Wx, Wh, b) in zip(sequences, weights, strict=True)
+    ]
     if sanitize_enabled():
-        check_finite("lstm_infer_batched.inputs", x=X, w_x=Wx, w_h=Wh, bias=b)
-    batch, steps, _features = X.shape
-    hidden = Wh.shape[0]
+        for X, Wx, Wh, b in cast:
+            check_finite("lstm_infer_lockstep.inputs", x=X, w_x=Wx, w_h=Wh, bias=b)
+    batch, dtype = cast[0][0].shape[0], cast[0][0].dtype
+    hidden = cast[0][2].shape[0]
+    steps = [X.shape[1] for X, *_rest in cast]
+    span = max(steps)
 
-    # Stacked input projection; per-item identical to the 2-D
-    # ``(time, features) @ Wx`` the single-sequence path computes.  It lands
-    # time-major (as do the outputs), so step ``t`` reads and writes one
-    # contiguous ``(batch, 1, ·)`` slab: the GEMM writes straight into that
-    # buffer through a batch-first view, which changes only each item's
-    # output row stride (BLAS ``ldc``), never its blocking, and the bias is
-    # added in place.
-    x_proj = np.empty((steps, batch, 1, 4 * hidden), dtype=X.dtype)
-    np.matmul(X, Wx, out=x_proj[:, :, 0].transpose(1, 0, 2))
-    x_proj += b
+    # Scale-major and aligned at the last step: timescale ``s`` fills
+    # positions ``span - steps[s] ..`` of its slot.  Its stacked input
+    # projection is per-item identical to the 2-D ``(time, features) @ Wx``
+    # the single-sequence path computes; it lands time-major within the
+    # slot, so a step reads one ``(batch, 1, ·)`` slab per timescale: the
+    # GEMM writes straight into that buffer through a batch-first view,
+    # which changes only each item's output row stride (BLAS ``ldc``),
+    # never its blocking, and the bias is added in place.
+    x_proj = np.empty((len(cast), span, batch, 1, 4 * hidden), dtype=dtype)
+    leads = []
+    for slab, n, (X, Wx, _Wh, b) in zip(x_proj, steps, cast):
+        slab = slab[span - n :]
+        np.matmul(X, Wx, out=slab[:, :, 0].transpose(1, 0, 2))
+        slab += b
+        leads.append(_shared_lead(slab))
 
-    outputs = np.empty((steps, batch, 1, hidden), dtype=X.dtype)
-    h = np.zeros((batch, 1, hidden), dtype=X.dtype)
-    c = np.zeros((batch, 1, hidden), dtype=X.dtype)
-    lead = _shared_lead(x_proj)
-    if lead:
-        chain = _prefix_chain(x_proj[0, :1], Wh, lead)
-        outputs[:lead] = chain[0, 1 : lead + 1]
-        h = outputs[lead - 1]
-        c[...] = chain[1, lead]
+    # Slots by steps left to run, longest first (ties keep timescale order),
+    # so the timescales running at a step are always the leading slots.
+    order = sorted(range(len(cast)), key=lambda s: leads[s] - steps[s])
+    if order != list(range(len(cast))):
+        x_proj = x_proj[order]
+    outputs = np.empty((len(cast), span + 1, batch, 1, hidden), dtype=dtype)
+    cell = np.zeros((len(cast), batch, 1, hidden), dtype=dtype)
+    starts = []
+    for slot, s in enumerate(order):
+        first, lead = span - steps[s], leads[s]
+        outputs[slot, first] = 0.0
+        if lead:
+            chain = _prefix_chain(x_proj[slot, first, :1], cast[s][2], lead)
+            outputs[slot, first + 1 : first + lead + 1] = chain[0, 1 : lead + 1]
+            cell[slot] = chain[1, lead]
+        starts.append(first + lead)
     if obs_enabled():
         registry = get_registry()
         registry.counter(
-            "nn.lstm_infer_batched_calls", "batch-first fused LSTM inference calls"
-        ).inc()
+            "nn.lstm_infer_batched_calls", "batch-first fused LSTM inference calls, one per timescale"
+        ).inc(len(cast))
         registry.counter(
             "nn.lstm_infer_steps", "timesteps scored by the inference lane"
-        ).inc(batch * steps)
+        ).inc(batch * sum(steps))
         registry.counter(
             "nn.lstm_prefix_steps_skipped",
             "of those, item-steps resumed from the shared-prefix chain",
-        ).inc(batch * lead)
-    _lstm_steps(x_proj, Wh, h, c, outputs, lead)
+        ).inc(batch * sum(leads))
+    _lstm_steps(x_proj, np.stack([cast[s][2] for s in order]), cell, outputs, starts)
+    hiddens = [
+        outputs[order.index(s), span - n + 1 :, :, 0].transpose(1, 0, 2)
+        for s, n in enumerate(steps)
+    ]
     if sanitize_enabled():
-        check_finite("lstm_infer_batched.outputs", outputs=outputs, cell=c)
-    return outputs[:, :, 0].transpose(1, 0, 2)
+        check_finite(
+            "lstm_infer_lockstep.outputs",
+            cell=cell,
+            **{f"outputs_{s}": h for s, h in enumerate(hiddens)},
+        )
+    return hiddens
 
 
 def dense_infer(

@@ -75,6 +75,7 @@ __all__ = [
     "reference_decode_flow",
     "reference_sample",
     "reference_add_flow",
+    "reference_merge_cell",
     "reference_matches",
     "ReferenceOnlineXatu",
     "reference_matrix_state",
@@ -448,6 +449,20 @@ def reference_add_flow(
             cell.vector[bytes_column] += bytes_
             cell.vector[packets_column] += packets
         matrix.set_cell(customer, flow.timestamp, cls, cell)
+
+
+def reference_merge_cell(cell: VolumetricAccumulator, other: VolumetricAccumulator) -> None:
+    """Fold ``other`` into ``cell`` in place: counts and sums add, maxima
+    take the larger, source sets unite.  Merged into an empty cell, it
+    copies a live one, which the tests then change and install with
+    ``set_cell``."""
+    cell.flow_count += other.flow_count
+    cell.total_bytes += other.total_bytes
+    cell.total_packets += other.total_packets
+    cell.max_bytes = max(cell.max_bytes, other.max_bytes)
+    cell.max_packets = max(cell.max_packets, other.max_packets)
+    cell.vector += other.vector
+    cell._sources |= other._sources
 
 
 def reference_matches(signature, flow: FlowRecord) -> bool:

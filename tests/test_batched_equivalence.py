@@ -238,6 +238,97 @@ def test_batched_lstm_resumes_at_the_first_differing_bit(dtype):
         assert skipped == batch * k, k
 
 
+# ----------------------------------------------------------------------
+# kernel level: every timescale in one time loop.  ``lstm_infer_lockstep``
+# aligns the timescales at their last step and runs the leading slots of one
+# stacked state, the timescale with the most steps left first; each
+# timescale must come out as ``lstm_infer_batched`` on it alone, by bytes.
+# ----------------------------------------------------------------------
+def _assert_lockstep_equals_each_timescale_alone(sequences, weights, dtype) -> None:
+    """Timescale ``s`` of one lock-stepped call == ``lstm_infer_batched`` on
+    it alone, and its row ``b`` == ``lstm_sequence`` on that row: by bytes."""
+    from contextlib import nullcontext
+
+    from repro.nn import Tensor, inference_dtype, no_grad
+    from repro.nn.fused import lstm_infer_batched, lstm_infer_lockstep, lstm_sequence
+
+    policy = nullcontext() if dtype is None else inference_dtype(dtype)
+    with no_grad(), policy:
+        together = lstm_infer_lockstep(sequences, weights)
+        assert len(together) == len(sequences)
+        for s, (x, w) in enumerate(zip(sequences, weights)):
+            alone = lstm_infer_batched(x, *w)
+            assert together[s].shape == alone.shape and together[s].dtype == alone.dtype
+            assert together[s].tobytes() == alone.tobytes(), f"timescale {s} drifted"
+            for b in range(len(x)):
+                row, _state = lstm_sequence(Tensor(x[b : b + 1]), *map(Tensor, w))
+                assert together[s][b].tobytes() == row.data[0].tobytes(), (s, b)
+
+
+def test_lockstep_timescales_equal_each_timescale_alone():
+    seen: set[str] = set()
+
+    def lockstep_matches(seed, n_scales, batch, dtype, equal_spans):
+        rng = np.random.default_rng(seed)
+        hidden, features = int(rng.integers(2, 6)), int(rng.integers(3, 8))
+        spans = rng.integers(1, 10, 1 if equal_spans else n_scales)
+        spans = np.resize(spans, n_scales).tolist()
+        sequences, weights, left = [], [], []
+        for span in spans:
+            lead = int(rng.choice([0, span, int(rng.integers(0, span + 1))]))
+            x = rng.normal(0.0, 1.0, (batch, span, features))
+            x[:, :lead] = rng.normal(0.0, 1.0, features)
+            w = tuple(
+                rng.normal(0.0, 1.0, shape)
+                for shape in ((features, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))
+            )
+            sequences.append(x)
+            weights.append(w)
+            shared = _projected_lead(x, w[0], w[2], dtype)
+            left.append(span - shared)
+            seen.add("no prefix" if shared == 0 else "all shared" if shared == span else "prefix")
+        _assert_lockstep_equals_each_timescale_alone(sequences, weights, dtype)
+        if left != sorted(left, reverse=True):
+            seen.add("slots permuted")
+        if n_scales > 1 and len(set(spans)) == 1:
+            seen.add("equal spans")
+        seen.update({f"{n_scales} timescales", f"batch {batch}", str(dtype)})
+
+    run_property(
+        lockstep_matches,
+        integers(0, 10**6),
+        choices([1, 2, 3]),
+        choices([1, 2, 5]),
+        choices([None, np.float32]),
+        choices([False, False, True]),
+        runs=40,
+        seed=707,
+    )
+    assert seen >= {
+        "no prefix", "prefix", "all shared", "slots permuted", "equal spans",
+        "1 timescales", "2 timescales", "3 timescales", "batch 1",
+        "None", str(np.float32),
+    }, seen
+
+
+def test_broadcast_recurrent_matmul_equals_per_timescale_matmuls():
+    """The lock-stepped step's one ``h[:a] @ Wh[:a, None]`` — ``h`` read
+    through the slot-strided view of the output buffer, ``Wh`` broadcast
+    over the batch — against one ``(batch, 1, hidden) @ (hidden, 4·hidden)``
+    call per timescale, which is what a one-timescale kernel computes."""
+    rng = np.random.default_rng(17)
+    for dtype in (np.float64, np.float32):
+        for slots, batch, hidden in ((1, 1, 3), (2, 1, 5), (3, 4, 8), (3, 24, 32), (2, 37, 16)):
+            outputs = rng.normal(size=(slots, 5, batch, 1, hidden)).astype(dtype)
+            w_h = rng.normal(size=(slots, hidden, 4 * hidden)).astype(dtype)
+            for a in range(1, slots + 1):
+                gates = np.empty((a, batch, 1, 4 * hidden), dtype=dtype)
+                np.matmul(outputs[:a, 2], w_h[:a, None], out=gates)
+                for s in range(a):
+                    alone = np.matmul(np.ascontiguousarray(outputs[s, 2]), w_h[s])
+                    assert gates[s].tobytes() == alone.tobytes(), (dtype, slots, batch, a, s)
+
+
 def test_shared_lead_compares_bits_and_reads_no_further_than_the_prefix():
     """Rows of +0.0 and -0.0 are equal as values and not as bits (no BLAS
     here projects to -0.0, so the rows are built by hand); a batch with no
@@ -538,6 +629,78 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
         "re-homed", "swapped", "blocklist-swapped",
         "restored", "restored-empty", "restored-after-series-evicted",
     }, seen
+
+
+# Lookback 24: once warm, the medium timescale (12 steps) outlasts the short
+# one (8), so the lock-stepped kernel runs its slots out of timescale order.
+THREE_TIMESCALES = (
+    TimescaleSpec("short", 1, 8),
+    TimescaleSpec("medium", 2, 12),
+    TimescaleSpec("long", 4, 4),
+)
+
+
+def test_lanes_agree_with_three_timescales_run_out_of_order(monkeypatch):
+    from repro.nn import fused
+
+    first_slots: list[bytes] = []
+    steps = fused._lstm_steps
+
+    def spy(x_proj, w_h, cell, outputs, starts, cells=None):
+        if cells is None:  # the batch, not a prefix chain
+            first_slots.append(w_h[0].tobytes())
+        return steps(x_proj, w_h, cell, outputs, starts, cells)
+
+    monkeypatch.setattr(fused, "_lstm_steps", spy)
+    seen: set[str] = set()
+
+    def lanes_agree(seed, n_customers, dtype):
+        customer_of, blocklist = twin_context(n_customers)
+        reference, production = build_twins(
+            seed, customer_of, blocklist, dtype=dtype, timescales=THREE_TIMESCALES
+        )
+        first_slots.clear()
+        seen.update(
+            drive_twins(
+                reference, production, twin_stream(seed, customer_of, blocklist, 40)
+            )
+        )
+        lstms = production.model.lstms
+        if dtype is None and any(w == lstms[1].w_h.data.tobytes() for w in first_slots):
+            seen.add("medium ran first")
+
+    run_property(
+        lanes_agree,
+        integers(0, 10**6),
+        choices([1, 4]),
+        choices([None, np.float32]),
+        runs=4,
+        seed=909,
+    )
+    assert seen >= {"alerted", "medium ran first", "restored"}, seen
+
+
+# Calls, item-steps and resumed item-steps of the replay below, recorded when
+# ``_hazards_staged`` called ``lstm_infer_batched`` once per timescale.
+PINNED_LSTM_COUNTS = [120, 4344, 891]
+
+
+def test_lstm_counters_count_each_timescale_sequence():
+    """``nn.lstm_infer_batched_calls``, ``nn.lstm_infer_steps`` and
+    ``nn.lstm_prefix_steps_skipped`` count per timescale sequence, however
+    many recurrences one kernel call runs: a fixed production replay reads
+    the values pinned when each timescale was its own call."""
+    names = (
+        "nn.lstm_infer_batched_calls", "nn.lstm_infer_steps", "nn.lstm_prefix_steps_skipped"
+    )
+    customer_of = {BASE_ADDRESS + i: i for i in range(5)}
+    detector = build_detector(OnlineXatu, 3, customer_of, timescales=THREE_TIMESCALES)
+    with telemetry() as registry:
+        before = [registry.counter(name).value() for name in names]
+        for minute, flows in enumerate(_traffic(17, customer_of, 40)):
+            detector.step(minute, flows)
+        after = [registry.counter(name).value() for name in names]
+    assert [b - a for a, b in zip(before, after)] == PINNED_LSTM_COUNTS
 
 
 def test_routing_and_blocklist_tables_are_read_only_views():

@@ -71,6 +71,7 @@ from repro.testing.reference import (
     reference_decode_flow,
     reference_encode_flow,
     reference_matrix_state,
+    reference_merge_cell,
     reference_sample,
 )
 from repro.testing.twin import (
@@ -671,7 +672,7 @@ def test_row_store_is_a_derived_view_of_the_cells():
                     customer, cls, minute = _cell_keys(reader)[int(rng.integers(len(reader)))]
                     for matrix in (reader, blind):
                         cell = VolumetricAccumulator()
-                        cell.merge(matrix.cell(customer, minute, cls))
+                        reference_merge_cell(cell, matrix.cell(customer, minute, cls))
                         cell.total_bytes += 1  # ...and it is the new cell that is read
                         matrix.set_cell(customer, minute, cls, cell)
                         assert matrix.cell(customer, minute, cls) is cell
@@ -779,7 +780,7 @@ def test_snapshot_store_is_a_derived_view_of_the_cells():
             elif op == "reinstall" and len(matrix):
                 customer, cls, minute = _cell_keys(matrix)[int(rng.integers(len(matrix)))]
                 cell = VolumetricAccumulator()
-                cell.merge(matrix.cell(customer, minute, cls))
+                reference_merge_cell(cell, matrix.cell(customer, minute, cls))
                 cell.total_bytes += 1
                 matrix.set_cell(customer, minute, cls, cell)
                 if written is not None:
@@ -984,7 +985,7 @@ def test_counter_beyond_int64_fails_the_snapshot():
 
     def install(at, total_bytes):
         cell = VolumetricAccumulator()
-        cell.merge(held)
+        reference_merge_cell(cell, held)
         cell.total_bytes = total_bytes
         matrix.set_cell(customer, at, cls, cell)
 

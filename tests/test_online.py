@@ -123,9 +123,9 @@ class TestOnlineXatu:
         online.step(0, FlowBatch.from_records([flow]))
         from repro.netflow import SOURCE_CLASS_BLOCKLIST
 
-        assert online.matrix.total_bytes(
+        assert online.matrix.bytes_series(
             customer.customer_id, 0, 1, SOURCE_CLASS_BLOCKLIST
-        ) > 0
+        ).sum() > 0
 
     def test_cdet_alert_feeds_a2_tagging(self, online_setup):
         trace, *_ = online_setup
@@ -147,9 +147,9 @@ class TestOnlineXatu:
 
         flow = make_flow(timestamp=2, src_addr=attacker, dst_addr=customer.address)
         online.step(2, FlowBatch.from_records([flow]))
-        assert online.matrix.total_bytes(
+        assert online.matrix.bytes_series(
             customer.customer_id, 2, 3, SOURCE_CLASS_PREV_ATTACKER
-        ) > 0
+        ).sum() > 0
 
     def test_hot_model_alerts_and_suppresses(self, online_setup):
         """Force a hot hazard head: alerts fire, then suppress, then re-arm."""

@@ -243,9 +243,9 @@ class TestTraceGeneration:
     def test_blocklist_class_populated(self, small_trace):
         from repro.netflow import SOURCE_CLASS_BLOCKLIST
         total = sum(
-            small_trace.matrix.total_bytes(
+            small_trace.matrix.bytes_series(
                 c.customer_id, 0, small_trace.horizon, SOURCE_CLASS_BLOCKLIST
-            )
+            ).sum()
             for c in small_trace.world.customers
         )
         assert total > 0
@@ -260,9 +260,9 @@ class TestTraceGeneration:
         if not repeat_customers:
             pytest.skip("no repeat-attack customer in this seed")
         total = sum(
-            small_trace.matrix.total_bytes(
+            small_trace.matrix.bytes_series(
                 cid, 0, small_trace.horizon, SOURCE_CLASS_PREV_ATTACKER
-            )
+            ).sum()
             for cid in repeat_customers
         )
         assert total > 0
