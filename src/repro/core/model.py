@@ -205,7 +205,10 @@ class XatuModel(Module):
         mode for the call, no closures are allocated, and ``dtype`` (e.g.
         ``np.float32``) optionally activates the reduced-precision policy
         for the fused kernels.  Default float64 output is byte-identical to
-        the training-mode forward.
+        the training-mode forward, with one exception on a BLAS kernel that
+        is not row-stable (OpenBLAS Haswell, Zen): for a single window with
+        a repeated leading row the no-grad LSTM projects that run once, so
+        the last bits may differ there (docs/ARCHITECTURE.md §10).
         """
         with self._no_grad_inference(dtype):
             return self.forward(Tensor(x)).numpy()
@@ -254,16 +257,22 @@ class XatuModel(Module):
         with self._no_grad_inference(dtype):
             return self._stage_pooled(x)
 
-    def hazards_np_staged(self, staged: list[np.ndarray], dtype=None) -> np.ndarray:
+    def hazards_np_staged(
+        self, staged: list[np.ndarray], dtype=None, runs: list[int] | None = None
+    ) -> np.ndarray:
         """Decision half of the stacked pass: one fused LSTM + survival-head
         pass over pre-staged pooled sequences — :meth:`stage_pooled`'s
         output, or per-timescale views of the stack
         ``OnlineXatu.feature_windows`` pools straight from sparse rows.
         Each must be ``(batch, ts.span, n_features)`` with one common batch;
-        anything else is a ``ValueError`` naming the timescale.
+        anything else is a ``ValueError`` naming the timescale.  ``runs``,
+        per timescale, is a lower bound on how many leading steps of every
+        sequence repeat its step 0 bytes (the padding before minute 0),
+        which saves the LSTM's input projection a scan; the result does not
+        depend on it.
         """
         with self._no_grad_inference(dtype):
-            return self._hazards_staged(staged)
+            return self._hazards_staged(staged, runs)
 
     def _stage_pooled(self, x: np.ndarray) -> list[np.ndarray]:
         from ..nn.autograd import resolve_inference_dtype
@@ -291,7 +300,9 @@ class XatuModel(Module):
             for ts in cfg.timescales
         ]
 
-    def _hazards_staged(self, staged: list[np.ndarray]) -> np.ndarray:
+    def _hazards_staged(
+        self, staged: list[np.ndarray], runs: list[int] | None = None
+    ) -> np.ndarray:
         from ..nn.fused import dense_infer, lstm_infer_lockstep
 
         cfg = self.config
@@ -315,6 +326,7 @@ class XatuModel(Module):
         hiddens = lstm_infer_lockstep(
             staged,
             [(lstm.w_x.data, lstm.w_h.data, lstm.bias.data) for lstm in self.lstms],
+            runs,
         )
         projections: list[np.ndarray] = []
         for hidden, dense, idx in zip(hiddens, self.scale_dense, indices):

@@ -451,12 +451,21 @@ class OnlineXatu:
         """This minute's hazard for every customer, in order: one pooled
         :meth:`feature_windows` stack and one fused inference pass over its
         per-timescale views per :data:`SCORE_CHUNK` customers."""
-        splits = np.cumsum([ts.span for ts in self.model.config.timescales])[:-1]
+        cfg = self.model.config
+        splits = np.cumsum([ts.span for ts in cfg.timescales])[:-1]
+        # Per timescale, the pooled steps wholly inside the padded minutes
+        # before minute 0: ``feature_windows`` fills them with the pooled
+        # empty bucket, so every sequence's leading run is at least that.
+        pad = max(cfg.lookback_minutes - minute - 1, 0)
+        runs = [
+            max(0, pad - (cfg.lookback_minutes - ts.minutes)) // ts.window
+            for ts in cfg.timescales
+        ]
         out: list[float] = []
         for lo in range(0, len(customers), SCORE_CHUNK):
             x = self.feature_windows(customers[lo : lo + SCORE_CHUNK], minute)
             hazards = self.model.hazards_np_staged(
-                np.split(x, splits, axis=1), dtype=self.inference_dtype
+                np.split(x, splits, axis=1), dtype=self.inference_dtype, runs=runs
             )
             out.extend(float(h) for h in hazards[:, -1])
             # Release this chunk's stack before the next chunk gathers: two

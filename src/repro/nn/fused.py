@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..analysis.sanitizer import check_finite, sanitize_enabled
+from ..analysis.sanitizer import SanitizeError, check_finite, sanitize_enabled
 from ..obs.registry import get_registry, obs_enabled
 from .autograd import Tensor, get_tape_hook, is_grad_enabled, resolve_inference_dtype
 
@@ -80,8 +80,8 @@ def _lstm_infer(
     Every elementwise expression matches the grad-mode loop IEEE-exactly
     (the sigmoid is applied to all four gate blocks at once — the candidate
     block's wasted lanes are discarded — and scratch buffers only change
-    where results land, not their values), so inference output is
-    byte-identical to the training-mode forward.
+    where results land, not their values), so from the same ``x_proj``
+    inference output is byte-identical to the training-mode forward.
     """
     batch, steps, _ = X.shape
     if obs_enabled():
@@ -181,6 +181,67 @@ def _lstm_steps(
                 cells[:a, t + 1] = c
 
 
+def _leading_runs(X: np.ndarray, bound: int = 0) -> np.ndarray:
+    """Per item of ``(batch, time, features)``, how many leading rows carry
+    the bytes of its row 0 — compared as bytes, not values, so -0.0 is not
+    +0.0 and NaN payloads count as different.  The caller vouches that the
+    first ``bound`` rows of every item do, and the scan starts past them: a
+    cold window's padding costs one ``(batch, features)`` comparison, not
+    one per padded step.  The sanitizer verifies the bound."""
+    batch, steps = X.shape[:2]
+    if steps == 0:
+        return np.zeros(batch, dtype=np.intp)
+    bits = X.view(f"u{X.dtype.itemsize}")
+    if sanitize_enabled() and not (
+        bound <= steps and (bits[:, :bound] == bits[:, :1]).all()
+    ):
+        raise SanitizeError(
+            f"leading-run bound {bound} reaches past a row that differs from row 0"
+        )
+    t = max(bound, 1)
+    runs = np.full(batch, t, dtype=np.intp)
+    live = np.arange(batch)
+    while len(live) and t < steps:
+        live = live[(bits[live, t] == bits[live, 0]).all(axis=1)]
+        runs[live] += 1
+        t += 1
+    return runs
+
+
+def _project(
+    X: np.ndarray, Wx: np.ndarray, b: np.ndarray, out: np.ndarray, bound: int = 0
+) -> None:
+    """The input projection ``X @ Wx + b`` of stacked single sequences into
+    the batch-first ``out``, each item's leading run projected once.
+
+    Item ``b``'s GEMM covers rows ``f .. time - 1`` only, with ``f =
+    min(r - 1, time - 2)`` for its leading run ``r`` (:func:`_leading_runs`,
+    past ``bound``), and every row of the run takes projected row ``f``.
+    ``f`` stops at ``time - 2`` because at one row numpy hands the product
+    to gemv, whose row differs from a GEMM row's.  Items with equal runs
+    share one stacked GEMM — per item the 2-D ``(time - f, features) @ Wx``
+    of a one-sequence call — so every lane that projects a sequence through
+    here computes the same bytes for it on any BLAS kernel, and on a
+    row-stable one the bytes of the full projection.
+    """
+    batch, steps = X.shape[:2]
+    if batch == 0 or steps == 0:
+        return
+    runs = _leading_runs(X, bound)
+    firsts = np.minimum(runs - 1, max(steps - 2, 0))  # runs are >= 1
+    if obs_enabled():
+        get_registry().counter(
+            "nn.lstm_proj_rows_skipped",
+            "input rows whose LSTM projection was taken from their leading run's one row",
+        ).inc(int(firsts.sum()))
+    cuts = (np.flatnonzero(runs[1:] != runs[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, batch]):
+        run, first = runs[lo], firsts[lo]
+        np.matmul(X[lo:hi, first:], Wx, out=out[lo:hi, first:])
+        out[lo:hi, :run] = out[lo:hi, first : first + 1]
+    out += b
+
+
 def _shared_lead(x_proj: np.ndarray) -> int:
     """Leading steps at which every item's projected row carries the bits of
     item 0's step-0 row.  Bytes are compared, not values: -0.0 is not +0.0
@@ -260,11 +321,11 @@ def lstm_infer_batched(
     round-off.  The per-item guarantee rests on keeping every matmul a
     *stacked* ``np.matmul`` whose per-item 2-D shape matches the
     single-sequence call — ``(1, hidden) @ (hidden, 4*hidden)`` for the
-    recurrent step and ``(time, features) @ (features, 4*hidden)`` for the
-    input projection.  Flattening either into one big 2-D GEMM changes the
-    BLAS kernel's blocking with the row count and is **not** row-stable;
-    the differential tests in ``tests/test_batched_equivalence.py`` pin the
-    stacked form.  All elementwise arithmetic reuses the exact expressions
+    recurrent step, and for the input projection the one routine both
+    calls use, :func:`_project`.  Flattening either into one big 2-D GEMM
+    changes the BLAS kernel's blocking with the row count and is **not**
+    row-stable; the differential tests in
+    ``tests/test_batched_equivalence.py`` pin the stacked form.  All elementwise arithmetic reuses the exact expressions
     of :func:`_lstm_infer` (the oracle's lane, deliberately left alone); the
     sigmoid's branch selection is spelled differently, with the same bits.
     Every step of every item runs in the one loop body, :func:`_lstm_steps`,
@@ -274,9 +335,9 @@ def lstm_infer_batched(
     (a cold fleet's padding) are not recomputed per item: a step is a pure
     function of ``(h, c, x_proj[t], Wh)``, so by induction from the zero
     state every item holds there the state of one item fed that row
-    (:func:`_prefix_chain`), and the batch resumes from it.  The projection
-    is still computed in full and is what is compared, so an absent prefix
-    costs one comparison and a present one changes no bit.
+    (:func:`_prefix_chain`), and the batch resumes from it.  The projected
+    rows are what is compared, so an absent prefix costs one comparison and
+    a present one changes no bit.
     """
     return lstm_infer_lockstep([X], [(Wx, Wh, bias)])[0]
 
@@ -284,6 +345,7 @@ def lstm_infer_batched(
 def lstm_infer_lockstep(
     sequences: Sequence[np.ndarray],
     weights: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    runs: Sequence[int] | None = None,
 ) -> list[np.ndarray]:
     """Several LSTMs over one batch, their recurrences in one time loop.
 
@@ -296,9 +358,13 @@ def lstm_infer_lockstep(
     are the one-timescale call's, so only the interleaving of independent
     steps changes.
 
-    Each timescale keeps its own stacked projection GEMM (the rows and row
-    stride of a one-timescale call), its own :func:`_shared_lead` and its
-    own :func:`_prefix_chain`.  The timescales are then aligned at their
+    ``runs[s]``, when given, is a lower bound on every item's leading run
+    in timescale ``s`` (rows carrying row 0's bytes, the padding of a cold
+    window): :func:`_project` scans only past it.
+
+    Each timescale keeps its own :func:`_project` (the rows and row stride
+    of a one-timescale call), its own :func:`_shared_lead` and its own
+    :func:`_prefix_chain`.  The timescales are then aligned at their
     last step and ordered by the steps left to run, longest first, so the
     loop runs for the longest timescale's steps rather than their sum: at
     the e2e spans a warm minute takes 60 loop iterations, not 60 + 36 + 12.
@@ -316,19 +382,19 @@ def lstm_infer_lockstep(
     span = max(steps)
 
     # Scale-major and aligned at the last step: timescale ``s`` fills
-    # positions ``span - steps[s] ..`` of its slot.  Its stacked input
-    # projection is per-item identical to the 2-D ``(time, features) @ Wx``
-    # the single-sequence path computes; it lands time-major within the
+    # positions ``span - steps[s] ..`` of its slot.  Its input projection is
+    # the single-sequence path's, per item; it lands time-major within the
     # slot, so a step reads one ``(batch, 1, ·)`` slab per timescale: the
     # GEMM writes straight into that buffer through a batch-first view,
     # which changes only each item's output row stride (BLAS ``ldc``),
     # never its blocking, and the bias is added in place.
     x_proj = np.empty((len(cast), span, batch, 1, 4 * hidden), dtype=dtype)
     leads = []
-    for slab, n, (X, Wx, _Wh, b) in zip(x_proj, steps, cast):
+    for slab, n, bound, (X, Wx, _Wh, b) in zip(
+        x_proj, steps, runs or [0] * len(cast), cast, strict=True
+    ):
         slab = slab[span - n :]
-        np.matmul(X, Wx, out=slab[:, :, 0].transpose(1, 0, 2))
-        slab += b
+        _project(X, Wx, b, slab[:, :, 0].transpose(1, 0, 2), bound)
         leads.append(_shared_lead(slab))
 
     # Slots by steps left to run, longest first (ties keep timescale order),
@@ -446,9 +512,14 @@ def lstm_sequence(
     hook = get_tape_hook()
     start = time.perf_counter() if hook is not None else 0.0
 
-    # One batched input projection for all timesteps (same op order as the
-    # unfused path: matmul, broadcast bias add, reshape).
-    x_proj = (X.reshape(batch * steps, -1) @ Wx + b).reshape(batch, steps, 4 * hidden)
+    if not grad_mode and batch == 1:
+        # One sequence: the served lane's own projection (its oracle).
+        x_proj = np.empty((1, steps, 4 * hidden), dtype=np.result_type(X, Wx, b))
+        _project(X, Wx, b, x_proj)
+    else:
+        # One batched input projection for all timesteps (same op order as
+        # the unfused path: matmul, broadcast bias add, reshape).
+        x_proj = (X.reshape(batch * steps, -1) @ Wx + b).reshape(batch, steps, 4 * hidden)
 
     if not grad_mode:
         result = _lstm_infer(X, Wx, Wh, x_proj, h0, c0, hidden)

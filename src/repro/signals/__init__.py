@@ -1,7 +1,6 @@
 """Auxiliary signals: blocklists, history stores, clustering, 273 features."""
 
 from .blocklists import BLOCKLIST_CATEGORIES, BlocklistDirectory
-from .selection import CoverageReport, coverage_by_key, select_covering
 from .clustering import AttackerCustomerGraph, bipartite_clustering
 from .features import (
     FEATURE_GROUPS,
@@ -26,5 +25,4 @@ __all__ = [
     "FeatureExtractor", "FeatureScaler",
     "AlertRecord", "PreviousAttackerStore", "AttackHistoryStore",
     "SEVERITIES", "severity_of",
-    "CoverageReport", "coverage_by_key", "select_covering",
 ]

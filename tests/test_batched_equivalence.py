@@ -140,6 +140,7 @@ def test_batched_lstm_gate_selection_is_bitwise_at_the_edges():
 # differs; the oracle is still row-by-row ``lstm_sequence``.
 # ----------------------------------------------------------------------
 SKIPPED = "nn.lstm_prefix_steps_skipped"
+PROJ_SKIPPED = "nn.lstm_proj_rows_skipped"
 
 
 def _prefix_row(kind: str, rng: np.random.Generator, features: int, dtype) -> np.ndarray:
@@ -195,27 +196,10 @@ def test_batched_lstm_resumes_past_a_shared_prefix_bitwise(row_kind, dtype):
             x = rng.normal(0.0, 1.0, (batch, steps, features))
             x[:, :lead] = row
             skipped = _assert_rows_equal_single_sequence_lane(x, w_x, w_h, bias, dtype)
-            expected = _projected_lead(x, w_x, bias, dtype)
-            assert expected <= lead
-            assert skipped == batch * expected, (batch, lead)
-
-
-def _projected_lead(x, w_x, bias, dtype) -> int:
-    """Leading steps whose stacked projection ``x @ w_x + bias`` rows all
-    carry the bytes of item 0's step 0: what the kernel promises to skip
-    (none for a batch of one).  Equal inputs need not project to equal
-    bytes — a GEMM kernel whose row results depend on the row's position in
-    its block (OpenBLAS's Haswell kernel) shortens the lead — so the count
-    is read off the projection."""
-    if len(x) < 2:
-        return 0
-    real = np.float64 if dtype is None else dtype
-    proj = np.matmul(x.astype(real), w_x.astype(real)) + bias.astype(real)
-    first = proj[0, 0].tobytes()
-    lead = 0
-    while lead < proj.shape[1] and all(r.tobytes() == first for r in proj[:, lead]):
-        lead += 1
-    return lead
+            # Each item projects its leading run once, from the same GEMM
+            # shape, so equal inputs project to equal bytes on every kernel;
+            # a batch of one shares nothing.
+            assert skipped == (batch * lead if batch > 1 else 0), (batch, lead)
 
 
 @pytest.mark.parametrize("dtype", [None, np.float32], ids=["f64", "f32"])
@@ -236,6 +220,122 @@ def test_batched_lstm_resumes_at_the_first_differing_bit(dtype):
             x, np.eye(features), w_h, np.zeros(features), dtype
         )
         assert skipped == batch * k, k
+
+
+# ----------------------------------------------------------------------
+# kernel level: one projection per leading run.  Every single-sequence lane
+# (the lock-stepped kernel and ``lstm_sequence`` at batch 1 under no_grad)
+# projects through ``fused._project``: it finds each sequence's leading run
+# ``r`` (rows with row 0's bytes), past a lower bound the caller may pass,
+# runs the GEMM over rows ``f = min(r - 1, T - 2) ..`` only, and gives the
+# whole run row ``f``'s projection.
+# ----------------------------------------------------------------------
+def _expected_projection(x, w_x, bias, runs) -> np.ndarray:
+    """What ``_project`` promises, spelled per item: one 2-D GEMM over rows
+    ``f ..`` (two at least: one row would be gemv's), its first row copied
+    over the whole run, then the bias."""
+    steps = x.shape[1]
+    out = np.empty((*x.shape[:2], w_x.shape[1]), dtype=x.dtype)
+    for b, run in enumerate(runs):
+        first = max(0, min(run - 1, steps - 2))
+        out[b, first:] = x[b, first:] @ w_x
+        out[b, :run] = out[b, first]
+    return out + bias
+
+
+def test_projection_computes_each_leading_run_once_bitwise():
+    from contextlib import nullcontext
+
+    from repro.nn import Tensor, inference_dtype, no_grad
+    from repro.nn.fused import _leading_runs, _project, lstm_infer_lockstep, lstm_sequence
+
+    seen: set[str] = set()
+
+    def projects_each_run_once(seed, batch, dtype, mixed):
+        rng = np.random.default_rng(seed)
+        hidden, features = int(rng.integers(2, 6)), int(rng.integers(3, 8))
+        steps = int(rng.integers(2, 10))
+        w_x, w_h, bias = (
+            rng.normal(0.0, 1.0, shape)
+            for shape in ((features, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))
+        )
+        leads = [0, 1, 2, steps - 2, steps - 1, steps]
+        chosen = rng.choice(leads, batch) if mixed else np.full(batch, rng.choice(leads))
+        x = rng.normal(0.0, 1.0, (batch, steps, features))
+        for b, lead in enumerate(chosen):
+            x[b, :lead] = x[b, 0]
+        runs = np.maximum(chosen, 1)
+        real = np.float64 if dtype is None else dtype
+        cast = [a.astype(real) for a in (x, w_x, bias)]
+        want = _expected_projection(*cast, runs)
+        rows_saved = sum(max(0, min(r - 1, steps - 2)) for r in runs)
+        assert _leading_runs(cast[0]).tolist() == runs.tolist()
+        policy = nullcontext() if dtype is None else inference_dtype(dtype)
+        with telemetry() as registry, no_grad(), policy:
+            for bound in range(int(runs.min()) + 1):  # every valid lower bound
+                assert _leading_runs(cast[0], bound).tolist() == runs.tolist()
+                got = np.empty_like(want)
+                _project(*cast[:2], cast[2], got, bound)
+                assert got.tobytes() == want.tobytes(), bound
+                before = registry.counter(PROJ_SKIPPED).value()
+                (stacked,) = lstm_infer_lockstep([x], [(w_x, w_h, bias)], [bound])
+                assert registry.counter(PROJ_SKIPPED).value() - before == rows_saved
+                for b in range(batch):
+                    alone, _state = lstm_sequence(*map(Tensor, (x[b : b + 1], w_x, w_h, bias)))
+                    assert stacked[b].tobytes() == alone.data[0].tobytes(), (bound, b)
+        names = {steps: "T", steps - 1: "T-1", steps - 2: "T-2"}
+        seen.update(f"lead {names.get(lead, lead)}" for lead in chosen)
+        seen.update({f"batch {batch}", str(dtype), "mixed" if len(set(runs)) > 1 else "even"})
+
+    run_property(
+        projects_each_run_once,
+        integers(0, 10**6),
+        choices([1, 2, 5]),
+        choices([None, np.float32]),
+        choices([False, True]),
+        runs=30,
+        seed=1111,
+    )
+    assert seen >= {
+        "lead 0", "lead 1", "lead 2", "lead T-2", "lead T-1", "lead T",
+        "batch 1", "batch 5", "None", str(np.float32), "mixed", "even",
+    }, seen
+
+
+def test_leading_runs_compare_bytes_and_the_sanitizer_checks_the_bound():
+    """-0.0 equals +0.0 as a value and a NaN equals nothing, but a run is
+    bytes: a signed zero ends it, a NaN with another payload ends it, and
+    the same NaN continues it.  A bound past the run is refused when the
+    sanitizer is on."""
+    from repro.analysis.sanitizer import SanitizeError, sanitized
+    from repro.nn.fused import _leading_runs, lstm_infer_lockstep
+
+    for dtype in (np.float64, np.float32):
+        bits = f"u{np.dtype(dtype).itemsize}"
+        nan = np.array(np.nan, dtype)
+        other_nan = (nan.view(bits) ^ 1).view(dtype)
+        x = np.zeros((4, 6, 3), dtype)
+        x[1, 3, 2] = -0.0
+        x[2] = nan
+        x[3] = nan
+        x[3, 4, 0] = other_nan
+        assert np.isnan(other_nan) and nan.tobytes() != other_nan.tobytes()
+        for bound in range(4):
+            assert _leading_runs(x, bound).tolist() == [6, 3, 6, 4], (dtype, bound)
+        assert _leading_runs(x[:, :0]).tolist() == [0] * 4
+
+    rng = np.random.default_rng(3)
+    x = rng.normal(0.0, 1.0, (3, 7, 4))
+    x[:, :3] = x[:, :1]
+    x[1, 3:5] = x[1, 0]
+    weights = [tuple(rng.normal(0.0, 1.0, shape) for shape in ((4, 8), (2, 8), (8,)))]
+    with sanitized(True):
+        lstm_infer_lockstep([x], weights, [3])
+        for bound in (4, 8):
+            with pytest.raises(SanitizeError, match="leading-run bound"):
+                lstm_infer_lockstep([x], weights, [bound])
+    with sanitized(False):
+        lstm_infer_lockstep([x], weights, [3])
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +384,7 @@ def test_lockstep_timescales_equal_each_timescale_alone():
             )
             sequences.append(x)
             weights.append(w)
-            shared = _projected_lead(x, w[0], w[2], dtype)
+            shared = lead if batch > 1 else 0
             left.append(span - shared)
             seen.add("no prefix" if shared == 0 else "all shared" if shared == span else "prefix")
         _assert_lockstep_equals_each_timescale_alone(sequences, weights, dtype)
@@ -681,17 +781,20 @@ def test_lanes_agree_with_three_timescales_run_out_of_order(monkeypatch):
 
 
 # Calls, item-steps and resumed item-steps of the replay below, recorded when
-# ``_hazards_staged`` called ``lstm_infer_batched`` once per timescale.
-PINNED_LSTM_COUNTS = [120, 4344, 891]
+# ``_hazards_staged`` called ``lstm_infer_batched`` once per timescale; then
+# the input rows whose projection the leading runs saved.
+PINNED_LSTM_COUNTS = [120, 4344, 891, 791]
 
 
 def test_lstm_counters_count_each_timescale_sequence():
     """``nn.lstm_infer_batched_calls``, ``nn.lstm_infer_steps`` and
     ``nn.lstm_prefix_steps_skipped`` count per timescale sequence, however
     many recurrences one kernel call runs: a fixed production replay reads
-    the values pinned when each timescale was its own call."""
+    the values pinned when each timescale was its own call.
+    ``nn.lstm_proj_rows_skipped`` counts the rows no GEMM projected."""
     names = (
-        "nn.lstm_infer_batched_calls", "nn.lstm_infer_steps", "nn.lstm_prefix_steps_skipped"
+        "nn.lstm_infer_batched_calls", "nn.lstm_infer_steps",
+        "nn.lstm_prefix_steps_skipped", PROJ_SKIPPED,
     )
     customer_of = {BASE_ADDRESS + i: i for i in range(5)}
     detector = build_detector(OnlineXatu, 3, customer_of, timescales=THREE_TIMESCALES)
