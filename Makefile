@@ -164,7 +164,7 @@ e2e-neutral:
 	python3 benchmarks/pairs.py --parent $(PARENT) --neutral -n $(PAIRS) --seed $(SEED)
 
 # xatulint (docs/ANALYSIS.md): the domain-aware static-analysis gate,
-# every rule (per-file XL and interprocedural XF) in one pass.
+# every rule (XL003, XL009) in one pass.
 # Known-intentional findings live in lint-baseline.json with written
 # reasons; --strict also fails on stale baseline entries.
 lint:

@@ -6,11 +6,8 @@ The correctness gate for the autograd/serving stack (docs/ANALYSIS.md):
   rule registry (:func:`~repro.analysis.framework.all_rules`) and the
   one-pass driver (``analyze_paths`` / ``analyze_source``), inline
   suppressions;
-* :mod:`repro.analysis.rules` — the per-file XL rules (global-switch
-  leaks, bare excepts);
-* :mod:`repro.analysis.flow` — **xatuflow**: the one parser (symbol
-  table), call graph, per-function CFGs, the fixpoint engine, and the
-  project-wide XF002 rule;
+* :mod:`repro.analysis.rules` — the XL rules (global-switch leaks, bare
+  excepts);
 * :mod:`repro.analysis.baseline` — the committed suppression ledger
   (``lint-baseline.json``) with per-entry written reasons and an
   analyzer-version + rule-inventory stamp;

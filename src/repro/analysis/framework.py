@@ -1,16 +1,13 @@
 """xatulint — the framework: findings, file contexts, one rule registry,
 one driver.
 
-A *rule* is a small class registered with :func:`register`.  A per-file
-rule (the XL family, :mod:`repro.analysis.rules`) walks one
-:class:`FileContext` and yields ``(node, message)`` pairs; a project-wide
-rule (the XF family, :mod:`repro.analysis.flow.checkers`) overrides
-:meth:`Rule.run` and reads the whole symbol graph.  Both families share
-one parse per file, one :class:`Finding` constructor, one inline
-suppression filter and one inventory (:func:`all_rules`), so ``cli lint``
-runs every rule in one pass (see docs/ANALYSIS.md for the how-to).  The
-framework deliberately knows nothing about the domain — everything
-Xatu-specific lives in the rules.
+A *rule* is a small class registered with :func:`register`: it walks one
+:class:`FileContext` and yields ``(node, message)`` pairs (the rules live
+in :mod:`repro.analysis.rules`).  Every rule shares one parse per file,
+one :class:`Finding` constructor, one inline suppression filter and one
+inventory (:func:`all_rules`), so ``cli lint`` runs every rule in one pass
+(see docs/ANALYSIS.md for the how-to).  The framework deliberately knows
+nothing about the domain — everything Xatu-specific lives in the rules.
 
 Design points that matter for a lint gate:
 
@@ -33,11 +30,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:
-    from .flow.checkers import SymbolGraph
-    from .flow.symbols import SymbolTable
+from typing import Iterable, Iterator
 
 __all__ = [
     "ANALYZER_VERSION",
@@ -45,12 +38,10 @@ __all__ = [
     "Finding",
     "Rule",
     "FileContext",
-    "dotted_name",
     "register",
     "all_rules",
     "get_rule",
     "analyze_source",
-    "analyze_sources",
     "analyze_paths",
     "iter_python_files",
     "relative_path",
@@ -61,7 +52,7 @@ __all__ = [
 # the rule inventory or a rule's semantics change enough that an old
 # baseline deserves a re-audit; `cli lint` warns when a baseline was
 # written by an older analyzer or a different rule set.
-ANALYZER_VERSION = "4.0"
+ANALYZER_VERSION = "5.0"
 
 
 class Severity:
@@ -109,27 +100,13 @@ class Finding:
         )
 
 
-def dotted_name(node: ast.AST) -> str:
-    """Best-effort dotted name of an expression (``np.random.normal``);
-    ``""`` for anything that is not a chain of attributes on a name."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 _SUPPRESS_RE = re.compile(r"#\s*xatulint:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
 
 
 class FileContext:
     """One parsed source file: its tree, lines and parent map.
 
-    Built once per file by :class:`~repro.analysis.flow.symbols.SymbolTable`
-    and shared by every rule of both families.
+    Built once per file by the driver and shared by every rule.
     """
 
     def __init__(self, rel_path: str, source: str, tree: ast.Module) -> None:
@@ -141,13 +118,6 @@ class FileContext:
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):
                 self._parents[child] = parent
-
-    # -- path scoping ---------------------------------------------------
-    def in_subpath(self, *fragments: str) -> bool:
-        """Whether the file lives under any ``fragment`` path component
-        (``ctx.in_subpath("serve")`` matches ``src/repro/serve/shard.py``)."""
-        parts = PurePosixPath(self.rel_path).parts
-        return any(fragment in parts for fragment in fragments)
 
     # -- source access --------------------------------------------------
     def line_text(self, lineno: int) -> str:
@@ -211,10 +181,9 @@ class FileContext:
 class Rule:
     """Base class for one lint rule.
 
-    A per-file rule sets the class attributes and implements
-    :meth:`check`, yielding ``(node, message)`` pairs; a project-wide rule
-    overrides :meth:`run` instead.  Either way findings are built by
-    :meth:`finding`, and the driver honours inline suppressions and sorts.
+    A rule sets the class attributes and implements :meth:`check`,
+    yielding ``(node, message)`` pairs; the driver builds each finding with
+    :meth:`finding`, honours inline suppressions and sorts.
     """
 
     id: str = "XL000"
@@ -229,13 +198,6 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterable[tuple[ast.AST, str]]:
         raise NotImplementedError
-
-    def run(self, sg: "SymbolGraph") -> Iterable[Finding]:
-        """Every finding of this rule over the analyzed files."""
-        for ctx in sg.table.files.values():
-            if self.applies_to(ctx):
-                for node, message in self.check(ctx):
-                    yield self.finding(ctx, node, message)
 
     def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
@@ -266,7 +228,6 @@ def register(cls: type[Rule]) -> type[Rule]:
 def all_rules() -> list[Rule]:
     """Every registered rule, ordered by id: the one rule inventory."""
     from . import rules  # noqa: F401  (self-registration on import)
-    from .flow import checkers  # noqa: F401
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
 
@@ -280,35 +241,45 @@ def get_rule(rule_id: str) -> Rule:
 # drivers
 # ----------------------------------------------------------------------
 def _analyze(
-    table: "SymbolTable", rules: Iterable[Rule] | None = None
+    sources: Iterable[tuple[str, str]], rules: Iterable[Rule] | None = None
 ) -> list[Finding]:
-    """Run ``rules`` (default: every rule) over one parsed table."""
-    from .flow.checkers import SymbolGraph
-
-    sg = SymbolGraph(table)
-    findings = list(table.errors)
-    for rule in rules if rules is not None else all_rules():
-        for finding in rule.run(sg):
-            if not table.files[finding.path].suppressed(finding.line, finding.rule):
-                findings.append(finding)
+    """Parse each ``(rel_path, source)`` once and run ``rules`` (default:
+    every rule) over it; a file that does not parse is one XL000 finding."""
+    rules = list(rules) if rules is not None else all_rules()
+    findings: list[Finding] = []
+    for rel_path, source in sources:
+        rel_path = PurePosixPath(rel_path).as_posix()
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    rule="XL000",
+                    severity=Severity.ERROR,
+                    path=rel_path,
+                    line=exc.lineno or 1,
+                    col=exc.offset or 0,
+                    message=f"syntax error: {exc.msg}",
+                )
+            )
+            continue
+        ctx = FileContext(rel_path, source, tree)
+        for rule in rules:
+            if not rule.applies_to(ctx):
+                continue
+            for node, message in rule.check(ctx):
+                finding = rule.finding(ctx, node, message)
+                if not ctx.suppressed(finding.line, finding.rule):
+                    findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-def analyze_sources(
-    sources: dict[str, str], rules: Iterable[Rule] | None = None
-) -> list[Finding]:
-    """Lint in-memory ``{rel_path: source}`` blobs (the unit-test entry)."""
-    from .flow.symbols import SymbolTable
-
-    return _analyze(SymbolTable.from_sources(sources), rules)
 
 
 def analyze_source(
     source: str, rel_path: str, rules: Iterable[Rule] | None = None
 ) -> list[Finding]:
-    """Lint one in-memory source blob."""
-    return analyze_sources({rel_path: source}, rules)
+    """Lint one in-memory source blob (the unit-test entry)."""
+    return _analyze([(rel_path, source)], rules)
 
 
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
@@ -345,7 +316,9 @@ def analyze_paths(
 ) -> list[Finding]:
     """Lint every ``.py`` file under ``paths``; paths in findings are
     reported relative to ``root`` (default: the current directory)."""
-    from .flow.symbols import SymbolTable
-
     root = Path(root) if root is not None else Path.cwd()
-    return _analyze(SymbolTable.build(root, paths), rules)
+    return _analyze(
+        ((relative_path(path, root), path.read_text())
+         for path in iter_python_files(paths, root)),
+        rules,
+    )

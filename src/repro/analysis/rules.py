@@ -1,4 +1,4 @@
-"""The xatulint per-file domain rules (XL003, XL009).
+"""The xatulint domain rules (XL003, XL009).
 
 Each rule encodes one invariant that no runtime gate of this repo
 checks: a raising body that leaks a process-global switch, a handler
@@ -43,18 +43,17 @@ def _inside_try_finally(ctx: FileContext, node: ast.AST) -> bool:
 # ----------------------------------------------------------------------
 # XL003 — process-global switches must not leak
 # ----------------------------------------------------------------------
-_SWITCH_CALLS = {"set_enabled", "set_tape_hook"}
+_SWITCH_CALLS = {"set_enabled"}
 
 
 @register
 class GlobalSwitchLeakRule(Rule):
     """Toggling a process-global switch without a restore path leaks it.
 
-    ``repro.obs.set_enabled`` and ``repro.nn.set_tape_hook`` mutate
-    process-wide state: a raising body between toggle and restore leaves
-    telemetry (or the profiling hook) on for every later import in the
-    process — the grad-mode race PR 4 fixed by hand was exactly this
-    shape.  Allowed forms: toggle inside ``try``/``finally``, toggle
+    ``repro.obs.set_enabled`` mutates process-wide state: a raising body
+    between toggle and restore leaves telemetry on for every later import
+    in the process — an earlier grad-mode race, fixed by hand, had exactly
+    this shape.  Allowed forms: toggle inside ``try``/``finally``, toggle
     whose *next statement* opens the ``try``/``finally`` that restores
     it, context-manager plumbing (``__enter__``/``__exit__``), and the
     defining module itself.
@@ -64,8 +63,8 @@ class GlobalSwitchLeakRule(Rule):
     name = "global-switch-leak"
     severity = Severity.ERROR
     fix_hint = (
-        "use the context-manager form (telemetry() / profile_tape()) or "
-        "restore the previous value in a finally: block"
+        "use the context-manager form (telemetry()) or restore the "
+        "previous value in a finally: block"
     )
     description = "global switch toggled without try/finally or ctx manager"
 

@@ -597,8 +597,7 @@ def cmd_report(args) -> int:
 def cmd_lint(args) -> int:
     """Run xatulint (repro.analysis) over the tree and gate on findings.
 
-    One pass: every file is parsed once and every rule runs, the per-file
-    XL rules and the project-wide XF002 alike.
+    One pass: every file is parsed once and every rule runs over it.
 
     Exit codes: 0 clean (baselined findings don't count), 1 when the gate
     fails — any new finding or stale baseline entry under ``--strict``,
@@ -867,9 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run xatulint (domain-aware static analysis) over the tree",
-        description="One pass of per-file and interprocedural rules for "
-        "the bugs no runtime gate catches: global-switch leaks, bare "
-        "excepts, seed streams shared by two owners (see "
+        description="One pass of per-file rules for the bugs no runtime "
+        "gate catches: global-switch leaks and bare excepts (see "
         "docs/ANALYSIS.md).  "
         "Known-intentional findings live in lint-baseline.json with "
         "written reasons; the gate fails only on new ones.",

@@ -106,6 +106,8 @@ class XatuModel(Module):
         rng = np.random.default_rng(cfg.seed)
         pool_cls = AvgPool1D if cfg.pooling == "avg" else MaxPool1D
         self.pools = [pool_cls(ts.window) for ts in cfg.timescales]
+        # Every layer draws in sequence from the one model rng on purpose:
+        # per-layer child streams would move every committed golden.
         self.lstms = [
             LSTM(cfg.n_features, cfg.hidden_size, rng=rng) for _ts in cfg.timescales
         ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import threading
-import time
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "is_grad_enabled",
     "inference_dtype",
     "resolve_inference_dtype",
-    "set_tape_hook",
-    "get_tape_hook",
 ]
 
 
@@ -51,28 +48,6 @@ class _TensorMode(threading.local):
 
 
 _MODE = _TensorMode()
-
-# Optional profiling hook (see repro.obs.profiler): an object with
-# ``record_forward(op, seconds)`` / ``record_backward(op, seconds)``.
-# None (the default) keeps the tape's hot path to one extra branch.
-_TAPE_HOOK = None
-
-
-def set_tape_hook(hook):
-    """Install (or clear, with None) the tape profiling hook.
-
-    Returns the previous hook so callers can restore it.
-    """
-    global _TAPE_HOOK
-    previous = _TAPE_HOOK
-    _TAPE_HOOK = hook
-    return previous
-
-
-def get_tape_hook():
-    """The currently installed tape profiling hook, or None."""
-    return _TAPE_HOOK
-
 
 class no_grad:
     """Disable graph construction (inference mode).
@@ -305,7 +280,6 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        hook = _TAPE_HOOK
         grads: dict[int, np.ndarray] = {id(self): np.array(grad, dtype=np.float64)}
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)
@@ -314,15 +288,7 @@ class Tensor:
             if node.requires_grad:
                 node._accumulate(node_grad)
             if node._backward is not None:
-                if hook is None:
-                    pairs = node._backward(node_grad)
-                else:
-                    start = time.perf_counter()
-                    pairs = node._backward(node_grad)
-                    hook.record_backward(
-                        node.name or "anon", time.perf_counter() - start
-                    )
-                for parent, pgrad in pairs:
+                for parent, pgrad in node._backward(node_grad):
                     pgrad = _unbroadcast(
                         np.asarray(pgrad, dtype=np.float64), parent.data.shape
                     )
@@ -339,51 +305,33 @@ class Tensor:
         other,
         forward: Callable[[np.ndarray, np.ndarray], np.ndarray],
         backward: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple],
-        op: str = "",
     ) -> "Tensor":
         other = Tensor.from_any(other)
-        hook = _TAPE_HOOK
-        if hook is None:
-            out_data = forward(self.data, other.data)
-            op = ""
-        else:
-            op = op or getattr(forward, "__name__", "binary")
-            start = time.perf_counter()
-            out_data = forward(self.data, other.data)
-            hook.record_forward(op, time.perf_counter() - start)
+        out_data = forward(self.data, other.data)
         if not _MODE.grad_enabled or not (self.requires_grad or other.requires_grad or self._parents or other._parents):
-            return Tensor(out_data, name=op)
+            return Tensor(out_data)
         a, b = self, other
 
         def back(grad: np.ndarray):
             ga, gb = backward(grad, a.data, b.data, out_data)
             return ((a, ga), (b, gb))
 
-        return Tensor(out_data, _parents=(a, b), _backward=back, name=op)
+        return Tensor(out_data, _parents=(a, b), _backward=back)
 
     def _unary(
         self,
         forward: Callable[[np.ndarray], np.ndarray],
         backward: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-        op: str = "",
     ) -> "Tensor":
-        hook = _TAPE_HOOK
-        if hook is None:
-            out_data = forward(self.data)
-            op = ""
-        else:
-            op = op or getattr(forward, "__name__", "unary")
-            start = time.perf_counter()
-            out_data = forward(self.data)
-            hook.record_forward(op, time.perf_counter() - start)
+        out_data = forward(self.data)
         if not _MODE.grad_enabled or not (self.requires_grad or self._parents):
-            return Tensor(out_data, name=op)
+            return Tensor(out_data)
         a = self
 
         def back(grad: np.ndarray):
             return ((a, backward(grad, a.data, out_data)),)
 
-        return Tensor(out_data, _parents=(a,), _backward=back, name=op)
+        return Tensor(out_data, _parents=(a,), _backward=back)
 
     def __add__(self, other) -> "Tensor":
         return self._binary(other, np.add, lambda g, a, b, o: (g, g))
@@ -418,7 +366,6 @@ class Tensor:
         return self._unary(
             lambda a: np.power(a, exponent),
             lambda g, a, o: g * exponent * np.power(a, exponent - 1),
-            op="pow",
         )
 
     # ------------------------------------------------------------------
@@ -439,29 +386,25 @@ class Tensor:
             out[~pos] = ea / (1.0 + ea)
             return out
 
-        return self._unary(fwd, lambda g, a, o: g * o * (1.0 - o), op="sigmoid")
+        return self._unary(fwd, lambda g, a, o: g * o * (1.0 - o))
 
     def tanh(self) -> "Tensor":
         return self._unary(np.tanh, lambda g, a, o: g * (1.0 - o * o))
 
     def relu(self) -> "Tensor":
-        return self._unary(
-            lambda a: np.maximum(a, 0.0), lambda g, a, o: g * (a > 0), op="relu"
-        )
+        return self._unary(lambda a: np.maximum(a, 0.0), lambda g, a, o: g * (a > 0))
 
     def softplus(self) -> "Tensor":
         """Numerically stable ``log(1 + exp(x))`` — used for hazard rates."""
         return self._unary(
             lambda a: np.logaddexp(0.0, a),
             lambda g, a, o: g * (1.0 / (1.0 + np.exp(-np.clip(a, -500, 500)))),
-            op="softplus",
         )
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         return self._unary(
             lambda a: np.clip(a, lo, hi),
             lambda g, a, o: g * ((a >= lo) & (a <= hi)),
-            op="clip",
         )
 
     # ------------------------------------------------------------------
@@ -492,7 +435,7 @@ class Tensor:
             gb = np.swapaxes(a, -1, -2) @ g
             return (ga, gb)
 
-        return self._binary(other, np.matmul, back, op="matmul")
+        return self._binary(other, np.matmul, back)
 
     __matmul__ = matmul
 
@@ -502,7 +445,6 @@ class Tensor:
         return self._unary(
             lambda a: np.transpose(a, order),
             lambda g, a, o: np.transpose(g, inverse),
-            op="transpose",
         )
 
     @property
@@ -513,7 +455,6 @@ class Tensor:
         original = self.data.shape
         return self._unary(
             lambda a: a.reshape(shape), lambda g, a, o: g.reshape(original),
-            op="reshape",
         )
 
     def __getitem__(self, key) -> "Tensor":
@@ -522,7 +463,7 @@ class Tensor:
             np.add.at(full, key, g)
             return full
 
-        return self._unary(lambda a: a[key], back, op="getitem")
+        return self._unary(lambda a: a[key], back)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         def back(g, a, o):
@@ -531,7 +472,7 @@ class Tensor:
             g2 = g if keepdims else np.expand_dims(g, axis)
             return np.broadcast_to(g2, a.shape)
 
-        return self._unary(lambda a: a.sum(axis=axis, keepdims=keepdims), back, op="sum")
+        return self._unary(lambda a: a.sum(axis=axis, keepdims=keepdims), back)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -553,13 +494,12 @@ class Tensor:
             mask /= mask.sum(axis=axis, keepdims=True)
             return g2 * mask
 
-        return self._unary(lambda a: a.max(axis=axis, keepdims=keepdims), back, op="max")
+        return self._unary(lambda a: a.max(axis=axis, keepdims=keepdims), back)
 
     def cumsum(self, axis: int = -1) -> "Tensor":
         return self._unary(
             lambda a: np.cumsum(a, axis=axis),
             lambda g, a, o: np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis),
-            op="cumsum",
         )
 
     @staticmethod

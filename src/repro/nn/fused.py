@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import Sequence
 
 import numpy as np
 
 from ..analysis.sanitizer import SanitizeError, check_finite, sanitize_enabled
 from ..obs.registry import get_registry, obs_enabled
-from .autograd import Tensor, get_tape_hook, is_grad_enabled, resolve_inference_dtype
+from .autograd import Tensor, is_grad_enabled, resolve_inference_dtype
 
 __all__ = [
     "lstm_sequence",
@@ -509,9 +508,6 @@ def lstm_sequence(
         p.requires_grad or p._parents for p in parents
     )
 
-    hook = get_tape_hook()
-    start = time.perf_counter() if hook is not None else 0.0
-
     if not grad_mode and batch == 1:
         # One sequence: the served lane's own projection (its oracle).
         x_proj = np.empty((1, steps, 4 * hidden), dtype=np.result_type(X, Wx, b))
@@ -523,8 +519,6 @@ def lstm_sequence(
 
     if not grad_mode:
         result = _lstm_infer(X, Wx, Wh, x_proj, h0, c0, hidden)
-        if hook is not None:
-            hook.record_forward("lstm_infer", time.perf_counter() - start)
         if sanitize_enabled():
             check_finite("lstm_sequence.infer_outputs", outputs=result[0].data)
         return result
@@ -561,8 +555,6 @@ def lstm_sequence(
         tc_all[t] = tc
         c = c_new
 
-    if hook is not None:
-        hook.record_forward("lstm_sequence", time.perf_counter() - start)
     if sanitize_enabled():
         check_finite("lstm_sequence.outputs", outputs=outputs, cell=c)
 
@@ -694,12 +686,8 @@ def avg_pool_1d(x: Tensor, window: int) -> Tensor:
     Equivalent to :meth:`repro.nn.AvgPool1D.forward_unfused`: a trailing
     partial window is averaged over its own (shorter) length.
     """
-    hook = get_tape_hook()
-    start = time.perf_counter() if hook is not None else 0.0
     (X,) = _maybe_cast(x.data)
     out, full, tail, nfull, rem = _avg_pool_forward(X, window)
-    if hook is not None:
-        hook.record_forward("avg_pool_1d", time.perf_counter() - start)
     if sanitize_enabled():
         check_finite("avg_pool_1d", x=X, out=out)
 
@@ -727,12 +715,8 @@ def max_pool_1d(x: Tensor, window: int) -> Tensor:
     Backward splits the gradient evenly among tied maxima within a window,
     matching the generic ``Tensor.max`` semantics.
     """
-    hook = get_tape_hook()
-    start = time.perf_counter() if hook is not None else 0.0
     (X,) = _maybe_cast(x.data)
     out, full, tail, nfull, rem = _max_pool_forward(X, window)
-    if hook is not None:
-        hook.record_forward("max_pool_1d", time.perf_counter() - start)
     if sanitize_enabled():
         check_finite("max_pool_1d", x=X, out=out)
 

@@ -1,4 +1,4 @@
-"""repro.obs — metrics, tracing, and profiling telemetry.
+"""repro.obs — metrics and tracing telemetry.
 
 The observability layer for the train/serve stack (see
 docs/OBSERVABILITY.md for the metric catalog and conventions):
@@ -8,8 +8,6 @@ docs/OBSERVABILITY.md for the metric catalog and conventions):
   switch that is **off by default**;
 * :mod:`repro.obs.tracing` — span-based hierarchical wall-clock tracing
   (``with trace("train.step"):`` or decorator form);
-* :mod:`repro.obs.profiler` — a sampling profiler hooked into the nn
-  autograd tape (per-op-type forward/backward time and node counts);
 * :mod:`repro.obs.export` — Prometheus text exposition, JSON dump/load,
   and a ``top``-style console table, wired to ``cli metrics`` and the
   ``--telemetry <path>`` flag on ``cli train|pipeline|bench``.
@@ -32,7 +30,6 @@ from .export import (
     to_prometheus,
     write_telemetry,
 )
-from .profiler import TapeProfile, TapeProfiler, profile_tape
 from .registry import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -60,15 +57,12 @@ __all__ = [
     "MetricSnapshot",
     "MetricsSnapshot",
     "SpanNode",
-    "TapeProfile",
-    "TapeProfiler",
     "Tracer",
     "get_registry",
     "get_tracer",
     "host_metadata",
     "load_telemetry",
     "obs_enabled",
-    "profile_tape",
     "render_top",
     "selftest",
     "set_enabled",

@@ -24,6 +24,7 @@ import pytest
 from repro.analysis import sanitized
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.framework import (
+    ANALYZER_VERSION,
     Severity,
     all_rules,
     analyze_source,
@@ -61,8 +62,7 @@ def silent(rule_id: str, source: str, rel_path: str = "src/repro/fixture.py"):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_all_rules_registered(self):
-        # One inventory for both families.
-        assert [r.id for r in all_rules()] == ["XF002", "XL003", "XL009"]
+        assert [r.id for r in all_rules()] == ["XL003", "XL009"]
 
     def test_rules_have_metadata(self):
         for rule in all_rules():
@@ -348,6 +348,46 @@ class TestBaseline:
 
 
 # ----------------------------------------------------------------------
+# baseline stamp
+# ----------------------------------------------------------------------
+class TestBaselineStamp:
+    def test_save_stamps_analyzer_and_rules(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        Baseline().save(path, rules=["XL001", "XF001"])
+        payload = json.loads(path.read_text())
+        assert payload["analyzer"] == ANALYZER_VERSION
+        assert payload["rules"] == ["XF001", "XL001"]
+
+    def test_old_unstamped_baseline_warns(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text('{"version": 1, "entries": []}')
+        baseline = Baseline.load(path)
+        warnings = baseline.stamp_warnings(["XL001"])
+        assert warnings and "stamp" in warnings[0]
+
+    def test_outdated_rule_inventory_warns(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "analyzer": ANALYZER_VERSION,
+                    "rules": ["XL001"],
+                    "entries": [],
+                }
+            )
+        )
+        baseline = Baseline.load(path)
+        warnings = baseline.stamp_warnings(["XL001", "XF009"])
+        assert warnings and "XF009" in warnings[0]
+
+    def test_current_stamp_is_quiet(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        Baseline().save(path, rules=["XL001"])
+        assert Baseline.load(path).stamp_warnings(["XL001"]) == []
+
+
+# ----------------------------------------------------------------------
 # the repo itself must lint clean
 # ----------------------------------------------------------------------
 class TestRepoIsClean:
@@ -367,19 +407,27 @@ class TestRepoIsClean:
         assert "0 new finding(s)" in capsys.readouterr().out
 
     def test_cli_lint_subtree_ignores_out_of_scope_baseline(
-        self, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys
     ):
-        # Baseline entries live in nn/core files; linting serve/ alone
-        # must not report them as stale.
+        # The ledger's one entry is for b.py, which no longer has the
+        # finding: linting a.py alone must not report it as stale, and
+        # linting b.py must.
         from repro.cli import main
 
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "--strict", "src/repro/serve"]) == 0
+        (tmp_path / "a.py").write_text("x = 1\n")
+        (tmp_path / "b.py").write_text("x = 2\n")
+        Baseline([BaselineEntry("XL009", "b.py", "except:", "planted")]).save(
+            tmp_path / "lint-baseline.json"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--strict", "a.py"]) == 0
         assert "stale" not in capsys.readouterr().out
+        assert main(["lint", "--strict", "b.py"]) == 1
+        assert "stale" in capsys.readouterr().out
 
     def test_every_baseline_entry_has_a_reason(self):
         baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        assert len(baseline) > 0
+        assert baseline.stamp_warnings([r.id for r in all_rules()]) == []
         for entry in baseline.entries:
             assert entry.reason and "TODO" not in entry.reason, (
                 f"{entry.path}:{entry.rule} has no written reason"

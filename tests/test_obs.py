@@ -1,4 +1,4 @@
-"""Tests for repro.obs: registry, tracing, profiler, exporters, wiring.
+"""Tests for repro.obs: registry, tracing, exporters, wiring.
 
 Covers the ISSUE checklist: histogram bucket edge cases (boundary values,
 the +Inf bucket), tracer reentrancy and exception-safety, snapshot-vs-
@@ -17,12 +17,10 @@ from repro.netflow import DatagramCodec, FlowBatch, FlowCollector, FlowRecord, S
 from repro.obs import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
-    TapeProfiler,
     Tracer,
     get_registry,
     get_tracer,
     obs_enabled,
-    profile_tape,
     render_top,
     selftest,
     set_enabled,
@@ -298,48 +296,6 @@ class TestTracer:
 
 
 # ----------------------------------------------------------------------
-# tape profiler
-# ----------------------------------------------------------------------
-class TestTapeProfiler:
-    def test_profile_counts_forward_and_backward(self):
-        from repro.nn import LSTM, Tensor
-
-        rng = np.random.default_rng(0)
-        lstm = LSTM(6, 4, rng=np.random.default_rng(1), fused=True)
-        x = Tensor(rng.normal(size=(2, 5, 6)))
-        with profile_tape() as prof:
-            out, _state = lstm(x)
-            (out * out).sum().backward()
-        profile = prof.snapshot()
-        fused_stats = profile.get("lstm_sequence")
-        assert fused_stats is not None
-        assert fused_stats.nodes >= 1
-        assert fused_stats.backward_calls >= 1
-        assert profile.total_nodes > 0
-        assert "lstm_sequence" in profile.render()
-
-    def test_hook_removed_after_context(self):
-        from repro.nn.autograd import get_tape_hook
-
-        with profile_tape():
-            assert get_tape_hook() is not None
-        assert get_tape_hook() is None
-
-    def test_sampling_keeps_counts_exact(self):
-        profiler = TapeProfiler(sample_every=3)
-        for _ in range(7):
-            profiler.record_forward("op", 1.0)
-        stats = profiler.snapshot().get("op")
-        assert stats.nodes == 7
-        # 2 sampled records, each scaled by 3.
-        assert stats.forward_s == pytest.approx(6.0)
-
-    def test_sample_every_validation(self):
-        with pytest.raises(ValueError):
-            TapeProfiler(sample_every=0)
-
-
-# ----------------------------------------------------------------------
 # exporters
 # ----------------------------------------------------------------------
 class TestExporters:
@@ -446,22 +402,6 @@ class TestBitwiseNeutrality:
             return [p.data.tobytes() for p in model.parameters()]
 
         assert run(False) == run(True)
-
-    def test_profiler_hook_bitwise_identical(self):
-        from repro.nn import LSTM, Tensor
-
-        rng = np.random.default_rng(0)
-        x = np.ascontiguousarray(rng.normal(size=(2, 8, 5)))
-
-        def forward() -> bytes:
-            lstm = LSTM(5, 3, rng=np.random.default_rng(1), fused=True)
-            out, _state = lstm(Tensor(x))
-            return out.data.tobytes()
-
-        baseline = forward()
-        with profile_tape():
-            hooked = forward()
-        assert baseline == hooked
 
 
 # ----------------------------------------------------------------------

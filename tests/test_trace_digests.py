@@ -169,6 +169,23 @@ def test_stream_bytes_match_the_recorded_digest(name):
     assert trace_digest(config, end) == expected
 
 
+def test_spoof_stream_from_plan_seed_changes_the_digest(monkeypatch):
+    """The seed-stream mutant: spoofed-source draws seeded from the
+    planning child stream instead of their own.  The pins must see it, so
+    spoofed sources never drop out of the pinned cases."""
+    original = TraceGenerator.__init__
+
+    def shared_seed_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self._spoof_rng = np.random.default_rng(
+            np.random.SeedSequence(self.config.seed).spawn(5)[0]
+        )
+
+    monkeypatch.setattr(TraceGenerator, "__init__", shared_seed_init)
+    config, end = cases()["dense-sampled"]
+    assert trace_digest(config, end) != _recorded()["cases"]["dense-sampled"]
+
+
 def test_fixture_covers_every_case_and_catalog_spec():
     recorded = set(_recorded()["cases"])
     assert recorded == set(cases())
