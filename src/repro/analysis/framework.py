@@ -56,17 +56,11 @@ ANALYZER_VERSION = "5.0"
 
 
 class Severity:
-    """Finding severities, ordered: error > warning > info."""
+    """Finding severities: error, warning, info."""
 
     ERROR = "error"
     WARNING = "warning"
     INFO = "info"
-
-    _ORDER = {ERROR: 0, WARNING: 1, INFO: 2}
-
-    @classmethod
-    def rank(cls, severity: str) -> int:
-        return cls._ORDER.get(severity, 99)
 
 
 @dataclass(frozen=True, slots=True)

@@ -302,6 +302,7 @@ def cmd_scenarios(args) -> int:
         budget_failures,
         compare_reports,
         load_report,
+        render_precision,
         render_report,
         run_matrix,
         write_report,
@@ -335,10 +336,21 @@ def cmd_scenarios(args) -> int:
         train_seed=args.train_seed,
         serve_shards=args.shards,
     )
-    report = run_matrix(
+    report, gates = run_matrix(
         names, config, progress=lambda message: print(f"  {message}", flush=True)
     )
     print(render_report(report))
+    # The served lane against the float64 oracle, on every Xatu world: a
+    # moved alert fails ``run`` and ``check`` alike.
+    moved = [
+        f"{name}: {gate.moved} alert(s) differ between the served precision "
+        "and float64"
+        for name, gate in gates.items()
+        if not gate.equal
+    ]
+    if gates:
+        print("\nprecision gate (xatu_serve at float32 vs the float64 xatu lane):")
+        print(render_precision(gates))
     if args.report_out:
         # A side copy of the fresh report (e.g. as a CI artifact),
         # independent of whether this invocation may touch the baseline.
@@ -358,6 +370,7 @@ def cmd_scenarios(args) -> int:
             print(f"\nno baseline at {baseline_path}; nothing to check against")
             return 2
         warnings, failures = compare_reports(report, load_report(baseline_path))
+        failures += moved
         for message in warnings:
             print(f"warning: {message}")
         for message in failures:
@@ -367,12 +380,14 @@ def cmd_scenarios(args) -> int:
         print(f"\ncheck against {baseline_path}: OK ({len(warnings)} warning(s))")
         return 0
 
+    for message in moved:
+        print(f"PRECISION: {message}")
     failures = budget_failures(report)
     for message in failures:
         print(f"BUDGET: {message}")
     out = write_report(report, args.out)
     print(f"\nwrote {out}")
-    return 1 if failures else 0
+    return 1 if failures or moved else 0
 
 
 def cmd_bench(args) -> int:
@@ -832,9 +847,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="induce a kill+restore at this minute "
                        "(requires --checkpoint-dir)")
     serve.add_argument("--inference-dtype", choices=["float32", "float64"],
-                       default=None,
-                       help="reduced-precision inference policy for the "
-                       "shard detectors (default: full float64)")
+                       default="float32",
+                       help="precision the shard detectors score in "
+                       "(default: float32, gated by `scenarios check` to "
+                       "raise the same alerts as float64, the oracle; "
+                       "docs/SERVING.md)")
     serve.add_argument("--minutes", type=int, default=None,
                        help="serve only the first N minutes of the trace")
     serve.add_argument("--threshold", type=float, default=None,

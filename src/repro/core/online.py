@@ -57,9 +57,9 @@ __all__ = ["OnlineAlert", "OnlineConfig", "OnlineXatu"]
 
 # Customers per stacked inference call.  Bounds the pooled staging stack and
 # the LSTM's projection buffers (customers x sum-of-spans x 273 features in
-# the inference dtype: ~60 MB per 256 customers at 108 steps in float64);
-# every op in the fused pass is per-item bitwise stable, so the value cannot
-# change results.
+# the inference dtype: ~30 MB per 256 customers at 108 steps in float32, the
+# serving precision, and ~60 MB in float64); every op in the fused pass is
+# per-item bitwise stable, so the value cannot change results.
 SCORE_CHUNK = 256
 
 @dataclass(frozen=True, slots=True)
@@ -157,16 +157,18 @@ class OnlineXatu:
 
     Inference precision
     -------------------
-    ``inference_dtype`` (None | np.float32 | np.float64) is a plain
-    class-level-default attribute, set per instance by the serving layer
-    from :class:`~repro.serve.ServeConfig`.  Deliberately **not** part of
+    ``inference_dtype`` is the ``np.dtype`` the feature windows and the
+    fused pass compute in: the model's float64 on a bare detector (the
+    oracle), and whatever :class:`~repro.serve.ServeConfig` names —
+    float32 by default — on every detector a
+    :class:`~repro.serve.ServeEngine` builds.  Deliberately **not** part of
     :class:`OnlineConfig`, :meth:`state_dict` or :meth:`deployment_digest`:
     it is engine policy, so a restore may change it freely.
     """
 
     name = "xatu"
 
-    inference_dtype = None
+    inference_dtype = np.dtype(np.float64)
 
     def __init__(
         self,
@@ -353,9 +355,7 @@ class OnlineXatu:
         pad = lookback - (end - start)
         # Cast the scaled float64 rows *before* pooling, as ``stage_pooled``
         # casts the scaled window: a float32 sum is not a rounded float64 sum.
-        dtype = np.dtype(
-            np.float64 if self.inference_dtype is None else self.inference_dtype
-        )
+        dtype = self.inference_dtype
         scale = self.scaler.transform
         zero = scale(np.zeros(N_FEATURES)).astype(dtype)
         steps = sum(ts.span for ts in cfg.timescales)
@@ -487,16 +487,18 @@ class OnlineXatu:
             return evicted
         return 0
 
-    def _survival(self, customer_id: int) -> float:
+    def survival(self, customer_id: int) -> float:
+        """``S_t`` of one customer as of the last step: what :meth:`step`
+        compared against the threshold (1.0 before its first hazard)."""
         window = self.model.config.detect_window
-        recent = self._hazards[customer_id][-window:]
+        recent = self._hazards.get(customer_id, ())[-window:]
         return float(np.exp(-np.sum(recent))) if recent else 1.0
 
     def _decide(self, customer_id: int, minute: int) -> OnlineAlert | None:
         """Threshold/suppression decision for one customer."""
         if minute < self._suppressed_until.get(customer_id, -1):
             return None
-        survival = self._survival(customer_id)
+        survival = self.survival(customer_id)
         if survival < self.threshold:
             # Suppress re-alerting until re-armed (CScrub notice or
             # rearm_after minutes, whichever first).

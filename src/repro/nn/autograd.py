@@ -168,7 +168,7 @@ class Tensor:
         tensor during :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(
         self,
@@ -176,7 +176,6 @@ class Tensor:
         requires_grad: bool = False,
         _parents: tuple["Tensor", ...] = (),
         _backward: Callable[[np.ndarray], None] | None = None,
-        name: str = "",
     ) -> None:
         dtype = resolve_inference_dtype()
         self.data = np.asarray(data, dtype=np.float64 if dtype is None else dtype)
@@ -184,7 +183,6 @@ class Tensor:
         self.requires_grad = requires_grad and _MODE.grad_enabled
         self._parents = _parents if _MODE.grad_enabled else ()
         self._backward = _backward if _MODE.grad_enabled else None
-        self.name = name
         # Sanitizer (REPRO_SANITIZE=1): recorded-op outputs are frozen so
         # any in-place write between forward and backward raises at the
         # mutation site.  Leaves stay writable (optimizers, gradcheck).

@@ -613,13 +613,11 @@ def lstm_sequence(
         outputs,
         _parents=tuple(parents),
         _backward=lambda grad: bptt(grad, None),
-        name="lstm_sequence",
     )
     c_t = Tensor(
         c,
         _parents=tuple(parents),
         _backward=lambda grad: bptt(None, grad),
-        name="lstm_sequence.cell",
     )
     # h_T as a slice keeps its gradient flowing through the sequence node.
     h_t = out_t[:, steps - 1, :]
@@ -706,7 +704,7 @@ def avg_pool_1d(x: Tensor, window: int) -> Tensor:
             d_x[:, nfull * window :] = np.broadcast_to(d_tail, tail.shape)
         return ((x, d_x),)
 
-    return Tensor(out, _parents=(x,), _backward=back, name="avg_pool_1d")
+    return Tensor(out, _parents=(x,), _backward=back)
 
 
 def max_pool_1d(x: Tensor, window: int) -> Tensor:
@@ -738,4 +736,4 @@ def max_pool_1d(x: Tensor, window: int) -> Tensor:
             d_x[:, nfull * window :] = grad[:, nfull:] * tmask
         return ((x, d_x),)
 
-    return Tensor(out, _parents=(x,), _backward=back, name="max_pool_1d")
+    return Tensor(out, _parents=(x,), _backward=back)

@@ -18,10 +18,13 @@ from .matrix import (
     DETECTOR_LANES,
     REPORT_FORMAT_VERSION,
     MatrixConfig,
+    PrecisionGate,
     TrainedArtifacts,
     budget_failures,
     compare_reports,
     load_report,
+    precision_gate,
+    render_precision,
     render_report,
     run_matrix,
     train_artifacts,
@@ -39,6 +42,9 @@ __all__ = [
     "TrainedArtifacts",
     "train_artifacts",
     "run_matrix",
+    "precision_gate",
+    "PrecisionGate",
+    "render_precision",
     "write_report",
     "load_report",
     "compare_reports",

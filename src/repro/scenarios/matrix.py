@@ -16,6 +16,13 @@ alerts (absolute and per 1,000 customer-minutes), and the scrubbing
 overhead its diversions would cost (area C/A of §2.4).  The report is a
 versioned, deterministic JSON (``SCENARIOS.json``) with a
 compare-vs-baseline gate in the style of ``cli bench --check``.
+
+The ``xatu`` lane is a bare float64 ``OnlineXatu``, the oracle; the
+``xatu_serve`` lane scores at the served precision.  Wherever both run,
+:func:`precision_gate` compares them: their alerts must be equal, and the
+survival gap is reported against the margin of the nearest threshold
+crossing.  The gate rows come back beside the report, never inside
+``SCENARIOS.json``.
 """
 
 from __future__ import annotations
@@ -33,9 +40,12 @@ from .catalog import ScenarioSpec, all_specs, get_spec
 
 __all__ = [
     "MatrixConfig",
+    "PrecisionGate",
     "TrainedArtifacts",
     "train_artifacts",
     "run_matrix",
+    "precision_gate",
+    "render_precision",
     "write_report",
     "load_report",
     "compare_reports",
@@ -166,7 +176,9 @@ def train_artifacts(epochs: int = 2, seed: int = 42) -> TrainedArtifacts:
 
 def _lane_alerts(
     lane: str, trace: Trace, artifacts: TrainedArtifacts, config: MatrixConfig
-) -> list[tuple[int, int]]:
+) -> tuple[list[tuple[int, int]], np.ndarray | None]:
+    """One lane's sorted ``(customer_id, minute)`` alerts and, for the two
+    Xatu lanes, their :class:`_Survivals` matrix (``None`` for a CDet)."""
     from ..detect import FastNetMonDetector, NetScoutDetector
     from ..eval.streaming import stream_trace
 
@@ -178,26 +190,72 @@ def _lane_alerts(
     elif lane == "fastnetmon":
         detector = FastNetMonDetector(customer_of=addr_to_cid)
     elif lane == "xatu":
-        detector = artifacts.make_online(trace, addr_to_cid)
+        return _xatu_lane_alerts(trace, artifacts)
     elif lane == "xatu_serve":
         return _serve_lane_alerts(trace, artifacts, config)
     else:  # pragma: no cover - guarded by MatrixConfig
         raise ValueError(f"unknown lane {lane!r}")
     alerts = stream_trace(detector, trace)
-    return sorted((int(a.customer_id), int(a.minute)) for a in alerts)
+    return sorted((int(a.customer_id), int(a.minute)) for a in alerts), None
+
+
+class _Survivals:
+    """``S_t`` of every customer of a world after every minute, read from
+    the detectors that serve them: a ``(horizon, customers)`` matrix, rows
+    in minute order, columns in customer-id order.
+
+    The matrix's detectors watch every customer of their world from minute
+    0 (no lazy watch, no idle eviction), so each cell is a survival that
+    minute's step computed, suppressed or not."""
+
+    def __init__(self, trace: Trace) -> None:
+        self.customers = sorted(c.customer_id for c in trace.world.customers)
+        self.detectors: list = []
+        self.rows: list[list[float]] = []
+
+    def record(self) -> None:
+        owner = {c: d for d in self.detectors for c in d.customer_of.values()}
+        self.rows.append([owner[c].survival(c) for c in self.customers])
+
+    def matrix(self) -> np.ndarray:
+        return np.array(self.rows, dtype=np.float64).reshape(-1, len(self.customers))
+
+
+def _xatu_lane_alerts(
+    trace: Trace, artifacts: TrainedArtifacts
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Step one float64 ``OnlineXatu`` (the oracle) over the streamed trace."""
+    from ..synth import as_trace_source
+
+    detector = artifacts.make_online(
+        trace, {c.address: c.customer_id for c in trace.world.customers}
+    )
+    survivals = _Survivals(trace)
+    survivals.detectors.append(detector)
+    merged: list[tuple[int, int]] = []
+    for sl in as_trace_source(trace).iter_minutes(0, trace.horizon):
+        alerts = detector.step(sl.minute, sl.batch)
+        merged.extend((int(a.customer_id), int(a.minute)) for a in alerts)
+        survivals.record()
+    return sorted(merged), survivals.matrix()
 
 
 def _serve_lane_alerts(
     trace: Trace, artifacts: TrainedArtifacts, config: MatrixConfig
-) -> list[tuple[int, int]]:
-    """Drive the sharded serving engine over the streamed trace."""
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Drive the sharded serving engine, at its default (served) precision,
+    over the streamed trace.  The inline backend builds its shard detectors
+    in this process, so their survivals are read where they serve."""
     from ..serve import ServeConfig, ServeEngine
     from ..synth import as_trace_source
 
     addr_to_cid = {c.address: c.customer_id for c in trace.world.customers}
+    survivals = _Survivals(trace)
 
     def factory(partition: dict[int, int]):
-        return artifacts.make_online(trace, partition)
+        detector = artifacts.make_online(trace, partition)
+        survivals.detectors.append(detector)
+        return detector
 
     engine = ServeEngine(
         factory,
@@ -211,9 +269,65 @@ def _serve_lane_alerts(
             merged.extend(
                 (int(a.customer_id), int(a.minute)) for a in engine.tick(sl.minute)
             )
+            survivals.record()
     finally:
         engine.close()
-    return sorted(merged)
+    return sorted(merged), survivals.matrix()
+
+
+@dataclass(frozen=True)
+class PrecisionGate:
+    """One world's served lane (``xatu_serve``) against the float64 oracle
+    (``xatu``).
+
+    ``customer_minutes`` counts the survivals compared: every customer of
+    the world, every minute.  ``moved`` counts the ``(customer, minute)``
+    alerts that only one lane raised.
+    """
+
+    customer_minutes: int
+    alerts: int
+    moved: int
+    max_gap: float  # max |S_served - S64|
+    min_margin: float  # min |S64 - threshold|
+
+    @property
+    def equal(self) -> bool:
+        return self.moved == 0
+
+
+def precision_gate(
+    oracle: tuple[list[tuple[int, int]], np.ndarray],
+    served: tuple[list[tuple[int, int]], np.ndarray],
+    threshold: float,
+) -> PrecisionGate:
+    """Compare the served lane's ``(alerts, survivals)`` with the oracle's,
+    as :func:`_lane_alerts` returns them for ``xatu_serve`` and ``xatu``;
+    the gate holds when ``equal``."""
+    (oracle_alerts, s64), (served_alerts, s_served) = oracle, served
+    return PrecisionGate(
+        customer_minutes=s64.size,
+        alerts=len(oracle_alerts),
+        moved=len(set(oracle_alerts) ^ set(served_alerts)),
+        max_gap=float(np.abs(s_served - s64).max(initial=0.0)),
+        min_margin=float(np.abs(s64 - threshold).min(initial=np.inf)),
+    )
+
+
+def render_precision(gates: dict[str, PrecisionGate]) -> str:
+    """The precision gate's table: one row per Xatu world."""
+    header = (
+        f"{'scenario':<24} {'cust-min':>9} {'alerts':>6} {'moved':>5} "
+        f"{'max|S32-S64|':>12} {'min|S64-thr|':>12} {'margin':>10}"
+    )
+    lines = [header, "-" * len(header)]
+    for name, gate in gates.items():
+        ratio = f"{gate.min_margin / gate.max_gap:,.0f}x" if gate.max_gap else "-"
+        lines.append(
+            f"{name:<24} {gate.customer_minutes:>9} {gate.alerts:>6} {gate.moved:>5} "
+            f"{gate.max_gap:>12.1e} {gate.min_margin:>12.1e} {ratio:>10}"
+        )
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +440,9 @@ def run_matrix(
     config: MatrixConfig | None = None,
     artifacts: TrainedArtifacts | None = None,
     progress=None,
-) -> dict:
-    """Run the matrix and return the report dict (``SCENARIOS.json``)."""
+) -> tuple[dict, dict[str, PrecisionGate]]:
+    """Run the matrix.  Returns the report dict (``SCENARIOS.json``) and the
+    :func:`precision_gate` row of every world where both Xatu lanes ran."""
     config = config or MatrixConfig()
     specs = (
         [get_spec(name) for name in scenario_names]
@@ -352,18 +467,28 @@ def run_matrix(
         artifacts = train_artifacts(epochs=config.epochs, seed=config.train_seed)
 
     scenarios: dict[str, dict] = {}
+    gates: dict[str, PrecisionGate] = {}
     for spec in specs:
         say(f"scenario {spec.name}: generating trace")
         trace = TraceGenerator(spec.config).materialize()
         lanes = spec_lanes(spec)
         lane_alerts: dict[str, list[tuple[int, int]]] = {}
+        survivals: dict[str, np.ndarray | None] = {}
         results: dict[str, dict] = {}
         first_by_lane: dict[str, dict[int, int]] = {}
         for lane in lanes:
             say(f"scenario {spec.name}: lane {lane}")
-            lane_alerts[lane] = _lane_alerts(lane, trace, artifacts, config)
+            lane_alerts[lane], survivals[lane] = _lane_alerts(
+                lane, trace, artifacts, config
+            )
             results[lane], first_by_lane[lane] = _evaluate_lane(
                 trace, lane_alerts[lane], config
+            )
+        if "xatu" in lanes and "xatu_serve" in lanes:
+            gates[spec.name] = precision_gate(
+                (lane_alerts["xatu"], survivals["xatu"]),
+                (lane_alerts["xatu_serve"], survivals["xatu_serve"]),
+                artifacts.threshold,
             )
         # Earliness vs the NetScout reference, on co-detected events.
         reference = first_by_lane.get("netscout", {})
@@ -391,7 +516,7 @@ def run_matrix(
         if artifacts is not None
         else None  # CDet-only run: no model was trained
     )
-    return {
+    report = {
         "format_version": REPORT_FORMAT_VERSION,
         "train": train_info,
         "matrix": {
@@ -402,6 +527,7 @@ def run_matrix(
         },
         "scenarios": dict(sorted(scenarios.items())),
     }
+    return report, gates
 
 
 def _config_dict(config) -> dict:

@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["ServeConfig", "BACKENDS", "TRANSPORTS"]
+__all__ = ["ServeConfig", "BACKENDS", "INFERENCE_DTYPES", "TRANSPORTS"]
 
 BACKENDS = ("inline", "process")
+INFERENCE_DTYPES = ("float32", "float64")
 TRANSPORTS = ("pipe", "shm")
 
 
@@ -33,10 +34,14 @@ class ServeConfig:
         (explicit :meth:`~repro.serve.ServeEngine.checkpoint` calls still
         work); a positive value requires ``checkpoint_dir``.
     inference_dtype:
-        ``None`` (full float64), ``"float32"`` or ``"float64"``; selects
-        the reduced-precision inference policy applied to every
-        :class:`~repro.core.OnlineXatu` the engine builds.  This is engine
-        policy, never checkpointed state: a restore may change it freely.
+        ``"float32"`` (the default) or ``"float64"``: the precision every
+        :class:`~repro.core.OnlineXatu` the engine builds scores in.
+        Float64 is the training precision and the oracle; float32 is
+        served because only which side of the threshold a decision lands
+        on matters, and ``scenarios check`` gates that every Xatu world's
+        alerts are equal under both (docs/SERVING.md "Inference
+        precision").  This is engine policy, never checkpointed state: a
+        restore may change it freely.
     transport:
         How the process backend moves each minute's flow payload to its
         workers: ``shm`` (the default) stages the encoded batch in a
@@ -52,7 +57,7 @@ class ServeConfig:
     backend: str = "inline"
     checkpoint_dir: str | Path | None = None
     checkpoint_every: int = 0
-    inference_dtype: str | None = None
+    inference_dtype: str = "float32"
     transport: str = "shm"
 
     def validate(self) -> None:
@@ -66,7 +71,5 @@ class ServeConfig:
             raise ValueError("checkpoint_every must be >= 0 (0 disables)")
         if self.checkpoint_every and self.checkpoint_dir is None:
             raise ValueError("checkpoint_every > 0 requires a checkpoint_dir")
-        if self.inference_dtype not in (None, "float32", "float64"):
-            raise ValueError(
-                "inference_dtype must be None, 'float32' or 'float64'"
-            )
+        if self.inference_dtype not in INFERENCE_DTYPES:
+            raise ValueError(f"inference_dtype must be one of {INFERENCE_DTYPES}")

@@ -142,7 +142,7 @@ class ServeEngine:
         else:
             partition = self.customer_of.shard_view(index, n)
         factory = self._factory
-        inference_dtype = self.config.inference_dtype
+        inference_dtype = np.dtype(self.config.inference_dtype)
 
         def build() -> OnlineXatu:
             detector = factory(partition)
@@ -150,9 +150,7 @@ class ServeEngine:
             # applied on every (re)build, never serialized — so a restore
             # may change it freely.
             if isinstance(detector, OnlineXatu):
-                detector.inference_dtype = (
-                    None if inference_dtype is None else np.dtype(inference_dtype)
-                )
+                detector.inference_dtype = inference_dtype
             return detector
 
         return build

@@ -79,7 +79,7 @@ def build_detector(
     blocklist=(),
     *,
     threshold: float = 0.9,
-    dtype=None,
+    dtype=np.float64,
     pooling: str = "avg",
     timescales=TWIN_TIMESCALES,
     config: OnlineConfig = TWIN_CONFIG,
@@ -112,7 +112,7 @@ def build_detector(
         route_table=twin_route_table(),
         config=config,
     )
-    detector.inference_dtype = dtype
+    detector.inference_dtype = np.dtype(dtype)
     return detector
 
 

@@ -766,14 +766,14 @@ def test_lanes_agree_with_three_timescales_run_out_of_order(monkeypatch):
             )
         )
         lstms = production.model.lstms
-        if dtype is None and any(w == lstms[1].w_h.data.tobytes() for w in first_slots):
+        if dtype is np.float64 and any(w == lstms[1].w_h.data.tobytes() for w in first_slots):
             seen.add("medium ran first")
 
     run_property(
         lanes_agree,
         integers(0, 10**6),
         choices([1, 4]),
-        choices([None, np.float32]),
+        choices([np.float64, np.float32]),
         runs=4,
         seed=909,
     )
@@ -887,7 +887,7 @@ def _fill_staging_fixture(detector, rng: np.random.Generator, last_minute: int) 
     return [0, 1, 2, 3, 4, 5]  # 0 stays empty
 
 
-@pytest.mark.parametrize("dtype", [None, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 @pytest.mark.parametrize("pooling", ["avg", "max"])
 @pytest.mark.parametrize("layout", sorted(STAGING_TIMESCALES))
 def test_feature_windows_equal_pooling_the_dense_window(monkeypatch, layout, pooling, dtype):
@@ -916,7 +916,7 @@ def test_feature_windows_equal_pooling_the_dense_window(monkeypatch, layout, poo
         # A padded window, the first full one, and one with rows before its start.
         for end_minute in (lookback // 2, lookback - 1, last_minute):
             got = detector.feature_windows(ids, end_minute)
-            assert got.dtype == (np.float64 if dtype is None else dtype)
+            assert got.dtype == dtype
             assert got.shape == (len(ids), sum(ts.span for ts in timescales), 273)
             for i, customer in enumerate(ids):
                 dense = detector.scaler.transform(
@@ -961,7 +961,7 @@ def test_score_stages_every_scored_customer_exactly_once(monkeypatch):
         return stack
 
     monkeypatch.setattr(OnlineXatu, "feature_windows", counting)
-    for dtype in (None, np.float32):
+    for dtype in (np.float64, np.float32):
         detector = _bench_shaped_detector(customer_of, dtype)
         for minute, flows in enumerate(_traffic(11, customer_of, 3)):
             staged.clear()
@@ -971,10 +971,10 @@ def test_score_stages_every_scored_customer_exactly_once(monkeypatch):
             for ids, stack in staged:
                 assert isinstance(stack, np.ndarray)
                 assert stack.shape == (len(ids), 60 + 36 + 12, 273)
-                assert stack.dtype == (np.float64 if dtype is None else dtype)
+                assert stack.dtype == dtype
 
 
-@pytest.mark.parametrize("dtype", [None, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 def test_score_never_holds_a_dense_window_stack(dtype):
     """The memory half of the staging claim: scoring ``n`` customers stays
     below ``n * lookback * 273 * itemsize`` bytes of live allocations *in
@@ -988,7 +988,7 @@ def test_score_never_holds_a_dense_window_stack(dtype):
     customers = sorted(customer_of.values())  # watched or idle-evicted alike
     dense_stack = (
         n * detector.model.config.lookback_minutes * 273
-        * np.dtype(np.float64 if dtype is None else dtype).itemsize
+        * np.dtype(dtype).itemsize
     )
     detector._score(customers, 5)  # row stores and memoized indices exist now
     tracemalloc.start()

@@ -1136,16 +1136,22 @@ class TestFeedHealthSequenceAnomalies:
 def test_columnar_detector_lane_matches_scalar_lane():
     """``step(minute, FlowBatch)`` against the per-record oracle on the twin
     stream, under the default :class:`OnlineConfig` (wire-domain records,
-    unrouted destinations, all three auxiliary masks)."""
+    unrouted destinations, all three auxiliary masks), at the served
+    float32 and at float64."""
 
-    def lanes_match(seed, minutes):
-        customer_of, blocklist = twin_context(4)
-        scalar, columnar = build_twins(
-            seed % 97, customer_of, blocklist, threshold=0.5, config=OnlineConfig()
-        )
-        drive_twins(scalar, columnar, twin_stream(seed, customer_of, blocklist, minutes))
+    for dtype in (np.float64, np.float32):
 
-    run_property(lanes_match, integers(0, 10**6), choices([3, 8]), runs=4, seed=71)
+        def lanes_match(seed, minutes):
+            customer_of, blocklist = twin_context(4)
+            scalar, columnar = build_twins(
+                seed % 97, customer_of, blocklist,
+                threshold=0.5, dtype=dtype, config=OnlineConfig(),
+            )
+            drive_twins(
+                scalar, columnar, twin_stream(seed, customer_of, blocklist, minutes)
+            )
+
+        run_property(lanes_match, integers(0, 10**6), choices([3, 8]), runs=4, seed=71)
 
 
 def test_a_changed_route_table_refuses_the_snapshot_in_both_lanes():
@@ -1360,9 +1366,10 @@ def test_checkpoint_telemetry_counts_the_cells_written():
 
 def test_columnar_lane_exercises_all_auxiliary_classes():
     """The differential pass is only meaningful if every mask fires."""
-    customer_of, blocklist = twin_context(4)
-    twins = build_twins(5, customer_of, blocklist)
-    seen = drive_twins(*twins, twin_stream(3, customer_of, blocklist, 12))
-    assert seen >= {
-        "all", SOURCE_CLASS_BLOCKLIST, SOURCE_CLASS_PREV_ATTACKER, SOURCE_CLASS_SPOOFED
-    }, seen
+    for dtype in (np.float64, np.float32):
+        customer_of, blocklist = twin_context(4)
+        twins = build_twins(5, customer_of, blocklist, dtype=dtype)
+        seen = drive_twins(*twins, twin_stream(3, customer_of, blocklist, 12))
+        assert seen >= {
+            "all", SOURCE_CLASS_BLOCKLIST, SOURCE_CLASS_PREV_ATTACKER, SOURCE_CLASS_SPOOFED
+        }, seen

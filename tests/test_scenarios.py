@@ -11,8 +11,9 @@ Three layers, cheapest first:
   damping, benign drift, and single-seed reproducibility;
 * **matrix** — the evaluation semantics (event matching, prep-window
   classification, diversion dedup of false alerts), the report gates
-  (budgets, compare-vs-baseline), and a tiny CDet-only end-to-end run
-  that must be deterministic.
+  (budgets, compare-vs-baseline), a tiny CDet-only end-to-end run
+  that must be deterministic, and the precision gate (the served float32
+  lane against the float64 ``xatu`` lane) on a tiny world.
 
 The carpet-bombing truth records are seed-locked in
 ``tests/fixtures/carpet_bombing_truth.json`` so generator refactors
@@ -28,29 +29,40 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core import OnlineXatu, XatuModel
+from repro.eval.streaming import stream_trace
 from repro.scenarios import (
     CI_SCENARIOS,
     DETECTOR_LANES,
     MatrixConfig,
+    PrecisionGate,
+    ScenarioSpec,
+    TrainedArtifacts,
     all_specs,
     budget_failures,
     compare_reports,
     get_spec,
     load_report,
+    precision_gate,
+    render_precision,
     render_report,
     run_matrix,
     scenario_names,
     write_report,
 )
-from repro.scenarios.matrix import _evaluate_lane, _match_event
+from repro.scenarios.matrix import _evaluate_lane, _lane_alerts, _match_event
+from repro.signals import FeatureScaler
 from repro.synth import (
     ATTACK_FAMILIES,
     BENIGN_DRIFTS,
     AttackType,
+    ScenarioConfig,
     TraceGenerator,
 )
+from tests.conftest import small_model_config
 
 FIXTURE = Path(__file__).parent / "fixtures" / "carpet_bombing_truth.json"
 
@@ -317,7 +329,8 @@ class TestEvaluationSemantics:
 @pytest.fixture(scope="module")
 def cdet_report():
     config = MatrixConfig(detectors=("netscout", "fastnetmon"))
-    return run_matrix(["drift-diurnal-shift"], config)
+    report, _gates = run_matrix(["drift-diurnal-shift"], config)
+    return report
 
 
 class TestReportAndGates:
@@ -328,10 +341,11 @@ class TestReportAndGates:
 
     def test_cdet_only_run_is_deterministic(self, cdet_report):
         config = MatrixConfig(detectors=("netscout", "fastnetmon"))
-        again = run_matrix(["drift-diurnal-shift"], config)
+        again, gates = run_matrix(["drift-diurnal-shift"], config)
         assert json.dumps(cdet_report, sort_keys=True) == json.dumps(
             again, sort_keys=True
         )
+        assert gates == {}  # no Xatu lane, no precision gate
         assert cdet_report["train"] is None  # no model was trained
 
     def test_report_round_trip_and_version_gate(self, cdet_report, tmp_path):
@@ -371,3 +385,101 @@ class TestReportAndGates:
         warnings, failures = compare_reports(cdet_report, baseline)
         assert failures == []
         assert any("not in baseline" in w for w in warnings)
+
+
+# ----------------------------------------------------------------------
+# precision gate: the served float32 lane against the float64 xatu lane
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def tiny_world():
+    """Two days of three customers and an untrained model: a threshold of
+    0.9 makes it alert, which is all the gate needs."""
+    trace = TraceGenerator(
+        ScenarioConfig(
+            total_days=2, minutes_per_day=60, prep_days=0.5, n_customers=3,
+            n_botnets=1, botnet_size=20, seed=5,
+        )
+    ).materialize()
+    model = XatuModel(small_model_config())
+    scaler = FeatureScaler()
+    scaler.mean_ = np.zeros(273)
+    scaler.std_ = np.ones(273)
+    artifacts = TrainedArtifacts(
+        model_config=model.config, model_state=model.state_dict(), scaler=scaler,
+        threshold=0.9, train_seed=0, epochs=0,
+    )
+    return trace, artifacts
+
+
+class TestPrecisionGate:
+    def test_the_served_lane_raises_the_oracles_alerts(self, tiny_world):
+        trace, artifacts = tiny_world
+        oracle = _lane_alerts("xatu", trace, artifacts, MatrixConfig())
+        bare = artifacts.make_online(
+            trace, {c.address: c.customer_id for c in trace.world.customers}
+        )
+        assert oracle[0] == sorted(
+            (a.customer_id, a.minute) for a in stream_trace(bare, trace)
+        )
+        assert oracle[0], "the workload should produce alerts"
+        served = _lane_alerts(
+            "xatu_serve", trace, artifacts, MatrixConfig(serve_shards=2)
+        )
+        gate = precision_gate(oracle, served, artifacts.threshold)
+        assert gate.equal and gate.alerts == len(oracle[0])
+        assert gate.customer_minutes == trace.horizon * len(trace.world.customers)
+        assert 0 < gate.max_gap < gate.min_margin
+        assert "tiny" in render_precision({"tiny": gate})
+
+    def test_a_served_lane_that_decides_differently_fails(self, tiny_world, monkeypatch):
+        trace, artifacts = tiny_world
+        oracle = _lane_alerts("xatu", trace, artifacts, MatrixConfig())
+        step = OnlineXatu.step
+
+        def drops_first_alert(self, minute, flows):
+            alerts = step(self, minute, flows)
+            return alerts[1:] if self.inference_dtype == np.float32 else alerts
+
+        monkeypatch.setattr(OnlineXatu, "step", drops_first_alert)
+        served = _lane_alerts("xatu_serve", trace, artifacts, MatrixConfig())
+        gate = precision_gate(oracle, served, artifacts.threshold)
+        assert not gate.equal and gate.moved > 0
+
+    def test_run_matrix_gates_every_world_running_both_xatu_lanes(
+        self, tiny_world, monkeypatch
+    ):
+        import repro.scenarios.matrix as matrix
+
+        trace, artifacts = tiny_world
+        spec = ScenarioSpec("tiny", "paper", "three customers", trace.config)
+        monkeypatch.setattr(matrix, "get_spec", lambda name: spec)
+        report, gates = run_matrix(["tiny"], MatrixConfig(), artifacts=artifacts)
+        assert list(gates) == ["tiny"] and gates["tiny"].equal
+        results = report["scenarios"]["tiny"]["results"]
+        assert gates["tiny"].alerts == results["xatu"]["alerts"]
+        assert set(report) == {"format_version", "train", "matrix", "scenarios"}
+        _report, gates = run_matrix(
+            ["tiny"], MatrixConfig(detectors=("xatu",)), artifacts=artifacts
+        )
+        assert gates == {}  # no served lane to compare
+
+    def test_a_moved_alert_fails_scenarios_check(self, cdet_report, monkeypatch, capsys):
+        """The CLI prints the gate table and fails ``check`` on any moved
+        alert, whatever the committed baseline says."""
+        import repro.scenarios as scenarios
+        from repro.cli import main
+
+        def run_matrix_with_a_moved_alert(names, config, progress=None):
+            return cdet_report, {
+                "drift-diurnal-shift": PrecisionGate(
+                    customer_minutes=10, alerts=1, moved=1, max_gap=1e-7,
+                    min_margin=1e-9,
+                )
+            }
+
+        monkeypatch.setattr(scenarios, "run_matrix", run_matrix_with_a_moved_alert)
+        code = main(["scenarios", "check", "--only", "drift-diurnal-shift"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "precision gate" in out
+        assert "REGRESSION: drift-diurnal-shift: 1 alert(s) differ" in out

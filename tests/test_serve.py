@@ -38,6 +38,7 @@ from repro.serve import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.serve.config import INFERENCE_DTYPES
 from repro.serve.engine import DEGRADED_LOSS_RATE
 from repro.signals import FeatureScaler
 from repro.signals.history import AlertRecord
@@ -185,6 +186,7 @@ class TestServeConfig:
             {"transport": "carrier-pigeon"},
             {"inference_dtype": "float16"},
             {"backend": "thread"},
+            {"inference_dtype": None},  # float64 has one spelling
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -579,10 +581,17 @@ class TestGradModeIsolation:
 # the real detector: invariance, backends, crash equivalence
 # ----------------------------------------------------------------------
 def _xatu_engine(
-    shards, backend="inline", checkpoint_dir=None, threshold=0.9, batched=True
+    shards,
+    backend="inline",
+    checkpoint_dir=None,
+    threshold=0.9,
+    batched=True,
+    dtype="float32",
 ):
     """``batched=False`` shards the per-record / per-customer oracle
-    (:class:`ReferenceOnlineXatu`) instead of the production detector."""
+    (:class:`ReferenceOnlineXatu`) instead of the production detector.
+    The engine identities below are asserted at every ``dtype`` in
+    ``INFERENCE_DTYPES``: float32 serves, float64 is the oracle."""
     return ServeEngine(
         _xatu_factory(threshold, OnlineXatu if batched else ReferenceOnlineXatu),
         ADDRESS_OF,
@@ -590,6 +599,7 @@ def _xatu_engine(
             shards=shards,
             backend=backend,
             checkpoint_dir=checkpoint_dir,
+            inference_dtype=dtype,
         ),
     )
 
@@ -600,66 +610,103 @@ RESTART_AT = 5
 
 class TestShardCountInvariance:
     def test_merged_stream_identical_for_any_shard_count(self):
-        streams = {}
-        for shards in (1, 2, 3):
-            with _xatu_engine(shards) as engine:
-                streams[shards] = _drive(
-                    engine, DatagramCodec(engine_id=1),
-                    _minutes_of_flows(MINUTES), cdet_at={3},
-                )
-        assert streams[1] == streams[2] == streams[3]
-        assert streams[1], "the workload should produce alerts"
+        for dtype in INFERENCE_DTYPES:
+            streams = {}
+            for shards in (1, 2, 3):
+                with _xatu_engine(shards, dtype=dtype) as engine:
+                    streams[shards] = _drive(
+                        engine, DatagramCodec(engine_id=1),
+                        _minutes_of_flows(MINUTES), cdet_at={3},
+                    )
+            assert streams[1] == streams[2] == streams[3], dtype
+            assert streams[1], "the workload should produce alerts"
 
 
 class TestBackendEquivalence:
     def test_process_matches_inline(self):
-        streams = {}
-        for backend in BACKENDS:
-            with _xatu_engine(2, backend=backend) as engine:
-                streams[backend] = _drive(
-                    engine, DatagramCodec(engine_id=1), _minutes_of_flows(6),
-                )
-        assert streams["inline"] == streams["process"]
+        for dtype in INFERENCE_DTYPES:
+            streams = {}
+            for backend in BACKENDS:
+                with _xatu_engine(2, backend=backend, dtype=dtype) as engine:
+                    streams[backend] = _drive(
+                        engine, DatagramCodec(engine_id=1), _minutes_of_flows(6),
+                    )
+            assert streams["inline"] == streams["process"], dtype
 
 
 class TestCrashEquivalence:
     def test_restored_run_matches_uninterrupted_run(self, tmp_path):
         minutes = _minutes_of_flows(MINUTES)
+        for dtype in INFERENCE_DTYPES:
+            base_dir, ckpt_dir = tmp_path / dtype / "base", tmp_path / dtype / "crash"
+            # the run that never stops
+            with _xatu_engine(2, checkpoint_dir=base_dir, dtype=dtype) as engine:
+                baseline = _drive(
+                    engine, DatagramCodec(engine_id=1), minutes, cdet_at={3}
+                )
+                engine.checkpoint()
 
-        # the run that never stops
-        with _xatu_engine(2, checkpoint_dir=tmp_path / "base") as engine:
-            baseline = _drive(engine, DatagramCodec(engine_id=1), minutes, cdet_at={3})
+            # the run that crashes after RESTART_AT and restores
+            codec = DatagramCodec(engine_id=1)
+            engine = _xatu_engine(2, checkpoint_dir=ckpt_dir, dtype=dtype)
+            restarted = _drive(engine, codec, minutes[: RESTART_AT + 1], cdet_at={3})
             engine.checkpoint()
+            engine.close()
 
-        # the run that crashes after RESTART_AT and restores
-        codec = DatagramCodec(engine_id=1)
-        ckpt_dir = tmp_path / "crash"
-        engine = _xatu_engine(2, checkpoint_dir=ckpt_dir)
-        restarted = _drive(engine, codec, minutes[: RESTART_AT + 1], cdet_at={3})
-        engine.checkpoint()
-        engine.close()
+            engine = _xatu_engine(2, checkpoint_dir=ckpt_dir, dtype=dtype)
+            assert engine.restore() == RESTART_AT
+            assert engine.current_minute == RESTART_AT
+            restarted += _drive(
+                engine, codec, minutes[RESTART_AT + 1 :], start=RESTART_AT + 1
+            )
+            engine.checkpoint()
+            engine.close()
 
-        engine = _xatu_engine(2, checkpoint_dir=ckpt_dir)
-        assert engine.restore() == RESTART_AT
-        assert engine.current_minute == RESTART_AT
-        restarted += _drive(
-            engine, codec, minutes[RESTART_AT + 1 :], start=RESTART_AT + 1
-        )
-        engine.checkpoint()
-        engine.close()
+            assert baseline, "the workload should produce alerts"
+            assert restarted == baseline, dtype
 
-        assert baseline, "the workload should produce alerts"
-        assert restarted == baseline
+            # the recovery guarantee is byte-level: both final checkpoints
+            # contain identical files
+            base_path = latest_checkpoint(base_dir)
+            crash_path = latest_checkpoint(ckpt_dir)
+            assert base_path.name == crash_path.name
+            for name in ("MANIFEST.json", "engine.pkl", "shard-00.pkl", "shard-01.pkl"):
+                assert (base_path / name).read_bytes() == (
+                    crash_path / name
+                ).read_bytes(), (dtype, name)
 
-        # the recovery guarantee is byte-level: both final checkpoints
-        # contain identical files
-        base_path = latest_checkpoint(tmp_path / "base")
-        crash_path = latest_checkpoint(ckpt_dir)
-        assert base_path.name == crash_path.name
-        for name in ("MANIFEST.json", "engine.pkl", "shard-00.pkl", "shard-01.pkl"):
-            assert (base_path / name).read_bytes() == (
-                crash_path / name
-            ).read_bytes(), name
+    def test_a_checkpoint_restores_under_the_other_precision(self, tmp_path):
+        """Precision is in neither the state nor ``deployment_digest``: a
+        checkpoint written under one dtype restores under the other with
+        its bytes unchanged, and the resumed run raises the alerts an
+        uninterrupted run at the new dtype raises, minute and customer."""
+        minutes = _minutes_of_flows(MINUTES)
+        for written, restored in (INFERENCE_DTYPES, INFERENCE_DTYPES[::-1]):
+            root = tmp_path / f"{written}-to-{restored}"
+            with _xatu_engine(2, dtype=restored) as engine:
+                baseline = _drive(
+                    engine, DatagramCodec(engine_id=1), minutes, cdet_at={3}
+                )
+
+            codec = DatagramCodec(engine_id=1)
+            engine = _xatu_engine(2, checkpoint_dir=root / "written", dtype=written)
+            resumed = _drive(engine, codec, minutes[: RESTART_AT + 1], cdet_at={3})
+            engine.checkpoint()
+            engine.close()
+
+            with _xatu_engine(
+                2, checkpoint_dir=root / "written", dtype=restored
+            ) as engine:
+                assert engine.restore() == RESTART_AT
+                engine.checkpoint(root / "reread")
+                resumed += _drive(
+                    engine, codec, minutes[RESTART_AT + 1 :], start=RESTART_AT + 1
+                )
+            assert _checkpoint_files(latest_checkpoint(root / "written")) == (
+                _checkpoint_files(latest_checkpoint(root / "reread"))
+            )
+            assert baseline, "the workload should produce alerts"
+            assert [a[:2] for a in resumed] == [a[:2] for a in baseline], restored
 
 
 class TestBatchedLaneServe:
@@ -682,18 +729,21 @@ class TestBatchedLaneServe:
 
     def test_lanes_byte_identical_through_engine(self, tmp_path):
         minutes = _minutes_of_flows(MINUTES)
-        streams, checkpoints = {}, {}
-        for lane in (True, False):
-            root = tmp_path / f"lane-{lane}"
-            with _xatu_engine(2, checkpoint_dir=root, batched=lane) as engine:
-                streams[lane] = _drive(
-                    engine, DatagramCodec(engine_id=1), minutes, cdet_at={3}
-                )
-                engine.checkpoint()
-            checkpoints[lane] = self._checkpoint_bytes(root)
-        assert streams[True], "the workload should produce alerts"
-        assert streams[True] == streams[False]
-        assert checkpoints[True] == checkpoints[False]
+        for dtype in INFERENCE_DTYPES:
+            streams, checkpoints = {}, {}
+            for lane in (True, False):
+                root = tmp_path / f"{dtype}-lane-{lane}"
+                with _xatu_engine(
+                    2, checkpoint_dir=root, batched=lane, dtype=dtype
+                ) as engine:
+                    streams[lane] = _drive(
+                        engine, DatagramCodec(engine_id=1), minutes, cdet_at={3}
+                    )
+                    engine.checkpoint()
+                checkpoints[lane] = self._checkpoint_bytes(root)
+            assert streams[True], "the workload should produce alerts"
+            assert streams[True] == streams[False], dtype
+            assert checkpoints[True] == checkpoints[False], dtype
 
     def test_batched_kill_and_restore_matches_per_customer_baseline(self, tmp_path):
         minutes = _minutes_of_flows(MINUTES)

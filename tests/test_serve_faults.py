@@ -28,6 +28,7 @@ from repro.serve import (
     list_checkpoints,
 )
 from repro.serve import shard as shard_module
+from repro.serve.config import INFERENCE_DTYPES
 from tests.test_serve import (
     ADDRESS_OF,
     StubDetector,
@@ -203,7 +204,8 @@ def test_a_fresh_engine_recovers_a_killed_shard_from_the_last_checkpoint(tmp_pat
     checkpoint every 2 minutes.  Shard 1 is killed after minute 6, so
     ``tick(7)`` raises.  A fresh engine restores the minute-5 checkpoint and
     is re-delivered the export datagrams from minute 6 on; it emits the
-    uninterrupted run's alerts and ends on its checkpoint bytes."""
+    uninterrupted run's alerts and ends on its checkpoint bytes, at the
+    served float32 and at float64."""
     minutes, killed_after = 12, 6
     codec = DatagramCodec(engine_id=1)
     datagrams = [
@@ -211,9 +213,13 @@ def test_a_fresh_engine_recovers_a_killed_shard_from_the_last_checkpoint(tmp_pat
         for minute, flows in enumerate(_minutes_of_flows(minutes))
     ]
 
-    def engine(root):
+    def engine(root, dtype):
         config = ServeConfig(
-            shards=2, backend="process", checkpoint_dir=root, checkpoint_every=2
+            shards=2,
+            backend="process",
+            checkpoint_dir=root,
+            checkpoint_every=2,
+            inference_dtype=dtype,
         )
         return ServeEngine(_xatu_factory(), ADDRESS_OF, config)
 
@@ -226,23 +232,25 @@ def test_a_fresh_engine_recovers_a_killed_shard_from_the_last_checkpoint(tmp_pat
             alerts += [(a.minute, a.customer_id, a.survival) for a in engine.tick(minute)]
         return alerts
 
-    with engine(tmp_path / "base") as uninterrupted:
-        baseline = serve(uninterrupted, 0, minutes - 1)
+    for dtype in INFERENCE_DTYPES:
+        base_dir, crash_dir = tmp_path / dtype / "base", tmp_path / dtype / "crash"
+        with engine(base_dir, dtype) as uninterrupted:
+            baseline = serve(uninterrupted, 0, minutes - 1)
 
-    crashed = engine(tmp_path / "crash")
-    with crashed:
-        before_crash = serve(crashed, 0, killed_after)
-        _sigkill(crashed.shards[1])
-        with pytest.raises(ShardFailure, match="shard 1 died"):
-            serve(crashed, killed_after + 1, killed_after + 1)
-    with engine(tmp_path / "crash") as recovered:
-        restored = recovered.restore()
-        assert restored == 5
-        after_restore = serve(recovered, restored + 1, minutes - 1)
+        crashed = engine(crash_dir, dtype)
+        with crashed:
+            before_crash = serve(crashed, 0, killed_after)
+            _sigkill(crashed.shards[1])
+            with pytest.raises(ShardFailure, match="shard 1 died"):
+                serve(crashed, killed_after + 1, killed_after + 1)
+        with engine(crash_dir, dtype) as recovered:
+            restored = recovered.restore()
+            assert restored == 5
+            after_restore = serve(recovered, restored + 1, minutes - 1)
 
-    assert baseline, "the workload should produce alerts"
-    kept = [alert for alert in before_crash if alert[0] <= restored]
-    assert kept + after_restore == baseline
-    base, crash = latest_checkpoint(tmp_path / "base"), latest_checkpoint(tmp_path / "crash")
-    assert base.name == crash.name == f"ckpt-{minutes - 1:08d}"
-    assert _checkpoint_files(base) == _checkpoint_files(crash)
+        assert baseline, "the workload should produce alerts"
+        kept = [alert for alert in before_crash if alert[0] <= restored]
+        assert kept + after_restore == baseline, dtype
+        base, crash = latest_checkpoint(base_dir), latest_checkpoint(crash_dir)
+        assert base.name == crash.name == f"ckpt-{minutes - 1:08d}"
+        assert _checkpoint_files(base) == _checkpoint_files(crash), dtype

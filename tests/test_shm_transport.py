@@ -15,7 +15,7 @@ tests pin that, plus the ring mechanics the guarantee rests on:
   transport with a warning rather than failing;
 * **engine level** — shm vs pipe vs inline equivalence, shard-count
   invariance, and kill-and-restore crash equivalence all running over
-  the shared-memory transport.
+  the shared-memory transport, at the served float32 and at float64.
 """
 
 import os
@@ -28,6 +28,7 @@ import pytest
 from repro.netflow import FLOW_WIRE_SIZE, DatagramCodec, FlowBatch, FlowRecord
 from repro.serve import ServeConfig, ServeEngine, latest_checkpoint
 from repro.serve import shard as shard_mod
+from repro.serve.config import INFERENCE_DTYPES
 from repro.serve.shard import ShardWorker
 from repro.serve.shm import MIN_RING_BYTES, ShmReader, ShmRing
 
@@ -256,7 +257,9 @@ class TestShardWorkerTransport:
 # ----------------------------------------------------------------------
 # engine level
 # ----------------------------------------------------------------------
-def _engine(shards, backend="process", transport="shm", checkpoint_dir=None):
+def _engine(
+    shards, backend="process", transport="shm", checkpoint_dir=None, dtype="float32"
+):
     return ServeEngine(
         _xatu_factory(0.9),
         ADDRESS_OF,
@@ -265,6 +268,7 @@ def _engine(shards, backend="process", transport="shm", checkpoint_dir=None):
             backend=backend,
             transport=transport,
             checkpoint_dir=checkpoint_dir,
+            inference_dtype=dtype,
         ),
     )
 
@@ -280,56 +284,60 @@ class TestEngineTransportEquivalence:
 
     def test_shm_pipe_and_inline_streams_identical(self):
         minutes = _minutes_of_flows(6)
-        streams = {}
-        for key, (backend, transport) in {
-            "inline": ("inline", "pipe"),
-            "pipe": ("process", "pipe"),
-            "shm": ("process", "shm"),
-        }.items():
-            with _engine(2, backend=backend, transport=transport) as engine:
-                streams[key] = _drive(engine, DatagramCodec(engine_id=1), minutes)
-        assert streams["shm"] == streams["pipe"] == streams["inline"]
+        for dtype in INFERENCE_DTYPES:
+            streams = {}
+            for key, (backend, transport) in {
+                "inline": ("inline", "pipe"),
+                "pipe": ("process", "pipe"),
+                "shm": ("process", "shm"),
+            }.items():
+                with _engine(
+                    2, backend=backend, transport=transport, dtype=dtype
+                ) as engine:
+                    streams[key] = _drive(engine, DatagramCodec(engine_id=1), minutes)
+            assert streams["shm"] == streams["pipe"] == streams["inline"], dtype
 
     def test_shard_count_invariance_over_shm(self):
         minutes = _minutes_of_flows(8)
-        streams = {}
-        for shards in (1, 3):
-            with _engine(shards) as engine:
-                streams[shards] = _drive(
-                    engine, DatagramCodec(engine_id=1), minutes, cdet_at={2}
-                )
-        assert streams[1] == streams[3]
-        assert streams[1], "the workload should produce alerts"
+        for dtype in INFERENCE_DTYPES:
+            streams = {}
+            for shards in (1, 3):
+                with _engine(shards, dtype=dtype) as engine:
+                    streams[shards] = _drive(
+                        engine, DatagramCodec(engine_id=1), minutes, cdet_at={2}
+                    )
+            assert streams[1] == streams[3], dtype
+            assert streams[1], "the workload should produce alerts"
 
     def test_kill_and_restore_over_shm_is_byte_identical(self, tmp_path):
         minutes = _minutes_of_flows(MINUTES)
+        for dtype in INFERENCE_DTYPES:
+            base_dir, ckpt_dir = tmp_path / dtype / "base", tmp_path / dtype / "crash"
+            with _engine(2, checkpoint_dir=base_dir, dtype=dtype) as engine:
+                baseline = _drive(engine, DatagramCodec(engine_id=1), minutes)
+                engine.checkpoint()
 
-        with _engine(2, checkpoint_dir=tmp_path / "base") as engine:
-            baseline = _drive(engine, DatagramCodec(engine_id=1), minutes)
+            codec = DatagramCodec(engine_id=1)
+            engine = _engine(2, checkpoint_dir=ckpt_dir, dtype=dtype)
+            restarted = _drive(engine, codec, minutes[: RESTART_AT + 1])
             engine.checkpoint()
+            engine.close()
 
-        codec = DatagramCodec(engine_id=1)
-        ckpt_dir = tmp_path / "crash"
-        engine = _engine(2, checkpoint_dir=ckpt_dir)
-        restarted = _drive(engine, codec, minutes[: RESTART_AT + 1])
-        engine.checkpoint()
-        engine.close()
+            engine = _engine(2, checkpoint_dir=ckpt_dir, dtype=dtype)
+            assert engine.restore() == RESTART_AT
+            restarted += _drive(
+                engine, codec, minutes[RESTART_AT + 1 :], start=RESTART_AT + 1
+            )
+            engine.checkpoint()
+            engine.close()
 
-        engine = _engine(2, checkpoint_dir=ckpt_dir)
-        assert engine.restore() == RESTART_AT
-        restarted += _drive(
-            engine, codec, minutes[RESTART_AT + 1 :], start=RESTART_AT + 1
-        )
-        engine.checkpoint()
-        engine.close()
-
-        assert restarted == baseline
-        base_path = latest_checkpoint(tmp_path / "base")
-        crash_path = latest_checkpoint(ckpt_dir)
-        for name in ("MANIFEST.json", "engine.pkl", "shard-00.pkl", "shard-01.pkl"):
-            assert (base_path / name).read_bytes() == (
-                crash_path / name
-            ).read_bytes(), name
+            assert restarted == baseline, dtype
+            base_path = latest_checkpoint(base_dir)
+            crash_path = latest_checkpoint(ckpt_dir)
+            for name in ("MANIFEST.json", "engine.pkl", "shard-00.pkl", "shard-01.pkl"):
+                assert (base_path / name).read_bytes() == (
+                    crash_path / name
+                ).read_bytes(), (dtype, name)
 
     def test_fallback_engine_stream_matches_shm(self, monkeypatch):
         """A host without usable shm degrades, not diverges.
