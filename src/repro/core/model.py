@@ -150,27 +150,31 @@ class XatuModel(Module):
         self._indices_cache[total_minutes] = out
         return out
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _check_window(self, minutes: int, n_features: int) -> None:
         cfg = self.config
-        batch, total_minutes, n_features = x.shape
         if n_features != cfg.n_features:
+            raise ValueError(f"expected {cfg.n_features} features, got {n_features}")
+        if minutes < cfg.lookback_minutes:
             raise ValueError(
-                f"expected {cfg.n_features} features, got {n_features}"
-            )
-        if total_minutes < cfg.lookback_minutes:
-            raise ValueError(
-                f"input window of {total_minutes} min is shorter than the "
+                f"input window of {minutes} min is shorter than the "
                 f"required lookback of {cfg.lookback_minutes} min"
             )
 
+    def forward(self, x: Tensor, pads: list[int] | None = None) -> Tensor:
+        """Hazards of a ``(batch, minutes, features)`` stack; ``pads`` as in
+        :meth:`hazards_np_staged`, read by the no-grad LSTM at batch 1 only."""
+        cfg = self.config
+        batch, total_minutes, n_features = x.shape
+        self._check_window(total_minutes, n_features)
         indices = self._scale_indices(total_minutes)
         projections: list[Tensor] = []
-        for ts, pool, lstm, dense, idx in zip(
-            cfg.timescales, self.pools, self.lstms, self.scale_dense, indices
+        for ts, pool, lstm, dense, idx, pad in zip(
+            cfg.timescales, self.pools, self.lstms, self.scale_dense, indices,
+            pads or [0] * len(cfg.timescales),
         ):
             recent = x[:, total_minutes - ts.minutes :, :]
             pooled = pool(recent)  # (batch, span, features)
-            hidden, _state = lstm(pooled)  # (batch, span, hidden)
+            hidden, _state = lstm(pooled, pads=pad)  # (batch, span, hidden)
             selected = hidden[:, idx, :]  # (batch, detect_window, hidden)
             projections.append(dense(selected))
         combined = Tensor.concat(projections, axis=-1)
@@ -200,7 +204,7 @@ class XatuModel(Module):
             if was_training:
                 self.train(True)
 
-    def hazards_np(self, x: np.ndarray, dtype=None) -> np.ndarray:
+    def hazards_np(self, x: np.ndarray, dtype=None, pads: list[int] | None = None) -> np.ndarray:
         """Inference: hazards as a plain array (no autograd tape).
 
         Runs the graph-free fast lane: the module tree is flipped to eval
@@ -208,12 +212,12 @@ class XatuModel(Module):
         ``np.float32``) optionally activates the reduced-precision policy
         for the fused kernels.  Default float64 output is byte-identical to
         the training-mode forward, with one exception on a BLAS kernel that
-        is not row-stable (OpenBLAS Haswell, Zen): for a single window with
-        a repeated leading row the no-grad LSTM projects that run once, so
-        the last bits may differ there (docs/ARCHITECTURE.md §10).
+        is not row-stable (OpenBLAS Haswell, Zen): given ``pads`` for a
+        single window, the no-grad LSTM projects each timescale's padding
+        once, so the last bits may differ there (docs/ARCHITECTURE.md §4).
         """
         with self._no_grad_inference(dtype):
-            return self.forward(Tensor(x)).numpy()
+            return self.forward(Tensor(x), pads).numpy()
 
     def survival_np(self, x: np.ndarray, dtype=None) -> np.ndarray:
         """Inference: the survival curve ``S_t`` over the detection window."""
@@ -260,21 +264,24 @@ class XatuModel(Module):
             return self._stage_pooled(x)
 
     def hazards_np_staged(
-        self, staged: list[np.ndarray], dtype=None, runs: list[int] | None = None
+        self, staged: list[np.ndarray], dtype=None, pads=None, chains: dict | None = None
     ) -> np.ndarray:
         """Decision half of the stacked pass: one fused LSTM + survival-head
         pass over pre-staged pooled sequences — :meth:`stage_pooled`'s
         output, or per-timescale views of the stack
         ``OnlineXatu.feature_windows`` pools straight from sparse rows.
         Each must be ``(batch, ts.span, n_features)`` with one common batch;
-        anything else is a ``ValueError`` naming the timescale.  ``runs``,
-        per timescale, is a lower bound on how many leading steps of every
-        sequence repeat its step 0 bytes (the padding before minute 0),
-        which saves the LSTM's input projection a scan; the result does not
-        depend on it.
+        anything else is a ``ValueError`` naming the timescale.
+
+        ``pads``, per timescale, counts each sequence's leading steps that
+        are padding (rows with the bytes of its last pad row), or is one
+        count for the batch; ``chains`` is the caller's dict of pad chains,
+        kept across calls (``nn.fused.lstm_infer_lockstep``).  Neither
+        changes the result, which equals :meth:`hazards_np` on each window
+        given the same counts, by bytes, on any BLAS kernel.
         """
         with self._no_grad_inference(dtype):
-            return self._hazards_staged(staged, runs)
+            return self._hazards_staged(staged, pads, chains)
 
     def _stage_pooled(self, x: np.ndarray) -> list[np.ndarray]:
         from ..nn.autograd import resolve_inference_dtype
@@ -288,22 +295,14 @@ class XatuModel(Module):
                 f"expected (batch, minutes, features) input, got shape {X.shape}"
             )
         _batch, total_minutes, n_features = X.shape
-        if n_features != cfg.n_features:
-            raise ValueError(
-                f"expected {cfg.n_features} features, got {n_features}"
-            )
-        if total_minutes < cfg.lookback_minutes:
-            raise ValueError(
-                f"input window of {total_minutes} min is shorter than the "
-                f"required lookback of {cfg.lookback_minutes} min"
-            )
+        self._check_window(total_minutes, n_features)
         return [
             pool_infer(X[:, total_minutes - ts.minutes :, :], ts.window, cfg.pooling)
             for ts in cfg.timescales
         ]
 
     def _hazards_staged(
-        self, staged: list[np.ndarray], runs: list[int] | None = None
+        self, staged: list[np.ndarray], pads=None, chains: dict | None = None
     ) -> np.ndarray:
         from ..nn.fused import dense_infer, lstm_infer_lockstep
 
@@ -328,7 +327,8 @@ class XatuModel(Module):
         hiddens = lstm_infer_lockstep(
             staged,
             [(lstm.w_x.data, lstm.w_h.data, lstm.bias.data) for lstm in self.lstms],
-            runs,
+            pads,
+            chains,
         )
         projections: list[np.ndarray] = []
         for hidden, dense, idx in zip(hiddens, self.scale_dense, indices):

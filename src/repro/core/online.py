@@ -19,8 +19,8 @@ There is one path per concern: every minute runs the same named stages —
 ``_ingest_batch`` → ``_evict_idle`` → ``_score`` → ``_decide`` →
 ``_evict_state`` → ``_record_minute``.  The differential suites compare
 it against :class:`repro.testing.reference.ReferenceOnlineXatu`, which
-swaps per-record ingest and per-customer scoring into two of those
-stages.
+swaps per-record ingest, per-customer scoring and per-customer decisions
+into three of those stages.
 
 Bounded memory: feature state older than the model lookback plus a safety
 margin is discarded each minute.
@@ -194,6 +194,9 @@ class OnlineXatu:
         self.route_table = route_table
         self.base_rate_of = base_rate_of or {}
         self._deployment: tuple[tuple, str] | None = None  # see _served_deployment
+        self._constants: tuple | None = None  # see _window_constants
+        self._pad_chains: dict = {}  # see nn.fused._pad_chain
+        self._stack_pads: list[np.ndarray] = []  # see feature_windows
         self.rearm_after = config.rearm_after
         self._slices = group_slices()
         self.reset()
@@ -347,17 +350,20 @@ class OnlineXatu:
         stores on every call, never cached, so an alert ingested with a past
         ``detect_minute`` needs no invalidation.  This is the staging step
         of :meth:`_score`, but is public API: any batch scorer can use it.
+
+        It leaves in ``_stack_pads``, per timescale, each row's leading steps
+        that only the template filled — wholly before minute 0, or before the
+        first non-empty matrix row the timescale sees; only the former for a
+        customer with A4/A5 alerts — which :meth:`_score` passes as ``pads``.
         """
         cfg = self.model.config
         lookback = cfg.lookback_minutes
         start = max(end_minute + 1 - lookback, 0)
         end = end_minute + 1
         pad = lookback - (end - start)
-        # Cast the scaled float64 rows *before* pooling, as ``stage_pooled``
-        # casts the scaled window: a float32 sum is not a rounded float64 sum.
         dtype = self.inference_dtype
         scale = self.scaler.transform
-        zero = scale(np.zeros(N_FEATURES)).astype(dtype)
+        zero, template = self._window_constants()
         steps = sum(ts.span for ts in cfg.timescales)
         # Gather and scale first, allocate the stack after: matrix reads grow
         # its row store, and a long-lived allocation made while the transient
@@ -376,6 +382,9 @@ class OnlineXatu:
                     minute_parts.append(minutes)
                     row_parts.append(rows)
             if row_parts:
+                # Cast the scaled float64 rows *before* pooling, as
+                # ``stage_pooled`` casts the scaled window: a float32 sum is
+                # not a rounded float64 sum.
                 cols = self._slices[group]
                 compact = np.concatenate(row_parts)
                 self._cells_staged += len(compact)
@@ -408,19 +417,19 @@ class OnlineXatu:
         # (Read off the module per call, like ``core.model`` does, so a
         # tracer that patches ``fused.pool_infer`` sees these calls too.)
         pool, mode = fused.pool_infer, cfg.pooling
-        # The stack is filled by one broadcast of a ``(sum of spans,
-        # N_FEATURES)`` template of the timescales' pooled empty buckets —
-        # whole contiguous customer rows — and the pooled buckets go over it.
-        empties = [
-            pool(np.tile(zero, (1, ts.window, 1)), ts.window, mode)[0, 0]  # a real tile
-            for ts in cfg.timescales
-        ]
-        template = np.repeat(empties, [ts.span for ts in cfg.timescales], axis=0)
+        # The pad counts outlive the call, so they are allocated before the
+        # stack, not over it.
+        pads = np.empty((len(cfg.timescales), len(customer_ids)), dtype=np.intp)
+        self._stack_pads = list(pads)
+        written = np.zeros((len(customer_ids), steps), dtype=bool)
+        flat_written = written.reshape(-1)
+        # The stack is filled by one broadcast of the template — whole
+        # contiguous customer rows — and the pooled buckets go over it.
         stack = np.empty((len(customer_ids), steps, N_FEATURES), dtype)
         stack[:] = template
         flat = stack.reshape(-1, N_FEATURES)
         base = 0
-        for ts in cfg.timescales:
+        for k, ts in enumerate(cfg.timescales):
             w, span, off = ts.window, ts.span, lookback - ts.minutes
             for cols, origin, pos, rows in sparse:
                 if off:  # minutes this timescale does not reach back to
@@ -431,6 +440,7 @@ class OnlineXatu:
                 rel = pos - off
                 if w == 1:
                     flat[origin + (base + rel), cols] = rows
+                    flat_written[origin + (base + rel)] = True
                     continue
                 step = rel // w
                 at = origin + (base + step)  # the stack row each row pools into
@@ -442,30 +452,53 @@ class OnlineXatu:
                 block[:] = zero[cols]
                 block[np.cumsum(first) - 1, rel - step * w] = rows
                 flat[at[first], cols] = pool(block.reshape(1, -1, width), w, mode)[0]
+                flat_written[at[first]] = True
+            # A bucket wholly before minute 0 pools zero rows into the
+            # template's bytes, A4/A5 columns included.
+            before_zero = max(0, pad - off) // w
             for i, cols, window in dense:
                 stack[i, base : base + span, cols] = pool(window[None, off:], w, mode)[0]
+                written[i, base + before_zero : base + span] = True
+            seen = written[:, base : base + span]
+            np.argmax(seen, axis=1, out=pads[k])
+            pads[k, ~seen.any(axis=1)] = span
             base += span
         return stack
+
+    def _window_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """The scaled zero row and the ``(sum of spans, N_FEATURES)``
+        template of the timescales' pooled empty buckets, read-only in the
+        inference dtype; rebuilt whenever the scaler, its statistics, the
+        model config or the dtype is not the object they were built from."""
+        cfg, dtype = self.model.config, self.inference_dtype
+        pieces = (self.scaler, self.scaler.mean_, self.scaler.std_, cfg, dtype)
+        held = self._constants
+        if held is None or any(a is not b for a, b in zip(held[0], pieces)):
+            # Cast the scaled float64 row *before* pooling, as ``stage_pooled``
+            # casts the scaled window: a float32 sum is not a rounded float64
+            # sum.  Each empty bucket is pooled from a real tile.
+            zero = self.scaler.transform(np.zeros(N_FEATURES)).astype(dtype)
+            empties = [
+                fused.pool_infer(np.tile(zero, (1, ts.window, 1)), ts.window, cfg.pooling)[0, 0]
+                for ts in cfg.timescales
+            ]
+            template = np.repeat(empties, [ts.span for ts in cfg.timescales], axis=0)
+            zero.flags.writeable = template.flags.writeable = False
+            held = self._constants = (pieces, zero, template)
+        return held[1], held[2]
 
     def _score(self, customers: Sequence[int], minute: int) -> list[float]:
         """This minute's hazard for every customer, in order: one pooled
         :meth:`feature_windows` stack and one fused inference pass over its
-        per-timescale views per :data:`SCORE_CHUNK` customers."""
-        cfg = self.model.config
-        splits = np.cumsum([ts.span for ts in cfg.timescales])[:-1]
-        # Per timescale, the pooled steps wholly inside the padded minutes
-        # before minute 0: ``feature_windows`` fills them with the pooled
-        # empty bucket, so every sequence's leading run is at least that.
-        pad = max(cfg.lookback_minutes - minute - 1, 0)
-        runs = [
-            max(0, pad - (cfg.lookback_minutes - ts.minutes)) // ts.window
-            for ts in cfg.timescales
-        ]
+        per-timescale views per :data:`SCORE_CHUNK` customers, told each
+        sequence's padded steps and holding the pad chains across minutes."""
+        splits = np.cumsum([ts.span for ts in self.model.config.timescales])[:-1]
         out: list[float] = []
         for lo in range(0, len(customers), SCORE_CHUNK):
             x = self.feature_windows(customers[lo : lo + SCORE_CHUNK], minute)
             hazards = self.model.hazards_np_staged(
-                np.split(x, splits, axis=1), dtype=self.inference_dtype, runs=runs
+                np.split(x, splits, axis=1), dtype=self.inference_dtype,
+                pads=self._stack_pads, chains=self._pad_chains,
             )
             out.extend(float(h) for h in hazards[:, -1])
             # Release this chunk's stack before the next chunk gathers: two
@@ -474,7 +507,7 @@ class OnlineXatu:
             del x
         return out
 
-    # -- stage 4: per-customer decision -----------------------------
+    # -- stage 4: decisions -----------------------------------------
     def _push_hazard(self, customer_id: int, hazard: float) -> int:
         """Append one hazard sample; returns evicted-entry count."""
         history = self._hazards[customer_id]
@@ -494,17 +527,32 @@ class OnlineXatu:
         recent = self._hazards.get(customer_id, ())[-window:]
         return float(np.exp(-np.sum(recent))) if recent else 1.0
 
-    def _decide(self, customer_id: int, minute: int) -> OnlineAlert | None:
-        """Threshold/suppression decision for one customer."""
-        if minute < self._suppressed_until.get(customer_id, -1):
-            return None
-        survival = self.survival(customer_id)
-        if survival < self.threshold:
-            # Suppress re-alerting until re-armed (CScrub notice or
-            # rearm_after minutes, whichever first).
-            self._suppressed_until[customer_id] = minute + self.rearm_after
-            return OnlineAlert(customer_id, minute, survival)
-        return None
+    def _survivals(self, customers: Sequence[int]) -> list[float]:
+        """:meth:`survival` of every customer at once, byte for byte: the
+        histories are summed per length, ``np.exp(-H.sum(axis=1))`` over
+        each ``(customers, length)`` stack."""
+        window = self.model.config.detect_window
+        recent = [self._hazards.get(c, [])[-window:] for c in customers]
+        out = np.ones(len(customers))
+        for length in set(map(len, recent)) - {0}:
+            rows = [k for k, hazards in enumerate(recent) if len(hazards) == length]
+            out[rows] = np.exp(-np.array([recent[k] for k in rows]).sum(axis=1))
+        return out.tolist()
+
+    def _decide(self, customers: Sequence[int], minute: int) -> list[OnlineAlert]:
+        """Threshold/suppression decisions for this minute's scored
+        customers, in order, from one :meth:`_survivals` pass over the
+        unsuppressed ones."""
+        suppressed = self._suppressed_until
+        live = [c for c in customers if minute >= suppressed.get(c, -1)]
+        alerts = []
+        for customer_id, survival in zip(live, self._survivals(live)):
+            if survival < self.threshold:
+                # Suppress re-alerting until re-armed (CScrub notice or
+                # rearm_after minutes, whichever first).
+                suppressed[customer_id] = minute + self.rearm_after
+                alerts.append(OnlineAlert(customer_id, minute, survival))
+        return alerts
 
     # -- stage 5: state eviction ------------------------------------
     def _evict_state(self, minute: int) -> int:
@@ -594,9 +642,7 @@ class OnlineXatu:
                     hazards = self._score(customers, minute)
                     for customer_id, hazard in zip(customers, hazards):
                         evicted += self._push_hazard(customer_id, hazard)
-                        alert = self._decide(customer_id, minute)
-                        if alert is not None:
-                            alerts.append(alert)
+                    alerts = self._decide(customers, minute)
                     if telemetry_on:
                         get_registry().histogram(
                             "online.batch_score_seconds",

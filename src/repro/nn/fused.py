@@ -25,8 +25,6 @@ policy installed via :class:`repro.nn.autograd.inference_dtype`.
 
 from __future__ import annotations
 
-import os
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -180,163 +178,92 @@ def _lstm_steps(
                 cells[:a, t + 1] = c
 
 
-def _leading_runs(X: np.ndarray, bound: int = 0) -> np.ndarray:
-    """Per item of ``(batch, time, features)``, how many leading rows carry
-    the bytes of its row 0 — compared as bytes, not values, so -0.0 is not
-    +0.0 and NaN payloads count as different.  The caller vouches that the
-    first ``bound`` rows of every item do, and the scan starts past them: a
-    cold window's padding costs one ``(batch, features)`` comparison, not
-    one per padded step.  The sanitizer verifies the bound."""
-    batch, steps = X.shape[:2]
-    if steps == 0:
-        return np.zeros(batch, dtype=np.intp)
-    bits = X.view(f"u{X.dtype.itemsize}")
-    if sanitize_enabled() and not (
-        bound <= steps and (bits[:, :bound] == bits[:, :1]).all()
-    ):
-        raise SanitizeError(
-            f"leading-run bound {bound} reaches past a row that differs from row 0"
-        )
-    t = max(bound, 1)
-    runs = np.full(batch, t, dtype=np.intp)
-    live = np.arange(batch)
-    while len(live) and t < steps:
-        live = live[(bits[live, t] == bits[live, 0]).all(axis=1)]
-        runs[live] += 1
-        t += 1
-    return runs
-
-
 def _project(
-    X: np.ndarray, Wx: np.ndarray, b: np.ndarray, out: np.ndarray, bound: int = 0
-) -> None:
+    X: np.ndarray, Wx: np.ndarray, b: np.ndarray, out: np.ndarray,
+    pads: np.ndarray, resume: bool = True,
+) -> tuple[int, np.ndarray | None]:
     """The input projection ``X @ Wx + b`` of stacked single sequences into
-    the batch-first ``out``, each item's leading run projected once.
+    the batch-first ``out``, each item's padding projected once.
 
-    Item ``b``'s GEMM covers rows ``f .. time - 1`` only, with ``f =
-    min(r - 1, time - 2)`` for its leading run ``r`` (:func:`_leading_runs`,
-    past ``bound``), and every row of the run takes projected row ``f``.
-    ``f`` stops at ``time - 2`` because at one row numpy hands the product
-    to gemv, whose row differs from a GEMM row's.  Items with equal runs
-    share one stacked GEMM — per item the 2-D ``(time - f, features) @ Wx``
-    of a one-sequence call — so every lane that projects a sequence through
-    here computes the same bytes for it on any BLAS kernel, and on a
-    row-stable one the bytes of the full projection.
+    ``pads[i]`` counts item ``i``'s leading rows that carry the bytes of its
+    last pad row, as the caller vouches (``REPRO_SANITIZE=1`` checks).  Its
+    GEMM and bias cover rows ``f = min(pads[i] - 1, time - 2) ..`` only: at
+    one row numpy hands the product to gemv, whose row differs from a GEMM
+    row's.  Items with equal ``f`` share one stacked GEMM, per item the 2-D
+    product of a one-sequence call, so every lane projecting a sequence
+    through here gets the same bytes for it on any BLAS kernel.
+
+    With ``resume``, returns the batch's smallest pad count and item 0's
+    projected pad row if every item's (and, at a count of ``time``, last)
+    row has its bytes — items projected from different rows may not, on a
+    kernel that is not row-stable — else ``(0, None)``.  Rows ``lead .. f -
+    1`` take row ``f``; rows before ``lead`` stay unwritten.
     """
     batch, steps = X.shape[:2]
-    if batch == 0 or steps == 0:
-        return
-    runs = _leading_runs(X, bound)
-    firsts = np.minimum(runs - 1, max(steps - 2, 0))  # runs are >= 1
+    if sanitize_enabled():
+        bits = X.view(f"u{X.dtype.itemsize}")
+        for i, pad in enumerate(pads.tolist()):
+            if not 0 <= pad <= steps or (pad and not (bits[i, :pad] == bits[i, pad - 1]).all()):
+                raise SanitizeError(
+                    f"pad count {pad} of item {i} reaches past a row that differs "
+                    "from its last pad row"
+                )
+    firsts = np.minimum(np.maximum(pads - 1, 0), max(steps - 2, 0))
     if obs_enabled():
         get_registry().counter(
             "nn.lstm_proj_rows_skipped",
-            "input rows whose LSTM projection was taken from their leading run's one row",
+            "input rows whose LSTM projection was taken from their last pad row's",
         ).inc(int(firsts.sum()))
-    cuts = (np.flatnonzero(runs[1:] != runs[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, batch]):
-        run, first = runs[lo], firsts[lo]
-        np.matmul(X[lo:hi, first:], Wx, out=out[lo:hi, first:])
-        out[lo:hi, :run] = out[lo:hi, first : first + 1]
-    out += b
+    cuts = (np.flatnonzero(firsts[1:] != firsts[:-1]) + 1).tolist()
+    groups = [(lo, hi, int(firsts[lo])) for lo, hi in zip([0, *cuts], [*cuts, batch])]
+    for lo, hi, first in groups:
+        rows = out[lo:hi, first:]
+        np.matmul(X[lo:hi, first:], Wx, out=rows)
+        rows += b
+    lead, row = (int(pads.min()) if resume and batch else 0), None
+    if lead:
+        pad_rows = out[np.arange(batch), firsts]
+        if lead == steps:
+            pad_rows = np.concatenate((pad_rows, out[:, steps - 1]))
+        bits = pad_rows.view(f"u{pad_rows.dtype.itemsize}")
+        lead, row = (lead, pad_rows[:1, None]) if (bits == bits[0]).all() else (0, None)
+    for lo, hi, first in groups:
+        if first > lead:
+            out[lo:hi, lead:first] = out[lo:hi, first : first + 1]
+    return lead, row
 
 
-def _shared_lead(x_proj: np.ndarray) -> int:
-    """Leading steps at which every item's projected row carries the bits of
-    item 0's step-0 row.  Bytes are compared, not values: -0.0 is not +0.0
-    and nothing rests on NaN semantics.  Without a shared step 0 this is one
-    ``(batch, 4·hidden)`` comparison; after it, one memcmp per shared step."""
-    steps, batch = x_proj.shape[:2]
-    if batch < 2 or steps == 0:
-        return 0
-    slab = x_proj[0].tobytes()
-    if slab != x_proj[0, 0].tobytes() * batch:
-        return 0
-    lead = 1
-    while lead < steps and x_proj[lead].tobytes() == slab:
-        lead += 1
-    return lead
-
-
-# (dtype, Wh bytes, row bytes) -> read-only ``(2, n + 1, 1, 1, hidden)``: the
-# hidden [0] and cell [1] state *entering* step k of one item fed that
-# projected row at every step from zero state.  Keyed by content, never by
-# array identity (``load_state_dict`` and the optimisers write parameters in
-# place); derived, bounded, and a miss costs only time.
-_PREFIX_CHAINS: dict[tuple[str, bytes, bytes], np.ndarray] = {}
-_PREFIX_CHAINS_MAX = 8
-_PREFIX_CHAINS_LOCK = threading.Lock()
-
-
-def _fresh_prefix_chains_lock() -> None:
-    """A forked child inherits the lock as the parent's other threads left
-    it, and no thread in the child will ever release it: re-create it
-    there.  The memo itself is only ever missing an entry, never torn."""
-    global _PREFIX_CHAINS_LOCK
-    _PREFIX_CHAINS_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_fresh_prefix_chains_lock)
-
-
-def _prefix_chain(row: np.ndarray, Wh: np.ndarray, lead: int) -> np.ndarray:
-    """The memoised chain for ``(Wh, row)``, extended to ``lead`` steps."""
+def _pad_chain(chains: dict, slot: int, row: np.ndarray, Wh: np.ndarray, lead: int) -> np.ndarray:
+    """Read-only ``(2, n + 1, 1, 1, hidden)``, ``n >= lead``: the hidden
+    [0] and cell [1] state *entering* step ``k`` of one item fed the
+    projected pad row ``row`` at every step from zero state, through the
+    batch's own loop body.  ``chains[slot]`` holds one ``(key, chain)`` per
+    timescale, keyed by content — ``(dtype, Wh bytes, row bytes)`` — never
+    by array identity, because ``load_state_dict`` and the optimisers write
+    parameters in place: another key, or a longer lead, rebuilds it.
+    """
     key = (row.dtype.str, Wh.tobytes(), row.tobytes())
-    zero_state = np.zeros((2, 1, 1, 1, Wh.shape[0]), dtype=row.dtype)
-    with _PREFIX_CHAINS_LOCK:
-        chain = _PREFIX_CHAINS.pop(key, zero_state)
-        have = chain.shape[1] - 1
-        if have < lead:
-            grown = np.zeros((2, lead + 1, 1, 1, Wh.shape[0]), dtype=row.dtype)
-            grown[:, : have + 1] = chain
-            _lstm_steps(
-                np.broadcast_to(row, (1, lead, *row.shape)), Wh[None],
-                grown[1, have][None].copy(), grown[0][None], (have,), grown[1][None],
-            )
-            grown.flags.writeable = False
-            chain = grown
-        _PREFIX_CHAINS[key] = chain  # most recently used last
-        if len(_PREFIX_CHAINS) > _PREFIX_CHAINS_MAX:
-            del _PREFIX_CHAINS[next(iter(_PREFIX_CHAINS))]
-    return chain
+    held = chains.get(slot)
+    if held is None or held[0] != key or held[1].shape[1] <= lead:
+        chain = np.zeros((2, lead + 1, 1, 1, Wh.shape[0]), dtype=row.dtype)
+        _lstm_steps(
+            np.broadcast_to(row, (1, lead, *row.shape)), Wh[None],
+            np.zeros_like(chain[1, :1]), chain[0][None], (0,), chain[1][None],
+        )
+        chain.flags.writeable = False
+        held = chains[slot] = (key, chain)
+    return held[1]
 
 
-def lstm_infer_batched(
-    X: np.ndarray,
-    Wx: np.ndarray,
-    Wh: np.ndarray,
-    bias: np.ndarray,
-) -> np.ndarray:
+def lstm_infer_batched(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Batch-first graph-free LSTM inference over stacked sequences: the
-    one-timescale call of :func:`lstm_infer_lockstep`.
+    one-timescale call of :func:`lstm_infer_lockstep`, without pad counts.
 
     ``X`` is ``(batch, time, features)`` where each batch item is one
     independent sequence (one customer, in the serving lane).  Returns the
     hidden sequence ``(batch, time, hidden)`` — a batch-first view of the
-    kernel's time-major buffer, so not C-contiguous.
-
-    Bitwise contract: row ``b`` of the result equals
-    ``lstm_sequence(x[b:b+1], ...)`` under ``no_grad`` exactly, not just to
-    round-off.  The per-item guarantee rests on keeping every matmul a
-    *stacked* ``np.matmul`` whose per-item 2-D shape matches the
-    single-sequence call — ``(1, hidden) @ (hidden, 4*hidden)`` for the
-    recurrent step, and for the input projection the one routine both
-    calls use, :func:`_project`.  Flattening either into one big 2-D GEMM
-    changes the BLAS kernel's blocking with the row count and is **not**
-    row-stable; the differential tests in
-    ``tests/test_batched_equivalence.py`` pin the stacked form.  All elementwise arithmetic reuses the exact expressions
-    of :func:`_lstm_infer` (the oracle's lane, deliberately left alone); the
-    sigmoid's branch selection is spelled differently, with the same bits.
-    Every step of every item runs in the one loop body, :func:`_lstm_steps`,
-    whichever timescales share the call.
-
-    Leading steps whose *projected* rows are bit-identical across the batch
-    (a cold fleet's padding) are not recomputed per item: a step is a pure
-    function of ``(h, c, x_proj[t], Wh)``, so by induction from the zero
-    state every item holds there the state of one item fed that row
-    (:func:`_prefix_chain`), and the batch resumes from it.  The projected
-    rows are what is compared, so an absent prefix costs one comparison and
-    a present one changes no bit.
+    kernel's time-major buffer, so not C-contiguous — whose row ``b`` equals
+    ``lstm_sequence(x[b:b+1], ...)`` under ``no_grad`` bit for bit.
     """
     return lstm_infer_lockstep([X], [(Wx, Wh, bias)])[0]
 
@@ -344,29 +271,36 @@ def lstm_infer_batched(
 def lstm_infer_lockstep(
     sequences: Sequence[np.ndarray],
     weights: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    runs: Sequence[int] | None = None,
+    pads: Sequence[np.ndarray | int] | None = None,
+    chains: dict | None = None,
 ) -> list[np.ndarray]:
     """Several LSTMs over one batch, their recurrences in one time loop.
 
     ``sequences[s]`` is timescale ``s``'s ``(batch, time_s, features_s)``
     stack and ``weights[s]`` its LSTM's ``(w_x, w_h, bias)``; every
     sequence has the same batch and every LSTM the same hidden size.
-    Returns each timescale's hidden sequence as :func:`lstm_infer_batched`
-    would, and bit for bit what it returns on that timescale alone: the
-    input projection, the shared-prefix resume and every step's arithmetic
-    are the one-timescale call's, so only the interleaving of independent
-    steps changes.
+    Returns each timescale's hidden sequence, row ``b`` bit for bit what
+    ``lstm_sequence`` under ``no_grad`` returns on it with the same pad
+    count.  That rests on every matmul being a *stacked* ``np.matmul``
+    whose per-item 2-D shape is the one-sequence call's — ``(1, hidden) @
+    (hidden, 4·hidden)`` for the recurrent step, and the one projection
+    routine both use, :func:`_project`: one big 2-D GEMM changes the BLAS
+    blocking with the row count and is **not** row-stable.  Elementwise,
+    :func:`_lstm_steps` runs :func:`_lstm_infer`'s expressions (the
+    sigmoid's branch is selected differently, with the same bits), so only
+    the interleaving of independent steps changes.
 
-    ``runs[s]``, when given, is a lower bound on every item's leading run
-    in timescale ``s`` (rows carrying row 0's bytes, the padding of a cold
-    window): :func:`_project` scans only past it.
-
-    Each timescale keeps its own :func:`_project` (the rows and row stride
-    of a one-timescale call), its own :func:`_shared_lead` and its own
-    :func:`_prefix_chain`.  The timescales are then aligned at their
-    last step and ordered by the steps left to run, longest first, so the
-    loop runs for the longest timescale's steps rather than their sum: at
-    the e2e spans a warm minute takes 60 loop iterations, not 60 + 36 + 12.
+    ``pads[s]`` (per item, or one count for all) is each sequence's padded
+    leading steps in timescale ``s`` (:func:`_project`).  The timescale's
+    recurrence resumes at the batch's smallest pad count from the pad
+    chain (:func:`_pad_chain`) in ``chains``, the caller's dict, so it
+    persists across calls (a fresh one per call without it): a step is a
+    pure function of ``(h, c, x_proj[t], Wh)``, so by induction from the
+    zero state every item holds there the state of one item fed the pad
+    row.  The timescales are then aligned at their last step and ordered by
+    the steps left to run, longest first, so the loop runs for the longest
+    timescale's steps rather than their sum: at the e2e spans a warm minute
+    takes 60 loop iterations, not 60 + 36 + 12.
     """
     cast = [
         _maybe_cast(np.asarray(X), np.asarray(Wx), np.asarray(Wh), np.asarray(b))
@@ -379,6 +313,8 @@ def lstm_infer_lockstep(
     hidden = cast[0][2].shape[0]
     steps = [X.shape[1] for X, *_rest in cast]
     span = max(steps)
+    pads = [np.broadcast_to(np.asarray(p, np.intp), (batch,)) for p in pads or [0] * len(cast)]
+    chains = {} if chains is None else chains
 
     # Scale-major and aligned at the last step: timescale ``s`` fills
     # positions ``span - steps[s] ..`` of its slot.  Its input projection is
@@ -388,13 +324,10 @@ def lstm_infer_lockstep(
     # which changes only each item's output row stride (BLAS ``ldc``),
     # never its blocking, and the bias is added in place.
     x_proj = np.empty((len(cast), span, batch, 1, 4 * hidden), dtype=dtype)
-    leads = []
-    for slab, n, bound, (X, Wx, _Wh, b) in zip(
-        x_proj, steps, runs or [0] * len(cast), cast, strict=True
-    ):
-        slab = slab[span - n :]
-        _project(X, Wx, b, slab[:, :, 0].transpose(1, 0, 2), bound)
-        leads.append(_shared_lead(slab))
+    leads, rows = zip(*(
+        _project(X, Wx, b, slab[span - n :, :, 0].transpose(1, 0, 2), pad)
+        for slab, n, pad, (X, Wx, _Wh, b) in zip(x_proj, steps, pads, cast, strict=True)
+    ))
 
     # Slots by steps left to run, longest first (ties keep timescale order),
     # so the timescales running at a step are always the leading slots.
@@ -408,7 +341,7 @@ def lstm_infer_lockstep(
         first, lead = span - steps[s], leads[s]
         outputs[slot, first] = 0.0
         if lead:
-            chain = _prefix_chain(x_proj[slot, first, :1], cast[s][2], lead)
+            chain = _pad_chain(chains, s, rows[s], cast[s][2], lead)
             outputs[slot, first + 1 : first + lead + 1] = chain[0, 1 : lead + 1]
             cell[slot] = chain[1, lead]
         starts.append(first + lead)
@@ -422,7 +355,7 @@ def lstm_infer_lockstep(
         ).inc(batch * sum(steps))
         registry.counter(
             "nn.lstm_prefix_steps_skipped",
-            "of those, item-steps resumed from the shared-prefix chain",
+            "of those, item-steps resumed from the pad chain",
         ).inc(batch * sum(leads))
     _lstm_steps(x_proj, np.stack([cast[s][2] for s in order]), cell, outputs, starts)
     hiddens = [
@@ -481,6 +414,7 @@ def lstm_sequence(
     w_h: Tensor,
     bias: Tensor,
     state: tuple[Tensor, Tensor] | None = None,
+    pads: int = 0,
 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
     """Fused LSTM over ``(batch, time, features)`` input.
 
@@ -489,6 +423,10 @@ def lstm_sequence(
     ``outputs`` is ``(batch, time, hidden)``.  The entire sequence is one
     autograd node; ``c_T`` is a sibling node over the same cached
     activations so gradients may flow through a threaded state.
+
+    ``pads`` is read by the no-grad lane at batch 1 only, the oracle of
+    :func:`lstm_infer_lockstep`: given the served lane's pad count, it
+    projects the same rows (:func:`_project`) on any BLAS kernel.
     """
     X, Wx, Wh, b = _maybe_cast(x.data, w_x.data, w_h.data, bias.data)
     if sanitize_enabled():
@@ -511,7 +449,7 @@ def lstm_sequence(
     if not grad_mode and batch == 1:
         # One sequence: the served lane's own projection (its oracle).
         x_proj = np.empty((1, steps, 4 * hidden), dtype=np.result_type(X, Wx, b))
-        _project(X, Wx, b, x_proj)
+        _project(X, Wx, b, x_proj, np.array([pads], dtype=np.intp), resume=False)
     else:
         # One batched input projection for all timesteps (same op order as
         # the unfused path: matmul, broadcast bias add, reshape).
@@ -627,35 +565,22 @@ def lstm_sequence(
 # ----------------------------------------------------------------------
 # fused pooling
 # ----------------------------------------------------------------------
-def _pool_split(X: np.ndarray, window: int):
-    """Split ``(batch, time, feat)`` into full windows and a ragged tail."""
+def _pool_forward(X: np.ndarray, window: int, mode: str):
+    """Pool ``(batch, time, feat)`` over full windows and a ragged trailing
+    one, each over its own length; returns ``(out, full, tail, nfull,
+    rem)``."""
     batch, steps, feat = X.shape
     nfull, rem = divmod(steps, window)
     full = X[:, : nfull * window].reshape(batch, nfull, window, feat)
     tail = X[:, nfull * window :] if rem else None
-    return full, tail, nfull, rem
-
-
-def _avg_pool_forward(X: np.ndarray, window: int):
-    """Shared avg-pool forward; returns ``(out, full, tail, nfull, rem)``."""
-    full, tail, nfull, rem = _pool_split(X, window)
-    pieces = []
-    if nfull:
-        pieces.append(full.sum(axis=2) * (1.0 / window))
-    if rem:
-        pieces.append(tail.sum(axis=1, keepdims=True) * (1.0 / rem))
-    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
-    return out, full, tail, nfull, rem
-
-
-def _max_pool_forward(X: np.ndarray, window: int):
-    """Shared max-pool forward; returns ``(out, full, tail, nfull, rem)``."""
-    full, tail, nfull, rem = _pool_split(X, window)
-    pieces = []
-    if nfull:
-        pieces.append(full.max(axis=2))
-    if rem:
-        pieces.append(tail.max(axis=1, keepdims=True))
+    if mode == "avg":
+        pieces = [full.sum(axis=2) * (1.0 / window)] if nfull else []
+        pieces += [tail.sum(axis=1, keepdims=True) * (1.0 / rem)] if rem else []
+    elif mode == "max":
+        pieces = [full.max(axis=2)] if nfull else []
+        pieces += [tail.max(axis=1, keepdims=True)] if rem else []
+    else:
+        raise ValueError(f"unknown pooling mode {mode!r}")
     out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
     return out, full, tail, nfull, rem
 
@@ -669,13 +594,7 @@ def pool_infer(X: np.ndarray, window: int, mode: str) -> np.ndarray:
     is the identity, matching ``AvgPool1D.forward`` / ``MaxPool1D.forward``
     which skip the kernel entirely in that case.
     """
-    if window == 1:
-        return X
-    if mode == "avg":
-        return _avg_pool_forward(X, window)[0]
-    if mode == "max":
-        return _max_pool_forward(X, window)[0]
-    raise ValueError(f"unknown pooling mode {mode!r}")
+    return X if window == 1 else _pool_forward(X, window, mode)[0]
 
 
 def avg_pool_1d(x: Tensor, window: int) -> Tensor:
@@ -685,7 +604,7 @@ def avg_pool_1d(x: Tensor, window: int) -> Tensor:
     partial window is averaged over its own (shorter) length.
     """
     (X,) = _maybe_cast(x.data)
-    out, full, tail, nfull, rem = _avg_pool_forward(X, window)
+    out, full, tail, nfull, rem = _pool_forward(X, window, "avg")
     if sanitize_enabled():
         check_finite("avg_pool_1d", x=X, out=out)
 
@@ -714,7 +633,7 @@ def max_pool_1d(x: Tensor, window: int) -> Tensor:
     matching the generic ``Tensor.max`` semantics.
     """
     (X,) = _maybe_cast(x.data)
-    out, full, tail, nfull, rem = _max_pool_forward(X, window)
+    out, full, tail, nfull, rem = _pool_forward(X, window, "max")
     if sanitize_enabled():
         check_finite("max_pool_1d", x=X, out=out)
 

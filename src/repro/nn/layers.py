@@ -206,21 +206,23 @@ class LSTM(Module):
         self,
         x: Tensor,
         state: tuple[Tensor, Tensor] | None = None,
+        pads: int = 0,
     ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Run the LSTM over a sequence.
 
         Returns ``(outputs, (h_T, c_T))`` where outputs stacks every hidden
         state along the time axis.  Dispatches to the fused single-node
-        kernel (:func:`repro.nn.fused.lstm_sequence`) unless ``self.fused``
-        is False, in which case the generic per-op tape path is used; both
-        paths are numerically interchangeable (see tests/test_fused_kernels).
+        kernel (:func:`repro.nn.fused.lstm_sequence`, which alone reads
+        ``pads``) unless ``self.fused`` is False, in which case the generic
+        per-op tape path is used; both paths are numerically interchangeable
+        (see tests/test_fused_kernels).
         """
         if x.shape[-1] != self.input_size:
             raise ValueError(
                 f"LSTM expected {self.input_size} input features, got {x.shape[-1]}"
             )
         if self.fused:
-            return lstm_sequence(x, self.w_x, self.w_h, self.bias, state)
+            return lstm_sequence(x, self.w_x, self.w_h, self.bias, state, pads)
         return self.forward_unfused(x, state)
 
     def forward_unfused(

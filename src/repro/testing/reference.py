@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.online import OnlineXatu
+from ..core.online import OnlineAlert, OnlineXatu
 from ..netflow.matrix import (
     N_VOLUMETRIC,
     POPULAR_COUNTRIES,
@@ -517,13 +517,14 @@ def reference_matrix_state(matrix: TrafficMatrix) -> dict:
 
 
 class ReferenceOnlineXatu(OnlineXatu):
-    """:class:`~repro.core.OnlineXatu` with scalar ingest and per-customer
-    scoring: one :func:`reference_add_flow` per record; one dense window, one whole-window
-    ``FeatureScaler.transform`` and one model call per customer.
+    """:class:`~repro.core.OnlineXatu` with scalar ingest, per-customer
+    scoring and per-customer decisions: one :func:`reference_add_flow` per
+    record; one dense window, one whole-window ``FeatureScaler.transform``
+    and one model call per customer; one ``survival()`` per decision.
 
-    Overrides the ``_ingest_batch`` and ``_score`` stages, and snapshots
-    its matrix through :func:`reference_matrix_state`; the minute loop,
-    decisions, eviction, telemetry and ``state_dict`` are inherited, so a
+    Overrides the ``_ingest_batch``, ``_score`` and ``_decide`` stages, and
+    snapshots its matrix through :func:`reference_matrix_state`; the minute
+    loop, eviction, telemetry and ``state_dict`` are inherited, so a
     snapshot moves freely between the two classes.  The routing and
     blocklist tables are plain copies asked with ``dict.get`` / ``in``:
     nothing of production's sorted arrays is on this path.
@@ -598,14 +599,44 @@ class ReferenceOnlineXatu(OnlineXatu):
         )
         return block
 
+    def _pad_steps(self, customer_id: int, end_minute: int) -> list[int]:
+        """Per timescale, its leading pooled steps that hold padding only:
+        the minutes it sees before minute 0 and — for a customer with no
+        A4/A5 alert — before the first of them with a cell of any class."""
+        start = max(end_minute + 1 - self.model.config.lookback_minutes, 0)
+        alerted = self.history.has_alerts(customer_id) or self.graph.has_alerts(customer_id)
+        pads = []
+        for ts in self.model.config.timescales:
+            first = max(start, end_minute + 1 - ts.minutes)
+            while not alerted and first <= end_minute and all(
+                self.matrix.cell(customer_id, first, cls) is None
+                for cls in _CLASS_OF_GROUP.values()
+            ):
+                first += 1
+            pads.append((ts.minutes - (end_minute + 1 - first)) // ts.window)
+        return pads
+
     def _score(self, customers, minute: int) -> list[float]:
         out: list[float] = []
         for customer_id in customers:
             window = self._feature_window(customer_id, minute)
             x = self.scaler.transform(window)[None, :, :]
-            hazards = self.model.hazards_np(x, dtype=self.inference_dtype)[0]
+            hazards = self.model.hazards_np(
+                x, dtype=self.inference_dtype, pads=self._pad_steps(customer_id, minute)
+            )[0]
             out.append(float(hazards[-1]))
         return out
+
+    def _decide(self, customers, minute: int) -> list[OnlineAlert]:
+        alerts = []
+        for customer_id in customers:
+            if minute < self._suppressed_until.get(customer_id, -1):
+                continue
+            survival = self.survival(customer_id)
+            if survival < self.threshold:
+                self._suppressed_until[customer_id] = minute + self.rearm_after
+                alerts.append(OnlineAlert(customer_id, minute, survival))
+        return alerts
 
 
 # ----------------------------------------------------------------------

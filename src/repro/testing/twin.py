@@ -2,8 +2,8 @@
 
 Production :class:`~repro.core.OnlineXatu` keeps derived state — finalized
 and snapshot-encoded matrix rows and their dirt, the per-minute eviction
-index, sorted routing
-and blocklist tables, the LSTM shared-prefix memo — and its oracle
+index, sorted routing and blocklist tables, the empty-window constants and
+the LSTM pad chains — and its oracle
 :class:`~repro.testing.reference.ReferenceOnlineXatu` keeps none.  Three
 pieces prove that nobody can tell: :func:`build_twins` (one detector pair on
 the same artefacts), :func:`twin_stream` (one seeded stream of minutes and
@@ -41,6 +41,7 @@ __all__ = [
     "drive_twins",
     "twin_context",
     "twin_route_table",
+    "twin_scaler",
     "twin_stream",
 ]
 
@@ -72,6 +73,16 @@ def twin_route_table() -> RouteTable:
     return route_table
 
 
+def twin_scaler(rng: np.random.Generator) -> FeatureScaler:
+    """A fitted scaler that is not the identity: the scaled zero row is
+    non-zero and differs per column, so a wrong fill, a wrong column slice
+    or a stale empty-window constant changes hazards."""
+    scaler = FeatureScaler()
+    scaler.mean_ = rng.normal(1.0, 2.0, N_FEATURES)
+    scaler.std_ = rng.uniform(0.25, 4.0, N_FEATURES)
+    return scaler
+
+
 def build_detector(
     cls,
     seed: int,
@@ -86,12 +97,7 @@ def build_detector(
 ) -> OnlineXatu:
     """A tiny seeded detector of class ``cls``: the equivalence argument is
     about op shapes and cast order, not capacity."""
-    rng = np.random.default_rng(seed)
-    scaler = FeatureScaler()
-    # Not the identity: the scaled zero row is non-zero and differs per
-    # column, so a wrong fill or a wrong column slice changes hazards.
-    scaler.mean_ = rng.normal(1.0, 2.0, N_FEATURES)
-    scaler.std_ = rng.uniform(0.25, 4.0, N_FEATURES)
+    scaler = twin_scaler(np.random.default_rng(seed))
     model = XatuModel(
         XatuModelConfig(
             hidden_size=6,
@@ -130,6 +136,7 @@ class TwinStep(NamedTuple):
     alerts: list[AlertRecord]  # incumbent alerts, ingested before the step
     ends: list[tuple[int, int]]  # mitigation ends (customer, minute)
     tables: tuple[dict, set] | None  # routing dict and blocklist, if changed
+    scaler: FeatureScaler | None  # a newly assigned scaler, if any
     restore: bool  # swap lanes through pickled state_dicts first
     hazards: set[str]  # what this step exercises, by name
 
@@ -160,9 +167,12 @@ def twin_stream(
 
     ``customer_of`` and ``blocklist`` are changed *in place* — same object,
     often the same size — and handed back in ``tables``: a detector that
-    recognises its tables by identity or length serves a stale one.
+    recognises its tables by identity or length serves a stale one.  A
+    third of the way in, both detectors are assigned a new scaler, drawn
+    from a stream of its own so the traffic's draws are unchanged.
     """
     rng = np.random.default_rng(seed)
+    swap_scaler_at, scaler_rng = steps // 3, np.random.default_rng([seed, 1])
     n_ids = len(customer_of)
     live, dead = sorted(customer_of), []  # swapped-out addresses keep receiving
     next_address = BASE_ADDRESS + n_ids
@@ -197,6 +207,9 @@ def twin_stream(
             blocklist.add(int(rng.choice(unlisted)))
             hazards.add("blocklist-swapped")
         tables = (customer_of, blocklist) if hazards else None  # only table ops so far
+        scaler = twin_scaler(scaler_rng) if step == swap_scaler_at else None
+        if scaler is not None:
+            hazards.add("scaler-swapped")
 
         flows: list[FlowRecord] = []
         if rng.random() >= 0.1:  # else: a fully empty minute
@@ -228,7 +241,7 @@ def twin_stream(
                 )
             )
         ends = [(int(rng.integers(0, n_ids)), minute)] if rng.random() < 0.15 else []
-        yield TwinStep(minute, flows, alerts, ends, tables, step in restores, hazards)
+        yield TwinStep(minute, flows, alerts, ends, tables, scaler, step in restores, hazards)
 
 
 def alert_keys(alerts) -> list[tuple[int, int, float]]:
@@ -263,6 +276,8 @@ def drive_twins(reference, production, stream) -> set[str]:
         for detector in twins:
             if step.tables is not None:
                 detector.customer_of, detector.blocklist = step.tables
+            if step.scaler is not None:
+                detector.scaler = step.scaler
             for alert in step.alerts:
                 detector.ingest_cdet_alert(alert)
             for customer, minute in step.ends:

@@ -134,10 +134,10 @@ def test_batched_lstm_gate_selection_is_bitwise_at_the_edges():
 
 
 # ----------------------------------------------------------------------
-# kernel level: the shared-prefix resume.  ``lstm_infer_batched`` takes the
-# leading steps whose projected rows are bit-identical across the batch from
-# a memoised single-item chain and runs the batch from the first step that
-# differs; the oracle is still row-by-row ``lstm_sequence``.
+# kernel level: the pad-chain resume.  ``lstm_infer_lockstep`` is told each
+# sequence's padded leading steps, takes them from one item's chain and runs
+# the batch from the smallest count on; the oracle is still row-by-row
+# ``lstm_sequence`` given the same count.
 # ----------------------------------------------------------------------
 SKIPPED = "nn.lstm_prefix_steps_skipped"
 PROJ_SKIPPED = "nn.lstm_proj_rows_skipped"
@@ -154,23 +154,25 @@ def _prefix_row(kind: str, rng: np.random.Generator, features: int, dtype) -> np
     return np.resize([0.0, -0.0, tiny, -tiny, huge, -huge, 1.0], features)
 
 
-def _assert_rows_equal_single_sequence_lane(x, w_x, w_h, bias, dtype) -> int:
-    """Stacked call == ``lstm_sequence`` per row, by bytes; returns how many
-    item-steps the call reported as resumed from the chain."""
+def _assert_rows_equal_single_sequence_lane(
+    x, w_x, w_h, bias, dtype, pads=0, chains=None
+) -> int:
+    """Stacked call == ``lstm_sequence`` per row with the same pad count, by
+    bytes; returns how many item-steps the call resumed from the chain."""
     from contextlib import nullcontext
 
     from repro.nn import Tensor, inference_dtype, no_grad
-    from repro.nn.fused import lstm_infer_batched, lstm_sequence
+    from repro.nn.fused import lstm_infer_lockstep, lstm_sequence
 
     policy = nullcontext() if dtype is None else inference_dtype(dtype)
     with telemetry() as registry, no_grad(), policy:
         before = registry.counter(SKIPPED).value()
-        stacked = lstm_infer_batched(x, w_x, w_h, bias)
+        (stacked,) = lstm_infer_lockstep([x], [(w_x, w_h, bias)], [pads], chains)
         skipped = registry.counter(SKIPPED).value() - before
         assert stacked.shape == (*x.shape[:2], w_h.shape[0])
-        for b in range(len(x)):
+        for b, pad in enumerate(np.broadcast_to(pads, len(x)).tolist()):
             alone, _state = lstm_sequence(
-                Tensor(x[b : b + 1]), Tensor(w_x), Tensor(w_h), Tensor(bias)
+                Tensor(x[b : b + 1]), Tensor(w_x), Tensor(w_h), Tensor(bias), pads=pad
             )
             assert stacked.dtype == alone.data.dtype
             assert stacked[b].tobytes() == alone.data[0].tobytes(), f"row {b} drifted"
@@ -180,8 +182,6 @@ def _assert_rows_equal_single_sequence_lane(x, w_x, w_h, bias, dtype) -> int:
 @pytest.mark.parametrize("dtype", [None, np.float32], ids=["f64", "f32"])
 @pytest.mark.parametrize("row_kind", ["random", "zero", "edges"])
 def test_batched_lstm_resumes_past_a_shared_prefix_bitwise(row_kind, dtype):
-    from repro.nn import fused
-
     hidden, features, steps = 5, 9, 7
     rng = np.random.default_rng(11)
     w_x = rng.normal(0, 1, (features, 4 * hidden))
@@ -189,57 +189,83 @@ def test_batched_lstm_resumes_past_a_shared_prefix_bitwise(row_kind, dtype):
     bias = rng.normal(0, 1, 4 * hidden)
     row = _prefix_row(row_kind, rng, features, dtype)
     for batch in (1, 2, 24):
-        # From an empty memo the chain grows 1 -> 2 -> steps - 1 -> steps;
-        # the repeats then resume from states an extension started at.
-        fused._PREFIX_CHAINS.clear()
+        # From an empty dict the chain is built at 1 and rebuilt longer at 2,
+        # steps - 1 and steps; the repeats then read a prefix of it.
+        chains: dict = {}
         for lead in (0, 1, 2, steps - 1, steps, 2, 1, steps - 1):
             x = rng.normal(0.0, 1.0, (batch, steps, features))
             x[:, :lead] = row
-            skipped = _assert_rows_equal_single_sequence_lane(x, w_x, w_h, bias, dtype)
-            # Each item projects its leading run once, from the same GEMM
-            # shape, so equal inputs project to equal bytes on every kernel;
-            # a batch of one shares nothing.
-            assert skipped == (batch * lead if batch > 1 else 0), (batch, lead)
+            skipped = _assert_rows_equal_single_sequence_lane(
+                x, w_x, w_h, bias, dtype, lead, chains
+            )
+            # Each item projects its padding once, from the same GEMM shape,
+            # so equal inputs project to equal bytes on every kernel.
+            assert skipped == batch * lead, (batch, lead)
+        assert len(chains) == 1
 
 
 @pytest.mark.parametrize("dtype", [None, np.float32], ids=["f64", "f32"])
 def test_batched_lstm_resumes_at_the_first_differing_bit(dtype):
-    """One item, one step, one low bit: the batch must resume there, not
-    later.  An identity ``w_x`` and zero bias make the projected row the
-    input row, so the flipped bit survives the projection."""
+    """One item, one step, one low bit: the padding ends there, and the
+    batch resumes there, not later — a longer count is refused by the
+    sanitizer.  An identity ``w_x`` and zero bias make the projected row
+    the input row, so the flipped bit survives the projection."""
+    from repro.analysis.sanitizer import SanitizeError, sanitized
+    from repro.nn.fused import lstm_infer_lockstep
+
     hidden, steps, batch = 3, 9, 4
     features = 4 * hidden
     rng = np.random.default_rng(5)
     w_h = rng.normal(0, 1, (hidden, 4 * hidden))
     real = np.float64 if dtype is None else dtype
     row = rng.normal(0.0, 1.0, features).astype(real)
+    weights = (np.eye(features), w_h, np.zeros(features))
     for k in range(steps):
         x = np.broadcast_to(row, (batch, steps, features)).copy()
         x[2, k, 7] = np.nextafter(x[2, k, 7], real(np.inf))
-        skipped = _assert_rows_equal_single_sequence_lane(
-            x, np.eye(features), w_h, np.zeros(features), dtype
-        )
-        assert skipped == batch * k, k
+        assert _assert_rows_equal_single_sequence_lane(x, *weights, dtype, k) == batch * k, k
+        with sanitized(True), pytest.raises(SanitizeError, match="pad count"):
+            lstm_infer_lockstep([x], [weights], [min(k + 2, steps)])
+
+
+def test_resume_falls_back_to_step_0_when_projected_pad_rows_differ():
+    """The batch resumes from one item's chain only if every item's
+    projected pad row has item 0's bytes: here item 2's pad row is one low
+    bit off (each item's own padding is valid), so the timescale runs from
+    step 0, and still equals the oracle row by row."""
+    hidden, steps, batch = 3, 8, 4
+    features = 4 * hidden
+    rng = np.random.default_rng(6)
+    w_h = rng.normal(0, 1, (hidden, 4 * hidden))
+    for dtype in (None, np.float32):
+        real = np.float64 if dtype is None else dtype
+        row = rng.normal(0.0, 1.0, features).astype(real)
+        x = rng.normal(0.0, 1.0, (batch, steps, features)).astype(real)
+        x[:, :5] = row
+        weights = (np.eye(features), w_h, np.zeros(features))
+        assert _assert_rows_equal_single_sequence_lane(x, *weights, dtype, 5) == batch * 5
+        x[2, :5, 7] = np.nextafter(row[7], real(np.inf))
+        assert _assert_rows_equal_single_sequence_lane(x, *weights, dtype, 5) == 0
+        assert _assert_rows_equal_single_sequence_lane(x, *weights, dtype, [5, 5, 0, 5]) == 0
 
 
 # ----------------------------------------------------------------------
-# kernel level: one projection per leading run.  Every single-sequence lane
-# (the lock-stepped kernel and ``lstm_sequence`` at batch 1 under no_grad)
-# projects through ``fused._project``: it finds each sequence's leading run
-# ``r`` (rows with row 0's bytes), past a lower bound the caller may pass,
-# runs the GEMM over rows ``f = min(r - 1, T - 2) ..`` only, and gives the
-# whole run row ``f``'s projection.
+# kernel level: one projection per padding.  Every single-sequence lane (the
+# lock-stepped kernel and ``lstm_sequence`` at batch 1 under no_grad)
+# projects through ``fused._project``: given each sequence's pad count ``p``,
+# it runs the GEMM over rows ``f = min(p - 1, T - 2) ..`` only, and gives
+# the padding row ``f``'s projection.
 # ----------------------------------------------------------------------
-def _expected_projection(x, w_x, bias, runs) -> np.ndarray:
+def _expected_projection(x, w_x, bias, pads) -> np.ndarray:
     """What ``_project`` promises, spelled per item: one 2-D GEMM over rows
     ``f ..`` (two at least: one row would be gemv's), its first row copied
-    over the whole run, then the bias."""
+    over the padding, then the bias."""
     steps = x.shape[1]
     out = np.empty((*x.shape[:2], w_x.shape[1]), dtype=x.dtype)
-    for b, run in enumerate(runs):
-        first = max(0, min(run - 1, steps - 2))
+    for b, pad in enumerate(pads):
+        first = max(0, min(pad - 1, steps - 2))
         out[b, first:] = x[b, first:] @ w_x
-        out[b, :run] = out[b, first]
+        out[b, :first] = out[b, first]
     return out + bias
 
 
@@ -247,7 +273,7 @@ def test_projection_computes_each_leading_run_once_bitwise():
     from contextlib import nullcontext
 
     from repro.nn import Tensor, inference_dtype, no_grad
-    from repro.nn.fused import _leading_runs, _project, lstm_infer_lockstep, lstm_sequence
+    from repro.nn.fused import _project, lstm_infer_lockstep, lstm_sequence
 
     seen: set[str] = set()
 
@@ -264,28 +290,27 @@ def test_projection_computes_each_leading_run_once_bitwise():
         x = rng.normal(0.0, 1.0, (batch, steps, features))
         for b, lead in enumerate(chosen):
             x[b, :lead] = x[b, 0]
-        runs = np.maximum(chosen, 1)
         real = np.float64 if dtype is None else dtype
         cast = [a.astype(real) for a in (x, w_x, bias)]
-        want = _expected_projection(*cast, runs)
-        rows_saved = sum(max(0, min(r - 1, steps - 2)) for r in runs)
-        assert _leading_runs(cast[0]).tolist() == runs.tolist()
         policy = nullcontext() if dtype is None else inference_dtype(dtype)
         with telemetry() as registry, no_grad(), policy:
-            for bound in range(int(runs.min()) + 1):  # every valid lower bound
-                assert _leading_runs(cast[0], bound).tolist() == runs.tolist()
+            for pads in (chosen, np.zeros(batch, dtype=int)):  # any count up to the padding
+                want = _expected_projection(*cast, pads)
                 got = np.empty_like(want)
-                _project(*cast[:2], cast[2], got, bound)
-                assert got.tobytes() == want.tobytes(), bound
+                _project(*cast[:2], cast[2], got, np.asarray(pads), resume=False)
+                assert got.tobytes() == want.tobytes(), pads
                 before = registry.counter(PROJ_SKIPPED).value()
-                (stacked,) = lstm_infer_lockstep([x], [(w_x, w_h, bias)], [bound])
+                (stacked,) = lstm_infer_lockstep([x], [(w_x, w_h, bias)], [pads])
+                rows_saved = sum(max(0, min(p - 1, steps - 2)) for p in pads)
                 assert registry.counter(PROJ_SKIPPED).value() - before == rows_saved
-                for b in range(batch):
-                    alone, _state = lstm_sequence(*map(Tensor, (x[b : b + 1], w_x, w_h, bias)))
-                    assert stacked[b].tobytes() == alone.data[0].tobytes(), (bound, b)
+                for b, pad in enumerate(pads.tolist()):
+                    alone, _state = lstm_sequence(
+                        *map(Tensor, (x[b : b + 1], w_x, w_h, bias)), pads=pad
+                    )
+                    assert stacked[b].tobytes() == alone.data[0].tobytes(), (pads, b)
         names = {steps: "T", steps - 1: "T-1", steps - 2: "T-2"}
         seen.update(f"lead {names.get(lead, lead)}" for lead in chosen)
-        seen.update({f"batch {batch}", str(dtype), "mixed" if len(set(runs)) > 1 else "even"})
+        seen.update({f"batch {batch}", str(dtype), "mixed" if len(set(chosen)) > 1 else "even"})
 
     run_property(
         projects_each_run_once,
@@ -303,13 +328,15 @@ def test_projection_computes_each_leading_run_once_bitwise():
 
 
 def test_leading_runs_compare_bytes_and_the_sanitizer_checks_the_bound():
-    """-0.0 equals +0.0 as a value and a NaN equals nothing, but a run is
+    """-0.0 equals +0.0 as a value and a NaN equals nothing, but padding is
     bytes: a signed zero ends it, a NaN with another payload ends it, and
-    the same NaN continues it.  A bound past the run is refused when the
-    sanitizer is on."""
+    the same NaN continues it.  With the sanitizer on, a pad count past the
+    padding (or past the sequence) is refused."""
     from repro.analysis.sanitizer import SanitizeError, sanitized
-    from repro.nn.fused import _leading_runs, lstm_infer_lockstep
+    from repro.nn.fused import _project, lstm_infer_lockstep
 
+    rng = np.random.default_rng(3)
+    w_x, bias = rng.normal(0.0, 1.0, (3, 8)), rng.normal(0.0, 1.0, 8)
     for dtype in (np.float64, np.float32):
         bits = f"u{np.dtype(dtype).itemsize}"
         nan = np.array(np.nan, dtype)
@@ -320,48 +347,57 @@ def test_leading_runs_compare_bytes_and_the_sanitizer_checks_the_bound():
         x[3] = nan
         x[3, 4, 0] = other_nan
         assert np.isnan(other_nan) and nan.tobytes() != other_nan.tobytes()
-        for bound in range(4):
-            assert _leading_runs(x, bound).tolist() == [6, 3, 6, 4], (dtype, bound)
-        assert _leading_runs(x[:, :0]).tolist() == [0] * 4
+        out = np.empty((4, 6, 8), dtype)
+        with sanitized(True):
+            for item, padding in enumerate([6, 3, 6, 4]):
+                for pad in range(8):
+                    pads = np.zeros(4, dtype=np.intp)
+                    pads[item] = pad
+                    if pad <= padding:
+                        _project(x, w_x.astype(dtype), bias.astype(dtype), out, pads)
+                        continue
+                    with pytest.raises(SanitizeError, match="pad count"):
+                        _project(x, w_x.astype(dtype), bias.astype(dtype), out, pads)
 
-    rng = np.random.default_rng(3)
     x = rng.normal(0.0, 1.0, (3, 7, 4))
     x[:, :3] = x[:, :1]
     x[1, 3:5] = x[1, 0]
     weights = [tuple(rng.normal(0.0, 1.0, shape) for shape in ((4, 8), (2, 8), (8,)))]
     with sanitized(True):
         lstm_infer_lockstep([x], weights, [3])
-        for bound in (4, 8):
-            with pytest.raises(SanitizeError, match="leading-run bound"):
-                lstm_infer_lockstep([x], weights, [bound])
+        lstm_infer_lockstep([x], weights, [[3, 5, 3]])
+        for pads in (4, 8, [3, 6, 3]):
+            with pytest.raises(SanitizeError, match="pad count"):
+                lstm_infer_lockstep([x], weights, [pads])
     with sanitized(False):
-        lstm_infer_lockstep([x], weights, [3])
+        lstm_infer_lockstep([x], weights, [4])  # unchecked: trusted, not verified
 
 
 # ----------------------------------------------------------------------
 # kernel level: every timescale in one time loop.  ``lstm_infer_lockstep``
 # aligns the timescales at their last step and runs the leading slots of one
 # stacked state, the timescale with the most steps left first; each
-# timescale must come out as ``lstm_infer_batched`` on it alone, by bytes.
+# timescale must come out as the kernel on it alone, by bytes.
 # ----------------------------------------------------------------------
-def _assert_lockstep_equals_each_timescale_alone(sequences, weights, dtype) -> None:
-    """Timescale ``s`` of one lock-stepped call == ``lstm_infer_batched`` on
-    it alone, and its row ``b`` == ``lstm_sequence`` on that row: by bytes."""
+def _assert_lockstep_equals_each_timescale_alone(sequences, weights, pads, dtype) -> None:
+    """Timescale ``s`` of one lock-stepped call == the kernel on it alone,
+    and its row ``b`` == ``lstm_sequence`` on that row: by bytes, with the
+    same pad counts."""
     from contextlib import nullcontext
 
     from repro.nn import Tensor, inference_dtype, no_grad
-    from repro.nn.fused import lstm_infer_batched, lstm_infer_lockstep, lstm_sequence
+    from repro.nn.fused import lstm_infer_lockstep, lstm_sequence
 
     policy = nullcontext() if dtype is None else inference_dtype(dtype)
     with no_grad(), policy:
-        together = lstm_infer_lockstep(sequences, weights)
+        together = lstm_infer_lockstep(sequences, weights, pads)
         assert len(together) == len(sequences)
-        for s, (x, w) in enumerate(zip(sequences, weights)):
-            alone = lstm_infer_batched(x, *w)
+        for s, (x, w, pad) in enumerate(zip(sequences, weights, pads)):
+            (alone,) = lstm_infer_lockstep([x], [w], [pad])
             assert together[s].shape == alone.shape and together[s].dtype == alone.dtype
             assert together[s].tobytes() == alone.tobytes(), f"timescale {s} drifted"
             for b in range(len(x)):
-                row, _state = lstm_sequence(Tensor(x[b : b + 1]), *map(Tensor, w))
+                row, _state = lstm_sequence(Tensor(x[b : b + 1]), *map(Tensor, w), pads=pad)
                 assert together[s][b].tobytes() == row.data[0].tobytes(), (s, b)
 
 
@@ -373,7 +409,7 @@ def test_lockstep_timescales_equal_each_timescale_alone():
         hidden, features = int(rng.integers(2, 6)), int(rng.integers(3, 8))
         spans = rng.integers(1, 10, 1 if equal_spans else n_scales)
         spans = np.resize(spans, n_scales).tolist()
-        sequences, weights, left = [], [], []
+        sequences, weights, leads, left = [], [], [], []
         for span in spans:
             lead = int(rng.choice([0, span, int(rng.integers(0, span + 1))]))
             x = rng.normal(0.0, 1.0, (batch, span, features))
@@ -384,10 +420,10 @@ def test_lockstep_timescales_equal_each_timescale_alone():
             )
             sequences.append(x)
             weights.append(w)
-            shared = lead if batch > 1 else 0
-            left.append(span - shared)
-            seen.add("no prefix" if shared == 0 else "all shared" if shared == span else "prefix")
-        _assert_lockstep_equals_each_timescale_alone(sequences, weights, dtype)
+            leads.append(lead)
+            left.append(span - lead)
+            seen.add("no prefix" if lead == 0 else "all shared" if lead == span else "prefix")
+        _assert_lockstep_equals_each_timescale_alone(sequences, weights, leads, dtype)
         if left != sorted(left, reverse=True):
             seen.add("slots permuted")
         if n_scales > 1 and len(set(spans)) == 1:
@@ -429,64 +465,33 @@ def test_broadcast_recurrent_matmul_equals_per_timescale_matmuls():
                     assert gates[s].tobytes() == alone.tobytes(), (dtype, slots, batch, a, s)
 
 
-def test_shared_lead_compares_bits_and_reads_no_further_than_the_prefix():
-    """Rows of +0.0 and -0.0 are equal as values and not as bits (no BLAS
-    here projects to -0.0, so the rows are built by hand); a batch with no
-    shared step-0 row — the warm fleet — costs one ``(batch, 4·hidden)``
-    comparison and a prefix one comparison per shared step."""
-    from repro.nn.fused import _shared_lead
-
-    class Probe(np.ndarray):
-        reads: list = []
-
-        def tobytes(self, *args):
-            Probe.reads.append(self.shape)
-            return super().tobytes(*args)
-
-    def lead_and_reads(x_proj):
-        Probe.reads = []
-        return _shared_lead(x_proj.view(Probe)), Probe.reads
-
-    steps, batch, width = 6, 3, 8
-    zeros = np.zeros((steps, batch, 1, width))
-    assert lead_and_reads(zeros)[0] == steps
-    zeros[0, 1] = -0.0
-    assert np.array_equal(zeros[0, 0], zeros[0, 1])
-    assert lead_and_reads(zeros) == (0, [(batch, 1, width), (1, width)])
-    nans = np.full((steps, batch, 1, width), np.nan)
-    assert lead_and_reads(nans)[0] == steps  # same bits: nothing rests on NaN != NaN
-    rng = np.random.default_rng(0)
-    for dtype in (np.float64, np.float32):
-        warm = rng.normal(size=(steps, batch, 1, width)).astype(dtype)
-        assert lead_and_reads(warm) == (0, [(batch, 1, width), (1, width)])
-        for lead in range(1, steps + 1):
-            cold = warm.copy()
-            cold[:lead] = cold[0, 0]
-            got, reads = lead_and_reads(cold)
-            assert got == lead
-            assert len(reads) == 2 + min(lead, steps - 1)
-    assert lead_and_reads(warm[:, :1])[0] == 0  # one item: nothing to share
-    assert lead_and_reads(warm[:0]) == (0, [])
-
-
-def _shared_prefix_windows(model, rng, batch: int, pad: int) -> np.ndarray:
-    x = rng.normal(0.0, 1.0, (batch, model.config.lookback_minutes, 273))
+def _shared_prefix_windows(model, rng, batch: int, pad: int) -> tuple[np.ndarray, list[int]]:
+    """Windows whose first ``pad`` minutes repeat one row, and the pooled
+    steps per timescale that row alone fills."""
+    cfg = model.config
+    x = rng.normal(0.0, 1.0, (batch, cfg.lookback_minutes, 273))
     x[:, :pad] = rng.normal(0.0, 1.0, 273)
-    return x
+    pads = [
+        max(0, pad - (cfg.lookback_minutes - ts.minutes)) // ts.window
+        for ts in cfg.timescales
+    ]
+    return x, pads
 
 
-def _assert_hazards_equal_per_item_lane(model, x, dtype=None) -> None:
-    stacked = model.hazards_np_batched(x, dtype=dtype)
+def _assert_hazards_equal_per_item_lane(model, x, pads, chains, dtype=None) -> None:
+    stacked = model.hazards_np_staged(
+        model.stage_pooled(x, dtype), dtype, pads=pads, chains=chains
+    )
     for i in range(len(x)):
-        alone = model.hazards_np(x[i : i + 1], dtype=dtype)[0]
+        alone = model.hazards_np(x[i : i + 1], dtype=dtype, pads=pads)[0]
         assert stacked[i].tobytes() == alone.tobytes(), f"row {i} drifted"
 
 
 def test_prefix_memo_is_keyed_by_content_not_identity():
     """Parameters are overwritten in place (``load_state_dict``, optimiser
-    steps), so the same arrays come back holding other weights: a chain
-    found by identity would be stale.  Same inputs throughout."""
-    from repro.nn import SGD, Adam, fused
+    steps), so the same arrays come back holding other weights: a pad
+    chain found by identity would be stale.  Same inputs, same dict."""
+    from repro.nn import SGD, Adam
 
     # Kernel level first: the same ``w_h`` array, new contents, and — with
     # ``w_x`` and the bias untouched — the same projected row as before.
@@ -494,21 +499,23 @@ def test_prefix_memo_is_keyed_by_content_not_identity():
     w_x, w_h, bias = rng.normal(0, 1, (9, 20)), rng.normal(0, 1, (5, 20)), rng.normal(0, 1, 20)
     x = rng.normal(0.0, 1.0, (3, 6, 9))
     x[:, :4] = x[0, 0]
+    chains: dict = {}
     for _ in range(2):
-        assert _assert_rows_equal_single_sequence_lane(x, w_x, w_h, bias, None) == 3 * 4
+        assert _assert_rows_equal_single_sequence_lane(x, w_x, w_h, bias, None, 4, chains) == 3 * 4
         w_h *= 0.5
 
     model, other = XatuModel(_tiny_config(3)), XatuModel(_tiny_config(4))
     model.eval()
     rng = np.random.default_rng(9)
-    x = _shared_prefix_windows(model, rng, batch=5, pad=20)
+    x, pads = _shared_prefix_windows(model, rng, batch=5, pad=20)
+    chains = {}
     with telemetry() as registry:
         before = registry.counter(SKIPPED).value()
-        _assert_hazards_equal_per_item_lane(model, x)
+        _assert_hazards_equal_per_item_lane(model, x, pads, chains)
         assert registry.counter(SKIPPED).value() > before  # the shortcut is live
     first = model.hazards_np_batched(x)
     model.load_state_dict(other.state_dict())
-    _assert_hazards_equal_per_item_lane(model, x)
+    _assert_hazards_equal_per_item_lane(model, x, pads, chains)
     other.eval()
     assert model.hazards_np_batched(x).tobytes() == other.hazards_np_batched(x).tobytes()
     assert model.hazards_np_batched(x).tobytes() != first.tobytes()
@@ -516,18 +523,17 @@ def test_prefix_memo_is_keyed_by_content_not_identity():
         for parameter in model.parameters():
             parameter.grad = rng.normal(0.0, 1.0, parameter.data.shape)
         optimiser.step()
-        _assert_hazards_equal_per_item_lane(model, x)
+        _assert_hazards_equal_per_item_lane(model, x, pads, chains)
         fresh = XatuModel(model.config)
         fresh.load_state_dict(model.state_dict())
         fresh.eval()
-        fused._PREFIX_CHAINS.clear()
-        want = fresh.hazards_np_batched(x).tobytes()
-        assert model.hazards_np_batched(x).tobytes() == want
+        want = fresh.hazards_np_staged(fresh.stage_pooled(x), pads=pads).tobytes()
+        assert model.hazards_np_staged(model.stage_pooled(x), pads=pads, chains=chains).tobytes() == want
 
 
 def test_prefix_memo_interleaves_models_and_dtypes_and_stays_bounded():
-    from repro.nn import fused
-
+    """One dict for two models, two dtypes and three paddings: still one
+    chain per timescale, read-only, and every row the oracle's."""
     rng = np.random.default_rng(21)
     models = [XatuModel(_tiny_config(seed)) for seed in (1, 2)]
     for model in models:
@@ -535,55 +541,17 @@ def test_prefix_memo_interleaves_models_and_dtypes_and_stays_bounded():
     windows = [
         _shared_prefix_windows(models[0], rng, batch=3, pad=pad) for pad in (30, 8, 17)
     ]
-    fused._PREFIX_CHAINS.clear()
+    chains: dict = {}
     for _ in range(2):
-        for x in windows:  # more distinct (weights, row, dtype) keys than the bound
+        for x, pads in windows:
             for model in models:
                 for dtype in (None, np.float32):
-                    _assert_hazards_equal_per_item_lane(model, x, dtype)
-                    assert 0 < len(fused._PREFIX_CHAINS) <= fused._PREFIX_CHAINS_MAX
-    assert 3 * 2 * 2 * len(TINY_TIMESCALES) > fused._PREFIX_CHAINS_MAX  # it did evict
-    for chain in fused._PREFIX_CHAINS.values():
+                    _assert_hazards_equal_per_item_lane(model, x, pads, chains, dtype)
+                    assert 0 < len(chains) <= len(TINY_TIMESCALES)
+    for _key, chain in chains.values():
         assert not chain.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             chain[0, 0] = 1.0
-
-
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_prefix_memo_lock_is_usable_in_a_child_forked_while_it_is_held():
-    """A fork copies the memo's lock as held when another thread holds it,
-    and nothing in the child would ever release it: the child's first
-    chain must still be built, not wait forever."""
-    import multiprocessing
-    import threading
-
-    from repro.nn import fused
-
-    rng = np.random.default_rng(4)
-    row, w_h = rng.normal(0, 1, (1, 1, 20)), rng.normal(0, 1, (5, 20))
-    held, release = threading.Event(), threading.Event()
-
-    def hold() -> None:
-        with fused._PREFIX_CHAINS_LOCK:
-            held.set()
-            release.wait(30)
-
-    holder = threading.Thread(target=hold)
-    holder.start()
-    try:
-        assert held.wait(10)
-        child = multiprocessing.get_context("fork").Process(
-            target=fused._prefix_chain, args=(row, w_h, 3)
-        )
-        child.start()
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-            child.join()
-        assert child.exitcode == 0
-    finally:
-        release.set()
-        holder.join()
 
 
 def test_batched_rejects_bad_shapes():
@@ -696,8 +664,8 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
 
     def sparse_lane_agrees(seed, n_customers, dtype, pooling):
         # Every run starts cold — its first ``lookback`` minutes are padded —
-        # so production resumes past shared prefixes while the oracle (one
-        # window at a time, another kernel) never does.
+        # so production resumes from pad chains while the oracle (one window
+        # at a time) never does.
         with telemetry() as registry:
             skipped, evicted = (
                 registry.counter(name) for name in (SKIPPED, "online.matrix_evictions")
@@ -707,7 +675,7 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
                 _run_differential(seed, n_customers, 40, 0.9, dtype=dtype, pooling=pooling)
             )
             if skipped.value() > before[0]:
-                seen.add("shared-prefix")
+                seen.add("pad-chain")
             if evicted.value() > before[1]:
                 seen.add("matrix-evicted")
         seen.add(pooling)
@@ -724,7 +692,7 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
     # The differential is only meaningful if every hazard actually occurred.
     assert seen >= {
         "all", "blocklist", "prev_attacker", "spoofed",
-        "idle-evicted", "re-watched", "A4+A5", "avg", "max", "shared-prefix",
+        "idle-evicted", "re-watched", "A4+A5", "avg", "max", "pad-chain", "scaler-swapped",
         "matrix-evicted", "late", "future-stamped", "onboarded",
         "re-homed", "swapped", "blocklist-swapped",
         "restored", "restored-empty", "restored-after-series-evicted",

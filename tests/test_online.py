@@ -211,3 +211,230 @@ class TestOnlineXatu:
             online.step(minute, FlowBatch.empty())
         for series in online._hazards.values():
             assert len(series) <= 4 * window
+
+
+# ----------------------------------------------------------------------
+# the served lane's cold-start knowledge and decision pass, against the
+# per-customer oracle (``ReferenceOnlineXatu``)
+# ----------------------------------------------------------------------
+def _decision_detectors(detect_window: int):
+    """A production detector and its oracle around a model with
+    ``detect_window``; the decision stage never runs the model."""
+    from repro.core.model import TimescaleSpec, XatuModelConfig
+    from repro.testing.reference import ReferenceOnlineXatu
+    from repro.testing.twin import twin_route_table, twin_scaler
+
+    model = XatuModel(
+        XatuModelConfig(
+            hidden_size=2, dense_size=2, detect_window=detect_window,
+            timescales=(TimescaleSpec("short", 1, detect_window),),
+        )
+    )
+    scaler = twin_scaler(np.random.default_rng(0))
+    return tuple(
+        cls(model=model, scaler=scaler, threshold=0.5, customer_of={},
+            route_table=twin_route_table(), config=OnlineConfig(rearm_after=3))
+        for cls in (ReferenceOnlineXatu, OnlineXatu)
+    )
+
+
+def test_batched_survivals_equal_survival_by_bytes():
+    """``_decide`` computes every unsuppressed customer's survival in one
+    pass, grouped by history length: each must be ``survival()``'s bytes —
+    at every history length up to twice the detection window, before and
+    after ``_push_hazard`` trims, at 1 to 1,000 customers — and the alerts
+    and suppressions the per-customer loop's."""
+    from repro.testing.props import choices, integers, run_property
+
+    seen: set[str] = set()
+
+    def survivals_match(seed, batch, detect_window):
+        rng = np.random.default_rng(seed)
+        reference, production = _decision_detectors(detect_window)
+        customers = list(range(batch))
+        for customer in customers:
+            pushes = int(rng.choice([rng.integers(0, 2 * detect_window + 1),
+                                     rng.integers(4 * detect_window + 1, 5 * detect_window + 1)]))
+            scale = rng.choice([1e-4, 0.02, 0.3])
+            hazards = rng.exponential(scale, pushes)
+            hazards[rng.random(pushes) < 0.3] = 0.0
+            for hazard in hazards.astype(rng.choice([np.float32, np.float64])).tolist():
+                for detector in (reference, production):
+                    detector._push_hazard(customer, hazard)
+            held = len(production._hazards.get(customer, ()))
+            seen.add("trimmed" if held < pushes else f"history {min(held, 2 * detect_window)}")
+        minute = 20
+        for customer in customers:
+            until = int(rng.choice([-1, minute, minute + 1]))  # expired or live
+            for detector in (reference, production):
+                detector._suppressed_until[customer] = until
+        got = production._survivals(customers)
+        want = [production.survival(customer) for customer in customers]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        alerts = [d._decide(customers, minute) for d in (reference, production)]
+        assert [(a.customer_id, a.survival) for a in alerts[0]] == [
+            (a.customer_id, a.survival) for a in alerts[1]
+        ]
+        assert reference._suppressed_until == production._suppressed_until
+        if any(until > minute for until in production._suppressed_until.values()):
+            seen.add("suppressed")
+        seen.update({f"batch {batch}"} | ({"alerted"} if alerts[1] else set()))
+
+    run_property(
+        survivals_match,
+        integers(0, 10**6),
+        choices([1, 2, 7, 48, 1000]),
+        choices([4, 30]),
+        runs=24,
+        seed=43,
+    )
+    assert seen >= {
+        "history 0", "history 1", "history 8", "history 60", "trimmed",
+        "suppressed", "alerted", "batch 1", "batch 2", "batch 7", "batch 48", "batch 1000",
+    }, seen
+
+
+def _mixed_age_steps(seed: int, minutes: int):
+    """A lazily watched fleet whose customers start at different ages:
+    customer 0 sends from minute 0, 1 from 17, 2 from 50; 3 at minutes
+    0-5, goes idle past ``watch_idle_minutes`` and comes back at 30; 4 is
+    alerted by the incumbent at minute 8 (A4/A5) and sends from 20."""
+    from repro.netflow import FlowRecord
+    from repro.testing.twin import BASE_ADDRESS, SOURCE_POOL, TwinStep
+
+    rng = np.random.default_rng(seed)
+    active = {0: 0, 1: 17, 2: 50, 3: 0, 4: 20}
+    for minute in range(minutes):
+        flows = []
+        for customer, first in active.items():
+            if minute < first or (customer == 3 and 5 < minute < 30):
+                continue
+            for _ in range(int(rng.integers(1, 4))):
+                packets = int(rng.integers(1, 900))
+                flows.append(
+                    FlowRecord(
+                        timestamp=minute,
+                        src_addr=int(rng.choice(SOURCE_POOL)),
+                        dst_addr=BASE_ADDRESS + customer,
+                        src_port=int(rng.choice([53, 123, 4444])),
+                        dst_port=443,
+                        protocol=int(rng.choice([6, 17])),
+                        packets=packets,
+                        bytes_=packets * int(rng.integers(60, 1400)),
+                        tcp_flags=int(rng.integers(0, 64)),
+                    )
+                )
+        alerts = []
+        if minute == 8:
+            alerts.append(
+                AlertRecord(
+                    customer_id=4, attack_type=AttackType.UDP_FLOOD, detect_minute=8,
+                    end_minute=10, peak_bytes=5e6,
+                    attackers=frozenset(SOURCE_POOL[:3]),
+                )
+            )
+        yield TwinStep(minute, flows, alerts, [], None, None, False, set())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+def test_mixed_age_fleet_serves_the_oracles_bytes(monkeypatch, dtype):
+    """Per-customer pad counts: customers first seen at minutes 0, 17 and
+    50, one re-watched after idle eviction and one with A4/A5 history share
+    each minute's batch, so the counts differ item by item, and the served
+    lane must still equal the oracle — given the same counts — in every
+    alert, hazard bit and checkpoint byte, on whatever BLAS kernel runs."""
+    from repro.core.model import TimescaleSpec
+    from repro.obs import telemetry
+    from repro.serve import ContiguousCustomerRouter
+    from repro.testing.twin import BASE_ADDRESS, SOURCE_POOL, build_twins, drive_twins
+
+    staged = XatuModel.hazards_np_staged
+    mixed: list[bool] = []
+
+    def spy(self, sequences, dtype=None, pads=None, chains=None):
+        mixed.append(any(len(set(np.asarray(p).tolist())) > 1 for p in pads))
+        return staged(self, sequences, dtype, pads, chains)
+
+    monkeypatch.setattr(XatuModel, "hazards_np_staged", spy)
+    reference, production = build_twins(
+        13,
+        ContiguousCustomerRouter(BASE_ADDRESS, 5, stride=1),
+        SOURCE_POOL[::3],
+        dtype=dtype,
+        timescales=(
+            TimescaleSpec("short", 1, 24),
+            TimescaleSpec("medium", 4, 12),
+            TimescaleSpec("long", 12, 5),
+        ),
+        config=OnlineConfig(rearm_after=3, watch_idle_minutes=4),
+    )
+    with telemetry() as registry:
+        skipped = registry.counter("nn.lstm_prefix_steps_skipped")
+        before = skipped.value()
+        seen = drive_twins(reference, production, _mixed_age_steps(13, 70))
+        assert skipped.value() > before  # the pad chains served
+    assert seen >= {"idle-evicted", "re-watched", "A4+A5"}, seen
+    assert any(mixed)
+
+
+def test_reassigned_scaler_and_reloaded_weights_serve_the_next_minute():
+    """The empty-window constants and the pad chains are derived state: a
+    scaler assigned between minutes, weights loaded in place into the
+    served model, or a new inference dtype must be what the very next
+    minute scores with — equal to the oracle, which derives nothing, and
+    not what the detector scores without that change."""
+    from dataclasses import replace
+
+    from repro.core.model import TimescaleSpec
+    from repro.testing.reference import ReferenceOnlineXatu
+    from repro.testing.twin import (
+        BASE_ADDRESS, SOURCE_POOL, build_detector, build_twins, drive_twins, twin_scaler,
+    )
+
+    customer_of = {BASE_ADDRESS + i: i for i in range(5)}
+    options = dict(
+        timescales=(TimescaleSpec("short", 1, 24), TimescaleSpec("long", 12, 5)),
+        config=OnlineConfig(rearm_after=3),
+    )
+    steps = list(_mixed_age_steps(5, 8))
+    scaler = twin_scaler(np.random.default_rng(99))
+    other = XatuModel(replace(build_detector(OnlineXatu, 5, {}).model.config, seed=77))
+    changes = (
+        lambda d: setattr(d, "scaler", scaler),
+        lambda d: d.model.load_state_dict(other.state_dict()),
+        lambda d: setattr(d, "inference_dtype", np.dtype(np.float32)),
+    )
+
+    def served(minutes: int, applied: int) -> OnlineXatu:
+        """A fresh detector through ``minutes`` steps, given the first
+        ``applied`` changes before minutes 5, 6, ..."""
+        detector = build_detector(OnlineXatu, 5, customer_of, SOURCE_POOL[::3], **options)
+        for step in steps[:minutes]:
+            if 5 <= step.minute < 5 + applied:
+                changes[step.minute - 5](detector)
+            for alert in step.alerts:
+                detector.ingest_cdet_alert(alert)
+            detector.step(step.minute, FlowBatch.from_records(step.flows))
+        return detector
+
+    def staged_like_the_oracle(minute: int) -> None:
+        ids = sorted(production._watched)
+        got = production.feature_windows(ids, minute)
+        for i, customer in enumerate(ids):
+            dense = production.scaler.transform(
+                ReferenceOnlineXatu._feature_window(production, customer, minute)
+            )
+            pooled = production.model.stage_pooled(dense[None], production.inference_dtype)
+            assert got[i].tobytes() == np.concatenate(pooled, axis=1)[0].tobytes()
+
+    reference, production = build_twins(5, customer_of, SOURCE_POOL[::3], **options)
+    drive_twins(reference, production, steps[:5])
+    for k, (change, step) in enumerate(zip(changes, steps[5:])):
+        for detector in (reference, production):
+            change(detector)
+        staged_like_the_oracle(step.minute - 1)  # the constants, alone
+        drive_twins(reference, production, [step])
+        without = served(step.minute + 1, applied=k)
+        assert all(
+            production._hazards[c][-1] != without._hazards[c][-1] for c in production._watched
+        ), step.minute
