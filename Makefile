@@ -1,6 +1,8 @@
 # Developer entry points.  `make verify` is the pre-merge gate: the lint
-# pass, the full tier-1 suite, the golden differential check and the
-# end-to-end benchmark smoke (docs/TESTING.md).
+# pass, the full tier-1 suite, the golden differential check, the metrics
+# exporter selftest, the end-to-end benchmark smoke and the reduced
+# scenario matrix CI gates on, with its float32 precision gate
+# (docs/TESTING.md).
 
 PY := PYTHONPATH=src python
 
@@ -180,4 +182,4 @@ lint-baseline:
 sanitize-test:
 	REPRO_SANITIZE=1 $(PY) -m pytest -x -q -m "not slow"
 
-verify: lint test golden-check metrics-selftest e2e-smoke
+verify: lint test golden-check metrics-selftest e2e-smoke scenarios-ci

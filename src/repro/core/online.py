@@ -28,6 +28,7 @@ margin is discarded each minute.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import pickle
 import time
@@ -41,6 +42,7 @@ from ..netflow.matrix import (
     SOURCE_CLASS_BLOCKLIST,
     SOURCE_CLASS_PREV_ATTACKER,
     SOURCE_CLASS_SPOOFED,
+    RowEncoding,
     TrafficMatrix,
 )
 from ..netflow.customers import CustomerLookup
@@ -218,7 +220,8 @@ class OnlineXatu:
         else:
             self._watched = set(self.customer_of.values())
         self._last_seen: dict[int, int] = {}
-        self._cells_staged = 0  # telemetry: matrix rows scaled this minute
+        self._cells_staged = 0  # telemetry: matrix rows gathered this minute
+        self._rows_scaled = 0  # telemetry: matrix rows encoded this minute
 
     @property
     def current_minute(self) -> int:
@@ -313,7 +316,9 @@ class OnlineXatu:
     def _evict_idle(self, minute: int) -> None:
         """Stop scoring customers that went quiet: their survival has long
         recovered and keeping them watched makes every minute O(universe)
-        instead of O(active)."""
+        instead of O(active).  Their scaled matrix rows go too (a re-watch
+        rebuilds them from the cells), and so does an expired suppression,
+        which decides as an absent one does: only a future-dated one stays."""
         idle = self.config_online.watch_idle_minutes
         if idle is None:
             return
@@ -323,10 +328,14 @@ class OnlineXatu:
             for customer_id, last in self._last_seen.items()
             if last < cutoff
         ]
+        suppressed = self._suppressed_until
         for customer_id in stale:
             self._watched.discard(customer_id)
             self._last_seen.pop(customer_id, None)
             self._hazards.pop(customer_id, None)
+            self.matrix.release_rows(customer_id, _CLASS_OF_GROUP.values())
+            if suppressed.get(customer_id, minute) <= minute:
+                suppressed.pop(customer_id, None)
 
     # -- stage 3: feature windows + chunked fused scoring -----------
     def feature_windows(
@@ -346,10 +355,14 @@ class OnlineXatu:
         the matrix's non-empty rows per feature group — and the A4/A5 blocks
         of customers that have alerts at all — are scaled, pooled into the
         buckets they fall in, and scattered over a stack pre-filled with
-        each timescale's pooled empty bucket.  A4/A5 are recomputed from the
-        stores on every call, never cached, so an alert ingested with a past
-        ``detect_minute`` needs no invalidation.  This is the staging step
-        of :meth:`_score`, but is public API: any batch scorer can use it.
+        each timescale's pooled empty bucket.  The matrix rows come already
+        scaled and cast: each is encoded once, after its cell is written,
+        by :meth:`TrafficMatrix.encoded_rows` (one call per class, its store
+        keyed by the scaler, its statistics and the dtype).  A4/A5 are
+        recomputed and scaled from the stores on every call, never cached,
+        so an alert ingested with a past ``detect_minute`` needs no
+        invalidation.  This is the staging step of :meth:`_score`, but is
+        public API: any batch scorer can use it.
 
         It leaves in ``_stack_pads``, per timescale, each row's leading steps
         that only the template filled — wholly before minute 0, or before the
@@ -362,41 +375,39 @@ class OnlineXatu:
         end = end_minute + 1
         pad = lookback - (end - start)
         dtype = self.inference_dtype
-        scale = self.scaler.transform
-        zero, template = self._window_constants()
+        zero, template, encodings = self._window_constants()
         steps = sum(ts.span for ts in cfg.timescales)
-        # Gather and scale first, allocate the stack after: matrix reads grow
-        # its row store, and a long-lived allocation made while the transient
-        # stack is live pins a stack-sized hole in the heap.  Per group: the
-        # column slice, and per non-empty row its customer's first row in the
+        # Gather first, allocate the stack after: matrix reads grow its row
+        # store, and a long-lived allocation made while the transient stack
+        # is live pins a stack-sized hole in the heap.  Per group: the column
+        # slice, and per non-empty row its customer's first row in the
         # flattened stack, its position in the dense window, its values.
         sparse: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = []
         for group, cls in _CLASS_OF_GROUP.items():
+            views, encoded = self.matrix.encoded_rows(
+                customer_ids, cls, start, end, encodings[group]
+            )
+            self._rows_scaled += encoded
             origins: list[int] = []
             minute_parts: list[np.ndarray] = []
             row_parts: list[np.ndarray] = []
-            for i, customer_id in enumerate(customer_ids):
-                minutes, rows = self.matrix.rows_between(customer_id, cls, start, end)
+            for i, (minutes, rows) in enumerate(views):
                 if len(minutes):
                     origins.append(i * steps)
                     minute_parts.append(minutes)
                     row_parts.append(rows)
             if row_parts:
-                # Cast the scaled float64 rows *before* pooling, as
-                # ``stage_pooled`` casts the scaled window: a float32 sum is
-                # not a rounded float64 sum.
-                cols = self._slices[group]
                 compact = np.concatenate(row_parts)
                 self._cells_staged += len(compact)
-                scale(compact, out=compact, columns=cols)
                 sparse.append(
                     (
-                        cols,
+                        self._slices[group],
                         np.repeat(origins, [len(m) for m in minute_parts]),
                         np.concatenate(minute_parts) + (pad - start),
-                        compact.astype(dtype, copy=False),
+                        compact,
                     )
                 )
+        scale = self.scaler.transform
         dense: list[tuple[int, slice, np.ndarray]] = []
         for group, store in (("A4", self.history), ("A5", self.graph)):
             cols = self._slices[group]
@@ -465,13 +476,18 @@ class OnlineXatu:
             base += span
         return stack
 
-    def _window_constants(self) -> tuple[np.ndarray, np.ndarray]:
+    def _window_constants(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, dict[str, RowEncoding]]:
         """The scaled zero row and the ``(sum of spans, N_FEATURES)``
         template of the timescales' pooled empty buckets, read-only in the
-        inference dtype; rebuilt whenever the scaler, its statistics, the
-        model config or the dtype is not the object they were built from."""
+        inference dtype, and per matrix feature group the
+        :class:`RowEncoding` its rows are read in; rebuilt whenever the
+        scaler, its statistics, the model config or the dtype is not the
+        object they were built from."""
         cfg, dtype = self.model.config, self.inference_dtype
-        pieces = (self.scaler, self.scaler.mean_, self.scaler.std_, cfg, dtype)
+        scaler = self.scaler
+        pieces = (scaler, scaler.mean_, scaler.std_, cfg, dtype)
         held = self._constants
         if held is None or any(a is not b for a, b in zip(held[0], pieces)):
             # Cast the scaled float64 row *before* pooling, as ``stage_pooled``
@@ -484,8 +500,19 @@ class OnlineXatu:
             ]
             template = np.repeat(empties, [ts.span for ts in cfg.timescales], axis=0)
             zero.flags.writeable = template.flags.writeable = False
-            held = self._constants = (pieces, zero, template)
-        return held[1], held[2]
+            # Matrix rows are scaled and cast before pooling the same way.
+            # The encoding's key names what it was built from: the matrix
+            # rebuilds a store read under any other.
+            encodings = {
+                group: RowEncoding(
+                    (scaler, scaler.mean_, scaler.std_, self._slices[group], dtype),
+                    dtype,
+                    functools.partial(_scale_rows, scaler, self._slices[group], dtype),
+                )
+                for group in _CLASS_OF_GROUP
+            }
+            held = self._constants = (pieces, zero, template, encodings)
+        return held[1], held[2], held[3]
 
     def _score(self, customers: Sequence[int], minute: int) -> list[float]:
         """This minute's hazard for every customer, in order: one pooled
@@ -601,10 +628,13 @@ class OnlineXatu:
             "online.watched_customers", "customers currently scored each minute"
         ).set(len(self._watched))
         registry.counter(
-            "online.cells_staged", "non-empty matrix rows gathered and scaled"
+            "online.cells_staged", "non-empty matrix rows gathered for feature windows"
         ).inc(self._cells_staged)
+        registry.counter(
+            "online.rows_scaled", "matrix rows scaled and cast into the row store"
+        ).inc(self._rows_scaled)
         registry.gauge(
-            "online.row_store_rows", "finalized rows held by the matrix row store"
+            "online.row_store_rows", "rows held by the matrix row stores"
         ).set(self.matrix.row_store_rows())
         registry.histogram(
             "online.minute_seconds", "wall time of one step call"
@@ -628,7 +658,7 @@ class OnlineXatu:
             )
         telemetry_on = obs_enabled()
         minute_start = time.perf_counter() if telemetry_on else 0.0
-        self._cells_staged = 0
+        self._cells_staged = self._rows_scaled = 0
         alerts: list[OnlineAlert] = []
         evicted = 0
         with trace("online.observe_minute"):
@@ -735,10 +765,12 @@ class OnlineXatu:
     def _served_deployment(self) -> str:
         """:meth:`deployment_digest`, memoised on the identity of every
         piece it covers: serving never changes one, and a reassigned piece
-        (a routing table swapped mid-stream) recomputes it."""
+        (a routing table swapped mid-stream, scaler statistics loaded anew)
+        recomputes it."""
         pieces = (
-            self.model, self.scaler, self.config_online, self.customer_of,
-            self.blocklist, self.route_table, self.base_rate_of,
+            self.model, self.scaler, self.scaler.mean_, self.scaler.std_,
+            self.config_online, self.customer_of, self.blocklist,
+            self.route_table, self.base_rate_of,
         )
         held = self._deployment
         if held is None or any(a is not b for a, b in zip(held[0], pieces)):
@@ -791,6 +823,15 @@ class OnlineXatu:
         }
         for name, value in fresh.items():
             setattr(self, name, value)
+
+
+def _scale_rows(
+    scaler: FeatureScaler, columns: slice, dtype: np.dtype, rows: np.ndarray
+) -> np.ndarray:
+    """A feature group's finalized matrix rows as the model reads them:
+    scaled in place, then cast — *before* pooling, as ``stage_pooled`` casts
+    the scaled window (a float32 sum is not a rounded float64 sum)."""
+    return scaler.transform(rows, out=rows, columns=columns).astype(dtype, copy=False)
 
 
 def _sorted_items(mapping: Mapping, dtype) -> tuple[np.ndarray, np.ndarray]:

@@ -7,19 +7,21 @@ restricted to each auxiliary source class (blocklisted / previous attackers /
 spoofed, the A1–A3 splits).  :class:`TrafficMatrix` maintains exactly that:
 a dict of :class:`VolumetricAccumulator` keyed by (customer, source-class,
 minute), and materializes dense ``(minutes, 63)`` numpy blocks on demand —
-from a per-(customer, class) store of finalized rows that is kept as a
-derived view of the cells (dirty on fold, flush on read); a second store of
-the same kind keeps the cells encoded for the columnar snapshot.
+from a per-(customer, class) store of rows that is kept as a derived view of
+the cells (dirty on fold, flush on read), in the encoding its reader asks
+for: finalized float64, or scaled and cast for the serving lane.  A second
+store of the same kind keeps the cells encoded for the columnar snapshot.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from ..analysis.sanitizer import SanitizeError, sanitize_enabled
 from .records import FlowBatch, Protocol, TcpFlags, _decode_country
 
 __all__ = [
@@ -32,6 +34,8 @@ __all__ = [
     "VOLUMETRIC_FEATURE_NAMES",
     "N_VOLUMETRIC",
     "VolumetricAccumulator",
+    "RowEncoding",
+    "FINALIZED",
     "TrafficMatrix",
 ]
 
@@ -198,10 +202,6 @@ _NO_ROWS = np.zeros((0, N_VOLUMETRIC))
 _NO_COUNTERS = np.zeros((0, 5), dtype=np.int64)
 
 
-def _finalized(cell: VolumetricAccumulator) -> tuple:
-    return (cell.finalize(),)
-
-
 def _encoded(cell: VolumetricAccumulator) -> tuple:
     """One cell as the snapshot holds it: raw sums, the five counters, the
     source count and the sources ascending, as int64 bytes (one ``join``
@@ -218,8 +218,33 @@ def _encoded(cell: VolumetricAccumulator) -> tuple:
     return cell.vector, counters, len(sources), sources.tobytes()
 
 
+class RowEncoding(NamedTuple):
+    """How a series' row store holds its rows for reads
+    (:meth:`TrafficMatrix.encoded_rows`).
+
+    ``encode`` maps a fresh ``(n, 63)`` float64 stack of ``finalize()``
+    rows, which it may overwrite, to the ``(n, 63)`` rows stored in
+    ``dtype``; ``None`` stores them as they are.  ``key`` names the
+    encoding by the objects it was built from, compared element by element
+    by identity (as ``OnlineXatu._window_constants`` holds its pieces): a
+    store built under any other key is rebuilt from the cells, so rows
+    encoded under a replaced scaler, its old statistics or another dtype
+    are never read.  An object edited in place is not seen.
+    """
+
+    key: tuple
+    dtype: np.dtype
+    encode: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+FINALIZED = RowEncoding(("finalized",), np.dtype(np.float64))
+
+
+def _same_key(a: tuple, b: tuple) -> bool:
+    return a is b or (len(a) == len(b) and all(x is y for x, y in zip(a, b)))
+
+
 # (shape of one row, dtype) per column of a store.
-_FINALIZED = (((N_VOLUMETRIC,), np.float64),)
 _ENCODED = (((N_VOLUMETRIC,), np.float64), ((5,), np.int64), ((), np.int64), ((), object))
 
 
@@ -231,12 +256,16 @@ class _RowStore:
     of ``cell(minutes[k])`` for every minute not in ``dirty``.  Appends go
     to the spare capacity behind ``hi`` and trims advance ``lo``, so the
     steady state of a streaming detector (one new minute, one evicted
-    minute) copies nothing.  A new store holds no rows and every cell dirty.
+    minute) copies nothing.  A new store holds no rows and every cell dirty;
+    ``key`` is the :class:`RowEncoding` key of a read store.
     """
 
-    __slots__ = ("minutes", "columns", "lo", "hi", "dirty")
+    __slots__ = ("minutes", "columns", "lo", "hi", "dirty", "key")
 
-    def __init__(self, cells: Mapping[int, VolumetricAccumulator], layout) -> None:
+    def __init__(
+        self, cells: Mapping[int, VolumetricAccumulator], layout, key: tuple = ()
+    ) -> None:
+        self.key = key
         capacity = len(cells)
         self.minutes = np.empty(capacity, dtype=np.int64)
         self.columns = [
@@ -305,7 +334,8 @@ class _RowStore:
 
 class _Series:
     """One (customer, source-class): its cells by minute and two stores of
-    them — ``rows``, finalized for reads, from the key's first read on, and
+    them — ``rows``, in the :class:`RowEncoding` of its last read, from the
+    key's first read on (dropped by :meth:`TrafficMatrix.release_rows`), and
     ``snapshot``, encoded for :meth:`TrafficMatrix.state_dict`, from the
     first snapshot on (each stays ``None`` until then).
 
@@ -322,21 +352,37 @@ class _Series:
         self.rows: _RowStore | None = None
         self.snapshot: _RowStore | None = None
 
-    def flushed(self) -> _RowStore:
-        """The row store with its dirty rows re-finalized."""
-        rows = self.rows
-        if rows is None:
-            rows = self.rows = _RowStore(self.cells, _FINALIZED)
-        if rows.dirty:
-            rows.flush(self.cells, _finalized)
-        return rows
-
     def encoded(self) -> tuple[_RowStore, int]:
         """The snapshot store with its dirty rows re-encoded, and how many
         cells that re-encoded."""
         if self.snapshot is None:
             self.snapshot = _RowStore(self.cells, _ENCODED)
         return self.snapshot, self.snapshot.flush(self.cells, _encoded)
+
+
+def _check_rows(read, views, start: int, end: int, encoding: RowEncoding) -> None:
+    """Sanitizer: each view of :meth:`TrafficMatrix.encoded_rows` holds
+    exactly its series' live minutes in ``[start, end)``, and each row the
+    bytes of its cell encoded afresh."""
+    for series, (minutes, rows) in zip(read, views):
+        if series is None:
+            continue
+        want = [m for m in sorted(series.cells) if start <= m < end]
+        if minutes.tolist() != want:
+            raise SanitizeError(
+                f"row store of {series.key} holds minutes {minutes.tolist()}, "
+                f"its cells {want}"
+            )
+        if not want:
+            continue
+        fresh = np.array([series.cells[m].finalize() for m in want])
+        if encoding.encode is not None:
+            fresh = encoding.encode(fresh)
+        if rows.dtype != fresh.dtype or rows.tobytes() != fresh.tobytes():
+            raise SanitizeError(
+                f"row store of {series.key} holds rows that are not its cells "
+                "encoded afresh"
+            )
 
 
 def _column(state: dict, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
@@ -357,15 +403,16 @@ class TrafficMatrix:
     auxiliary source class it belongs to (masks computed by the caller —
     see :class:`repro.signals.SourceClassifier`).  ``feature_block``
     produces the dense per-minute matrix a model consumes; ``rows_between`` hands out the
-    same rows compactly (non-empty minutes only).
+    same rows compactly (non-empty minutes only), and ``encoded_rows`` hands
+    out several customers' rows under a :class:`RowEncoding` at once.
 
     State is one :class:`_Series` per (customer, class).  Everything else —
-    a series' finalized rows and snapshot rows, the per-minute eviction
-    index, the cell count — is derived, and :meth:`_write` is the only place
-    that creates a cell or touches any of it.  ``load_state_dict`` drops the
-    stores, and ``state_dict`` encodes what its store does not yet hold, so
-    checkpoints are the same bytes whether or not anything was ever read or
-    snapshot.  Cells handed out by :meth:`cell` and :meth:`cells` are for
+    a series' read rows and snapshot rows, the per-minute eviction index,
+    the cell count, the count of rows held for reads — is derived, and
+    :meth:`_write` is the only place that creates a cell or touches any of
+    it.  ``load_state_dict`` drops the stores, and ``state_dict`` encodes
+    what its store does not yet hold, so checkpoints are the same bytes
+    whether or not anything was ever read or snapshot.  Cells handed out by :meth:`cell` and :meth:`cells` are for
     reading only: a cell changed in place is a write no store sees.
     """
 
@@ -379,6 +426,7 @@ class TrafficMatrix:
         self._cells_at: dict[int, list[_Series]] = {}
         self._oldest = sys.maxsize
         self._n_cells = 0
+        self._rows_held = 0  # rows in the read stores, kept as they change
         self._snapshot_encoded = 0
 
     def _write(
@@ -568,12 +616,74 @@ class TrafficMatrix:
         finalized ``(n, 63)`` rows: ``feature_block`` without the zeros.
 
         Both arrays are read-only views into the row store, valid until the
-        next write to the matrix.
+        next write to the matrix or read of the key under another encoding.
         """
-        series = self._series.get((customer, source_class))
-        if series is None:
-            return _NO_MINUTES, _NO_ROWS
-        return series.flushed().between(start_minute, end_minute)
+        views, _encoded = self.encoded_rows(
+            (customer,), source_class, start_minute, end_minute
+        )
+        return views[0]
+
+    def encoded_rows(
+        self,
+        customers: Iterable[int],
+        source_class: str,
+        start_minute: int,
+        end_minute: int,
+        encoding: RowEncoding = FINALIZED,
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+        """:meth:`rows_between` for several customers at once, with each
+        row in ``encoding``: per customer, its non-empty minutes in
+        ``[start, end)`` and their ``(n, 63)`` rows in ``encoding.dtype``
+        (read-only views, valid as those of ``rows_between``); and how many
+        rows this call encoded.
+
+        A (customer, class) keeps one row store, in the encoding of its
+        last read: a read under another key rebuilds it from the cells.  The
+        dirty cells of all the customers are finalized into one stack and
+        encoded by one ``encoding.encode`` call before they are put into
+        their stores, so a reader pays per written cell, not per row read.
+        ``REPRO_SANITIZE=1`` re-derives every row handed out from its cell
+        and compares bytes.
+        """
+        layout = (((N_VOLUMETRIC,), encoding.dtype),)
+        read: list[_Series | None] = []
+        pending: list[tuple[_RowStore, list[int]]] = []
+        cells: list[VolumetricAccumulator] = []
+        for customer in customers:
+            series = self._series.get((customer, source_class))
+            read.append(series)
+            if series is None:
+                continue
+            store = series.rows
+            if store is None or not _same_key(store.key, encoding.key):
+                if store is not None:
+                    self._rows_held -= store.hi - store.lo
+                store = series.rows = _RowStore(series.cells, layout, encoding.key)
+            if store.dirty:
+                live = sorted(store.dirty & series.cells.keys())  # evicted minutes drop out
+                store.dirty.clear()
+                pending.append((store, live))
+                cells.extend(series.cells[minute] for minute in live)
+        if cells:
+            rows = np.array([cell.finalize() for cell in cells])
+            if encoding.encode is not None:
+                rows = encoding.encode(rows)
+            k = 0
+            for store, live in pending:
+                held = store.hi - store.lo
+                for minute in live:
+                    store.put(minute, (rows[k],))
+                    k += 1
+                self._rows_held += store.hi - store.lo - held
+        empty = (_NO_MINUTES, np.zeros((0, N_VOLUMETRIC), encoding.dtype))
+        empty[1].flags.writeable = False
+        views = [
+            empty if series is None else series.rows.between(start_minute, end_minute)
+            for series in read
+        ]
+        if sanitize_enabled():
+            _check_rows(read, views, start_minute, end_minute, encoding)
+        return views, len(cells)
 
     def feature_block(
         self,
@@ -617,14 +727,29 @@ class TrafficMatrix:
                 thinned.add(series)
                 evicted += 1
         for series in thinned:
+            rows = series.rows
+            held = 0 if rows is None else rows.hi - rows.lo
             if not series.cells:
                 del self._series[series.key]
+                self._rows_held -= held
                 continue
-            for store in (series.rows, series.snapshot):
+            for store in (rows, series.snapshot):
                 if store is not None:
                     store.trim(minute)
+            if rows is not None:
+                self._rows_held -= held - (rows.hi - rows.lo)
         self._n_cells -= evicted
         return evicted
+
+    def release_rows(self, customer: int, classes: Iterable[str]) -> None:
+        """Drop the read row stores of ``customer``'s series in ``classes``
+        (a detector that stops watching it): the cells stay, and the next
+        read rebuilds each store from them."""
+        for cls in classes:
+            series = self._series.get((customer, cls))
+            if series is not None and series.rows is not None:
+                self._rows_held -= series.rows.hi - series.rows.lo
+                series.rows = None
 
     def state_dict(self) -> dict:
         """Canonical columnar snapshot — the one matrix codec (checkpoints
@@ -738,12 +863,9 @@ class TrafficMatrix:
         return out
 
     def row_store_rows(self) -> int:
-        """Finalized rows currently held for reads (telemetry)."""
-        return sum(
-            series.rows.hi - series.rows.lo
-            for series in self._series.values()
-            if series.rows is not None
-        )
+        """Rows currently held for reads, in any encoding (telemetry):
+        counted as the stores change, never by walking the series."""
+        return self._rows_held
 
     def snapshot_cells_encoded(self) -> int:
         """Cells the last :meth:`state_dict` re-encoded (telemetry): those

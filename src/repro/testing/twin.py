@@ -1,6 +1,6 @@
 """Twin driver: the one differential behind every cache of the serving lane.
 
-Production :class:`~repro.core.OnlineXatu` keeps derived state — finalized
+Production :class:`~repro.core.OnlineXatu` keeps derived state — scaled
 and snapshot-encoded matrix rows and their dirt, the per-minute eviction
 index, sorted routing and blocklist tables, the empty-window constants and
 the LSTM pad chains — and its oracle
@@ -139,6 +139,8 @@ class TwinStep(NamedTuple):
     scaler: FeatureScaler | None  # a newly assigned scaler, if any
     restore: bool  # swap lanes through pickled state_dicts first
     hazards: set[str]  # what this step exercises, by name
+    refit: dict | None = None  # statistics loaded into each held scaler, in place
+    dtype_flipped: bool = False  # float64 <-> float32 inference from this step on
 
 
 def _flow(rng: np.random.Generator, minute: int, dst: int, burst: bool) -> FlowRecord:
@@ -168,11 +170,14 @@ def twin_stream(
     ``customer_of`` and ``blocklist`` are changed *in place* — same object,
     often the same size — and handed back in ``tables``: a detector that
     recognises its tables by identity or length serves a stale one.  A
-    third of the way in, both detectors are assigned a new scaler, drawn
-    from a stream of its own so the traffic's draws are unchanged.
+    third of the way in, both detectors are assigned a new scaler; half way,
+    the scaler they hold loads new statistics (same scaler, new arrays);
+    two thirds in, their inference dtype flips.  The scalers are drawn from
+    a stream of their own, so the traffic's draws are unchanged.
     """
     rng = np.random.default_rng(seed)
     swap_scaler_at, scaler_rng = steps // 3, np.random.default_rng([seed, 1])
+    refit_at, flip_at = steps // 2, 2 * steps // 3
     n_ids = len(customer_of)
     live, dead = sorted(customer_of), []  # swapped-out addresses keep receiving
     next_address = BASE_ADDRESS + n_ids
@@ -210,6 +215,11 @@ def twin_stream(
         scaler = twin_scaler(scaler_rng) if step == swap_scaler_at else None
         if scaler is not None:
             hazards.add("scaler-swapped")
+        refit = twin_scaler(scaler_rng).state_dict() if step == refit_at else None
+        if refit is not None:
+            hazards.add("scaler-refit")
+        if step == flip_at:
+            hazards.add("dtype-changed")
 
         flows: list[FlowRecord] = []
         if rng.random() >= 0.1:  # else: a fully empty minute
@@ -241,7 +251,10 @@ def twin_stream(
                 )
             )
         ends = [(int(rng.integers(0, n_ids)), minute)] if rng.random() < 0.15 else []
-        yield TwinStep(minute, flows, alerts, ends, tables, scaler, step in restores, hazards)
+        yield TwinStep(
+            minute, flows, alerts, ends, tables, scaler, step in restores, hazards,
+            refit, step == flip_at,
+        )
 
 
 def alert_keys(alerts) -> list[tuple[int, int, float]]:
@@ -261,7 +274,10 @@ def _hazard_bits(detector) -> list:
 
 def drive_twins(reference, production, stream) -> set[str]:
     """Run both detectors over ``stream``; after every step their alerts and
-    every hazard bit agree, and their checkpoint bytes do at every restore,
+    every hazard bit agree, production's matrix holds read rows for exactly
+    the cells of the customers it watches (every watched series is read each
+    minute, an idle-evicted one releases its rows), and their checkpoint
+    bytes do at every restore,
     after every minute divisible by 3 (a checkpoint the stream keeps serving
     past, so the matrix's snapshot store carries over) and at the end.  A
     restore is ``state_dict`` → pickle (protocol 4) → unpickle →
@@ -278,6 +294,11 @@ def drive_twins(reference, production, stream) -> set[str]:
                 detector.customer_of, detector.blocklist = step.tables
             if step.scaler is not None:
                 detector.scaler = step.scaler
+            if step.refit is not None:
+                detector.scaler.load_state_dict(step.refit)
+            if step.dtype_flipped:
+                wide = detector.inference_dtype == np.float64
+                detector.inference_dtype = np.dtype(np.float32 if wide else np.float64)
             for alert in step.alerts:
                 detector.ingest_cdet_alert(alert)
             for customer, minute in step.ends:
@@ -300,7 +321,13 @@ def drive_twins(reference, production, stream) -> set[str]:
             f"hazards diverged at minute {step.minute}"
         )
         seen |= step.hazards
-        live = {(customer, cls) for customer, cls, _m, _cell in production.matrix.cells()}
+        cells = list(production.matrix.cells())
+        held = sum(customer in production._watched for customer, _cls, _m, _cell in cells)
+        assert production.matrix.row_store_rows() == held, (
+            f"row stores hold {production.matrix.row_store_rows()} rows at minute "
+            f"{step.minute}, the watched customers {held} cells"
+        )
+        live = {(customer, cls) for customer, cls, _m, _cell in cells}
         seen.update(cls for _customer, cls in live)
         thinned = thinned or bool(series - live)
         series = live

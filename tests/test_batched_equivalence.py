@@ -693,6 +693,7 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
     assert seen >= {
         "all", "blocklist", "prev_attacker", "spoofed",
         "idle-evicted", "re-watched", "A4+A5", "avg", "max", "pad-chain", "scaler-swapped",
+        "scaler-refit", "dtype-changed",
         "matrix-evicted", "late", "future-stamped", "onboarded",
         "re-homed", "swapped", "blocklist-swapped",
         "restored", "restored-empty", "restored-after-series-evicted",

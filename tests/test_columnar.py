@@ -19,9 +19,9 @@ Three layers of differential tests on the PR-1 shrinking property runner:
 * **aggregation level** — ``TrafficMatrix.add_batch`` vs a
   ``reference_add_flow``-per-record loop over random batches and class masks,
   compared by ``pickle``-byte-identical ``state_dict``; and the matrix's
-  row store (what ``feature_block``/``rows_between`` read) vs
-  ``finalize()`` of every cell under random write/evict/restore/read
-  interleavings;
+  row store (what ``feature_block``/``rows_between``/``encoded_rows`` read)
+  vs ``finalize()`` of every cell, scaled and cast for the serving lane's
+  reads, under random write/evict/release/restore/read interleavings;
 * **detector level** — ``OnlineXatu.step(minute, FlowBatch)`` vs the
   per-record oracle ``ReferenceOnlineXatu`` on the twin driver
   (:mod:`repro.testing.twin`; blocklist, previous-attacker and
@@ -61,6 +61,7 @@ from repro.netflow.matrix import (
     SOURCE_CLASS_BLOCKLIST,
     SOURCE_CLASS_PREV_ATTACKER,
     SOURCE_CLASS_SPOOFED,
+    RowEncoding,
     VolumetricAccumulator,
 )
 from repro.netflow.sampler import sample_at_rates
@@ -81,6 +82,7 @@ from repro.testing.twin import (
     checkpoint_bytes,
     drive_twins,
     twin_context,
+    twin_scaler,
     twin_stream,
 )
 
@@ -523,6 +525,11 @@ def _matrix_fingerprint(matrix: TrafficMatrix) -> dict:
     return {
         "state": pickle.dumps(matrix.state_dict()),
         "rows": matrix.row_store_rows(),
+        "stored": sum(
+            series.rows.hi - series.rows.lo
+            for series in matrix._series.values()
+            if series.rows is not None
+        ),
         "dirty": {
             key: sorted(series.rows.dirty)
             for key, series in matrix._series.items()
@@ -605,13 +612,32 @@ def _cell_keys(matrix: TrafficMatrix) -> list[tuple[int, str, int]]:
     return [(customer, cls, minute) for customer, cls, minute, _cell in matrix.cells()]
 
 
+_COLUMNS_OF = {"all": slice(0, 63), SOURCE_CLASS_BLOCKLIST: slice(63, 126)}
+
+
+def _scaled(scaler, cls: str, dtype) -> RowEncoding:
+    """The serving lane's encoding of one class's rows, as ``OnlineXatu``
+    builds it: keyed by the scaler, its statistics, the columns and the
+    dtype, each read with a new key tuple of the same objects."""
+    cols = _COLUMNS_OF[cls]
+    return RowEncoding(
+        (scaler, scaler.mean_, scaler.std_, cols, np.dtype(dtype)),
+        np.dtype(dtype),
+        lambda rows: scaler.transform(rows, out=rows, columns=cols).astype(dtype, copy=False),
+    )
+
+
 def test_row_store_is_a_derived_view_of_the_cells():
-    """``feature_block``/``rows_between`` read a store of finalized rows that
-    is kept by "dirty on fold, flush on read".  Two matrices take the same
-    random writes — late and future-stamped minutes, evictions, restores,
-    clock gaps — and only one is ever read: after every op its reads equal a
-    fresh build from its own snapshot and ``finalize()`` of each cell, and
-    the two snapshots stay the same bytes.  The unread twin evicts by full
+    """``feature_block``/``rows_between``/``encoded_rows`` read a store of
+    rows that is kept by "dirty on fold, flush on read", in the encoding of
+    its last read.  Two matrices take the same random writes — late and
+    future-stamped minutes, evictions, released stores, restores, clock
+    gaps — and only one is ever read, finalized or scaled and cast in
+    either dtype under a scaler that is replaced or refit in place: after
+    every op its reads equal a fresh build from its own snapshot,
+    ``finalize()`` of each cell and ``transform(finalize()).astype(dtype)``
+    by bytes, ``row_store_rows()`` counts what the stores hold, and the two
+    snapshots stay the same bytes.  The unread twin evicts by full
     scan, so the same run pins the minute-indexed ``evict_before`` (late
     records reopen cells behind its watermark): counts, surviving keys and
     snapshots agree, ``len`` counts the cells, and the index, the watermark
@@ -625,10 +651,14 @@ def test_row_store_is_a_derived_view_of_the_cells():
     def store_tracks_cells(seed, n_ops):
         rng = np.random.default_rng(seed)
         reader, blind = TrafficMatrix(), _FullScanMatrix()
+        scaler = twin_scaler(rng)
         now = evicted_to = 0
         dropped: set = set()  # series that lost their last cell to an eviction
         for _ in range(n_ops):
-            op = str(rng.choice(["add_flow", "add_batch", "evict", "restore", "reinstall", "tick"]))
+            op = str(rng.choice([
+                "add_flow", "add_batch", "evict", "restore", "reinstall", "tick",
+                "release", "rescale",
+            ]))
             if op in ("add_flow", "add_batch"):
                 n = int(rng.integers(1, 12))
                 records = [
@@ -676,6 +706,13 @@ def test_row_store_is_a_derived_view_of_the_cells():
                         cell.total_bytes += 1  # ...and it is the new cell that is read
                         matrix.set_cell(customer, minute, cls, cell)
                         assert matrix.cell(customer, minute, cls) is cell
+            elif op == "release":  # a detector stops watching a customer
+                reader.release_rows(int(rng.integers(0, 3)), classes)
+            elif op == "rescale":  # a new scaler, or new statistics in place
+                if rng.random() < 0.5:
+                    scaler = twin_scaler(rng)
+                else:
+                    scaler.load_state_dict(twin_scaler(rng).state_dict())
             else:
                 now += int(rng.choice([1, 2, 3, 1000]))  # 1000: a clock gap
             keys = _cell_keys(reader)
@@ -711,6 +748,30 @@ def test_row_store_is_a_derived_view_of_the_cells():
                         cell = reader.cell(customer, minute, cls)
                         assert row.tobytes() == cell.finalize().tobytes()
                     assert not _matrix_fingerprint(reader)["dirty"].get((customer, cls))
+            # The serving lane's reads: several customers a call (one of them
+            # never written), every dirty row scaled and cast by one encode.
+            for cls in classes:
+                if rng.random() < 0.4:
+                    continue
+                dtype = np.dtype(rng.choice([np.float64, np.float32]))
+                ids = rng.permutation(4)[: int(rng.integers(1, 5))].tolist()
+                encoding = _scaled(scaler, cls, dtype)
+                views, _encoded = reader.encoded_rows(ids, cls, start, end, encoding)
+                for customer, (minutes, rows) in zip(ids, views):
+                    assert rows.dtype == dtype and not rows.flags.writeable
+                    assert minutes.tolist() == [
+                        m for m in range(start, end) if reader.cell(customer, m, cls)
+                    ]
+                    for minute, row in zip(minutes.tolist(), rows):
+                        finalized = reader.cell(customer, minute, cls).finalize()[None]
+                        want = scaler.transform(finalized, columns=encoding.key[3])
+                        assert row.tobytes() == want.astype(dtype).tobytes(), (op, customer, cls)
+                # Read again under an equal key: nothing is dirty, nothing rebuilt.
+                again = _scaled(scaler, cls, dtype)
+                assert reader.encoded_rows(ids, cls, start, end, again)[1] == 0
+                seen.add(f"scaled {dtype.name}")
+            counted = _matrix_fingerprint(reader)
+            assert counted["rows"] == counted["stored"]
             assert snapshot == pickle.dumps(blind.state_dict(), 4)
         assert blind.row_store_rows() == 0
 
@@ -719,6 +780,8 @@ def test_row_store_is_a_derived_view_of_the_cells():
         "restored empty",
         "restored a late cell behind an eviction",
         "restored after a series was evicted",
+        "scaled float64",
+        "scaled float32",
     }
 
 

@@ -438,3 +438,46 @@ def test_reassigned_scaler_and_reloaded_weights_serve_the_next_minute():
         assert all(
             production._hazards[c][-1] != without._hazards[c][-1] for c in production._watched
         ), step.minute
+
+
+def test_idle_eviction_drops_expired_suppressions_only():
+    """A customer that alerted, went idle and was evicted leaves no
+    suppression entry behind once it has expired — in memory and in the
+    checkpoint — and decides every later minute as a detector that kept the
+    entry does (an expired entry decides as an absent one).  A future-dated
+    entry, from a mitigation-end notice, survives the eviction."""
+    from repro.serve import ContiguousCustomerRouter
+    from repro.testing.twin import BASE_ADDRESS, SOURCE_POOL, build_detector
+
+    class KeepsSuppressions(OnlineXatu):
+        def _evict_idle(self, minute):
+            kept = dict(self._suppressed_until)
+            super()._evict_idle(minute)
+            self._suppressed_until.update(kept)
+
+    for future in (None, 100):
+        lanes = [
+            build_detector(
+                cls, 3, ContiguousCustomerRouter(BASE_ADDRESS, 5, stride=1),
+                SOURCE_POOL[::3], threshold=0.999,
+                config=OnlineConfig(rearm_after=2, watch_idle_minutes=4),
+            )
+            for cls in (OnlineXatu, KeepsSuppressions)
+        ]
+        streams = [[], []]
+        for step in _mixed_age_steps(3, 40):  # customer 3 is quiet at minutes 6-29
+            for lane, alerts in zip(lanes, streams):
+                if future is not None and step.minute == 6:
+                    lane.ingest_mitigation_end(3, future)
+                for alert in step.alerts:
+                    lane.ingest_cdet_alert(alert)
+                got = lane.step(step.minute, FlowBatch.from_records(step.flows))
+                alerts.extend((a.minute, a.customer_id, a.survival) for a in got)
+            if step.minute == 20:
+                evicting, keeping = (dict(lane.state_dict()["suppressed_until"]) for lane in lanes)
+                assert 3 not in lanes[0]._watched
+                assert 3 in keeping  # it alerted before going idle
+                assert evicting.get(3) == future
+        assert streams[0] == streams[1]
+        realerted = any(c == 3 and minute >= 30 for minute, c, _s in streams[0])
+        assert realerted == (future is None)  # the re-watched customer is decided
