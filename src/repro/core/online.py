@@ -166,11 +166,18 @@ class OnlineXatu:
     :class:`~repro.serve.ServeEngine` builds.  Deliberately **not** part of
     :class:`OnlineConfig`, :meth:`state_dict` or :meth:`deployment_digest`:
     it is engine policy, so a restore may change it freely.
+
+    ``shard`` is the index a :class:`~repro.serve.ServeEngine` stamps on
+    each detector it builds, in the same way and for the same reason: the
+    per-detector gauges carry it as a ``shard`` label, so the shards of one
+    engine sharing a registry do not overwrite each other.  A bare
+    detector has none, and its gauges no label.
     """
 
     name = "xatu"
 
     inference_dtype = np.dtype(np.float64)
+    shard: int | None = None
 
     def __init__(
         self,
@@ -624,9 +631,10 @@ class OnlineXatu:
             registry.counter(
                 "online.matrix_evictions", "traffic-matrix cells evicted"
             ).inc(evicted_cells)
+        labels = {} if self.shard is None else {"shard": str(self.shard)}
         registry.gauge(
             "online.watched_customers", "customers currently scored each minute"
-        ).set(len(self._watched))
+        ).set(len(self._watched), **labels)
         registry.counter(
             "online.cells_staged", "non-empty matrix rows gathered for feature windows"
         ).inc(self._cells_staged)
@@ -635,7 +643,7 @@ class OnlineXatu:
         ).inc(self._rows_scaled)
         registry.gauge(
             "online.row_store_rows", "rows held by the matrix row stores"
-        ).set(self.matrix.row_store_rows())
+        ).set(self.matrix.row_store_rows(), **labels)
         registry.histogram(
             "online.minute_seconds", "wall time of one step call"
         ).observe(time.perf_counter() - minute_start)

@@ -164,7 +164,7 @@ def attacker_activity_by_day(
             for minute in range(lo, hi):
                 cell = trace.matrix.cell(event.customer_id, minute)
                 if cell is not None:
-                    active |= cell._sources
+                    active.update(cell.sources.tolist())
             for name, members in groups.items():
                 if members:
                     frac = len(members & active) / len(members)

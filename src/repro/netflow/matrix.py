@@ -134,7 +134,13 @@ _PROTO_COLUMN, _SPORT_COLUMN, _DPORT_COLUMN, _FLAG_COLUMNS, _COUNTRY_COLUMN = (
 
 
 class VolumetricAccumulator:
-    """Accumulates flows of one (customer, source-class, minute) cell."""
+    """Accumulates flows of one (customer, source-class, minute) cell.
+
+    The cell's unique sources are one sorted, duplicate-free, read-only
+    int64 array (:attr:`sources`), not a set: a flood's thousands of
+    sources a minute are never boxed into Python ints, and nothing the
+    cell holds is tracked by the garbage collector.
+    """
 
     __slots__ = (
         "flow_count", "total_bytes", "total_packets", "max_bytes",
@@ -148,7 +154,7 @@ class VolumetricAccumulator:
         self.max_bytes = 0
         self.max_packets = 0
         self.vector = np.zeros(N_VOLUMETRIC)
-        self._sources: set[int] = set()
+        self._sources = _NO_SOURCES
 
     def add_aggregate(
         self,
@@ -158,13 +164,17 @@ class VolumetricAccumulator:
         max_bytes: int,
         max_packets: int,
         vector_row: np.ndarray,
-        sources: Iterable[int],
+        sources: np.ndarray,
     ) -> None:
         """Fold one pre-aggregated (vectorized) contribution into the cell.
 
+        ``sources`` is sorted, duplicate-free, read-only int64: a cell
+        with no sources yet adopts it without a copy, one that has some
+        replaces its array by the sorted union.
+
         Equivalent to folding ``count`` flows one at a time whose
         sampling-compensated counters sum to the given totals: every counter
-        is an integer sum, max, or set union, so as long as the partial and
+        is an integer sum, max, or sorted union, so as long as the partial and
         total sums are exactly representable in float64 (< 2**53 — far
         beyond any per-cell minute of ISP traffic) the result is
         bit-identical to the per-flow fold
@@ -179,7 +189,9 @@ class VolumetricAccumulator:
         if max_packets > self.max_packets:
             self.max_packets = max_packets
         self.vector += vector_row
-        self._sources.update(sources)
+        self._sources = _union(self._sources, sources) if len(self._sources) else sources
+        if sanitize_enabled():
+            _check_sources(self._sources)
 
     def finalize(self) -> np.ndarray:
         """Return the completed 63-feature vector for this cell."""
@@ -193,8 +205,45 @@ class VolumetricAccumulator:
         return v
 
     @property
+    def sources(self) -> np.ndarray:
+        """The cell's unique source addresses: sorted, duplicate-free,
+        read-only int64."""
+        return self._sources
+
+    @property
     def unique_sources(self) -> int:
         return len(self._sources)
+
+
+_NO_SOURCES = np.zeros(0, dtype=np.int64)
+_NO_SOURCES.flags.writeable = False
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted, duplicate-free int64 arrays, read-only.
+    Sort and neighbour compare: ``np.union1d`` goes through the hash-based
+    ``np.unique`` and is ~13x slower at a flood cell's size."""
+    keys = np.concatenate((a, b))
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    keys.flags.writeable = False
+    return keys
+
+
+def _check_sources(sources: np.ndarray) -> None:
+    """Sanitizer: a cell's sources are int64, strictly ascending and
+    read-only (every write that installs or grows them checks)."""
+    if sources.dtype != np.int64 or sources.ndim != 1:
+        raise SanitizeError(
+            f"cell sources must be 1-d int64, got {sources.dtype} {sources.shape}"
+        )
+    if sources.flags.writeable:
+        raise SanitizeError("cell sources must be read-only")
+    if (sources[1:] <= sources[:-1]).any():
+        raise SanitizeError("cell sources must strictly ascend")
 
 
 _NO_MINUTES = np.zeros(0, dtype=np.int64)
@@ -204,18 +253,16 @@ _NO_COUNTERS = np.zeros((0, 5), dtype=np.int64)
 
 def _encoded(cell: VolumetricAccumulator) -> tuple:
     """One cell as the snapshot holds it: raw sums, the five counters, the
-    source count and the sources ascending, as int64 bytes (one ``join``
-    concatenates thousands of them far faster than ``np.concatenate``).  A
-    counter beyond int64 raises ``OverflowError`` here, before the store is
-    touched."""
+    source count and the sources (already ascending) as int64 bytes (one
+    ``join`` concatenates thousands of them far faster than
+    ``np.concatenate``).  A counter beyond int64 raises ``OverflowError``
+    here, before the store is touched."""
     counters = np.array(
         (cell.flow_count, cell.total_bytes, cell.total_packets,
          cell.max_bytes, cell.max_packets),
         dtype=np.int64,
     )
-    sources = np.fromiter(cell._sources, np.int64, len(cell._sources))
-    sources.sort()
-    return cell.vector, counters, len(sources), sources.tobytes()
+    return cell.vector, counters, len(cell._sources), cell._sources.tobytes()
 
 
 class RowEncoding(NamedTuple):
@@ -288,10 +335,6 @@ class _RowStore:
             # Out of spare capacity: repack the live rows at the front, in
             # place when trims freed enough room, else in buffers half again
             # their size (most keys hold a handful of rows: no big minimum).
-            # The column list is reused, not rebuilt: a new container per
-            # repack counts toward the garbage collector's young-generation
-            # threshold, and a collection set off inside the next fold walks
-            # every source set it just grew (≈ 6 ms each on flood_ingest).
             minutes, live = self.minutes, hi - lo
             capacity = live + max(live // 2, 2)
             if capacity > len(minutes):
@@ -438,6 +481,8 @@ class TrafficMatrix:
     ) -> VolumetricAccumulator:
         """The cell a fold is about to write into, created if missing — or
         ``cell`` installed in its place."""
+        if cell is not None and sanitize_enabled():
+            _check_sources(cell.sources)
         series = self._series.get((customer, cls))
         if series is None:
             key = (customer, cls)
@@ -485,7 +530,7 @@ class TrafficMatrix:
         minute) once, and each source class is then one exact int64
         scatter-add per quantity into ``cell * width + column``, folded into
         the :class:`VolumetricAccumulator` cells — sums, maxes, and
-        unique-source sets are exact integer arithmetic, so the resulting
+        sorted unique-source arrays are exact integer arithmetic, so the resulting
         matrix is bit-identical to the scalar oracle
         :func:`repro.testing.reference.reference_add_flow` called per
         record in arrival order (proven by the differential property
@@ -570,12 +615,14 @@ class TrafficMatrix:
             np.add.at(vec[1:], at, np.repeat(n_packets, _SLOTS))
             vectors = vec.reshape(-1, _WIDTH)[cells, :N_VOLUMETRIC]
             # Per-cell unique sources: dedup the (cell, src) keys (equal keys
-            # are one key: the sort need not be stable), slice per cell.
+            # are one key: the sort need not be stable); each cell gets its
+            # slice of the sources, sorted and read-only.
             keys = np.sort(pairs[rows])
             first[1:] = keys[1:] != keys[:-1]
             keys = keys[first]
             bounds = np.searchsorted(keys, cells << 32).tolist() + [len(keys)]
-            sources = (keys & 0xFFFFFFFF).tolist()
+            sources = keys & 0xFFFFFFFF
+            sources.flags.writeable = False
             for k, cell in enumerate(cells.tolist()):
                 self._write(cell_cust[cell], cls, cell_min[cell]).add_aggregate(
                     count=counts[k],
@@ -830,12 +877,20 @@ class TrafficMatrix:
             raise ValueError("matrix snapshot: keys must be strictly ascending")
         if offsets[0] != 0 or (np.diff(offsets) < 0).any():
             raise ValueError("matrix snapshot: sources_offsets must rise from 0")
+        # Within a cell the sources strictly ascend; a cell's first source
+        # may be anything against the previous cell's last.
+        rising = flat[1:] > flat[:-1]
+        starts = offsets[1:-1]
+        rising[starts[(starts > 0) & (starts < len(flat))] - 1] = True
+        if not rising.all():
+            raise ValueError("matrix snapshot: each cell's sources must strictly ascend")
 
         self.__init__()
         self._customers = customers
         self.max_minute = max_minute
         bounds = offsets.tolist()
-        sources = flat.tolist()
+        sources = flat.copy()  # one owned copy, sliced per cell
+        sources.flags.writeable = False
         for row, ((customer, cls, minute), counts) in enumerate(
             zip(keys.tolist(), counters.tolist())
         ):
@@ -843,7 +898,7 @@ class TrafficMatrix:
             (cell.flow_count, cell.total_bytes, cell.total_packets,
              cell.max_bytes, cell.max_packets) = counts
             cell.vector = vectors[row].copy()  # never a view of the snapshot
-            cell._sources = set(sources[bounds[row] : bounds[row + 1]])
+            cell._sources = sources[bounds[row] : bounds[row + 1]]
             self.set_cell(customer, minute, classes[cls], cell)
 
     def bytes_series(

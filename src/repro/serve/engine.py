@@ -146,11 +146,12 @@ class ServeEngine:
 
         def build() -> OnlineXatu:
             detector = factory(partition)
-            # Inference precision is engine policy, not detector state:
-            # applied on every (re)build, never serialized — so a restore
-            # may change it freely.
+            # Inference precision and the shard index are engine policy,
+            # not detector state: applied on every (re)build, never
+            # serialized — so a restore may change them freely.
             if isinstance(detector, OnlineXatu):
                 detector.inference_dtype = inference_dtype
+                detector.shard = index
             return detector
 
         return build

@@ -9,7 +9,7 @@ share and diff:
   scalar fields of every ground-truth event,
 * ``matrix.npz``  — the sparse (customer, class, minute) cells of the
   traffic matrix: keys, 63-wide vectors, counters, and flattened
-  per-cell source sets,
+  per-cell sources,
 * ``events.npz``  — per-event anomalous byte series and attacker sets
   (flattened with offsets).
 

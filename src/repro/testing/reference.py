@@ -444,25 +444,40 @@ def reference_add_flow(
         cell.total_packets += packets
         cell.max_bytes = max(cell.max_bytes, bytes_)
         cell.max_packets = max(cell.max_packets, packets)
-        cell._sources.add(flow.src_addr)
+        cell._sources = _with_source(cell.sources, flow.src_addr)
         for bytes_column, packets_column in columns:
             cell.vector[bytes_column] += bytes_
             cell.vector[packets_column] += packets
         matrix.set_cell(customer, flow.timestamp, cls, cell)
 
 
+def _with_source(sources: np.ndarray, src: int) -> np.ndarray:
+    """``sources`` (sorted, unique, read-only int64) with ``src`` inserted
+    at its place, or ``sources`` itself if it is already there."""
+    at = int(np.searchsorted(sources, src))
+    if at < len(sources) and sources[at] == src:
+        return sources
+    out = np.insert(sources, at, src)
+    out.flags.writeable = False
+    return out
+
+
 def reference_merge_cell(cell: VolumetricAccumulator, other: VolumetricAccumulator) -> None:
     """Fold ``other`` into ``cell`` in place: counts and sums add, maxima
-    take the larger, source sets unite.  Merged into an empty cell, it
-    copies a live one, which the tests then change and install with
-    ``set_cell``."""
+    take the larger, sources unite (as Python sets, then sorted).  Merged
+    into an empty cell, it copies a live one, which the tests then change
+    and install with ``set_cell``."""
     cell.flow_count += other.flow_count
     cell.total_bytes += other.total_bytes
     cell.total_packets += other.total_packets
     cell.max_bytes = max(cell.max_bytes, other.max_bytes)
     cell.max_packets = max(cell.max_packets, other.max_packets)
     cell.vector += other.vector
-    cell._sources |= other._sources
+    united = np.array(
+        sorted(set(cell.sources.tolist()) | set(other.sources.tolist())), dtype=np.int64
+    )
+    united.flags.writeable = False
+    cell._sources = united
 
 
 def reference_matches(signature, flow: FlowRecord) -> bool:
@@ -502,7 +517,7 @@ def reference_matrix_state(matrix: TrafficMatrix) -> dict:
              cell.max_bytes, cell.max_packets)
         )
         vectors[row] = cell.vector
-        sources += sorted(cell._sources)
+        sources += sorted(cell.sources.tolist())
         offsets.append(len(sources))
     return {
         "max_minute": matrix.max_minute,

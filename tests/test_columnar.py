@@ -34,6 +34,7 @@ unified ``netflow.*`` obs accounting across both collector entry points,
 and feed-health accounting for out-of-order and duplicated datagrams.
 """
 
+import gc
 import pickle
 import struct
 from dataclasses import replace
@@ -591,6 +592,75 @@ def test_feature_blocks_identical_across_lanes():
         assert a.tobytes() == b.tobytes()
 
 
+def _flood_batch(
+    rng: np.random.Generator, n: int, minutes: range, pool: np.ndarray
+) -> FlowBatch:
+    """``n`` edge-pool records over ``minutes`` with sources drawn from
+    ``pool``: a cell gets hundreds of distinct sources, as in a spoofed
+    flood, and batches drawing on one pool share some."""
+    batch = _edge_batch(rng, n, minutes=1)
+    arr = batch.array.copy()
+    arr["timestamp"] = rng.choice(np.asarray(minutes), size=len(arr))
+    arr["src_addr"] = rng.choice(pool, size=len(arr))
+    return FlowBatch(arr)
+
+
+def test_unique_sources_unite_across_batches_and_restores():
+    """Sources folded into cells that already hold some — a second batch of
+    the same minutes, late records behind ``max_minute``, a fold into a
+    restored matrix whose cells share one array — unite exactly as the
+    per-record oracle's do: unique counts, sources and snapshot bytes."""
+    rng = np.random.default_rng(61)
+    pool = rng.integers(1, 2**32, size=3_000)
+    batches = [
+        _flood_batch(rng, 2_000, range(2, 4), pool),
+        _flood_batch(rng, 1_500, range(2, 4), pool),  # the same cells again
+        _flood_batch(rng, 1_000, range(4, 6), pool),
+        _flood_batch(rng, 800, range(0, 5), pool),  # late records
+    ]
+    oracle, columnar = TrafficMatrix(), TrafficMatrix()
+    for step, batch in enumerate(batches):
+        customers = rng.integers(0, 3, size=len(batch)).astype(np.int64)
+        spoofed = rng.random(len(batch)) < 0.4
+        for customer_id, record, hot in zip(customers.tolist(), batch.to_records(), spoofed):
+            reference_add_flow(oracle, customer_id, record, [SOURCE_CLASS_SPOOFED] if hot else [])
+        columnar.add_batch(customers, batch, {SOURCE_CLASS_SPOOFED: spoofed})
+        if step == 1:  # from here on the fold lands in restored cells
+            restored = TrafficMatrix()
+            restored.load_state_dict(columnar.state_dict())
+            columnar = restored
+        want = [(key, cell.unique_sources) for *key, cell in oracle.cells()]
+        assert [(key, cell.unique_sources) for *key, cell in columnar.cells()] == want
+        assert max(count for _key, count in want) > 300
+        assert pickle.dumps(columnar.state_dict(), 4) == pickle.dumps(oracle.state_dict(), 4)
+    for (*_key, got), (*_, cell) in zip(columnar.cells(), oracle.cells()):
+        assert got.sources.tolist() == cell.sources.tolist()
+        assert not got.sources.flags.writeable
+
+
+def test_cell_sources_are_never_tracked_by_the_garbage_collector():
+    """A cell's sources are an int64 array, never a set: the young-generation
+    collector, set off inside a fold, has nothing of a flood's sources to
+    walk.  Pinned after a flood-sized fold, a restore and an oracle merge."""
+    rng = np.random.default_rng(67)
+    batch = _flood_batch(rng, 10_000, range(0, 2), rng.integers(1, 2**32, size=4_000))
+    matrix = TrafficMatrix()
+    matrix.add_batch(
+        rng.integers(0, 8, size=len(batch)).astype(np.int64),
+        batch,
+        {SOURCE_CLASS_SPOOFED: rng.random(len(batch)) < 0.5},
+    )
+    restored = TrafficMatrix()
+    restored.load_state_dict(matrix.state_dict())
+    merged = VolumetricAccumulator()
+    for _customer, _cls, _minute, cell in matrix.cells():
+        reference_merge_cell(merged, cell)
+    cells = [cell for held in (matrix, restored) for *_key, cell in held.cells()]
+    assert len(cells) == 2 * 8 * 2 * 2 and max(c.unique_sources for c in cells) > 500
+    for cell in (*cells, merged):
+        assert gc.is_tracked(cell.sources) is False
+
+
 class _FullScanMatrix(TrafficMatrix):
     """``evict_before`` as a row mask over the public snapshot: no index, no
     watermark, nothing of the production bookkeeping — the never-read twin.
@@ -917,7 +987,7 @@ def test_snapshot_columns_follow_the_cells():
     assert state["sources_offsets"][0] == 0
     for row, (_customer, _cls, _minute, cell) in enumerate(matrix.cells()):
         lo, hi = state["sources_offsets"][row : row + 2]
-        assert state["sources_flat"][lo:hi].tolist() == sorted(cell._sources)
+        assert state["sources_flat"][lo:hi].tolist() == cell.sources.tolist()
         assert state["counters"][row].tolist() == [
             cell.flow_count, cell.total_bytes, cell.total_packets,
             cell.max_bytes, cell.max_packets,
@@ -989,7 +1059,18 @@ def test_malformed_snapshot_is_rejected_before_the_first_write():
         return change
 
     n = len(good)
+    offsets = good.state_dict()["sources_offsets"]
+    lo = int(offsets[np.flatnonzero(np.diff(offsets) >= 2)[0]])  # a cell of 2+ sources
+
+    def swap(flat):
+        flat[lo], flat[lo + 1] = flat[lo + 1], flat[lo]
+        return flat
+
     breaks = {
+        "each cell's sources must strictly ascend": [
+            edit("sources_flat", lambda flat: poke(lo + 1, flat[lo])(flat)),  # a source twice
+            edit("sources_flat", swap),  # a descending pair
+        ],
         "keys must be strictly ascending": [
             edit("keys", lambda keys: keys[::-1]),
             edit("keys", poke(1, good.state_dict()["keys"][0])),  # a cell twice

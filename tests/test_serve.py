@@ -25,6 +25,7 @@ import pytest
 from repro.core import OnlineXatu, XatuModel
 from repro.core.online import OnlineAlert
 from repro.netflow import DatagramCodec, FlowBatch, FlowRecord, RouteTable
+from repro.obs import telemetry
 from repro.serve import (
     BACKENDS,
     CHECKPOINT_FORMAT_VERSION,
@@ -620,6 +621,40 @@ class TestShardCountInvariance:
                     )
             assert streams[1] == streams[2] == streams[3], dtype
             assert streams[1], "the workload should produce alerts"
+
+
+class TestShardGauges:
+    def test_each_shard_keeps_its_own_gauge_sample(self, tmp_path):
+        """Shards of an inline engine share one registry: the per-detector
+        gauges carry the shard index as a label, each sample reads its own
+        shard's detector — before and after a restore rebuilds them — and
+        a bare detector's gauge stays unlabelled."""
+        minutes = _minutes_of_flows(6)
+        with telemetry() as registry:
+            registry.reset()
+            with _xatu_engine(2, checkpoint_dir=tmp_path) as engine:
+                codec = DatagramCodec(engine_id=1)
+                _drive(engine, codec, minutes[:4])
+                engine.checkpoint()
+                engine.restore()
+                _drive(engine, codec, minutes[4:], start=4)
+                detectors = [shard._detector for shard in engine.shards]
+                for name, read in (
+                    ("online.watched_customers", lambda d: len(d._watched)),
+                    ("online.row_store_rows", lambda d: d.matrix.row_store_rows()),
+                ):
+                    gauge = registry.gauge(name)
+                    assert [labels for labels, _ in gauge.labeled_values()] == [
+                        (("shard", "0"),), (("shard", "1"),)
+                    ]
+                    for index, detector in enumerate(detectors):
+                        assert detector.shard == index
+                        assert gauge.value(shard=str(index)) == read(detector) > 0
+            registry.reset()
+            bare = _xatu_factory()(ADDRESS_OF)
+            bare.step(0, minutes[0])
+            gauge = registry.gauge("online.watched_customers")
+            assert gauge.labeled_values() == [((), len(bare._watched))]
 
 
 class TestBackendEquivalence:
