@@ -1,16 +1,15 @@
-# Developer entry points.  `make verify` is the pre-merge gate: the lint
-# pass, the full tier-1 suite, the golden differential check, the metrics
-# exporter selftest, the end-to-end benchmark smoke and the reduced
-# scenario matrix CI gates on, with its float32 precision gate
-# (docs/TESTING.md).
+# Developer entry points.  `make verify` is the pre-merge gate: the full
+# tier-1 suite (the two source rules, tests/test_source_rules.py,
+# included), the golden differential check, the metrics exporter
+# selftest, the end-to-end benchmark smoke and the reduced scenario matrix
+# CI gates on, with its float32 precision gate (docs/TESTING.md).
 
 PY := PYTHONPATH=src python
 
 .PHONY: verify test fast golden-check golden-record bench bench-full \
         bench-check scale-smoke bench-scale-full metrics-selftest \
-        telemetry serve-smoke e2e-smoke e2e-compare e2e-pairs e2e-neutral lint \
-        lint-baseline sanitize-test scenarios scenarios-check scenarios-ci \
-        examples-smoke
+        telemetry serve-smoke e2e-smoke e2e-compare e2e-pairs e2e-neutral \
+        sanitize-test scenarios scenarios-check scenarios-ci examples-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -165,21 +164,9 @@ e2e-neutral:
 	@test -n "$(PARENT)" || { echo "usage: make e2e-neutral PARENT=<parent checkout> [PAIRS=3 SEED=7]"; exit 2; }
 	python3 benchmarks/pairs.py --parent $(PARENT) --neutral -n $(PAIRS) --seed $(SEED)
 
-# xatulint (docs/ANALYSIS.md): the domain-aware static-analysis gate,
-# every rule (XL003, XL009) in one pass.
-# Known-intentional findings live in lint-baseline.json with written
-# reasons; --strict also fails on stale baseline entries.
-lint:
-	$(PY) -m repro.cli lint --strict
-
-# Regenerate the baseline after fixing or intentionally adding findings
-# (new entries get a TODO reason that must be replaced by hand).
-lint-baseline:
-	$(PY) -m repro.cli lint --write-baseline
-
 # Tier-1 suite under the runtime sanitizer: frozen tape buffers +
 # NaN/inf kernel-boundary guards (docs/ANALYSIS.md).
 sanitize-test:
 	REPRO_SANITIZE=1 $(PY) -m pytest -x -q -m "not slow"
 
-verify: lint test golden-check metrics-selftest e2e-smoke scenarios-ci
+verify: test golden-check metrics-selftest e2e-smoke scenarios-ci

@@ -609,95 +609,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    """Run xatulint (repro.analysis) over the tree and gate on findings.
-
-    One pass: every file is parsed once and every rule runs over it.
-
-    Exit codes: 0 clean (baselined findings don't count), 1 when the gate
-    fails — any new finding or stale baseline entry under ``--strict``,
-    new *error*-severity findings otherwise — and 2 on usage errors.
-    """
-    import json
-    from pathlib import Path
-
-    from .analysis.baseline import Baseline
-    from .analysis.framework import (
-        Severity,
-        all_rules,
-        analyze_paths,
-        iter_python_files,
-        relative_path,
-    )
-
-    rules = all_rules()
-    if args.list_rules:
-        for rule in rules:
-            print(f"{rule.id}  {rule.severity:<7}  {rule.name}")
-            if rule.description:
-                print(f"       {rule.description}")
-        return 0
-
-    root = Path.cwd()
-    findings = analyze_paths(args.paths, root=root, rules=rules)
-    inventory = [rule.id for rule in rules]
-    # Baseline entries are judged only for files this run read: linting
-    # a subtree neither flags nor drops the entries of the rest.
-    scope = {relative_path(p, root) for p in iter_python_files(args.paths, root)}
-
-    baseline_path = root / args.baseline
-    baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
-    if args.write_baseline:
-        written = Baseline.from_findings(findings, previous=baseline, scope=scope)
-        written.save(baseline_path, rules=inventory)
-        print(f"wrote {len(written)} entr{'y' if len(written) == 1 else 'ies'} "
-              f"to {baseline_path}")
-        print("edit the file and replace every placeholder reason before "
-              "committing")
-        return 0
-
-    if not args.no_baseline:
-        for warning in baseline.stamp_warnings(inventory):
-            print(f"lint: warning: {warning}", file=sys.stderr)
-    new, suppressed = baseline.partition(findings)
-    stale = baseline.unused_entries(findings, scope=scope)
-
-    if args.format == "json":
-        payload = {
-            "findings": [
-                {
-                    "rule": f.rule,
-                    "severity": f.severity,
-                    "path": f.path,
-                    "line": f.line,
-                    "col": f.col,
-                    "message": f.message,
-                    "fix_hint": f.fix_hint,
-                }
-                for f in new
-            ],
-            "baselined": len(suppressed),
-            "stale_baseline_entries": [e.to_json() for e in stale],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for finding in new:
-            print(finding.render())
-        for entry in stale:
-            print(f"{entry.path}: stale baseline entry {entry.rule} "
-                  f"({entry.line_text!r}) — the finding is gone; delete it")
-        counts = f"{len(new)} new finding(s), {len(suppressed)} baselined"
-        if stale:
-            counts += f", {len(stale)} stale baseline entr" + (
-                "y" if len(stale) == 1 else "ies")
-        print(f"lint: {counts}")
-
-    if args.strict:
-        return 1 if (new or stale) else 0
-    errors = [f for f in new if f.severity == Severity.ERROR]
-    return 1 if errors else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Xatu (CoNEXT 2022) reproduction CLI"
@@ -879,34 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--selftest", action="store_true",
                          help="check the exporters and exit")
     metrics.set_defaults(func=cmd_metrics)
-
-    lint = sub.add_parser(
-        "lint",
-        help="run xatulint (domain-aware static analysis) over the tree",
-        description="One pass of per-file rules for the bugs no runtime "
-        "gate catches: global-switch leaks and bare excepts (see "
-        "docs/ANALYSIS.md).  "
-        "Known-intentional findings live in lint-baseline.json with "
-        "written reasons; the gate fails only on new ones.",
-    )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--strict", action="store_true",
-                      help="fail on any new finding or stale baseline "
-                      "entry, regardless of severity (the CI gate)")
-    lint.add_argument("--baseline", default="lint-baseline.json",
-                      help="baseline suppression file (repo-relative)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="report every finding, ignoring the baseline")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="rewrite the baseline to cover current findings "
-                      "(keeps existing reasons and every entry for a file "
-                      "outside the linted paths; new entries get a TODO)")
-    lint.add_argument("--format", choices=["text", "json"],
-                      default="text", help="report rendering")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
-    lint.set_defaults(func=cmd_lint)
     return parser
 
 

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.core import PipelineConfig, TimescaleSpec, TrainConfig, XatuModelConfig
 from repro.synth import ScenarioConfig, TraceGenerator
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_scenario(seed: int = 3) -> ScenarioConfig:
@@ -98,27 +94,6 @@ def build_headline_experiment():
 def headline_experiment():
     """One shared prepared HeadlineExperiment (Fig. 8–10 harness)."""
     return build_headline_experiment()
-
-
-@pytest.fixture(scope="session")
-def src_findings():
-    """Every lint rule over ``src``, run once for every repo-is-clean
-    assertion in the suite."""
-    from repro.analysis.framework import analyze_paths
-
-    return analyze_paths([REPO_ROOT / "src"], root=REPO_ROOT)
-
-
-@pytest.fixture()
-def cli_over_src(src_findings, monkeypatch):
-    """``cli lint`` at the repo root, gating the session's one lint run
-    instead of linting again."""
-    from repro.analysis import framework
-    from repro.cli import main
-
-    monkeypatch.chdir(REPO_ROOT)
-    monkeypatch.setattr(framework, "analyze_paths", lambda *a, **k: src_findings)
-    return main
 
 
 @pytest.fixture()

@@ -159,3 +159,59 @@ class TestKernelBoundaries:
             x.data[0, 0, 0] = np.nan
             outputs, _ = lstm_sequence(x, w_x, w_h, bias)
             assert np.isnan(outputs.data).any()
+
+
+# ----------------------------------------------------------------------
+# Tape mutation: the sanitizer is the one guard
+# ----------------------------------------------------------------------
+class TestTapeMutation:
+    """Rule XL001 is retired (docs/ANALYSIS.md, "Mutant audit"): its
+    mutant fails the sanitized CI lane.  Each write shape it matched must
+    raise at the mutation site under ``REPRO_SANITIZE``; each shape it let
+    pass must stay legal."""
+
+    @pytest.fixture(autouse=True)
+    def _sanitize(self):
+        with sanitized(True):
+            yield
+
+    @staticmethod
+    def tape_node():
+        return Tensor(np.ones(3), requires_grad=True) * 2.0
+
+    def test_subscript_write_fires(self):
+        t = self.tape_node()
+        with pytest.raises(ValueError):
+            t.data[...] = np.zeros(3)
+
+    def test_subscript_augassign_fires(self):
+        t = self.tape_node()
+        with pytest.raises(ValueError):
+            t.data[0] += 1
+
+    def test_attribute_augassign_fires(self):
+        t = self.tape_node()
+        with pytest.raises(ValueError):
+            t.data -= 0.1 * np.ones(3)
+
+    def test_ufunc_out_fires(self):
+        t = self.tape_node()
+        with pytest.raises(ValueError):
+            np.add(t.data, 1.0, out=t.data)
+
+    def test_rebind_is_fine(self):
+        # Rebinding the attribute makes a fresh array; the old tape
+        # node's buffer is untouched.
+        t = self.tape_node()
+        t.data = np.zeros(3)
+        assert t.data.flags.writeable
+
+    def test_plain_array_write_is_fine(self):
+        # Only recorded-op outputs freeze: the array an op read stays
+        # writable.
+        x = np.ones(3)
+        y = Tensor(x, requires_grad=True) * 2.0
+        assert not y.data.flags.writeable
+        x[0] = 5.0
+        x += 1.0
+        assert x.tolist() == [6.0, 2.0, 2.0]
