@@ -12,8 +12,6 @@ may contain legitimate addresses".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..netflow.addressing import subnet24
@@ -36,12 +34,6 @@ BLOCKLIST_CATEGORIES: tuple[str, ...] = (
     "spam_source",
     "bruteforce",
 )
-
-
-@dataclass
-class _CategoryList:
-    name: str
-    subnets: set[int]
 
 
 class BlocklistDirectory:

@@ -157,10 +157,6 @@ class AttackerCustomerGraph:
             block[t] = last
         return block
 
-    def clustering_snapshot(self, minute: int) -> dict[int, tuple[float, float, float]]:
-        """All customers' coefficients at ``minute`` (for Figure 16)."""
-        return bipartite_clustering(self._neighbors_at(minute))
-
     def prune_before(self, minute: int) -> int:
         """Drop alerts that can no longer enter any window at ``minute`` or
         later; returns the number pruned (bounded-memory serving)."""

@@ -223,10 +223,6 @@ class FeatureScaler:
         out /= std
         return out
 
-    def fit_transform(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        self.fit(blocks)
-        return [self.transform(b) for b in blocks]
-
     def state_dict(self) -> dict[str, np.ndarray]:
         if self.mean_ is None or self.std_ is None:
             raise RuntimeError("scaler must be fit before serialization")

@@ -315,12 +315,6 @@ class Trace:
     total_flows: int
     sampled_flows: int
 
-    def events_for_customer(self, customer_id: int) -> list[AttackEvent]:
-        return [e for e in self.events if e.customer_id == customer_id]
-
-    def events_by_type(self, attack_type: AttackType) -> list[AttackEvent]:
-        return [e for e in self.events if e.attack_type == attack_type]
-
 
 class TraceGenerator:
     """Drives the synthetic world and materializes a :class:`Trace`."""

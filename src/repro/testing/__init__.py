@@ -1,6 +1,6 @@
 """Differential-correctness harness for the nn/survival stack.
 
-Three pillars guard the hand-rolled autograd/LSTM/SAFE substrate against
+Two pillars guard the hand-rolled autograd/LSTM/SAFE substrate against
 silent numerical drift while the hot paths get refactored:
 
 * :mod:`repro.testing.reference` — slow, obviously-correct scalar
@@ -11,12 +11,12 @@ silent numerical drift while the hot paths get refactored:
   per-customer oracle for the streaming detector;
 * :mod:`repro.testing.golden` — versioned end-to-end golden fixtures
   (``manifest.json`` + ``arrays.npz``) recorded once and checked on every
-  change via ``python -m repro.cli golden record|check``;
-* :mod:`repro.testing.props` — a dependency-free property-based testing
-  runner with shrinking, plus generators for tensors, hazard batches, and
-  flow records.
+  change via ``python -m repro.cli golden record|check``.
 
-See ``docs/TESTING.md`` for the workflow.
+The third, property-based sweeps over these oracles and the stack's
+invariants, runs on hypothesis inside the test suite (one derandomized
+profile in ``tests/conftest.py``). See ``docs/TESTING.md`` for the
+workflow.
 """
 
 from .golden import (
@@ -29,19 +29,6 @@ from .golden import (
     check_golden,
     compute_golden_arrays,
     record_golden,
-)
-from .props import (
-    Gen,
-    PropertyError,
-    arrays,
-    choices,
-    flow_records,
-    forall,
-    hazard_batches,
-    integers,
-    floats,
-    run_property,
-    tensors,
 )
 from .reference import (
     ReferenceOnlineXatu,
@@ -77,17 +64,6 @@ __all__ = [
     "compute_golden_arrays",
     "record_golden",
     "check_golden",
-    "Gen",
-    "PropertyError",
-    "integers",
-    "floats",
-    "choices",
-    "arrays",
-    "tensors",
-    "hazard_batches",
-    "flow_records",
-    "run_property",
-    "forall",
     "reference_sigmoid",
     "reference_lstm_cell",
     "reference_lstm_sequence",

@@ -1,12 +1,21 @@
-"""Shared fixtures: expensive artefacts are built once per session."""
+"""Shared fixtures (expensive artefacts are built once per session) and
+the one hypothesis profile every property test runs under."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import PipelineConfig, TimescaleSpec, TrainConfig, XatuModelConfig
 from repro.synth import ScenarioConfig, TraceGenerator
+
+# Every property test draws the same examples on every run: derandomized
+# draws are keyed on the test function, no example database is read or
+# written, and no per-example deadline applies (the slowest examples
+# train or fold whole detectors).
+settings.register_profile("repro", derandomize=True, database=None, deadline=None)
+settings.load_profile("repro")
 
 
 def small_scenario(seed: int = 3) -> ScenarioConfig:

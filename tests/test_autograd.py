@@ -291,7 +291,7 @@ class TestGradcheckHelper:
             gradcheck(lambda a: wrong(a).sum(), [a])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     rows=st.integers(1, 4),
     cols=st.integers(1, 4),

@@ -9,8 +9,8 @@ down to the float bits of every survival value, same checkpoint bytes —
 because hazards live inside checkpointed state and any drift would break
 crash-equivalence.
 
-Three layers of differential tests, the first and last on the PR-1
-shrinking property runner (:mod:`repro.testing.props`):
+Three layers of differential tests, the first and last hypothesis
+property sweeps:
 
 * **kernel level** — ``hazards_np_batched(x)[i]`` vs
   ``hazards_np(x[i:i+1])[0]`` over random weights/inputs, float64 and
@@ -35,6 +35,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.online as online_module
 from repro.core import OnlineConfig, OnlineXatu, XatuModel
@@ -43,7 +45,6 @@ from repro.netflow import FlowBatch, FlowRecord
 from repro.obs import telemetry
 from repro.signals.history import AlertRecord
 from repro.synth.attacks import AttackType
-from repro.testing.props import choices, integers, run_property
 from repro.testing.reference import ReferenceOnlineXatu, reference_add_flow
 from repro.testing.twin import (
     BASE_ADDRESS,
@@ -79,6 +80,12 @@ def _tiny_config(seed: int, pooling: str = "avg") -> XatuModelConfig:
 # kernel level: stacked inference rows == per-item inference
 # ----------------------------------------------------------------------
 def test_batched_hazard_rows_bitwise_equal_f64():
+    @settings(max_examples=10)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([1, 2, 7]),
+        st.sampled_from(["avg", "max"]),
+    )
     def rows_match(seed, batch, pooling):
         model = XatuModel(_tiny_config(seed % 97, pooling))
         rng = np.random.default_rng(seed)
@@ -88,17 +95,12 @@ def test_batched_hazard_rows_bitwise_equal_f64():
             alone = model.hazards_np(x[i : i + 1])[0]
             assert np.array_equal(stacked[i], alone), f"row {i} drifted"
 
-    run_property(
-        rows_match,
-        integers(0, 10**6),
-        choices([1, 2, 7]),
-        choices(["avg", "max"]),
-        runs=10,
-        seed=101,
-    )
+    rows_match()
 
 
 def test_batched_hazard_rows_bitwise_equal_f32():
+    @settings(max_examples=6)
+    @given(st.integers(0, 10**6), st.sampled_from([1, 3, 64]))
     def rows_match_f32(seed, batch):
         model = XatuModel(_tiny_config(seed % 89))
         rng = np.random.default_rng(seed)
@@ -109,9 +111,7 @@ def test_batched_hazard_rows_bitwise_equal_f32():
             alone = model.hazards_np(x[i : i + 1], dtype=np.float32)[0]
             assert np.array_equal(stacked[i], alone), f"f32 row {i} drifted"
 
-    run_property(
-        rows_match_f32, integers(0, 10**6), choices([1, 3, 64]), runs=6, seed=202
-    )
+    rows_match_f32()
 
 
 def test_batched_lstm_gate_selection_is_bitwise_at_the_edges():
@@ -277,6 +277,13 @@ def test_projection_computes_each_leading_run_once_bitwise():
 
     seen: set[str] = set()
 
+    @settings(max_examples=30)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([1, 2, 5]),
+        st.sampled_from([None, np.float32]),
+        st.sampled_from([False, True]),
+    )
     def projects_each_run_once(seed, batch, dtype, mixed):
         rng = np.random.default_rng(seed)
         hidden, features = int(rng.integers(2, 6)), int(rng.integers(3, 8))
@@ -312,15 +319,7 @@ def test_projection_computes_each_leading_run_once_bitwise():
         seen.update(f"lead {names.get(lead, lead)}" for lead in chosen)
         seen.update({f"batch {batch}", str(dtype), "mixed" if len(set(chosen)) > 1 else "even"})
 
-    run_property(
-        projects_each_run_once,
-        integers(0, 10**6),
-        choices([1, 2, 5]),
-        choices([None, np.float32]),
-        choices([False, True]),
-        runs=30,
-        seed=1111,
-    )
+    projects_each_run_once()
     assert seen >= {
         "lead 0", "lead 1", "lead 2", "lead T-2", "lead T-1", "lead T",
         "batch 1", "batch 5", "None", str(np.float32), "mixed", "even",
@@ -404,6 +403,14 @@ def _assert_lockstep_equals_each_timescale_alone(sequences, weights, pads, dtype
 def test_lockstep_timescales_equal_each_timescale_alone():
     seen: set[str] = set()
 
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([1, 2, 5]),
+        st.sampled_from([None, np.float32]),
+        st.sampled_from([False, False, True]),
+    )
     def lockstep_matches(seed, n_scales, batch, dtype, equal_spans):
         rng = np.random.default_rng(seed)
         hidden, features = int(rng.integers(2, 6)), int(rng.integers(3, 8))
@@ -430,16 +437,7 @@ def test_lockstep_timescales_equal_each_timescale_alone():
             seen.add("equal spans")
         seen.update({f"{n_scales} timescales", f"batch {batch}", str(dtype)})
 
-    run_property(
-        lockstep_matches,
-        integers(0, 10**6),
-        choices([1, 2, 3]),
-        choices([1, 2, 5]),
-        choices([None, np.float32]),
-        choices([False, False, True]),
-        runs=40,
-        seed=707,
-    )
+    lockstep_matches()
     assert seen >= {
         "no prefix", "prefix", "all shared", "slots permuted", "equal spans",
         "1 timescales", "2 timescales", "3 timescales", "batch 1",
@@ -624,37 +622,31 @@ PLAIN_CONFIG = OnlineConfig(rearm_after=3)
 def test_lanes_agree_over_random_traces():
     seen: set = set()
 
+    @settings(max_examples=6)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([1, 2, 7]),
+        st.integers(4, 7),
+        st.sampled_from([0.9, 0.97, 0.5]),
+    )
     def lanes_agree(seed, n_customers, n_minutes, threshold):
         seen.update(
             _run_differential(seed, n_customers, n_minutes, threshold, config=PLAIN_CONFIG)
         )
 
-    run_property(
-        lanes_agree,
-        integers(0, 10**6),
-        choices([1, 2, 7]),
-        integers(4, 7),
-        choices([0.9, 0.97, 0.5]),
-        runs=6,
-        seed=303,
-    )
+    lanes_agree()
     assert seen >= {"onboarded", "alerted"}, seen
 
 
 def test_lanes_agree_in_float32():
+    @settings(max_examples=4)
+    @given(st.integers(0, 10**6), st.sampled_from([2, 7]), st.sampled_from([0.9, 0.97]))
     def lanes_agree_f32(seed, n_customers, threshold):
         _run_differential(
             seed, n_customers, 5, threshold, dtype=np.float32, config=PLAIN_CONFIG
         )
 
-    run_property(
-        lanes_agree_f32,
-        integers(0, 10**6),
-        choices([2, 7]),
-        choices([0.9, 0.97]),
-        runs=4,
-        seed=404,
-    )
+    lanes_agree_f32()
 
 
 def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
@@ -662,6 +654,13 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
     run past eviction several times over, 40 steps a run."""
     seen: set = set()
 
+    @settings(max_examples=10)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([2, 5]),
+        st.sampled_from([np.float64, np.float32]),
+        st.sampled_from(["avg", "max"]),
+    )
     def sparse_lane_agrees(seed, n_customers, dtype, pooling):
         # Every run starts cold — its first ``lookback`` minutes are padded —
         # so production resumes from pad chains while the oracle (one window
@@ -680,15 +679,7 @@ def test_sparse_lane_agrees_under_late_records_gaps_evictions_and_restores():
                 seen.add("matrix-evicted")
         seen.add(pooling)
 
-    run_property(
-        sparse_lane_agrees,
-        integers(0, 10**6),
-        choices([2, 5]),
-        choices([np.float64, np.float32]),
-        choices(["avg", "max"]),
-        runs=10,
-        seed=606,
-    )
+    sparse_lane_agrees()
     # The differential is only meaningful if every hazard actually occurred.
     assert seen >= {
         "all", "blocklist", "prev_attacker", "spoofed",
@@ -723,6 +714,12 @@ def test_lanes_agree_with_three_timescales_run_out_of_order(monkeypatch):
     monkeypatch.setattr(fused, "_lstm_steps", spy)
     seen: set[str] = set()
 
+    @settings(max_examples=4)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([1, 4]),
+        st.sampled_from([np.float64, np.float32]),
+    )
     def lanes_agree(seed, n_customers, dtype):
         customer_of, blocklist = twin_context(n_customers)
         reference, production = build_twins(
@@ -738,14 +735,7 @@ def test_lanes_agree_with_three_timescales_run_out_of_order(monkeypatch):
         if dtype is np.float64 and any(w == lstms[1].w_h.data.tobytes() for w in first_slots):
             seen.add("medium ran first")
 
-    run_property(
-        lanes_agree,
-        integers(0, 10**6),
-        choices([1, 4]),
-        choices([np.float64, np.float32]),
-        runs=4,
-        seed=909,
-    )
+    lanes_agree()
     assert seen >= {"alerted", "medium ran first", "restored"}, seen
 
 

@@ -52,7 +52,7 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_median_ci(rng.normal(size=5), n_resamples=0)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(seed=st.integers(0, 200))
     def test_ci_brackets_estimate(self, seed):
         rng = np.random.default_rng(seed)
@@ -105,7 +105,7 @@ class TestScenarioConfigIo:
 class TestMatrixClassDominance:
     """Property: every auxiliary class's byte columns are dominated by 'all'."""
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(start=st.integers(0, 1800))
     def test_class_blocks_dominated_by_all(self, start, trace):
         from repro.netflow import (

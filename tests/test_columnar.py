@@ -41,6 +41,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import OnlineConfig, OnlineXatu
 from repro.netflow import (
@@ -67,7 +69,6 @@ from repro.netflow.matrix import (
 )
 from repro.netflow.sampler import sample_at_rates
 from repro.obs import get_registry, set_enabled
-from repro.testing.props import choices, integers, run_property
 from repro.testing.reference import (
     reference_add_flow,
     reference_decode_flow,
@@ -128,6 +129,8 @@ def test_flow_dtype_mirrors_wire_layout():
 
 
 def test_codec_paths_byte_identical():
+    @settings(max_examples=12)
+    @given(st.integers(0, 10**6), st.sampled_from([0, 1, 3, 50]))
     def round_trips(seed, n):
         records = _random_records(np.random.default_rng(seed), n)
         batch = FlowBatch.from_records(records)
@@ -140,7 +143,7 @@ def test_codec_paths_byte_identical():
         assert decoded.to_records() == records
         assert np.array_equal(decoded.array, batch.array)
 
-    run_property(round_trips, integers(0, 10**6), choices([0, 1, 3, 50]), runs=12, seed=31)
+    round_trips()
 
 
 def test_datagram_decode_batch_matches_scalar_decode():
@@ -228,6 +231,8 @@ def test_row_movement_matches_the_structured_forms():
     replaced (``np.concatenate`` of structured arrays, ``arr[mask]``,
     ``arr[index_array]``) are the reference, compared by ``tobytes()``."""
 
+    @settings(max_examples=12)
+    @given(st.integers(0, 10**6), st.sampled_from([0, 1, 2, 7, 60]))
     def moves_match(seed, n):
         rng = np.random.default_rng(seed)
         batch = FlowBatch.from_records(_random_records(rng, n))
@@ -261,7 +266,7 @@ def test_row_movement_matches_the_structured_forms():
         with pytest.raises(IndexError):
             batch.take([n])
 
-    run_property(moves_match, integers(0, 10**6), choices([0, 1, 2, 7, 60]), runs=12, seed=53)
+    moves_match()
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +274,12 @@ def test_row_movement_matches_the_structured_forms():
 # ----------------------------------------------------------------------
 class TestVectorizedSampler:
     def test_constant_rate_matches_scalar_draws(self):
+        @settings(max_examples=12)
+        @given(
+            st.integers(0, 10**6),
+            st.sampled_from([0, 1, 7, 200]),
+            st.sampled_from([1, 10, 100, 1000]),
+        )
         def draws_match(seed, n, rate):
             records = _random_records(np.random.default_rng(seed), n)
             scalar = np.random.default_rng(seed)
@@ -281,20 +292,19 @@ class TestVectorizedSampler:
             assert out.to_records() == expected
             assert rng.integers(2**62) == scalar.integers(2**62)
 
-        run_property(
-            draws_match,
-            integers(0, 10**6),
-            choices([0, 1, 7, 200]),
-            choices([1, 10, 100, 1000]),
-            runs=12,
-            seed=47,
-        )
+        draws_match()
 
     def test_per_flow_rates_match_a_shared_rng_scalar_loop(self):
         """``sample_at_rates`` (one elementwise draw over the flows whose
         rate is above 1) keeps what a ``reference_sample`` loop sharing one
         RNG keeps, and leaves that RNG at the same next draw."""
 
+        @settings(max_examples=16)
+        @given(
+            st.integers(0, 10**6),
+            st.sampled_from([0, 1, 9, 150]),
+            st.sampled_from([(1,), (10,), (1, 10), (1, 4, 100), (7, 1000)]),
+        )
         def draws_match(seed, n, pops):
             records = _random_records(np.random.default_rng(seed), n)
             rates = np.random.default_rng(seed + 1).choice(pops, size=n)
@@ -311,14 +321,7 @@ class TestVectorizedSampler:
             assert rows.tolist() == kept_rows
             assert rng.integers(2**62) == shared.integers(2**62)
 
-        run_property(
-            draws_match,
-            integers(0, 10**6),
-            choices([0, 1, 9, 150]),
-            choices([(1,), (10,), (1, 10), (1, 4, 100), (7, 1000)]),
-            runs=16,
-            seed=48,
-        )
+        draws_match()
 
     def test_rate_one_is_identity_with_rate_stamped(self):
         records = _random_records(np.random.default_rng(11), 5)
@@ -429,6 +432,14 @@ def test_add_batch_bit_identical_to_add_flow(monkeypatch):
     the (cell, source) sort must not matter: equal keys are deduplicated."""
     sort = np.sort
 
+    @settings(max_examples=10)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([0, 40, 400]),
+        st.sampled_from([1, 4]),
+        st.sampled_from([1, 3]),
+        st.sampled_from(["quicksort", "stable"]),
+    )
     def matrices_match(seed, n, n_customers, chunks, pair_sort):
         monkeypatch.setattr(np, "sort", lambda a, **kw: sort(a, kind=pair_sort, **kw))
         rng = np.random.default_rng(seed)
@@ -461,16 +472,7 @@ def test_add_batch_bit_identical_to_add_flow(monkeypatch):
                 got = columnar.feature_block(customer_id, 0, minutes, cls)
                 assert got.tobytes() == scalar.feature_block(customer_id, 0, minutes, cls).tobytes()
 
-    run_property(
-        matrices_match,
-        integers(0, 10**6),
-        choices([0, 40, 400]),
-        choices([1, 4]),
-        choices([1, 3]),
-        choices(["quicksort", "stable"]),
-        runs=10,
-        seed=59,
-    )
+    matrices_match()
 
 
 def test_column_tables_agree_with_the_scalar_lane():
@@ -718,6 +720,8 @@ def test_row_store_is_a_derived_view_of_the_cells():
     classes = ("all", SOURCE_CLASS_BLOCKLIST)
     seen: set = set()
 
+    @settings(max_examples=12)
+    @given(st.integers(0, 10**6), st.sampled_from([10, 60]))
     def store_tracks_cells(seed, n_ops):
         rng = np.random.default_rng(seed)
         reader, blind = TrafficMatrix(), _FullScanMatrix()
@@ -845,7 +849,7 @@ def test_row_store_is_a_derived_view_of_the_cells():
             assert snapshot == pickle.dumps(blind.state_dict(), 4)
         assert blind.row_store_rows() == 0
 
-    run_property(store_tracks_cells, integers(0, 10**6), choices([10, 60]), runs=12, seed=83)
+    store_tracks_cells()
     assert seen == {
         "restored empty",
         "restored a late cell behind an eviction",
@@ -867,6 +871,8 @@ def test_snapshot_store_is_a_derived_view_of_the_cells():
     (every cell on the first one after a restore): O(written)."""
     seen: set = set()
 
+    @settings(max_examples=12)
+    @given(st.integers(0, 10**6), st.sampled_from([10, 60]))
     def snapshot_tracks_cells(seed, n_ops):
         rng = np.random.default_rng(seed)
         matrix = TrafficMatrix()
@@ -935,7 +941,7 @@ def test_snapshot_store_is_a_derived_view_of_the_cells():
                 written = set()
                 snapshot_classes = {cls for _c, cls, _m in live}
 
-    run_property(snapshot_tracks_cells, integers(0, 10**6), choices([10, 60]), runs=12, seed=89)
+    snapshot_tracks_cells()
     assert seen == {
         "late",
         "future-stamped",
@@ -1285,6 +1291,8 @@ def test_columnar_detector_lane_matches_scalar_lane():
 
     for dtype in (np.float64, np.float32):
 
+        @settings(max_examples=4)
+        @given(st.integers(0, 10**6), st.sampled_from([3, 8]))
         def lanes_match(seed, minutes):
             customer_of, blocklist = twin_context(4)
             scalar, columnar = build_twins(
@@ -1295,7 +1303,7 @@ def test_columnar_detector_lane_matches_scalar_lane():
                 scalar, columnar, twin_stream(seed, customer_of, blocklist, minutes)
             )
 
-        run_property(lanes_match, integers(0, 10**6), choices([3, 8]), runs=4, seed=71)
+        lanes_match()
 
 
 def test_a_changed_route_table_refuses_the_snapshot_in_both_lanes():

@@ -9,11 +9,12 @@ and the shard's customers go unscored from then on.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netflow import FLOW_DTYPE, FLOW_WIRE_SIZE, DatagramCodec
 from repro.netflow.datagram import HEADER_SIZE
 from repro.serve import ServeConfig, ServeEngine
-from repro.testing.props import choices, integers, run_property
 from tests.test_serve import ADDRESS_OF, _checkpoint_files, _minutes_of_flows, _xatu_factory
 
 MINUTES = 8
@@ -95,5 +96,7 @@ def test_single_byte_mutations_are_refused_or_served_healthy():
             engine.tick(len(blobs) - 1)
             assert all(engine.shard_health().values()), engine.shard_health()
 
-    run_property(refused_or_served, integers(0, len(last) - 1), integers(0, 255), runs=24, seed=5)
-    run_property(refused_or_served, choices(countries), integers(0, 255), runs=12, seed=6)
+    anywhere = given(st.integers(0, len(last) - 1), st.integers(0, 255))(refused_or_served)
+    on_a_country = given(st.sampled_from(countries), st.integers(0, 255))(refused_or_served)
+    settings(max_examples=24)(anywhere)()
+    settings(max_examples=12)(on_a_country)()

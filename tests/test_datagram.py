@@ -61,7 +61,7 @@ class TestDatagramCodec:
         with pytest.raises(ValueError, match="length mismatch"):
             decode(blob[:-4])
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(n=st.integers(0, 10), engine=st.integers(0, 2**31 - 1))
     def test_roundtrip_property(self, n, engine):
         codec = DatagramCodec(engine_id=engine)

@@ -7,6 +7,8 @@ eval driver streaming a trace through any streaming detector.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import OnlineXatu, XatuModel
 from repro.detect import (
@@ -22,7 +24,6 @@ from repro.detect.entropy import EntropyDetector
 from repro.eval import stream_trace
 from repro.netflow import FlowBatch, FlowRecord
 from repro.signals import FeatureScaler
-from repro.testing.props import choices, integers, run_property
 from tests.conftest import small_model_config
 
 
@@ -175,6 +176,8 @@ def test_cdet_minute_totals_equal_the_per_record_sums():
     float sum in arrival order (counters large enough that the order of
     the additions shows in the last bits)."""
 
+    @settings(max_examples=30)
+    @given(st.integers(0, 10**6), st.sampled_from([True, False]))
     def totals_match(seed, mapped):
         rng = np.random.default_rng(seed)
         customer_of = {100 + i: i % 3 for i in range(4)} if mapped else None
@@ -197,7 +200,7 @@ def test_cdet_minute_totals_equal_the_per_record_sums():
         )
         assert got == want and all(type(v) is float for v in got.values())
 
-    run_property(totals_match, integers(0, 10**6), choices([True, False]), runs=30, seed=3)
+    totals_match()
 
 
 class TestDrivers:

@@ -55,7 +55,7 @@ def _lstm_pair(features, hidden, seed):
 
 
 class TestFusedLSTMMatchesUnfused:
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     @given(
         batch=st.integers(1, 4),
         steps=st.integers(1, 12),
@@ -118,7 +118,7 @@ class TestFusedLSTMMatchesUnfused:
 
 
 class TestFusedPoolingMatchesUnfused:
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     @given(
         batch=st.integers(1, 3),
         steps=st.integers(1, 25),

@@ -116,7 +116,7 @@ class TestSafeSurvivalLoss:
         assert np.isfinite(loss.item())
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     steps=st.integers(2, 8),
     label=st.integers(0, 7),

@@ -94,7 +94,7 @@ class TestCodec:
         with pytest.raises(ValueError, match="count header"):
             decode_flows_batch(b"\x01")
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         timestamp=st.integers(0, 2**31 - 1),
         src=st.integers(0, 2**32 - 1),
@@ -128,7 +128,7 @@ class TestAddressing:
         assert ip_to_int("0.0.0.0") == 0
         assert ip_to_int("255.255.255.255") == 0xFFFFFFFF
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(addr=st.integers(0, 2**32 - 1))
     def test_ip_roundtrip_property(self, addr):
         assert ip_to_int(int_to_ip(addr)) == addr

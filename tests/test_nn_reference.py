@@ -37,7 +37,7 @@ def reference_lstm(x, w_x, w_h, bias, hidden_size):
 
 
 class TestLstmAgainstReference:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(
         batch=st.integers(1, 3),
         steps=st.integers(1, 6),
@@ -63,7 +63,7 @@ class TestLstmAgainstReference:
 
 
 class TestSurvivalAgainstDirectProbability:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(steps=st.integers(1, 10), seed=st.integers(0, 1000))
     def test_survival_is_product_of_step_survivals(self, steps, seed):
         """S_t factorizes: exp(-sum h) == prod exp(-h)."""
@@ -73,7 +73,7 @@ class TestSurvivalAgainstDirectProbability:
         direct = np.cumprod(np.exp(-h[0]))
         assert s == pytest.approx(direct)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 1000))
     def test_loss_equals_bernoulli_nll_of_event(self, seed):
         """For one series, the SAFE loss is the NLL of the event indicator

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     OnlineConfig,
@@ -244,10 +246,14 @@ def test_batched_survivals_equal_survival_by_bytes():
     at every history length up to twice the detection window, before and
     after ``_push_hazard`` trims, at 1 to 1,000 customers — and the alerts
     and suppressions the per-customer loop's."""
-    from repro.testing.props import choices, integers, run_property
-
     seen: set[str] = set()
 
+    @settings(max_examples=24)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([1, 2, 7, 48, 1000]),
+        st.sampled_from([4, 30]),
+    )
     def survivals_match(seed, batch, detect_window):
         rng = np.random.default_rng(seed)
         reference, production = _decision_detectors(detect_window)
@@ -280,14 +286,7 @@ def test_batched_survivals_equal_survival_by_bytes():
             seen.add("suppressed")
         seen.update({f"batch {batch}"} | ({"alerted"} if alerts[1] else set()))
 
-    run_property(
-        survivals_match,
-        integers(0, 10**6),
-        choices([1, 2, 7, 48, 1000]),
-        choices([4, 30]),
-        runs=24,
-        seed=43,
-    )
+    survivals_match()
     assert seen >= {
         "history 0", "history 1", "history 8", "history 60", "trimmed",
         "suppressed", "alerted", "batch 1", "batch 2", "batch 7", "batch 48", "batch 1000",

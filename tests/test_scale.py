@@ -35,7 +35,7 @@ class TestCompressScenario:
         with pytest.raises(ValueError):
             compress_scenario(PAPER_SCENARIO, time_factor=0.5)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(factor=st.floats(1.0, 100.0))
     def test_horizon_shrinks_monotonically(self, factor):
         out = compress_scenario(PAPER_SCENARIO, time_factor=factor)

@@ -34,7 +34,7 @@ def window_strategy(trace):
 
 
 class TestAccountingInvariants:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(data=st.data())
     def test_b_bounded_by_a_and_c_nonnegative(self, data, trace, center):
         windows = data.draw(window_strategy(trace))
@@ -44,7 +44,7 @@ class TestAccountingInvariants:
         for value in report.customer_extraneous.values():
             assert value >= 0.0
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(data=st.data())
     def test_monotone_in_coverage(self, data, trace, center):
         """Adding windows never lowers any event's effectiveness."""
@@ -58,7 +58,7 @@ class TestAccountingInvariants:
                 >= small.effectiveness(event_id) - 1e-9
             )
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(data=st.data())
     def test_effectiveness_in_unit_interval(self, data, trace, center):
         windows = data.draw(window_strategy(trace))
@@ -83,7 +83,7 @@ class TestAccountingInvariants:
         for cid in full.customer_extraneous:
             assert full.overhead(cid) >= nothing.overhead(cid)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(data=st.data())
     def test_delay_within_event_bounds(self, data, trace, center):
         windows = data.draw(window_strategy(trace))

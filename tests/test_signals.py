@@ -303,7 +303,7 @@ class TestFeatureScaler:
         x = rng.lognormal(size=(5, 4))
         assert clone.transform(x) == pytest.approx(scaler.transform(x))
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 100))
     def test_transform_monotone_per_column(self, seed):
         """log1p+standardize preserves per-column ordering."""

@@ -43,7 +43,7 @@ class TestSurvivalMath:
         with pytest.raises(ValueError):
             detection_time_from_survival(np.ones((2, 2)), 0.5)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 500), steps=st.integers(1, 20))
     def test_survival_monotone_property(self, seed, steps):
         rng = np.random.default_rng(seed)
