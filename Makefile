@@ -1,8 +1,10 @@
 # Developer entry points.  `make verify` is the pre-merge gate: the full
 # tier-1 suite (the two source rules, tests/test_source_rules.py,
 # included), the golden differential check, the metrics exporter
-# selftest, the end-to-end benchmark smoke and the reduced scenario matrix
-# CI gates on, with its float32 precision gate (docs/TESTING.md).
+# selftest, the training benchmark smoke (the one run of every fused and
+# tape-oracle variant end to end), the end-to-end benchmark smoke and the
+# reduced scenario matrix CI gates on, with its float32 precision gate
+# (docs/TESTING.md).
 
 PY := PYTHONPATH=src python
 
@@ -169,4 +171,4 @@ e2e-neutral:
 sanitize-test:
 	REPRO_SANITIZE=1 $(PY) -m pytest -x -q -m "not slow"
 
-verify: test golden-check metrics-selftest e2e-smoke scenarios-ci
+verify: test golden-check metrics-selftest bench e2e-smoke scenarios-ci

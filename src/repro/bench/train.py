@@ -3,7 +3,9 @@
 Training is not on the served path, so the end-to-end suite in
 ``BENCHMARK.json`` never times it.  Each case builds identical workloads
 for both variants (same seeds, same shapes), timed by
-:func:`time_variants` into ``"<case>/<variant>"`` rows:
+:func:`time_variants` into ``"<case>/<variant>"`` rows.  A fusion case's
+``unfused`` variant runs the generic-tape oracles of
+:mod:`repro.testing.reference` (``Tape*`` layers, :func:`on_tape`):
 
 * ``lstm_train_step`` — LSTM forward over the paper's LSTM_long span (240
   steps) + loss + backward + Adam step; the headline fusion number.
@@ -26,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..nn import LSTM, Adam, AvgPool1D, MaxPool1D, Tensor, set_fused
+from ..nn import LSTM, Adam, AvgPool1D, MaxPool1D, Tensor
+from ..testing.reference import TapeAvgPool1D, TapeLSTM, TapeMaxPool1D, on_tape
 from .harness import bench_report
 
 __all__ = [
@@ -106,7 +109,9 @@ def _synthetic_samples(config, n_samples: int, rng: np.random.Generator):
 def _make_lstm_train_step(sizes: dict, fused: bool):
     s = sizes["lstm"]
     rng = np.random.default_rng(0)
-    lstm = LSTM(s["features"], s["hidden"], rng=np.random.default_rng(1), fused=fused)
+    lstm = (LSTM if fused else TapeLSTM)(
+        s["features"], s["hidden"], rng=np.random.default_rng(1)
+    )
     x = Tensor(rng.normal(size=(s["batch"], s["steps"], s["features"])))
     opt = Adam(lstm.parameters())
 
@@ -122,8 +127,8 @@ def _make_lstm_train_step(sizes: dict, fused: bool):
 def _make_pooling(sizes: dict, fused: bool):
     s = sizes["pooling"]
     rng = np.random.default_rng(0)
-    avg = AvgPool1D(s["window"], fused=fused)
-    mx = MaxPool1D(s["window"], fused=fused)
+    avg = (AvgPool1D if fused else TapeAvgPool1D)(s["window"])
+    mx = (MaxPool1D if fused else TapeMaxPool1D)(s["window"])
     x = Tensor(
         rng.normal(size=(s["batch"], s["steps"], s["features"])), requires_grad=True
     )
@@ -144,7 +149,8 @@ def _make_train_epoch(sizes: dict, fused: bool):
     config = replace(bench_model_config(), n_features=s["n_features"])
     samples = _synthetic_samples(config, s["n_samples"], np.random.default_rng(2))
     model = XatuModel(config)
-    set_fused(model, fused)
+    if not fused:
+        on_tape(model)
     trainer = XatuTrainer(
         model,
         TrainConfig(epochs=1, batch_size=s["batch_size"], learning_rate=1e-3, seed=0),
@@ -156,7 +162,7 @@ def _make_train_epoch_obs(sizes: dict, enabled: bool):
     """The fused ``train_epoch`` workload under a telemetry switch state."""
     from ..obs import set_enabled
 
-    fit = _make_train_epoch(sizes, fused=True)
+    fit = _make_train_epoch(sizes, True)
 
     def run():
         previous = set_enabled(enabled)

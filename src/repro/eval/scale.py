@@ -3,9 +3,11 @@
 The paper's evaluation runs on 100 days x 1440 min/day with a 10-day
 auxiliary lookback.  ``compress_scenario`` produces a replica whose *time
 ratios* are preserved (prep lookback : horizon, split boundaries, attack
-counts per day) while wall-clock cost shrinks by the compression factor —
-the knob every bench preset is built on.  ``scale_model_for`` derives a
-model config whose timescale spans fit the compressed prep window.
+counts per day) while wall-clock cost shrinks by the compression factor.
+It is a standalone sizing helper: the bench presets in
+:mod:`repro.eval.presets` set their sizes directly and do not call it.
+``scale_model_for`` derives a model config whose timescale spans fit the
+compressed prep window.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from .layers import (
     MaxPool1D,
     Module,
     Sequential,
-    set_fused,
 )
 from .losses import binary_cross_entropy, hazard_to_survival, safe_survival_loss
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
@@ -37,7 +36,6 @@ __all__ = [
     "lstm_sequence",
     "avg_pool_1d",
     "max_pool_1d",
-    "set_fused",
     "Module",
     "Dense",
     "LSTM",

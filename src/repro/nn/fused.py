@@ -13,10 +13,12 @@ those graphs:
   pooling as a single reshape-based node (a ragged trailing window is pooled
   separately), instead of one slice + reduce + stack chain per window.
 
-Every kernel mirrors the generic implementation's operation order so the
-results agree with the unfused path (and the scalar kernels in
-:mod:`repro.testing.reference`) to float64 round-off; the differential tests
-in ``tests/test_fused_kernels.py`` enforce this.
+Every kernel mirrors the generic composition's operation order, so its
+forward equals the tape oracle's (:class:`repro.testing.reference.TapeLSTM`,
+``TapeAvgPool1D``, ``TapeMaxPool1D``) by bytes, and its backward and the
+scalar kernels of :mod:`repro.testing.reference` agree with it to float64
+round-off; the differential tests in ``tests/test_fused_kernels.py``
+enforce this.
 
 When gradients are disabled the kernels skip the cache and the tape node
 entirely (the graph-free inference lane), and honour the reduced-precision
@@ -418,8 +420,9 @@ def lstm_sequence(
 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
     """Fused LSTM over ``(batch, time, features)`` input.
 
-    Semantics match :meth:`repro.nn.LSTM.forward_unfused` exactly (fused
-    ``[i, f, g, o]`` gate layout): returns ``(outputs, (h_T, c_T))`` where
+    Semantics match the tape oracle
+    :class:`repro.testing.reference.TapeLSTM` exactly (fused ``[i, f, g,
+    o]`` gate layout): returns ``(outputs, (h_T, c_T))`` where
     ``outputs`` is ``(batch, time, hidden)``.  The entire sequence is one
     autograd node; ``c_T`` is a sibling node over the same cached
     activations so gradients may flow through a threaded state.
@@ -600,8 +603,9 @@ def pool_infer(X: np.ndarray, window: int, mode: str) -> np.ndarray:
 def avg_pool_1d(x: Tensor, window: int) -> Tensor:
     """Non-overlapping temporal average pooling as one tape node.
 
-    Equivalent to :meth:`repro.nn.AvgPool1D.forward_unfused`: a trailing
-    partial window is averaged over its own (shorter) length.
+    Equivalent to the tape oracle
+    :class:`repro.testing.reference.TapeAvgPool1D`: a trailing partial
+    window is averaged over its own (shorter) length.
     """
     (X,) = _maybe_cast(x.data)
     out, full, tail, nfull, rem = _pool_forward(X, window, "avg")

@@ -31,7 +31,6 @@ __all__ = [
     "MaxPool1D",
     "Sequential",
     "Dropout",
-    "set_fused",
 ]
 
 
@@ -186,12 +185,10 @@ class LSTM(Module):
         input_size: int,
         hidden_size: int,
         rng: np.random.Generator | None = None,
-        fused: bool = True,
     ) -> None:
         rng = rng or np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.fused = fused
         self.w_x = Tensor(
             _glorot(rng, input_size, 4 * hidden_size), requires_grad=True
         )
@@ -211,120 +208,51 @@ class LSTM(Module):
         """Run the LSTM over a sequence.
 
         Returns ``(outputs, (h_T, c_T))`` where outputs stacks every hidden
-        state along the time axis.  Dispatches to the fused single-node
-        kernel (:func:`repro.nn.fused.lstm_sequence`, which alone reads
-        ``pads``) unless ``self.fused`` is False, in which case the generic
-        per-op tape path is used; both paths are numerically interchangeable
-        (see tests/test_fused_kernels).
+        state along the time axis, as one fused tape node
+        (:func:`repro.nn.fused.lstm_sequence`, where ``pads`` is read).
+        Its per-op tape composition is the oracle
+        :class:`repro.testing.reference.TapeLSTM`.
         """
         if x.shape[-1] != self.input_size:
             raise ValueError(
                 f"LSTM expected {self.input_size} input features, got {x.shape[-1]}"
             )
-        if self.fused:
-            return lstm_sequence(x, self.w_x, self.w_h, self.bias, state, pads)
-        return self.forward_unfused(x, state)
-
-    def forward_unfused(
-        self,
-        x: Tensor,
-        state: tuple[Tensor, Tensor] | None = None,
-    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """Reference path: one generic tape op per gate per timestep."""
-        batch, steps, features = x.shape
-        h_size = self.hidden_size
-        if state is None:
-            h = Tensor(np.zeros((batch, h_size)))
-            c = Tensor(np.zeros((batch, h_size)))
-        else:
-            h, c = state
-
-        # Precompute all input projections in one batched matmul; the
-        # recurrent projection must stay inside the loop.
-        x_proj = x.reshape(batch * steps, features) @ self.w_x + self.bias
-        x_proj = x_proj.reshape(batch, steps, 4 * h_size)
-
-        outputs: list[Tensor] = []
-        for t in range(steps):
-            gates = x_proj[:, t, :] + h @ self.w_h
-            i = gates[:, 0:h_size].sigmoid()
-            f = gates[:, h_size : 2 * h_size].sigmoid()
-            g = gates[:, 2 * h_size : 3 * h_size].tanh()
-            o = gates[:, 3 * h_size : 4 * h_size].sigmoid()
-            c = f * c + i * g
-            h = o * c.tanh()
-            outputs.append(h)
-        return Tensor.stack(outputs, axis=1), (h, c)
-
-
-def _pool_windows(length: int, window: int) -> int:
-    """Number of non-overlapping pooling windows covering ``length`` steps.
-
-    A trailing partial window is kept (pooled over fewer elements), so no
-    data at the recent end of the series is dropped.
-    """
-    return (length + window - 1) // window
+        return lstm_sequence(x, self.w_x, self.w_h, self.bias, state, pads)
 
 
 class AvgPool1D(Module):
     """Non-overlapping temporal average pooling over axis 1.
 
     Downsamples ``(batch, time, features)`` to
-    ``(batch, ceil(time / window), features)``.  This is the aggregation
-    stage of Figure 6 that produces TS_medium and TS_long.
+    ``(batch, ceil(time / window), features)``; a trailing partial window
+    is pooled over its own length, so no data at the recent end of the
+    series is dropped.  This is the aggregation stage of Figure 6 that
+    produces TS_medium and TS_long.
     """
 
-    def __init__(self, window: int, fused: bool = True) -> None:
+    def __init__(self, window: int) -> None:
         if window < 1:
             raise ValueError("pooling window must be >= 1")
         self.window = window
-        self.fused = fused
 
     def forward(self, x: Tensor) -> Tensor:
         if self.window == 1:
             return x
-        if self.fused:
-            return avg_pool_1d(x, self.window)
-        return self.forward_unfused(x)
-
-    def forward_unfused(self, x: Tensor) -> Tensor:
-        """Reference path: one slice + mean + stack chain per window."""
-        batch, steps, features = x.shape
-        nwin = _pool_windows(steps, self.window)
-        pieces = []
-        for w in range(nwin):
-            lo = w * self.window
-            hi = min(steps, lo + self.window)
-            pieces.append(x[:, lo:hi, :].mean(axis=1))
-        return Tensor.stack(pieces, axis=1)
+        return avg_pool_1d(x, self.window)
 
 
 class MaxPool1D(Module):
     """Non-overlapping temporal max pooling over axis 1."""
 
-    def __init__(self, window: int, fused: bool = True) -> None:
+    def __init__(self, window: int) -> None:
         if window < 1:
             raise ValueError("pooling window must be >= 1")
         self.window = window
-        self.fused = fused
 
     def forward(self, x: Tensor) -> Tensor:
         if self.window == 1:
             return x
-        if self.fused:
-            return max_pool_1d(x, self.window)
-        return self.forward_unfused(x)
-
-    def forward_unfused(self, x: Tensor) -> Tensor:
-        """Reference path: one slice + max + stack chain per window."""
-        batch, steps, features = x.shape
-        nwin = _pool_windows(steps, self.window)
-        pieces = []
-        for w in range(nwin):
-            lo = w * self.window
-            hi = min(steps, lo + self.window)
-            pieces.append(x[:, lo:hi, :].max(axis=1))
-        return Tensor.stack(pieces, axis=1)
+        return max_pool_1d(x, self.window)
 
 
 class Dropout(Module):
@@ -343,18 +271,6 @@ class Dropout(Module):
         keep = 1.0 - self.rate
         mask = self._rng.binomial(1, keep, size=x.shape) / keep
         return x * Tensor(mask)
-
-
-def set_fused(module: Module, enabled: bool) -> Module:
-    """Toggle the fused fast path on every kernel-bearing submodule.
-
-    Used by the benchmark harness to time the pre-fusion (generic tape)
-    baseline against the fused kernels on the same model instance.
-    """
-    for sub in module.modules():
-        if hasattr(sub, "fused"):
-            sub.fused = bool(enabled)
-    return module
 
 
 class Sequential(Module):

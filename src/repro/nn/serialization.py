@@ -7,7 +7,6 @@ the hyper-parameters needed to rebuild the architecture).
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 
@@ -19,8 +18,6 @@ __all__ = [
     "save_module",
     "load_state",
     "load_module_into",
-    "state_to_bytes",
-    "state_from_bytes",
 ]
 
 
@@ -53,54 +50,6 @@ def load_state(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     meta_path = path.with_suffix(".json")
     metadata = json.loads(meta_path.read_text()) if meta_path.exists() else {}
     return state, metadata
-
-
-_STATE_MAGIC = b"RSTATE1\n"
-
-
-def state_to_bytes(state: dict[str, np.ndarray]) -> bytes:
-    """Serialize an array state dict to deterministic in-memory bytes.
-
-    Unlike ``np.savez`` (whose zip entries embed wall-clock timestamps),
-    this container is a pure function of the arrays: a JSON index of
-    ``(key, dtype, shape)`` in sorted key order followed by the raw
-    buffers.  The serving checkpoints rely on that determinism for their
-    byte-identity crash-equivalence guarantee.
-    """
-    index = []
-    buffer = io.BytesIO()
-    for key in sorted(state):
-        arr = np.ascontiguousarray(np.asarray(state[key]))
-        index.append({"key": key, "dtype": str(arr.dtype), "shape": list(arr.shape)})
-        buffer.write(arr.tobytes())
-    header = json.dumps(index, sort_keys=True).encode("utf-8")
-    return (
-        _STATE_MAGIC
-        + len(header).to_bytes(8, "little")
-        + header
-        + buffer.getvalue()
-    )
-
-
-def state_from_bytes(blob: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`state_to_bytes`."""
-    if not blob.startswith(_STATE_MAGIC):
-        raise ValueError("not a repro state blob (bad magic)")
-    offset = len(_STATE_MAGIC)
-    header_len = int.from_bytes(blob[offset : offset + 8], "little")
-    offset += 8
-    index = json.loads(blob[offset : offset + header_len].decode("utf-8"))
-    offset += header_len
-    state: dict[str, np.ndarray] = {}
-    for entry in index:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = dtype.itemsize * count
-        arr = np.frombuffer(blob[offset : offset + nbytes], dtype=dtype).reshape(shape)
-        state[entry["key"]] = arr.copy()
-        offset += nbytes
-    return state
 
 
 def load_module_into(module: Module, path: str | Path) -> dict:

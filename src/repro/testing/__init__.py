@@ -6,6 +6,8 @@ silent numerical drift while the hot paths get refactored:
 * :mod:`repro.testing.reference` — slow, obviously-correct scalar
   re-implementations of the production kernels (LSTM cell, Dense, Adam,
   SAFE loss, survival transform, CUSUM) for differential testing, the
+  generic-tape layers the fused training kernels replace (``TapeLSTM``,
+  ``TapeAvgPool1D``, ``TapeMaxPool1D``, ``on_tape``), the
   per-record NetFlow oracles (wire codec, packet sampling, matrix fold,
   signature match), and :class:`ReferenceOnlineXatu`, the per-record /
   per-customer oracle for the streaming detector;
@@ -32,8 +34,12 @@ from .golden import (
 )
 from .reference import (
     ReferenceOnlineXatu,
+    TapeAvgPool1D,
+    TapeLSTM,
+    TapeMaxPool1D,
     diff_summary,
     max_abs_diff,
+    on_tape,
     reference_adam_step,
     reference_add_flow,
     reference_avg_pool_1d,
@@ -69,6 +75,10 @@ __all__ = [
     "reference_lstm_sequence",
     "reference_avg_pool_1d",
     "reference_max_pool_1d",
+    "TapeLSTM",
+    "TapeAvgPool1D",
+    "TapeMaxPool1D",
+    "on_tape",
     "reference_dense",
     "reference_adam_step",
     "reference_sgd_step",

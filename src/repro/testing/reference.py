@@ -22,7 +22,15 @@ fold (:func:`reference_add_flow`, of ``TrafficMatrix.add_batch``) and the
 diversion-signature test (:func:`reference_matches`, of
 ``AttackSignature.match_mask``).
 
-:class:`ReferenceOnlineXatu` is the one exception to "no shared code": it
+Two exceptions to "no shared code" follow.  The fused training kernels'
+oracles are the generic-tape compositions they replace, one op per tape
+node: :class:`TapeLSTM`, :class:`TapeAvgPool1D` and :class:`TapeMaxPool1D`
+are the production layers with only ``forward`` overridden, and
+:func:`on_tape` puts a whole model on them.  They are the backward oracle
+of :mod:`repro.nn.fused` (``tests/test_fused_kernels.py``) and the
+``unfused`` baseline of the ``train`` bench suite.
+
+:class:`ReferenceOnlineXatu` is the second: it
 *is* the production :class:`~repro.core.OnlineXatu` with two stages
 swapped for slow, obviously-correct ones — per-record ingest, and
 per-customer scoring over a dense window rebuilt and scaled whole — and its
@@ -56,6 +64,7 @@ from ..netflow.matrix import (
     VolumetricAccumulator,
 )
 from ..netflow.records import FlowRecord, Protocol, TcpFlags
+from ..nn import LSTM, AvgPool1D, MaxPool1D, Module, Tensor
 from ..signals.features import _CLASS_OF_GROUP, N_FEATURES
 
 __all__ = [
@@ -64,6 +73,10 @@ __all__ = [
     "reference_lstm_sequence",
     "reference_avg_pool_1d",
     "reference_max_pool_1d",
+    "TapeLSTM",
+    "TapeAvgPool1D",
+    "TapeMaxPool1D",
+    "on_tape",
     "reference_dense",
     "reference_adam_step",
     "reference_sgd_step",
@@ -187,6 +200,90 @@ def reference_max_pool_1d(x: np.ndarray, window: int) -> np.ndarray:
                     best = max(best, float(x[b, t, j]))
                 out[b, w, j] = best
     return out
+
+
+class TapeLSTM(LSTM):
+    """:class:`~repro.nn.LSTM` on the generic tape: one op per gate per
+    timestep, the composition :func:`repro.nn.fused.lstm_sequence` collapses
+    into one node.  Its forward is the kernel's by bytes (same op order);
+    its backward is the tape's own, equal to the kernel's to round-off.
+    ``pads`` is accepted and ignored: it only steers which rows the kernel's
+    no-grad lane projects."""
+
+    def forward(
+        self,
+        x: Tensor,
+        state: tuple[Tensor, Tensor] | None = None,
+        pads: int = 0,
+    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        batch, steps, features = x.shape
+        h_size = self.hidden_size
+        if state is None:
+            h = Tensor(np.zeros((batch, h_size)))
+            c = Tensor(np.zeros((batch, h_size)))
+        else:
+            h, c = state
+
+        # Precompute all input projections in one batched matmul; the
+        # recurrent projection must stay inside the loop.
+        x_proj = x.reshape(batch * steps, features) @ self.w_x + self.bias
+        x_proj = x_proj.reshape(batch, steps, 4 * h_size)
+
+        outputs: list[Tensor] = []
+        for t in range(steps):
+            gates = x_proj[:, t, :] + h @ self.w_h
+            i = gates[:, 0:h_size].sigmoid()
+            f = gates[:, h_size : 2 * h_size].sigmoid()
+            g = gates[:, 2 * h_size : 3 * h_size].tanh()
+            o = gates[:, 3 * h_size : 4 * h_size].sigmoid()
+            c = f * c + i * g
+            h = o * c.tanh()
+            outputs.append(h)
+        return Tensor.stack(outputs, axis=1), (h, c)
+
+
+def _tape_pool(x: Tensor, window: int, reduce: str) -> Tensor:
+    """One slice + ``reduce`` + stack chain per window; a trailing partial
+    window reduces over its own length."""
+    if window == 1:
+        return x
+    steps = x.shape[1]
+    pieces = [
+        getattr(x[:, lo : min(steps, lo + window), :], reduce)(axis=1)
+        for lo in range(0, steps, window)
+    ]
+    return Tensor.stack(pieces, axis=1)
+
+
+class TapeAvgPool1D(AvgPool1D):
+    """:class:`~repro.nn.AvgPool1D` on the generic tape, the composition
+    :func:`repro.nn.fused.avg_pool_1d` collapses into one node."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return _tape_pool(x, self.window, "mean")
+
+
+class TapeMaxPool1D(MaxPool1D):
+    """:class:`~repro.nn.MaxPool1D` on the generic tape, the composition
+    :func:`repro.nn.fused.max_pool_1d` collapses into one node."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return _tape_pool(x, self.window, "max")
+
+
+_TAPE_LAYERS = {LSTM: TapeLSTM, AvgPool1D: TapeAvgPool1D, MaxPool1D: TapeMaxPool1D}
+
+
+def on_tape(module: Module) -> Module:
+    """Put every kernel layer of ``module`` on the generic tape, in place,
+    and return it: each LSTM and pooling layer becomes its ``Tape*`` class.
+    Nothing else changes — the layers keep their weight tensors, so
+    parameters, an optimiser built on them and the state dict carry over."""
+    for sub in module.modules():
+        tape = _TAPE_LAYERS.get(type(sub))
+        if tape is not None:
+            sub.__class__ = tape
+    return module
 
 
 def _reference_activation(value: float, activation: str) -> float:

@@ -372,6 +372,36 @@ def test_leading_runs_compare_bytes_and_the_sanitizer_checks_the_bound():
         lstm_infer_lockstep([x], weights, [4])  # unchecked: trusted, not verified
 
 
+def test_projected_pad_rows_compare_bytes():
+    """``_project`` resumes a batch from its smallest pad count only if
+    every item's projected pad row has the same bytes.  A projected row is
+    GEMM + bias, so it never carries a ``-0.0``; for finite inputs bytes
+    and values agree, and a NaN payload is what tells them apart.  Pad rows
+    holding NaNs of one payload share a lead (a value compare, where ``nan
+    != nan``, would give none); pad rows of two payloads share none.  The
+    sanitizer is off: the counts are the caller's."""
+    from repro.analysis.sanitizer import sanitized
+    from repro.nn.fused import _project
+
+    rng = np.random.default_rng(5)
+    w_x, bias = rng.normal(0.0, 1.0, (3, 8)), rng.normal(0.0, 1.0, 8)
+    for dtype in (np.float64, np.float32):
+        bits = f"u{np.dtype(dtype).itemsize}"
+        nan = np.array(np.nan, dtype)
+        other_nan = (nan.view(bits) ^ 1).view(dtype)
+        w, b = w_x.astype(dtype), bias.astype(dtype)
+        x = rng.normal(0.0, 1.0, (2, 5, 3)).astype(dtype)
+        x[0, :3] = x[1, :4] = nan
+        out = np.empty((2, 5, 8), dtype)
+        pads = np.array([3, 4], dtype=np.intp)  # two GEMM groups, from rows 2 and 3
+        with sanitized(False):
+            lead, row = _project(x, w, b, out, pads)
+            assert lead == 3 and np.isnan(row).all()
+            assert row.tobytes() == out[0, 2:3].tobytes() == out[1, 3:4].tobytes()
+            x[1, :4] = other_nan
+            assert _project(x, w, b, out, pads) == (0, None)
+
+
 # ----------------------------------------------------------------------
 # kernel level: every timescale in one time loop.  ``lstm_infer_lockstep``
 # aligns the timescales at their last step and runs the leading slots of one

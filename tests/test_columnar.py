@@ -704,8 +704,9 @@ def test_row_store_is_a_derived_view_of_the_cells():
     rows that is kept by "dirty on fold, flush on read", in the encoding of
     its last read.  Two matrices take the same random writes — late and
     future-stamped minutes, evictions, released stores, restores, clock
-    gaps — and only one is ever read, finalized or scaled and cast in
-    either dtype under a scaler that is replaced or refit in place: after
+    gaps, a write evicted before any read flushed it — and only one is ever
+    read, finalized or scaled and cast in either dtype under a scaler that
+    is replaced or refit in place: after
     every op its reads equal a fresh build from its own snapshot,
     ``finalize()`` of each cell and ``transform(finalize()).astype(dtype)``
     by bytes, ``row_store_rows()`` counts what the stores hold, and the two
@@ -731,7 +732,7 @@ def test_row_store_is_a_derived_view_of_the_cells():
         for _ in range(n_ops):
             op = str(rng.choice([
                 "add_flow", "add_batch", "evict", "restore", "reinstall", "tick",
-                "release", "rescale",
+                "release", "rescale", "evict_unread",
             ]))
             if op in ("add_flow", "add_batch"):
                 n = int(rng.integers(1, 12))
@@ -753,14 +754,31 @@ def test_row_store_is_a_derived_view_of_the_cells():
                         reference_add_flow(
                             matrix, customer, record, [SOURCE_CLASS_BLOCKLIST] if hot else []
                         )
-            elif op == "evict":
-                cutoff = now - int(rng.integers(0, 8))
+            elif op in ("evict", "evict_unread"):
+                if op == "evict":
+                    cutoff = now - int(rng.integers(0, 8))
+                else:  # a write evicted before any read flushes it from its store
+                    customer = int(rng.integers(0, 3))
+                    cutoff = 1 + min((key[2] for key in _cell_keys(reader)), default=now)
+                    kept, gone = (
+                        replace(r, timestamp=minute)
+                        for r, minute in zip(_random_records(rng, 2), (cutoff, cutoff - 1))
+                    )
+                    for matrix in (reader, blind):
+                        reference_add_flow(matrix, customer, kept, [])
+                    reader.rows_between(customer, "all", cutoff - 1, cutoff + 1)  # a clean store...
+                    for matrix in (reader, blind):
+                        reference_add_flow(matrix, customer, gone, [])  # ...one dirty minute
                 series = {key[:2] for key in _cell_keys(reader)}
                 assert reader.evict_before(cutoff) == blind.evict_before(cutoff)
                 evicted_to = max(evicted_to, cutoff)
                 dropped |= series - {key[:2] for key in _cell_keys(reader)}
                 assert reader.evict_before(cutoff) == 0
                 assert cutoff <= _matrix_fingerprint(reader)["oldest"]  # the next scan starts here
+                if op == "evict_unread":  # the first read after it skips the gone minute
+                    minutes, _rows = reader.rows_between(customer, "all", cutoff - 1, cutoff + 1)
+                    assert minutes.tolist() == [cutoff]
+                    seen.add("evicted an unread write")
             elif op == "restore":
                 keys = _cell_keys(reader)
                 if not keys:
@@ -856,6 +874,7 @@ def test_row_store_is_a_derived_view_of_the_cells():
         "restored after a series was evicted",
         "scaled float64",
         "scaled float32",
+        "evicted an unread write",
     }
 
 

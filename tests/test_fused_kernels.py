@@ -3,8 +3,9 @@
 Three layers of defence around the hand-derived kernels:
 
 * fused vs unfused — the single-node LSTM / pooling ops must match the
-  generic per-op tape path, forward *and* backward, to <= 1e-8 in float64
-  (hypothesis drives randomized shapes/seeds);
+  generic per-op tape oracles of :mod:`repro.testing.reference`
+  (``Tape*`` layers): the forward by bytes, the backward to <= 1e-8 in
+  float64 (hypothesis drives randomized shapes/seeds);
 * fused vs scalar reference — the obviously-correct loops in
   :mod:`repro.testing.reference` pin down the semantics both share;
 * inference lane — ``no_grad`` output must be byte-identical to the
@@ -33,11 +34,13 @@ from repro.nn import (
     gradcheck,
     inference_dtype,
     no_grad,
-    set_fused,
 )
 from repro.nn.autograd import resolve_inference_dtype
 from repro.nn.fused import avg_pool_1d, lstm_sequence, max_pool_1d
 from repro.testing import (
+    TapeAvgPool1D,
+    TapeLSTM,
+    TapeMaxPool1D,
     max_abs_diff,
     reference_avg_pool_1d,
     reference_lstm_sequence,
@@ -49,9 +52,16 @@ TOL = 1e-8
 
 def _lstm_pair(features, hidden, seed):
     """Two LSTMs sharing weights: one fused, one on the generic tape."""
-    fused = LSTM(features, hidden, rng=np.random.default_rng(seed), fused=True)
-    unfused = LSTM(features, hidden, rng=np.random.default_rng(seed), fused=False)
+    fused = LSTM(features, hidden, rng=np.random.default_rng(seed))
+    unfused = TapeLSTM(features, hidden, rng=np.random.default_rng(seed))
     return fused, unfused
+
+
+def _same_bytes(a: Tensor, b: Tensor) -> bool:
+    """The forwards mirror each other's op order, so they agree bit for bit
+    (the backwards sum in other orders, so they get ``TOL``)."""
+    a, b = a.numpy(), b.numpy()
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestFusedLSTMMatchesUnfused:
@@ -71,9 +81,9 @@ class TestFusedLSTMMatchesUnfused:
 
         of, (hf, cf) = fused(xf)
         ou, (hu, cu) = unfused(xu)
-        assert max_abs_diff(of.numpy(), ou.numpy()) <= TOL
-        assert max_abs_diff(hf.numpy(), hu.numpy()) <= TOL
-        assert max_abs_diff(cf.numpy(), cu.numpy()) <= TOL
+        assert _same_bytes(of, ou)
+        assert _same_bytes(hf, hu)
+        assert _same_bytes(cf, cu)
 
         # Route gradient through outputs AND both final states.
         (of.sum() + (hf * 2.0).sum() + (cf * 3.0).sum()).backward()
@@ -93,12 +103,14 @@ class TestFusedLSTMMatchesUnfused:
             sc = Tensor(c0, requires_grad=True)
             out, _ = lstm(Tensor(x), state=(sh, sc))
             out.sum().backward()
-            grads[name] = (out.numpy(), sh.grad, sc.grad)
-        for got, want in zip(grads["fused"], grads["unfused"]):
+            grads[name] = (out, sh.grad, sc.grad)
+        (out_f, *grad_f), (out_u, *grad_u) = grads["fused"], grads["unfused"]
+        assert _same_bytes(out_f, out_u)
+        for got, want in zip(grad_f, grad_u):
             assert max_abs_diff(got, want) <= TOL
 
     def test_fused_gradcheck_against_finite_differences(self):
-        lstm = LSTM(3, 2, rng=np.random.default_rng(5), fused=True)
+        lstm = LSTM(3, 2, rng=np.random.default_rng(5))
         x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 3)))
 
         def loss(w_x, w_h, bias):
@@ -108,7 +120,7 @@ class TestFusedLSTMMatchesUnfused:
         gradcheck(loss, [lstm.w_x, lstm.w_h, lstm.bias])
 
     def test_matches_scalar_reference(self, rng):
-        lstm = LSTM(4, 3, rng=np.random.default_rng(2), fused=True)
+        lstm = LSTM(4, 3, rng=np.random.default_rng(2))
         x = rng.normal(size=(2, 6, 4))
         out, _ = lstm(Tensor(x))
         want = reference_lstm_sequence(
@@ -128,13 +140,13 @@ class TestFusedPoolingMatchesUnfused:
         kind=st.sampled_from(["avg", "max"]),
     )
     def test_forward_and_backward(self, batch, steps, features, window, seed, kind):
-        cls = AvgPool1D if kind == "avg" else MaxPool1D
+        cls, tape = (AvgPool1D, TapeAvgPool1D) if kind == "avg" else (MaxPool1D, TapeMaxPool1D)
         x = np.random.default_rng(seed).normal(size=(batch, steps, features))
         xf = Tensor(x, requires_grad=True)
         xu = Tensor(x, requires_grad=True)
-        of = cls(window, fused=True)(xf)
-        ou = cls(window, fused=False)(xu)
-        assert max_abs_diff(of.numpy(), ou.numpy()) <= TOL
+        of = cls(window)(xf)
+        ou = tape(window)(xu)
+        assert _same_bytes(of, ou)
         (of * of).sum().backward()
         (ou * ou).sum().backward()
         assert max_abs_diff(xf.grad, xu.grad) <= TOL
@@ -167,7 +179,7 @@ class TestFusedPoolingMatchesUnfused:
 
 class TestInferenceLane:
     def test_no_grad_forward_is_byte_identical(self, rng):
-        lstm = LSTM(5, 4, rng=np.random.default_rng(3), fused=True)
+        lstm = LSTM(5, 4, rng=np.random.default_rng(3))
         x = Tensor(rng.normal(size=(2, 15, 5)))
         out_train, (h_train, c_train) = lstm(x)
         with no_grad():
@@ -194,7 +206,7 @@ class TestInferenceLane:
         assert model.training  # restored afterwards
 
     def test_inference_dtype_float32(self, rng):
-        lstm = LSTM(4, 3, rng=np.random.default_rng(8), fused=True)
+        lstm = LSTM(4, 3, rng=np.random.default_rng(8))
         x = rng.normal(size=(2, 10, 4))
         out64, _ = lstm(Tensor(x))
         with no_grad(), inference_dtype(np.float32):
@@ -237,13 +249,6 @@ class TestTrainEvalProtocol:
         assert np.array_equal(drop(x).numpy(), x.numpy())  # identity in eval
         seq.train()
         assert drop.training
-
-    def test_set_fused_toggles_kernel_layers(self):
-        seq = Sequential(AvgPool1D(3), MaxPool1D(2), Dense(2, 2))
-        set_fused(seq, False)
-        assert not seq.layers[0].fused and not seq.layers[1].fused
-        set_fused(seq, True)
-        assert seq.layers[0].fused and seq.layers[1].fused
 
 
 class TestMatmulVectorRegression:
@@ -315,6 +320,40 @@ class TestBenchHarness:
         }))
         with pytest.raises(ValueError, match="format_version 1"):
             load_bench_json(v1)
+
+    def test_smoke_run_produces_the_committed_rows(self):
+        """``compare`` walks only the fresh rows, so a dropped variant would
+        pass ``bench --check``; the row names are pinned here instead."""
+        from pathlib import Path
+
+        from repro.bench import load_bench_json, run_train
+
+        committed = load_bench_json(
+            Path(__file__).resolve().parents[1] / "benchmarks/results/BENCH_train.json"
+        )
+        assert set(run_train(smoke=True)["rows"]) == set(committed["rows"])
+
+    def test_unfused_variants_run_no_fused_kernel(self, monkeypatch):
+        """Every ``unfused`` variant is the tape oracle end to end: with the
+        fused training kernels made to raise, each still runs, and each
+        ``fused`` variant does not."""
+        from repro.bench.train import _BUILDERS, _FUSION, _VARIANTS, TRAIN_CASES, _sizes
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("fused kernel called")
+
+        for name in ("lstm_sequence", "avg_pool_1d", "max_pool_1d"):
+            monkeypatch.setattr(f"repro.nn.fused.{name}", refuse)
+            monkeypatch.setattr(f"repro.nn.layers.{name}", refuse)
+        sizes = _sizes(smoke=True)
+        for case in (c for c in TRAIN_CASES if c not in _VARIANTS):
+            for variant, flag in _FUSION:
+                run = _BUILDERS[case](sizes, flag)
+                if variant == "unfused":
+                    run()
+                else:
+                    with pytest.raises(AssertionError, match="fused kernel called"):
+                        run()
 
     def test_committed_baseline_is_current_format(self):
         from pathlib import Path

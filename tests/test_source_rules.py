@@ -272,7 +272,7 @@ XL003_FIXTURES = [
         def _make_train_epoch_obs(sizes, enabled):
             from ..obs import set_enabled
 
-            fit = _make_train_epoch(sizes, fused=True)
+            fit = _make_train_epoch(sizes, True)
 
             def run():
                 previous = set_enabled(enabled)
